@@ -12,14 +12,13 @@
 //! to be bit-identical with and without a reset — zero peer-shard
 //! stalls. Emits `BENCH_fabric.json` with a stable schema.
 //!
-//! Usage:
-//!   fabric_report [OUT.json]            full sweep (4-GPU column included)
-//!   fabric_report --smoke [OUT.json]    1- and 2-GPU columns only
-//!   fabric_report --check FILE.json     parse and validate a report
+//! Usage: `fabric_report [OUT.json]` (default `BENCH_fabric.json`).
+//! `scripts/ci.sh` regenerates the ledger into `target/` and fails on
+//! any byte difference from the committed file.
 
 use std::fmt::Write as _;
 
-use hix_bench::json::{parse_json, Json};
+use hix_bench::{fail, write_ledger};
 use hix_core::fabric::{run_fabric_scaled, Fabric, FabricOptions};
 use hix_core::multiuser::{SchedulerConfig, SessionSpec, TaskSpec};
 use hix_driver::rig::{fabric_rig, RigOptions};
@@ -37,11 +36,6 @@ const TENANTS_PER_SHARD: usize = 2;
 const STORM_CAP: usize = 400;
 /// Payload planted (and later read back) by every tenant.
 const PLANT_LEN: u64 = 4096;
-
-fn fail(msg: &str) -> ! {
-    eprintln!("fabric_report: FAILED: {msg}");
-    std::process::exit(1);
-}
 
 /// Per-tenant plant, a function of the tenant index only — NOT the
 /// fault seed — so served bytes must match across all swept seeds.
@@ -427,135 +421,10 @@ fn emit_json(cells: &[Cell], model_cells: &[ModelCell]) -> String {
     s
 }
 
-// ---- JSON check (parser shared via hix_bench::json) ----
-
-/// Required keys of each machine cell, in emission order.
-const CELL_KEYS: [&str; 9] = [
-    "gpus",
-    "profile",
-    "seed",
-    "sessions",
-    "served_ok",
-    "resets",
-    "blast_radius",
-    "migrations",
-    "ops_to_reset",
-];
-
-/// Required keys of each model cell, in emission order.
-const MODEL_KEYS: [&str; 5] = [
-    "gpus",
-    "clean_makespan_ns",
-    "reset_makespan_ns",
-    "degraded_ratio",
-    "peer_identical",
-];
-
-fn check_file(path: &str) {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => fail(&format!("cannot read {path}: {e}")),
-    };
-    let json = match parse_json(&text) {
-        Ok(j) => j,
-        Err(e) => fail(&format!("{path}: not valid JSON: {e}")),
-    };
-    let Json::Obj(top) = json else {
-        fail(&format!("{path}: top level is not an object"));
-    };
-    let top_keys: Vec<&str> = top.iter().map(|(k, _)| k.as_str()).collect();
-    if top_keys != ["bench", "seeds", "switch_fanout", "cells", "model"] {
-        fail(&format!("{path}: unstable top-level keys {top_keys:?}"));
-    }
-    if top[0].1 != Json::Str("fabric_report".into()) {
-        fail(&format!("{path}: wrong bench name"));
-    }
-    let Json::Arr(cells) = &top[3].1 else {
-        fail(&format!("{path}: cells is not an array"));
-    };
-    if cells.is_empty() {
-        fail(&format!("{path}: no cells"));
-    }
-    let num = |cell: &Json, key: &str| cell.get(key).and_then(Json::as_num).unwrap_or(-1.0);
-    for (n, cell) in cells.iter().enumerate() {
-        let Json::Obj(fields) = cell else {
-            fail(&format!("{path}: cell {n} is not an object"));
-        };
-        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
-        if keys != CELL_KEYS {
-            fail(&format!("{path}: cell {n} has unstable keys {keys:?}"));
-        }
-        let Some(Json::Str(profile)) = cell.get("profile") else {
-            fail(&format!("{path}: cell {n}: profile is not a string"));
-        };
-        let Some(profile) = FabricProfile::parse(profile) else {
-            fail(&format!("{path}: cell {n}: unknown profile {profile:?}"));
-        };
-        for key in CELL_KEYS.iter().filter(|k| **k != "profile") {
-            if num(cell, key) < 0.0 {
-                fail(&format!("{path}: cell {n}: key {key} is not a number"));
-            }
-        }
-        // The report's invariants hold in the committed file too.
-        if num(cell, "blast_radius") != 0.0 {
-            fail(&format!("{path}: cell {n}: nonzero reset blast radius"));
-        }
-        if num(cell, "served_ok") != num(cell, "sessions") {
-            fail(&format!("{path}: cell {n}: tenants served non-identical data"));
-        }
-        if profile != FabricProfile::None {
-            if num(cell, "resets") < 1.0 {
-                fail(&format!("{path}: cell {n}: faulted run with no reset"));
-            }
-            if num(cell, "gpus") >= 2.0 && num(cell, "migrations") < 1.0 {
-                fail(&format!("{path}: cell {n}: faulted run never migrated"));
-            }
-        }
-    }
-    let Json::Arr(model) = &top[4].1 else {
-        fail(&format!("{path}: model is not an array"));
-    };
-    if model.is_empty() {
-        fail(&format!("{path}: no model cells"));
-    }
-    for (n, cell) in model.iter().enumerate() {
-        let Json::Obj(fields) = cell else {
-            fail(&format!("{path}: model cell {n} is not an object"));
-        };
-        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
-        if keys != MODEL_KEYS {
-            fail(&format!("{path}: model cell {n} has unstable keys {keys:?}"));
-        }
-        if num(cell, "peer_identical") != 1.0 {
-            fail(&format!("{path}: model cell {n}: peer shards stalled"));
-        }
-        if num(cell, "degraded_ratio") < 1.0 {
-            fail(&format!("{path}: model cell {n}: degraded ratio below 1"));
-        }
-    }
-    println!(
-        "fabric_report: {path}: OK ({} cells, {} model cells, stable keys)",
-        cells.len(),
-        model.len()
-    );
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("--check") {
-        let Some(path) = args.get(1) else {
-            fail("--check needs a file path");
-        };
-        check_file(path);
-        return;
-    }
-    let smoke = args.first().map(String::as_str) == Some("--smoke");
-    let out_path = args
-        .get(usize::from(smoke))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_fabric.json".into());
+    let out_path = std::env::args().nth(1).unwrap_or_else(|| "BENCH_fabric.json".into());
 
-    let sizes: &[usize] = if smoke { &[1, 2] } else { &[1, 2, 4] };
+    let sizes = [1, 2, 4];
     let profiles = [
         FabricProfile::None,
         FabricProfile::ShardStorm,
@@ -563,7 +432,7 @@ fn main() {
     ];
 
     let mut cells = Vec::new();
-    for &gpus in sizes {
+    for gpus in sizes {
         for profile in profiles {
             for seed in SEEDS {
                 cells.push(run_cell(gpus, profile, seed));
@@ -573,8 +442,7 @@ fn main() {
     check_cells(&cells);
 
     let model = CostModel::paper();
-    let model_cells: Vec<ModelCell> =
-        sizes.iter().map(|&g| run_model_cell(&model, g)).collect();
+    let model_cells = sizes.map(|g| run_model_cell(&model, g));
     check_model(&model_cells);
 
     println!("# Fabric sweep ({TENANTS_PER_SHARD} tenants/shard, fanout {FANOUT}, seeds {SEEDS:?})\n");
@@ -610,14 +478,6 @@ fn main() {
         );
     }
 
-    let json = emit_json(&cells, &model_cells);
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-    }
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        fail(&format!("cannot write {out_path}: {e}"));
-    }
+    write_ledger(&out_path, &emit_json(&cells, &model_cells));
     println!("\nfabric_report: all self-checks passed; wrote {out_path}");
 }

@@ -7,6 +7,7 @@
 //!
 //! Usage: `fault_report`.
 
+use hix_bench::fail;
 use hix_core::{GpuEnclave, GpuEnclaveOptions, HixSession};
 use hix_driver::rig::{standard_rig, RigOptions};
 use hix_sim::fault::{FaultConfig, FaultPlan};
@@ -35,11 +36,6 @@ impl RunStats {
     fn recovery_total(&self) -> u64 {
         self.retransmits + self.retries + self.rekeys + self.redma + self.dup_served
     }
-}
-
-fn fail(msg: &str) -> ! {
-    eprintln!("fault_report: FAILED: {msg}");
-    std::process::exit(1);
 }
 
 /// Deterministic input bytes — a fixed arithmetic texture, so clean and

@@ -21,14 +21,15 @@
 //!   snapshot, and emitted JSON;
 //! * **engine equivalence** — batched and sync runs of a profile
 //!   return byte-identical GPU results;
-//! * **amortization** — on the clean profile batching cuts channel
-//!   wakes per queued op by ≥ 4× at batch size 8, with a p99
-//!   end-to-end command latency no worse than sync.
+//! * **amortization** — on every profile batching cuts channel wakes,
+//!   serves at least one frame, and takes at least one wake per frame;
+//!   on the clean profile it cuts wakes per queued op by ≥ 4× at batch
+//!   size 8, with a p99 end-to-end command latency no worse than sync.
 //!
-//! Usage:
-//!   perf_report [OUT.json [FOLDED.txt]]    full sweep
-//!   perf_report --smoke [OUT.json]         fewer rounds, no folded file
-//!   perf_report --check FILE.json          parse and validate a report
+//! Usage: `perf_report [OUT.json [FOLDED.txt]]` (default
+//! `BENCH_perf.json`, no folded file). `scripts/ci.sh` regenerates the
+//! ledger into `target/` and fails on any byte difference from the
+//! committed file.
 //!
 //! The folded-stacks file loads directly into `flamegraph.pl` or
 //! speedscope; the Perfetto timeline of the same spans comes from
@@ -36,7 +37,7 @@
 
 use std::fmt::Write as _;
 
-use hix_bench::json::{parse_json, Json};
+use hix_bench::{fail, write_ledger};
 use hix_core::{CmdStatus, GpuEnclave, GpuEnclaveOptions, HixSession};
 use hix_driver::rig::{standard_rig, RigOptions};
 use hix_obs::{
@@ -59,11 +60,8 @@ const N: u64 = 24;
 const FILLERS: usize = 6;
 /// Queueable ops per tenant round (htod + fillers + launch + sync).
 const MIX_OPS: u64 = FILLERS as u64 + 3;
-
-fn fail(msg: &str) -> ! {
-    eprintln!("perf_report: FAILED: {msg}");
-    std::process::exit(1);
-}
+/// Rounds every tenant serves per cell.
+const ROUNDS: u32 = 8;
 
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -109,7 +107,7 @@ fn p99_e2e(requests: &[RequestRecord]) -> u64 {
     v[((v.len() * 99).div_ceil(100)).saturating_sub(1)]
 }
 
-fn run_cell(profile: &'static str, cfg: Option<FaultConfig>, rounds: u32, batched: bool) -> Cell {
+fn run_cell(profile: &'static str, cfg: Option<FaultConfig>, batched: bool) -> Cell {
     let mut m = standard_rig(RigOptions {
         kernels: all_kernels(),
         ..RigOptions::default()
@@ -140,7 +138,7 @@ fn run_cell(profile: &'static str, cfg: Option<FaultConfig>, rounds: u32, batche
         })
         .collect();
 
-    // Seeded round-robin op mix: every tenant serves `rounds` requests
+    // Seeded round-robin op mix: every tenant serves `ROUNDS` requests
     // of htod → 6 compute fillers (memset | dtod) → launch → sync →
     // dtoh, with fillers drawn from a splitmix stream so profiles and
     // engines share the exact op tape (the fault plan has its own
@@ -151,7 +149,7 @@ fn run_cell(profile: &'static str, cfg: Option<FaultConfig>, rounds: u32, batche
     let mut mix_wakes = 0u64;
     let mut mix_frames = 0u64;
     let mut mix_ops = 0u64;
-    for round in 0..rounds {
+    for round in 0..ROUNDS {
         for (t, s) in sessions.iter_mut().enumerate() {
             let [a, b, c] = bufs[t];
             let input: Vec<u8> = (0..bytes)
@@ -301,13 +299,13 @@ fn run_cell(profile: &'static str, cfg: Option<FaultConfig>, rounds: u32, batche
 
 // ---- JSON emit (stable key order) ----
 
-fn emit_json(cells: &[(Cell, Cell)], rounds: u32) -> String {
+fn emit_json(cells: &[(Cell, Cell)]) -> String {
     let mut s = String::new();
     s.push_str("{\n");
     let _ = writeln!(s, "  \"bench\": \"perf_report\",");
     let _ = writeln!(s, "  \"seed\": {SEED},");
     let _ = writeln!(s, "  \"tenants\": {TENANTS},");
-    let _ = writeln!(s, "  \"rounds\": {rounds},");
+    let _ = writeln!(s, "  \"rounds\": {ROUNDS},");
     s.push_str("  \"profiles\": [\n");
     for (i, (c, batched)) in cells.iter().enumerate() {
         let e2e: u64 = c.requests.iter().map(RequestRecord::e2e_ns).sum();
@@ -363,183 +361,6 @@ fn emit_json(cells: &[(Cell, Cell)], rounds: u32) -> String {
     }
     s.push_str("  ]\n}\n");
     s
-}
-
-// ---- JSON check ----
-
-/// Required keys of each profile, in emission order.
-const PROFILE_KEYS: [&str; 14] = [
-    "profile",
-    "requests",
-    "makespan_ns",
-    "e2e_ns",
-    "service_ns",
-    "queue_ns",
-    "p99_ns",
-    "mix_ops",
-    "wakes",
-    "batched",
-    "longest_critical_path_ns",
-    "unattributed_ns",
-    "stages",
-    "slo",
-];
-
-/// Required keys of the nested batched-engine column.
-const BATCHED_KEYS: [&str; 4] = ["wakes", "frames", "p99_ns", "requests"];
-
-/// Required keys of each SLO row, in emission order.
-const SLO_KEYS: [&str; 9] = [
-    "tenant",
-    "requests",
-    "p50_ns",
-    "p95_ns",
-    "p99_ns",
-    "p999_ns",
-    "max_ns",
-    "service_ns",
-    "queue_ns",
-];
-
-fn num(v: &Json, what: &str) -> f64 {
-    match v.as_num() {
-        Some(x) if x >= 0.0 => x,
-        _ => fail(&format!("{what} is not a non-negative number")),
-    }
-}
-
-fn check_file(path: &str) {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => fail(&format!("cannot read {path}: {e}")),
-    };
-    let json = match parse_json(&text) {
-        Ok(j) => j,
-        Err(e) => fail(&format!("{path}: not valid JSON: {e}")),
-    };
-    let Some(top) = json.as_obj() else {
-        fail(&format!("{path}: top level is not an object"));
-    };
-    let top_keys: Vec<&str> = top.iter().map(|(k, _)| k.as_str()).collect();
-    if top_keys != ["bench", "seed", "tenants", "rounds", "profiles"] {
-        fail(&format!("{path}: unstable top-level keys {top_keys:?}"));
-    }
-    if json.get("bench").and_then(Json::as_str) != Some("perf_report") {
-        fail(&format!("{path}: wrong bench name"));
-    }
-    let Some(profiles) = json.get("profiles").and_then(Json::as_arr) else {
-        fail(&format!("{path}: profiles is not an array"));
-    };
-    if profiles.is_empty() {
-        fail(&format!("{path}: no profiles"));
-    }
-    let stage_names: Vec<&str> = Stage::ALL.iter().map(|s| s.as_str()).collect();
-    for (n, p) in profiles.iter().enumerate() {
-        let Some(fields) = p.as_obj() else {
-            fail(&format!("{path}: profile {n} is not an object"));
-        };
-        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
-        if keys != PROFILE_KEYS {
-            fail(&format!("{path}: profile {n} has unstable keys {keys:?}"));
-        }
-        let tag = p.get("profile").and_then(Json::as_str).unwrap_or("?");
-        // The headline invariants survive the round-trip: service +
-        // queue tile e2e, and the longest critical path fits inside it.
-        let e2e = num(p.get("e2e_ns").unwrap(), "e2e_ns");
-        let service = num(p.get("service_ns").unwrap(), "service_ns");
-        let queue = num(p.get("queue_ns").unwrap(), "queue_ns");
-        if service + queue != e2e {
-            fail(&format!("{path}: {tag}: service {service} + queue {queue} != e2e {e2e}"));
-        }
-        if num(p.get("longest_critical_path_ns").unwrap(), "longest_critical_path_ns") > e2e {
-            fail(&format!("{path}: {tag}: longest critical path exceeds total e2e"));
-        }
-        // The batched column: stable keys, strictly fewer wakes than
-        // one-per-op sync on every profile, and on the clean profile
-        // the ≥4× amortization and p99-no-worse acceptance gates.
-        let Some(batched) = p.get("batched") else {
-            fail(&format!("{path}: {tag}: missing batched column"));
-        };
-        let Some(bfields) = batched.as_obj() else {
-            fail(&format!("{path}: {tag}: batched is not an object"));
-        };
-        let bkeys: Vec<&str> = bfields.iter().map(|(k, _)| k.as_str()).collect();
-        if bkeys != BATCHED_KEYS {
-            fail(&format!("{path}: {tag}: batched column has unstable keys {bkeys:?}"));
-        }
-        let wakes = num(p.get("wakes").unwrap(), "wakes");
-        let mix_ops = num(p.get("mix_ops").unwrap(), "mix_ops");
-        let b_wakes = num(batched.get("wakes").unwrap(), "batched wakes");
-        let b_frames = num(batched.get("frames").unwrap(), "batched frames");
-        num(batched.get("requests").unwrap(), "batched requests");
-        if mix_ops <= 0.0 {
-            fail(&format!("{path}: {tag}: empty op mix"));
-        }
-        if b_wakes >= wakes {
-            fail(&format!(
-                "{path}: {tag}: batching did not reduce wakes ({b_wakes} vs {wakes})"
-            ));
-        }
-        if b_frames <= 0.0 || b_wakes < b_frames {
-            fail(&format!("{path}: {tag}: batched frame ledger inconsistent"));
-        }
-        if tag == "none" {
-            if b_wakes * 4.0 > wakes {
-                fail(&format!(
-                    "{path}: {tag}: amortization below 4x ({b_wakes} vs {wakes} wakes \
-                     over {mix_ops} ops)"
-                ));
-            }
-            let p99 = num(p.get("p99_ns").unwrap(), "p99_ns");
-            let b_p99 = num(batched.get("p99_ns").unwrap(), "batched p99_ns");
-            if b_p99 > p99 {
-                fail(&format!(
-                    "{path}: {tag}: batched p99 {b_p99} ns regressed past sync {p99} ns"
-                ));
-            }
-        }
-        let stages = p.get("stages").and_then(Json::as_arr).unwrap_or(&[]);
-        let got: Vec<&str> = stages
-            .iter()
-            .map(|r| r.get("stage").and_then(Json::as_str).unwrap_or("?"))
-            .collect();
-        if got != stage_names {
-            fail(&format!("{path}: {tag}: stage rows {got:?} != {stage_names:?}"));
-        }
-        for row in stages {
-            num(row.get("ns").unwrap_or(&Json::Null), "stage ns");
-            num(row.get("spans").unwrap_or(&Json::Null), "stage spans");
-        }
-        let slo = p.get("slo").and_then(Json::as_arr).unwrap_or(&[]);
-        if slo.is_empty() {
-            fail(&format!("{path}: {tag}: empty SLO table"));
-        }
-        let mut slo_requests = 0.0;
-        for (i, row) in slo.iter().enumerate() {
-            let Some(fields) = row.as_obj() else {
-                fail(&format!("{path}: {tag}: SLO row {i} is not an object"));
-            };
-            let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
-            if keys != SLO_KEYS {
-                fail(&format!("{path}: {tag}: SLO row {i} has unstable keys {keys:?}"));
-            }
-            let grid = [
-                num(row.get("p50_ns").unwrap(), "p50"),
-                num(row.get("p95_ns").unwrap(), "p95"),
-                num(row.get("p99_ns").unwrap(), "p99"),
-                num(row.get("p999_ns").unwrap(), "p999"),
-                num(row.get("max_ns").unwrap(), "max"),
-            ];
-            if grid.windows(2).any(|w| w[0] > w[1]) {
-                fail(&format!("{path}: {tag}: SLO row {i} percentiles not monotone"));
-            }
-            slo_requests += num(row.get("requests").unwrap(), "requests");
-        }
-        if slo_requests != num(p.get("requests").unwrap(), "requests") {
-            fail(&format!("{path}: {tag}: SLO rows do not tile the request count"));
-        }
-    }
-    println!("perf_report: {path}: OK ({} profiles, stable keys)", profiles.len());
 }
 
 // ---- tables ----
@@ -616,20 +437,8 @@ fn print_cells(cells: &[(Cell, Cell)]) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("--check") {
-        let Some(path) = args.get(1) else {
-            fail("--check needs a file path");
-        };
-        check_file(path);
-        return;
-    }
-    let smoke = args.first().map(String::as_str) == Some("--smoke");
-    let rounds: u32 = if smoke { 3 } else { 8 };
-    let out_path = args
-        .get(usize::from(smoke))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_perf.json".into());
-    let folded_path = args.get(usize::from(smoke) + 1).cloned();
+    let out_path = args.first().map_or("BENCH_perf.json", String::as_str);
+    let folded_path = args.get(1);
 
     let profiles: [(&str, Option<FaultConfig>); 3] = [
         ("none", None),
@@ -640,10 +449,10 @@ fn main() {
     for (tag, cfg) in profiles {
         let mut engines = Vec::new();
         for batched in [false, true] {
-            let cell = run_cell(tag, cfg.clone(), rounds, batched);
+            let cell = run_cell(tag, cfg, batched);
             // Same-seed determinism: requests, snapshot, and folded
             // stacks must replay byte-identically — in both engines.
-            let again = run_cell(tag, cfg.clone(), rounds, batched);
+            let again = run_cell(tag, cfg, batched);
             if cell.requests != again.requests
                 || cell.snapshot != again.snapshot
                 || cell.folded != again.folded
@@ -663,6 +472,14 @@ fn main() {
             fail(&format!(
                 "{tag}: batching did not reduce wakes ({} vs {})",
                 batched.mix_wakes, cell.mix_wakes
+            ));
+        }
+        // The batched frame ledger: frames were served, and every frame
+        // took at least one channel wake to deliver.
+        if batched.frames == 0 || batched.mix_wakes < batched.frames {
+            fail(&format!(
+                "{tag}: batched frame ledger inconsistent ({} wakes, {} frames)",
+                batched.mix_wakes, batched.frames
             ));
         }
         if tag == "none" {
@@ -687,20 +504,10 @@ fn main() {
 
     print_cells(&cells);
 
-    let json = emit_json(&cells, rounds);
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-    }
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        fail(&format!("cannot write {out_path}: {e}"));
-    }
-    if let Some(folded_path) = &folded_path {
+    write_ledger(out_path, &emit_json(&cells));
+    if let Some(folded_path) = folded_path {
         // The heavy profile has the richest stacks (recovery frames).
-        if let Err(e) = std::fs::write(folded_path, &cells.last().unwrap().0.folded) {
-            fail(&format!("cannot write {folded_path}: {e}"));
-        }
+        write_ledger(folded_path, &cells.last().unwrap().0.folded);
         println!("\nperf_report: wrote folded stacks to {folded_path}");
     }
     println!("\nperf_report: all self-checks passed; wrote {out_path}");

@@ -9,18 +9,17 @@
 //! bound, degraded profiles must never starve a healthy tenant, and the
 //! makespan must stay sublinear in the tenant count.
 //!
-//! Usage:
-//!   scale_report [OUT.json]            full sweep (10k included)
-//!   scale_report --smoke [OUT.json]    4- and 100-user columns only
-//!   scale_report --check FILE.json     parse and validate a report
+//! Usage: `scale_report [OUT.json]` (default `BENCH_scale.json`).
+//! `scripts/ci.sh` regenerates the ledger into `target/` and fails on
+//! any byte difference from the committed file.
 
 use std::fmt::Write as _;
 
+use hix_bench::{fail, write_ledger};
 use hix_core::multiuser::{
     run_scaled, seeded_session_faults, FaultProfile, Mode, ScaleOutcome, SchedulerConfig,
     SessionFaults, SessionSpec, TaskSpec,
 };
-use hix_bench::json::{parse_json, Json};
 use hix_obs::{fmt_ns, percentile_sorted, percentile_sorted_pm, Metrics};
 use hix_sim::{CostModel, Nanos};
 
@@ -34,11 +33,6 @@ const FAIR_BOUND: f64 = 2.0;
 /// Degraded-profile slack: a healthy tenant under heavy faults may pay
 /// at most this factor over the fault-free makespan of the same column.
 const DEGRADED_SLACK: f64 = 1.5;
-
-fn fail(msg: &str) -> ! {
-    eprintln!("scale_report: FAILED: {msg}");
-    std::process::exit(1);
-}
 
 /// The Figure 8/9 "bp-like" profile every tenant runs.
 fn task() -> TaskSpec {
@@ -263,94 +257,14 @@ fn emit_json(model: &CostModel, cells: &[Cell]) -> String {
     s
 }
 
-// ---- JSON check (parser shared via hix_bench::json) ----
-
-/// Required keys of each cell, in emission order.
-const CELL_KEYS: [&str; 12] = [
-    "users",
-    "profile",
-    "makespan_ns",
-    "per_user_ns",
-    "fairness",
-    "ctx_switches",
-    "parks",
-    "unparks",
-    "peak_resident",
-    "evicted",
-    "healthy_wait_p99_ns",
-    "healthy_wait_p999_ns",
-];
-
-fn check_file(path: &str) {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => fail(&format!("cannot read {path}: {e}")),
-    };
-    let json = match parse_json(&text) {
-        Ok(j) => j,
-        Err(e) => fail(&format!("{path}: not valid JSON: {e}")),
-    };
-    let Json::Obj(top) = json else {
-        fail(&format!("{path}: top level is not an object"));
-    };
-    let top_keys: Vec<&str> = top.iter().map(|(k, _)| k.as_str()).collect();
-    if top_keys != ["bench", "seed", "quantum_ns", "max_resident", "cells"] {
-        fail(&format!("{path}: unstable top-level keys {top_keys:?}"));
-    }
-    if top[0].1 != Json::Str("scale_report".into()) {
-        fail(&format!("{path}: wrong bench name"));
-    }
-    let Json::Arr(cells) = &top[4].1 else {
-        fail(&format!("{path}: cells is not an array"));
-    };
-    if cells.is_empty() {
-        fail(&format!("{path}: no cells"));
-    }
-    for (n, cell) in cells.iter().enumerate() {
-        let Json::Obj(fields) = cell else {
-            fail(&format!("{path}: cell {n} is not an object"));
-        };
-        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
-        if keys != CELL_KEYS {
-            fail(&format!("{path}: cell {n} has unstable keys {keys:?}"));
-        }
-        for (k, v) in fields {
-            match (k.as_str(), v) {
-                ("profile", Json::Str(p)) if FaultProfile::parse(p).is_some() => {}
-                ("profile", other) => fail(&format!("{path}: cell {n}: bad profile {other:?}")),
-                (_, Json::Num(x)) if *x >= 0.0 => {}
-                (k, _) => fail(&format!("{path}: cell {n}: key {k} is not a number")),
-            }
-        }
-        let tail = |key: &str| cell.get(key).and_then(Json::as_num).unwrap_or(0.0);
-        if tail("healthy_wait_p999_ns") < tail("healthy_wait_p99_ns") {
-            fail(&format!("{path}: cell {n}: p99.9 wait below p99"));
-        }
-    }
-    println!("scale_report: {path}: OK ({} cells, stable keys)", cells.len());
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("--check") {
-        let Some(path) = args.get(1) else {
-            fail("--check needs a file path");
-        };
-        check_file(path);
-        return;
-    }
-    let smoke = args.first().map(String::as_str) == Some("--smoke");
-    let out_path = args
-        .get(usize::from(smoke))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_scale.json".into());
+    let out_path = std::env::args().nth(1).unwrap_or_else(|| "BENCH_scale.json".into());
 
     let model = CostModel::paper();
-    let sizes: &[usize] = if smoke { &[4, 100] } else { &[4, 100, 1_000, 10_000] };
     let profiles = [FaultProfile::None, FaultProfile::Light, FaultProfile::Heavy];
 
     let mut cells = Vec::new();
-    for &users in sizes {
+    for users in [4, 100, 1_000, 10_000] {
         for profile in profiles {
             cells.push(run_cell(&model, users, profile));
         }
@@ -377,14 +291,6 @@ fn main() {
         );
     }
 
-    let json = emit_json(&model, &cells);
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-    }
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        fail(&format!("cannot write {out_path}: {e}"));
-    }
+    write_ledger(&out_path, &emit_json(&model, &cells));
     println!("\nscale_report: all self-checks passed; wrote {out_path}");
 }

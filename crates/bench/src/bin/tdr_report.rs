@@ -9,6 +9,7 @@
 //!
 //! Usage: `tdr_report`.
 
+use hix_bench::fail;
 use hix_core::multiuser::{
     run_multiuser_degraded, run_multiuser_mixed, Mode, SessionFaults, TaskSpec, EVICT_AFTER,
 };
@@ -34,11 +35,6 @@ struct RunStats {
     /// Per-incident recovery latencies (ns), from the watchdog spans.
     latencies: Vec<u64>,
     snapshot: String,
-}
-
-fn fail(msg: &str) -> ! {
-    eprintln!("tdr_report: FAILED: {msg}");
-    std::process::exit(1);
 }
 
 /// Deterministic input bytes — a fixed arithmetic texture, so clean and

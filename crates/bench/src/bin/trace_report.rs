@@ -8,7 +8,7 @@
 //! Open the emitted `*.trace.json` at <https://ui.perfetto.dev>.
 
 use hix_bench::json::{parse_json, Json};
-use hix_bench::{bench_rig, MatrixAt};
+use hix_bench::{bench_rig, fail, write_ledger, MatrixAt};
 use hix_core::{GpuEnclave, GpuEnclaveOptions, HixSession};
 use hix_driver::rig::GPU_BDF;
 use hix_driver::Gdev;
@@ -24,11 +24,6 @@ struct TracedRun {
     snapshot: String,
     phase_table: String,
     categories: Vec<&'static str>,
-}
-
-fn fail(msg: &str) -> ! {
-    eprintln!("trace_report: FAILED: {msg}");
-    std::process::exit(1);
 }
 
 fn run_gdev(workload: &dyn Workload) -> TracedRun {
@@ -149,7 +144,6 @@ fn main() {
     let out_dir = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "target/trace-report".to_string());
-    std::fs::create_dir_all(&out_dir).expect("create output dir");
 
     let workload = MatrixAt { op: MatrixOp::Add, n: 2048 };
 
@@ -183,9 +177,8 @@ fn main() {
 
     for (name, run) in [("gdev", &gdev), ("hix", &hix)] {
         let path = format!("{out_dir}/{name}.trace.json");
-        std::fs::write(&path, &run.json).expect("write trace");
-        std::fs::write(format!("{out_dir}/{name}.metrics.txt"), &run.snapshot)
-            .expect("write metrics");
+        write_ledger(&path, &run.json);
+        write_ledger(&format!("{out_dir}/{name}.metrics.txt"), &run.snapshot);
         println!(
             "{name}: {} span categories {:?} -> {path}",
             run.categories.len(),

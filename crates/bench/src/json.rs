@@ -1,12 +1,14 @@
-//! Minimal recursive-descent JSON parser shared by the report binaries.
+//! Minimal recursive-descent JSON parser for the outputs that cannot be
+//! gated byte for byte.
 //!
-//! The bench bins emit their perf-trajectory files (`BENCH_scale.json`,
-//! `BENCH_perf.json`, Perfetto traces) with hand-rolled stable-key-order
-//! writers; this is the matching reader their `--check` modes and
-//! self-checks parse those files back with. Deliberately small: no
-//! escapes in strings (the emitters never produce them), no maps — an
-//! object preserves emission order as a `Vec`, which is exactly what a
-//! key-order stability check wants.
+//! The virtual-time ledgers (`BENCH_perf/scale/fabric.json`) need no
+//! reader: they are deterministic, so `scripts/ci.sh` regenerates them
+//! and compares bytes. This parser serves the two outputs that vary per
+//! run or per host: `trace_report`'s structural check of its Perfetto
+//! traces, and the crypto bench's `--check` of the wall-clock
+//! `BENCH_crypto.json`. Deliberately small: no escapes in strings (the
+//! emitters never produce them), no maps — an object keeps its fields
+//! in emission order as a `Vec`.
 
 /// A parsed JSON value. Objects keep their key order.
 #[derive(Debug, PartialEq)]
@@ -55,14 +57,6 @@ impl Json {
     pub fn as_arr(&self) -> Option<&[Json]> {
         match self {
             Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// The fields in emission order, if this is an object.
-    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(fields) => Some(fields),
             _ => None,
         }
     }
@@ -214,8 +208,10 @@ mod tests {
 
     #[test]
     fn objects_preserve_emission_order() {
-        let j = parse_json(r#"{"z": 1, "a": 2}"#).expect("valid");
-        let keys: Vec<&str> = j.as_obj().unwrap().iter().map(|(k, _)| k.as_str()).collect();
+        let Json::Obj(fields) = parse_json(r#"{"z": 1, "a": 2}"#).expect("valid") else {
+            panic!("not an object");
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(keys, ["z", "a"], "key order is evidence, not noise");
     }
 

@@ -24,6 +24,31 @@ use hix_workloads::{all_kernels, Profile, Workload};
 /// Number of repetitions per measurement (the paper averages five runs).
 pub const RUNS: usize = 5;
 
+/// Reports a failed self-check as `<bin>: FAILED: <msg>` on stderr and
+/// exits 1 — the one failure path of the report binaries.
+pub fn fail(msg: &str) -> ! {
+    let arg0 = std::env::args().next().unwrap_or_default();
+    let bin = std::path::Path::new(&arg0)
+        .file_stem()
+        .and_then(|s| s.to_str())
+        .unwrap_or("report");
+    eprintln!("{bin}: FAILED: {msg}");
+    std::process::exit(1);
+}
+
+/// Writes a report's output (a `BENCH_*.json` ledger, a trace, a folded
+/// stack) to `path`, creating its directory; exits through [`fail`] if
+/// either step fails.
+pub fn write_ledger(path: &str, text: &str) {
+    let written = std::path::Path::new(path)
+        .parent()
+        .map_or(Ok(()), std::fs::create_dir_all)
+        .and_then(|()| std::fs::write(path, text));
+    if let Err(e) = written {
+        fail(&format!("cannot write {path}: {e}"));
+    }
+}
+
 /// Builds the synthetic-mode benchmark machine.
 pub fn bench_rig() -> Machine {
     bench_rig_with(CostModel::paper())

@@ -23,14 +23,16 @@ pub struct DmaBuffer {
 impl DmaBuffer {
     /// Allocates a `len`-byte buffer for `pid`: physical frames, process
     /// mapping, and IOMMU entries at contiguous bus pages. VA and bus
-    /// ranges are derived from the first frame's address, which the
-    /// machine's bump allocator guarantees unique.
+    /// ranges come from [`Machine::reserve_dma_pages`], so they are never
+    /// reused on one machine: a buffer built on a released buffer's
+    /// recycled frames cannot overlap a live buffer's IOMMU entries or
+    /// reuse a VA another process still has mapped or cached.
     pub fn alloc(machine: &mut Machine, pid: ProcessId, len: u64) -> Self {
         let pages = len.div_ceil(PAGE_SIZE).max(1);
         let frames = machine.alloc_frames(pages as usize);
-        let first = frames[0];
-        let va = VirtAddr::new(0x5000_0000_0000 + first.value() * 0x10);
-        let bus = PhysAddr::new(0x10_0000_0000 + first.value());
+        let first = machine.reserve_dma_pages(pages) * PAGE_SIZE;
+        let va = VirtAddr::new(0x5000_0000_0000 + first);
+        let bus = PhysAddr::new(0x10_0000_0000 + first);
         for (i, frame) in frames.iter().enumerate() {
             machine.os_map(pid, va.offset(i as u64 * PAGE_SIZE), *frame, true);
             machine
@@ -119,8 +121,9 @@ impl DmaBuffer {
         self.pid
     }
 
-    /// Releases the buffer: IOMMU entries removed, process mapping torn
-    /// down, frames returned to the OS allocator.
+    /// Releases the buffer: IOMMU entries removed, the mapping torn down
+    /// in the owner and every process it was shared with, frames
+    /// returned to the OS allocator.
     pub fn release(self, machine: &mut Machine) {
         let pages = self.len.div_ceil(PAGE_SIZE).max(1);
         let mut frames = Vec::with_capacity(pages as usize);
@@ -130,8 +133,8 @@ impl DmaBuffer {
                 frames.push(frame);
             }
             machine.iommu_mut().unmap(bus);
-            machine.os_unmap(self.pid, self.va.offset(i * PAGE_SIZE));
         }
+        machine.os_unmap_shared(self.va, pages);
         machine.free_frames(&frames);
     }
 }
@@ -173,6 +176,12 @@ mod tests {
             .unwrap();
         let back = buf.read(&mut m, b, 10, 6).unwrap();
         assert_eq!(back, b"shared");
+        // Releasing the buffer unmaps it from every process sharing it.
+        let va = buf.va();
+        buf.release(&mut m);
+        for pid in [a, b] {
+            assert!(matches!(m.read(pid, va, &mut [0u8; 1]), Err(AccessFault::NotMapped(_))));
+        }
     }
 
     #[test]
@@ -186,5 +195,20 @@ mod tests {
         b2.write(&mut m, pid, 0, &Payload::from_bytes(vec![2; 8192])).unwrap();
         assert_eq!(b1.read(&mut m, pid, 0, 1).unwrap(), vec![1]);
         assert_eq!(b2.read(&mut m, pid, 0, 1).unwrap(), vec![2]);
+
+        // Releasing b1 recycles its frames; a larger buffer built on them
+        // must not claim b2's bus pages or virtual range.
+        let frames_of = |m: &mut Machine, b: &DmaBuffer| -> Vec<Option<PhysAddr>> {
+            (0..b.len() / PAGE_SIZE)
+                .map(|i| m.iommu_mut().translate(b.bus().offset(i * PAGE_SIZE)))
+                .collect()
+        };
+        let b2_frames = frames_of(&mut m, &b2);
+        b1.release(&mut m);
+        let b3 = DmaBuffer::alloc(&mut m, pid, 64 << 10);
+        b3.write(&mut m, pid, 0, &Payload::from_bytes(vec![3; 64 << 10])).unwrap();
+        assert_eq!(frames_of(&mut m, &b2), b2_frames, "b2's bus pages were remapped");
+        assert_eq!(b2.read(&mut m, pid, 0, 8192).unwrap(), vec![2; 8192]);
+        assert_eq!(b3.read(&mut m, pid, 0, 1).unwrap(), vec![3]);
     }
 }

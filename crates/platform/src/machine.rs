@@ -67,6 +67,7 @@ pub struct Machine {
     fabric: PcieFabric,
     procs: BTreeMap<ProcessId, Process>,
     next_proc: u32,
+    next_dma_page: u64,
     boot_epoch: u64,
     fault_plan: Option<FaultPlan>,
 }
@@ -104,6 +105,7 @@ impl Machine {
             fabric,
             procs: BTreeMap::new(),
             next_proc: 1,
+            next_dma_page: 0,
             boot_epoch: 0,
             fault_plan: None,
         }
@@ -241,6 +243,16 @@ impl Machine {
         self.ram.free_frames(frames);
     }
 
+    /// Reserves `pages` consecutive pages of DMA-buffer address space
+    /// and returns the index of the first (OS service). Indices are never
+    /// handed out twice on one machine, unlike the frames behind them,
+    /// which the allocator recycles.
+    pub fn reserve_dma_pages(&mut self, pages: u64) -> u64 {
+        let first = self.next_dma_page;
+        self.next_dma_page += pages;
+        first
+    }
+
     /// Installs a translation in `pid`'s page table (OS-controlled; the
     /// adversary may map anything anywhere — hardware checks happen at
     /// access time).
@@ -248,11 +260,15 @@ impl Machine {
         self.proc_mut(pid).page_table.map(va, pa, writable);
     }
 
-    /// Removes a translation.
-    pub fn os_unmap(&mut self, pid: ProcessId, va: VirtAddr) {
-        let proc = self.proc_mut(pid);
-        proc.page_table.unmap(va);
-        proc.tlb.flush_page(va);
+    /// Removes every process's translations for the `pages` pages at
+    /// `va`, flushing the TLB of each process that had one — freeing a
+    /// shared mapping tears it down wherever it was mapped.
+    pub fn os_unmap_shared(&mut self, va: VirtAddr, pages: u64) {
+        for proc in self.procs.values_mut() {
+            if proc.page_table.unmap_range(va, pages) {
+                proc.tlb.flush();
+            }
+        }
     }
 
     /// Flushes `pid`'s TLB (the OS can always do this).

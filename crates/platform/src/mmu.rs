@@ -91,9 +91,16 @@ impl PageTable {
         );
     }
 
-    /// Removes a translation.
-    pub fn unmap(&mut self, va: VirtAddr) {
-        self.entries.remove(&va.vpn());
+    /// Removes the translations of the `pages` pages starting at `va`'s
+    /// page; returns whether any existed.
+    pub fn unmap_range(&mut self, va: VirtAddr, pages: u64) -> bool {
+        let first = va.vpn();
+        let mapped: Vec<u64> =
+            self.entries.range(first..first + pages).map(|(v, _)| *v).collect();
+        for vpn in &mapped {
+            self.entries.remove(vpn);
+        }
+        !mapped.is_empty()
     }
 
     /// Looks up the entry covering `va`.
@@ -214,8 +221,9 @@ mod tests {
         let pte = pt.walk(VirtAddr::new(0x7000_1fff)).unwrap();
         assert_eq!(pte.base(), pa(0x9000));
         assert!(pte.writable);
-        pt.unmap(VirtAddr::new(0x7000_1000));
+        assert!(pt.unmap_range(VirtAddr::new(0x7000_1000), 1));
         assert!(pt.walk(VirtAddr::new(0x7000_1234)).is_none());
+        assert!(!pt.unmap_range(VirtAddr::new(0x7000_0000), 1));
     }
 
     #[test]

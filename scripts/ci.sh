@@ -21,6 +21,31 @@ done
 
 cargo test -q --offline
 
+# Exact ledger gate. Virtual time is deterministic, so the committed
+# ledgers are their own schema: regenerate the full perf_report,
+# scale_report and fabric_report sweeps into target/ and fail on any byte
+# difference from BENCH_perf/scale/fabric.json. Each bin runs its
+# self-checks (reconciliation, fairness, containment, double-run
+# determinism, ...) before it writes. On a mismatch the diff names what
+# moved: with zero context lines every hunk header is the perf profile
+# the hunk sits in, and each perf stage or SLO row and each scale or
+# fabric cell is one self-describing line. To change a ledger on
+# purpose, rerun the bin with no arguments and commit the diff with the
+# change that caused it.
+ledger_drift=0
+for report in perf scale fabric; do
+    fresh="target/BENCH_$report.json"
+    cargo run -q --release --offline -p hix-bench --bin "${report}_report" -- "$fresh" >/dev/null
+    if ! cmp -s "BENCH_$report.json" "$fresh"; then
+        echo "error: BENCH_$report.json differs from a fresh ${report}_report sweep:" >&2
+        diff -U0 -F '"profile"' "BENCH_$report.json" "$fresh" >&2 || true
+        ledger_drift=1
+    fi
+done
+if [ "$ledger_drift" -ne 0 ]; then
+    exit 1
+fi
+
 # Observability smoke test: trace_report exports a Perfetto trace from
 # both stacks and exits non-zero on an empty trace, accounting drift, or
 # a non-deterministic same-seed run.
@@ -39,57 +64,12 @@ cargo run -q --release --offline -p hix-bench --bin fault_report
 # or a same-seed rerun is not deterministic.
 cargo run -q --release --offline -p hix-bench --bin tdr_report
 
-# Scale smoke: the weighted-fair scheduler sweep at 4 and 100 users x
-# {none, light, heavy} fault profiles. The bin self-checks fairness,
-# sublinearity, parking accounting, and double-run determinism; here we
-# additionally pin cross-invocation stability (two smokes must emit
-# byte-identical JSON) and that the emitted file parses with the stable
-# key order --check expects. The committed 10k-user BENCH_scale.json
-# must stay parseable too.
-cargo run -q --release --offline -p hix-bench --bin scale_report -- --smoke target/scale-a.json
-cargo run -q --release --offline -p hix-bench --bin scale_report -- --smoke target/scale-b.json
-cmp target/scale-a.json target/scale-b.json
-cargo run -q --release --offline -p hix-bench --bin scale_report -- --check target/scale-a.json
-cargo run -q --release --offline -p hix-bench --bin scale_report -- --check BENCH_scale.json
-
-# Serving-path attribution + async command-queue smoke: 4 tenants x
-# {none, light, heavy} fault profiles, each profile run through both
-# submission engines (synchronous wrappers and explicit batch-8 rings)
-# with request attribution and span recording on. The bin self-checks
-# the reconciliation invariant (attributed + unattributed charge == the
-# per-category accumulator, +-0), that every request's critical path
-# fits inside its end-to-end window, same-seed determinism in both
-# engines, byte-identical GPU results across engines, and the batching
-# acceptance gates (>=4x fewer channel wakes per queued op on the clean
-# profile, p99 no worse than sync); here we additionally pin
-# cross-invocation stability (double-run cmp) and that the emitted file
-# passes --check — including its `batched` column — as must the
-# committed full-sweep BENCH_perf.json baseline.
-cargo run -q --release --offline -p hix-bench --bin perf_report -- --smoke target/perf-a.json
-cargo run -q --release --offline -p hix-bench --bin perf_report -- --smoke target/perf-b.json
-cmp target/perf-a.json target/perf-b.json
-cargo run -q --release --offline -p hix-bench --bin perf_report -- --check target/perf-a.json
-cargo run -q --release --offline -p hix-bench --bin perf_report -- --check BENCH_perf.json
-
-# Fabric smoke: the multi-GPU sharded-enclave sweep at 1 and 2 GPUs x
-# {none, shard-storm, switch-correlated} fault profiles x 3 seeds. The
-# bin self-checks shard-local reset containment (blast radius 0 outside
-# the resetting shard), byte-identical tenant service across all seeds,
-# cross-shard migration of parked sessions on every faulted multi-GPU
-# run, model-level peer bit-identity during a reset, and double-run
-# determinism; here we additionally pin cross-invocation stability and
-# --check both the fresh smoke JSON and the committed full-sweep
-# BENCH_fabric.json.
-cargo run -q --release --offline -p hix-bench --bin fabric_report -- --smoke target/fabric-a.json
-cargo run -q --release --offline -p hix-bench --bin fabric_report -- --smoke target/fabric-b.json
-cmp target/fabric-a.json target/fabric-b.json
-cargo run -q --release --offline -p hix-bench --bin fabric_report -- --check target/fabric-a.json
-cargo run -q --release --offline -p hix-bench --bin fabric_report -- --check BENCH_fabric.json
-
 # Crypto-plane smoke: run the wall-clock crypto bench once (emitting to
 # target/, never overwriting the committed ledger — wall-clock numbers
-# are host-specific) and schema-validate both the fresh emission and the
-# committed BENCH_crypto.json through the shared hix_bench::json reader.
+# are host-specific, so unlike the virtual-time ledgers above they
+# cannot be compared byte for byte) and schema-validate both the fresh
+# emission and the committed BENCH_crypto.json through the shared
+# hix_bench::json reader.
 # The bench self-checks its own emission against the same schema, so a
 # row rename or a broken writer fails here, not at review time.
 # (cargo bench runs the binary with CWD at the package root, so paths

@@ -5,6 +5,7 @@ use hix_core::{GpuEnclave, GpuEnclaveOptions, HixSession};
 use hix_driver::rig::{standard_rig, RigOptions, GPU_BDF};
 use hix_platform::Machine;
 use hix_sim::Payload;
+use hix_testkit::Rng;
 
 fn rig() -> Machine {
     standard_rig(RigOptions::default())
@@ -14,14 +15,18 @@ fn rig() -> Machine {
 fn many_sessions_sequentially() {
     let mut m = rig();
     let mut enclave = GpuEnclave::launch(&mut m, GpuEnclaveOptions::default()).unwrap();
-    for i in 0..10u32 {
+    // Seeded 32–96 KiB shared windows: each session's window is built on
+    // frames its predecessors returned, at a different size.
+    let mut rng = Rng::new(0xC4_0B17);
+    for i in 0..40u32 {
+        let window = rng.gen_range(8..25) * 4096;
         let mut s = HixSession::connect_with(
             &mut m,
             &mut enclave,
-            1 << 20,
+            window,
             format!("churn-{i}").as_bytes(),
         )
-        .unwrap();
+        .unwrap_or_else(|e| panic!("session {i} ({window} B window): {e}"));
         let dev = s.malloc(&mut m, &mut enclave, 8192).unwrap();
         let data = vec![i as u8; 8192];
         s.memcpy_htod(&mut m, &mut enclave, dev, &Payload::from_bytes(data.clone()))
@@ -31,6 +36,31 @@ fn many_sessions_sequentially() {
         s.close(&mut m, &mut enclave).unwrap();
         assert_eq!(enclave.session_count(), 0, "iteration {i}");
     }
+}
+
+#[test]
+fn closed_window_does_not_alias_a_live_one() {
+    // a's frames go back to the OS when it closes, and c's larger window
+    // is built on them. b's window, still live, must keep its own bus
+    // pages and virtual range.
+    let mut m = rig();
+    let mut enclave = GpuEnclave::launch(&mut m, GpuEnclaveOptions::default()).unwrap();
+    let a = HixSession::connect_with(&mut m, &mut enclave, 32 << 10, b"alias-a").unwrap();
+    let mut b = HixSession::connect_with(&mut m, &mut enclave, 32 << 10, b"alias-b").unwrap();
+    a.close(&mut m, &mut enclave).unwrap();
+    let mut c = HixSession::connect_with(&mut m, &mut enclave, 256 << 10, b"alias-c").unwrap();
+    for (tag, s) in [("b", &mut b), ("c", &mut c)] {
+        let dev = s
+            .malloc(&mut m, &mut enclave, 8192)
+            .unwrap_or_else(|e| panic!("session {tag}: malloc: {e}"));
+        let data = vec![tag.as_bytes()[0]; 8192];
+        s.memcpy_htod(&mut m, &mut enclave, dev, &Payload::from_bytes(data.clone()))
+            .unwrap_or_else(|e| panic!("session {tag}: htod: {e}"));
+        let back = s.memcpy_dtoh(&mut m, &mut enclave, dev, 8192).unwrap();
+        assert_eq!(back.bytes(), &data[..], "session {tag} read back foreign bytes");
+    }
+    b.close(&mut m, &mut enclave).unwrap();
+    c.close(&mut m, &mut enclave).unwrap();
 }
 
 #[test]

@@ -12,7 +12,7 @@ use hix_testkit::prop::{prop, Source};
 #[derive(Debug, Clone)]
 enum MmuOp {
     Map { vpn: u64, ppn: u64, writable: bool },
-    Unmap { vpn: u64 },
+    Unmap { vpn: u64, pages: u64 },
 }
 
 fn mmu_op(s: &mut Source) -> MmuOp {
@@ -22,7 +22,10 @@ fn mmu_op(s: &mut Source) -> MmuOp {
             ppn: s.in_range(0..64),
             writable: s.bool(),
         },
-        _ => MmuOp::Unmap { vpn: s.in_range(0..32) },
+        _ => MmuOp::Unmap {
+            vpn: s.in_range(0..32),
+            pages: s.in_range(1..5),
+        },
     }
 }
 
@@ -42,9 +45,10 @@ fn page_table_matches_reference_model() {
                     );
                     reference.insert(vpn, (ppn, writable));
                 }
-                MmuOp::Unmap { vpn } => {
-                    pt.unmap(VirtAddr::new(vpn * PAGE_SIZE));
-                    reference.remove(&vpn);
+                MmuOp::Unmap { vpn, pages } => {
+                    let had = reference.range(vpn..vpn + pages).next().is_some();
+                    assert_eq!(pt.unmap_range(VirtAddr::new(vpn * PAGE_SIZE), pages), had);
+                    reference.retain(|v, _| !(vpn..vpn + pages).contains(v));
                 }
             }
         }
