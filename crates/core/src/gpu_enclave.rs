@@ -1,6 +1,7 @@
 //! The GPU enclave: the relocated driver and the service loop (§4.2).
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::OnceLock;
 
 use hix_crypto::drbg::HmacDrbg;
 use hix_crypto::sha256;
@@ -1773,15 +1774,20 @@ fn restore_flipped_byte(machine: &mut Machine, buffer: &DmaBuffer, off: u64, ori
 /// verifier pins (replays the exact `ECREATE`/`EADD`/`EINIT` sequence of
 /// [`GpuEnclave::launch`] against a scratch SGX state; the measurement
 /// depends only on the code identity and layout, not on the machine).
+/// The replay runs once per process; every caller still checks its quote
+/// against the value.
 pub fn expected_measurement() -> hix_platform::sgx::Measurement {
-    let mut sgx = hix_platform::sgx::SgxState::new(b"measurement-replay");
-    let mut ram = hix_platform::mem::Ram::new();
-    let id = sgx.ecreate();
-    for (i, chunk) in GPU_ENCLAVE_CODE_IDENTITY.chunks(64).enumerate() {
-        sgx.eadd(&mut ram, id, CODE_VA.offset(i as u64 * PAGE_SIZE), chunk, true)
-            .expect("replay eadd");
-    }
-    sgx.einit(id).expect("replay einit")
+    static PINNED: OnceLock<hix_platform::sgx::Measurement> = OnceLock::new();
+    *PINNED.get_or_init(|| {
+        let mut sgx = hix_platform::sgx::SgxState::new(b"measurement-replay");
+        let mut ram = hix_platform::mem::Ram::new();
+        let id = sgx.ecreate();
+        for (i, chunk) in GPU_ENCLAVE_CODE_IDENTITY.chunks(64).enumerate() {
+            sgx.eadd(&mut ram, id, CODE_VA.offset(i as u64 * PAGE_SIZE), chunk, true)
+                .expect("replay eadd");
+        }
+        sgx.einit(id).expect("replay einit")
+    })
 }
 
 /// The deterministic "code identity" measured into the GPU enclave. In a

@@ -5,13 +5,16 @@
 //! establish OCB-AES session keys. Two groups are provided:
 //!
 //! * [`DhGroup::modp2048`] — RFC 3526 group 14, what a production build
-//!   would use. Exponentiation with our schoolbook bignum takes seconds in
-//!   debug builds, so tests exercise it behind `--release`/`--ignored`.
-//! * [`DhGroup::sim`] — a 256-bit safe-prime group used by the simulator's
+//!   would use. One exponentiation takes about a millisecond.
+//! * [`DhGroup::sim`] — a 256-bit prime group used by the simulator's
 //!   handshakes. The security *protocol* is identical; only the parameter
 //!   size differs (documented substitution, see DESIGN.md).
+//!
+//! Exponentiation runs through Montgomery multiplication with the group's
+//! constants computed once per group. It is not constant-time (see
+//! [`crate::bignum`]).
 
-use crate::bignum::Uint;
+use crate::bignum::{Montgomery, Uint};
 use crate::drbg::HmacDrbg;
 use crate::kdf;
 
@@ -19,7 +22,12 @@ use crate::kdf;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DhGroup {
     prime: Uint,
+    /// `p − 1`: the exclusive bound on private keys, and the degenerate
+    /// public value peers reject.
+    p_minus_1: Uint,
     generator: Uint,
+    /// Montgomery constants for `prime`.
+    mont: Montgomery,
     /// Private-key length in bytes.
     priv_len: usize,
 }
@@ -28,23 +36,20 @@ impl DhGroup {
     /// The 256-bit prime group the simulator uses by default.
     ///
     /// The modulus is the secp256k1 field prime `2^256 - 2^32 - 977`
-    /// (a well-known prime), generator 2. Undersized for real deployments
-    /// but fast enough that debug-build test suites can run a handshake
-    /// per session; production code would use [`DhGroup::modp2048`].
+    /// (a well-known prime), generator 2. Undersized for real deployments,
+    /// which would use [`DhGroup::modp2048`]. The simulator keeps it
+    /// because public values travel through MMIO payloads: a 2048-bit
+    /// value would lengthen those payloads and so change virtual time.
     pub fn sim() -> Self {
-        let prime = Uint::from_hex(
+        DhGroup::new(
             "fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f",
-        );
-        DhGroup {
-            prime,
-            generator: Uint::from_u64(2),
-            priv_len: 32,
-        }
+            32,
+        )
     }
 
     /// RFC 3526 group 14 (2048-bit MODP), generator 2.
     pub fn modp2048() -> Self {
-        let prime = Uint::from_hex(
+        DhGroup::new(
             "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD1\
              29024E088A67CC74020BBEA63B139B22514A08798E3404DD\
              EF9519B3CD3A431B302B0A6DF25F14374FE1356D6D51C245\
@@ -56,11 +61,19 @@ impl DhGroup {
              E39E772C180E86039B2783A2EC07A28FB5C55DF06F4C52C9\
              DE2BCBF6955817183995497CEA956AE515D2261898FA0510\
              15728E5A8AACAA68FFFFFFFFFFFFFFFF",
-        );
+            32,
+        )
+    }
+
+    /// A group over the odd prime `prime_hex`, generator 2.
+    fn new(prime_hex: &str, priv_len: usize) -> Self {
+        let prime = Uint::from_hex(prime_hex);
         DhGroup {
+            p_minus_1: prime.checked_sub(&Uint::one()).expect("prime > 1"),
+            mont: Montgomery::new(&prime).expect("DH prime is odd"),
             prime,
             generator: Uint::from_u64(2),
-            priv_len: 32,
+            priv_len,
         }
     }
 
@@ -72,10 +85,11 @@ impl DhGroup {
     /// Generates a keypair deterministically from the given DRBG.
     pub fn generate(&self, rng: &mut HmacDrbg) -> DhKeyPair {
         // Sample until 2 <= x < p-1 (overwhelmingly the first sample).
+        let two = Uint::from_u64(2);
         loop {
             let x = Uint::from_be_bytes(&rng.bytes(self.priv_len)).rem(&self.prime);
-            if x >= Uint::from_u64(2) {
-                let public = self.generator.modpow(&x, &self.prime);
+            if x >= two && x < self.p_minus_1 {
+                let public = self.mont.pow(&self.generator, &x);
                 return DhKeyPair {
                     private: x,
                     public: DhPublic(public),
@@ -90,39 +104,15 @@ impl DhGroup {
     /// # Errors
     ///
     /// Returns [`DhError::InvalidPublic`] for degenerate peer values
-    /// (0, 1, or p-1), which would let an attacker force a known secret.
+    /// (0, 1, or p-1) and for values not below p; the degenerate ones
+    /// would let an attacker force a known secret.
     pub fn agree(&self, ours: &DhKeyPair, theirs: &DhPublic) -> Result<SharedSecret, DhError> {
-        let mut p_minus_1 = self.prime.clone();
-        let one = Uint::one();
-        p_minus_1 = {
-            // p - 1 via modadd trick is awkward; subtract directly.
-            let bytes = p_minus_1.to_be_bytes();
-            let mut u = Uint::from_be_bytes(&bytes);
-            // Safe: prime > 1.
-            u = sub_one(u);
-            u
-        };
-        if theirs.0.is_zero() || theirs.0 == one || theirs.0 == p_minus_1 || theirs.0 >= self.prime
-        {
+        if theirs.0 < Uint::from_u64(2) || theirs.0 >= self.p_minus_1 {
             return Err(DhError::InvalidPublic);
         }
-        let secret = theirs.0.modpow(&ours.private, &self.prime);
+        let secret = self.mont.pow(&theirs.0, &ours.private);
         Ok(SharedSecret(secret.to_be_bytes()))
     }
-}
-
-fn sub_one(u: Uint) -> Uint {
-    // Helper: u - 1 for u >= 1 using byte arithmetic (keeps Uint's API
-    // minimal).
-    let mut bytes = u.to_be_bytes();
-    for i in (0..bytes.len()).rev() {
-        if bytes[i] > 0 {
-            bytes[i] -= 1;
-            break;
-        }
-        bytes[i] = 0xff;
-    }
-    Uint::from_be_bytes(&bytes)
 }
 
 /// Errors from key agreement.
@@ -231,7 +221,7 @@ mod tests {
         for bad in [
             DhPublic(Uint::zero()),
             DhPublic(Uint::one()),
-            DhPublic(sub_one(g.prime().clone())),
+            DhPublic(g.p_minus_1.clone()),
             DhPublic(g.prime().clone()),
         ] {
             assert_eq!(g.agree(&a, &bad), Err(DhError::InvalidPublic));
@@ -258,7 +248,27 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "2048-bit modpow with the schoolbook bignum is slow in debug builds"]
+    fn generate_keeps_private_keys_below_p_minus_1() {
+        // Over p = 11 (generator 2 has order 10) a one-byte draw lands on
+        // x = p − 1 = 10 about once in eleven, whose public value 2^10 = 1
+        // every peer rejects as degenerate.
+        let g = DhGroup::new("0b", 1);
+        let mut rng = HmacDrbg::new(b"boundary");
+        let mut seen = [false; 11];
+        for _ in 0..200 {
+            let kp = g.generate(&mut rng);
+            assert!(kp.private >= Uint::from_u64(2) && kp.private < g.p_minus_1);
+            assert_ne!(kp.public.0, Uint::one());
+            seen[kp.private.to_be_bytes()[0] as usize] = true;
+        }
+        // Every key in range 2..=9 is still produced.
+        assert_eq!(
+            seen,
+            [false, false, true, true, true, true, true, true, true, true, false]
+        );
+    }
+
+    #[test]
     fn modp2048_agreement() {
         let g = DhGroup::modp2048();
         let a = g.generate(&mut HmacDrbg::new(b"a"));

@@ -21,6 +21,24 @@ done
 
 cargo test -q --offline
 
+# Benchmark self-checks. hixbench is a workspace of its own (path deps on
+# the crates). Its package tests cover tape determinism, planted-byte
+# rejection, span self time and the metric names BENCHMARK.json
+# declares. One zero-second pass per workload then runs its plaintext
+# mirror check (every DtoH byte) and replays the first pass on a second
+# same-seed set-up; either failure makes the result line report
+# "correct": false or a nonzero "failed" count.
+cargo build --release --offline --manifest-path hixbench/Cargo.toml
+cargo test --release --offline --manifest-path hixbench/Cargo.toml
+for workload in bulk-transfer small-ops session-churn multiuser-model; do
+    result=$(cargo run -q --release --offline --manifest-path hixbench/Cargo.toml -- \
+        --workload "$workload" --seconds 0 --seed 501 --trace 0 | tail -n 1)
+    if ! grep -q '^{"correct": true, "attempted": [0-9]*, "failed": 0,' <<<"$result"; then
+        echo "error: hixbench $workload failed its checks: $result" >&2
+        exit 1
+    fi
+done
+
 # Exact ledger gate. Virtual time is deterministic, so the committed
 # ledgers are their own schema: regenerate the full perf_report,
 # scale_report and fabric_report sweeps into target/ and fail on any byte
