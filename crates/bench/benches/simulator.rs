@@ -1,8 +1,8 @@
 //! Micro-benches (hix-testkit): wall-clock cost of the simulator's hot
 //! paths — the routed MMIO access (page walk + EPCM/TGMR checks +
 //! fabric routing), the secure channel round trip, and a full secure
-//! transfer. These bound how large a functional experiment the
-//! simulator can carry.
+//! transfer in each direction. These bound how large a functional
+//! experiment the simulator can carry.
 
 use hix_core::{GpuEnclave, GpuEnclaveOptions, HixSession};
 use hix_driver::driver::os_map_bar0;
@@ -53,6 +53,13 @@ fn bench_secure_transfer() {
         .run(|| {
             session
                 .memcpy_htod(&mut machine, &mut enclave, dev, &payload)
+                .expect("transfer")
+        });
+    Bench::new("hix/secure_dtoh_64KiB_functional")
+        .throughput_bytes(64 << 10)
+        .run(|| {
+            session
+                .memcpy_dtoh(&mut machine, &mut enclave, dev, 64 << 10)
                 .expect("transfer")
         });
 }

@@ -122,6 +122,10 @@ pub struct HixSession {
     synthetic: bool,
     journal: Vec<JournalOp>,
     epoch: u32,
+    /// One sealed chunk on its way to or from the shared window, reused
+    /// by every transfer in both directions. Grows to at most
+    /// `min(pipeline_chunk, transfer) + TAG_LEN` bytes.
+    sealed_chunk: Vec<u8>,
     /// Submission ring: commands enqueued but not yet drained.
     pending: VecDeque<PendingCmd>,
     /// Completion ring: `(id, status)` entries not yet taken by the
@@ -248,6 +252,7 @@ impl HixSession {
             synthetic,
             journal: Vec::new(),
             epoch: 0,
+            sealed_chunk: Vec::new(),
             pending: VecDeque::new(),
             completed: VecDeque::new(),
             next_cmd: 0,
@@ -701,17 +706,20 @@ impl HixSession {
         let nonce_start = self.htod_nonce;
         if !payload.is_synthetic() {
             let bytes = payload.bytes();
+            grow(&mut self.sealed_chunk, bytes.len().min(chunk as usize) + TAG_LEN);
             for (i, part) in bytes.chunks(chunk as usize).enumerate() {
-                let sealed = self.data_ocb.seal(
+                let sealed = &mut self.sealed_chunk[..part.len() + TAG_LEN];
+                self.data_ocb.seal_into(
                     &Nonce::from_counter(nonce_start + i as u64),
                     DATA_AAD,
                     part,
+                    sealed,
                 );
-                self.endpoint.buffer().write(
+                self.endpoint.buffer().write_bytes(
                     machine,
                     self.pid,
                     BULK_OFFSET + i as u64 * (chunk + TAG_LEN as u64),
-                    &sealed.into(),
+                    sealed,
                 )?;
             }
         }
@@ -1056,22 +1064,29 @@ impl HixSession {
         // A single command always goes out, whatever its size: the
         // sync path must never wedge on a frame the size check refuses.
         let take = take.max(1).min(self.pending.len());
-        let head: Vec<PendingCmd> = self.pending.iter().take(take).cloned().collect();
-        let mut cmds = Vec::with_capacity(head.len());
-        for cmd in head {
-            let req = match cmd.op {
-                CmdOp::State(JournalOp::HtoD { dst, payload }) => {
-                    self.stage_htod(machine, dst, &payload)?
-                }
-                CmdOp::State(JournalOp::Malloc { .. }) => {
-                    unreachable!("malloc is a barrier op, never queued")
-                }
-                CmdOp::State(op) => op_request(&op),
-                CmdOp::Sync => Request::Sync,
-            };
-            cmds.push(BatchCmd { id: cmd.id, submit_ns: cmd.submit_ns, req });
-        }
-        Ok(cmds)
+        // Stage straight from the ring: it is moved out for the walk (so
+        // `stage_htod` can borrow the session) and put back before any
+        // error propagates. Nothing in it is cloned.
+        let ring = std::mem::take(&mut self.pending);
+        let cmds = ring
+            .iter()
+            .take(take)
+            .map(|cmd| {
+                let req = match &cmd.op {
+                    CmdOp::State(JournalOp::HtoD { dst, payload }) => {
+                        self.stage_htod(machine, *dst, payload)?
+                    }
+                    CmdOp::State(JournalOp::Malloc { .. }) => {
+                        unreachable!("malloc is a barrier op, never queued")
+                    }
+                    CmdOp::State(op) => op_request(op),
+                    CmdOp::Sync => Request::Sync,
+                };
+                Ok(BatchCmd { id: cmd.id, submit_ns: cmd.submit_ns, req })
+            })
+            .collect();
+        self.pending = ring;
+        cmds
     }
 
     /// Retires one successfully completed command: journals state-
@@ -1313,24 +1328,22 @@ impl HixSession {
             let payload = if self.synthetic {
                 Payload::synthetic(len)
             } else {
-                let mut out = Vec::with_capacity(len as usize);
-                let mut off = 0u64;
-                let mut index = 0u64;
-                while off < len {
-                    let this = chunk.min(len - off);
-                    let sealed = self.endpoint.buffer().read(
+                // Each sealed chunk comes out of the window into the
+                // session's chunk buffer and opens straight into place.
+                let mut out = vec![0u8; len as usize];
+                grow(&mut self.sealed_chunk, out.len().min(chunk as usize) + TAG_LEN);
+                for (i, part) in out.chunks_mut(chunk as usize).enumerate() {
+                    let sealed = &mut self.sealed_chunk[..part.len() + TAG_LEN];
+                    self.endpoint.buffer().read_into(
                         machine,
                         self.pid,
-                        BULK_OFFSET + index * (chunk + TAG_LEN as u64),
-                        this + TAG_LEN as u64,
+                        BULK_OFFSET + i as u64 * (chunk + TAG_LEN as u64),
+                        sealed,
                     )?;
-                    let plain = self
-                        .data_ocb
-                        .open(&Nonce::from_counter(nonce_start + index), DATA_AAD, &sealed)
+                    let nonce = Nonce::from_counter(nonce_start + i as u64);
+                    self.data_ocb
+                        .open_into(&nonce, DATA_AAD, sealed, part)
                         .map_err(|_| HixCoreError::IntegrityFailure)?;
-                    out.extend_from_slice(&plain);
-                    off += this;
-                    index += 1;
                 }
                 Payload::from_bytes(out)
             };
@@ -1500,6 +1513,15 @@ impl HixSession {
         })();
         end_request(machine, req);
         result
+    }
+}
+
+/// Grows `buf` to at least `len` bytes; never shrinks it, so a buffer
+/// reused across transfers settles at its largest span and stops
+/// allocating.
+fn grow(buf: &mut Vec<u8>, len: usize) {
+    if buf.len() < len {
+        buf.resize(len, 0);
     }
 }
 

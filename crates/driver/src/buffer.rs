@@ -91,11 +91,27 @@ impl DmaBuffer {
         offset: u64,
         payload: &Payload,
     ) -> Result<(), AccessFault> {
-        assert!(offset + payload.len() <= self.len, "payload exceeds buffer");
         if payload.is_synthetic() {
+            assert!(offset + payload.len() <= self.len, "payload exceeds buffer");
             return Ok(());
         }
-        machine.write(pid, self.va.offset(offset), payload.bytes())
+        self.write_bytes(machine, pid, offset, payload.bytes())
+    }
+
+    /// Writes `data` into the buffer as process `pid`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`AccessFault`]; panics if the data exceeds capacity.
+    pub fn write_bytes(
+        &self,
+        machine: &mut Machine,
+        pid: ProcessId,
+        offset: u64,
+        data: &[u8],
+    ) -> Result<(), AccessFault> {
+        assert!(offset + data.len() as u64 <= self.len, "payload exceeds buffer");
+        machine.write(pid, self.va.offset(offset), data)
     }
 
     /// Reads `len` bytes from the buffer as process `pid`.
@@ -110,10 +126,25 @@ impl DmaBuffer {
         offset: u64,
         len: u64,
     ) -> Result<Vec<u8>, AccessFault> {
-        assert!(offset + len <= self.len, "read exceeds buffer");
         let mut buf = vec![0u8; len as usize];
-        machine.read(pid, self.va.offset(offset), &mut buf)?;
+        self.read_into(machine, pid, offset, &mut buf)?;
         Ok(buf)
+    }
+
+    /// Fills `buf` from the buffer at `offset` as process `pid`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`AccessFault`]; panics if the span exceeds capacity.
+    pub fn read_into(
+        &self,
+        machine: &mut Machine,
+        pid: ProcessId,
+        offset: u64,
+        buf: &mut [u8],
+    ) -> Result<(), AccessFault> {
+        assert!(offset + buf.len() as u64 <= self.len, "read exceeds buffer");
+        machine.read(pid, self.va.offset(offset), buf)
     }
 
     /// The process that allocated the buffer.

@@ -12,6 +12,15 @@
 //! are expanded once per session-key install (and re-expanded on every
 //! rekey/epoch bump), not per launch, and the bulk bytes go through the
 //! zero-allocation `seal_into`/`open_into` wide paths.
+//!
+//! Their working buffers (one sealed and one plaintext span) come from
+//! the device's kernel scratch (`KernelExec::scratch_pair`), which lives
+//! across launches. Each launch sizes its spans by what it moves: the
+//! single-shot kernels by their length argument, the stream kernel by
+//! `min(chunk, plain_len)`. The GPU enclave never launches one on more
+//! than a pipeline chunk, so the scratch stays within
+//! 2 x (`pipeline_chunk` + [`TAG_LEN`]) and a steady-state launch
+//! allocates nothing. A 1 KiB transfer touches 2 KiB + 16 of scratch.
 
 use hix_crypto::ocb::{Nonce, TAG_LEN};
 use hix_sim::{CostModel, Nanos};
@@ -52,11 +61,11 @@ impl GpuKernel for OcbDecryptKernel {
             return Err(KernelError::BadArgs("sealed buffer shorter than a tag"));
         }
         let ocb = exec.session_ocb().ok_or(KernelError::BadArgs("no session key"))?;
-        let sealed = exec.read_vec(src, sealed_len)?;
-        let mut plain = vec![0u8; sealed_len - TAG_LEN];
-        ocb.open_into(&Nonce::from_counter(counter), DATA_AAD, &sealed, &mut plain)
+        let (sealed, plain) = exec.scratch_pair(sealed_len, sealed_len - TAG_LEN)?;
+        exec.read(src, sealed)?;
+        ocb.open_into(&Nonce::from_counter(counter), DATA_AAD, sealed, plain)
             .map_err(|_| KernelError::IntegrityFailure)?;
-        exec.write(dst, &plain)
+        exec.write(dst, plain)
     }
 }
 
@@ -80,10 +89,10 @@ impl GpuKernel for OcbEncryptKernel {
         let dst = DevAddr(exec.arg(2)?);
         let counter = exec.arg(3)?;
         let ocb = exec.session_ocb().ok_or(KernelError::BadArgs("no session key"))?;
-        let plain = exec.read_vec(src, len)?;
-        let mut sealed = vec![0u8; len + TAG_LEN];
-        ocb.seal_into(&Nonce::from_counter(counter), DATA_AAD, &plain, &mut sealed);
-        exec.write(dst, &sealed)
+        let (plain, sealed) = exec.scratch_pair(len, len.saturating_add(TAG_LEN))?;
+        exec.read(src, plain)?;
+        ocb.seal_into(&Nonce::from_counter(counter), DATA_AAD, plain, sealed);
+        exec.write(dst, sealed)
     }
 }
 
@@ -117,10 +126,10 @@ impl GpuKernel for OcbDecryptStreamKernel {
             return Err(KernelError::BadArgs("zero chunk size"));
         }
         let ocb = exec.session_ocb().ok_or(KernelError::BadArgs("no session key"))?;
-        // One pair of staging buffers for the whole stream, reused across
-        // chunks (previously: two fresh allocations per chunk).
-        let mut sealed = vec![0u8; chunk as usize + TAG_LEN];
-        let mut plain = vec![0u8; chunk as usize];
+        // One sealed and one plaintext span for the whole stream, sized by
+        // the largest chunk this transfer actually has.
+        let span = chunk.min(plain_len) as usize;
+        let (sealed, plain) = exec.scratch_pair(span.saturating_add(TAG_LEN), span)?;
         let mut done = 0u64;
         let mut index = 0u64;
         while done < plain_len {
@@ -180,7 +189,8 @@ mod tests {
         );
         vram.write(0x1000, &sealed);
         let args = [0x1000u64, sealed.len() as u64, 0x8000, 7];
-        let mut exec = KernelExec::new(&ctx, &mut vram, &args);
+        let mut scratch = Vec::new();
+        let mut exec = KernelExec::new(&ctx, &mut vram, &args, &mut scratch);
         OcbDecryptKernel.run(&mut exec).unwrap();
         let mut out = vec![0u8; plain.len()];
         vram.read(0x8000, &mut out);
@@ -202,7 +212,8 @@ mod tests {
         tampered[1] ^= 0x80;
         vram.write(0x1000, &tampered);
         let args = [0x1000u64, tampered.len() as u64, 0x8000, 7];
-        let mut exec = KernelExec::new(&ctx, &mut vram, &args);
+        let mut scratch = Vec::new();
+        let mut exec = KernelExec::new(&ctx, &mut vram, &args, &mut scratch);
         assert_eq!(
             OcbDecryptKernel.run(&mut exec),
             Err(KernelError::IntegrityFailure)
@@ -216,7 +227,8 @@ mod tests {
         let mut vram = Vram::new(1 << 20);
         vram.write(0x2000, b"gpu result data");
         let args = [0x2000u64, 15, 0x9000, 42];
-        let mut exec = KernelExec::new(&ctx, &mut vram, &args);
+        let mut scratch = Vec::new();
+        let mut exec = KernelExec::new(&ctx, &mut vram, &args, &mut scratch);
         OcbEncryptKernel.run(&mut exec).unwrap();
         let mut sealed = vec![0u8; 15 + TAG_LEN];
         vram.read(0x9000, &mut sealed);
@@ -236,12 +248,14 @@ mod tests {
         ctx.map_page(DevAddr(0), 0);
         let mut vram = Vram::new(1 << 20);
         let args = [0u64, 16, 0x100, 0];
-        let mut exec = KernelExec::new(&ctx, &mut vram, &args);
+        let mut scratch = Vec::new();
+        let mut exec = KernelExec::new(&ctx, &mut vram, &args, &mut scratch);
         assert!(matches!(
             OcbDecryptKernel.run(&mut exec),
             Err(KernelError::BadArgs(_))
         ));
-        let mut exec = KernelExec::new(&ctx, &mut vram, &args);
+        let mut scratch = Vec::new();
+        let mut exec = KernelExec::new(&ctx, &mut vram, &args, &mut scratch);
         assert!(matches!(
             OcbEncryptKernel.run(&mut exec),
             Err(KernelError::BadArgs(_))
@@ -271,7 +285,8 @@ mod tests {
             vram.write(i as u64 * (chunk + TAG_LEN as u64), &sealed);
         }
         let args = [0u64, plain.len() as u64, chunk, nonce_start];
-        let mut exec = KernelExec::new(&ctx, &mut vram, &args);
+        let mut scratch = Vec::new();
+        let mut exec = KernelExec::new(&ctx, &mut vram, &args, &mut scratch);
         OcbDecryptStreamKernel.run(&mut exec).unwrap();
         let mut out = vec![0u8; plain.len()];
         vram.read(0, &mut out);
@@ -295,7 +310,8 @@ mod tests {
         vram.read(60, &mut byte);
         vram.write(60, &[byte[0] ^ 1]);
         let args = [0u64, 100, 4096, 0];
-        let mut exec = KernelExec::new(&ctx, &mut vram, &args);
+        let mut scratch = Vec::new();
+        let mut exec = KernelExec::new(&ctx, &mut vram, &args, &mut scratch);
         assert_eq!(
             OcbDecryptStreamKernel.run(&mut exec),
             Err(KernelError::IntegrityFailure)

@@ -16,7 +16,7 @@ use crate::cmd::GpuCommand;
 use crate::ctx::{CtxId, GpuContext};
 use crate::kernel::{GpuKernel, KernelError, KernelExec};
 use crate::regs::{bar0, errcode, GPU_MAGIC};
-use crate::vram::{Vram, GPU_PAGE_SIZE};
+use crate::vram::{span_fits, Vram, GPU_PAGE_SIZE};
 
 /// VRAM bandwidth used for memsets/scrubbing (GTX 580 class).
 const VRAM_BW: u64 = 150_000_000_000;
@@ -80,6 +80,10 @@ pub struct GpuDevice {
     hang: Option<HangState>,
     completion_lost: Option<CtxId>,
     kernels: BTreeMap<u64, Box<dyn GpuKernel>>,
+    // Kernel working memory, lent to every launch through `KernelExec`
+    // and kept across launches. The crypto kernels size their use by
+    // the transfer, so it stays within 2 x (pipeline chunk + tag).
+    scratch: Vec<u8>,
     drbg: HmacDrbg,
     group: DhGroup,
     bios: Vec<u8>,
@@ -138,6 +142,7 @@ impl GpuDevice {
             hang: None,
             completion_lost: None,
             kernels: BTreeMap::new(),
+            scratch: Vec::new(),
             drbg,
             group: DhGroup::sim(),
             bios,
@@ -408,7 +413,10 @@ impl GpuDevice {
                     return;
                 };
                 let span = pages.saturating_mul(GPU_PAGE_SIZE);
-                if pa % GPU_PAGE_SIZE != 0 || pa.saturating_add(span) > vram_size {
+                if pa % GPU_PAGE_SIZE != 0
+                    || pa.saturating_add(span) > vram_size
+                    || !span_fits(va.value(), span)
+                {
                     self.set_error(errcode::FAULT);
                     return;
                 }
@@ -428,6 +436,13 @@ impl GpuDevice {
                     self.set_error(errcode::NO_CTX);
                     return;
                 };
+                if !pages
+                    .checked_mul(GPU_PAGE_SIZE)
+                    .is_some_and(|span| span_fits(va.value(), span))
+                {
+                    self.set_error(errcode::FAULT);
+                    return;
+                }
                 for i in 0..pages {
                     context.unmap_page(va.offset(i * GPU_PAGE_SIZE));
                 }
@@ -447,6 +462,10 @@ impl GpuDevice {
                     self.set_error(errcode::NO_CTX);
                     return;
                 }
+                if !span_fits(va.value(), len) || !span_fits(bus.value(), len) {
+                    self.set_error(errcode::FAULT);
+                    return;
+                }
                 let mut off = 0u64;
                 while off < len {
                     let cur = va.offset(off);
@@ -458,12 +477,12 @@ impl GpuDevice {
                             return;
                         }
                     };
-                    let mut buf = vec![0u8; take as usize];
-                    if dma.dma_read(bus.offset(off), &mut buf).is_err() {
+                    // The host bytes land straight in the VRAM page.
+                    let page = self.vram.page_slice_mut(pa, take as usize);
+                    if dma.dma_read(bus.offset(off), page).is_err() {
                         self.set_error(errcode::DMA);
                         return;
                     }
-                    self.vram.write(pa, &buf);
                     off += take;
                 }
             }
@@ -482,6 +501,10 @@ impl GpuDevice {
                     self.set_error(errcode::NO_CTX);
                     return;
                 }
+                if !span_fits(va.value(), len) || !span_fits(bus.value(), len) {
+                    self.set_error(errcode::FAULT);
+                    return;
+                }
                 let mut off = 0u64;
                 while off < len {
                     let cur = va.offset(off);
@@ -493,9 +516,9 @@ impl GpuDevice {
                             return;
                         }
                     };
-                    let mut buf = vec![0u8; take as usize];
-                    self.vram.read(pa, &mut buf);
-                    if dma.dma_write(bus.offset(off), &buf).is_err() {
+                    // The VRAM page goes straight out to the host.
+                    let page = self.vram.page_slice(pa, take as usize);
+                    if dma.dma_write(bus.offset(off), page).is_err() {
                         self.set_error(errcode::DMA);
                         return;
                     }
@@ -518,6 +541,14 @@ impl GpuDevice {
                     self.set_error(errcode::NO_CTX);
                     return;
                 }
+                if !span_fits(src.value(), len) || !span_fits(dst.value(), len) {
+                    self.set_error(errcode::FAULT);
+                    return;
+                }
+                // Each step moves at most one page, through this bounce
+                // page: a step reads all its source bytes before writing
+                // any, so an overlapping step copies like memmove.
+                let mut bounce = [0u8; GPU_PAGE_SIZE as usize];
                 let mut off = 0u64;
                 while off < len {
                     let s_cur = src.offset(off);
@@ -535,9 +566,9 @@ impl GpuDevice {
                             }
                         }
                     };
-                    let mut buf = vec![0u8; take as usize];
-                    self.vram.read(s_pa, &mut buf);
-                    self.vram.write(d_pa, &buf);
+                    let step = &mut bounce[..take as usize];
+                    self.vram.read(s_pa, step);
+                    self.vram.write(d_pa, step);
                     off += take;
                 }
             }
@@ -555,6 +586,10 @@ impl GpuDevice {
                     self.set_error(errcode::NO_CTX);
                     return;
                 };
+                if !span_fits(va.value(), len) {
+                    self.set_error(errcode::FAULT);
+                    return;
+                }
                 let mut off = 0u64;
                 while off < len {
                     let cur = va.offset(off);
@@ -594,7 +629,7 @@ impl GpuDevice {
                     self.set_error(errcode::NO_CTX);
                     return;
                 };
-                let mut exec = KernelExec::new(context, &mut self.vram, &args);
+                let mut exec = KernelExec::new(context, &mut self.vram, &args, &mut self.scratch);
                 match self.kernels[&kernel].run(&mut exec) {
                     Ok(()) => {}
                     Err(KernelError::Fault(fault)) => self.set_page_fault(ctx, fault.addr),
@@ -772,6 +807,7 @@ impl PcieDevice for GpuDevice {
         self.hang = None;
         self.completion_lost = None;
         self.vram.clear();
+        self.scratch.fill(0);
         self.charge(Nanos::from_millis(10), EventKind::Init, "gpu reset");
     }
 

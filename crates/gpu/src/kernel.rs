@@ -10,7 +10,7 @@
 use hix_sim::{CostModel, Nanos};
 
 use crate::ctx::{GpuContext, GpuFault};
-use crate::vram::{DevAddr, Vram, GPU_PAGE_SIZE};
+use crate::vram::{span_fits, DevAddr, Vram, GPU_PAGE_SIZE};
 
 /// Errors a kernel can raise.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,17 +43,24 @@ impl From<GpuFault> for KernelError {
 }
 
 /// Execution environment handed to a running kernel: translated access to
-/// the launching context's address space, the launch arguments, and the
-/// context's session key (for the built-in crypto kernels).
+/// the launching context's address space, the launch arguments, the
+/// context's session key (for the built-in crypto kernels), and the
+/// device's kernel scratch memory.
 pub struct KernelExec<'a> {
     ctx: &'a GpuContext,
     vram: &'a mut Vram,
     args: &'a [u64],
+    scratch: Option<&'a mut Vec<u8>>,
 }
 
 impl<'a> KernelExec<'a> {
-    pub(crate) fn new(ctx: &'a GpuContext, vram: &'a mut Vram, args: &'a [u64]) -> Self {
-        KernelExec { ctx, vram, args }
+    pub(crate) fn new(
+        ctx: &'a GpuContext,
+        vram: &'a mut Vram,
+        args: &'a [u64],
+        scratch: &'a mut Vec<u8>,
+    ) -> Self {
+        KernelExec { ctx, vram, args, scratch: Some(scratch) }
     }
 
     /// The launch arguments.
@@ -84,12 +91,49 @@ impl<'a> KernelExec<'a> {
         self.ctx.session_ocb()
     }
 
+    /// Lends two disjoint spans, of `first` and `second` bytes, of the
+    /// device's kernel scratch memory. The buffer outlives the launch
+    /// and only grows, so a launch no larger than an earlier one
+    /// allocates nothing. Its contents are whatever an earlier launch,
+    /// possibly another context's, left there; that is why only this
+    /// crate's built-in kernels may borrow it, and each of them writes
+    /// every byte before reading it. The borrows are tied to the launch,
+    /// not to `self`, so kernels can keep them across VRAM accesses; a
+    /// launch can take the scratch once. The sizes come from launch
+    /// arguments, so they are bounded before anything is allocated: no
+    /// launch gets more scratch than the device has VRAM.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`KernelError::BadArgs`] if the total size exceeds the
+    /// VRAM capacity or this launch already took the scratch.
+    pub(crate) fn scratch_pair(
+        &mut self,
+        first: usize,
+        second: usize,
+    ) -> Result<(&'a mut [u8], &'a mut [u8]), KernelError> {
+        let len = first
+            .checked_add(second)
+            .filter(|&len| len as u64 <= self.vram.size())
+            .ok_or(KernelError::BadArgs("scratch larger than device memory"))?;
+        let buf = self.scratch.take().ok_or(KernelError::BadArgs("scratch already taken"))?;
+        if buf.len() < len {
+            buf.resize(len, 0);
+        }
+        Ok(buf[..len].split_at_mut(first))
+    }
+
     /// Reads `buf.len()` bytes at device-virtual `va` (page-crossing).
     ///
     /// # Errors
     ///
-    /// Returns [`KernelError::Fault`] on unmapped pages.
+    /// Returns [`KernelError::Fault`] on unmapped pages and
+    /// [`KernelError::BadArgs`] for a range that wraps the device
+    /// address space.
     pub fn read(&self, va: DevAddr, buf: &mut [u8]) -> Result<(), KernelError> {
+        if !span_fits(va.value(), buf.len() as u64) {
+            return Err(KernelError::BadArgs("range wraps the device address space"));
+        }
         let mut off = 0usize;
         while off < buf.len() {
             let cur = va.offset(off as u64);
@@ -105,8 +149,13 @@ impl<'a> KernelExec<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`KernelError::Fault`] on unmapped pages.
+    /// Returns [`KernelError::Fault`] on unmapped pages and
+    /// [`KernelError::BadArgs`] for a range that wraps the device
+    /// address space.
     pub fn write(&mut self, va: DevAddr, data: &[u8]) -> Result<(), KernelError> {
+        if !span_fits(va.value(), data.len() as u64) {
+            return Err(KernelError::BadArgs("range wraps the device address space"));
+        }
         let mut off = 0usize;
         while off < data.len() {
             let cur = va.offset(off as u64);
@@ -215,7 +264,8 @@ mod tests {
         ctx.map_page(DevAddr(0x1000), 0x4000);
         ctx.map_page(DevAddr(0x2000), 0x9000);
         let mut vram = Vram::new(1 << 20);
-        let mut exec = KernelExec::new(&ctx, &mut vram, &[]);
+        let mut scratch = Vec::new();
+        let mut exec = KernelExec::new(&ctx, &mut vram, &[], &mut scratch);
         // Crosses the 0x1000/0x2000 boundary -> two discontiguous frames.
         let data: Vec<u8> = (0..100).collect();
         exec.write(DevAddr(0x1fd0), &data).unwrap();
@@ -232,7 +282,8 @@ mod tests {
     fn unmapped_access_faults() {
         let ctx = GpuContext::new(CtxId(1));
         let mut vram = Vram::new(1 << 20);
-        let mut exec = KernelExec::new(&ctx, &mut vram, &[]);
+        let mut scratch = Vec::new();
+        let mut exec = KernelExec::new(&ctx, &mut vram, &[], &mut scratch);
         assert!(matches!(
             exec.read(DevAddr(0x5000), &mut [0u8; 1]),
             Err(KernelError::Fault(_))
@@ -248,13 +299,53 @@ mod tests {
         let mut ctx = GpuContext::new(CtxId(1));
         ctx.map_page(DevAddr(0), 0);
         let mut vram = Vram::new(1 << 20);
-        let mut exec = KernelExec::new(&ctx, &mut vram, &[3, 9]);
+        let mut scratch = Vec::new();
+        let mut exec = KernelExec::new(&ctx, &mut vram, &[3, 9], &mut scratch);
         exec.write_i32s(DevAddr(0), &[-1, 2, 3]).unwrap();
         assert_eq!(exec.read_i32s(DevAddr(0), 3).unwrap(), vec![-1, 2, 3]);
         exec.write_f32s(DevAddr(0x100), &[1.5, -2.25]).unwrap();
         assert_eq!(exec.read_f32s(DevAddr(0x100), 2).unwrap(), vec![1.5, -2.25]);
         assert_eq!(exec.arg(1).unwrap(), 9);
         assert!(exec.arg(2).is_err());
+    }
+
+    #[test]
+    fn scratch_is_reused_and_lent_once_per_launch() {
+        let ctx = GpuContext::new(CtxId(1));
+        let mut vram = Vram::new(1 << 20);
+        let mut scratch = Vec::new();
+        let mut exec = KernelExec::new(&ctx, &mut vram, &[], &mut scratch);
+        let (a, b) = exec.scratch_pair(40, 24).unwrap();
+        a.fill(5);
+        b.fill(6);
+        assert!(matches!(exec.scratch_pair(1, 1), Err(KernelError::BadArgs(_))));
+        let mut exec = KernelExec::new(&ctx, &mut vram, &[], &mut scratch);
+        let (a, b) = exec.scratch_pair(8, 8).unwrap();
+        assert_eq!((&a[..], &b[..]), (&[5; 8][..], &[5; 8][..]), "a smaller launch reuses it");
+        assert_eq!(scratch.len(), 64);
+        let mut exec = KernelExec::new(&ctx, &mut vram, &[], &mut scratch);
+        assert!(matches!(exec.scratch_pair(usize::MAX, 1), Err(KernelError::BadArgs(_))));
+        let mut exec = KernelExec::new(&ctx, &mut vram, &[], &mut scratch);
+        assert!(
+            matches!(exec.scratch_pair(1 << 20, 1), Err(KernelError::BadArgs(_))),
+            "no launch borrows more than the device's memory"
+        );
+        assert_eq!(scratch.len(), 64, "a refused request allocates nothing");
+    }
+
+    #[test]
+    fn wrapping_ranges_are_bad_args_not_panics() {
+        let mut ctx = GpuContext::new(CtxId(1));
+        ctx.map_page(DevAddr(u64::MAX - 0xfff), 0);
+        let mut vram = Vram::new(1 << 20);
+        let mut scratch = Vec::new();
+        let mut exec = KernelExec::new(&ctx, &mut vram, &[], &mut scratch);
+        exec.write(DevAddr(u64::MAX - 0xfff), &[1; 0x1000]).unwrap();
+        assert!(matches!(
+            exec.read(DevAddr(u64::MAX - 0xfff), &mut [0; 0x1001]),
+            Err(KernelError::BadArgs(_))
+        ));
+        assert!(matches!(exec.write(DevAddr(u64::MAX), &[1, 2]), Err(KernelError::BadArgs(_))));
     }
 
     #[test]

@@ -42,6 +42,14 @@ impl fmt::Display for DevAddr {
     }
 }
 
+/// Whether the `len` bytes from `start` fit below the top of a 64-bit
+/// address space, device or bus (`len == 0` always fits). Every
+/// range-walking command checks its ranges with this once, up front, so
+/// a walk's running address ([`DevAddr::offset`]) can never overflow.
+pub fn span_fits(start: u64, len: u64) -> bool {
+    len == 0 || start.checked_add(len - 1).is_some()
+}
+
 /// Device-physical VRAM.
 pub struct Vram {
     pages: BTreeMap<u64, Box<[u8; GPU_PAGE_SIZE as usize]>>,
@@ -89,13 +97,8 @@ impl Vram {
         let mut off = 0usize;
         while off < buf.len() {
             let a = addr + off as u64;
-            let ppn = a / GPU_PAGE_SIZE;
-            let po = (a % GPU_PAGE_SIZE) as usize;
-            let take = (GPU_PAGE_SIZE as usize - po).min(buf.len() - off);
-            match self.pages.get(&ppn) {
-                Some(p) => buf[off..off + take].copy_from_slice(&p[po..po + take]),
-                None => buf[off..off + take].fill(0),
-            }
+            let take = ((GPU_PAGE_SIZE - a % GPU_PAGE_SIZE) as usize).min(buf.len() - off);
+            buf[off..off + take].copy_from_slice(self.page_slice(a, take));
             off += take;
         }
     }
@@ -113,16 +116,52 @@ impl Vram {
         let mut off = 0usize;
         while off < data.len() {
             let a = addr + off as u64;
-            let ppn = a / GPU_PAGE_SIZE;
-            let po = (a % GPU_PAGE_SIZE) as usize;
-            let take = (GPU_PAGE_SIZE as usize - po).min(data.len() - off);
-            let page = self
-                .pages
-                .entry(ppn)
-                .or_insert_with(|| Box::new([0u8; GPU_PAGE_SIZE as usize]));
-            page[po..po + take].copy_from_slice(&data[off..off + take]);
+            let take = ((GPU_PAGE_SIZE - a % GPU_PAGE_SIZE) as usize).min(data.len() - off);
+            self.page_slice_mut(a, take).copy_from_slice(&data[off..off + take]);
             off += take;
         }
+    }
+
+    /// The `len` bytes at device-physical `addr`, which must lie in one
+    /// page. An untouched page reads as zeros without being
+    /// materialized. Lets a DMA engine copy a page straight to the host.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the span crosses a page or exceeds capacity.
+    pub fn page_slice(&self, addr: u64, len: usize) -> &[u8] {
+        static ZERO_PAGE: [u8; GPU_PAGE_SIZE as usize] = [0; GPU_PAGE_SIZE as usize];
+        let (ppn, range) = self.page_span(addr, len);
+        match self.pages.get(&ppn) {
+            Some(page) => &page[range],
+            None => &ZERO_PAGE[range],
+        }
+    }
+
+    /// Mutable view of the `len` bytes at device-physical `addr`, which
+    /// must lie in one page; the page is materialized (zero-filled) on
+    /// first touch. Lets a DMA engine copy a host page straight in.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the span crosses a page or exceeds capacity.
+    pub fn page_slice_mut(&mut self, addr: u64, len: usize) -> &mut [u8] {
+        let (ppn, range) = self.page_span(addr, len);
+        let page = self
+            .pages
+            .entry(ppn)
+            .or_insert_with(|| Box::new([0u8; GPU_PAGE_SIZE as usize]));
+        &mut page[range]
+    }
+
+    /// Page number and in-page byte range of a one-page span.
+    fn page_span(&self, addr: u64, len: usize) -> (u64, std::ops::Range<usize>) {
+        let po = (addr % GPU_PAGE_SIZE) as usize;
+        assert!(
+            po + len <= GPU_PAGE_SIZE as usize && addr < self.size,
+            "VRAM page span out of range"
+        );
+        (addr / GPU_PAGE_SIZE, po..po + len)
     }
 
     /// Fills a range with `value`.
@@ -201,11 +240,34 @@ mod tests {
     }
 
     #[test]
+    fn page_slices_view_one_page() {
+        let mut v = Vram::new(1 << 20);
+        assert_eq!(v.page_slice(0x2ff0, 16), &[0u8; 16], "untouched page reads zero");
+        assert_eq!(v.resident_pages(), 0, "reading does not materialize");
+        v.page_slice_mut(0x2ff0, 16).copy_from_slice(&[7; 16]);
+        let mut buf = [0u8; 17];
+        v.read(0x2fef, &mut buf);
+        assert_eq!(buf[0], 0);
+        assert_eq!(&buf[1..], &[7; 16]);
+        assert_eq!(v.page_slice(0x2ff8, 8), &[7; 8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "page span out of range")]
+    fn page_slice_rejects_page_crossing() {
+        let _ = Vram::new(1 << 20).page_slice(0x2ff0, 17);
+    }
+
+    #[test]
     fn dev_addr_helpers() {
         let a = DevAddr(0x12345);
         assert_eq!(a.vpn(), 0x12);
         assert_eq!(a.page_offset(), 0x345);
         assert_eq!(a.offset(0xbb).value(), 0x12400);
         assert_eq!(a.to_string(), "dev:0x00012345");
+        let top = u64::MAX - 0xfff;
+        assert!(span_fits(top, 0x1000), "the top page itself fits");
+        assert!(!span_fits(top, 0x1001));
+        assert!(span_fits(u64::MAX, 0) && span_fits(u64::MAX, 1));
     }
 }

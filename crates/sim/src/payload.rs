@@ -6,8 +6,12 @@
 //! which carry only a length so that an 11264×11264 matrix "exists" without
 //! allocating 968 MB or burning wall-clock time on software AES; the *time
 //! plane* (cost model) is charged identically in both modes.
+//!
+//! Materialized bytes are shared, not copied: cloning a payload (for a
+//! command queue entry or a recovery journal) is a reference-count bump.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// A buffer that is either materialized (`Bytes`) or size-only
 /// (`Synthetic`).
@@ -27,8 +31,8 @@ use std::fmt;
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub enum Payload {
-    /// A materialized byte buffer.
-    Bytes(Vec<u8>),
+    /// A materialized byte buffer, shared by every clone.
+    Bytes(Arc<Vec<u8>>),
     /// A size-only buffer of the given length in bytes.
     Synthetic(u64),
 }
@@ -36,7 +40,7 @@ pub enum Payload {
 impl Payload {
     /// Creates a materialized payload from bytes.
     pub fn from_bytes(bytes: Vec<u8>) -> Self {
-        Payload::Bytes(bytes)
+        Payload::Bytes(Arc::new(bytes))
     }
 
     /// Creates a size-only payload of `len` bytes.
@@ -46,7 +50,7 @@ impl Payload {
 
     /// Creates a materialized payload of `len` zero bytes.
     pub fn zeroed(len: usize) -> Self {
-        Payload::Bytes(vec![0; len])
+        Payload::from_bytes(vec![0; len])
     }
 
     /// Length in bytes.
@@ -82,14 +86,15 @@ impl Payload {
         }
     }
 
-    /// Consumes the payload, returning its bytes.
+    /// Consumes the payload, returning its bytes (copied only if another
+    /// clone still shares them).
     ///
     /// # Panics
     ///
     /// Panics if the payload is synthetic.
     pub fn into_bytes(self) -> Vec<u8> {
         match self {
-            Payload::Bytes(b) => b,
+            Payload::Bytes(b) => Arc::unwrap_or_clone(b),
             Payload::Synthetic(n) => {
                 panic!("functional access to a synthetic payload of {n} bytes")
             }
@@ -107,7 +112,7 @@ impl Payload {
         match self {
             Payload::Bytes(b) => b
                 .chunks(usize::try_from(chunk).expect("chunk fits usize"))
-                .map(|c| Payload::Bytes(c.to_vec()))
+                .map(|c| Payload::from_bytes(c.to_vec()))
                 .collect(),
             Payload::Synthetic(mut n) => {
                 let mut out = Vec::new();
@@ -130,7 +135,7 @@ impl Payload {
             for p in parts {
                 out.extend_from_slice(p.bytes());
             }
-            Payload::Bytes(out)
+            Payload::from_bytes(out)
         } else {
             Payload::Synthetic(parts.iter().map(Payload::len).sum())
         }
@@ -139,13 +144,13 @@ impl Payload {
 
 impl From<Vec<u8>> for Payload {
     fn from(bytes: Vec<u8>) -> Self {
-        Payload::Bytes(bytes)
+        Payload::from_bytes(bytes)
     }
 }
 
 impl From<&[u8]> for Payload {
     fn from(bytes: &[u8]) -> Self {
-        Payload::Bytes(bytes.to_vec())
+        Payload::from_bytes(bytes.to_vec())
     }
 }
 
@@ -219,6 +224,17 @@ mod tests {
         let mixed = Payload::concat([Payload::from_bytes(vec![1]), Payload::synthetic(2)]);
         assert!(mixed.is_synthetic());
         assert_eq!(mixed.len(), 3);
+    }
+
+    #[test]
+    fn clones_share_bytes() {
+        let p = Payload::from_bytes(vec![1, 2, 3]);
+        let q = p.clone();
+        assert!(std::ptr::eq(p.bytes(), q.bytes()), "a clone is a reference, not a copy");
+        assert_eq!(q.into_bytes(), vec![1, 2, 3], "a shared payload still yields its bytes");
+        let addr = p.bytes().as_ptr();
+        let owned = p.into_bytes();
+        assert_eq!(owned.as_ptr(), addr, "the last owner takes the buffer as is");
     }
 
     #[test]

@@ -8,8 +8,11 @@
 //! `.proptest-regressions` file) is replayed before every run.
 
 use hix_driver::rig::{standard_rig, RigOptions, GPU_BDF};
-use hix_gpu::regs::bar0;
-use hix_pcie::addr::Bdf;
+use hix_gpu::cmd::GpuCommand;
+use hix_gpu::ctx::CtxId;
+use hix_gpu::regs::{bar0, errcode};
+use hix_gpu::vram::{DevAddr, GPU_PAGE_SIZE};
+use hix_pcie::addr::{Bdf, PhysAddr};
 use hix_pcie::config::BarIndex;
 use hix_testkit::prop::{decode_tape, prop, Source};
 
@@ -82,6 +85,119 @@ fn device_survives_arbitrary_mmio() {
             let mut id = [0u8; 8];
             device.mmio_read(BarIndex(0), bar0::ID, &mut id);
             assert_eq!(u64::from_le_bytes(id), hix_gpu::regs::GPU_MAGIC);
+        });
+}
+
+/// An address within four pages of either end of a 64-bit space: the
+/// low end (a zero tape) or the top, where a page walk's running
+/// address would wrap. With the rig's IOMMU in passthrough, low bus
+/// addresses are DRAM, so DMA from them really moves bytes.
+fn edge_addr(s: &mut Source) -> u64 {
+    let delta = s.in_range(0..4 * GPU_PAGE_SIZE);
+    if s.bool() {
+        u64::MAX - delta
+    } else {
+        delta
+    }
+}
+
+fn edge_page(s: &mut Source) -> DevAddr {
+    DevAddr(edge_addr(s) & !(GPU_PAGE_SIZE - 1))
+}
+
+/// A well-formed command on context 1 (which the property creates
+/// first), aimed at the edges of the device and bus address spaces,
+/// with lengths of up to three pages so transfers cross pages.
+fn edge_command(s: &mut Source) -> GpuCommand {
+    let ctx = CtxId(1);
+    match s.choice(6) {
+        0 => GpuCommand::MapRange {
+            ctx,
+            va: edge_page(s),
+            pa: s.in_range(0..16) * GPU_PAGE_SIZE,
+            pages: s.in_range(1..4),
+        },
+        1 => GpuCommand::UnmapRange { ctx, va: edge_page(s), pages: s.in_range(1..4) },
+        2 => GpuCommand::DmaHtoD {
+            ctx,
+            bus: PhysAddr::new(edge_addr(s)),
+            va: DevAddr(edge_addr(s)),
+            len: s.in_range(0..3 * GPU_PAGE_SIZE),
+        },
+        3 => GpuCommand::DmaDtoH {
+            ctx,
+            va: DevAddr(edge_addr(s)),
+            bus: PhysAddr::new(edge_addr(s)),
+            len: s.in_range(0..3 * GPU_PAGE_SIZE),
+        },
+        4 => GpuCommand::Memset {
+            ctx,
+            va: DevAddr(edge_addr(s)),
+            len: s.in_range(0..3 * GPU_PAGE_SIZE),
+            value: s.u8(),
+        },
+        _ => GpuCommand::CopyDtoD {
+            ctx,
+            src: DevAddr(edge_addr(s)),
+            dst: DevAddr(edge_addr(s)),
+            len: s.in_range(0..3 * GPU_PAGE_SIZE),
+        },
+    }
+}
+
+/// Whether `len` bytes from `start` run past the top of the 64-bit
+/// address space.
+fn wraps(start: u64, len: u64) -> bool {
+    len > 0 && start.checked_add(len - 1).is_none()
+}
+
+/// Whether the command's device or bus range wraps.
+fn command_wraps(cmd: &GpuCommand) -> bool {
+    match *cmd {
+        GpuCommand::MapRange { va, pages, .. } | GpuCommand::UnmapRange { va, pages, .. } => {
+            wraps(va.value(), pages * GPU_PAGE_SIZE)
+        }
+        GpuCommand::DmaHtoD { bus, va, len, .. } | GpuCommand::DmaDtoH { va, bus, len, .. } => {
+            wraps(va.value(), len) || wraps(bus.value(), len)
+        }
+        GpuCommand::Memset { va, len, .. } => wraps(va.value(), len),
+        GpuCommand::CopyDtoD { src, dst, len, .. } => {
+            wraps(src.value(), len) || wraps(dst.value(), len)
+        }
+        _ => false,
+    }
+}
+
+/// Well-formed commands on a live context must not crash the device
+/// either: a range that wraps the device or bus address space latches
+/// `FAULT` (checked once per command, before any byte moves), and every
+/// other command runs exactly as before.
+#[test]
+fn wellformed_commands_at_address_space_edges_never_panic() {
+    prop("wellformed_commands_at_address_space_edges_never_panic")
+        .corpus(SEEDS)
+        .run(|s| {
+            let cmds = s.collect(1..24, edge_command);
+            let mut machine = standard_rig(RigOptions::default());
+            let submit = |machine: &mut hix_platform::Machine, cmd: &GpuCommand| {
+                let bytes = cmd.encode();
+                let device = machine.device_mut(GPU_BDF).expect("gpu present");
+                device.mmio_write(BarIndex(0), bar0::ERROR, &[0]);
+                device.mmio_write(BarIndex(0), bar0::CMD_WINDOW, &bytes);
+                device.mmio_write(BarIndex(0), bar0::DOORBELL, &(bytes.len() as u64).to_le_bytes());
+                machine.run_device(GPU_BDF);
+                let device = machine.device_mut(GPU_BDF).expect("gpu present");
+                let mut error = [0u8; 8];
+                device.mmio_read(BarIndex(0), bar0::ERROR, &mut error);
+                u64::from_le_bytes(error) as u32
+            };
+            assert_eq!(submit(&mut machine, &GpuCommand::CreateCtx { ctx: CtxId(1) }), errcode::NONE);
+            for cmd in cmds {
+                let error = submit(&mut machine, &cmd);
+                if command_wraps(&cmd) {
+                    assert_eq!(error, errcode::FAULT, "{cmd:?} wraps the address space");
+                }
+            }
         });
 }
 
@@ -298,4 +414,32 @@ fn pinned_replay_window_seed_decodes_to_documented_case() {
     let (window, seqs) = decode_tape(&tape, replay_window_case);
     assert_eq!(window, 64);
     assert_eq!(seqs, [64, 129, 128]);
+}
+
+/// Drift guard for the address-space-edge corpus: the pinned crash
+/// tapes must keep decoding to the crashes they recorded — an
+/// `UnmapRange` of the top device page with `pages: 2` (first entry) and
+/// an 8 KiB `DmaHtoD` into the mapped top page (third entry).
+#[test]
+fn pinned_edge_seeds_decode_to_documented_cases() {
+    let text = std::fs::read_to_string(SEEDS).expect("seeds file present");
+    let decoded: Vec<Vec<GpuCommand>> = text
+        .lines()
+        .filter(|l| l.starts_with("wellformed_commands_at_address_space_edges_never_panic"))
+        .map(|l| {
+            let hex = l.split_whitespace().nth(1).unwrap();
+            let tape = hix_testkit::prop::decode_hex(hex).unwrap();
+            decode_tape(&tape, |s| s.collect(1..24, edge_command))
+        })
+        .collect();
+    let ctx = CtxId(1);
+    let top = DevAddr(u64::MAX - 0xfff);
+    assert_eq!(decoded[0], [GpuCommand::UnmapRange { ctx, va: top, pages: 2 }]);
+    assert_eq!(
+        decoded[2],
+        [
+            GpuCommand::MapRange { ctx, va: top, pa: 0, pages: 1 },
+            GpuCommand::DmaHtoD { ctx, bus: PhysAddr::new(0), va: top, len: 0x2000 },
+        ]
+    );
 }
