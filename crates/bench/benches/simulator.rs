@@ -1,8 +1,9 @@
 //! Micro-benches (hix-testkit): wall-clock cost of the simulator's hot
 //! paths — the routed MMIO access (page walk + EPCM/TGMR checks +
-//! fabric routing), the secure channel round trip, and a full secure
-//! transfer in each direction. These bound how large a functional
-//! experiment the simulator can carry.
+//! fabric routing), the secure channel round trip (one `sync`: a sealed
+//! request and its response), and a full secure transfer in each
+//! direction. These bound how large a functional experiment the
+//! simulator can carry.
 
 use hix_core::{GpuEnclave, GpuEnclaveOptions, HixSession};
 use hix_driver::driver::os_map_bar0;
@@ -42,6 +43,12 @@ fn secure_stack() -> (Machine, GpuEnclave, HixSession) {
     let mut enclave = GpuEnclave::launch(&mut machine, GpuEnclaveOptions::default()).unwrap();
     let session = HixSession::connect(&mut machine, &mut enclave).unwrap();
     (machine, enclave, session)
+}
+
+fn bench_channel_roundtrip() {
+    let (mut machine, mut enclave, mut session) = secure_stack();
+    Bench::new("hix/channel_sync_roundtrip")
+        .run(|| session.sync(&mut machine, &mut enclave).expect("sync"));
 }
 
 fn bench_secure_transfer() {
@@ -84,6 +91,7 @@ fn bench_session_setup() {
 fn main() {
     bench_mmio_access();
     bench_dram_access();
+    bench_channel_roundtrip();
     bench_secure_transfer();
     bench_session_setup();
 }

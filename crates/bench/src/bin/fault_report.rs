@@ -11,7 +11,7 @@ use hix_bench::fail;
 use hix_core::{GpuEnclave, GpuEnclaveOptions, HixSession};
 use hix_driver::rig::{standard_rig, RigOptions};
 use hix_sim::fault::{FaultConfig, FaultPlan};
-use hix_sim::{EventKind, Nanos, Payload};
+use hix_sim::{Counter, EventKind, Nanos, Payload};
 use hix_workloads::all_kernels;
 
 /// Matrix dimension (24×24 i32: multi-message transfers, fast sweeps).
@@ -84,8 +84,8 @@ fn run(seed: u64, profile: Option<FaultConfig>) -> RunStats {
         // trust state, shut down, relaunch from the sealed blob.
         if let Some(plan) = m.fault_plan() {
             if plan.sample_restart() {
-                m.trace().metrics().inc("fault.injected");
-                m.trace().metrics().inc("fault.injected.restart");
+                m.trace().metrics().inc(Counter::FaultInjected);
+                m.trace().metrics().add_named("fault.injected.restart", 1);
                 m.trace().emit(m.clock().now(), Nanos::ZERO, EventKind::Fault, "inject restart");
                 let blob = enclave.seal_trust_state(&mut m).expect("seal trust");
                 enclave.shutdown(&mut m).expect("shutdown");

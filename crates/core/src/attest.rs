@@ -18,6 +18,7 @@ use hix_driver::driver::{DriverError, GpuDriver};
 use hix_gpu::ctx::CtxId;
 use hix_platform::sgx::SgxError;
 use hix_platform::{Machine, ProcessId};
+use hix_sim::Counter;
 
 /// Attestation/key-agreement failures.
 #[derive(Debug)]
@@ -81,7 +82,7 @@ pub fn pairwise_channel_key(
     enclave_rng: &mut HmacDrbg,
 ) -> Result<[u8; 16], AttestError> {
     let obs = machine.trace().obs().clone();
-    obs.metrics().inc("attest.handshakes");
+    obs.metrics().inc(Counter::AttestHandshakes);
     let span = obs.enter(
         machine.clock().now().as_nanos(),
         "attestation",
@@ -164,7 +165,7 @@ pub fn three_party_data_key(
     enclave_rng: &mut HmacDrbg,
 ) -> Result<DataKey, AttestError> {
     let obs = machine.trace().obs().clone();
-    obs.metrics().inc("attest.handshakes");
+    obs.metrics().inc(Counter::AttestHandshakes);
     let span = obs.enter(
         machine.clock().now().as_nanos(),
         "attestation",

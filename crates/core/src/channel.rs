@@ -44,7 +44,7 @@ use hix_driver::DmaBuffer;
 use hix_platform::mmu::AccessFault;
 use hix_platform::{Machine, ProcessId};
 use hix_sim::fault::{Dir, FaultPlan, MsgFault, ReplayWindow, SeqCheck};
-use hix_sim::{EventKind, Nanos};
+use hix_sim::{Counter, EventKind, Nanos};
 
 /// Offsets within the shared channel buffer.
 mod layout {
@@ -236,13 +236,14 @@ impl Endpoint {
     }
 
     fn read_u64(&self, machine: &mut Machine, off: u64) -> Result<u64, ChannelError> {
-        let bytes = self.buffer.read(machine, self.pid, off, 8)?;
-        Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
+        let mut bytes = [0u8; 8];
+        self.buffer.read_into(machine, self.pid, off, &mut bytes)?;
+        Ok(u64::from_le_bytes(bytes))
     }
 
     fn write_u64(&self, machine: &mut Machine, off: u64, v: u64) -> Result<(), ChannelError> {
         self.buffer
-            .write(machine, self.pid, off, &v.to_le_bytes().to_vec().into())?;
+            .write_bytes(machine, self.pid, off, &v.to_le_bytes())?;
         Ok(())
     }
 
@@ -256,8 +257,8 @@ impl Endpoint {
     /// Counts one injected fault against the metrics/trace pairing
     /// (`fault.injected` total == `Fault`-kind event count, always).
     fn count_injection(machine: &Machine, kind: &str, dir: Dir) {
-        machine.trace().metrics().inc("fault.injected");
-        machine.trace().metrics().inc(&format!("fault.injected.{kind}"));
+        machine.trace().metrics().inc(Counter::FaultInjected);
+        machine.trace().metrics().add_named(&format!("fault.injected.{kind}"), 1);
         machine.trace().emit(
             machine.clock().now(),
             Nanos::ZERO,
@@ -304,7 +305,7 @@ impl Endpoint {
         }
         let hop = machine.model().ipc_roundtrip / 2;
         machine.clock().advance(hop);
-        machine.trace().metrics().inc("ipc.msgs");
+        machine.trace().metrics().inc(Counter::IpcMsgs);
         let label = match dir {
             Dir::Request => "send request",
             Dir::Response => "send response",
@@ -402,8 +403,7 @@ impl Endpoint {
         lay: &DirLayout,
         sealed: &[u8],
     ) -> Result<(), ChannelError> {
-        self.buffer
-            .write(machine, self.pid, lay.body, &sealed.to_vec().into())?;
+        self.buffer.write_bytes(machine, self.pid, lay.body, sealed)?;
         self.write_u64(machine, lay.len, sealed.len() as u64)
     }
 
@@ -494,7 +494,7 @@ impl Endpoint {
         self.last_request = Some(body.to_vec());
         // Every request frame rings the doorbell exactly once: this is
         // the enclave-wake ledger the batched submission path amortizes.
-        machine.trace().metrics().inc("cmdq.wakes");
+        machine.trace().metrics().inc(Counter::CmdqWakes);
         let id = self.req_id;
         self.transmit(machine, Dir::Request, id, body)
     }
@@ -510,8 +510,8 @@ impl Endpoint {
         let Some(body) = self.last_request.clone() else {
             return Ok(());
         };
-        machine.trace().metrics().inc("recovery.retransmits");
-        machine.trace().metrics().inc("cmdq.wakes");
+        machine.trace().metrics().inc(Counter::RecoveryRetransmits);
+        machine.trace().metrics().inc(Counter::CmdqWakes);
         let id = self.req_id;
         self.transmit(machine, Dir::Request, id, &body)
     }
@@ -551,7 +551,7 @@ impl Endpoint {
         let Some(body) = self.last_response.clone() else {
             return Ok(false);
         };
-        machine.trace().metrics().inc("recovery.retransmits");
+        machine.trace().metrics().inc(Counter::RecoveryRetransmits);
         let id = self.req_id;
         self.transmit(machine, Dir::Response, id, &body)?;
         Ok(true)

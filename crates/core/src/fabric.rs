@@ -38,7 +38,7 @@ use std::collections::BTreeMap;
 use hix_crypto::sha256;
 use hix_driver::rig::FabricTopology;
 use hix_gpu::device::build_bios;
-use hix_obs::Metrics;
+use hix_obs::{Counter, Metrics};
 use hix_platform::Machine;
 use hix_sim::{CostModel, Nanos};
 
@@ -155,7 +155,7 @@ impl Fabric {
         machine
             .trace()
             .metrics()
-            .add("fabric.shards_launched", shards.len() as u64);
+            .add(Counter::FabricShardsLaunched, shards.len() as u64);
         Ok(Fabric {
             shards,
             placements: BTreeMap::new(),
@@ -242,8 +242,8 @@ impl Fabric {
             },
         );
         let metrics = machine.trace().metrics().clone();
-        metrics.inc("fabric.placements");
-        metrics.inc(&format!("fabric.shard{shard}.placements"));
+        metrics.inc(Counter::FabricPlacements);
+        metrics.add_named(&format!("fabric.shard{shard}.placements"), 1);
         Ok((fid, session))
     }
 
@@ -331,9 +331,9 @@ impl Fabric {
             },
         );
         let metrics = machine.trace().metrics().clone();
-        metrics.inc("fabric.migrations");
-        metrics.inc(&format!("fabric.shard{to}.migrations_in"));
-        metrics.inc(&format!("fabric.shard{from}.migrations_out"));
+        metrics.inc(Counter::FabricMigrations);
+        metrics.add_named(&format!("fabric.shard{to}.migrations_in"), 1);
+        metrics.add_named(&format!("fabric.shard{from}.migrations_out"), 1);
         Ok(new_id)
     }
 
@@ -445,7 +445,7 @@ impl Fabric {
             machine
                 .trace()
                 .metrics()
-                .add("fabric.evacuations", moves.len() as u64);
+                .add(Counter::FabricEvacuations, moves.len() as u64);
         }
         Ok(moves)
     }
@@ -474,7 +474,7 @@ impl Fabric {
                 }
             }
         }
-        machine.trace().metrics().add("fabric.reset_blast_radius", blast);
+        machine.trace().metrics().add(Counter::FabricResetBlastRadius, blast);
         blast
     }
 
@@ -565,7 +565,7 @@ pub fn run_fabric_scaled(
         let outcome = run_scaled(model, &shard_specs, Mode::Hix, cfg, metrics);
         if let Some(m) = metrics {
             let service: u64 = outcome.service.iter().map(|s| s.as_nanos()).sum();
-            m.add(&format!("fabric.shard{shard}.service_ns"), service);
+            m.add_named(&format!("fabric.shard{shard}.service_ns"), service);
         }
         per_shard.push(outcome);
     }

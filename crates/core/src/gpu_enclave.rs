@@ -19,7 +19,7 @@ use hix_platform::sgx::SgxError;
 use hix_platform::{Machine, ProcessId, VirtAddr};
 use hix_sim::cost::ExecMode;
 use hix_sim::fault::{EscalationLadder, WatchdogAction};
-use hix_sim::{CryptoDmaPipeline, EventKind, Nanos, COUNT_BOUNDS};
+use hix_sim::{Counter, CryptoDmaPipeline, EventKind, Nanos, COUNT_BOUNDS};
 
 use crate::attest::{self, AttestError};
 use crate::channel::{sealed_stream_len, ChannelError, Endpoint, BULK_OFFSET};
@@ -491,7 +491,7 @@ impl GpuEnclave {
         self.ensure_resident_slot(machine)?;
         let init = machine.model().task_init(ExecMode::Hix);
         machine.clock().advance(init);
-        machine.trace().metrics().inc("enclave.sessions_accepted");
+        machine.trace().metrics().inc(Counter::EnclaveSessionsAccepted);
         machine
             .trace()
             .emit(machine.clock().now(), init, EventKind::Init, "hix session init");
@@ -559,7 +559,7 @@ impl GpuEnclave {
             state.user_pid
         };
         if self.evicted.contains(&user_pid) {
-            machine.trace().metrics().inc("watchdog.rebuilds_refused");
+            machine.trace().metrics().inc(Counter::WatchdogRebuildsRefused);
             return Err(HixCoreError::Evicted);
         }
         let init = machine.model().task_init(ExecMode::Hix);
@@ -583,7 +583,7 @@ impl GpuEnclave {
         state.stale = false;
         state.endpoint.rekey(channel_key);
         self.touch(session);
-        machine.trace().metrics().inc("watchdog.sessions_rebuilt");
+        machine.trace().metrics().inc(Counter::WatchdogSessionsRebuilt);
         machine.trace().emit(
             machine.clock().now(),
             Nanos::ZERO,
@@ -622,7 +622,7 @@ impl GpuEnclave {
         let key = attest::pairwise_channel_key(machine, user_pid, self.pid, user_rng, &mut self.rng)?;
         let state = self.sessions.get_mut(&session).expect("checked above");
         state.endpoint.rekey(key);
-        machine.trace().metrics().inc("recovery.rekeys");
+        machine.trace().metrics().inc(Counter::RecoveryRekeys);
         machine.trace().emit(
             machine.clock().now(),
             Nanos::ZERO,
@@ -652,7 +652,7 @@ impl GpuEnclave {
                 let _ = self.driver.free(machine, s.ctx, s.staging, true);
                 let _ = self.driver.destroy_ctx(machine, s.ctx);
             }
-            machine.trace().metrics().inc("enclave.sessions_reaped");
+            machine.trace().metrics().inc(Counter::EnclaveSessionsReaped);
         }
     }
 
@@ -765,7 +765,7 @@ impl GpuEnclave {
                 user_pid,
             },
         );
-        machine.trace().metrics().inc("enclave.sessions_parked");
+        machine.trace().metrics().inc(Counter::EnclaveSessionsParked);
         machine.trace().emit(
             machine.clock().now(),
             cost,
@@ -799,7 +799,7 @@ impl GpuEnclave {
             )));
         };
         if self.evicted.contains(&p.user_pid) {
-            machine.trace().metrics().inc("watchdog.rebuilds_refused");
+            machine.trace().metrics().inc(Counter::WatchdogRebuildsRefused);
             return Err(HixCoreError::Evicted);
         }
         // Unparking may itself need a slot: the coldest resident yields.
@@ -841,7 +841,7 @@ impl GpuEnclave {
             },
         );
         self.touch(session);
-        machine.trace().metrics().inc("enclave.sessions_unparked");
+        machine.trace().metrics().inc(Counter::EnclaveSessionsUnparked);
         machine.trace().emit(
             machine.clock().now(),
             cost,
@@ -893,7 +893,7 @@ impl GpuEnclave {
                 "parked session record names a different user".into(),
             ));
         }
-        machine.trace().metrics().inc("enclave.sessions_exported");
+        machine.trace().metrics().inc(Counter::EnclaveSessionsExported);
         machine.trace().emit(
             machine.clock().now(),
             cost,
@@ -929,7 +929,7 @@ impl GpuEnclave {
         migrated: MigratedSession,
     ) -> Result<SessionId, HixCoreError> {
         if self.evicted.contains(&migrated.user_pid) {
-            machine.trace().metrics().inc("watchdog.rebuilds_refused");
+            machine.trace().metrics().inc(Counter::WatchdogRebuildsRefused);
             return Err(HixCoreError::Evicted);
         }
         let cost = machine.model().park_seal();
@@ -959,7 +959,7 @@ impl GpuEnclave {
                 user_pid: migrated.user_pid,
             },
         );
-        machine.trace().metrics().inc("enclave.sessions_adopted");
+        machine.trace().metrics().inc(Counter::EnclaveSessionsAdopted);
         machine.trace().emit(
             machine.clock().now(),
             cost,
@@ -999,7 +999,7 @@ impl GpuEnclave {
                 // The user retransmitted an already-served request (its
                 // response was lost): re-send the cached response, never
                 // re-execute.
-                machine.trace().metrics().inc("recovery.dup_served");
+                machine.trace().metrics().inc(Counter::RecoveryDupServed);
                 let resent = state.endpoint.resend_response(machine)?;
                 return Ok(resent);
             }
@@ -1007,7 +1007,7 @@ impl GpuEnclave {
                 // An unauthenticated or unparsable frame is the OS's
                 // problem, not ours: log it and wait for the sender's
                 // retransmission to overwrite the slot.
-                machine.trace().metrics().inc("recovery.msgs_discarded");
+                machine.trace().metrics().inc(Counter::RecoveryMsgsDiscarded);
                 machine.trace().emit(
                     machine.clock().now(),
                     Nanos::ZERO,
@@ -1028,7 +1028,7 @@ impl GpuEnclave {
             // gone.
             let response = if closing { Response::Ok } else { Response::CtxReset };
             if !closing {
-                machine.trace().metrics().inc("watchdog.stale_served");
+                machine.trace().metrics().inc(Counter::WatchdogStaleServed);
             }
             let state = self.sessions.get_mut(&session).expect("session exists");
             state.endpoint.send_response(machine, &response.encode())?;
@@ -1067,8 +1067,8 @@ impl GpuEnclave {
         session: SessionId,
         cmds: Vec<BatchCmd>,
     ) -> Result<Response, HixCoreError> {
-        machine.trace().metrics().inc("cmdq.frames");
-        machine.trace().metrics().add("cmdq.frame_cmds", cmds.len() as u64);
+        machine.trace().metrics().inc(Counter::CmdqFrames);
+        machine.trace().metrics().add(Counter::CmdqFrameCmds, cmds.len() as u64);
         machine
             .trace()
             .metrics()
@@ -1146,7 +1146,7 @@ impl GpuEnclave {
                     let reset = matches!(resp, Response::CtxReset);
                     entries.push((cmd.id, resp));
                     if reset {
-                        machine.trace().metrics().inc("cmdq.batch_aborts");
+                        machine.trace().metrics().inc(Counter::CmdqBatchAborts);
                         break;
                     }
                 }
@@ -1172,30 +1172,31 @@ impl GpuEnclave {
         // One structural span per served request: the charged work it
         // causes (DMA, kernels, MMIO…) nests under it in the exported
         // timeline without double-counting any category time.
-        let op: &'static str = match &request {
-            Request::LoadModule { .. } => "req.load_module",
-            Request::Malloc { .. } => "req.malloc",
-            Request::Free { .. } => "req.free",
-            Request::MemcpyHtoD { .. } => "req.memcpy_htod",
-            Request::MemcpyDtoH { .. } => "req.memcpy_dtoh",
-            Request::Memset { .. } => "req.memset",
-            Request::CopyDtoD { .. } => "req.copy_dtod",
-            Request::Launch { .. } => "req.launch",
-            Request::Sync => "req.sync",
-            Request::Close => "req.close",
+        let op = match &request {
+            Request::LoadModule { .. } => Counter::ReqLoadModule,
+            Request::Malloc { .. } => Counter::ReqMalloc,
+            Request::Free { .. } => Counter::ReqFree,
+            Request::MemcpyHtoD { .. } => Counter::ReqMemcpyHtod,
+            Request::MemcpyDtoH { .. } => Counter::ReqMemcpyDtoh,
+            Request::Memset { .. } => Counter::ReqMemset,
+            Request::CopyDtoD { .. } => Counter::ReqCopyDtod,
+            Request::Launch { .. } => Counter::ReqLaunch,
+            Request::Sync => Counter::ReqSync,
+            Request::Close => Counter::ReqClose,
             // `poll` routes frames to `handle_submit`; one reaching this
             // path is a protocol violation answered in `handle_inner`.
-            Request::Submit { .. } => "req.submit",
+            Request::Submit { .. } => Counter::ReqSubmit,
         };
         // Server-side request ledger: one counter per op type, so the
         // enclave's view of served requests can be reconciled against
-        // the runtime's request attribution.
+        // the runtime's request attribution. The span carries the same
+        // `req.*` name.
         machine.trace().metrics().inc(op);
         let obs = machine.trace().obs().clone();
         let span = obs.enter(
             machine.clock().now().as_nanos(),
             "enclave",
-            op,
+            op.name(),
             &[("session", session as u64)],
         );
         let result = self.handle_inner(machine, session, request);
@@ -1234,7 +1235,7 @@ impl GpuEnclave {
             Request::MemcpyHtoD { dst, len, chunk, nonce_start } => {
                 let sealed_len = sealed_stream_len(len, chunk);
                 // The in-GPU decrypt-stream kernel unseals `len` bytes.
-                machine.trace().metrics().add("dma.bytes_decrypted", len);
+                machine.trace().metrics().add(Counter::DmaBytesDecrypted, len);
                 let buffer = state.endpoint.buffer().clone();
                 // Single copy: DMA the sealed stream straight into the
                 // destination buffer, then one in-GPU decrypt launch. A
@@ -1278,7 +1279,7 @@ impl GpuEnclave {
                         {
                             attempt += 1;
                             if attempt < MAX_DMA_ATTEMPTS {
-                                machine.trace().metrics().inc("recovery.redma");
+                                machine.trace().metrics().inc(Counter::RecoveryRedma);
                                 machine.trace().emit(
                                     machine.clock().now(),
                                     Nanos::ZERO,
@@ -1300,7 +1301,7 @@ impl GpuEnclave {
                 let staging = state.staging;
                 let staging_len = state.staging_len;
                 // The in-GPU encrypt kernel seals `len` bytes chunkwise.
-                machine.trace().metrics().add("dma.bytes_encrypted", len);
+                machine.trace().metrics().add(Counter::DmaBytesEncrypted, len);
                 let buffer = state.endpoint.buffer().clone();
                 if chunk + hix_crypto::ocb::TAG_LEN as u64 > staging_len {
                     return Ok(Response::Err("chunk exceeds staging".into()));
@@ -1416,7 +1417,7 @@ impl GpuEnclave {
                 // The engine latched an error although the command
                 // completed; `sync` already cleared the latch. The work
                 // is good — fall through to the progress check.
-                machine.trace().metrics().inc("watchdog.spurious_cleared");
+                machine.trace().metrics().inc(Counter::WatchdogSpuriousCleared);
             }
             Err(DriverError::Gpu(code)) if code == errcode::ECC => {
                 // A bit flipped in a live VRAM buffer: the context's
@@ -1424,7 +1425,7 @@ impl GpuEnclave {
                 // its frames) and make the user rebuild and replay —
                 // byte-identical recovery comes from the journal, never
                 // from corrupted device state.
-                machine.trace().metrics().inc("watchdog.ecc_kills");
+                machine.trace().metrics().inc(Counter::WatchdogEccKills);
                 machine.trace().emit(
                     machine.clock().now(),
                     Nanos::ZERO,
@@ -1441,7 +1442,7 @@ impl GpuEnclave {
         }
 
         // Hang detected: clean sync, busy engine.
-        machine.trace().metrics().inc("watchdog.hangs_detected");
+        machine.trace().metrics().inc(Counter::WatchdogHangsDetected);
         machine.trace().emit(
             machine.clock().now(),
             Nanos::ZERO,
@@ -1469,12 +1470,12 @@ impl GpuEnclave {
                         }
                         // The engine recovered on its own: no action
                         // beyond the waits was taken.
-                        machine.trace().metrics().inc("watchdog.transient_recovered");
+                        machine.trace().metrics().inc(Counter::WatchdogTransientRecovered);
                         return Ok(());
                     }
                 }
                 WatchdogAction::Kill => {
-                    machine.trace().metrics().inc("watchdog.kills");
+                    machine.trace().metrics().inc(Counter::WatchdogKills);
                     machine.trace().emit(
                         machine.clock().now(),
                         Nanos::ZERO,
@@ -1526,9 +1527,9 @@ impl GpuEnclave {
     fn note_offense(&mut self, machine: &mut Machine, user: ProcessId) {
         let count = self.reset_offenses.entry(user).or_insert(0);
         *count += 1;
-        machine.trace().metrics().inc("watchdog.offenses");
+        machine.trace().metrics().inc(Counter::WatchdogOffenses);
         if *count >= self.evict_after && self.evicted.insert(user) {
-            machine.trace().metrics().inc("watchdog.evictions");
+            machine.trace().metrics().inc(Counter::WatchdogEvictions);
             machine.trace().emit(
                 machine.clock().now(),
                 Nanos::ZERO,
@@ -1560,7 +1561,7 @@ impl GpuEnclave {
     }
 
     fn secure_reset_inner(&mut self, machine: &mut Machine) -> Result<(), HixCoreError> {
-        machine.trace().metrics().inc("watchdog.resets");
+        machine.trace().metrics().inc(Counter::WatchdogResets);
         machine.fabric_mut().reset_device(self.bdf);
         // Re-initialization is not free: charge the secure bring-up.
         machine.clock().advance(machine.model().task_init(ExecMode::Hix));
@@ -1643,7 +1644,7 @@ impl GpuEnclave {
         machine.fabric_mut().reset_device(self.bdf);
         machine.hix_release(self.pid)?;
         machine.eexit(self.pid);
-        machine.trace().metrics().inc("enclave.shutdowns");
+        machine.trace().metrics().inc(Counter::EnclaveShutdowns);
         machine.trace().emit(
             machine.clock().now(),
             Nanos::ZERO,
@@ -1752,8 +1753,8 @@ fn sample_and_apply_flip(
     let mut orig = [0u8; 1];
     machine.os_read_phys(pa, &mut orig);
     machine.os_write_phys(pa, &[orig[0] ^ xor]);
-    machine.trace().metrics().inc("fault.injected");
-    machine.trace().metrics().inc("fault.injected.dma_flip");
+    machine.trace().metrics().inc(Counter::FaultInjected);
+    machine.trace().metrics().add_named("fault.injected.dma_flip", 1);
     machine.trace().emit(
         machine.clock().now(),
         Nanos::ZERO,

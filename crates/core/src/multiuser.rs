@@ -31,7 +31,7 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
-use hix_obs::{Metrics, LATENCY_BOUNDS_NS};
+use hix_obs::{Counter, Metrics, LATENCY_BOUNDS_NS};
 use hix_sim::cost::ExecMode;
 use hix_sim::{CostModel, Nanos};
 
@@ -546,7 +546,7 @@ pub fn run_scaled(
                 // the newcomer's work may start; the engine wears it.
                 gpu_free += model.park_seal();
                 if let Some(m) = obs {
-                    m.inc("sched.parks");
+                    m.inc(Counter::SchedParks);
                 }
             }
             if slots[i].parked {
@@ -554,7 +554,7 @@ pub fn run_scaled(
                 unparks += 1;
                 gpu_free += model.park_unseal();
                 if let Some(m) = obs {
-                    m.inc("sched.unparks");
+                    m.inc(Counter::SchedUnparks);
                 }
             }
             slots[i].resident = true;
@@ -622,14 +622,14 @@ pub fn run_scaled(
         peak_resident,
     };
     if let Some(m) = obs {
-        m.add("sched.slices", slices);
-        m.add("sched.ctx_switches", ctx_switches);
+        m.add(Counter::SchedSlices, slices);
+        m.add(Counter::SchedCtxSwitches, ctx_switches);
         m.add(
-            "sched.evictions",
+            Counter::SchedEvictions,
             outcome.evicted.iter().filter(|e| **e).count() as u64,
         );
         m.add(
-            "sched.service_ns",
+            Counter::SchedServiceNs,
             outcome.service.iter().map(|s| s.as_nanos()).sum(),
         );
         m.set_gauge("sched.peak_resident", peak_resident as u64);
@@ -644,8 +644,8 @@ pub fn run_scaled(
         let mut overflow_wait = 0u64;
         for (i, (sv, w)) in outcome.service.iter().zip(&outcome.gpu_wait).enumerate() {
             if i < PER_SESSION_METRICS_MAX {
-                m.add(&format!("sched.s{i}.service_ns"), sv.as_nanos());
-                m.add(&format!("sched.s{i}.wait_ns"), w.as_nanos());
+                m.add_named(&format!("sched.s{i}.service_ns"), sv.as_nanos());
+                m.add_named(&format!("sched.s{i}.wait_ns"), w.as_nanos());
             } else {
                 overflow_sessions += 1;
                 overflow_service += sv.as_nanos();
@@ -653,9 +653,9 @@ pub fn run_scaled(
             }
         }
         if overflow_sessions > 0 {
-            m.add("sched.overflow.sessions", overflow_sessions);
-            m.add("sched.overflow.service_ns", overflow_service);
-            m.add("sched.overflow.wait_ns", overflow_wait);
+            m.add(Counter::SchedOverflowSessions, overflow_sessions);
+            m.add(Counter::SchedOverflowServiceNs, overflow_service);
+            m.add(Counter::SchedOverflowWaitNs, overflow_wait);
         }
     }
     outcome

@@ -26,7 +26,7 @@ use hix_gpu::vram::DevAddr;
 use hix_platform::mem::PAGE_SIZE;
 use hix_platform::{Machine, ProcessId, VirtAddr};
 use hix_sim::fault::Backoff;
-use hix_sim::{CostModel, EventKind, Nanos, Payload, COUNT_BOUNDS, LATENCY_BOUNDS_NS};
+use hix_sim::{CostModel, Counter, EventKind, Nanos, Payload, COUNT_BOUNDS, LATENCY_BOUNDS_NS};
 
 use crate::channel::{sealed_stream_len, ChannelError, Endpoint, BULK_OFFSET};
 use crate::gpu_enclave::{GpuEnclave, HixCoreError, SessionId};
@@ -427,7 +427,7 @@ impl HixSession {
                     &[("attempt", attempts as u64)],
                 );
                 machine.clock().advance(delay);
-                machine.trace().metrics().inc("recovery.retries");
+                machine.trace().metrics().inc(Counter::RecoveryRetries);
                 machine.trace().metrics().observe_with(
                     "recovery.backoff_ns",
                     &LATENCY_BOUNDS_NS,
@@ -468,8 +468,8 @@ impl HixSession {
     fn maybe_cfg_storm(&self, machine: &mut Machine, enclave: &GpuEnclave) {
         let Some(plan) = machine.fault_plan() else { return };
         let Some(writes) = plan.sample_cfg_storm() else { return };
-        machine.trace().metrics().inc("fault.injected");
-        machine.trace().metrics().inc("fault.injected.cfg_storm");
+        machine.trace().metrics().inc(Counter::FaultInjected);
+        machine.trace().metrics().add_named("fault.injected.cfg_storm", 1);
         machine.trace().emit_with(
             machine.clock().now(),
             Nanos::ZERO,
@@ -589,7 +589,7 @@ impl HixSession {
         machine: &mut Machine,
         enclave: &mut GpuEnclave,
     ) -> Result<bool, HixCoreError> {
-        machine.trace().metrics().inc("watchdog.recoveries");
+        machine.trace().metrics().inc(Counter::WatchdogRecoveries);
         // §5.5 holds here too: never accept fresh keys from an enclave
         // that has not just re-proven its identity — the "reset" could
         // be the OS swapping the device or the service.
@@ -617,7 +617,7 @@ impl HixSession {
                 return Ok(false);
             }
         }
-        machine.trace().metrics().inc("watchdog.replays_completed");
+        machine.trace().metrics().inc(Counter::WatchdogReplaysCompleted);
         machine.trace().emit(
             machine.clock().now(),
             Nanos::ZERO,
@@ -723,7 +723,7 @@ impl HixSession {
                 )?;
             }
         }
-        machine.trace().metrics().add("dma.bytes_encrypted", len);
+        machine.trace().metrics().add(Counter::DmaBytesEncrypted, len);
         machine.trace().emit_with(
             machine.clock().now(),
             machine.model().enclave_crypt(len),
@@ -768,7 +768,7 @@ impl HixSession {
         op: CmdOp,
     ) -> Result<CmdId, HixCoreError> {
         if self.pending.len() >= Self::RING_CAPACITY {
-            machine.trace().metrics().inc("cmdq.backpressure_flushes");
+            machine.trace().metrics().inc(Counter::CmdqBackpressureFlushes);
             self.flush(machine, enclave)?;
         }
         let id = self.next_cmd;
@@ -1349,7 +1349,7 @@ impl HixSession {
             };
             // The user-enclave unsealing work rides the pipelined closed form
             // below; charge it to its own category (recording only).
-            machine.trace().metrics().add("dma.bytes_decrypted", len);
+            machine.trace().metrics().add(Counter::DmaBytesDecrypted, len);
             machine.trace().emit_with(
                 machine.clock().now(),
                 model.enclave_crypt(len),

@@ -102,6 +102,17 @@ fn xor(a: &Block, b: &Block) -> Block {
     out
 }
 
+/// Encrypts one block through the wide core, so OCB's single-block calls
+/// (initial offset, tag, partial tail, AAD tail) take AES-NI when the CPU
+/// has it and the T-table path otherwise. The scalar
+/// [`Aes128::encrypt_block`] stays the reference oracle.
+#[inline]
+fn encrypt_one(aes: &Aes128, block: Block) -> Block {
+    let mut one = [block];
+    aes.encrypt_blocks(&mut one);
+    one[0]
+}
+
 /// A ready-to-use OCB context (expanded key + L table cache).
 ///
 /// ```
@@ -129,7 +140,7 @@ impl Ocb {
     /// Builds the context, precomputing the L table.
     pub fn new(key: &Key) -> Self {
         let aes = Aes128::new(&key.0);
-        let l_star = aes.encrypt_block([0u8; 16]);
+        let l_star = encrypt_one(&aes, [0u8; 16]);
         let l_dollar = double(l_star);
         let mut l = Vec::with_capacity(64);
         l.push(double(l_dollar));
@@ -170,7 +181,7 @@ impl Ocb {
         let bottom = (full[15] & 0x3f) as usize;
         let mut masked = full;
         masked[15] &= 0xc0;
-        let ktop = self.aes.encrypt_block(masked);
+        let ktop = encrypt_one(&self.aes, masked);
         let mut stretch = [0u8; 24];
         stretch[..16].copy_from_slice(&ktop);
         for i in 0..8 {
@@ -228,7 +239,7 @@ impl Ocb {
             let mut block = [0u8; 16];
             block[..rest.len()].copy_from_slice(rest);
             block[rest.len()] = 0x80;
-            sum = xor(&sum, &self.aes.encrypt_block(xor(&block, &offset)));
+            sum = xor(&sum, &encrypt_one(&self.aes, xor(&block, &offset)));
         }
         sum
     }
@@ -282,7 +293,7 @@ impl Ocb {
         let rest = &plaintext[full * BLOCK..];
         if !rest.is_empty() {
             offset = xor(&offset, &self.l_star);
-            let pad = self.aes.encrypt_block(offset);
+            let pad = encrypt_one(&self.aes, offset);
             for (i, (p, k)) in rest.iter().zip(&pad).enumerate() {
                 out[full * BLOCK + i] = p ^ k;
             }
@@ -292,7 +303,7 @@ impl Ocb {
             checksum = xor(&checksum, &padded);
         }
         let tag_body = xor(&xor(&checksum, &offset), &self.l_dollar);
-        let tag = xor(&self.aes.encrypt_block(tag_body), &self.hash_aad(aad));
+        let tag = xor(&encrypt_one(&self.aes, tag_body), &self.hash_aad(aad));
         out[plaintext.len()..].copy_from_slice(&tag);
     }
 
@@ -369,7 +380,7 @@ impl Ocb {
         let rest = &ciphertext[full * BLOCK..];
         if !rest.is_empty() {
             offset = xor(&offset, &self.l_star);
-            let pad = self.aes.encrypt_block(offset);
+            let pad = encrypt_one(&self.aes, offset);
             let start = full * BLOCK;
             for (i, (c, k)) in rest.iter().zip(&pad).enumerate() {
                 out[start + i] = c ^ k;
@@ -380,7 +391,7 @@ impl Ocb {
             checksum = xor(&checksum, &padded);
         }
         let tag_body = xor(&xor(&checksum, &offset), &self.l_dollar);
-        let expect = xor(&self.aes.encrypt_block(tag_body), &self.hash_aad(aad));
+        let expect = xor(&encrypt_one(&self.aes, tag_body), &self.hash_aad(aad));
         if ct_eq(&expect, tag) {
             Ok(())
         } else {

@@ -7,7 +7,7 @@
 //! [`DriverError::Access`], which is precisely the paper's isolation
 //! property showing up as an API error.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use hix_gpu::cmd::GpuCommand;
 use hix_gpu::ctx::CtxId;
@@ -20,6 +20,7 @@ use hix_pcie::config::BarIndex;
 use hix_platform::mem::PAGE_SIZE;
 use hix_platform::mmu::AccessFault;
 use hix_platform::{Machine, ProcessId, VirtAddr};
+use hix_sim::Counter;
 
 use crate::buffer::DmaBuffer;
 
@@ -83,7 +84,9 @@ pub struct GpuDriver {
     next_ctx: u32,
     heaps: BTreeMap<u32, u64>,
     allocations: BTreeMap<(u32, u64), Allocation>,
-    modules: BTreeSet<u64>,
+    /// Loaded modules: kernel name → device handle ([`kernel_hash`]),
+    /// so a launch looks the handle up instead of rehashing the name.
+    modules: BTreeMap<String, u64>,
 }
 
 impl GpuDriver {
@@ -112,7 +115,7 @@ impl GpuDriver {
             next_ctx: 1,
             heaps: BTreeMap::new(),
             allocations: BTreeMap::new(),
-            modules: BTreeSet::new(),
+            modules: BTreeMap::new(),
         };
         let magic = driver.reg_read(machine, bar0::ID)?;
         if magic != GPU_MAGIC {
@@ -188,7 +191,7 @@ impl GpuDriver {
         let error = self.reg_read(machine, bar0::ERROR)? as u32;
         if error != errcode::NONE {
             self.reg_write(machine, bar0::ERROR, 0)?;
-            machine.trace().metrics().inc("driver.gpu_errors");
+            machine.trace().metrics().inc(Counter::DriverGpuErrors);
             return Err(DriverError::Gpu(error));
         }
         Ok(())
@@ -400,7 +403,7 @@ impl GpuDriver {
         }
         let addr = DevAddr(self.reg_read(machine, bar0::FAULT_ADDR)?);
         let ctx = CtxId(self.reg_read(machine, bar0::FAULT_CTX)? as u32);
-        machine.trace().metrics().inc("driver.page_faults");
+        machine.trace().metrics().inc(Counter::DriverPageFaults);
         let key = self
             .allocations
             .range(..=(ctx.0, addr.value()))
@@ -625,7 +628,7 @@ impl GpuDriver {
         // Model the cubin upload (64 KiB binary).
         let cost = machine.model().pcie_transfer(64 << 10);
         machine.clock().advance(cost);
-        self.modules.insert(hash);
+        self.modules.insert(name.to_string(), hash);
         Ok(())
     }
 
@@ -641,10 +644,9 @@ impl GpuDriver {
         name: &str,
         args: &[u64],
     ) -> Result<(), DriverError> {
-        let hash = kernel_hash(name);
-        if !self.modules.contains(&hash) {
+        let Some(&hash) = self.modules.get(name) else {
             return Err(DriverError::UnknownKernel(name.to_string()));
-        }
+        };
         self.submit(
             machine,
             &GpuCommand::Launch {

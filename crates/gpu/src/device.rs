@@ -10,7 +10,7 @@ use hix_crypto::kdf;
 use hix_pcie::config::{BarIndex, ConfigSpace};
 use hix_pcie::device::{DmaBus, PcieDevice};
 use hix_sim::fault::{DeviceFault, FaultPlan};
-use hix_sim::{Clock, CostModel, EventKind, Nanos, Trace};
+use hix_sim::{Clock, CostModel, Counter, EventKind, Nanos, Trace};
 
 use crate::cmd::GpuCommand;
 use crate::ctx::{CtxId, GpuContext};
@@ -236,17 +236,27 @@ impl GpuDevice {
         self.set_error(errcode::PAGE_FAULT);
     }
 
+    /// The VRAM address a BAR1 access of `len` bytes at `offset` lands
+    /// on, or `None` if the aperture-relative span wraps past 2⁶⁴ or
+    /// leaves VRAM (such a read returns `0xff`s and such a write is
+    /// dropped).
+    fn bar1_target(&self, offset: u64, len: usize) -> Option<u64> {
+        let base = self.aperture.checked_add(offset)?;
+        let end = base.checked_add(len as u64)?;
+        (end <= self.vram.size()).then_some(base)
+    }
+
     fn set_error(&mut self, code: u32) {
         self.error = code;
         let metrics = self.trace.metrics();
-        metrics.inc("gpu.errors");
+        metrics.inc(Counter::GpuErrors);
         // A raised (not injected) fault: the device *detected* a real
         // problem — e.g. an integrity failure after a bit-flip landed in
         // a sealed staging buffer. Ledgered separately so the exact
         // reconciliation `Fault events == fault.injected +
         // fault.detected` holds even when one injection cascades into a
         // detected error downstream.
-        metrics.inc("fault.detected");
+        metrics.inc(Counter::FaultDetected);
         self.trace.emit_with(
             self.clock.now(),
             Nanos::ZERO,
@@ -264,7 +274,7 @@ impl GpuDevice {
     /// not a fault.
     fn latch_error(&mut self, code: u32) {
         self.error = code;
-        self.trace.metrics().inc("gpu.errors");
+        self.trace.metrics().inc(Counter::GpuErrors);
     }
 
     /// Accounts one injected device fault: the `fault.injected` total,
@@ -272,8 +282,8 @@ impl GpuDevice {
     /// `Fault`-kind trace event.
     fn inject_ledger(&self, kind: &'static str, ctx: CtxId) {
         let metrics = self.trace.metrics();
-        metrics.inc("fault.injected");
-        metrics.inc(&format!("fault.injected.{kind}"));
+        metrics.inc(Counter::FaultInjected);
+        metrics.add_named(&format!("fault.injected.{kind}"), 1);
         self.trace.emit_with(
             self.clock.now(),
             Nanos::ZERO,
@@ -314,7 +324,7 @@ impl GpuDevice {
                 if hang.wedged {
                     // The context ignores preemption; the watchdog's
                     // next rung is a secure device reset.
-                    self.trace.metrics().inc("gpu.kill_ignored");
+                    self.trace.metrics().inc(Counter::GpuKillIgnored);
                     return;
                 }
                 self.hang = None;
@@ -340,7 +350,7 @@ impl GpuDevice {
                 "kill ctx",
                 &[("bytes", bytes)],
             );
-            self.trace.metrics().inc("gpu.kills");
+            self.trace.metrics().inc(Counter::GpuKills);
             self.latch_error(errcode::KILLED);
         }
     }
@@ -354,7 +364,7 @@ impl GpuDevice {
         if cmd.uses_engines() && self.engine_ctx != Some(cmd.ctx()) {
             if self.engine_ctx.is_some() {
                 self.charge(self.model.ctx_switch, EventKind::CtxSwitch, "gpu ctx switch");
-                self.trace.metrics().inc("gpu.ctx_switches");
+                self.trace.metrics().inc(Counter::GpuCtxSwitches);
                 self.ctx_switches += 1;
             }
             self.engine_ctx = Some(cmd.ctx());
@@ -454,7 +464,7 @@ impl GpuDevice {
                     "HtoD",
                     &[("bytes", len)],
                 );
-                self.trace.metrics().add("dma.bytes_htod", len);
+                self.trace.metrics().add(Counter::DmaBytesHtod, len);
                 if self.opts.synthetic {
                     return;
                 }
@@ -493,7 +503,7 @@ impl GpuDevice {
                     "DtoH",
                     &[("bytes", len)],
                 );
-                self.trace.metrics().add("dma.bytes_dtoh", len);
+                self.trace.metrics().add(Counter::DmaBytesDtoh, len);
                 if self.opts.synthetic {
                     return;
                 }
@@ -613,9 +623,9 @@ impl GpuDevice {
                 let is_crypto = k.name().starts_with("hix.");
                 let cost = self.model.kernel_launch + k.cost(&self.model, &args);
                 self.trace.metrics().inc(if is_crypto {
-                    "gpu.crypto_launches"
+                    Counter::GpuCryptoLaunches
                 } else {
-                    "gpu.kernel_launches"
+                    Counter::GpuKernelLaunches
                 });
                 self.charge(
                     cost,
@@ -712,11 +722,9 @@ impl PcieDevice for GpuDevice {
             }
             BarIndex(1) => {
                 // Aperture window into VRAM.
-                let base = self.aperture + offset;
-                if base + buf.len() as u64 <= self.vram.size() {
-                    self.vram.read(base, buf);
-                } else {
-                    buf.fill(0xff);
+                match self.bar1_target(offset, buf.len()) {
+                    Some(base) => self.vram.read(base, buf),
+                    None => buf.fill(0xff),
                 }
             }
             _ => buf.fill(0),
@@ -749,8 +757,7 @@ impl PcieDevice for GpuDevice {
                     let mut bytes = [0u8; 8];
                     bytes[..data.len().min(8)].copy_from_slice(&data[..data.len().min(8)]);
                     let len = (u64::from_le_bytes(bytes) as usize).min(self.staging.len());
-                    let staged = self.staging[..len].to_vec();
-                    match GpuCommand::decode(&staged) {
+                    match GpuCommand::decode(&self.staging[..len]) {
                         Ok(cmd) => self.queue.push_back(cmd),
                         Err(_) => self.set_error(errcode::DECODE),
                     }
@@ -775,8 +782,7 @@ impl PcieDevice for GpuDevice {
                 if self.opts.synthetic {
                     return;
                 }
-                let base = self.aperture + offset;
-                if base + data.len() as u64 <= self.vram.size() {
+                if let Some(base) = self.bar1_target(offset, data.len()) {
                     self.vram.write(base, data);
                 }
             }

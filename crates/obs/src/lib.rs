@@ -13,8 +13,8 @@
 //!   the per-category accounting that `hix_sim::trace` exposes) and
 //!   *structural* spans (hierarchical enter/exit scopes that give the
 //!   Perfetto timeline its nesting without double-counting any time).
-//! * [`Metrics`] — a registry of named counters, gauges, and fixed-bucket
-//!   histograms with a stable text [`Metrics::snapshot`].
+//! * [`Metrics`] — a registry of counters (typed by [`Counter`]), gauges,
+//!   and fixed-bucket histograms with a stable text [`Metrics::snapshot`].
 //! * [`export`] — Chrome trace-event JSON (loadable in Perfetto /
 //!   `chrome://tracing`) and a plain-text phase-breakdown table for the
 //!   secure DMA pipeline.
@@ -47,7 +47,7 @@ pub use attr::{
 };
 pub use critpath::{critical_chain, critical_path_ns, folded_stacks};
 pub use export::{chrome_trace_json, phase_table};
-pub use metrics::{Hist, Metrics, COUNT_BOUNDS, LATENCY_BOUNDS_NS};
+pub use metrics::{Counter, Hist, Metrics, COUNT_BOUNDS, LATENCY_BOUNDS_NS};
 pub use span::{Obs, Span, SpanId};
 
 /// The percentile convention shared by `hix_sim::stats` and

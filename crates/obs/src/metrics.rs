@@ -1,9 +1,161 @@
 //! Named counters, gauges, and fixed-bucket histograms with a stable,
 //! deterministic text snapshot.
+//!
+//! Counters come from one vocabulary: the [`Counter`] table names every
+//! counter the workspace increments under a fixed name, and the hot
+//! paths count by indexing a fixed array with it. Three families have
+//! names built at run time and go through [`Metrics::add_named`]:
+//! `fault.injected.<kind>`, `fabric.shard<N>.<what>` and
+//! `sched.s<i>.<what>`. Any other name is a bug and panics there, so a
+//! misspelled name cannot silently start a counter of its own. Counters
+//! saturate at `u64::MAX`.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
+
+/// Defines [`Counter`] from one `Variant => "name"` table, kept in
+/// name order so the array index order is the snapshot order.
+macro_rules! counters {
+    ($($variant:ident => $name:literal,)*) => {
+        /// A counter with a fixed name: every counter the workspace
+        /// increments outside the run-time-named families (see the
+        /// module docs). Declared in name order.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Counter {
+            $(
+                #[doc = concat!("`", $name, "`")]
+                $variant,
+            )*
+        }
+
+        impl Counter {
+            /// Every counter, in name order (the index of a counter here
+            /// is its discriminant).
+            pub const ALL: &'static [Counter] = &[$(Counter::$variant,)*];
+
+            /// The counter's dotted `<subsystem>.<what>` name.
+            pub const fn name(self) -> &'static str {
+                match self {
+                    $(Counter::$variant => $name,)*
+                }
+            }
+        }
+    };
+}
+
+counters! {
+    AttestHandshakes => "attest.handshakes",
+    CmdqBackpressureFlushes => "cmdq.backpressure_flushes",
+    CmdqBatchAborts => "cmdq.batch_aborts",
+    CmdqFrameCmds => "cmdq.frame_cmds",
+    CmdqFrames => "cmdq.frames",
+    CmdqWakes => "cmdq.wakes",
+    DmaBytesDecrypted => "dma.bytes_decrypted",
+    DmaBytesDtoh => "dma.bytes_dtoh",
+    DmaBytesEncrypted => "dma.bytes_encrypted",
+    DmaBytesHtod => "dma.bytes_htod",
+    DriverGpuErrors => "driver.gpu_errors",
+    DriverPageFaults => "driver.page_faults",
+    EnclaveSessionsAccepted => "enclave.sessions_accepted",
+    EnclaveSessionsAdopted => "enclave.sessions_adopted",
+    EnclaveSessionsExported => "enclave.sessions_exported",
+    EnclaveSessionsParked => "enclave.sessions_parked",
+    EnclaveSessionsReaped => "enclave.sessions_reaped",
+    EnclaveSessionsUnparked => "enclave.sessions_unparked",
+    EnclaveShutdowns => "enclave.shutdowns",
+    FabricEvacuations => "fabric.evacuations",
+    FabricMigrations => "fabric.migrations",
+    FabricPlacements => "fabric.placements",
+    FabricResetBlastRadius => "fabric.reset_blast_radius",
+    FabricShardsLaunched => "fabric.shards_launched",
+    FaultDetected => "fault.detected",
+    FaultInjected => "fault.injected",
+    GpuCryptoLaunches => "gpu.crypto_launches",
+    GpuCtxSwitches => "gpu.ctx_switches",
+    GpuErrors => "gpu.errors",
+    GpuKernelLaunches => "gpu.kernel_launches",
+    GpuKillIgnored => "gpu.kill_ignored",
+    GpuKills => "gpu.kills",
+    HixEgaddPages => "hix.egadd_pages",
+    HixEgcreate => "hix.egcreate",
+    IpcMsgs => "ipc.msgs",
+    MmuFillsDenied => "mmu.fills_denied",
+    MmuTlbFillsChecked => "mmu.tlb_fills_checked",
+    MmuTlbHits => "mmu.tlb_hits",
+    PcieCfgReads => "pcie.cfg_reads",
+    PcieCfgWrites => "pcie.cfg_writes",
+    PcieCfgWritesDenied => "pcie.cfg_writes_denied",
+    PcieMmioReads => "pcie.mmio_reads",
+    PcieMmioWrites => "pcie.mmio_writes",
+    RecoveryDupServed => "recovery.dup_served",
+    RecoveryMsgsDiscarded => "recovery.msgs_discarded",
+    RecoveryRedma => "recovery.redma",
+    RecoveryRekeys => "recovery.rekeys",
+    RecoveryRetransmits => "recovery.retransmits",
+    RecoveryRetries => "recovery.retries",
+    ReqClose => "req.close",
+    ReqCopyDtod => "req.copy_dtod",
+    ReqFree => "req.free",
+    ReqLaunch => "req.launch",
+    ReqLoadModule => "req.load_module",
+    ReqMalloc => "req.malloc",
+    ReqMemcpyDtoh => "req.memcpy_dtoh",
+    ReqMemcpyHtod => "req.memcpy_htod",
+    ReqMemset => "req.memset",
+    ReqSubmit => "req.submit",
+    ReqSync => "req.sync",
+    SchedCtxSwitches => "sched.ctx_switches",
+    SchedEvictions => "sched.evictions",
+    SchedOverflowServiceNs => "sched.overflow.service_ns",
+    SchedOverflowSessions => "sched.overflow.sessions",
+    SchedOverflowWaitNs => "sched.overflow.wait_ns",
+    SchedParks => "sched.parks",
+    SchedServiceNs => "sched.service_ns",
+    SchedSlices => "sched.slices",
+    SchedUnparks => "sched.unparks",
+    WatchdogEccKills => "watchdog.ecc_kills",
+    WatchdogEvictions => "watchdog.evictions",
+    WatchdogHangsDetected => "watchdog.hangs_detected",
+    WatchdogKills => "watchdog.kills",
+    WatchdogOffenses => "watchdog.offenses",
+    WatchdogRebuildsRefused => "watchdog.rebuilds_refused",
+    WatchdogRecoveries => "watchdog.recoveries",
+    WatchdogReplaysCompleted => "watchdog.replays_completed",
+    WatchdogResets => "watchdog.resets",
+    WatchdogSessionsRebuilt => "watchdog.sessions_rebuilt",
+    WatchdogSpuriousCleared => "watchdog.spurious_cleared",
+    WatchdogStaleServed => "watchdog.stale_served",
+    WatchdogTransientRecovered => "watchdog.transient_recovered",
+}
+
+/// Number of fixed-name counters (the registry's array length).
+const N_COUNTERS: usize = Counter::ALL.len();
+
+impl Counter {
+    /// The counter called `name`, if the table has one.
+    pub fn from_name(name: &str) -> Option<Counter> {
+        Counter::ALL
+            .binary_search_by(|c| c.name().cmp(name))
+            .ok()
+            .map(|i| Counter::ALL[i])
+    }
+}
+
+/// Whether `name` belongs to one of the run-time-named counter families:
+/// `fault.injected.<kind>`, `fabric.shard<N>.<what>`, `sched.s<i>.<what>`.
+pub fn is_family_name(name: &str) -> bool {
+    /// `<digits>.<non-empty rest>`.
+    fn indexed(rest: &str) -> bool {
+        let digits = rest.bytes().take_while(u8::is_ascii_digit).count();
+        digits > 0 && rest[digits..].strip_prefix('.').is_some_and(|w| !w.is_empty())
+    }
+    if let Some(kind) = name.strip_prefix("fault.injected.") {
+        return !kind.is_empty();
+    }
+    name.strip_prefix("fabric.shard").is_some_and(indexed)
+        || name.strip_prefix("sched.s").is_some_and(indexed)
+}
 
 /// Default histogram bucket upper bounds for latency values, in
 /// nanoseconds of virtual time (log10 ladder from 100 ns to 1 s; an
@@ -87,14 +239,30 @@ impl Hist {
     }
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct MetricsInner {
-    counters: BTreeMap<String, u64>,
+    /// Fixed-name counters, indexed by [`Counter`]; `None` until first
+    /// touched (an `add` of zero still lists the counter in snapshots).
+    counters: [Option<u64>; N_COUNTERS],
+    /// Run-time-named family counters ([`is_family_name`]).
+    named: BTreeMap<String, u64>,
     gauges: BTreeMap<String, u64>,
     hists: BTreeMap<String, Hist>,
     /// Per-span-category latency histograms, keyed by the category's
     /// static name so the hot charge path never allocates.
     span_latency: Vec<(&'static str, Hist)>,
+}
+
+impl Default for MetricsInner {
+    fn default() -> Self {
+        MetricsInner {
+            counters: [None; N_COUNTERS],
+            named: BTreeMap::new(),
+            gauges: BTreeMap::new(),
+            hists: BTreeMap::new(),
+            span_latency: Vec::new(),
+        }
+    }
 }
 
 /// The shared, cheaply clonable metrics registry.
@@ -114,25 +282,50 @@ impl Metrics {
         Metrics::default()
     }
 
-    /// Increments counter `name` by 1.
-    pub fn inc(&self, name: &str) {
-        self.add(name, 1);
+    /// Increments counter `c` by 1.
+    pub fn inc(&self, c: Counter) {
+        self.add(c, 1);
     }
 
-    /// Increments counter `name` by `by`.
-    pub fn add(&self, name: &str, by: u64) {
+    /// Increments counter `c` by `by`, saturating at `u64::MAX`.
+    pub fn add(&self, c: Counter, by: u64) {
+        let slot = &mut self.inner.borrow_mut().counters[c as usize];
+        *slot = Some(slot.map_or(by, |v| v.saturating_add(by)));
+    }
+
+    /// Increments the counter called `name` by `by`, saturating at
+    /// `u64::MAX`: the entry point for the run-time-named families
+    /// ([`is_family_name`]). A name from the [`Counter`] table counts
+    /// into that counter.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is neither in the [`Counter`] table nor in a
+    /// run-time-named family.
+    pub fn add_named(&self, name: &str, by: u64) {
+        if let Some(c) = Counter::from_name(name) {
+            return self.add(c, by);
+        }
+        assert!(
+            is_family_name(name),
+            "unknown counter {name:?}: add it to the Counter table"
+        );
         let mut inner = self.inner.borrow_mut();
-        match inner.counters.get_mut(name) {
-            Some(v) => *v += by,
+        match inner.named.get_mut(name) {
+            Some(v) => *v = v.saturating_add(by),
             None => {
-                inner.counters.insert(name.to_string(), by);
+                inner.named.insert(name.to_string(), by);
             }
         }
     }
 
     /// Current value of counter `name` (zero if never incremented).
     pub fn counter(&self, name: &str) -> u64 {
-        self.inner.borrow().counters.get(name).copied().unwrap_or(0)
+        let inner = self.inner.borrow();
+        match Counter::from_name(name) {
+            Some(c) => inner.counters[c as usize].unwrap_or(0),
+            None => inner.named.get(name).copied().unwrap_or(0),
+        }
     }
 
     /// Sets gauge `name` to `v`.
@@ -205,7 +398,16 @@ impl Metrics {
     pub fn snapshot(&self) -> String {
         let inner = self.inner.borrow();
         let mut out = String::new();
-        for (name, v) in &inner.counters {
+        // Merge the two name-ordered counter stores.
+        let mut named = inner.named.iter().peekable();
+        for (c, v) in Counter::ALL.iter().zip(&inner.counters) {
+            let Some(v) = v else { continue };
+            while let Some((name, nv)) = named.next_if(|(n, _)| n.as_str() < c.name()) {
+                out.push_str(&format!("counter {name} {nv}\n"));
+            }
+            out.push_str(&format!("counter {} {v}\n", c.name()));
+        }
+        for (name, v) in named {
             out.push_str(&format!("counter {name} {v}\n"));
         }
         for (name, v) in &inner.gauges {
@@ -230,7 +432,8 @@ impl Metrics {
     /// Resets every metric.
     pub fn clear(&self) {
         let mut inner = self.inner.borrow_mut();
-        inner.counters.clear();
+        inner.counters = [None; N_COUNTERS];
+        inner.named.clear();
         inner.gauges.clear();
         inner.hists.clear();
         inner.span_latency.clear();
@@ -242,10 +445,64 @@ mod tests {
     use super::*;
 
     #[test]
+    fn counter_table_is_in_name_order_and_indexed_by_discriminant() {
+        for (i, c) in Counter::ALL.iter().enumerate() {
+            assert_eq!(*c as usize, i, "{c:?}");
+        }
+        for w in Counter::ALL.windows(2) {
+            assert!(w[0].name() < w[1].name(), "{} !< {}", w[0].name(), w[1].name());
+        }
+    }
+
+    #[test]
+    fn family_names() {
+        for ok in [
+            "fault.injected.dma_flip",
+            "fault.injected.gpu.hang",
+            "fabric.shard0.placements",
+            "fabric.shard12.migrations_in",
+            "sched.s3.service_ns",
+        ] {
+            assert!(is_family_name(ok), "{ok}");
+        }
+        for bad in [
+            "fault.injected",
+            "fault.injected.",
+            "fabric.shard.placements",
+            "fabric.shard1.",
+            "fabric.shardx.placements",
+            "sched.slices",
+            "sched.s3",
+            "ipc.msgs",
+        ] {
+            assert!(!is_family_name(bad), "{bad}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown counter")]
+    fn misspelled_name_panics() {
+        Metrics::new().add_named("ipc.msg", 1);
+    }
+
+    #[test]
+    fn counters_saturate() {
+        let m = Metrics::new();
+        m.add(Counter::DmaBytesHtod, 1 << 63);
+        m.add(Counter::DmaBytesHtod, 1 << 63);
+        assert_eq!(m.counter("dma.bytes_htod"), u64::MAX);
+        m.inc(Counter::DmaBytesHtod);
+        assert_eq!(m.counter("dma.bytes_htod"), u64::MAX);
+        m.add_named("sched.s0.wait_ns", u64::MAX);
+        m.add_named("sched.s0.wait_ns", 2);
+        assert_eq!(m.counter("sched.s0.wait_ns"), u64::MAX);
+    }
+
+    #[test]
     fn counters_and_gauges() {
         let m = Metrics::new();
-        m.inc("ipc.msgs");
-        m.add("ipc.msgs", 2);
+        m.inc(Counter::IpcMsgs);
+        m.add(Counter::IpcMsgs, 2);
         m.set_gauge("pcie.locked_devices", 3);
         assert_eq!(m.counter("ipc.msgs"), 3);
         assert_eq!(m.counter("never"), 0);
@@ -268,16 +525,26 @@ mod tests {
     #[test]
     fn snapshot_is_sorted_and_stable() {
         let m = Metrics::new();
-        m.inc("z.last");
-        m.inc("a.first");
+        m.inc(Counter::WatchdogResets);
+        m.add_named("sched.s1.wait_ns", 4);
+        m.add(Counter::AttestHandshakes, 0);
+        m.add_named("fault.injected.dma_flip", 1);
         m.set_gauge("mid", 7);
         m.observe("lat", 5_000);
         let s1 = m.snapshot();
         let s2 = m.snapshot();
         assert_eq!(s1, s2, "snapshot must be deterministic");
-        let a = s1.find("counter a.first 1").unwrap();
-        let z = s1.find("counter z.last 1").unwrap();
-        assert!(a < z, "sorted: {s1}");
+        let counters: Vec<&str> = s1.lines().filter(|l| l.starts_with("counter ")).collect();
+        assert_eq!(
+            counters,
+            [
+                "counter attest.handshakes 0",
+                "counter fault.injected.dma_flip 1",
+                "counter sched.s1.wait_ns 4",
+                "counter watchdog.resets 1",
+            ],
+            "typed and named counters merge in name order: {s1}"
+        );
         assert!(s1.contains("gauge mid 7"), "{s1}");
         assert!(s1.contains("hist lat count=1 sum=5000"), "{s1}");
         assert!(s1.contains("le10000=1"), "{s1}");
@@ -297,10 +564,12 @@ mod tests {
     #[test]
     fn clear_resets() {
         let m = Metrics::new();
-        m.inc("x");
+        m.inc(Counter::IpcMsgs);
+        m.add_named("fabric.shard0.placements", 1);
         m.observe("h", 1);
         m.clear();
-        assert_eq!(m.counter("x"), 0);
+        assert_eq!(m.counter("ipc.msgs"), 0);
+        assert_eq!(m.counter("fabric.shard0.placements"), 0);
         assert!(m.hist("h").is_none());
         assert!(m.snapshot().is_empty());
     }

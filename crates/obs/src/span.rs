@@ -352,7 +352,7 @@ mod tests {
         let obs = Obs::new();
         obs.charged(0, 9, "zeta", "z", &[]);
         obs.charged(0, 4, "alpha", "a", &[]);
-        obs.metrics().inc("ipc.msgs");
+        obs.metrics().inc(crate::Counter::IpcMsgs);
         let snap = obs.snapshot();
         let a = snap.find("span.ns.alpha 4").expect("alpha line");
         let z = snap.find("span.ns.zeta 9").expect("zeta line");
@@ -365,11 +365,11 @@ mod tests {
         let obs = Obs::new();
         obs.set_recording(true);
         obs.charged(0, 5, "dma", "d", &[]);
-        obs.metrics().inc("x");
+        obs.metrics().inc(crate::Counter::IpcMsgs);
         obs.clear();
         assert_eq!(obs.category_ns("dma"), 0);
         assert!(obs.spans().is_empty());
-        assert_eq!(obs.metrics().counter("x"), 0);
+        assert_eq!(obs.metrics().counter("ipc.msgs"), 0);
         assert!(obs.recording(), "clear keeps the recording flag");
     }
 

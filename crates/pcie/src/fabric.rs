@@ -9,10 +9,10 @@
 
 use std::collections::BTreeMap;
 
-use hix_sim::{Clock, CostModel, EventKind, Trace};
+use hix_sim::{Clock, CostModel, Counter, EventKind, Trace};
 
 use crate::addr::{Bdf, PhysAddr};
-use crate::config::{classify_write, BarIndex, ConfigSpace, HeaderType, WriteClass};
+use crate::config::{classify_write, BarIndex, BridgeWindow, ConfigSpace, HeaderType, WriteClass};
 use crate::device::PcieDevice;
 
 /// Errors from fabric operations.
@@ -161,15 +161,30 @@ impl PcieFabric {
         let mut path: Vec<Bdf> = self
             .bridges
             .iter()
-            .filter(|(_, cfg)| {
-                let w = cfg.bridge_window();
-                w.secondary_bus != 0 && w.secondary_bus <= bus && bus <= w.subordinate_bus
-            })
+            .filter(|(_, cfg)| forwards_bus(cfg.bridge_window(), bus))
             .map(|(bdf, _)| *bdf)
             .collect();
         // A bridge deeper in the hierarchy sits on a higher bus number.
         path.sort_by_key(|b| b.bus);
         path
+    }
+
+    /// Whether a packet for `addr` reaches `bus`: at least one bridge
+    /// forwards the bus, and every bridge that does also forwards the
+    /// address. The same test as walking [`Self::bridge_path_to_bus`],
+    /// made in place so MMIO routing never allocates.
+    fn path_forwards(&self, bus: u8, addr: PhysAddr) -> bool {
+        let mut routed = false;
+        for cfg in self.bridges.values() {
+            let w = cfg.bridge_window();
+            if forwards_bus(w, bus) {
+                if !w.window.is_some_and(|win| win.contains(addr)) {
+                    return false;
+                }
+                routed = true;
+            }
+        }
+        routed
     }
 
     /// Whether the function at `bdf` was present at boot enumeration.
@@ -192,25 +207,14 @@ impl PcieFabric {
             if !cfg.memory_enabled() {
                 continue;
             }
-            // Every bridge on the packet's path must forward the address.
-            let path = self.bridge_path_to_bus(bdf.bus);
-            if path.is_empty()
-                || !path.iter().all(|b| {
-                    self.bridges[b]
-                        .bridge_window()
-                        .window
-                        .is_some_and(|w| w.contains(addr))
-                })
-            {
+            let Some((bar, range)) = (0..6).map(BarIndex).find_map(|bar| {
+                cfg.bar(bar).range().filter(|r| r.contains(addr)).map(|r| (bar, r))
+            }) else {
                 continue;
-            }
-            for i in 0..6 {
-                let bar = BarIndex(i);
-                if let Some(range) = cfg.bar(bar).range() {
-                    if range.contains(addr) {
-                        return Some((*bdf, bar, addr.offset_from(range.base)));
-                    }
-                }
+            };
+            // Every bridge on the packet's path must forward the address.
+            if self.path_forwards(bdf.bus, addr) {
+                return Some((*bdf, bar, addr.offset_from(range.base)));
             }
         }
         None
@@ -226,7 +230,7 @@ impl PcieFabric {
             .route_mem(addr)
             .ok_or(PcieError::NoDevice(Bdf::new(0, 0, 0)))?;
         self.clock.advance(self.model.mmio_read);
-        self.trace.metrics().inc("pcie.mmio_reads");
+        self.trace.metrics().inc(Counter::PcieMmioReads);
         self.trace
             .emit(self.clock.now(), self.model.mmio_read, EventKind::Mmio, "read");
         let slot = self.endpoints.get_mut(&bdf).expect("routed endpoint exists");
@@ -244,7 +248,7 @@ impl PcieFabric {
             .route_mem(addr)
             .ok_or(PcieError::NoDevice(Bdf::new(0, 0, 0)))?;
         self.clock.advance(self.model.mmio_write);
-        self.trace.metrics().inc("pcie.mmio_writes");
+        self.trace.metrics().inc(Counter::PcieMmioWrites);
         self.trace
             .emit(self.clock.now(), self.model.mmio_write, EventKind::Mmio, "write");
         let slot = self.endpoints.get_mut(&bdf).expect("routed endpoint exists");
@@ -258,7 +262,7 @@ impl PcieFabric {
     ///
     /// Returns [`PcieError::NoDevice`] for an empty slot.
     pub fn config_read(&self, bdf: Bdf, offset: u16) -> Result<u32, PcieError> {
-        self.trace.metrics().inc("pcie.cfg_reads");
+        self.trace.metrics().inc(Counter::PcieCfgReads);
         if let Some(cfg) = self.bridges.get(&bdf) {
             return Ok(cfg.read(offset));
         }
@@ -279,9 +283,9 @@ impl PcieFabric {
     /// Returns [`PcieError::LockedDown`] for discarded writes and
     /// [`PcieError::NoDevice`] for empty slots.
     pub fn config_write(&mut self, bdf: Bdf, offset: u16, value: u32) -> Result<(), PcieError> {
-        self.trace.metrics().inc("pcie.cfg_writes");
+        self.trace.metrics().inc(Counter::PcieCfgWrites);
         if self.is_locked_path(bdf) && classify_write(offset) == WriteClass::Routing {
-            self.trace.metrics().inc("pcie.cfg_writes_denied");
+            self.trace.metrics().inc(Counter::PcieCfgWritesDenied);
             self.trace.emit_with(
                 self.clock.now(),
                 hix_sim::Nanos::ZERO,
@@ -414,6 +418,12 @@ impl PcieFabric {
     }
 }
 
+/// Whether a bridge with routing registers `w` forwards packets for `bus`
+/// downstream (a zero secondary bus marks an unconfigured bridge).
+fn forwards_bus(w: &BridgeWindow, bus: u8) -> bool {
+    w.secondary_bus != 0 && w.secondary_bus <= bus && bus <= w.subordinate_bus
+}
+
 impl std::fmt::Debug for PcieFabric {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PcieFabric")
@@ -443,6 +453,10 @@ mod tests {
             let mut config = ConfigSpace::endpoint(0x10de, 0x1080, 0x030000);
             config.set_bar_size(BarIndex(0), 4096);
             config.set_rom_size(64 << 10);
+            ScratchDev::with_config(config)
+        }
+
+        fn with_config(config: ConfigSpace) -> Self {
             ScratchDev {
                 config,
                 regs: vec![0; 4096],
@@ -708,6 +722,140 @@ mod tests {
         let mut fabric = PcieFabric::new();
         let err = fabric.add_switch_port(Bdf::new(5, 0, 0), ConfigSpace::bridge(1, 2));
         assert!(matches!(err, Err(PcieError::Unroutable(_))));
+    }
+
+    /// The router `route_mem` replaced: builds the bridge path for each
+    /// endpoint and checks every hop. Kept as the oracle for the in-place
+    /// walk.
+    fn route_mem_reference(fabric: &PcieFabric, addr: PhysAddr) -> Option<(Bdf, BarIndex, u64)> {
+        for (bdf, slot) in &fabric.endpoints {
+            let cfg = slot.device.config();
+            if !cfg.memory_enabled() {
+                continue;
+            }
+            let path = fabric.bridge_path_to_bus(bdf.bus);
+            if path.is_empty()
+                || !path.iter().all(|b| {
+                    fabric.bridges[b]
+                        .bridge_window()
+                        .window
+                        .is_some_and(|w| w.contains(addr))
+                })
+            {
+                continue;
+            }
+            for i in 0..6 {
+                let bar = BarIndex(i);
+                if let Some(range) = cfg.bar(bar).range() {
+                    if range.contains(addr) {
+                        return Some((*bdf, bar, addr.offset_from(range.base)));
+                    }
+                }
+            }
+        }
+        None
+    }
+
+    /// Bridge windows and BARs are drawn from this 64 KiB region in
+    /// 4 KiB steps, so they overlap often.
+    const REGION: u64 = 0xc000_0000;
+
+    fn random_bridge(s: &mut hix_testkit::prop::Source) -> ConfigSpace {
+        let mut cfg = ConfigSpace::bridge(0x8086, 0x3420);
+        let w = cfg.bridge_window_mut();
+        w.secondary_bus = s.in_range(0..6) as u8;
+        w.subordinate_bus = s.in_range(0..8) as u8;
+        w.window = (s.choice(4) != 0).then(|| {
+            PhysRange::new(
+                PhysAddr::new(REGION + s.in_range(0..16) * 0x1000),
+                s.in_range(1..16) * 0x1000,
+            )
+        });
+        cfg
+    }
+
+    fn random_endpoint(s: &mut hix_testkit::prop::Source) -> ConfigSpace {
+        let mut cfg = ConfigSpace::endpoint(0x10de, 0x1080, 0x030000);
+        for i in 0..6u16 {
+            if s.bool() {
+                cfg.set_bar_size(BarIndex(i as u8), 0x1000 << s.in_range(0..3));
+                // Unprogrammed (base 0) or somewhere in the region; the
+                // BAR masks the base down to its size alignment.
+                let base = if s.choice(4) == 0 { 0 } else { REGION + s.in_range(0..16) * 0x1000 };
+                cfg.write(offsets::BAR0 + 4 * i, base as u32);
+            }
+        }
+        cfg.write(offsets::COMMAND, if s.choice(4) == 0 { 0 } else { 0b10 });
+        cfg
+    }
+
+    #[test]
+    fn route_mem_matches_the_path_building_router() {
+        let routed = std::cell::Cell::new(0u32);
+        hix_testkit::prop::prop("route_mem_matches_the_path_building_router").run(|s| {
+            let mut fabric = PcieFabric::new();
+            // 1-3 levels of bridges: root ports on bus 0, then switch
+            // ports on buses the previous level forwards.
+            let mut buses = vec![0u8];
+            for _ in 0..s.usize_in(1..4) {
+                let mut next = Vec::new();
+                for _ in 0..s.usize_in(1..3) {
+                    let bus = buses[s.index(buses.len())];
+                    let cfg = random_bridge(s);
+                    let secondary = cfg.bridge_window().secondary_bus;
+                    let bdf = Bdf::new(bus, s.in_range(0..4) as u8, 0);
+                    let added = if bus == 0 {
+                        fabric.add_root_port(bdf, cfg)
+                    } else {
+                        fabric.add_switch_port(bdf, cfg)
+                    };
+                    if added.is_ok() && secondary != 0 {
+                        next.push(secondary);
+                    }
+                }
+                if next.is_empty() {
+                    break;
+                }
+                buses = next;
+            }
+            for _ in 0..s.usize_in(1..5) {
+                let bdf = Bdf::new(s.in_range(1..8) as u8, s.in_range(0..4) as u8, 0);
+                let dev = ScratchDev::with_config(random_endpoint(s));
+                let _ = fabric.add_endpoint(bdf, Box::new(dev), Provenance::Hardware);
+            }
+            // Reprogram some bridges after their endpoints attached:
+            // bus ranges that strand an endpoint, windows that close or
+            // open over the whole region.
+            let bridges: Vec<Bdf> = fabric.bridges.keys().copied().collect();
+            for _ in 0..s.usize_in(0..3) {
+                let bdf = bridges[s.index(bridges.len())];
+                let (offset, value) = match s.choice(3) {
+                    0 => {
+                        let (secondary, subordinate) = (s.in_range(0..6), s.in_range(0..8));
+                        (offsets::BUS_NUMBERS, (subordinate << 16 | secondary << 8) as u32)
+                    }
+                    1 => (offsets::MEMORY_WINDOW, 0x0000_fff0),
+                    _ => (offsets::MEMORY_WINDOW, 0xc000_c000),
+                };
+                fabric.config_write(bdf, offset, value).expect("bridge present, not locked");
+            }
+            // Probe every window and BAR edge, one byte either side.
+            let mut ranges: Vec<PhysRange> =
+                fabric.bridges.values().filter_map(|c| c.bridge_window().window).collect();
+            for slot in fabric.endpoints.values() {
+                ranges.extend((0..6).filter_map(|i| slot.device.config().bar(BarIndex(i)).range()));
+            }
+            for r in ranges {
+                let (base, end) = (r.base.value(), r.end());
+                for probe in [base - 1, base, base + 1, end - 2, end - 1, end, end + 1] {
+                    let addr = PhysAddr::new(probe);
+                    let want = route_mem_reference(&fabric, addr);
+                    assert_eq!(fabric.route_mem(addr), want, "{addr:?} in {fabric:?}");
+                    routed.set(routed.get() + want.is_some() as u32);
+                }
+            }
+        });
+        assert!(routed.get() > 0, "the generator must produce routable topologies");
     }
 
     #[test]

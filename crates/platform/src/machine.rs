@@ -16,7 +16,7 @@ use hix_pcie::config::BarIndex;
 use hix_pcie::device::PcieDevice;
 use hix_pcie::fabric::{PcieError, PcieFabric, Provenance};
 use hix_sim::fault::FaultPlan;
-use hix_sim::{Clock, CostModel, EventKind, Nanos, Trace};
+use hix_sim::{Clock, CostModel, Counter, EventKind, Nanos, Trace};
 
 use crate::hix::{HixError, HixState};
 use crate::iommu::{DmaPort, Iommu};
@@ -363,16 +363,16 @@ impl Machine {
         let proc = self.procs.get_mut(&pid).expect("unknown process");
         let accessor = if proc.in_enclave { proc.enclave } else { None };
         if let Some(pte) = proc.tlb.lookup(va) {
-            self.trace.metrics().inc("mmu.tlb_hits");
+            self.trace.metrics().inc(Counter::MmuTlbHits);
             return Ok(pte);
         }
         // Every TLB fill runs the hardware-walker validation (§4.3.1);
         // count them so the page-walk MMIO check path is observable.
-        self.trace.metrics().inc("mmu.tlb_fills_checked");
+        self.trace.metrics().inc(Counter::MmuTlbFillsChecked);
         let pte = proc.page_table.walk(va).ok_or(AccessFault::NotMapped(va))?;
         let pa = pte.base();
         if !self.sgx.check_access(accessor, va, pa) {
-            self.trace.metrics().inc("mmu.fills_denied");
+            self.trace.metrics().inc(Counter::MmuFillsDenied);
             self.trace.emit(
                 self.clock.now(),
                 Nanos::ZERO,
@@ -382,7 +382,7 @@ impl Machine {
             return Err(AccessFault::EpcDenied(va));
         }
         if !self.hix.check_access(accessor, va, pa) {
-            self.trace.metrics().inc("mmu.fills_denied");
+            self.trace.metrics().inc(Counter::MmuFillsDenied);
             self.trace.emit(
                 self.clock.now(),
                 Nanos::ZERO,
@@ -562,7 +562,7 @@ impl Machine {
         self.hix
             .egcreate(enclave, initialized, bdf, is_hardware, &bars)?;
         self.fabric.lockdown(bdf).expect("owned device exists");
-        self.trace.metrics().inc("hix.egcreate");
+        self.trace.metrics().inc(Counter::HixEgcreate);
         self.trace.emit_with(
             self.clock.now(),
             Nanos::ZERO,
@@ -587,7 +587,7 @@ impl Machine {
         let enclave = self.proc(pid).enclave.expect("process has no enclave");
         let bdf = self.hix.owned_device(enclave).ok_or(HixError::NotOwner(enclave))?;
         self.hix.egadd(enclave, bdf, va, pa)?;
-        self.trace.metrics().inc("hix.egadd_pages");
+        self.trace.metrics().inc(Counter::HixEgaddPages);
         self.proc_mut(pid).page_table.map(
             VirtAddr::new(va.vpn() * PAGE_SIZE),
             PhysAddr::new(pa.value() & !(PAGE_SIZE - 1)),

@@ -34,7 +34,7 @@ pub mod trace;
 
 pub use cost::CostModel;
 pub use pipeline::CryptoDmaPipeline;
-pub use hix_obs::{Stage, COUNT_BOUNDS, LATENCY_BOUNDS_NS};
+pub use hix_obs::{Counter, Stage, COUNT_BOUNDS, LATENCY_BOUNDS_NS};
 pub use fault::{Backoff, Dir, FaultConfig, FaultPlan, MsgFault, ReplayWindow, Resequencer, SeqCheck};
 pub use payload::Payload;
 pub use time::{Clock, Nanos};

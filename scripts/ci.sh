@@ -96,10 +96,11 @@ cargo bench --offline --bench crypto -- "$PWD/target/crypto-smoke.json"
 cargo bench --offline --bench crypto -- --check "$PWD/target/crypto-smoke.json"
 cargo bench --offline --bench crypto -- --check "$PWD/BENCH_crypto.json"
 
-# Simulator micro-benches (MMIO read, DRAM write, functional 64 KiB
-# secure HtoD and DtoH, full handshake), run once for information: the
-# numbers are host-specific and gate nothing, but running the bench here
-# keeps it building, so it cannot rot unnoticed.
+# Simulator micro-benches (MMIO read, DRAM write, channel sync round
+# trip, functional 64 KiB secure HtoD and DtoH, full handshake), run
+# once for information: the numbers are host-specific and gate nothing,
+# but running the bench here keeps it building, so it cannot rot
+# unnoticed.
 cargo bench --offline --bench simulator
 
 # Table 2 re-runs the attack-scenario suite and the per-crate TCB LoC

@@ -11,7 +11,7 @@ use hix_core::{GpuEnclave, GpuEnclaveOptions, HixSession};
 use hix_driver::rig::{standard_rig, RigOptions};
 use hix_platform::Machine;
 use hix_sim::fault::{FaultConfig, FaultPlan};
-use hix_sim::{EventKind, Nanos, Payload};
+use hix_sim::{Counter, EventKind, Nanos, Payload};
 use hix_testkit::Rng;
 use hix_workloads::all_kernels;
 use std::fmt::Write;
@@ -100,8 +100,8 @@ fn soak(seed: u64, profile: Option<FaultConfig>) -> SoakRun {
         // sealed blob, and let the next round reconnect from scratch.
         if let Some(plan) = m.fault_plan() {
             if plan.sample_restart() {
-                m.trace().metrics().inc("fault.injected");
-                m.trace().metrics().inc("fault.injected.restart");
+                m.trace().metrics().inc(Counter::FaultInjected);
+                m.trace().metrics().add_named("fault.injected.restart", 1);
                 m.trace().emit(
                     m.clock().now(),
                     Nanos::ZERO,

@@ -201,6 +201,85 @@ fn wellformed_commands_at_address_space_edges_never_panic() {
         });
 }
 
+/// An aperture within four pages of 2⁶⁴ (where `aperture + offset`
+/// wraps) or within two pages either side of the end of VRAM (where the
+/// access straddles it).
+fn aperture_edge(s: &mut Source, vram_size: u64) -> u64 {
+    let top = s.bool();
+    let delta = s.in_range(0..4 * GPU_PAGE_SIZE);
+    if top {
+        u64::MAX - delta
+    } else {
+        vram_size - 2 * GPU_PAGE_SIZE + delta
+    }
+}
+
+/// BAR1 accesses through apertures at the edges: an access whose span
+/// wraps past 2⁶⁴ or leaves VRAM reads `0xff` and drops the write, and
+/// one that fits reads back what was written — never a panic.
+#[test]
+fn bar1_aperture_edges_never_panic() {
+    prop("bar1_aperture_edges_never_panic")
+        .corpus(SEEDS)
+        .run(|s| {
+            let mut machine = standard_rig(RigOptions::default());
+            let device = machine.device_mut(GPU_BDF).expect("gpu present");
+            let mut size = [0u8; 8];
+            device.mmio_read(BarIndex(0), bar0::VRAM_SIZE, &mut size);
+            let vram_size = u64::from_le_bytes(size);
+            for _ in 0..s.usize_in(1..16) {
+                let aperture = aperture_edge(s, vram_size);
+                let offset = s.in_range(0..0x3000);
+                let data = s.vec_u8(1..65);
+                let write = s.bool();
+                device.mmio_write(BarIndex(0), bar0::APERTURE, &aperture.to_le_bytes());
+                if write {
+                    device.mmio_write(BarIndex(1), offset, &data);
+                }
+                let mut back = vec![0u8; data.len()];
+                device.mmio_read(BarIndex(1), offset, &mut back);
+                let fits = aperture
+                    .checked_add(offset)
+                    .and_then(|base| base.checked_add(data.len() as u64))
+                    .is_some_and(|end| end <= vram_size);
+                if !fits {
+                    assert!(back.iter().all(|&b| b == 0xff), "{aperture:#x}+{offset:#x}: {back:?}");
+                } else if write {
+                    assert_eq!(back, data, "{aperture:#x}+{offset:#x}");
+                }
+            }
+        });
+}
+
+/// Hostile DMA lengths on a fresh rig: `DmaHtoD`/`DmaDtoH` count their
+/// bytes before validating the command (here, an unknown context), so
+/// two 2⁶³-byte commands each must saturate `dma.bytes_*` at `u64::MAX`
+/// instead of overflowing it.
+#[test]
+fn hostile_dma_lengths_saturate_the_byte_counters() {
+    let mut machine = standard_rig(RigOptions::default());
+    let (ctx, bus, va, len) = (CtxId(7), PhysAddr::new(0), DevAddr(0), 1u64 << 63);
+    for cmd in [
+        GpuCommand::DmaHtoD { ctx, bus, va, len },
+        GpuCommand::DmaHtoD { ctx, bus, va, len },
+        GpuCommand::DmaDtoH { ctx, va, bus, len },
+        GpuCommand::DmaDtoH { ctx, va, bus, len },
+    ] {
+        let bytes = cmd.encode();
+        let device = machine.device_mut(GPU_BDF).expect("gpu present");
+        device.mmio_write(BarIndex(0), bar0::CMD_WINDOW, &bytes);
+        device.mmio_write(BarIndex(0), bar0::DOORBELL, &(bytes.len() as u64).to_le_bytes());
+        machine.run_device(GPU_BDF);
+        let device = machine.device_mut(GPU_BDF).expect("gpu present");
+        let mut error = [0u8; 4];
+        device.mmio_read(BarIndex(0), bar0::ERROR, &mut error);
+        assert_eq!(u32::from_le_bytes(error), errcode::NO_CTX, "{cmd:?}");
+    }
+    let metrics = machine.trace().metrics();
+    assert_eq!(metrics.counter("dma.bytes_htod"), u64::MAX);
+    assert_eq!(metrics.counter("dma.bytes_dtoh"), u64::MAX);
+}
+
 #[test]
 fn fabric_survives_arbitrary_config_traffic() {
     prop("fabric_survives_arbitrary_config_traffic")
