@@ -41,8 +41,7 @@ use hix_bench::{fail, write_ledger};
 use hix_core::{CmdStatus, GpuEnclave, GpuEnclaveOptions, HixSession};
 use hix_driver::rig::{standard_rig, RigOptions};
 use hix_obs::{
-    critical_chain, critical_path_ns, fmt_ns, folded_stacks, roll_up_stages, RequestRecord,
-    SloRow, Stage,
+    critical_chain, critical_path_ns, fmt_ns, folded_stacks, RequestRecord, SloRow, Stage,
 };
 use hix_sim::fault::{FaultConfig, FaultPlan};
 use hix_sim::Payload;
@@ -77,7 +76,7 @@ struct Cell {
     requests: Vec<RequestRecord>,
     /// Per-stage `(ns, spans)` across attributed + unattributed charge,
     /// in [`Stage::ALL`] order.
-    stages: Vec<(Stage, u64, u64)>,
+    stages: [(Stage, u64, u64); Stage::ALL.len()],
     unattributed_ns: u64,
     slo: Vec<SloRow>,
     makespan_ns: u64,
@@ -235,25 +234,18 @@ fn run_cell(profile: &'static str, cfg: Option<FaultConfig>, batched: bool) -> C
     }
 
     // Stage rollup across everything charged (requests + outside), and
-    // a second tiling check: stage sums must equal the category sums.
-    let mut by_category: Vec<(&'static str, u64, u64)> = obs.unattributed_totals();
+    // a second tiling check: stage sums must equal the kind sums.
+    let unattributed = obs.unattributed_totals();
+    let mut charged = unattributed;
     for rec in &requests {
-        for (c, ns, n) in &rec.by_category {
-            match by_category.iter_mut().find(|(lc, _, _)| lc == c) {
-                Some((_, t, k)) => {
-                    *t += ns;
-                    *k += n;
-                }
-                None => by_category.push((c, *ns, *n)),
-            }
-        }
+        charged.merge(&rec.by_kind);
     }
-    let stages = roll_up_stages(&by_category);
+    let stages = charged.by_stage();
     let stage_ns: u64 = stages.iter().map(|(_, ns, _)| ns).sum();
-    let category_ns: u64 = obs.totals().iter().map(|(_, ns, _)| ns).sum();
-    if stage_ns != category_ns {
+    let kind_ns = obs.totals().total();
+    if stage_ns != kind_ns {
         fail(&format!(
-            "{profile}: stage rollup {stage_ns} ns does not tile category totals {category_ns} ns"
+            "{profile}: stage rollup {stage_ns} ns does not tile kind totals {kind_ns} ns"
         ));
     }
 
@@ -282,7 +274,7 @@ fn run_cell(profile: &'static str, cfg: Option<FaultConfig>, batched: bool) -> C
         profile,
         slo: hix_obs::slo_table(&requests),
         stages,
-        unattributed_ns: obs.unattributed_totals().iter().map(|(_, ns, _)| ns).sum(),
+        unattributed_ns: unattributed.total(),
         makespan_ns: m.clock().now().as_nanos(),
         longest_ns,
         longest_op,

@@ -1,7 +1,7 @@
 //! End-to-end trace report: runs the matrix microbenchmark on both
 //! stacks with span recording on, exports a Perfetto-loadable Chrome
 //! trace plus the secure-DMA phase table, and self-checks the result
-//! (non-empty trace, category coverage, accounting reconciliation,
+//! (non-empty trace, charged-kind coverage, accounting reconciliation,
 //! same-seed determinism). Used by `scripts/ci.sh` as a smoke test.
 //!
 //! Usage: `trace_report [output-dir]` (default `target/trace-report`).
@@ -23,7 +23,8 @@ struct TracedRun {
     json: String,
     snapshot: String,
     phase_table: String,
-    categories: Vec<&'static str>,
+    /// Names of the distinct kinds the recorded charged spans cover.
+    kinds: Vec<&'static str>,
 }
 
 fn run_gdev(workload: &dyn Workload) -> TracedRun {
@@ -81,16 +82,16 @@ fn collect(machine: &hix_platform::Machine, tag: &str) -> TracedRun {
     }
 
     let spans = obs.spans();
-    let mut categories: Vec<&'static str> =
-        spans.iter().map(|s| s.category).collect();
-    categories.sort_unstable();
-    categories.dedup();
+    let mut kinds: Vec<&'static str> =
+        spans.iter().filter_map(|s| s.kind).map(EventKind::as_str).collect();
+    kinds.sort_unstable();
+    kinds.dedup();
 
     TracedRun {
         json: chrome_trace_json(&spans, tag),
         snapshot: obs.snapshot(),
         phase_table: hix_obs::phase_table(obs),
-        categories,
+        kinds,
     }
 }
 
@@ -167,11 +168,11 @@ fn main() {
         }
         check_perfetto(tag, &run.json);
     }
-    if hix.categories.len() < 6 {
+    if hix.kinds.len() < 6 {
         fail(&format!(
-            "hix trace covers only {} categories ({:?}); expected at least 6",
-            hix.categories.len(),
-            hix.categories
+            "hix trace covers only {} charged kinds ({:?}); expected at least 6",
+            hix.kinds.len(),
+            hix.kinds
         ));
     }
 
@@ -180,9 +181,9 @@ fn main() {
         write_ledger(&path, &run.json);
         write_ledger(&format!("{out_dir}/{name}.metrics.txt"), &run.snapshot);
         println!(
-            "{name}: {} span categories {:?} -> {path}",
-            run.categories.len(),
-            run.categories
+            "{name}: {} charged kinds {:?} -> {path}",
+            run.kinds.len(),
+            run.kinds
         );
     }
 

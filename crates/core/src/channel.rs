@@ -315,11 +315,7 @@ impl Endpoint {
             hop,
             EventKind::Ipc,
             label,
-            &[
-                ("bytes", sealed.len() as u64),
-                ("seq", seq),
-                ("stage", EventKind::Ipc.stage().index()),
-            ],
+            &[("bytes", sealed.len() as u64), ("seq", seq)],
         );
 
         let lay = dir_layout(dir);

@@ -561,7 +561,7 @@ impl GpuDriver {
             machine.clock().now().as_nanos(),
             "driver",
             "dma_htod",
-            &[("bytes", len), ("stage", hix_sim::Stage::Dma.index())],
+            &[("bytes", len)],
         );
         let result = self.submit(
             machine,
@@ -595,7 +595,7 @@ impl GpuDriver {
             machine.clock().now().as_nanos(),
             "driver",
             "dma_dtoh",
-            &[("bytes", len), ("stage", hix_sim::Stage::Dma.index())],
+            &[("bytes", len)],
         );
         let result = self.submit(
             machine,

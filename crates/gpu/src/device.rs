@@ -214,17 +214,7 @@ impl GpuDevice {
         attrs: &[(&'static str, u64)],
     ) {
         self.clock.advance(dt);
-        if self.trace.obs().recording() {
-            // Stage-tag recorded device spans (DMA, kernels, in-GPU
-            // crypto…) so per-request attribution can be read straight
-            // off the exported timeline. Totals-only runs skip the
-            // allocation.
-            let mut attrs = attrs.to_vec();
-            attrs.push(("stage", kind.stage().index()));
-            self.trace.emit_with(self.clock.now(), dt, kind, label, &attrs);
-        } else {
-            self.trace.emit_with(self.clock.now(), dt, kind, label, attrs);
-        }
+        self.trace.emit_with(self.clock.now(), dt, kind, label, attrs);
     }
 
     /// Records a recoverable page fault (demand paging extension, §5.6

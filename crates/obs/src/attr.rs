@@ -1,20 +1,26 @@
-//! Request-scoped latency attribution.
+//! The charge vocabulary and request-scoped latency attribution.
+//!
+//! Every charged span is spent on one [`EventKind`], and every kind
+//! rolls up into one serving [`Stage`] through an exhaustive `match`.
+//! A [`Ledger`] holds charged nanoseconds and span counts per kind in a
+//! fixed array; the collector's totals, each request's attribution and
+//! the unattributed remainder are all ledgers.
 //!
 //! A *request* is one logical enclave operation (a `memcpy_htod`, a
 //! `launch`, a `sync`…) observed from submission to completion. While a
 //! request is open on the collector, every charged span that completes
-//! is attributed to it — per category, and as a raw interval list for
-//! the critical-path profiler in [`crate::critpath`]. Charged time that
-//! falls outside any request lands in a parallel *unattributed*
-//! accumulator, so the attribution ledger always tiles the per-category
-//! totals exactly:
+//! is attributed to it — per kind, and as a raw interval list for the
+//! critical-path profiler in [`crate::critpath`]. Charged time that
+//! falls outside any request lands in a parallel *unattributed* ledger,
+//! so the attribution ledgers always tile the collector's totals
+//! exactly:
 //!
-//! > for every category: Σ attributed (finished + open requests)
-//! > + unattributed == [`crate::Obs::category_ns`]  (±0)
+//! > for every kind: Σ attributed (finished + open requests)
+//! > + unattributed == [`crate::Obs::totals`]  (±0)
 //!
 //! That reconciliation invariant is unconditional — it holds whether or
 //! not request tracking is enabled, because the unattributed side is
-//! always maintained alongside the legacy totals.
+//! always maintained alongside the totals.
 //!
 //! Request tracking itself (`begin_request`/`end_request`) is opt-in via
 //! [`crate::Obs::set_attributing`], mirroring the recording flag: the
@@ -26,10 +32,116 @@
 use crate::span::Obs;
 use crate::{percentile_sorted, percentile_sorted_pm};
 
-/// Coarse pipeline stage of the HIX serving path. Every charged-span
-/// category maps onto exactly one stage ([`Stage::of_category`]), so
-/// per-stage rollups inherit the ±0 reconciliation of the per-category
-/// ledger.
+/// What a charged span was spent on: the one vocabulary for every
+/// virtual-time charge ("how much of the execution went to enclave
+/// crypto vs PCIe transfer"). Declared in [`EventKind::ALL`] order, so a
+/// kind's discriminant is its row in a [`Ledger`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum EventKind {
+    /// MMIO register access through the trusted or untrusted path.
+    Mmio,
+    /// Bulk DMA transfer over PCIe.
+    Dma,
+    /// Cryptographic work in a CPU enclave.
+    EnclaveCrypto,
+    /// Cryptographic kernel executing on the GPU.
+    GpuCrypto,
+    /// Application GPU kernel execution.
+    Kernel,
+    /// GPU context switch.
+    CtxSwitch,
+    /// Inter-enclave IPC (message queue + shared memory).
+    Ipc,
+    /// Task/session initialization.
+    Init,
+    /// Attestation and key agreement.
+    Attestation,
+    /// Security-relevant control event (lockdown engaged, access denied…).
+    Security,
+    /// On-device memory operations (scrub, memset, device-to-device copy).
+    GpuMem,
+    /// Device fault/error reporting (GPU error register raised).
+    Fault,
+    /// Anything else.
+    Other,
+}
+
+/// Number of kinds: the row count of a [`Ledger`].
+const N_KINDS: usize = EventKind::ALL.len();
+
+impl EventKind {
+    /// Every kind, in declaration order (the index of a kind here is its
+    /// discriminant).
+    pub const ALL: [EventKind; 13] = [
+        EventKind::Mmio,
+        EventKind::Dma,
+        EventKind::EnclaveCrypto,
+        EventKind::GpuCrypto,
+        EventKind::Kernel,
+        EventKind::CtxSwitch,
+        EventKind::Ipc,
+        EventKind::Init,
+        EventKind::Attestation,
+        EventKind::Security,
+        EventKind::GpuMem,
+        EventKind::Fault,
+        EventKind::Other,
+    ];
+
+    /// The stable category name: the span category in exported traces
+    /// and the `<kind>` in `span.ns.<kind>` and `span.latency.<kind>`.
+    pub const fn as_str(self) -> &'static str {
+        match self {
+            EventKind::Mmio => "mmio",
+            EventKind::Dma => "dma",
+            EventKind::EnclaveCrypto => "enclave-crypto",
+            EventKind::GpuCrypto => "gpu-crypto",
+            EventKind::Kernel => "kernel",
+            EventKind::CtxSwitch => "ctx-switch",
+            EventKind::Ipc => "ipc",
+            EventKind::Init => "init",
+            EventKind::Attestation => "attestation",
+            EventKind::Security => "security",
+            EventKind::GpuMem => "gpu-mem",
+            EventKind::Fault => "fault",
+            EventKind::Other => "other",
+        }
+    }
+
+    /// The pipeline stage this kind's charges roll up into. Exhaustive:
+    /// a new kind does not compile until it has a stage.
+    pub const fn stage(self) -> Stage {
+        match self {
+            EventKind::Ipc | EventKind::Mmio => Stage::Channel,
+            EventKind::EnclaveCrypto => Stage::CryptoCpu,
+            EventKind::GpuCrypto => Stage::CryptoGpu,
+            EventKind::Dma => Stage::Dma,
+            EventKind::Kernel => Stage::Compute,
+            EventKind::Attestation | EventKind::Security => Stage::Security,
+            EventKind::Fault => Stage::Fault,
+            EventKind::CtxSwitch | EventKind::Init | EventKind::GpuMem | EventKind::Other => {
+                Stage::Runtime
+            }
+        }
+    }
+
+    /// The kind whose [`EventKind::as_str`] is `name`, for the
+    /// name-keyed readers ([`Obs::category_ns`], [`Obs::category_count`]).
+    pub(crate) fn named(name: &str) -> Option<EventKind> {
+        EventKind::ALL.into_iter().find(|k| k.as_str() == name)
+    }
+}
+
+impl std::fmt::Display for EventKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.pad(self.as_str())
+    }
+}
+
+/// Coarse pipeline stage of the HIX serving path. Every [`EventKind`]
+/// maps onto exactly one stage ([`EventKind::stage`]), so per-stage
+/// rollups inherit the ±0 reconciliation of the per-kind ledger.
+/// Declared in [`Stage::ALL`] order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Stage {
     /// Host-side runtime work: session setup, context switches, device
@@ -52,7 +164,9 @@ pub enum Stage {
 }
 
 impl Stage {
-    /// Every stage, in report order.
+    /// Every stage, in report order (the index of a stage here is its
+    /// discriminant, which exported traces carry as the `stage`
+    /// argument of every charged span).
     pub const ALL: [Stage; 8] = [
         Stage::Runtime,
         Stage::Channel,
@@ -77,39 +191,68 @@ impl Stage {
             Stage::Fault => "fault",
         }
     }
-
-    /// Stable numeric index (position in [`Stage::ALL`]) — the value of
-    /// the `("stage", …)` attribute the device and driver layers tag
-    /// their DMA/kernel spans with, since span attributes are numeric.
-    pub fn index(self) -> u64 {
-        Stage::ALL.iter().position(|s| *s == self).unwrap() as u64
-    }
-
-    /// Inverse of [`Stage::index`]; `None` for an out-of-range value.
-    pub fn from_index(idx: u64) -> Option<Stage> {
-        Stage::ALL.get(idx as usize).copied()
-    }
-
-    /// Maps a charged-span category onto its pipeline stage. Total: an
-    /// unknown category folds into [`Stage::Runtime`], so stage rollups
-    /// can never drop time.
-    pub fn of_category(category: &str) -> Stage {
-        match category {
-            "ipc" | "mmio" => Stage::Channel,
-            "enclave-crypto" => Stage::CryptoCpu,
-            "gpu-crypto" => Stage::CryptoGpu,
-            "dma" => Stage::Dma,
-            "kernel" => Stage::Compute,
-            "attestation" | "security" => Stage::Security,
-            "fault" => Stage::Fault,
-            _ => Stage::Runtime,
-        }
-    }
 }
 
 impl std::fmt::Display for Stage {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.as_str())
+    }
+}
+
+/// Charged nanoseconds and span count per [`EventKind`], one fixed row
+/// per kind. The same ledger backs the collector's totals, each
+/// request's attribution and the unattributed remainder.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Ledger {
+    ns: [u64; N_KINDS],
+    count: [u64; N_KINDS],
+}
+
+impl Ledger {
+    /// Charges one span of `dur_ns` to `kind`.
+    pub fn add(&mut self, kind: EventKind, dur_ns: u64) {
+        self.ns[kind as usize] += dur_ns;
+        self.count[kind as usize] += 1;
+    }
+
+    /// `(ns, spans)` charged to `kind`.
+    pub fn get(&self, kind: EventKind) -> (u64, u64) {
+        (self.ns[kind as usize], self.count[kind as usize])
+    }
+
+    /// Adds every row of `other` into this ledger.
+    pub fn merge(&mut self, other: &Ledger) {
+        for k in 0..N_KINDS {
+            self.ns[k] += other.ns[k];
+            self.count[k] += other.count[k];
+        }
+    }
+
+    /// `(kind, ns, spans)` for every kind charged at least once, in
+    /// [`EventKind::ALL`] order.
+    pub fn rows(&self) -> impl Iterator<Item = (EventKind, u64, u64)> + '_ {
+        EventKind::ALL
+            .into_iter()
+            .filter(|&k| self.count[k as usize] > 0)
+            .map(|k| (k, self.ns[k as usize], self.count[k as usize]))
+    }
+
+    /// Charged nanoseconds across all kinds.
+    pub fn total(&self) -> u64 {
+        self.ns.iter().sum()
+    }
+
+    /// Per-stage `(stage, ns, spans)` rollup in [`Stage::ALL`] order,
+    /// stages with zero charge included. The stage sums tile the kind
+    /// sums by construction.
+    pub fn by_stage(&self) -> [(Stage, u64, u64); Stage::ALL.len()] {
+        let mut rows = Stage::ALL.map(|s| (s, 0, 0));
+        for (kind, ns, count) in self.rows() {
+            let row = &mut rows[kind.stage() as usize];
+            row.1 += ns;
+            row.2 += count;
+        }
+        rows
     }
 }
 
@@ -129,7 +272,7 @@ impl RequestId {
 /// One charged interval attributed to a request — the raw material of
 /// the critical-path profiler. Charged spans may overlap in virtual
 /// time (the secure DMA pipeline overlaps crypto and wire time), so the
-/// per-category sums can legitimately exceed the request's end-to-end
+/// per-kind sums can legitimately exceed the request's end-to-end
 /// latency; the longest *non-overlapping* chain is the principled
 /// service-time measure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,8 +281,8 @@ pub struct ChargedInterval {
     pub start_ns: u64,
     /// Duration, nanoseconds.
     pub dur_ns: u64,
-    /// Accounting category of the charge.
-    pub category: &'static str,
+    /// What the charge was spent on.
+    pub kind: EventKind,
 }
 
 impl ChargedInterval {
@@ -162,9 +305,8 @@ pub struct RequestRecord {
     pub start_ns: u64,
     /// Virtual-time completion, nanoseconds.
     pub end_ns: u64,
-    /// Per-category charged time: `(category, ns, count)` in
-    /// first-charge order.
-    pub by_category: Vec<(&'static str, u64, u64)>,
+    /// Charged time and span count per kind.
+    pub by_kind: Ledger,
     /// Every charged interval, in completion order.
     pub intervals: Vec<ChargedInterval>,
 }
@@ -175,32 +317,17 @@ impl RequestRecord {
         self.end_ns - self.start_ns
     }
 
-    /// Total charged nanoseconds across all categories (can exceed
+    /// Total charged nanoseconds across all kinds (can exceed
     /// [`RequestRecord::e2e_ns`] when charges overlap in time).
     pub fn charged_ns(&self) -> u64 {
-        self.by_category.iter().map(|(_, ns, _)| ns).sum()
+        self.by_kind.total()
     }
 
-    /// Per-stage rollup of the per-category ledger, in
-    /// [`Stage::ALL`] order (stages with zero charge included).
-    pub fn by_stage(&self) -> Vec<(Stage, u64, u64)> {
-        roll_up_stages(&self.by_category)
+    /// Per-stage rollup of the per-kind ledger, in [`Stage::ALL`] order
+    /// (stages with zero charge included).
+    pub fn by_stage(&self) -> [(Stage, u64, u64); Stage::ALL.len()] {
+        self.by_kind.by_stage()
     }
-}
-
-/// Rolls a `(category, ns, count)` ledger up into per-stage rows in
-/// [`Stage::ALL`] order. Total by construction: every category maps to
-/// exactly one stage, so the stage sums tile the category sums.
-pub fn roll_up_stages(by_category: &[(&'static str, u64, u64)]) -> Vec<(Stage, u64, u64)> {
-    let mut rows: Vec<(Stage, u64, u64)> =
-        Stage::ALL.iter().map(|s| (*s, 0u64, 0u64)).collect();
-    for (category, ns, count) in by_category {
-        let stage = Stage::of_category(category);
-        let row = rows.iter_mut().find(|(s, _, _)| *s == stage).unwrap();
-        row.1 += ns;
-        row.2 += count;
-    }
-    rows
 }
 
 /// The request currently open on a collector.
@@ -211,7 +338,7 @@ pub(crate) struct OpenRequest {
     pub(crate) name: String,
     pub(crate) start_ns: u64,
     pub(crate) scope: crate::span::SpanId,
-    pub(crate) by_category: Vec<(&'static str, u64, u64)>,
+    pub(crate) by_kind: Ledger,
     pub(crate) intervals: Vec<ChargedInterval>,
 }
 
@@ -223,33 +350,22 @@ pub(crate) struct AttrState {
     next_id: u64,
     pub(crate) current: Option<OpenRequest>,
     finished: Vec<RequestRecord>,
-    /// Charged time outside any request: `(category, ns, count)` in
-    /// first-charge order. Always maintained, so the reconciliation
-    /// invariant holds unconditionally.
-    unattributed: Vec<(&'static str, u64, u64)>,
-}
-
-fn accumulate(ledger: &mut Vec<(&'static str, u64, u64)>, category: &'static str, dur_ns: u64) {
-    match ledger.iter_mut().find(|(c, _, _)| *c == category) {
-        Some((_, total, count)) => {
-            *total += dur_ns;
-            *count += 1;
-        }
-        None => ledger.push((category, dur_ns, 1)),
-    }
+    /// Charged time outside any request. Always maintained, so the
+    /// reconciliation invariant holds unconditionally.
+    unattributed: Ledger,
 }
 
 impl AttrState {
-    /// Charges `dur_ns` of `category` to the open request (or the
+    /// Charges `dur_ns` of `kind` to the open request (or the
     /// unattributed ledger). Called from [`Obs::charged`] for every
     /// charged span.
-    pub(crate) fn on_charged(&mut self, start_ns: u64, dur_ns: u64, category: &'static str) {
+    pub(crate) fn on_charged(&mut self, start_ns: u64, dur_ns: u64, kind: EventKind) {
         match &mut self.current {
             Some(req) => {
-                accumulate(&mut req.by_category, category, dur_ns);
-                req.intervals.push(ChargedInterval { start_ns, dur_ns, category });
+                req.by_kind.add(kind, dur_ns);
+                req.intervals.push(ChargedInterval { start_ns, dur_ns, kind });
             }
-            None => accumulate(&mut self.unattributed, category, dur_ns),
+            None => self.unattributed.add(kind, dur_ns),
         }
     }
 
@@ -272,18 +388,23 @@ impl AttrState {
             name: req.name,
             start_ns: req.start_ns,
             end_ns: end_ns.max(req.start_ns),
-            by_category: req.by_category,
+            by_kind: req.by_kind,
             intervals: req.intervals,
         });
         Some(scope)
     }
 
-    pub(crate) fn finished(&self) -> &[RequestRecord] {
-        &self.finished
-    }
-
-    pub(crate) fn unattributed(&self) -> &[(&'static str, u64, u64)] {
-        &self.unattributed
+    /// Everything charged so far: unattributed, finished and open
+    /// requests folded into one ledger.
+    fn attributed(&self) -> Ledger {
+        let mut all = self.unattributed;
+        for rec in &self.finished {
+            all.merge(&rec.by_kind);
+        }
+        if let Some(open) = &self.current {
+            all.merge(&open.by_kind);
+        }
+        all
     }
 
     /// Clears requests and ledgers, keeping the enabled flag (mirrors
@@ -292,7 +413,7 @@ impl AttrState {
         self.next_id = 0;
         self.current = None;
         self.finished.clear();
-        self.unattributed.clear();
+        self.unattributed = Ledger::default();
     }
 }
 
@@ -333,7 +454,7 @@ impl Obs {
                 name: name.to_string(),
                 start_ns: now_ns,
                 scope,
-                by_category: Vec::new(),
+                by_kind: Ledger::default(),
                 intervals: Vec::new(),
             });
         });
@@ -357,65 +478,27 @@ impl Obs {
 
     /// All completed requests, in completion order.
     pub fn requests(&self) -> Vec<RequestRecord> {
-        self.with_inner(|inner| inner.attr.finished().to_vec())
+        self.with_inner(|inner| inner.attr.finished.clone())
     }
 
-    /// Charged time that fell outside any request, per category:
-    /// `(category, ns, count)` in first-charge order.
-    pub fn unattributed_totals(&self) -> Vec<(&'static str, u64, u64)> {
-        self.with_inner(|inner| inner.attr.unattributed().to_vec())
+    /// Charged time that fell outside any request.
+    pub fn unattributed_totals(&self) -> Ledger {
+        self.with_inner(|inner| inner.attr.unattributed)
     }
 
-    /// Verifies the reconciliation invariant: for every category,
-    /// attributed (finished + open request) + unattributed charged time
-    /// and span counts equal the legacy per-category totals **exactly**
-    /// (±0). Returns a diagnostic on the first drift found.
+    /// Verifies the reconciliation invariant: for every kind, attributed
+    /// (finished + open request) + unattributed charged time and span
+    /// counts equal the collector's totals **exactly** (±0). Returns a
+    /// diagnostic on the first drift found.
     pub fn check_attribution(&self) -> Result<(), String> {
-        let (mut ledger, totals) = self.with_inner(|inner| {
-            // Fold all three ledgers (unattributed, finished, open).
-            let mut ledger: Vec<(&'static str, u64, u64)> = Vec::new();
-            let mut fold = |rows: &[(&'static str, u64, u64)]| {
-                for (c, ns, n) in rows {
-                    match ledger.iter_mut().find(|(lc, _, _)| lc == c) {
-                        Some((_, t, k)) => {
-                            *t += ns;
-                            *k += n;
-                        }
-                        None => ledger.push((c, *ns, *n)),
-                    }
-                }
-            };
-            fold(inner.attr.unattributed());
-            for rec in inner.attr.finished() {
-                fold(&rec.by_category);
-            }
-            if let Some(open) = &inner.attr.current {
-                fold(&open.by_category);
-            }
-            drop(fold);
-            (ledger, inner.totals.clone())
-        });
-        ledger.sort_by_key(|r| r.0);
-        let mut expect = totals;
-        expect.sort_by_key(|r| r.0);
-        for (category, ns, count) in &expect {
-            let (got_ns, got_count) = ledger
-                .iter()
-                .find(|(c, _, _)| c == category)
-                .map(|(_, t, k)| (*t, *k))
-                .unwrap_or((0, 0));
-            if got_ns != *ns || got_count != *count {
+        let (attributed, totals) = self.with_inner(|inner| (inner.attr.attributed(), inner.totals));
+        for kind in EventKind::ALL {
+            let (got_ns, got_count) = attributed.get(kind);
+            let (ns, count) = totals.get(kind);
+            if (got_ns, got_count) != (ns, count) {
                 return Err(format!(
-                    "attribution drift for {category}: attributed+unattributed \
+                    "attribution drift for {kind}: attributed+unattributed \
                      {got_ns} ns / {got_count} spans vs total {ns} ns / {count} spans"
-                ));
-            }
-        }
-        for (category, ns, count) in &ledger {
-            if !expect.iter().any(|(c, _, _)| c == category) {
-                return Err(format!(
-                    "attribution ledger has {category} ({ns} ns / {count} spans) \
-                     but the category totals never saw it"
                 ));
             }
         }
@@ -513,35 +596,42 @@ pub fn slo_table(records: &[RequestRecord]) -> Vec<SloRow> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use EventKind::*;
 
     fn rec(tenant: u64, start: u64, end: u64) -> RequestRecord {
+        let mut by_kind = Ledger::default();
+        by_kind.add(Dma, end - start);
         RequestRecord {
             id: 1,
             tenant,
             name: "op".into(),
             start_ns: start,
             end_ns: end,
-            by_category: vec![("dma", end - start, 1)],
-            intervals: vec![ChargedInterval {
-                start_ns: start,
-                dur_ns: end - start,
-                category: "dma",
-            }],
+            by_kind,
+            intervals: vec![ChargedInterval { start_ns: start, dur_ns: end - start, kind: Dma }],
         }
     }
 
     #[test]
-    fn stage_mapping_is_total_over_event_kinds() {
-        // The 13 trace categories all land on a stage, and the stage
-        // names are distinct (they become JSON keys).
-        let cats = [
-            "mmio", "dma", "enclave-crypto", "gpu-crypto", "kernel", "ctx-switch",
-            "ipc", "init", "attestation", "security", "gpu-mem", "fault", "other",
-        ];
-        for c in cats {
-            let stage = Stage::of_category(c);
-            assert!(Stage::ALL.contains(&stage), "{c}");
+    fn kinds_and_stages_are_indexed_by_discriminant() {
+        // A kind's discriminant is its ledger row and a stage's is its
+        // rollup row and exported `stage` value; kind names are the
+        // snapshot keys, stage names JSON keys, so both must be distinct.
+        for (i, k) in EventKind::ALL.iter().enumerate() {
+            assert_eq!(*k as usize, i, "{k:?}");
+            assert_eq!(format!("{k:>16}"), format!("{:>16}", k.as_str()));
         }
+        for (i, s) in Stage::ALL.iter().enumerate() {
+            assert_eq!(*s as usize, i, "{s:?}");
+        }
+        let mut names: Vec<&str> = EventKind::ALL.iter().map(|k| k.as_str()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), EventKind::ALL.len());
+    }
+
+    #[test]
+    fn stage_names_are_distinct() {
         let mut names: Vec<&str> = Stage::ALL.iter().map(|s| s.as_str()).collect();
         names.sort_unstable();
         names.dedup();
@@ -550,27 +640,31 @@ mod tests {
 
     #[test]
     fn stage_rollup_tiles_categories() {
-        let ledger = vec![("dma", 100u64, 2u64), ("ipc", 30, 3), ("mmio", 7, 1)];
-        let stages = roll_up_stages(&ledger);
+        let mut ledger = Ledger::default();
+        ledger.add(Dma, 60);
+        ledger.add(Dma, 40);
+        for _ in 0..3 {
+            ledger.add(Ipc, 10);
+        }
+        ledger.add(Mmio, 7);
+        let stages = ledger.by_stage();
         let total: u64 = stages.iter().map(|(_, ns, _)| ns).sum();
         assert_eq!(total, 137);
-        let channel = stages
-            .iter()
-            .find(|(s, _, _)| *s == Stage::Channel)
-            .unwrap();
-        assert_eq!((channel.1, channel.2), (37, 4), "ipc+mmio fold into channel");
+        assert_eq!(total, ledger.total());
+        let channel = stages[Stage::Channel as usize];
+        assert_eq!(channel, (Stage::Channel, 37, 4), "ipc+mmio fold into channel");
     }
 
     #[test]
     fn requests_attribute_and_reconcile() {
         let obs = Obs::new();
         obs.set_attributing(true);
-        obs.charged(0, 5, "init", "boot", &[]); // before any request
+        obs.charged(0, 5, Init, "boot", &[]); // before any request
         let id = obs.begin_request(10, 3, "memcpy_htod").expect("opens");
-        obs.charged(10, 20, "enclave-crypto", "seal", &[]);
-        obs.charged(25, 30, "dma", "HtoD", &[]);
+        obs.charged(10, 20, EnclaveCrypto, "seal", &[]);
+        obs.charged(25, 30, Dma, "HtoD", &[]);
         obs.end_request(id, 60);
-        obs.charged(60, 2, "ipc", "teardown", &[]);
+        obs.charged(60, 2, Ipc, "teardown", &[]);
 
         let reqs = obs.requests();
         assert_eq!(reqs.len(), 1);
@@ -580,8 +674,8 @@ mod tests {
         assert_eq!(r.charged_ns(), 50);
         assert_eq!(r.intervals.len(), 2);
         assert_eq!(
-            obs.unattributed_totals(),
-            vec![("init", 5, 1), ("ipc", 2, 1)]
+            obs.unattributed_totals().rows().collect::<Vec<_>>(),
+            vec![(Ipc, 2, 1), (Init, 5, 1)]
         );
         obs.check_attribution().expect("±0 reconciliation");
     }
@@ -592,20 +686,20 @@ mod tests {
         obs.set_attributing(true);
         let outer = obs.begin_request(0, 1, "resume").expect("opens");
         assert!(obs.begin_request(1, 1, "sync").is_none(), "inner rolls up");
-        obs.charged(2, 10, "kernel", "mul", &[]);
+        obs.charged(2, 10, Kernel, "mul", &[]);
         obs.end_request(outer, 20);
         let reqs = obs.requests();
         assert_eq!(reqs.len(), 1);
         assert_eq!(reqs[0].name, "resume");
-        assert_eq!(reqs[0].by_category, vec![("kernel", 10, 1)]);
+        assert_eq!(reqs[0].by_kind.rows().collect::<Vec<_>>(), vec![(Kernel, 10, 1)]);
     }
 
     #[test]
     fn disabled_attribution_accumulates_unattributed() {
         let obs = Obs::new();
         assert!(obs.begin_request(0, 1, "x").is_none(), "off by default");
-        obs.charged(0, 9, "dma", "d", &[]);
-        assert_eq!(obs.unattributed_totals(), vec![("dma", 9, 1)]);
+        obs.charged(0, 9, Dma, "d", &[]);
+        assert_eq!(obs.unattributed_totals().rows().collect::<Vec<_>>(), vec![(Dma, 9, 1)]);
         obs.check_attribution().expect("invariant holds while disabled");
     }
 
@@ -629,9 +723,9 @@ mod tests {
         obs.set_recording(true);
         obs.set_attributing(true);
         let id = obs.begin_request(0, 7, "launch").unwrap();
-        obs.charged(1, 4, "kernel", "mul", &[("grid", 8)]);
+        obs.charged(1, 4, Kernel, "mul", &[("grid", 8)]);
         obs.end_request(id, 10);
-        obs.charged(10, 2, "ipc", "outside", &[]);
+        obs.charged(10, 2, Ipc, "outside", &[]);
         let spans = obs.spans();
         assert_eq!(spans.len(), 3);
         assert_eq!(spans[0].category, "request");
@@ -651,11 +745,11 @@ mod tests {
         let obs = Obs::new();
         obs.set_attributing(true);
         let id = obs.begin_request(0, 1, "x").unwrap();
-        obs.charged(0, 3, "dma", "d", &[]);
+        obs.charged(0, 3, Dma, "d", &[]);
         obs.end_request(id, 4);
         obs.clear();
         assert!(obs.requests().is_empty());
-        assert!(obs.unattributed_totals().is_empty());
+        assert_eq!(obs.unattributed_totals(), Ledger::default());
         assert!(obs.attributing(), "clear keeps the attributing flag");
         obs.check_attribution().expect("empty ledgers reconcile");
     }
@@ -665,8 +759,9 @@ mod tests {
         // Tenant 1: two requests fully charged (no queue). Tenant 2:
         // one request with half its wall time uncharged (queue).
         let mut r3 = rec(2, 0, 100);
-        r3.by_category = vec![("dma", 50, 1)];
-        r3.intervals = vec![ChargedInterval { start_ns: 0, dur_ns: 50, category: "dma" }];
+        r3.by_kind = Ledger::default();
+        r3.by_kind.add(Dma, 50);
+        r3.intervals = vec![ChargedInterval { start_ns: 0, dur_ns: 50, kind: Dma }];
         let records = vec![rec(1, 0, 10), rec(1, 10, 30), r3];
         let table = slo_table(&records);
         assert_eq!(table.len(), 2);

@@ -31,7 +31,7 @@ fn clamped(rec: &RequestRecord) -> Vec<ChargedInterval> {
             (end > start).then_some(ChargedInterval {
                 start_ns: start,
                 dur_ns: end - start,
-                category: iv.category,
+                kind: iv.kind,
             })
         })
         .collect()
@@ -96,15 +96,13 @@ fn frame(name: &str) -> String {
 ///
 /// Structural spans contribute path frames; charged spans contribute
 /// their duration as the leaf weight, with the leaf frame spelled
-/// `category:name` so pipeline stages stay distinguishable in the
-/// graph. Total weight equals total charged nanoseconds.
+/// `kind:name` so pipeline stages stay distinguishable in the graph.
+/// Total weight equals total charged nanoseconds.
 pub fn folded_stacks(spans: &[Span], root: &str) -> String {
     let mut weights: BTreeMap<String, u64> = BTreeMap::new();
     for span in spans {
-        if !span.charged {
-            continue;
-        }
-        let mut path = vec![format!("{}:{}", frame(span.category), frame(&span.name))];
+        let Some(kind) = span.kind else { continue };
+        let mut path = vec![format!("{kind}:{}", frame(&span.name))];
         let mut parent = span.parent;
         while let Some(idx) = parent {
             let p = &spans[idx as usize];
@@ -128,19 +126,20 @@ pub fn folded_stacks(spans: &[Span], root: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Obs;
+    use crate::{EventKind, Ledger, Obs};
+    use EventKind::*;
 
-    fn rec_with(intervals: Vec<(u64, u64, &'static str)>, start: u64, end: u64) -> RequestRecord {
+    fn rec_with(intervals: Vec<(u64, u64, EventKind)>, start: u64, end: u64) -> RequestRecord {
         RequestRecord {
             id: 1,
             tenant: 1,
             name: "op".into(),
             start_ns: start,
             end_ns: end,
-            by_category: Vec::new(),
+            by_kind: Ledger::default(),
             intervals: intervals
                 .into_iter()
-                .map(|(s, d, c)| ChargedInterval { start_ns: s, dur_ns: d, category: c })
+                .map(|(s, d, kind)| ChargedInterval { start_ns: s, dur_ns: d, kind })
                 .collect(),
         }
     }
@@ -154,7 +153,7 @@ mod tests {
 
     #[test]
     fn disjoint_chain_sums_everything() {
-        let rec = rec_with(vec![(0, 10, "a"), (10, 20, "b"), (40, 5, "c")], 0, 50);
+        let rec = rec_with(vec![(0, 10, Mmio), (10, 20, Dma), (40, 5, Kernel)], 0, 50);
         assert_eq!(critical_path_ns(&rec), 35);
         assert_eq!(critical_chain(&rec).len(), 3);
     }
@@ -163,11 +162,11 @@ mod tests {
     fn overlapping_intervals_pick_the_heavier_chain() {
         // [0,30) weight 30 overlaps both [0,10) and [10,25); the chain
         // 10+15=25 loses to the single 30.
-        let rec = rec_with(vec![(0, 10, "a"), (10, 15, "b"), (0, 30, "c")], 0, 40);
+        let rec = rec_with(vec![(0, 10, Mmio), (10, 15, Dma), (0, 30, Kernel)], 0, 40);
         assert_eq!(critical_path_ns(&rec), 30);
         let chain = critical_chain(&rec);
         assert_eq!(chain.len(), 1);
-        assert_eq!(chain[0].category, "c");
+        assert_eq!(chain[0].kind, Kernel);
     }
 
     #[test]
@@ -176,7 +175,7 @@ mod tests {
         // Charged sum 140 > e2e 100; critical path picks the best
         // non-overlapping chain: dma alone (80) beats crypto alone (60)
         // and they can't chain.
-        let rec = rec_with(vec![(0, 60, "enclave-crypto"), (20, 80, "dma")], 0, 100);
+        let rec = rec_with(vec![(0, 60, EnclaveCrypto), (20, 80, Dma)], 0, 100);
         assert_eq!(critical_path_ns(&rec), 80);
     }
 
@@ -184,7 +183,7 @@ mod tests {
     fn chain_is_bounded_by_e2e_even_with_stray_intervals() {
         // Intervals leaking past the window are clamped, so the path
         // can never exceed the request's end-to-end latency.
-        let rec = rec_with(vec![(0, 500, "a"), (90, 500, "b")], 100, 200);
+        let rec = rec_with(vec![(0, 500, Mmio), (90, 500, Dma)], 100, 200);
         let path = critical_path_ns(&rec);
         assert!(path <= rec.e2e_ns(), "{path} > {}", rec.e2e_ns());
         assert_eq!(path, 100, "one fully-clamped interval covers the window");
@@ -192,7 +191,7 @@ mod tests {
 
     #[test]
     fn tie_between_chains_is_deterministic() {
-        let rec = rec_with(vec![(0, 10, "a"), (0, 10, "b")], 0, 10);
+        let rec = rec_with(vec![(0, 10, Mmio), (0, 10, Dma)], 0, 10);
         let a = critical_chain(&rec);
         let b = critical_chain(&rec);
         assert_eq!(a, b);
@@ -204,9 +203,9 @@ mod tests {
         let obs = Obs::new();
         obs.set_recording(true);
         let scope = obs.enter(0, "session", "memcpy htod", &[]);
-        obs.charged(0, 30, "enclave-crypto", "seal stream", &[]);
-        obs.charged(30, 50, "dma", "HtoD", &[]);
-        obs.charged(80, 20, "dma", "HtoD", &[]);
+        obs.charged(0, 30, EnclaveCrypto, "seal stream", &[]);
+        obs.charged(30, 50, Dma, "HtoD", &[]);
+        obs.charged(80, 20, Dma, "HtoD", &[]);
         obs.exit(scope, 100);
         let folded = folded_stacks(&obs.spans(), "hix");
         let lines: Vec<&str> = folded.lines().collect();
@@ -231,8 +230,8 @@ mod tests {
         let build = || {
             let obs = Obs::new();
             obs.set_recording(true);
-            obs.charged(0, 5, "ipc", "send", &[]);
-            obs.charged(5, 7, "dma", "HtoD", &[]);
+            obs.charged(0, 5, Ipc, "send", &[]);
+            obs.charged(5, 7, Dma, "HtoD", &[]);
             folded_stacks(&obs.spans(), "p")
         };
         assert_eq!(build(), build());

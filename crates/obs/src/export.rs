@@ -4,6 +4,7 @@
 //! Everything here renders from integers in deterministic order, so two
 //! same-seed simulations export byte-identical artifacts.
 
+use crate::attr::EventKind;
 use crate::span::{Obs, Span};
 
 /// Escapes a string for a JSON string literal (labels are short ASCII,
@@ -32,17 +33,19 @@ fn ts_us(ns: u64) -> String {
 /// Every span becomes a `"ph":"X"` complete event on one thread track
 /// (the simulator is a single thread of execution), so Perfetto nests
 /// them by timestamps exactly as they nested at runtime. Charged spans
-/// carry `"charged":1` in `args`; numeric span attributes ride along
-/// unchanged.
+/// carry `"charged":1` and their kind's `"stage"` (the
+/// [`crate::Stage::ALL`] index) in `args`; numeric span attributes ride
+/// along unchanged.
 ///
 /// ```
-/// use hix_obs::{export::chrome_trace_json, Obs};
+/// use hix_obs::{export::chrome_trace_json, EventKind, Obs};
 /// let obs = Obs::new();
 /// obs.set_recording(true);
-/// obs.charged(1_500, 250, "dma", "HtoD", &[("bytes", 4096)]);
+/// obs.charged(1_500, 250, EventKind::Dma, "HtoD", &[("bytes", 4096)]);
 /// let json = chrome_trace_json(&obs.spans(), "hix");
 /// assert!(json.contains("\"cat\":\"dma\""));
 /// assert!(json.contains("\"ts\":1.500"));
+/// assert!(json.contains("\"charged\":1,\"stage\":4"));
 /// ```
 pub fn chrome_trace_json(spans: &[Span], process_name: &str) -> String {
     let mut out = String::from("{\"traceEvents\":[\n");
@@ -65,8 +68,8 @@ pub fn chrome_trace_json(spans: &[Span], process_name: &str) -> String {
         if let Some(parent) = span.parent {
             out.push_str(&format!(",\"parent\":{parent}"));
         }
-        if span.charged {
-            out.push_str(",\"charged\":1");
+        if let Some(kind) = span.kind {
+            out.push_str(&format!(",\"charged\":1,\"stage\":{}", kind.stage() as u64));
         }
         for (key, value) in &span.attrs {
             out.push_str(&format!(",\"{}\":{value}", json_escape(key)));
@@ -78,38 +81,38 @@ pub fn chrome_trace_json(spans: &[Span], process_name: &str) -> String {
 }
 
 /// One row of the secure-DMA-pipeline breakdown.
-const PIPELINE_PHASES: [(&str, &str); 3] = [
-    ("encrypt (enclave)", "enclave-crypto"),
-    ("copy (PCIe DMA)", "dma"),
-    ("decrypt (on-GPU)", "gpu-crypto"),
+const PIPELINE_PHASES: [(&str, EventKind); 3] = [
+    ("encrypt (enclave)", EventKind::EnclaveCrypto),
+    ("copy (PCIe DMA)", EventKind::Dma),
+    ("decrypt (on-GPU)", EventKind::GpuCrypto),
 ];
 
 /// Renders the per-phase breakdown table of the secure DMA pipeline
 /// (§4.4.2: seal in the enclave → DMA the sealed stream → decrypt on
-/// the GPU) from the collector's charged category totals.
+/// the GPU) from the collector's charged totals.
 pub fn phase_table(obs: &Obs) -> String {
-    let rows: Vec<(&str, u64, u64)> = PIPELINE_PHASES
-        .iter()
-        .map(|(phase, category)| {
-            (*phase, obs.category_ns(category), obs.category_count(category))
-        })
-        .collect();
-    let pipeline_total: u64 = rows.iter().map(|r| r.1).sum();
+    let totals = obs.totals();
+    let (pipeline_total, pipeline_spans) =
+        PIPELINE_PHASES.iter().fold((0, 0), |(ns, spans), &(_, kind)| {
+            let (kind_ns, kind_spans) = totals.get(kind);
+            (ns + kind_ns, spans + kind_spans)
+        });
     let mut out = String::from("== secure DMA pipeline breakdown ==\n");
     out.push_str(&format!(
         "{:<20} {:>14} {:>10} {:>8}\n",
         "phase", "time", "spans", "share"
     ));
-    for (phase, ns, count) in &rows {
+    for &(phase, kind) in &PIPELINE_PHASES {
+        let (ns, count) = totals.get(kind);
         let share = if pipeline_total == 0 {
             0.0
         } else {
-            *ns as f64 * 100.0 / pipeline_total as f64
+            ns as f64 * 100.0 / pipeline_total as f64
         };
         out.push_str(&format!(
             "{:<20} {:>14} {:>10} {:>7.1}%\n",
             phase,
-            crate::fmt_ns(*ns),
+            crate::fmt_ns(ns),
             count,
             share
         ));
@@ -118,7 +121,7 @@ pub fn phase_table(obs: &Obs) -> String {
         "{:<20} {:>14} {:>10} {:>8}\n",
         "pipeline total",
         crate::fmt_ns(pipeline_total),
-        rows.iter().map(|r| r.2).sum::<u64>(),
+        pipeline_spans,
         "100.0%"
     ));
     out
@@ -133,9 +136,9 @@ mod tests {
         let obs = Obs::new();
         obs.set_recording(true);
         let sp = obs.enter(0, "session", "memcpy_htod", &[("bytes", 4096)]);
-        obs.charged(0, 300, "enclave-crypto", "seal stream", &[("bytes", 4096)]);
-        obs.charged(300, 500, "dma", "HtoD", &[("bytes", 4096)]);
-        obs.charged(800, 200, "gpu-crypto", "launch", &[]);
+        obs.charged(0, 300, EventKind::EnclaveCrypto, "seal stream", &[("bytes", 4096)]);
+        obs.charged(300, 500, EventKind::Dma, "HtoD", &[("bytes", 4096)]);
+        obs.charged(800, 200, EventKind::GpuCrypto, "launch", &[]);
         obs.exit(sp, 1_000);
         obs
     }
@@ -154,8 +157,12 @@ mod tests {
         assert!(json.ends_with("\n]}\n"));
         assert!(json.contains("\"cat\":\"enclave-crypto\""));
         assert!(json.contains("\"bytes\":4096"));
-        assert!(json.contains("\"charged\":1"));
         assert!(json.contains("\"parent\":0"), "children link to scope: {json}");
+        // The three charged spans carry their kind's stage; the
+        // structural scope carries neither mark.
+        assert_eq!(json.matches("\"charged\":1,\"stage\":").count(), 3, "{json}");
+        assert_eq!(json.matches("\"stage\":").count(), 3, "{json}");
+        assert!(json.contains("\"charged\":1,\"stage\":2"), "crypto-cpu: {json}");
     }
 
     #[test]
@@ -169,7 +176,7 @@ mod tests {
     fn json_escapes_hostile_names() {
         let obs = Obs::new();
         obs.set_recording(true);
-        obs.charged(0, 1, "x", "quote\" slash\\ ctl\u{1}", &[]);
+        obs.charged(0, 1, EventKind::Other, "quote\" slash\\ ctl\u{1}", &[]);
         let json = chrome_trace_json(&obs.spans(), "p");
         assert!(json.contains("quote\\\" slash\\\\ ctl\\u0001"), "{json}");
     }

@@ -9,10 +9,11 @@
 //! Three pieces:
 //!
 //! * [`Obs`] — a span collector with two span flavors:
-//!   *charged* spans (a duration attributed to a category — these feed
-//!   the per-category accounting that `hix_sim::trace` exposes) and
-//!   *structural* spans (hierarchical enter/exit scopes that give the
-//!   Perfetto timeline its nesting without double-counting any time).
+//!   *charged* spans (a duration spent on an [`EventKind`] — these feed
+//!   the per-kind [`Ledger`] that `hix_sim::trace` exposes, and roll up
+//!   into serving [`Stage`]s) and *structural* spans (hierarchical
+//!   enter/exit scopes that give the Perfetto timeline its nesting
+//!   without double-counting any time).
 //! * [`Metrics`] — a registry of counters (typed by [`Counter`]), gauges,
 //!   and fixed-bucket histograms with a stable text [`Metrics::snapshot`].
 //! * [`export`] — Chrome trace-event JSON (loadable in Perfetto /
@@ -23,12 +24,13 @@
 //! timestamps here are raw `u64` nanoseconds of virtual time.
 //!
 //! ```
-//! use hix_obs::Obs;
+//! use hix_obs::{EventKind, Obs};
 //! let obs = Obs::new();
 //! obs.set_recording(true);
 //! let sp = obs.enter(0, "session", "memcpy", &[("bytes", 4096)]);
-//! obs.charged(10, 90, "dma", "HtoD", &[("bytes", 4096)]);
+//! obs.charged(10, 90, EventKind::Dma, "HtoD", &[("bytes", 4096)]);
 //! obs.exit(sp, 120);
+//! assert_eq!(obs.totals().get(EventKind::Dma), (90, 1));
 //! assert_eq!(obs.category_ns("dma"), 90);
 //! assert_eq!(obs.spans().len(), 2);
 //! ```
@@ -42,7 +44,7 @@ pub mod metrics;
 mod span;
 
 pub use attr::{
-    roll_up_stages, slo_table, ChargedInterval, RequestId, RequestRecord, SloRow, Stage,
+    slo_table, ChargedInterval, EventKind, Ledger, RequestId, RequestRecord, SloRow, Stage,
     SLO_TENANTS_MAX,
 };
 pub use critpath::{critical_chain, critical_path_ns, folded_stacks};

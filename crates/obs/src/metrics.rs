@@ -14,6 +14,8 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
+use crate::attr::EventKind;
+
 /// Defines [`Counter`] from one `Variant => "name"` table, kept in
 /// name order so the array index order is the snapshot order.
 macro_rules! counters {
@@ -248,9 +250,9 @@ struct MetricsInner {
     named: BTreeMap<String, u64>,
     gauges: BTreeMap<String, u64>,
     hists: BTreeMap<String, Hist>,
-    /// Per-span-category latency histograms, keyed by the category's
-    /// static name so the hot charge path never allocates.
-    span_latency: Vec<(&'static str, Hist)>,
+    /// Charged-span latency histograms, indexed by [`EventKind`]; `None`
+    /// until the kind's first charge.
+    span_latency: [Option<Hist>; EventKind::ALL.len()],
 }
 
 impl Default for MetricsInner {
@@ -260,7 +262,7 @@ impl Default for MetricsInner {
             named: BTreeMap::new(),
             gauges: BTreeMap::new(),
             hists: BTreeMap::new(),
-            span_latency: Vec::new(),
+            span_latency: Default::default(),
         }
     }
 }
@@ -363,34 +365,17 @@ impl Metrics {
         self.inner.borrow().hists.get(name).cloned()
     }
 
-    /// Records a charged-span duration into the per-category latency
-    /// histogram (`span.latency.<category>` in the snapshot). Static
-    /// category keys keep this allocation-free on the hot path.
-    pub(crate) fn observe_span_latency(&self, category: &'static str, dur_ns: u64) {
-        let mut inner = self.inner.borrow_mut();
-        match inner
-            .span_latency
-            .iter_mut()
-            .find(|(c, _)| *c == category)
-        {
-            Some((_, h)) => h.observe(dur_ns),
-            None => {
-                let mut h = Hist::new(&LATENCY_BOUNDS_NS);
-                h.observe(dur_ns);
-                inner.span_latency.push((category, h));
-            }
-        }
+    /// Records a charged-span duration into the kind's latency
+    /// histogram (`span.latency.<kind>` in the snapshot).
+    pub(crate) fn observe_span_latency(&self, kind: EventKind, dur_ns: u64) {
+        self.inner.borrow_mut().span_latency[kind as usize]
+            .get_or_insert_with(|| Hist::new(&LATENCY_BOUNDS_NS))
+            .observe(dur_ns);
     }
 
-    /// The latency histogram for a span category, if any span was
-    /// charged to it.
-    pub fn span_latency(&self, category: &str) -> Option<Hist> {
-        self.inner
-            .borrow()
-            .span_latency
-            .iter()
-            .find(|(c, _)| *c == category)
-            .map(|(_, h)| h.clone())
+    /// The latency histogram for a kind, if any span was charged to it.
+    pub fn span_latency(&self, kind: EventKind) -> Option<Hist> {
+        self.inner.borrow().span_latency[kind as usize].clone()
     }
 
     /// Renders the stable text snapshot: `counter`/`gauge`/`hist` lines,
@@ -418,8 +403,10 @@ impl Metrics {
             .iter()
             .map(|(n, h)| (n.clone(), h))
             .collect();
-        for (category, h) in &inner.span_latency {
-            hists.insert(format!("span.latency.{category}"), h);
+        for (kind, h) in EventKind::ALL.iter().zip(&inner.span_latency) {
+            if let Some(h) = h {
+                hists.insert(format!("span.latency.{kind}"), h);
+            }
         }
         for (name, h) in hists {
             out.push_str(&format!("hist {name} "));
@@ -436,7 +423,7 @@ impl Metrics {
         inner.named.clear();
         inner.gauges.clear();
         inner.hists.clear();
-        inner.span_latency.clear();
+        inner.span_latency = Default::default();
     }
 }
 
@@ -554,11 +541,11 @@ mod tests {
     #[test]
     fn span_latency_rides_in_the_snapshot() {
         let m = Metrics::new();
-        m.observe_span_latency("dma", 50_000);
+        m.observe_span_latency(EventKind::Dma, 50_000);
         let s = m.snapshot();
         assert!(s.contains("hist span.latency.dma count=1 sum=50000"), "{s}");
-        assert_eq!(m.span_latency("dma").unwrap().count(), 1);
-        assert!(m.span_latency("mmio").is_none());
+        assert_eq!(m.span_latency(EventKind::Dma).unwrap().count(), 1);
+        assert!(m.span_latency(EventKind::Mmio).is_none());
     }
 
     #[test]

@@ -1,9 +1,10 @@
-//! The span collector: charged spans for per-category time accounting,
+//! The span collector: charged spans for per-kind time accounting,
 //! structural spans for hierarchy.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use crate::attr::{EventKind, Ledger};
 use crate::metrics::Metrics;
 
 /// Sentinel for "this span was not recorded" (recording disabled at
@@ -22,8 +23,8 @@ pub struct SpanId(u32);
 pub struct Span {
     /// Index of the parent span in the collector, if any.
     pub parent: Option<u32>,
-    /// Category — the accounting bucket for charged spans, a grouping
-    /// label for structural ones. Always a static string so traces stay
+    /// Category: the kind's name for charged spans, a grouping label
+    /// for structural ones. Always a static string so traces stay
     /// allocation-light and deterministic.
     pub category: &'static str,
     /// Human-readable name.
@@ -32,8 +33,9 @@ pub struct Span {
     pub start_ns: u64,
     /// Virtual-time end, nanoseconds (`u64::MAX` while open).
     pub end_ns: u64,
-    /// Whether this span's duration counts toward its category total.
-    pub charged: bool,
+    /// What a charged span's duration was spent on; `None` for a
+    /// structural span, which charges nothing.
+    pub kind: Option<EventKind>,
     /// Numeric attributes (bytes moved, enclave id, BDF…).
     pub attrs: Vec<(&'static str, u64)>,
 }
@@ -62,10 +64,9 @@ pub(crate) struct ObsInner {
     /// execution — matches the simulator's determinism model).
     pub(crate) open: Vec<u32>,
     pub(crate) recording: bool,
-    /// Per-category charged totals: `(category, total_ns, count)` in
-    /// first-charge order. Always maintained, even when span recording
-    /// is off, so accounting stays cheap and exact.
-    pub(crate) totals: Vec<(&'static str, u64, u64)>,
+    /// Charged totals per kind. Always maintained, even when span
+    /// recording is off, so accounting stays cheap and exact.
+    pub(crate) totals: Ledger,
     /// Request-scoped attribution ledgers (see [`crate::attr`]).
     pub(crate) attr: crate::attr::AttrState,
 }
@@ -110,27 +111,21 @@ impl Obs {
     }
 
     /// Records a **charged** complete span: `dur_ns` of virtual time
-    /// attributed to `category`, parented under the innermost open
-    /// structural span. The category total and latency histogram are
-    /// always updated; the span itself is stored only while recording.
+    /// spent on `kind`, parented under the innermost open structural
+    /// span. The kind's total and latency histogram are always updated;
+    /// the span itself is stored only while recording.
     pub fn charged(
         &self,
         start_ns: u64,
         dur_ns: u64,
-        category: &'static str,
+        kind: EventKind,
         name: impl Into<String>,
         attrs: &[(&'static str, u64)],
     ) {
         let mut inner = self.inner.borrow_mut();
-        match inner.totals.iter_mut().find(|(c, _, _)| *c == category) {
-            Some((_, total, count)) => {
-                *total += dur_ns;
-                *count += 1;
-            }
-            None => inner.totals.push((category, dur_ns, 1)),
-        }
-        inner.attr.on_charged(start_ns, dur_ns, category);
-        self.metrics.observe_span_latency(category, dur_ns);
+        inner.totals.add(kind, dur_ns);
+        inner.attr.on_charged(start_ns, dur_ns, kind);
+        self.metrics.observe_span_latency(kind, dur_ns);
         if inner.recording {
             let parent = inner.open.last().copied();
             let mut attrs = attrs.to_vec();
@@ -139,18 +134,18 @@ impl Obs {
             }
             inner.spans.push(Span {
                 parent,
-                category,
+                category: kind.as_str(),
                 name: name.into(),
                 start_ns,
                 end_ns: start_ns + dur_ns,
-                charged: true,
+                kind: Some(kind),
                 attrs,
             });
         }
     }
 
     /// Opens a **structural** span: a hierarchy scope that shows up in
-    /// the exported timeline but never contributes to category totals
+    /// the exported timeline but never contributes to the totals
     /// (its children carry the charged time). Returns a handle for
     /// [`Obs::exit`]. A no-op handle is returned while recording is off.
     pub fn enter(
@@ -172,7 +167,7 @@ impl Obs {
             name: name.into(),
             start_ns: now_ns,
             end_ns: OPEN,
-            charged: false,
+            kind: None,
             attrs: attrs.to_vec(),
         });
         inner.open.push(idx);
@@ -221,46 +216,40 @@ impl Obs {
             .collect()
     }
 
-    /// Total charged nanoseconds for `category` (zero if never charged).
+    /// Total charged nanoseconds for the kind named `category` (zero if
+    /// never charged or not a kind's name).
     pub fn category_ns(&self, category: &str) -> u64 {
-        self.inner
-            .borrow()
-            .totals
-            .iter()
-            .find(|(c, _, _)| *c == category)
-            .map(|(_, t, _)| *t)
-            .unwrap_or(0)
+        self.category(category).0
     }
 
-    /// Number of charged spans for `category`.
+    /// Number of charged spans for the kind named `category`.
     pub fn category_count(&self, category: &str) -> u64 {
-        self.inner
-            .borrow()
-            .totals
-            .iter()
-            .find(|(c, _, _)| *c == category)
-            .map(|(_, _, c)| *c)
-            .unwrap_or(0)
+        self.category(category).1
     }
 
-    /// Charged totals as `(category, total_ns, count)`, in first-charge
-    /// order.
-    pub fn totals(&self) -> Vec<(&'static str, u64, u64)> {
-        self.inner.borrow().totals.clone()
+    /// `(ns, spans)` of the kind named `category`: the name is resolved
+    /// to a kind once, then read off the totals.
+    fn category(&self, category: &str) -> (u64, u64) {
+        EventKind::named(category).map_or((0, 0), |kind| self.inner.borrow().totals.get(kind))
     }
 
-    /// Renders the combined deterministic metrics snapshot: per-category
-    /// span accounting (sorted by category name) followed by the
-    /// registry ([`Metrics::snapshot`]). The `span.ns.<category>` lines
-    /// are the same accumulators behind [`Obs::category_ns`], so they
-    /// reconcile exactly (±0) with `hix_sim::trace` totals.
+    /// Charged totals per kind.
+    pub fn totals(&self) -> Ledger {
+        self.inner.borrow().totals
+    }
+
+    /// Renders the combined deterministic metrics snapshot: per-kind
+    /// span accounting for every kind charged at least once (sorted by
+    /// name) followed by the registry ([`Metrics::snapshot`]). The
+    /// `span.ns.<kind>` lines are the totals behind [`Obs::category_ns`],
+    /// so they reconcile exactly (±0) with `hix_sim::trace` totals.
     pub fn snapshot(&self) -> String {
-        let mut rows = self.totals();
-        rows.sort_by_key(|r| r.0);
+        let mut rows: Vec<_> = self.totals().rows().collect();
+        rows.sort_by_key(|(kind, _, _)| kind.as_str());
         let mut out = String::from("# spans\n");
-        for (category, total, count) in rows {
-            out.push_str(&format!("span.count.{category} {count}\n"));
-            out.push_str(&format!("span.ns.{category} {total}\n"));
+        for (kind, total, count) in rows {
+            out.push_str(&format!("span.count.{kind} {count}\n"));
+            out.push_str(&format!("span.ns.{kind} {total}\n"));
         }
         out.push_str("# metrics\n");
         out.push_str(&self.metrics.snapshot());
@@ -273,7 +262,7 @@ impl Obs {
         let mut inner = self.inner.borrow_mut();
         inner.spans.clear();
         inner.open.clear();
-        inner.totals.clear();
+        inner.totals = Ledger::default();
         inner.attr.clear();
         self.metrics.clear();
     }
@@ -282,17 +271,20 @@ impl Obs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use EventKind::*;
 
     #[test]
     fn totals_without_recording() {
         let obs = Obs::new();
-        obs.charged(0, 10, "mmio", "w", &[]);
-        obs.charged(10, 5, "mmio", "w", &[]);
-        obs.charged(15, 7, "dma", "d", &[]);
+        obs.charged(0, 10, Mmio, "w", &[]);
+        obs.charged(10, 5, Mmio, "w", &[]);
+        obs.charged(15, 7, Dma, "d", &[]);
         assert_eq!(obs.category_ns("mmio"), 15);
         assert_eq!(obs.category_count("mmio"), 2);
         assert_eq!(obs.category_ns("dma"), 7);
         assert_eq!(obs.category_ns("kernel"), 0);
+        assert_eq!(obs.category_ns("no-such-kind"), 0);
+        assert_eq!(obs.totals().get(Mmio), (15, 2));
         assert!(obs.spans().is_empty(), "recording off by default");
     }
 
@@ -301,14 +293,17 @@ mod tests {
         let obs = Obs::new();
         obs.set_recording(true);
         let outer = obs.enter(0, "session", "memcpy", &[("bytes", 64)]);
-        obs.charged(5, 20, "dma", "HtoD", &[]);
+        obs.charged(5, 20, Dma, "HtoD", &[]);
         let inner = obs.enter(25, "driver", "sync", &[]);
         obs.exit(inner, 30);
         obs.exit(outer, 40);
         let spans = obs.spans();
         assert_eq!(spans.len(), 3);
         assert_eq!(spans[0].name, "memcpy");
-        assert!(!spans[0].charged);
+        assert_eq!(spans[0].kind, None);
+        assert_eq!(spans[1].kind, Some(Dma));
+        assert_eq!(spans[1].category, "dma");
+        assert_eq!(spans[2].kind, None);
         assert_eq!(spans[0].dur_ns(), 40);
         assert_eq!(spans[1].parent, Some(0), "charged span nests under open scope");
         assert_eq!(spans[2].parent, Some(0));
@@ -334,7 +329,7 @@ mod tests {
         let obs = Obs::new();
         obs.set_recording(true);
         let _open = obs.enter(3, "a", "never exited", &[]);
-        obs.charged(5, 10, "dma", "d", &[]);
+        obs.charged(5, 10, Dma, "d", &[]);
         let spans = obs.spans();
         assert_eq!(spans[0].end_ns, 15, "closed at latest end seen");
     }
@@ -350,13 +345,15 @@ mod tests {
     #[test]
     fn snapshot_is_sorted_and_reconciles() {
         let obs = Obs::new();
-        obs.charged(0, 9, "zeta", "z", &[]);
-        obs.charged(0, 4, "alpha", "a", &[]);
+        // Declared Mmio before Dma; listed by name, dma before mmio.
+        obs.charged(0, 9, Mmio, "m", &[]);
+        obs.charged(0, 4, Dma, "d", &[]);
         obs.metrics().inc(crate::Counter::IpcMsgs);
         let snap = obs.snapshot();
-        let a = snap.find("span.ns.alpha 4").expect("alpha line");
-        let z = snap.find("span.ns.zeta 9").expect("zeta line");
-        assert!(a < z, "sorted by category: {snap}");
+        let d = snap.find("span.ns.dma 4").expect("dma line");
+        let m = snap.find("span.ns.mmio 9").expect("mmio line");
+        assert!(d < m, "sorted by name: {snap}");
+        assert!(!snap.contains("span.ns.kernel"), "uncharged kinds are not listed: {snap}");
         assert!(snap.contains("counter ipc.msgs 1"), "{snap}");
     }
 
@@ -364,7 +361,7 @@ mod tests {
     fn clear_resets_everything() {
         let obs = Obs::new();
         obs.set_recording(true);
-        obs.charged(0, 5, "dma", "d", &[]);
+        obs.charged(0, 5, Dma, "d", &[]);
         obs.metrics().inc(crate::Counter::IpcMsgs);
         obs.clear();
         assert_eq!(obs.category_ns("dma"), 0);
@@ -377,7 +374,7 @@ mod tests {
     fn shared_between_clones() {
         let a = Obs::new();
         let b = a.clone();
-        a.charged(0, 4, "init", "i", &[]);
+        a.charged(0, 4, Init, "i", &[]);
         assert_eq!(b.category_ns("init"), 4);
     }
 }

@@ -38,4 +38,4 @@ pub use hix_obs::{Counter, Stage, COUNT_BOUNDS, LATENCY_BOUNDS_NS};
 pub use fault::{Backoff, Dir, FaultConfig, FaultPlan, MsgFault, ReplayWindow, Resequencer, SeqCheck};
 pub use payload::Payload;
 pub use time::{Clock, Nanos};
-pub use trace::{Event, EventKind, Trace};
+pub use trace::{EventKind, Trace};

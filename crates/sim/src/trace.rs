@@ -1,123 +1,22 @@
-//! Event tracing for debugging and per-category time accounting.
+//! Event tracing for debugging and per-kind time accounting.
 //!
-//! Since the observability refactor this module is a thin,
-//! API-compatible facade over [`hix_obs`]: every [`Trace::emit`] becomes
-//! a *charged* span in the underlying [`Obs`] collector (feeding both
-//! the legacy per-category totals and the per-category latency
+//! This module is a thin facade over [`hix_obs`]: every [`Trace::emit`]
+//! becomes a *charged* span of its [`EventKind`] in the underlying
+//! [`Obs`] collector (feeding the per-kind totals and latency
 //! histograms), and the collector additionally carries *structural*
 //! spans and a metrics registry that instrumented subsystems use
-//! directly. Reach them through [`Trace::obs`] and [`Trace::metrics`].
-
-use std::fmt;
+//! directly. Reach them through [`Trace::obs`] and [`Trace::metrics`];
+//! recorded spans, charged and structural, are [`Obs::spans`].
 
 use hix_obs::{Metrics, Obs};
 
 use crate::time::Nanos;
 
-/// Category of a traced event, used for accounting (e.g. "how much of the
-/// execution went to enclave crypto vs PCIe transfer").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum EventKind {
-    /// MMIO register access through the trusted or untrusted path.
-    Mmio,
-    /// Bulk DMA transfer over PCIe.
-    Dma,
-    /// Cryptographic work in a CPU enclave.
-    EnclaveCrypto,
-    /// Cryptographic kernel executing on the GPU.
-    GpuCrypto,
-    /// Application GPU kernel execution.
-    Kernel,
-    /// GPU context switch.
-    CtxSwitch,
-    /// Inter-enclave IPC (message queue + shared memory).
-    Ipc,
-    /// Task/session initialization.
-    Init,
-    /// Attestation and key agreement.
-    Attestation,
-    /// Security-relevant control event (lockdown engaged, access denied…).
-    Security,
-    /// On-device memory operations (scrub, memset, device-to-device copy).
-    GpuMem,
-    /// Device fault/error reporting (GPU error register raised).
-    Fault,
-    /// Anything else.
-    Other,
-}
-
-impl EventKind {
-    /// Every kind, in declaration order.
-    pub const ALL: [EventKind; 13] = [
-        EventKind::Mmio,
-        EventKind::Dma,
-        EventKind::EnclaveCrypto,
-        EventKind::GpuCrypto,
-        EventKind::Kernel,
-        EventKind::CtxSwitch,
-        EventKind::Ipc,
-        EventKind::Init,
-        EventKind::Attestation,
-        EventKind::Security,
-        EventKind::GpuMem,
-        EventKind::Fault,
-        EventKind::Other,
-    ];
-
-    /// The stable category name used as the span category in `hix-obs`
-    /// (and therefore in exported traces and metric names).
-    pub const fn as_str(self) -> &'static str {
-        match self {
-            EventKind::Mmio => "mmio",
-            EventKind::Dma => "dma",
-            EventKind::EnclaveCrypto => "enclave-crypto",
-            EventKind::GpuCrypto => "gpu-crypto",
-            EventKind::Kernel => "kernel",
-            EventKind::CtxSwitch => "ctx-switch",
-            EventKind::Ipc => "ipc",
-            EventKind::Init => "init",
-            EventKind::Attestation => "attestation",
-            EventKind::Security => "security",
-            EventKind::GpuMem => "gpu-mem",
-            EventKind::Fault => "fault",
-            EventKind::Other => "other",
-        }
-    }
-
-    /// Inverse of [`EventKind::as_str`].
-    pub fn from_category(category: &str) -> Option<EventKind> {
-        EventKind::ALL.into_iter().find(|k| k.as_str() == category)
-    }
-
-    /// The pipeline stage this kind's charges roll up into in
-    /// per-request attribution reports (see [`hix_obs::attr::Stage`]).
-    pub fn stage(self) -> hix_obs::Stage {
-        hix_obs::Stage::of_category(self.as_str())
-    }
-}
-
-impl fmt::Display for EventKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// One traced event.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Event {
-    /// Virtual time at which the event completed.
-    pub at: Nanos,
-    /// Duration charged for the event.
-    pub duration: Nanos,
-    /// Category.
-    pub kind: EventKind,
-    /// Human-readable detail (kept short; interned labels preferred).
-    pub label: String,
-}
+pub use hix_obs::EventKind;
 
 /// A shared, cheaply clonable event trace.
 ///
-/// Recording of full events is off by default (accounting totals are always
+/// Recording of spans is off by default (accounting totals are always
 /// kept); enable with [`Trace::set_recording`] when debugging.
 ///
 /// ```
@@ -148,7 +47,7 @@ impl Trace {
         self.obs.metrics()
     }
 
-    /// Enables or disables full event recording.
+    /// Enables or disables span recording.
     pub fn set_recording(&self, on: bool) {
         self.obs.set_recording(on);
     }
@@ -170,35 +69,17 @@ impl Trace {
     ) {
         // `at` is the completion time; the span starts `duration` earlier.
         let start = at.as_nanos().saturating_sub(duration.as_nanos());
-        self.obs
-            .charged(start, duration.as_nanos(), kind.as_str(), label, attrs);
+        self.obs.charged(start, duration.as_nanos(), kind, label, attrs);
     }
 
     /// Total time charged to `kind` so far.
     pub fn total(&self, kind: EventKind) -> Nanos {
-        Nanos::from_nanos(self.obs.category_ns(kind.as_str()))
+        Nanos::from_nanos(self.obs.totals().get(kind).0)
     }
 
     /// Number of events charged to `kind` so far.
     pub fn count(&self, kind: EventKind) -> u64 {
-        self.obs.category_count(kind.as_str())
-    }
-
-    /// Snapshot of recorded events (empty unless recording was enabled).
-    /// Structural spans recorded by instrumentation are not events and
-    /// are skipped; see [`Trace::obs`] for the full span view.
-    pub fn events(&self) -> Vec<Event> {
-        self.obs
-            .spans()
-            .into_iter()
-            .filter(|s| s.charged)
-            .map(|s| Event {
-                at: Nanos::from_nanos(s.end_ns),
-                duration: Nanos::from_nanos(s.dur_ns()),
-                kind: EventKind::from_category(s.category).unwrap_or(EventKind::Other),
-                label: s.name,
-            })
-            .collect()
+        self.obs.totals().get(kind).1
     }
 
     /// Clears events, totals, structural spans, and metrics.
@@ -208,12 +89,12 @@ impl Trace {
 
     /// Renders an accounting summary sorted by descending total time.
     pub fn summary(&self) -> String {
-        let mut rows = self.obs.totals();
+        let mut rows: Vec<_> = self.obs.totals().rows().collect();
         rows.sort_by_key(|r| std::cmp::Reverse(r.1));
         let mut out = String::new();
-        for (category, total, count) in rows {
+        for (kind, total, count) in rows {
             out.push_str(&format!(
-                "{category:>16}: {} ({count} events)\n",
+                "{kind:>16}: {} ({count} events)\n",
                 Nanos::from_nanos(total)
             ));
         }
@@ -235,7 +116,7 @@ mod tests {
         assert_eq!(t.count(EventKind::Mmio), 2);
         assert_eq!(t.total(EventKind::Dma).as_nanos(), 7);
         assert_eq!(t.total(EventKind::Kernel), Nanos::ZERO);
-        assert!(t.events().is_empty(), "recording is off by default");
+        assert!(t.obs().spans().is_empty(), "recording is off by default");
     }
 
     #[test]
@@ -243,12 +124,12 @@ mod tests {
         let t = Trace::new();
         t.set_recording(true);
         t.emit(Nanos::from_nanos(3), Nanos::from_nanos(2), EventKind::Ipc, "req");
-        let evs = t.events();
-        assert_eq!(evs.len(), 1);
-        assert_eq!(evs[0].label, "req");
-        assert_eq!(evs[0].kind, EventKind::Ipc);
-        assert_eq!(evs[0].at.as_nanos(), 3, "completion time preserved");
-        assert_eq!(evs[0].duration.as_nanos(), 2);
+        let spans = t.obs().spans();
+        assert_eq!(spans.len(), 1);
+        assert_eq!(spans[0].name, "req");
+        assert_eq!(spans[0].kind, Some(EventKind::Ipc));
+        assert_eq!(spans[0].end_ns, 3, "completion time preserved");
+        assert_eq!(spans[0].dur_ns(), 2);
     }
 
     #[test]
@@ -280,30 +161,10 @@ mod tests {
     }
 
     #[test]
-    fn category_names_roundtrip() {
-        for kind in EventKind::ALL {
-            assert_eq!(EventKind::from_category(kind.as_str()), Some(kind));
-            assert_eq!(kind.to_string(), kind.as_str());
-        }
-        assert_eq!(EventKind::from_category("no-such-kind"), None);
-    }
-
-    #[test]
-    fn events_skip_structural_spans() {
-        let t = Trace::new();
-        t.set_recording(true);
-        let sp = t.obs().enter(0, "session", "scope", &[]);
-        t.emit(Nanos::from_nanos(5), Nanos::from_nanos(5), EventKind::Dma, "d");
-        t.obs().exit(sp, 9);
-        assert_eq!(t.events().len(), 1, "only the charged span is an event");
-        assert_eq!(t.obs().spans().len(), 2);
-    }
-
-    #[test]
     fn emit_feeds_latency_histogram_and_snapshot() {
         let t = Trace::new();
         t.emit(Nanos::from_micros(2), Nanos::from_micros(2), EventKind::Dma, "d");
-        let h = t.metrics().span_latency("dma").expect("histogram exists");
+        let h = t.metrics().span_latency(EventKind::Dma).expect("histogram exists");
         assert_eq!(h.count(), 1);
         assert_eq!(h.sum(), 2_000);
         let snap = t.obs().snapshot();

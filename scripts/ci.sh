@@ -28,13 +28,28 @@ cargo test -q --offline
 # mirror check (every DtoH byte) and replays the first pass on a second
 # same-seed set-up; either failure makes the result line report
 # "correct": false or a nonzero "failed" count.
+#
+# Each run must also print its pinned seed-501 virt_digest. The digest
+# hashes pass 0's virtual figures, its counters and the full
+# Obs::snapshot() (the span.* accounting lines included), so any drift
+# in virtual time, a count or the snapshot text fails here. A change
+# that moves virtual time on purpose updates these pins in the same
+# commit.
 cargo build --release --offline --manifest-path hixbench/Cargo.toml
 cargo test --release --offline --manifest-path hixbench/Cargo.toml
-for workload in bulk-transfer small-ops session-churn multiuser-model; do
-    result=$(cargo run -q --release --offline --manifest-path hixbench/Cargo.toml -- \
-        --workload "$workload" --seconds 0 --seed 501 --trace 0 | tail -n 1)
+for pin in bulk-transfer:a1cb90fb7caee6d2 small-ops:b9246915869affbe \
+    session-churn:49c90cde7675d613 multiuser-model:801b7e69c487b744; do
+    workload=${pin%%:*}
+    output=$(cargo run -q --release --offline --manifest-path hixbench/Cargo.toml -- \
+        --workload "$workload" --seconds 0 --seed 501 --trace 0)
+    result=$(tail -n 1 <<<"$output")
     if ! grep -q '^{"correct": true, "attempted": [0-9]*, "failed": 0,' <<<"$result"; then
         echo "error: hixbench $workload failed its checks: $result" >&2
+        exit 1
+    fi
+    if ! grep -qx "virt_digest=${pin#*:}" <<<"$output"; then
+        echo "error: hixbench $workload virt_digest moved (want ${pin#*:}):" >&2
+        grep '^virt_digest=' <<<"$output" >&2 || true
         exit 1
     fi
 done
@@ -103,8 +118,9 @@ cargo bench --offline --bench crypto -- --check "$PWD/BENCH_crypto.json"
 # unnoticed.
 cargo bench --offline --bench simulator
 
-# Table 2 re-runs the attack-scenario suite and the per-crate TCB LoC
-# accounting (non-fatal here: the test suite above already gates it).
-cargo run -q --release --offline -p hix-bench --bin table2_tcb 2>/dev/null || true
+# Table 2 re-runs the attack-scenario suite and prints the per-crate
+# LoC accounting. It exits non-zero if a defense fails or a workspace
+# crate is missing from its breakdown.
+cargo run -q --release --offline -p hix-bench --bin table2_tcb
 
 echo "tier-1 verify: OK"

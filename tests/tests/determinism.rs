@@ -25,16 +25,13 @@ fn rig() -> Machine {
     m
 }
 
-/// Renders everything observable about one machine run: the full event
-/// trace (every event's completion time, duration, kind, and label),
-/// the per-category accounting summary, the final virtual clock, and
-/// the exported observability artifacts (Perfetto JSON + metrics
-/// snapshot) — the exports themselves must be bit-for-bit reproducible.
+/// Renders everything observable about one machine run: the final
+/// virtual clock, the per-kind accounting summary, and the exported
+/// observability artifacts — every recorded span, charged and
+/// structural, through the Perfetto JSON, plus the metrics snapshot.
+/// The exports themselves must be bit-for-bit reproducible.
 fn render(m: &Machine, tag: &str, out: &mut String) {
     writeln!(out, "=== {tag} @ {}", m.clock().now()).unwrap();
-    for ev in m.trace().events() {
-        writeln!(out, "{:?}", ev).unwrap();
-    }
     out.push_str(&m.trace().summary());
     out.push_str(&hix_obs::chrome_trace_json(&m.trace().obs().spans(), tag));
     out.push('\n');

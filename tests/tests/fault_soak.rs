@@ -123,8 +123,8 @@ fn soak(seed: u64, profile: Option<FaultConfig>) -> SoakRun {
     }
     let mut transcript = String::new();
     writeln!(transcript, "=== soak @ {}", m.clock().now()).unwrap();
-    for ev in m.trace().events() {
-        writeln!(transcript, "{ev:?}").unwrap();
+    for span in m.trace().obs().spans() {
+        writeln!(transcript, "{span:?}").unwrap();
     }
     transcript.push_str(&m.trace().summary());
     transcript.push_str(&m.trace().obs().snapshot());

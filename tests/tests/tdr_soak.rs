@@ -143,8 +143,8 @@ fn soak(seed: u64, profile: Option<FaultConfig>) -> SoakRun {
     let secret_in_vram = vram_probe(&mut m, NEEDLE);
     let mut transcript = String::new();
     writeln!(transcript, "=== tdr soak @ {}", m.clock().now()).unwrap();
-    for ev in m.trace().events() {
-        writeln!(transcript, "{ev:?}").unwrap();
+    for span in m.trace().obs().spans() {
+        writeln!(transcript, "{span:?}").unwrap();
     }
     transcript.push_str(&m.trace().summary());
     transcript.push_str(&m.trace().obs().snapshot());
