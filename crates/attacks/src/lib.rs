@@ -679,15 +679,6 @@ pub fn repeated_kill_and_reclaim(n: u32) -> ScenarioReport {
     }
 }
 
-/// Runs the repeated-stress variants (`n` rounds each) — the soak-side
-/// companion to [`run_all`].
-pub fn run_repeated(n: u32) -> Vec<ScenarioReport> {
-    vec![
-        repeated_bulk_replay_under_faults(n),
-        repeated_kill_and_reclaim(n),
-    ]
-}
-
 /// Runs every scenario (the Fig. 10 sweep).
 pub fn run_all() -> Vec<ScenarioReport> {
     vec![

@@ -82,8 +82,9 @@ fn bench_pipeline_eval() {
 }
 
 fn bench_multiuser_schedule() {
-    use hix_core::multiuser::{run_multiuser, Mode, TaskSpec};
+    use hix_core::multiuser::{run_scaled, Mode, SchedulerConfig, SessionSpec, TaskSpec};
     let model = CostModel::paper();
+    let config = SchedulerConfig::new(&model);
     let spec = TaskSpec {
         name: "bench".into(),
         htod: 64 << 20,
@@ -91,8 +92,9 @@ fn bench_multiuser_schedule() {
         kernel_time: Nanos::from_millis(30),
         launches: 64,
     };
+    let sessions = vec![SessionSpec::new(spec); 4];
     Bench::new("multiuser/schedule-4-users")
-        .run(|| run_multiuser(&model, &spec, 4, Mode::Hix));
+        .run(|| run_scaled(&model, &sessions, Mode::Hix, &config, None));
 }
 
 fn main() {

@@ -2,19 +2,20 @@
 //! Rodinia tenants share one GPU *simultaneously*, each with a different
 //! workload — the mixed-tenancy case a cloud deployment actually sees.
 
-use hix_core::multiuser::{run_multiuser_mixed, Mode, TaskSpec};
+use hix_core::multiuser::{run_scaled, Mode, SchedulerConfig, SessionSpec};
 use hix_sim::CostModel;
 use hix_workloads::rodinia_suite;
 
 fn main() {
     let model = CostModel::paper();
-    let specs: Vec<TaskSpec> = rodinia_suite()
+    let config = SchedulerConfig::new(&model);
+    let specs: Vec<SessionSpec> = rodinia_suite()
         .iter()
-        .map(|w| w.profile(&model).task_spec())
+        .map(|w| SessionSpec::new(w.profile(&model).task_spec()))
         .collect();
     println!("== consolidation: all 9 Rodinia tenants concurrently ==\n");
-    let g = run_multiuser_mixed(&model, &specs, Mode::Gdev);
-    let h = run_multiuser_mixed(&model, &specs, Mode::Hix);
+    let g = run_scaled(&model, &specs, Mode::Gdev, &config, None);
+    let h = run_scaled(&model, &specs, Mode::Hix, &config, None);
     println!(
         "{:<6} {:>14} {:>14} {:>10}",
         "tenant", "Gdev finish", "HIX finish", "ratio"
@@ -22,7 +23,7 @@ fn main() {
     for (i, spec) in specs.iter().enumerate() {
         println!(
             "{:<6} {:>14} {:>14} {:>9.2}x",
-            spec.name,
+            spec.task.name,
             g.completions[i].to_string(),
             h.completions[i].to_string(),
             h.completions[i].as_nanos() as f64 / g.completions[i].as_nanos() as f64
@@ -40,9 +41,7 @@ fn main() {
     // serializing users.
     let serial: hix_sim::Nanos = specs
         .iter()
-        .map(|s| {
-            hix_core::multiuser::run_multiuser(&model, s, 1, Mode::Hix).makespan
-        })
+        .map(|s| run_scaled(&model, std::slice::from_ref(s), Mode::Hix, &config, None).makespan)
         .sum();
     println!(
         "serialized HIX would take {serial} — parallel sharing wins {:.2}x",

@@ -37,7 +37,7 @@
 
 use std::fmt::Write as _;
 
-use hix_bench::{fail, write_ledger};
+use hix_bench::{fail, soak, write_ledger};
 use hix_core::{CmdStatus, GpuEnclave, GpuEnclaveOptions, HixSession};
 use hix_driver::rig::{standard_rig, RigOptions};
 use hix_obs::{
@@ -432,13 +432,10 @@ fn main() {
     let out_path = args.first().map_or("BENCH_perf.json", String::as_str);
     let folded_path = args.get(1);
 
-    let profiles: [(&str, Option<FaultConfig>); 3] = [
-        ("none", None),
-        ("light", Some(FaultConfig::light())),
-        ("heavy", Some(FaultConfig::heavy())),
-    ];
     let mut cells = Vec::new();
-    for (tag, cfg) in profiles {
+    // The clean and channel-fault profiles; device faults are
+    // fault_report's subject.
+    for (tag, cfg) in soak::profiles().into_iter().take(3) {
         let mut engines = Vec::new();
         for batched in [false, true] {
             let cell = run_cell(tag, cfg, batched);

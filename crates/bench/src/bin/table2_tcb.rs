@@ -94,9 +94,12 @@ fn main() {
     println!("{} scenarios: all defenses held", reports.len());
 }
 
-/// Role of each workspace crate in the TCB accounting. Everything is
-/// in-tree — since the `hix-testkit` migration the verify path has zero
-/// external dependencies, so these counts cover the entire code base.
+/// Role of each workspace crate in the TCB accounting, by directory
+/// under `crates/`, plus the cross-crate test host (`tests/`), so that
+/// moving code between a crate and the tests neither grows nor shrinks
+/// the total. Everything is in-tree — since the `hix-testkit` migration
+/// the verify path has zero external dependencies, so these counts
+/// cover the entire code base.
 const CRATE_ROLES: &[(&str, &str)] = &[
     ("core", "TCB: GPU-enclave + trusted user runtime"),
     ("crypto", "TCB: enclave/in-GPU crypto"),
@@ -110,6 +113,7 @@ const CRATE_ROLES: &[(&str, &str)] = &[
     ("attacks", "evaluation: privileged-adversary scenarios"),
     ("bench", "evaluation: figure/table harnesses"),
     ("testkit", "test harness: PRNG/property/bench (zero-dep)"),
+    ("xtests", "test harness: cross-crate integration tests"),
 ];
 
 /// Recursively counts non-empty lines across the `.rs` files under
@@ -146,8 +150,12 @@ fn print_loc_breakdown() {
     let (mut total_files, mut total_lines, mut tcb_lines) = (0u64, 0u64, 0u64);
     let mut listed = Vec::new();
     for (name, role) in CRATE_ROLES {
-        let (files, lines) = count_rs_lines(&crates_dir.join(name));
-        assert!(lines > 0, "crate {name} missing or empty at {crates_dir:?}");
+        let dir = match *name {
+            "xtests" => crates_dir.join("../tests"),
+            crate_dir => crates_dir.join(crate_dir),
+        };
+        let (files, lines) = count_rs_lines(&dir);
+        assert!(lines > 0, "crate {name} missing or empty at {dir:?}");
         println!("{name:<14} {files:>6} {lines:>8}  {role}");
         total_files += files;
         total_lines += lines;

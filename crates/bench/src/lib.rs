@@ -10,6 +10,7 @@
 #![warn(missing_docs)]
 
 pub mod json;
+pub mod soak;
 
 use hix_core::{GpuEnclave, GpuEnclaveOptions, HixSession};
 use hix_driver::rig::{standard_rig, RigOptions, GPU_BDF};
@@ -71,13 +72,8 @@ pub fn bench_rig_with(model: CostModel) -> Machine {
     })
 }
 
-/// Measures one full Gdev task (open → transfers/kernels → close),
-/// averaged over [`RUNS`] repetitions.
-pub fn measure_gdev(workload: &dyn Workload) -> Nanos {
-    measure_gdev_with(workload, CostModel::paper())
-}
-
-/// [`measure_gdev`] under a custom cost model.
+/// Measures one full Gdev task (open → transfers/kernels → close) under
+/// `model`, averaged over [`RUNS`] repetitions.
 pub fn measure_gdev_with(workload: &dyn Workload, model: CostModel) -> Nanos {
     let mut machine = bench_rig_with(model);
     let model = machine.model().clone();
@@ -97,12 +93,8 @@ pub fn measure_gdev_with(workload: &dyn Workload, model: CostModel) -> Nanos {
 }
 
 /// Measures one full HIX task (session connect → transfers/kernels →
-/// close) against a resident GPU enclave, averaged over [`RUNS`].
-pub fn measure_hix(workload: &dyn Workload) -> Nanos {
-    measure_hix_with(workload, CostModel::paper())
-}
-
-/// [`measure_hix`] under a custom cost model.
+/// close) against a resident GPU enclave under `model`, averaged over
+/// [`RUNS`].
 pub fn measure_hix_with(workload: &dyn Workload, model: CostModel) -> Nanos {
     let mut machine = bench_rig_with(model);
     let model = machine.model().clone();
@@ -179,8 +171,9 @@ pub fn measure_both_with(
 
 /// Runs and prints one multi-user figure (Figures 8 and 9).
 pub fn print_multiuser(users: u32, paper_ratio: f64) {
-    use hix_core::multiuser::{run_multiuser, Mode};
+    use hix_core::multiuser::{run_scaled, Mode, SchedulerConfig, SessionSpec};
     let model = CostModel::paper();
+    let config = SchedulerConfig::new(&model);
     println!("== Rodinia with {users} concurrent users ==");
     println!(
         "(normalized to 1-user Gdev; paper: HIX ~{:.1}% worse than Gdev at {users} users)\n",
@@ -193,16 +186,18 @@ pub fn print_multiuser(users: u32, paper_ratio: f64) {
     let mut ratio_sum = 0.0;
     let mut count = 0u32;
     for w in hix_workloads::rodinia_suite() {
-        let spec = w.profile(&model).task_spec();
-        let base = run_multiuser(&model, &spec, 1, Mode::Gdev).makespan;
-        let g = run_multiuser(&model, &spec, users, Mode::Gdev);
-        let h = run_multiuser(&model, &spec, users, Mode::Hix);
+        let spec = SessionSpec::new(w.profile(&model).task_spec());
+        let sessions = vec![spec.clone(); users as usize];
+        let base = run_scaled(&model, std::slice::from_ref(&spec), Mode::Gdev, &config, None);
+        let base = base.makespan;
+        let g = run_scaled(&model, &sessions, Mode::Gdev, &config, None);
+        let h = run_scaled(&model, &sessions, Mode::Hix, &config, None);
         let ratio = h.makespan.as_nanos() as f64 / g.makespan.as_nanos() as f64;
         ratio_sum += ratio;
         count += 1;
         println!(
             "{:<6} {:>12} {:>11.2}x {:>11.2}x {:>11.2}x {:>10}",
-            spec.name,
+            spec.task.name,
             base.to_string(),
             g.makespan.as_nanos() as f64 / base.as_nanos() as f64,
             h.makespan.as_nanos() as f64 / base.as_nanos() as f64,

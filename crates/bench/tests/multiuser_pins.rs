@@ -1,0 +1,98 @@
+//! Pins every number the Figure 8/9 and consolidation harnesses print.
+//! ROADMAP holds that the Figure 8/9 averages (1.319× and 1.491×) must
+//! not move; a printed average can hold at three decimals while a
+//! makespan under it moves, so the pins are the multi-user engine's
+//! exact makespans (ns) and context-switch counts for every cell, in
+//! the harnesses' own configuration. Everything the harnesses print is
+//! a ratio or a rounding of these.
+
+use hix_core::multiuser::{run_scaled, Mode, ScaleOutcome, SchedulerConfig, SessionSpec, TaskSpec};
+use hix_sim::{CostModel, Nanos};
+use hix_workloads::rodinia_suite;
+
+/// The harnesses' configuration: equal weights, the model's quantum,
+/// an unbounded resident set, no metrics.
+fn run(model: &CostModel, specs: &[TaskSpec], mode: Mode) -> ScaleOutcome {
+    let sessions: Vec<SessionSpec> = specs.iter().cloned().map(SessionSpec::new).collect();
+    run_scaled(model, &sessions, mode, &SchedulerConfig::new(model), None)
+}
+
+/// Per app: Gdev 1-user, Gdev and HIX n-user makespans (ns), HIX
+/// context switches.
+type FigurePin = (&'static str, u64, u64, u64, u64);
+
+const FIG8: [FigurePin; 9] = [
+    ("BP", 98262664, 158566160, 287745032, 57),
+    ("BFS", 54642586, 80951931, 109959602, 21),
+    ("GS", 1078514543, 2127436680, 2273923394, 443),
+    ("HS", 37596130, 50143683, 46319982, 11),
+    ("LUD", 87846685, 148897166, 169483626, 35),
+    ("NW", 140087616, 239386656, 405630454, 79),
+    ("NN", 24189677, 24336589, 6827320, 5),
+    ("PF", 102021085, 157669817, 375127734, 75),
+    ("SRAD", 88237894, 148244783, 179738050, 37),
+];
+
+const FIG9: [FigurePin; 9] = [
+    ("BP", 98262664, 279173152, 570620064, 115),
+    ("BFS", 54642586, 133570621, 215049204, 43),
+    ("GS", 1078514543, 4225280954, 4542976788, 887),
+    ("HS", 37596130, 75238789, 87769964, 23),
+    ("LUD", 87846685, 270998128, 334097252, 71),
+    ("NW", 140087616, 437984736, 806390908, 159),
+    ("NN", 24189677, 24630413, 8784640, 11),
+    ("PF", 102021085, 268967281, 745385468, 151),
+    ("SRAD", 88237894, 268258561, 354606100, 75),
+];
+
+/// Per tenant, in suite order: Gdev and HIX completions (ns) with all
+/// nine sharing.
+const CONSOLIDATION_GDEV: [u64; 9] = [
+    424494400, 239396311, 1451582927, 138259874, 424963153, 506062020, 24189677, 408604891,
+    414953424,
+];
+const CONSOLIDATION_HIX: [u64; 9] = [
+    807495093, 392276655, 1882882597, 173342168, 579459170, 977945586, 46898660, 949535848,
+    600342768,
+];
+
+#[test]
+fn figure_8_and_9_cells_are_pinned() {
+    let model = CostModel::paper();
+    for (users, pins, average) in [(2, &FIG8, "1.319"), (4, &FIG9, "1.491")] {
+        let mut ratio_sum = 0.0;
+        for (w, pin) in rodinia_suite().iter().zip(pins) {
+            let spec = w.profile(&model).task_spec();
+            let base = run(&model, &[spec.clone()], Mode::Gdev).makespan;
+            let g = run(&model, &vec![spec.clone(); users], Mode::Gdev).makespan;
+            let h = run(&model, &vec![spec.clone(); users], Mode::Hix);
+            let got = (
+                spec.name.as_str(),
+                base.as_nanos(),
+                g.as_nanos(),
+                h.makespan.as_nanos(),
+                h.ctx_switches,
+            );
+            assert_eq!(got, *pin, "{users}-user cell moved");
+            ratio_sum += h.makespan.as_nanos() as f64 / g.as_nanos() as f64;
+        }
+        assert_eq!(format!("{:.3}", ratio_sum / 9.0), average, "{users}-user average moved");
+    }
+}
+
+#[test]
+fn consolidation_is_pinned() {
+    let model = CostModel::paper();
+    let specs: Vec<TaskSpec> =
+        rodinia_suite().iter().map(|w| w.profile(&model).task_spec()).collect();
+    let g = run(&model, &specs, Mode::Gdev);
+    let h = run(&model, &specs, Mode::Hix);
+    let ns = |c: &[Nanos]| c.iter().map(|n| n.as_nanos()).collect::<Vec<_>>();
+    assert_eq!(ns(&g.completions), CONSOLIDATION_GDEV);
+    assert_eq!(ns(&h.completions), CONSOLIDATION_HIX);
+    assert_eq!((g.makespan.as_nanos(), h.makespan.as_nanos()), (1451582927, 1882882597));
+    assert_eq!((g.ctx_switches, h.ctx_switches), (0, 202));
+    let serial: u64 =
+        specs.iter().map(|s| run(&model, &[s.clone()], Mode::Hix).makespan.as_nanos()).sum();
+    assert_eq!(serial, 1892742597, "serialized HIX reference moved");
+}

@@ -11,9 +11,8 @@
 //!   ([`GpuEnclave::export_parked`]), the target adopts it under a
 //!   fresh id and its own seal key ([`GpuEnclave::adopt_session`]), and
 //!   resumption re-establishes from the journal with keys negotiated
-//!   against the *new* shard. Work-stealing ([`Fabric::plan_steals`])
-//!   and post-reset evacuation ([`Fabric::evacuate`]) are policies over
-//!   this one mechanism.
+//!   against the *new* shard. Work-stealing ([`Fabric::plan_steals`]) is
+//!   a policy over this one mechanism.
 //! * **Containment** — the TDR watchdog's secure reset is inherently
 //!   shard-local (each enclave owns one device, one BDF);
 //!   [`Fabric::reset_blast_radius`] is the probe that proves it, and
@@ -30,8 +29,8 @@
 //!
 //! Everything is surfaced through hix-obs under the `fabric.*`
 //! namespace: `fabric.placements`, `fabric.migrations`,
-//! `fabric.evacuations`, `fabric.reset_blast_radius`, and per-shard
-//! `fabric.shard<i>.*` counters.
+//! `fabric.reset_blast_radius`, and per-shard `fabric.shard<i>.*`
+//! counters.
 
 use std::collections::BTreeMap;
 
@@ -198,21 +197,13 @@ impl Fabric {
         s.enclave.session_count() + s.enclave.parked_count()
     }
 
-    /// Topology- and load-aware placement: the least-loaded shard, tie-
-    /// broken by total load behind its switch (spread across switches
-    /// before doubling up behind one), then by index (determinism).
+    /// Topology- and load-aware placement over the shards' current
+    /// loads: the least-loaded shard, tie-broken by the load behind its
+    /// switch, then by index.
     pub fn place(&self) -> usize {
-        let switch_load: Vec<usize> = {
-            let n_switches = self.shards.iter().map(|s| s.switch + 1).max().unwrap_or(0);
-            let mut loads = vec![0usize; n_switches];
-            for (i, s) in self.shards.iter().enumerate() {
-                loads[s.switch] += self.load(i);
-            }
-            loads
-        };
-        (0..self.shards.len())
-            .min_by_key(|&i| (self.load(i), switch_load[self.shards[i].switch], i))
-            .expect("fabric has at least one shard")
+        let load: Vec<usize> = (0..self.shards.len()).map(|i| self.load(i)).collect();
+        let switch_of: Vec<usize> = self.shards.iter().map(|s| s.switch).collect();
+        least_loaded(&load, &switch_of)
     }
 
     /// Connects a new user session on the shard [`Fabric::place`]
@@ -405,51 +396,6 @@ impl Fabric {
         moves
     }
 
-    /// Evacuates every *parked* session off `from` (typically a shard
-    /// that just went through a secure reset) onto the least-loaded
-    /// peers. Resident sessions stay: they are already stale and
-    /// recover in place by journal replay on their next request.
-    /// Returns `(handle, new shard-level id, target shard)` per move —
-    /// the caller rebinds each runtime. No-op (empty result) on a
-    /// single-shard fabric.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first migration failure.
-    pub fn evacuate(
-        &mut self,
-        machine: &mut Machine,
-        from: usize,
-    ) -> Result<Vec<(FabricSessionId, SessionId, usize)>, HixCoreError> {
-        if self.shards.len() < 2 {
-            return Ok(Vec::new());
-        }
-        let candidates: Vec<FabricSessionId> = self
-            .placements
-            .iter()
-            .filter(|(_, p)| {
-                p.shard == from && self.shards[from].enclave.is_parked(p.session)
-            })
-            .map(|(&sid, _)| sid)
-            .collect();
-        let mut moves = Vec::with_capacity(candidates.len());
-        for sid in candidates {
-            let to = (0..self.shards.len())
-                .filter(|&i| i != from)
-                .min_by_key(|&i| (self.load(i), i))
-                .expect("at least two shards");
-            let new_id = self.migrate(machine, sid, to)?;
-            moves.push((sid, new_id, to));
-        }
-        if !moves.is_empty() {
-            machine
-                .trace()
-                .metrics()
-                .add(Counter::FabricEvacuations, moves.len() as u64);
-        }
-        Ok(moves)
-    }
-
     /// The containment probe: after a secure reset on `resetting`,
     /// counts sessions on *peer* shards whose context the reset staled.
     /// Because each enclave owns exactly one device and resets only its
@@ -491,6 +437,21 @@ impl Fabric {
     }
 }
 
+/// The placement policy shared by [`Fabric::place`] and
+/// [`run_fabric_scaled`]: the least-loaded shard, tie-broken by total
+/// load behind its switch (spread across switches before doubling up
+/// behind one), then by index (determinism). `load[i]` is shard `i`'s
+/// load and `switch_of[i]` the switch it sits behind.
+fn least_loaded(load: &[usize], switch_of: &[usize]) -> usize {
+    let mut switch_load = vec![0usize; switch_of.iter().map(|&s| s + 1).max().unwrap_or(0)];
+    for (shard, &l) in load.iter().enumerate() {
+        switch_load[switch_of[shard]] += l;
+    }
+    (0..load.len())
+        .min_by_key(|&i| (load[i], switch_load[switch_of[i]], i))
+        .expect("fabric has at least one shard")
+}
+
 /// Outcome of a [`run_fabric_scaled`] model run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FabricScaleOutcome {
@@ -501,16 +462,6 @@ pub struct FabricScaleOutcome {
     pub per_shard: Vec<ScaleOutcome>,
     /// Which shard each input session was placed on.
     pub assignment: Vec<usize>,
-}
-
-impl FabricScaleOutcome {
-    /// Sum of GPU service delivered by one shard.
-    pub fn shard_service(&self, shard: usize) -> Nanos {
-        self.per_shard[shard]
-            .service
-            .iter()
-            .fold(Nanos::ZERO, |acc, s| acc + *s)
-    }
 }
 
 /// The model-level fabric: places `specs` across `n_shards` shards with
@@ -540,13 +491,9 @@ pub fn run_fabric_scaled(
     // Same placement policy as the machine-level fabric, on counts.
     let mut assignment = Vec::with_capacity(specs.len());
     let mut load = vec![0usize; n_shards];
-    let mut switch_load = vec![0usize; switch_of.iter().map(|&s| s + 1).max().unwrap_or(1)];
     for _ in specs {
-        let shard = (0..n_shards)
-            .min_by_key(|&i| (load[i], switch_load[switch_of[i]], i))
-            .expect("at least one shard");
+        let shard = least_loaded(&load, switch_of);
         load[shard] += 1;
-        switch_load[switch_of[shard]] += 1;
         assignment.push(shard);
     }
     let mut per_shard = Vec::with_capacity(n_shards);

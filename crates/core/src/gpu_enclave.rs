@@ -1699,11 +1699,6 @@ impl GpuEnclave {
         self.sessions.get(&session).map(|s| s.ctx)
     }
 
-    /// The user process bound to a session (diagnostics).
-    pub fn session_user(&self, session: SessionId) -> Option<ProcessId> {
-        self.sessions.get(&session).map(|s| s.user_pid)
-    }
-
     /// Whether a session lost its context to a TDR action and awaits
     /// re-establishment (diagnostics).
     pub fn session_stale(&self, session: SessionId) -> Option<bool> {

@@ -23,10 +23,10 @@
 //! [`CostModel::park_seal`]/[`CostModel::park_unseal`], matching the
 //! enclave's `park_session`/`unpark_session` path) with transparent
 //! unseal-on-resume. Per-tenant QoS — service, wait, parks — flows into
-//! a [`hix_obs::Metrics`] registry when one is supplied. The legacy
-//! entry points ([`run_multiuser`], [`run_multiuser_degraded`]) are
-//! thin wrappers over the same engine, so Figures 8/9 and the scale
-//! sweep share one scheduler.
+//! a [`hix_obs::Metrics`] registry when one is supplied. It is the only
+//! entry point: Figures 8/9 run it with equal weights, the model's
+//! quantum and an unbounded resident set ([`SchedulerConfig::new`]),
+//! so the figures and the scale sweep share one scheduler.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -124,35 +124,11 @@ pub enum Mode {
     Hix,
 }
 
-/// Result of a multi-user run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MultiUserOutcome {
-    /// Wall-clock makespan (last user's completion).
-    pub makespan: Nanos,
-    /// Per-user completion times.
-    pub completions: Vec<Nanos>,
-    /// Number of GPU context switches incurred.
-    pub ctx_switches: u64,
-    /// Per-user eviction flags: `true` for sessions that hit the
-    /// [`EVICT_AFTER`] repeat-offender cap and were permanently removed.
-    pub evicted: Vec<bool>,
-}
-
-/// Runs `users` concurrent instances of `spec` in `mode` and returns the
-/// outcome.
-pub fn run_multiuser(
-    model: &CostModel,
-    spec: &TaskSpec,
-    users: u32,
-    mode: Mode,
-) -> MultiUserOutcome {
-    let specs = vec![spec.clone(); users as usize];
-    run_multiuser_mixed(model, &specs, mode)
-}
-
-/// Per-session fault burden for [`run_multiuser_degraded`]: what the
-/// recovery machinery cost this user, expressed in the same summary
-/// terms as [`TaskSpec`].
+/// Per-session fault burden: what the recovery machinery cost this
+/// user, expressed in the same summary terms as [`TaskSpec`].
+/// Degradation is strictly per-session: one user's recovery stalls (or
+/// death) must never inflate another user's completion beyond ordinary
+/// GPU queueing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionFaults {
     /// Extra host-side time this session lost to channel recovery
@@ -179,48 +155,6 @@ pub struct SessionFaults {
 /// Repeat-offender policy: a session that forces this many full secure
 /// resets is permanently evicted (mirrors `GpuEnclaveOptions::evict_after`).
 pub const EVICT_AFTER: u32 = 3;
-
-/// Runs heterogeneous user tasks concurrently.
-pub fn run_multiuser_mixed(
-    model: &CostModel,
-    specs: &[TaskSpec],
-    mode: Mode,
-) -> MultiUserOutcome {
-    let faults = vec![SessionFaults::default(); specs.len()];
-    run_multiuser_degraded(model, specs, mode, &faults)
-}
-
-/// Runs heterogeneous user tasks concurrently, each carrying its own
-/// fault burden. Degradation is strictly per-session: one user's
-/// recovery stalls (or death) must never inflate another user's
-/// completion beyond ordinary GPU queueing.
-///
-/// This is the legacy Figure 8/9 entry point: equal weights, an
-/// unbounded resident set, no metrics. It delegates to [`run_scaled`].
-pub fn run_multiuser_degraded(
-    model: &CostModel,
-    specs: &[TaskSpec],
-    mode: Mode,
-    faults: &[SessionFaults],
-) -> MultiUserOutcome {
-    assert_eq!(specs.len(), faults.len(), "one fault burden per user");
-    let sessions: Vec<SessionSpec> = specs
-        .iter()
-        .zip(faults)
-        .map(|(spec, f)| SessionSpec {
-            task: spec.clone(),
-            weight: 1,
-            faults: *f,
-        })
-        .collect();
-    let out = run_scaled(model, &sessions, mode, &SchedulerConfig::new(model), None);
-    MultiUserOutcome {
-        makespan: out.makespan,
-        completions: out.completions,
-        ctx_switches: out.ctx_switches,
-        evicted: out.evicted,
-    }
-}
 
 /// One tenant of the scaled scheduler: a task, a fair-share weight, and
 /// a fault burden.
@@ -272,8 +206,8 @@ impl SchedulerConfig {
     }
 }
 
-/// Result of a [`run_scaled`] run: the legacy outcome plus per-tenant
-/// QoS and parking telemetry.
+/// Result of a [`run_scaled`] run: makespan, completions, context
+/// switches and evictions, plus per-tenant QoS and parking telemetry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScaleOutcome {
     /// Wall-clock makespan (last tenant's completion).
@@ -751,6 +685,26 @@ pub fn seeded_session_faults(seed: u64, users: usize, profile: FaultProfile) -> 
 mod tests {
     use super::*;
 
+    /// The figure configuration: equal weights, the model's quantum,
+    /// an unbounded resident set, one fault burden per tenant.
+    fn run_faulted(
+        model: &CostModel,
+        specs: &[TaskSpec],
+        mode: Mode,
+        faults: &[SessionFaults],
+    ) -> ScaleOutcome {
+        let sessions: Vec<SessionSpec> = specs
+            .iter()
+            .zip(faults)
+            .map(|(task, &faults)| SessionSpec { task: task.clone(), weight: 1, faults })
+            .collect();
+        run_scaled(model, &sessions, mode, &SchedulerConfig::new(model), None)
+    }
+
+    fn run(model: &CostModel, specs: &[TaskSpec], mode: Mode) -> ScaleOutcome {
+        run_faulted(model, specs, mode, &vec![SessionFaults::default(); specs.len()])
+    }
+
     fn spec() -> TaskSpec {
         TaskSpec {
             name: "bp-like".into(),
@@ -764,17 +718,17 @@ mod tests {
     #[test]
     fn hix_single_user_slower_than_gdev() {
         let model = CostModel::paper();
-        let g = run_multiuser(&model, &spec(), 1, Mode::Gdev);
-        let h = run_multiuser(&model, &spec(), 1, Mode::Hix);
+        let g = run(&model, &[spec()], Mode::Gdev);
+        let h = run(&model, &[spec()], Mode::Hix);
         assert!(h.makespan > g.makespan);
     }
 
     #[test]
     fn more_users_take_longer_but_sublinearly() {
         let model = CostModel::paper();
-        let one = run_multiuser(&model, &spec(), 1, Mode::Gdev).makespan;
-        let two = run_multiuser(&model, &spec(), 2, Mode::Gdev).makespan;
-        let four = run_multiuser(&model, &spec(), 4, Mode::Gdev).makespan;
+        let one = run(&model, &[spec()], Mode::Gdev).makespan;
+        let two = run(&model, &vec![spec(); 2], Mode::Gdev).makespan;
+        let four = run(&model, &vec![spec(); 4], Mode::Gdev).makespan;
         assert!(two > one);
         assert!(four > two);
         // Host overlap keeps scaling sublinear in GPU-light workloads.
@@ -784,9 +738,9 @@ mod tests {
     #[test]
     fn gdev_mps_has_no_cross_user_ctx_switches() {
         let model = CostModel::paper();
-        let g = run_multiuser(&model, &spec(), 4, Mode::Gdev);
+        let g = run(&model, &vec![spec(); 4], Mode::Gdev);
         assert_eq!(g.ctx_switches, 0, "MPS merges users into one context");
-        let h = run_multiuser(&model, &spec(), 4, Mode::Hix);
+        let h = run(&model, &vec![spec(); 4], Mode::Hix);
         assert!(h.ctx_switches > 0, "HIX isolates users in contexts");
     }
 
@@ -795,19 +749,9 @@ mod tests {
         let model = CostModel::paper();
         let mut big = spec();
         big.kernel_time = Nanos::from_millis(200);
-        let out = run_multiuser_mixed(&model, &[spec(), big], Mode::Hix);
+        let out = run(&model, &[spec(), big], Mode::Hix);
         assert_eq!(out.completions.len(), 2);
         assert!(out.completions[0] <= out.makespan);
-    }
-
-    #[test]
-    fn degraded_with_default_faults_is_identical() {
-        let model = CostModel::paper();
-        let specs = vec![spec(); 3];
-        let plain = run_multiuser_mixed(&model, &specs, Mode::Hix);
-        let faults = vec![SessionFaults::default(); 3];
-        let degraded = run_multiuser_degraded(&model, &specs, Mode::Hix, &faults);
-        assert_eq!(plain, degraded, "no faults must mean no change at all");
     }
 
     #[test]
@@ -819,8 +763,8 @@ mod tests {
         // completions must match a run where user 0 doesn't exist.
         let mut faults = vec![SessionFaults::default(); 3];
         faults[0].recovery = Nanos::from_millis(10_000);
-        let degraded = run_multiuser_degraded(&model, &specs, Mode::Hix, &faults);
-        let healthy_only = run_multiuser_mixed(&model, &specs[..2], Mode::Hix);
+        let degraded = run_faulted(&model, &specs, Mode::Hix, &faults);
+        let healthy_only = run(&model, &specs[..2], Mode::Hix);
         assert_eq!(
             &degraded.completions[1..],
             &healthy_only.completions[..],
@@ -835,8 +779,8 @@ mod tests {
         let specs = vec![spec(); 2];
         let mut faults = vec![SessionFaults::default(); 2];
         faults[1].abort_after = Some(Nanos::from_millis(1));
-        let degraded = run_multiuser_degraded(&model, &specs, Mode::Hix, &faults);
-        let plain = run_multiuser_mixed(&model, &specs, Mode::Hix);
+        let degraded = run_faulted(&model, &specs, Mode::Hix, &faults);
+        let plain = run(&model, &specs, Mode::Hix);
         assert!(
             degraded.completions[1] < plain.completions[1],
             "an aborted session finishes (dies) earlier than a healthy one"
@@ -851,10 +795,10 @@ mod tests {
     fn tdr_peer_cost_is_bounded_per_offense() {
         let model = CostModel::paper();
         let specs = vec![spec(); 3];
-        let plain = run_multiuser_mixed(&model, &specs, Mode::Hix);
+        let plain = run(&model, &specs, Mode::Hix);
         let mut faults = vec![SessionFaults::default(); 3];
         faults[0].tdr_resets = 2;
-        let degraded = run_multiuser_degraded(&model, &specs, Mode::Hix, &faults);
+        let degraded = run_faulted(&model, &specs, Mode::Hix, &faults);
         // Each offense can cost a peer at most the engine-blocked window
         // plus the context switches around it.
         let per_offense = model.tdr_patience()
@@ -881,8 +825,8 @@ mod tests {
         capped[0].tdr_resets = EVICT_AFTER;
         let mut unbounded = vec![SessionFaults::default(); 3];
         unbounded[0].tdr_resets = 1000;
-        let at_cap = run_multiuser_degraded(&model, &specs, Mode::Hix, &capped);
-        let beyond = run_multiuser_degraded(&model, &specs, Mode::Hix, &unbounded);
+        let at_cap = run_faulted(&model, &specs, Mode::Hix, &capped);
+        let beyond = run_faulted(&model, &specs, Mode::Hix, &unbounded);
         assert!(at_cap.evicted[0] && beyond.evicted[0]);
         assert_eq!(
             &at_cap.completions[1..],
@@ -890,7 +834,7 @@ mod tests {
             "peer cost must be independent of offenses beyond the cap"
         );
         // The evicted session dies early: its remaining work is dropped.
-        let plain = run_multiuser_mixed(&model, &specs, Mode::Hix);
+        let plain = run(&model, &specs, Mode::Hix);
         assert_eq!(plain.evicted, vec![false; 3]);
         assert!(beyond.completions[0] < plain.completions[0]);
     }
@@ -903,8 +847,8 @@ mod tests {
         kills[0].tdr_kills = 2;
         let mut resets = vec![SessionFaults::default(); 2];
         resets[0].tdr_resets = 2;
-        let k = run_multiuser_degraded(&model, &specs, Mode::Hix, &kills);
-        let r = run_multiuser_degraded(&model, &specs, Mode::Hix, &resets);
+        let k = run_faulted(&model, &specs, Mode::Hix, &kills);
+        let r = run_faulted(&model, &specs, Mode::Hix, &resets);
         assert!(
             k.completions[1] <= r.completions[1],
             "a per-context kill must never cost peers more than a full reset"
@@ -918,9 +862,9 @@ mod tests {
         // the figure harness prints exact values.
         let model = CostModel::paper();
         let spec = spec();
-        for users in [2u32, 4] {
-            let g = run_multiuser(&model, &spec, users, Mode::Gdev).makespan;
-            let h = run_multiuser(&model, &spec, users, Mode::Hix).makespan;
+        for users in [2, 4] {
+            let g = run(&model, &vec![spec.clone(); users], Mode::Gdev).makespan;
+            let h = run(&model, &vec![spec.clone(); users], Mode::Hix).makespan;
             let overhead = h.as_nanos() as f64 / g.as_nanos() as f64 - 1.0;
             assert!(
                 overhead > 0.10 && overhead < 2.0,
@@ -976,7 +920,7 @@ mod tests {
             kernel_time: Nanos::from_millis(1),
             launches: 1,
         };
-        let out = run_multiuser_mixed(&model, &[t.clone(), t], Mode::Hix);
+        let out = run(&model, &[t.clone(), t], Mode::Hix);
         // Each user has exactly two non-empty GPU submissions (kernel,
         // DtoH encrypt-launch); perfect alternation costs three context
         // switches — a zero-length HtoD sliver would add two more.
@@ -984,27 +928,6 @@ mod tests {
     }
 
     // ---- the scaled engine ----
-
-    #[test]
-    fn legacy_wrapper_matches_scaled_engine() {
-        let model = CostModel::paper();
-        let specs = vec![spec(); 4];
-        let legacy = run_multiuser_mixed(&model, &specs, Mode::Hix);
-        let sessions: Vec<SessionSpec> =
-            specs.iter().map(|s| SessionSpec::new(s.clone())).collect();
-        let scaled = run_scaled(
-            &model,
-            &sessions,
-            Mode::Hix,
-            &SchedulerConfig::new(&model),
-            None,
-        );
-        assert_eq!(legacy.makespan, scaled.makespan);
-        assert_eq!(legacy.completions, scaled.completions);
-        assert_eq!(legacy.ctx_switches, scaled.ctx_switches);
-        assert_eq!(scaled.parks, 0, "unbounded residency never parks");
-        assert_eq!(scaled.peak_resident, 4);
-    }
 
     #[test]
     fn weights_shift_completion_order() {
@@ -1057,6 +980,8 @@ mod tests {
         let mut cfg = SchedulerConfig::new(&model);
         cfg.max_resident = 2;
         let bounded = run_scaled(&model, &sessions, Mode::Hix, &cfg, None);
+        assert_eq!(unbounded.parks, 0, "unbounded residency never parks");
+        assert_eq!(unbounded.peak_resident, 6);
         assert!(bounded.parks > 0, "six tenants through two slots must park");
         assert_eq!(
             bounded.unparks, bounded.parks,

@@ -636,9 +636,6 @@ impl HixSession {
         op: &JournalOp,
     ) -> Result<bool, HixCoreError> {
         let resp = match op {
-            JournalOp::LoadModule { name } => {
-                self.roundtrip(machine, enclave, &Request::LoadModule { name: name.clone() })?
-            }
             JournalOp::Malloc { len, va } => {
                 match self.roundtrip(machine, enclave, &Request::Malloc { len: *len })? {
                     Response::Addr(got) => {
@@ -652,9 +649,6 @@ impl HixSession {
                     other => other,
                 }
             }
-            JournalOp::Free { va } => {
-                self.roundtrip(machine, enclave, &Request::Free { va: *va })?
-            }
             JournalOp::HtoD { dst, payload } => {
                 let request = self.stage_htod(machine, *dst, payload)?;
                 let resp = self.roundtrip(machine, enclave, &request)?;
@@ -664,21 +658,7 @@ impl HixSession {
                 }
                 resp
             }
-            JournalOp::Memset { va, len, value } => self.roundtrip(
-                machine,
-                enclave,
-                &Request::Memset { va: *va, len: *len, value: *value },
-            )?,
-            JournalOp::DtoD { src, dst, len } => self.roundtrip(
-                machine,
-                enclave,
-                &Request::CopyDtoD { src: *src, dst: *dst, len: *len },
-            )?,
-            JournalOp::Launch { name, args } => self.roundtrip(
-                machine,
-                enclave,
-                &Request::Launch { name: name.clone(), args: args.clone() },
-            )?,
+            _ => self.roundtrip(machine, enclave, &op_request(op))?,
         };
         match resp {
             Response::Ok => Ok(true),

@@ -236,20 +236,6 @@ impl Gdev {
         self.driver.sync(machine)
     }
 
-    /// Queues a kernel launch without synchronizing.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DriverError`].
-    pub fn launch_async(
-        &mut self,
-        machine: &mut Machine,
-        name: &str,
-        args: &[u64],
-    ) -> Result<(), DriverError> {
-        self.driver.launch(machine, self.ctx, name, args)
-    }
-
     /// Waits for all queued work.
     ///
     /// # Errors

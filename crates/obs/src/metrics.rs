@@ -66,7 +66,6 @@ counters! {
     EnclaveSessionsReaped => "enclave.sessions_reaped",
     EnclaveSessionsUnparked => "enclave.sessions_unparked",
     EnclaveShutdowns => "enclave.shutdowns",
-    FabricEvacuations => "fabric.evacuations",
     FabricMigrations => "fabric.migrations",
     FabricPlacements => "fabric.placements",
     FabricResetBlastRadius => "fabric.reset_blast_radius",

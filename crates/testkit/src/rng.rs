@@ -154,11 +154,6 @@ impl Rng {
             slice.swap(i, j);
         }
     }
-
-    /// Uniformly chooses one element. Panics on an empty slice.
-    pub fn choose<'a, T>(&mut self, slice: &'a [T]) -> &'a T {
-        &slice[self.gen_range_usize(0..slice.len())]
-    }
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 //! cargo run -p hix-bench --example multi_tenant
 //! ```
 
-use hix_core::multiuser::{run_multiuser, Mode};
+use hix_core::multiuser::{run_scaled, Mode, SchedulerConfig, SessionSpec};
 use hix_core::{CmdStatus, GpuEnclave, GpuEnclaveOptions, HixSession};
 use hix_driver::rig::{standard_rig, RigOptions};
 use hix_sim::{CostModel, Payload};
@@ -98,11 +98,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Finally, the Figure 8/9 timing question: what does sharing cost?
     let model = CostModel::paper();
-    let spec = Hotspot.profile(&model).task_spec();
+    let config = SchedulerConfig::new(&model);
+    let spec = SessionSpec::new(Hotspot.profile(&model).task_spec());
     println!("\nconcurrent-tenant timing (Hotspot profile):");
-    for users in [1u32, 2, 4] {
-        let g = run_multiuser(&model, &spec, users, Mode::Gdev);
-        let h = run_multiuser(&model, &spec, users, Mode::Hix);
+    for users in [1, 2, 4] {
+        let sessions = vec![spec.clone(); users];
+        let g = run_scaled(&model, &sessions, Mode::Gdev, &config, None);
+        let h = run_scaled(&model, &sessions, Mode::Hix, &config, None);
         println!(
             "  {users} user(s): Gdev {} | HIX {} ({} ctx switches)",
             g.makespan, h.makespan, h.ctx_switches

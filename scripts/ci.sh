@@ -56,17 +56,18 @@ done
 
 # Exact ledger gate. Virtual time is deterministic, so the committed
 # ledgers are their own schema: regenerate the full perf_report,
-# scale_report and fabric_report sweeps into target/ and fail on any byte
-# difference from BENCH_perf/scale/fabric.json. Each bin runs its
-# self-checks (reconciliation, fairness, containment, double-run
+# scale_report, fabric_report and fault_report sweeps into target/ and
+# fail on any byte difference from BENCH_perf/scale/fabric/fault.json.
+# Each bin runs its self-checks (reconciliation, fairness, containment,
+# the fault-matrix soak contract, the quarantine bound, double-run
 # determinism, ...) before it writes. On a mismatch the diff names what
 # moved: with zero context lines every hunk header is the perf profile
-# the hunk sits in, and each perf stage or SLO row and each scale or
-# fabric cell is one self-describing line. To change a ledger on
-# purpose, rerun the bin with no arguments and commit the diff with the
-# change that caused it.
+# the hunk sits in, and each perf stage or SLO row, each scale, fabric
+# or fault cell and each peer-interference row is one self-describing
+# line. To change a ledger on purpose, rerun the bin with no arguments
+# and commit the diff with the change that caused it.
 ledger_drift=0
-for report in perf scale fabric; do
+for report in perf scale fabric fault; do
     fresh="target/BENCH_$report.json"
     cargo run -q --release --offline -p hix-bench --bin "${report}_report" -- "$fresh" >/dev/null
     if ! cmp -s "BENCH_$report.json" "$fresh"; then
@@ -83,19 +84,6 @@ fi
 # both stacks and exits non-zero on an empty trace, accounting drift, or
 # a non-deterministic same-seed run.
 cargo run -q --release --offline -p hix-bench --bin trace_report target/trace-report
-
-# Fault-matrix smoke: 3 seeds x {none, light, heavy} fault profiles on
-# the secure matrix workload. Exits non-zero if faulted GPU results are
-# not byte-identical to the fault-free run, if a clean wire records any
-# recovery work, or if a same-seed faulted rerun is not deterministic.
-cargo run -q --release --offline -p hix-bench --bin fault_report
-
-# Watchdog smoke: 3 seeds x {none, gpu-light, gpu-heavy} device-fault
-# profiles plus the 4-user peer-interference matrix. Exits non-zero if
-# faulted GPU results diverge from the fault-free run, a peer stalls
-# past the quarantine bound, eviction fails to cap a repeat offender,
-# or a same-seed rerun is not deterministic.
-cargo run -q --release --offline -p hix-bench --bin tdr_report
 
 # Crypto-plane smoke: run the wall-clock crypto bench once (emitting to
 # target/, never overwriting the committed ledger — wall-clock numbers

@@ -1,220 +1,204 @@
-//! Differential fault-injection soak: the same seeded matrix workload
-//! runs fault-free and under seeded fault plans of increasing severity
-//! (message drops, duplicates, reorders, delays, corruption, DMA
-//! bit-flips, PCIe config storms, GPU-enclave restarts). The recovering
-//! runtime must deliver **byte-identical GPU results** in every case,
-//! the fault accounting must reconcile exactly (one `Fault` event per
-//! injection), same-seed faulted reruns must be trace-identical, and a
-//! run with zero faults must record zero recovery work.
+//! Differential fault-injection soak: the seeded matrix scenario of
+//! `hix_bench::soak` runs fault-free and under seeded channel faults
+//! (drops, duplicates, reorders, delays, corruption, DMA bit-flips,
+//! config storms, enclave restarts) and device faults (hangs, wedged
+//! contexts, lost completions, live-VRAM flips, spurious engine
+//! faults), through the synchronous wrappers and through batched
+//! submission. Every cell must meet `soak::check`: byte-identical GPU
+//! results, `Fault` events tiling injected + detected, zero recovery
+//! work on a clean wire, and an idle victim's secret that is readable
+//! exactly when nothing scrubbed VRAM. Each suite below keeps its own
+//! seeds; the sweep-level clauses come from `soak::check_sweep`.
 
-use hix_core::{GpuEnclave, GpuEnclaveOptions, HixSession};
+use hix_bench::soak::{self, SoakRun};
+use hix_core::multiuser::{
+    run_scaled, Mode, SchedulerConfig, SessionFaults, SessionSpec, TaskSpec, EVICT_AFTER,
+};
+use hix_core::{CmdStatus, GpuEnclave, GpuEnclaveOptions, HixSession};
 use hix_driver::rig::{standard_rig, RigOptions};
-use hix_platform::Machine;
-use hix_sim::fault::{FaultConfig, FaultPlan};
-use hix_sim::{Counter, EventKind, Nanos, Payload};
-use hix_testkit::Rng;
+use hix_sim::{CostModel, Nanos};
 use hix_workloads::all_kernels;
-use std::fmt::Write;
 
-/// Matrix-mul rounds per run (each its own session, so the soak also
-/// covers connect/close churn and enclave restarts between rounds).
-const ROUNDS: u32 = 3;
-/// Matrix dimension: 24×24 i32 inputs (2304-byte transfers — several
-/// sealed messages and a multi-chunk-free bulk stream, fast enough to
-/// sweep seeds × profiles).
-const N: u64 = 24;
-
-/// Everything the differential comparison needs from one run.
-struct SoakRun {
-    /// DtoH result bytes, one entry per round.
-    results: Vec<Vec<u8>>,
-    injected: u64,
-    fault_events: u64,
-    retries: u64,
-    retransmits: u64,
-    redma: u64,
-    rekeys: u64,
-    dup_served: u64,
-    snapshot: String,
-    transcript: String,
+fn checked(cell: SoakRun, clean: &SoakRun) -> SoakRun {
+    soak::check(&cell, clean).unwrap_or_else(|e| panic!("{e}"));
+    cell
 }
 
-impl SoakRun {
-    fn recovery_total(&self) -> u64 {
-        self.retries + self.retransmits + self.redma + self.rekeys + self.dup_served
-    }
+fn clean(seed: u64, batched: bool) -> SoakRun {
+    let run = soak::run(seed, "none", batched);
+    soak::check(&run, &run).unwrap_or_else(|e| panic!("{e}"));
+    run
 }
 
-fn rig() -> Machine {
-    let m = standard_rig(RigOptions {
-        kernels: all_kernels(),
-        ..RigOptions::default()
-    });
-    m.trace().set_recording(true);
-    m
-}
-
-fn matrix_bytes(rng: &mut Rng, n: u64) -> Vec<u8> {
-    (0..n * n)
-        .flat_map(|_| ((rng.u32() % 64) as i32).to_le_bytes())
-        .collect()
-}
-
-/// One full soak run: `ROUNDS` sessions of HtoD → matrix.mul → DtoH,
-/// with the fault plan (if any) live for the whole run. The workload
-/// RNG stream is separate from the plan's, so clean and faulted runs
-/// see identical inputs.
-fn soak(seed: u64, profile: Option<FaultConfig>) -> SoakRun {
-    let mut m = rig();
-    if let Some(cfg) = profile {
-        m.set_fault_plan(FaultPlan::new(seed ^ 0xF417, cfg));
-    }
-    let mut wl = Rng::new(seed);
-    let mut enclave = GpuEnclave::launch(&mut m, GpuEnclaveOptions::default()).expect("launch");
-    let mut results = Vec::new();
-    for round in 0..ROUNDS {
-        let mut s = HixSession::connect(&mut m, &mut enclave)
-            .unwrap_or_else(|e| panic!("round {round}: connect: {e}"));
-        s.load_module(&mut m, &mut enclave, "matrix.mul").expect("module");
-        let bytes = N * N * 4;
-        let a = s.malloc(&mut m, &mut enclave, bytes).expect("malloc a");
-        let b = s.malloc(&mut m, &mut enclave, bytes).expect("malloc b");
-        let c = s.malloc(&mut m, &mut enclave, bytes).expect("malloc c");
-        let av = matrix_bytes(&mut wl, N);
-        let bv = matrix_bytes(&mut wl, N);
-        s.memcpy_htod(&mut m, &mut enclave, a, &Payload::from_bytes(av))
-            .unwrap_or_else(|e| panic!("round {round}: htod a: {e}"));
-        s.memcpy_htod(&mut m, &mut enclave, b, &Payload::from_bytes(bv))
-            .unwrap_or_else(|e| panic!("round {round}: htod b: {e}"));
-        s.launch(&mut m, &mut enclave, "matrix.mul", &[a.value(), b.value(), c.value(), N])
-            .unwrap_or_else(|e| panic!("round {round}: launch: {e}"));
-        s.sync(&mut m, &mut enclave).expect("sync");
-        let out = s
-            .memcpy_dtoh(&mut m, &mut enclave, c, bytes)
-            .unwrap_or_else(|e| panic!("round {round}: dtoh: {e}"));
-        results.push(out.bytes().to_vec());
-        s.close(&mut m, &mut enclave)
-            .unwrap_or_else(|e| panic!("round {round}: close: {e}"));
-        // Mid-stream GPU-enclave restart, when the plan rolls one: seal
-        // the trust state, shut down gracefully, relaunch from the
-        // sealed blob, and let the next round reconnect from scratch.
-        if let Some(plan) = m.fault_plan() {
-            if plan.sample_restart() {
-                m.trace().metrics().inc(Counter::FaultInjected);
-                m.trace().metrics().add_named("fault.injected.restart", 1);
-                m.trace().emit(
-                    m.clock().now(),
-                    Nanos::ZERO,
-                    EventKind::Fault,
-                    "inject restart",
-                );
-                let blob = enclave.seal_trust_state(&mut m).expect("seal trust");
-                enclave.shutdown(&mut m).expect("shutdown");
-                enclave = GpuEnclave::launch(
-                    &mut m,
-                    GpuEnclaveOptions {
-                        sealed_trust: Some(blob),
-                        ..GpuEnclaveOptions::default()
-                    },
-                )
-                .expect("relaunch from sealed trust");
-            }
-        }
-    }
-    let mut transcript = String::new();
-    writeln!(transcript, "=== soak @ {}", m.clock().now()).unwrap();
-    for span in m.trace().obs().spans() {
-        writeln!(transcript, "{span:?}").unwrap();
-    }
-    transcript.push_str(&m.trace().summary());
-    transcript.push_str(&m.trace().obs().snapshot());
-    let mx = m.trace().metrics();
-    SoakRun {
-        results,
-        injected: mx.counter("fault.injected"),
-        fault_events: m.trace().count(EventKind::Fault),
-        retries: mx.counter("recovery.retries"),
-        retransmits: mx.counter("recovery.retransmits"),
-        redma: mx.counter("recovery.redma"),
-        rekeys: mx.counter("recovery.rekeys"),
-        dup_served: mx.counter("recovery.dup_served"),
-        snapshot: m.trace().obs().snapshot(),
-        transcript,
-    }
-}
-
-/// The acceptance sweep: 3 seeds × {clean, light, heavy}. Faulted runs
-/// must be byte-identical to the clean run, the fault ledger must
-/// reconcile, and the clean run must show zero faults and zero
-/// recovery.
+/// Channel faults, 3 seeds × {light, heavy}, sync engine.
 #[test]
 fn faulted_runs_are_byte_identical_to_clean() {
     for seed in [0x50A4_0001u64, 0x50A4_0002, 0x50A4_0003] {
-        let clean = soak(seed, None);
-        assert_eq!(clean.injected, 0, "no plan, no faults (seed {seed:#x})");
-        assert_eq!(clean.fault_events, 0, "no plan, no Fault events (seed {seed:#x})");
-        assert_eq!(
-            clean.recovery_total(),
-            0,
-            "zero faults injected must mean zero recovery recorded (seed {seed:#x})"
-        );
-        for (tag, cfg) in [("light", FaultConfig::light()), ("heavy", FaultConfig::heavy())] {
-            let faulted = soak(seed, Some(cfg));
+        let clean = clean(seed, false);
+        for profile in ["light", "heavy"] {
+            let cell = checked(soak::run(seed, profile, false), &clean);
+            let injected = cell.counter("fault.injected");
+            assert!(injected > 0, "{profile} plan never fired (seed {seed:#x})");
             assert_eq!(
-                faulted.results, clean.results,
-                "{tag} faults changed GPU results (seed {seed:#x})"
-            );
-            assert!(
-                faulted.injected > 0,
-                "{tag} plan never fired (seed {seed:#x})"
-            );
-            assert_eq!(
-                faulted.fault_events, faulted.injected,
-                "every injection must emit exactly one Fault event ({tag}, seed {seed:#x})"
+                cell.fault_events, injected,
+                "every injection emits exactly one Fault event, nothing detected ({profile}, seed {seed:#x})"
             );
         }
     }
 }
 
+/// Device faults, 3 seeds × {gpu-light, gpu-heavy}, sync engine. The
+/// clean runs are the probe's positive control.
+#[test]
+fn gpu_faulted_runs_are_byte_identical_to_clean() {
+    let mut cells = Vec::new();
+    for seed in [0x7D20_0001u64, 0x7D20_0002, 0x7D20_0003] {
+        let clean = clean(seed, false);
+        for profile in ["gpu-light", "gpu-heavy"] {
+            let cell = checked(soak::run(seed, profile, false), &clean);
+            assert!(cell.faults() > 0, "{profile} plan never fired (seed {seed:#x})");
+            cells.push(cell);
+        }
+    }
+    soak::check_sweep(&cells).unwrap_or_else(|e| panic!("{e}"));
+    assert!(
+        cells.iter().any(|c| c.counter("watchdog.resets") > 0),
+        "the sweep never exercised a secure reset — the scrub clause is vacuous"
+    );
+}
+
+/// Sync vs batched submission, 3 seeds × {none, light, heavy}.
+#[test]
+fn batched_submission_is_byte_identical_to_sync() {
+    let mut cells = Vec::new();
+    for seed in [0xA5E1_0001u64, 0xA5E1_0002, 0xA5E1_0003] {
+        for batched in [false, true] {
+            let clean = clean(seed, batched);
+            for profile in ["light", "heavy"] {
+                let cell = checked(soak::run(seed, profile, batched), &clean);
+                assert!(cell.faults() > 0, "{profile} plan never fired ({seed:#x}, batched={batched})");
+                cells.push(cell);
+            }
+            cells.push(clean);
+        }
+    }
+    for cell in cells.iter().filter(|c| c.batched) {
+        assert!(cell.counter("cmdq.frames") > 0, "batched mode must actually use frames");
+    }
+    soak::check_sweep(&cells).unwrap_or_else(|e| panic!("{e}"));
+}
+
+/// Runs one cell twice; `fired` picks the counter that shows the plan
+/// did something, so an idle plan cannot pass as deterministic.
+fn rerun_is_identical(
+    seed: u64,
+    profile: &'static str,
+    batched: bool,
+    fired: fn(&SoakRun) -> u64,
+) {
+    let a = soak::run(seed, profile, batched);
+    let b = soak::run(seed, profile, batched);
+    assert!(fired(&a) > 0, "the {profile} plan must fire ({seed:#x}, batched={batched})");
+    soak::check_rerun(&a, &b).unwrap_or_else(|e| panic!("{e}"));
+}
+
+/// Channel faults, sync engine: same seed, same transcript.
 #[test]
 fn same_seed_faulted_reruns_are_trace_identical() {
-    let a = soak(0xD1FF_5EED, Some(FaultConfig::heavy()));
-    let b = soak(0xD1FF_5EED, Some(FaultConfig::heavy()));
-    assert!(a.injected > 0, "the heavy plan must fire");
-    if a.transcript != b.transcript {
-        let line = a
-            .transcript
-            .lines()
-            .zip(b.transcript.lines())
-            .position(|(x, y)| x != y)
-            .map(|i| {
-                format!(
-                    "first diverging line {}:\n  run1: {}\n  run2: {}",
-                    i,
-                    a.transcript.lines().nth(i).unwrap_or("<eof>"),
-                    b.transcript.lines().nth(i).unwrap_or("<eof>"),
-                )
-            })
-            .unwrap_or_else(|| "lengths differ".into());
-        panic!("same-seed faulted reruns diverged — fault injection is not deterministic.\n{line}");
-    }
-    assert_eq!(a.snapshot, b.snapshot, "metrics snapshots must agree too");
+    rerun_is_identical(0xD1FF_5EED, "heavy", false, SoakRun::faults);
+}
+
+/// The batched engine's half of the per-engine rerun check; the sync
+/// engine's half on the same seed is the test above.
+#[test]
+fn same_seed_reruns_have_identical_ledgers_per_mode() {
+    rerun_is_identical(0xD1FF_5EED, "heavy", true, SoakRun::faults);
+}
+
+/// Device faults: watchdog kills, resets and scrubs replay exactly.
+#[test]
+fn same_seed_gpu_faulted_reruns_are_trace_identical() {
+    rerun_is_identical(0x7D2D_5EED, "gpu-heavy", false, SoakRun::device_faults);
 }
 
 #[test]
 fn heavier_profiles_inject_and_recover_more() {
-    let light = soak(0xBEEF, Some(FaultConfig::light()));
-    let heavy = soak(0xBEEF, Some(FaultConfig::heavy()));
+    let light = soak::run(0xBEEF, "light", false);
+    let heavy = soak::run(0xBEEF, "heavy", false);
+    let (l, h) = (light.counter("fault.injected"), heavy.counter("fault.injected"));
+    assert!(h > l, "heavy ({h}) must out-inject light ({l})");
+    assert!(heavy.recovery_actions() > 0, "heavy faults must exercise recovery");
     assert!(
-        heavy.injected > light.injected,
-        "heavy ({}) must out-inject light ({})",
-        heavy.injected,
-        light.injected
-    );
-    assert!(heavy.recovery_total() > 0, "heavy faults must exercise recovery");
-    assert!(
-        heavy.snapshot.contains("recovery.retries_per_op")
-            || heavy.retries == 0,
+        heavy.transcript.contains("recovery.retries_per_op")
+            || heavy.counter("recovery.retries") == 0,
         "retry histogram must appear once retries happened"
     );
+}
+
+/// The quarantine bound at the layer where peers exist: a permanently
+/// wedging tenant costs each healthy peer at most `EVICT_AFTER` blocked
+/// windows (plus scheduling slack), no matter how many more wedges it
+/// would have caused — the repeat-offender eviction caps the damage.
+#[test]
+fn permanently_hung_context_never_stalls_peers_beyond_quarantine_bound() {
+    let model = CostModel::paper();
+    let config = SchedulerConfig::new(&model);
+    let spec = TaskSpec {
+        name: "soak-peer".into(),
+        htod: 8 << 20,
+        dtoh: 4 << 20,
+        kernel_time: Nanos::from_millis(12),
+        launches: 2,
+    };
+    let mut sessions = vec![SessionSpec::new(spec); 4];
+    let plain = run_scaled(&model, &sessions, Mode::Hix, &config, None);
+    // wedges forever, or would
+    sessions[0].faults = SessionFaults { tdr_resets: u32::MAX, ..SessionFaults::default() };
+    let degraded = run_scaled(&model, &sessions, Mode::Hix, &config, None);
+    assert!(degraded.evicted[0], "a forever-wedging context must be evicted");
+    let per_offense = model.tdr_patience()
+        + model.tdr_kill_grace() * 3
+        + model.tdr_reset_penalty()
+        + model.ctx_switch * 2;
+    let bound = per_offense * u64::from(EVICT_AFTER);
+    for peer in 1..4 {
+        assert!(
+            degraded.completions[peer] <= plain.completions[peer] + bound,
+            "peer {peer} stalled past the quarantine bound: {:?} vs {:?} + {bound:?}",
+            degraded.completions[peer],
+            plain.completions[peer],
+        );
+        assert!(!degraded.evicted[peer]);
+    }
+}
+
+/// An explicit mixed workflow: interleaving submits, barriers, and
+/// late completion pickup. Barrier ops (malloc/dtoh) drain the ring
+/// first, so every queued command's effect is visible to them.
+#[test]
+fn barriers_order_after_queued_commands() {
+    let mut m = standard_rig(RigOptions {
+        kernels: all_kernels(),
+        ..RigOptions::default()
+    });
+    let mut enclave = GpuEnclave::launch(&mut m, GpuEnclaveOptions::default()).expect("launch");
+    let mut s = HixSession::connect(&mut m, &mut enclave).expect("connect");
+    let a = s.malloc(&mut m, &mut enclave, 4096).expect("malloc");
+    let id0 = s.submit_memset(&mut m, &mut enclave, a, 4096, 0x5a).unwrap();
+    // The barrier read drains the pending memset before serving.
+    let back = s.memcpy_dtoh(&mut m, &mut enclave, a, 4096).expect("dtoh");
+    assert!(back.bytes().iter().all(|&x| x == 0x5a), "barrier saw stale bytes");
+    let comps = s.take_completions();
+    assert_eq!(comps, vec![(id0, CmdStatus::Ok)]);
+    // A failing queued command completes with Err, not a flush error.
+    let bad = s.submit_launch(&mut m, &mut enclave, "no.such.kernel", &[]).unwrap();
+    s.flush(&mut m, &mut enclave).expect("flush survives command errors");
+    let comps = s.take_completions();
+    assert_eq!(comps.len(), 1);
+    assert_eq!(comps[0].0, bad);
+    assert!(
+        matches!(&comps[0].1, CmdStatus::Err(_)),
+        "unknown kernel must fail its own command only"
+    );
+    s.close(&mut m, &mut enclave).expect("close");
 }
