@@ -17,7 +17,7 @@ use hix_driver::rig::{standard_rig, RigOptions, GPU_BDF, PORT_BDF};
 use hix_gpu::device::{GpuConfig, GpuDevice};
 use hix_gpu::regs::bar0;
 use hix_pcie::addr::{Bdf, PhysAddr};
-use hix_pcie::config::offsets;
+use hix_pcie::config::{offsets, BarIndex};
 use hix_pcie::fabric::{PcieError, Provenance};
 use hix_platform::hix::HixError;
 use hix_platform::mem::PAGE_SIZE;
@@ -504,34 +504,53 @@ pub fn repeated_bulk_replay_under_faults(n: u32) -> ScenarioReport {
     }
 }
 
-/// Scans the low 64 MiB of VRAM (where the bump allocator places every
-/// buffer) for `needle` by reading BAR1 directly off the device — the
-/// bus-analyzer probe that works regardless of MMIO lockdown state.
-fn vram_probe(m: &mut Machine, needle: &[u8]) -> bool {
-    use hix_pcie::BarIndex;
-    let dev = m
-        .fabric_mut()
-        .device_mut(GPU_BDF)
-        .expect("GPU present on the rig");
+/// How much of VRAM [`vram_holds`] reads: the low 64 MiB, where the
+/// bump allocator places every buffer.
+const PROBE_BYTES: u64 = 64 << 20;
+/// The probe's BAR1 read size.
+const PROBE_READ: usize = 1 << 20;
+
+/// Whether `needle` occurs anywhere in the low [`PROBE_BYTES`] of VRAM,
+/// read through BAR1 straight off the device model — the bus-analyzer
+/// probe that works regardless of MMIO lockdown.
+pub fn vram_holds(m: &mut Machine, needle: &[u8]) -> bool {
+    let dev = m.device_mut(GPU_BDF).expect("gpu present");
     let mut saved_aperture = [0u8; 8];
     dev.mmio_read(BarIndex(0), bar0::APERTURE, &mut saved_aperture);
     dev.mmio_write(BarIndex(0), bar0::APERTURE, &0u64.to_le_bytes());
-    let mut found = false;
-    let overlap = needle.len() - 1;
-    let mut tail = vec![0u8; overlap];
-    for page in 0..16384u64 {
-        let mut buf = vec![0u8; PAGE_SIZE as usize];
-        dev.mmio_read(BarIndex(1), page * PAGE_SIZE, &mut buf);
-        let mut window = tail.clone();
-        window.extend_from_slice(&buf);
-        if window.windows(needle.len()).any(|w| w == needle) {
-            found = true;
-            break;
-        }
-        tail.copy_from_slice(&buf[buf.len() - overlap..]);
-    }
+    // Each read lands behind the previous read's last `needle.len() - 1`
+    // bytes, so a secret straddling two reads is still seen whole.
+    let carry = needle.len() - 1;
+    let mut window = vec![0u8; carry + PROBE_READ];
+    let found = (0..PROBE_BYTES).step_by(PROBE_READ).any(|offset| {
+        window.copy_within(PROBE_READ.., 0);
+        dev.mmio_read(BarIndex(1), offset, &mut window[carry..]);
+        contains(if offset == 0 { &window[carry..] } else { &window }, needle)
+    });
     dev.mmio_write(BarIndex(0), bar0::APERTURE, &saved_aperture);
     found
+}
+
+/// Substring search that looks at every `needle.len()`-th byte only:
+/// any occurrence covers exactly one of those positions, so trying the
+/// needle's offsets of that byte finds it.
+fn contains(hay: &[u8], needle: &[u8]) -> bool {
+    let mut in_needle = [false; 256];
+    for &b in needle {
+        in_needle[usize::from(b)] = true;
+    }
+    let mut p = 0;
+    while p < hay.len() {
+        if in_needle[usize::from(hay[p])]
+            && needle.iter().enumerate().any(|(j, &b)| {
+                b == hay[p] && p >= j && hay.get(p - j..p - j + needle.len()) == Some(needle)
+            })
+        {
+            return true;
+        }
+        p += needle.len();
+    }
+    false
 }
 
 /// Watchdog extra: a secret planted in a victim session's VRAM must be
@@ -589,7 +608,7 @@ pub fn tdr_reset_scrub() -> ScenarioReport {
     victim
         .memcpy_htod(&mut m, &mut enclave, dev, &Payload::from_bytes(secret.clone()))
         .expect("plant");
-    if !vram_probe(&mut m, needle) {
+    if !vram_holds(&mut m, needle) {
         return report(Verdict::Breached {
             detail: "probe failed to see the plant before the reset".into(),
         });
@@ -617,7 +636,7 @@ pub fn tdr_reset_scrub() -> ScenarioReport {
             detail: "no secure reset happened".into(),
         });
     }
-    if vram_probe(&mut m, needle) {
+    if vram_holds(&mut m, needle) {
         return report(Verdict::Breached {
             detail: "victim secret survived the secure TDR reset".into(),
         });
@@ -770,6 +789,44 @@ mod tests {
     fn repeated_kill_cycles_all_blocked() {
         let r = repeated_kill_and_reclaim(3);
         assert!(r.verdict.held(), "{:?}", r.verdict);
+    }
+
+    /// What the probe tests look for.
+    const NEEDLE: &[u8] = b"TDR-SOAK-RESIDUE-SENTINEL";
+
+    #[test]
+    fn stride_search_matches_the_naive_scan() {
+        let mut rng = hix_testkit::Rng::new(0x5EA2C4);
+        let alphabet = b"TDR-SOAK\0";
+        for _ in 0..4000 {
+            let len = rng.gen_range_usize(0..160);
+            let mut hay: Vec<u8> =
+                (0..len).map(|_| alphabet[rng.gen_range_usize(0..alphabet.len())]).collect();
+            if len >= NEEDLE.len() && rng.u32().is_multiple_of(2) {
+                let at = rng.gen_range_usize(0..len - NEEDLE.len() + 1);
+                hay[at..at + NEEDLE.len()].copy_from_slice(NEEDLE);
+            }
+            let naive = hay.windows(NEEDLE.len()).any(|w| w == NEEDLE);
+            assert_eq!(contains(&hay, NEEDLE), naive, "{hay:?}");
+        }
+    }
+
+    #[test]
+    fn probe_sees_a_secret_anywhere_in_the_low_64_mib() {
+        let len = NEEDLE.len() as u64;
+        let read = PROBE_READ as u64;
+        for (at, seen) in [
+            (0, true),
+            (read - 10, true),
+            (read * 5 - len, true),
+            (PROBE_BYTES - len, true),
+            (PROBE_BYTES - 10, false),
+        ] {
+            let mut m = standard_rig(RigOptions::default());
+            let dev = m.device_mut(GPU_BDF).expect("gpu present");
+            dev.mmio_write(BarIndex(1), at, NEEDLE);
+            assert_eq!(vram_holds(&mut m, NEEDLE), seen, "secret at {at:#x}");
+        }
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! switch-correlated} × 3 seeds. Each machine cell launches one
 //! `GpuEnclave` shard per GPU over a switched rig, plants per-tenant
 //! patterns, storms exactly one shard until its watchdog escalates to a
-//! shard-local secure reset, then proves containment: the reset's blast
-//! radius outside the storming shard is zero, every tenant's readback
+//! shard-local secure reset (the storm tenant re-keys through the
+//! recovery), then proves containment: the reset's blast radius outside
+//! the storming shard is zero, every tenant's readback
 //! is byte-identical to its plant (and identical across all three fault
 //! seeds), and at least one session cross-shard-migrates off the
 //! resetting shard (fresh keys, replayed journal). The model half runs
@@ -13,18 +14,17 @@
 //! stalls. Emits `BENCH_fabric.json` with a stable schema.
 //!
 //! Usage: `fabric_report [OUT.json]` (default `BENCH_fabric.json`).
-//! `scripts/ci.sh` regenerates the ledger into `target/` and fails on
-//! any byte difference from the committed file.
+//! The tier-1 test `crates/bench/tests/ledgers.rs` reruns this bin
+//! and fails on any byte difference from the committed ledger.
 
 use std::fmt::Write as _;
 
-use hix_bench::{fail, write_ledger};
+use hix_bench::{bp_like, diff_lines, fail, write_ledger};
 use hix_core::fabric::{run_fabric_scaled, Fabric, FabricOptions};
-use hix_core::multiuser::{SchedulerConfig, SessionSpec, TaskSpec};
+use hix_core::multiuser::{SchedulerConfig, SessionSpec};
 use hix_driver::rig::{fabric_rig, RigOptions};
 use hix_obs::fmt_ns;
-use hix_sim::fault::{fabric_fault_plans, FabricProfile};
-use hix_sim::{CostModel, Nanos, Payload};
+use hix_sim::{CostModel, FaultConfig, FaultPlan, Payload};
 
 /// Fault-tape seeds: outcomes must be byte-identical across all three.
 const SEEDS: [u64; 3] = [7, 101, 4099];
@@ -33,7 +33,7 @@ const FANOUT: usize = 2;
 /// Tenants per shard (mixed traffic: each plants and reads back).
 const TENANTS_PER_SHARD: usize = 2;
 /// Storm ops before we declare the watchdog never escalated.
-const STORM_CAP: usize = 400;
+const STORM_CAP: usize = 300;
 /// Payload planted (and later read back) by every tenant.
 const PLANT_LEN: u64 = 4096;
 
@@ -45,9 +45,55 @@ fn plant(tenant: usize) -> Vec<u8> {
         .collect()
 }
 
+/// The fabric fault profiles, clean first. Both faulted profiles storm
+/// the highest-indexed GPU, so peers exist whenever there are two or
+/// more.
+const PROFILES: [&str; 3] = ["none", "shard-storm", "switch-correlated"];
+
+/// A profile's device-fault plan per GPU (`switch_of[i]` is GPU i's
+/// switch; `None` runs that GPU fault-free), a function of `seed` and
+/// stable shard and switch coordinates only.
+/// * `shard-storm`: the storm GPU alone takes a hang→wedge barrage with
+///   no channel noise, hot enough that a wedged context, and with it a
+///   secure reset, arrives within a handful of engine commands. Lost
+///   and spurious completions would stretch the escalation window, and
+///   a journal that grows for hundreds of ops before the first reset
+///   cannot be replayed under a 10% hang rate within the recovery
+///   budget.
+/// * `switch-correlated`: every GPU behind the storm GPU's switch takes
+///   a milder mix, each from the same per-switch seed, so their fault
+///   tapes are identical: a flaky link upstream of all of them, without
+///   shared mutable state.
+fn fault_plans(profile: &str, seed: u64, switch_of: &[usize]) -> Vec<Option<FaultPlan>> {
+    let storm = switch_of.len() - 1;
+    let storm_switch = switch_of[storm];
+    (0..switch_of.len())
+        .map(|i| match profile {
+            "shard-storm" => (i == storm).then(|| {
+                let cfg = FaultConfig {
+                    gpu_hang_pm: 100,
+                    gpu_wedge_pm: 1000,
+                    ..FaultConfig::none()
+                };
+                FaultPlan::new(seed ^ 0xFAB0_0000 ^ i as u64, cfg)
+            }),
+            "switch-correlated" => (switch_of[i] == storm_switch).then(|| {
+                let cfg = FaultConfig {
+                    gpu_hang_pm: 50,
+                    gpu_wedge_pm: 500,
+                    gpu_spurious_pm: 20,
+                    ..FaultConfig::none()
+                };
+                FaultPlan::new(seed ^ 0xFAB1_0000 ^ (storm_switch as u64).rotate_left(13), cfg)
+            }),
+            _ => None,
+        })
+        .collect()
+}
+
 struct Cell {
     gpus: usize,
-    profile: FabricProfile,
+    profile: &'static str,
     seed: u64,
     sessions: usize,
     served_ok: usize,
@@ -57,10 +103,12 @@ struct Cell {
     ops_to_reset: u64,
     /// Concatenated readbacks, compared across seeds for byte identity.
     served: Vec<u8>,
-    snapshot: String,
+    /// What a same-seed rerun must reproduce: the storm length, every
+    /// readback and the metrics snapshot (resets, migrations, ...).
+    transcript: String,
 }
 
-fn run_scenario(gpus: usize, profile: FabricProfile, seed: u64) -> Cell {
+fn run_scenario(gpus: usize, profile: &'static str, seed: u64) -> Cell {
     let (mut m, topo) = fabric_rig(RigOptions::default(), gpus, FANOUT);
     // Storm tenants are victims of injected faults, not abusers: keep
     // the eviction ladder out of the way so they recover repeatedly.
@@ -110,13 +158,13 @@ fn run_scenario(gpus: usize, profile: FabricProfile, seed: u64) -> Cell {
         ));
     }
 
-    // Storm exactly one shard (the profile's designated shard) until
-    // its watchdog escalates to a shard-local secure reset.
+    // Storm exactly one shard (the highest-indexed) until its watchdog
+    // escalates to a shard-local secure reset.
     let mut ops_to_reset = 0u64;
-    let storm_shard = profile.storm_shard(gpus);
+    let storm_shard = (profile != "none").then(|| gpus - 1);
     if let Some(storm) = storm_shard {
         let switch_of: Vec<usize> = topo.gpus.iter().map(|g| g.switch).collect();
-        let plans = fabric_fault_plans(seed, &switch_of, profile);
+        let plans = fault_plans(profile, seed, &switch_of);
         for (i, plan) in plans.into_iter().enumerate() {
             m.set_device_fault_plan(topo.gpus[i].bdf, plan);
         }
@@ -138,13 +186,15 @@ fn run_scenario(gpus: usize, profile: FabricProfile, seed: u64) -> Cell {
             ops_to_reset += 1;
             if ops_to_reset as usize >= STORM_CAP {
                 fail(&format!(
-                    "{gpus}/{}/{seed}: no secure reset after {STORM_CAP} storm ops",
-                    profile.name()
+                    "{gpus}/{profile}/{seed}: no secure reset after {STORM_CAP} storm ops"
                 ));
             }
         }
         for g in &topo.gpus {
             m.set_device_fault_plan(g.bdf, None);
+        }
+        if session.epoch() == 0 {
+            fail(&format!("{gpus}/{profile}/{seed}: the storm tenant kept its pre-reset keys"));
         }
 
         // Degraded-mode migration: while the storm shard digs out, move
@@ -180,6 +230,9 @@ fn run_scenario(gpus: usize, profile: FabricProfile, seed: u64) -> Cell {
     let blast_radius = storm_shard
         .map(|s| fabric.reset_blast_radius(&m, s))
         .unwrap_or(0);
+    if m.trace().metrics().counter("fabric.reset_blast_radius") != 0 {
+        fail(&format!("{gpus}/{profile}/{seed}: the blast-radius counter is not 0"));
+    }
 
     // Every tenant — peers, the storm driver, the migrant — reads its
     // plant back byte-identically.
@@ -205,6 +258,7 @@ fn run_scenario(gpus: usize, profile: FabricProfile, seed: u64) -> Cell {
         fail(&format!("{gpus} GPUs: lockdown chain broken after the storm"));
     }
 
+    let snapshot = m.trace().metrics().snapshot();
     Cell {
         gpus,
         profile,
@@ -215,38 +269,25 @@ fn run_scenario(gpus: usize, profile: FabricProfile, seed: u64) -> Cell {
         blast_radius,
         migrations: m.trace().metrics().counter("fabric.migrations"),
         ops_to_reset,
+        transcript: format!("ops_to_reset {ops_to_reset}\nserved {served:?}\n{snapshot}"),
         served,
-        snapshot: m.trace().metrics().snapshot(),
     }
 }
 
-fn run_cell(gpus: usize, profile: FabricProfile, seed: u64) -> Cell {
+fn run_cell(gpus: usize, profile: &'static str, seed: u64) -> Cell {
     // Same-seed determinism: the whole scenario — storm, reset,
     // migration, readback — twice, bit-for-bit.
     let cell = run_scenario(gpus, profile, seed);
     let again = run_scenario(gpus, profile, seed);
-    if cell.served != again.served
-        || cell.resets != again.resets
-        || cell.migrations != again.migrations
-        || cell.ops_to_reset != again.ops_to_reset
-    {
-        fail(&format!(
-            "{gpus}/{}/{seed}: rerun diverged",
-            profile.name()
-        ));
-    }
-    if cell.snapshot != again.snapshot {
-        fail(&format!(
-            "{gpus}/{}/{seed}: metrics snapshot not deterministic",
-            profile.name()
-        ));
+    if let Err(d) = diff_lines(&cell.transcript, &again.transcript) {
+        fail(&format!("{gpus}/{profile}/{seed}: same-seed rerun diverged: {d}"));
     }
     cell
 }
 
 fn check_cells(cells: &[Cell]) {
     for c in cells {
-        let tag = format!("{}/{}/{}", c.gpus, c.profile.name(), c.seed);
+        let tag = format!("{}/{}/{}", c.gpus, c.profile, c.seed);
         // Containment: a shard-local secure reset never touches a peer.
         if c.blast_radius != 0 {
             fail(&format!("{tag}: reset blast radius {}", c.blast_radius));
@@ -258,7 +299,7 @@ fn check_cells(cells: &[Cell]) {
                 c.served_ok, c.sessions
             ));
         }
-        if c.profile != FabricProfile::None {
+        if c.profile != "none" {
             if c.resets == 0 {
                 fail(&format!("{tag}: fault profile never caused a reset"));
             }
@@ -280,7 +321,7 @@ fn check_cells(cells: &[Cell]) {
             fail(&format!(
                 "{}/{}: seed {} served different bytes than seed {}",
                 c.gpus,
-                c.profile.name(),
+                c.profile,
                 c.seed,
                 anchor.seed
             ));
@@ -297,23 +338,12 @@ struct ModelCell {
     peer_identical: bool,
 }
 
-/// The Figure 8/9 "bp-like" profile every modeled tenant runs.
-fn task() -> TaskSpec {
-    TaskSpec {
-        name: "bp-like".into(),
-        htod: 117 << 20,
-        dtoh: 42 << 20,
-        kernel_time: Nanos::from_millis(22),
-        launches: 2,
-    }
-}
-
 /// Modeled tenant pool, fixed across fabric sizes so the degraded-mode
 /// table shows throughput scaling with shards added.
 const MODEL_TENANTS: usize = 16;
 
 fn run_model_cell(model: &CostModel, gpus: usize) -> ModelCell {
-    let specs: Vec<SessionSpec> = (0..MODEL_TENANTS).map(|_| SessionSpec::new(task())).collect();
+    let specs: Vec<SessionSpec> = (0..MODEL_TENANTS).map(|_| SessionSpec::new(bp_like())).collect();
     let switch_of: Vec<usize> = (0..gpus).map(|i| i / FANOUT).collect();
     let cfg = SchedulerConfig::new(model);
     let clean = run_fabric_scaled(model, &specs, &switch_of, None, &cfg, None);
@@ -392,7 +422,7 @@ fn emit_json(cells: &[Cell], model_cells: &[ModelCell]) -> String {
             s,
             "    {{\"gpus\": {}, \"profile\": \"{}\", \"seed\": {}, \"sessions\": {}, \"served_ok\": {}, \"resets\": {}, \"blast_radius\": {}, \"migrations\": {}, \"ops_to_reset\": {}}}",
             c.gpus,
-            c.profile.name(),
+            c.profile,
             c.seed,
             c.sessions,
             c.served_ok,
@@ -425,15 +455,9 @@ fn main() {
     let out_path = std::env::args().nth(1).unwrap_or_else(|| "BENCH_fabric.json".into());
 
     let sizes = [1, 2, 4];
-    let profiles = [
-        FabricProfile::None,
-        FabricProfile::ShardStorm,
-        FabricProfile::SwitchCorrelated,
-    ];
-
     let mut cells = Vec::new();
     for gpus in sizes {
-        for profile in profiles {
+        for profile in PROFILES {
             for seed in SEEDS {
                 cells.push(run_cell(gpus, profile, seed));
             }
@@ -452,7 +476,7 @@ fn main() {
         println!(
             "| {} | {} | {} | {} | {} | {} | {}/{} | {} |",
             c.gpus,
-            c.profile.name(),
+            c.profile,
             c.seed,
             c.resets,
             c.blast_radius,

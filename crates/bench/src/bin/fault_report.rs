@@ -10,9 +10,9 @@
 //! later wedges cost the peers.
 //!
 //! Usage: `fault_report [OUT.json]` (default `BENCH_fault.json`): one
-//! line per cell and one per peer row. `scripts/ci.sh` regenerates the
-//! ledger into `target/` and fails on any byte difference from the
-//! committed file.
+//! line per cell and one per peer row. The tier-1 test
+//! `crates/bench/tests/ledgers.rs` reruns this bin and fails on any
+//! byte difference from the committed ledger.
 
 use std::fmt::Write as _;
 

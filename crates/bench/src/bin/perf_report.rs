@@ -27,9 +27,9 @@
 //!   size 8, with a p99 end-to-end command latency no worse than sync.
 //!
 //! Usage: `perf_report [OUT.json [FOLDED.txt]]` (default
-//! `BENCH_perf.json`, no folded file). `scripts/ci.sh` regenerates the
-//! ledger into `target/` and fails on any byte difference from the
-//! committed file.
+//! `BENCH_perf.json`, no folded file). The tier-1 test
+//! `crates/bench/tests/ledgers.rs` reruns this bin and fails on any
+//! byte difference from the committed ledger.
 //!
 //! The folded-stacks file loads directly into `flamegraph.pl` or
 //! speedscope; the Perfetto timeline of the same spans comes from
@@ -37,7 +37,7 @@
 
 use std::fmt::Write as _;
 
-use hix_bench::{fail, soak, write_ledger};
+use hix_bench::{diff_lines, fail, soak, write_ledger};
 use hix_core::{CmdStatus, GpuEnclave, GpuEnclaveOptions, HixSession};
 use hix_driver::rig::{standard_rig, RigOptions};
 use hix_obs::{
@@ -45,6 +45,7 @@ use hix_obs::{
 };
 use hix_sim::fault::{FaultConfig, FaultPlan};
 use hix_sim::Payload;
+use hix_testkit::rng::splitmix64;
 use hix_workloads::all_kernels;
 
 /// One seed drives the whole sweep.
@@ -62,14 +63,6 @@ const MIX_OPS: u64 = FILLERS as u64 + 3;
 /// Rounds every tenant serves per cell.
 const ROUNDS: u32 = 8;
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// One (profile, engine) cell's worth of serving-path evidence.
 struct Cell {
     profile: &'static str,
@@ -83,8 +76,10 @@ struct Cell {
     /// The single longest critical path of the run and its request.
     longest_ns: u64,
     longest_op: String,
-    snapshot: String,
     folded: String,
+    /// What a same-seed rerun must reproduce: every request, the
+    /// snapshot and the folded stacks.
+    transcript: String,
     /// Every round's DtoH result bytes — the engine-equivalence oracle.
     results: Vec<Vec<u8>>,
     /// Channel wakes accumulated inside the queueable stretches only
@@ -270,6 +265,10 @@ fn run_cell(profile: &'static str, cfg: Option<FaultConfig>, batched: bool) -> C
         }
     }
 
+    let folded = folded_stacks(&obs.spans(), "hix");
+    let mut transcript: String = requests.iter().map(|r| format!("{r:?}\n")).collect();
+    transcript.push_str(&obs.snapshot());
+    transcript.push_str(&folded);
     Cell {
         profile,
         slo: hix_obs::slo_table(&requests),
@@ -278,8 +277,8 @@ fn run_cell(profile: &'static str, cfg: Option<FaultConfig>, batched: bool) -> C
         makespan_ns: m.clock().now().as_nanos(),
         longest_ns,
         longest_op,
-        snapshot: obs.snapshot(),
-        folded: folded_stacks(&obs.spans(), "hix"),
+        folded,
+        transcript,
         results,
         mix_wakes,
         mix_ops,
@@ -442,11 +441,8 @@ fn main() {
             // Same-seed determinism: requests, snapshot, and folded
             // stacks must replay byte-identically — in both engines.
             let again = run_cell(tag, cfg, batched);
-            if cell.requests != again.requests
-                || cell.snapshot != again.snapshot
-                || cell.folded != again.folded
-            {
-                fail(&format!("{tag} (batched={batched}): rerun diverged"));
+            if let Err(d) = diff_lines(&cell.transcript, &again.transcript) {
+                fail(&format!("{tag} (batched={batched}): same-seed rerun diverged: {d}"));
             }
             engines.push(cell);
         }

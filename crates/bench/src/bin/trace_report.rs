@@ -2,13 +2,14 @@
 //! stacks with span recording on, exports a Perfetto-loadable Chrome
 //! trace plus the secure-DMA phase table, and self-checks the result
 //! (non-empty trace, charged-kind coverage, accounting reconciliation,
-//! same-seed determinism). Used by `scripts/ci.sh` as a smoke test.
+//! same-seed determinism). The tier-1 test `crates/bench/tests/ledgers.rs`
+//! runs it as a smoke test.
 //!
 //! Usage: `trace_report [output-dir]` (default `target/trace-report`).
 //! Open the emitted `*.trace.json` at <https://ui.perfetto.dev>.
 
 use hix_bench::json::{parse_json, Json};
-use hix_bench::{bench_rig, fail, write_ledger, MatrixAt};
+use hix_bench::{bench_rig, diff_lines, fail, write_ledger, MatrixAt};
 use hix_core::{GpuEnclave, GpuEnclaveOptions, HixSession};
 use hix_driver::rig::GPU_BDF;
 use hix_driver::Gdev;
@@ -153,13 +154,12 @@ fn main() {
 
     // Same-seed determinism: a second run of each stack must be
     // byte-identical in both the exported trace and the snapshot.
-    let gdev2 = run_gdev(&workload);
-    let hix2 = run_hix(&workload);
-    if gdev.json != gdev2.json || gdev.snapshot != gdev2.snapshot {
-        fail("gdev trace is not deterministic across same-seed runs");
-    }
-    if hix.json != hix2.json || hix.snapshot != hix2.snapshot {
-        fail("hix trace is not deterministic across same-seed runs");
+    let transcript = |runs: [&TracedRun; 2]| -> String {
+        runs.iter().map(|r| format!("{}\n{}", r.json, r.snapshot)).collect()
+    };
+    let again = transcript([&run_gdev(&workload), &run_hix(&workload)]);
+    if let Err(d) = diff_lines(&transcript([&gdev, &hix]), &again) {
+        fail(&format!("same-seed rerun diverged: {d}"));
     }
 
     for (tag, run) in [("gdev", &gdev), ("hix", &hix)] {

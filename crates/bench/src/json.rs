@@ -1,9 +1,9 @@
 //! Minimal recursive-descent JSON parser for the outputs that cannot be
 //! gated byte for byte.
 //!
-//! The virtual-time ledgers (`BENCH_perf/scale/fabric.json`) need no
-//! reader: they are deterministic, so `scripts/ci.sh` regenerates them
-//! and compares bytes. This parser serves the two outputs that vary per
+//! The virtual-time ledgers (`BENCH_perf/scale/fabric/fault.json`) need
+//! no reader: they are deterministic, so `crates/bench/tests/ledgers.rs`
+//! regenerates them and compares bytes. This parser serves the two outputs that vary per
 //! run or per host: `trace_report`'s structural check of its Perfetto
 //! traces, and the crypto bench's `--check` of the wall-clock
 //! `BENCH_crypto.json`. Deliberately small: no escapes in strings (the

@@ -12,6 +12,9 @@
 pub mod json;
 pub mod soak;
 
+use std::fmt::Write as _;
+
+use hix_core::multiuser::TaskSpec;
 use hix_core::{GpuEnclave, GpuEnclaveOptions, HixSession};
 use hix_driver::rig::{standard_rig, RigOptions, GPU_BDF};
 use hix_driver::Gdev;
@@ -47,6 +50,61 @@ pub fn write_ledger(path: &str, text: &str) {
         .and_then(|()| std::fs::write(path, text));
     if let Err(e) = written {
         fail(&format!("cannot write {path}: {e}"));
+    }
+}
+
+/// The most moved lines [`diff_lines`] lists; every committed ledger
+/// is shorter than this.
+const DIFF_LINES: usize = 100;
+
+/// Compares `got` with `want` line by line: a same-seed rerun's
+/// transcript with the first run's, or a fresh ledger with the
+/// committed one. `Ok` when they are identical. Otherwise the error
+/// lists each moved line (up to [`DIFF_LINES`]) as a `-want`/`+got`
+/// pair under its line number and the nearest line above it that
+/// contains `"profile"` and leaves its object open: the head of the
+/// perf profile a stage or SLO row belongs to. One-line rows (the
+/// scale, fabric and fault cells) name their own cell. Lines are
+/// paired by position, so an inserted or deleted line moves every line
+/// after it.
+pub fn diff_lines(want: &str, got: &str) -> Result<(), String> {
+    if want == got {
+        return Ok(());
+    }
+    let (want, got): (Vec<&str>, Vec<&str>) = (want.lines().collect(), got.lines().collect());
+    let opens = |w: &&str| w.contains("\"profile\"") && !w.trim_end_matches(',').ends_with('}');
+    let (mut moved, mut listed, mut anchor) = (0, String::new(), None);
+    for i in 0..want.len().max(got.len()) {
+        let (w, g) = (want.get(i).copied(), got.get(i).copied());
+        if w != g {
+            moved += 1;
+            if moved <= DIFF_LINES {
+                let under = anchor.map_or(String::new(), |a| format!(" (under {a})"));
+                let (w, g) = (w.unwrap_or("<eof>"), g.unwrap_or("<eof>"));
+                let _ = write!(listed, "\nline {}{under}:\n- {w}\n+ {g}", i + 1);
+            }
+        }
+        if let Some(w) = w.filter(opens) {
+            anchor = Some(w.trim().trim_end_matches(','));
+        }
+    }
+    if moved > DIFF_LINES {
+        let _ = write!(listed, "\n... and {} more", moved - DIFF_LINES);
+    }
+    Err(match moved {
+        0 => "the texts differ only in their line endings".into(),
+        _ => format!("{moved} moved line(s):{listed}"),
+    })
+}
+
+/// The Figure 8/9 "bp-like" tenant the scale and fabric reports run.
+pub fn bp_like() -> TaskSpec {
+    TaskSpec {
+        name: "bp-like".into(),
+        htod: 117 << 20,
+        dtoh: 42 << 20,
+        kernel_time: Nanos::from_millis(22),
+        launches: 2,
     }
 }
 
@@ -287,32 +345,5 @@ impl Workload for MatrixAt {
 
     fn gdev_pageable(&self) -> bool {
         true
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use hix_workloads::matrix::MatrixOp;
-
-    #[test]
-    fn matrix_measurement_produces_sane_ratio() {
-        let row = measure_both(&MatrixAt { op: MatrixOp::Add, n: 2048 }, "add-2048");
-        assert!(row.gdev > Nanos::ZERO);
-        assert!(row.hix > row.gdev, "secure path must cost more for add");
-    }
-
-    #[test]
-    fn mul_overhead_shrinks_with_size() {
-        // From 4096 up, compute dominance hides the crypto (below that,
-        // the task-init advantage muddies the trend, as in Fig. 6b).
-        let small = measure_both(&MatrixAt { op: MatrixOp::Mul, n: 4096 }, "s");
-        let large = measure_both(&MatrixAt { op: MatrixOp::Mul, n: 11264 }, "l");
-        assert!(
-            large.overhead_pct() < small.overhead_pct(),
-            "compute-dominance hides crypto: {} vs {}",
-            large.overhead_pct(),
-            small.overhead_pct()
-        );
     }
 }

@@ -19,10 +19,8 @@
 use std::fmt::Write as _;
 
 use hix_core::{CmdStatus, GpuEnclave, GpuEnclaveOptions, HixCoreError, HixSession};
-use hix_driver::rig::{standard_rig, RigOptions, GPU_BDF};
-use hix_gpu::regs::bar0;
+use hix_driver::rig::{standard_rig, RigOptions};
 use hix_obs::Metrics;
-use hix_pcie::config::BarIndex;
 use hix_platform::Machine;
 use hix_sim::fault::{FaultConfig, FaultPlan};
 use hix_sim::{Counter, EventKind, Nanos, Payload};
@@ -51,10 +49,6 @@ const N: u64 = 24;
 /// The secret the idle victim plants. Only a secure reset's or an
 /// enclave restart's scrub may remove it; nothing re-uploads it.
 const SECRET: &[u8] = b"TDR-SOAK-RESIDUE-SENTINEL";
-/// How much of VRAM the BAR1 probe reads.
-const PROBE_BYTES: u64 = 64 << 20;
-/// The probe's BAR1 read size.
-const PROBE_READ: usize = 1 << 20;
 
 /// Everything the contract and the ledger need from one run.
 pub struct SoakRun {
@@ -169,7 +163,7 @@ pub fn run(seed: u64, profile: &'static str, batched: bool) -> SoakRun {
     }
     let makespan = m.clock().now();
     m.clear_fault_plan();
-    let secret_in_vram = vram_holds(&mut m, SECRET);
+    let secret_in_vram = hix_attacks::vram_holds(&mut m, SECRET);
     if let Err(e) = m.trace().obs().check_attribution() {
         panic!("{seed:#x}/{profile}: attribution does not reconcile: {e}");
     }
@@ -276,49 +270,6 @@ fn restart(m: &mut Machine, enclave: GpuEnclave, options: &GpuEnclaveOptions) ->
     .expect("relaunch from sealed trust")
 }
 
-/// Whether `needle` occurs anywhere in the low [`PROBE_BYTES`] of VRAM,
-/// read through BAR1 straight off the device model — the bus-analyzer
-/// probe that works regardless of MMIO lockdown.
-fn vram_holds(m: &mut Machine, needle: &[u8]) -> bool {
-    let dev = m.device_mut(GPU_BDF).expect("gpu present");
-    let mut saved_aperture = [0u8; 8];
-    dev.mmio_read(BarIndex(0), bar0::APERTURE, &mut saved_aperture);
-    dev.mmio_write(BarIndex(0), bar0::APERTURE, &0u64.to_le_bytes());
-    // Each read lands behind the previous read's last `needle.len() - 1`
-    // bytes, so a secret straddling two reads is still seen whole.
-    let carry = needle.len() - 1;
-    let mut window = vec![0u8; carry + PROBE_READ];
-    let found = (0..PROBE_BYTES).step_by(PROBE_READ).any(|offset| {
-        window.copy_within(PROBE_READ.., 0);
-        dev.mmio_read(BarIndex(1), offset, &mut window[carry..]);
-        contains(if offset == 0 { &window[carry..] } else { &window }, needle)
-    });
-    dev.mmio_write(BarIndex(0), bar0::APERTURE, &saved_aperture);
-    found
-}
-
-/// Substring search that looks at every `needle.len()`-th byte only:
-/// any occurrence covers exactly one of those positions, so trying the
-/// needle's offsets of that byte finds it.
-fn contains(hay: &[u8], needle: &[u8]) -> bool {
-    let mut in_needle = [false; 256];
-    for &b in needle {
-        in_needle[usize::from(b)] = true;
-    }
-    let mut p = 0;
-    while p < hay.len() {
-        if in_needle[usize::from(hay[p])]
-            && needle.iter().enumerate().any(|(j, &b)| {
-                b == hay[p] && p >= j && hay.get(p - j..p - j + needle.len()) == Some(needle)
-            })
-        {
-            return true;
-        }
-        p += needle.len();
-    }
-    false
-}
-
 /// The per-cell contract, against the clean run of the same seed in the
 /// same engine. Returns the first broken clause.
 pub fn check(cell: &SoakRun, clean: &SoakRun) -> Result<(), String> {
@@ -366,27 +317,11 @@ pub fn check(cell: &SoakRun, clean: &SoakRun) -> Result<(), String> {
 }
 
 /// The rerun clause: a same-seed rerun reproduces the transcript (every
-/// span, the summary and the snapshot). The error names the first
-/// diverging line.
+/// span, the summary and the snapshot). The error names the moved
+/// lines, first diverging line first.
 pub fn check_rerun(a: &SoakRun, b: &SoakRun) -> Result<(), String> {
-    if a.transcript == b.transcript {
-        return Ok(());
-    }
-    let (mut x, mut y) = (a.transcript.lines(), b.transcript.lines());
-    let mut line = 0;
-    loop {
-        match (x.next(), y.next()) {
-            (Some(l), Some(r)) if l == r => line += 1,
-            (l, r) => {
-                return Err(format!(
-                    "{}: same-seed rerun diverged; first diverging line {line}:\n  run1: {}\n  run2: {}",
-                    a.label(),
-                    l.unwrap_or("<eof>"),
-                    r.unwrap_or("<eof>")
-                ))
-            }
-        }
-    }
+    crate::diff_lines(&a.transcript, &b.transcript)
+        .map_err(|d| format!("{}: same-seed rerun diverged: {d}", a.label()))
 }
 
 /// The sweep-level clauses over a set of cells: in each engine, every
@@ -427,44 +362,4 @@ pub fn check_sweep(cells: &[SoakRun]) -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn stride_search_matches_the_naive_scan() {
-        let mut rng = Rng::new(0x5EA2C4);
-        let alphabet = b"TDR-SOAK\0";
-        for _ in 0..4000 {
-            let len = rng.gen_range_usize(0..160);
-            let mut hay: Vec<u8> =
-                (0..len).map(|_| alphabet[rng.gen_range_usize(0..alphabet.len())]).collect();
-            if len >= SECRET.len() && rng.u32() % 2 == 0 {
-                let at = rng.gen_range_usize(0..len - SECRET.len() + 1);
-                hay[at..at + SECRET.len()].copy_from_slice(SECRET);
-            }
-            let naive = hay.windows(SECRET.len()).any(|w| w == SECRET);
-            assert_eq!(contains(&hay, SECRET), naive, "{hay:?}");
-        }
-    }
-
-    #[test]
-    fn probe_sees_a_secret_anywhere_in_the_low_64_mib() {
-        let len = SECRET.len() as u64;
-        let read = PROBE_READ as u64;
-        for (at, seen) in [
-            (0, true),
-            (read - 10, true),
-            (read * 5 - len, true),
-            (PROBE_BYTES - len, true),
-            (PROBE_BYTES - 10, false),
-        ] {
-            let mut m = standard_rig(RigOptions::default());
-            let dev = m.device_mut(GPU_BDF).expect("gpu present");
-            dev.mmio_write(BarIndex(1), at, SECRET);
-            assert_eq!(vram_holds(&mut m, SECRET), seen, "secret at {at:#x}");
-        }
-    }
 }

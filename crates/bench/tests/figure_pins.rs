@@ -1,14 +1,90 @@
-//! Pins every number the Figure 8/9 and consolidation harnesses print.
-//! ROADMAP holds that the Figure 8/9 averages (1.319× and 1.491×) must
-//! not move; a printed average can hold at three decimals while a
-//! makespan under it moves, so the pins are the multi-user engine's
-//! exact makespans (ns) and context-switch counts for every cell, in
-//! the harnesses' own configuration. Everything the harnesses print is
-//! a ratio or a rounding of these.
+//! Pins the numbers the figure harnesses print. ROADMAP holds that the
+//! Figure 6–9 results must not move; a printed average can hold at one
+//! or three decimals while a time under it moves, so the pins are exact
+//! nanoseconds, in the harnesses' own configuration:
+//! * Figure 7: every app's Gdev and HIX mean task time, as
+//!   `measure_both` returns them, and the printed average overhead;
+//! * Figure 6: the five matrix cells that take seconds, not tens of
+//!   seconds, in a debug build (add-2048, add-4096, mul-2048, mul-4096,
+//!   mul-11264), with the paper's shape: HIX costs more for addition,
+//!   and multiplication's overhead shrinks with size;
+//! * Figures 8/9 and consolidation: the multi-user engine's makespans
+//!   and context-switch counts for every cell.
+//!
+//! Everything the harnesses print is a ratio or a rounding of these.
 
+use hix_bench::{measure_both, FigureRow, MatrixAt};
 use hix_core::multiuser::{run_scaled, Mode, ScaleOutcome, SchedulerConfig, SessionSpec, TaskSpec};
 use hix_sim::{CostModel, Nanos};
+use hix_workloads::matrix::MatrixOp;
 use hix_workloads::rodinia_suite;
+
+/// `(gdev, hix)` mean task times, ns.
+fn ns(row: &FigureRow) -> (u64, u64) {
+    (row.gdev.as_nanos(), row.hix.as_nanos())
+}
+
+fn matrix(op: MatrixOp, n: usize) -> FigureRow {
+    measure_both(&MatrixAt { op, n }, "")
+}
+
+/// Per app, in suite order: Gdev and HIX mean task times (ns).
+const FIG7: [(&str, u64, u64); 9] = [
+    ("BP", 85559353, 153703328),
+    ("BFS", 50829154, 61346110),
+    ("GS", 1080461653, 1121737768),
+    ("HS", 36814763, 28102955),
+    ("LUD", 86059301, 89802787),
+    ("NW", 125644869, 213928356),
+    ("NN", 24284376, 8069824),
+    ("PF", 82267844, 202781133),
+    ("SRAD", 84545706, 94883942),
+];
+
+#[test]
+fn figure_7_cells_are_pinned() {
+    let model = CostModel::paper();
+    let mut overhead_sum = 0.0;
+    for (w, pin) in rodinia_suite().iter().zip(&FIG7) {
+        let label = w.profile(&model).abbrev;
+        let row = measure_both(w.as_ref(), label);
+        let (gdev, hix) = ns(&row);
+        assert_eq!((label, gdev, hix), *pin, "{label} moved");
+        overhead_sum += row.overhead_pct();
+    }
+    let average = format!("{:+.1}", overhead_sum / 9.0);
+    assert_eq!(average, "+27.5", "the average overhead moved");
+}
+
+#[test]
+fn matrix_measurement_produces_sane_ratio() {
+    let row = matrix(MatrixOp::Add, 2048);
+    assert_eq!(ns(&row), (37508511, 43294608), "add-2048 moved");
+    assert!(row.hix > row.gdev, "secure path must cost more for add");
+}
+
+#[test]
+fn mul_overhead_shrinks_with_size() {
+    // From 4096 up, compute dominance hides the crypto (below that,
+    // the task-init advantage muddies the trend, as in Fig. 6b).
+    let small = matrix(MatrixOp::Mul, 4096);
+    let large = matrix(MatrixOp::Mul, 11264);
+    assert_eq!(ns(&small), (524991355, 593599373), "mul-4096 moved");
+    assert_eq!(ns(&large), (9755806003, 10374105831), "mul-11264 moved");
+    assert!(
+        large.overhead_pct() < small.overhead_pct(),
+        "compute-dominance hides crypto: {} vs {}",
+        large.overhead_pct(),
+        small.overhead_pct()
+    );
+}
+
+#[test]
+fn figure_6_small_cells_are_pinned() {
+    let (mul, add) = (matrix(MatrixOp::Mul, 2048), matrix(MatrixOp::Add, 4096));
+    assert_eq!(ns(&mul), (93232443, 99018540), "mul-2048 moved");
+    assert_eq!(ns(&add), (77522171, 146130189), "add-4096 moved");
+}
 
 /// The harnesses' configuration: equal weights, the model's quantum,
 /// an unbounded resident set, no metrics.

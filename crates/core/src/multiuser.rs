@@ -33,7 +33,7 @@ use std::collections::{BTreeMap, BinaryHeap};
 
 use hix_obs::{Counter, Metrics, LATENCY_BOUNDS_NS};
 use hix_sim::cost::ExecMode;
-use hix_sim::{CostModel, Nanos};
+use hix_sim::{splitmix64, CostModel, Nanos};
 
 use crate::sched::FairQueue;
 
@@ -611,17 +611,7 @@ pub enum FaultProfile {
 }
 
 impl FaultProfile {
-    /// Parses the CLI spelling used by `scale_report`.
-    pub fn parse(s: &str) -> Option<FaultProfile> {
-        match s {
-            "none" => Some(FaultProfile::None),
-            "light" => Some(FaultProfile::Light),
-            "heavy" => Some(FaultProfile::Heavy),
-            _ => None,
-        }
-    }
-
-    /// The CLI spelling.
+    /// The spelling in tables and ledgers.
     pub fn name(self) -> &'static str {
         match self {
             FaultProfile::None => "none",
@@ -631,17 +621,9 @@ impl FaultProfile {
     }
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Generates one deterministic fault burden per session from `seed` —
-/// the scale sweep's and soak suite's shared population model. Same
-/// seed, same population.
+/// the population model of the scale sweep and of hixbench's
+/// multiuser-model workload. Same seed, same population.
 pub fn seeded_session_faults(seed: u64, users: usize, profile: FaultProfile) -> Vec<SessionFaults> {
     let mut state = seed ^ 0xA5A5_5A5A_D00D_FEED;
     (0..users)

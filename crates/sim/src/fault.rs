@@ -177,135 +177,12 @@ impl FaultConfig {
         }
     }
 
-    /// One-shard storm for the fabric soak: a device-fault barrage with
-    /// *no* channel noise, hot enough that a wedged context (and with it
-    /// a full secure reset) arrives within a handful of engine commands.
-    /// Installed on a single GPU via `Machine::set_device_fault_plan`,
-    /// it is the "one GPU is being reset" half of the containment proof
-    /// — every other shard runs fault-free.
-    pub fn shard_storm() -> Self {
-        // Hang→wedge only: `gpu_lost`/`gpu_spurious` incidents would
-        // stretch the escalation window, and a journal that grows for
-        // hundreds of ops before the first reset cannot be replayed
-        // under a 10% per-op hang rate within the recovery budget.
-        FaultConfig {
-            gpu_hang_pm: 100,
-            gpu_wedge_pm: 1000,
-            ..FaultConfig::none()
-        }
-    }
-
-    /// Correlated per-switch faults: the milder device-fault mix every
-    /// shard behind one switch experiences together (a flaky shared
-    /// link upstream of all of them). Fabric plans hand each affected
-    /// device its own plan built from the *same* per-switch seed, so
-    /// their fault tapes are identical — correlation without shared
-    /// mutable state.
-    pub fn switch_correlated() -> Self {
-        FaultConfig {
-            gpu_hang_pm: 50,
-            gpu_wedge_pm: 500,
-            gpu_spurious_pm: 20,
-            ..FaultConfig::none()
-        }
-    }
-
     fn msg_total(&self) -> u32 {
         self.drop_pm + self.dup_pm + self.reorder_pm + self.delay_pm + self.corrupt_pm
     }
 
     fn gpu_total(&self) -> u32 {
         self.gpu_hang_pm + self.gpu_lost_pm + self.gpu_vram_flip_pm + self.gpu_spurious_pm
-    }
-}
-
-/// Fabric-level fault placement: which shards of a multi-GPU fabric get
-/// a device-fault plan, and which configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FabricProfile {
-    /// No faults anywhere — the clean baseline.
-    None,
-    /// One shard (the highest-indexed GPU) takes the full
-    /// [`FaultConfig::shard_storm`] barrage; every peer runs clean. The
-    /// headline containment scenario: that shard's secure reset must
-    /// not stall anyone else.
-    ShardStorm,
-    /// Every shard behind the storm shard's switch runs
-    /// [`FaultConfig::switch_correlated`] with an identical fault tape
-    /// (same per-switch seed); shards on other switches run clean.
-    SwitchCorrelated,
-}
-
-impl FabricProfile {
-    /// Parses the CLI/JSON name.
-    pub fn parse(s: &str) -> Option<FabricProfile> {
-        match s {
-            "none" => Some(FabricProfile::None),
-            "shard-storm" => Some(FabricProfile::ShardStorm),
-            "switch-correlated" => Some(FabricProfile::SwitchCorrelated),
-            _ => None,
-        }
-    }
-
-    /// Stable name for tables and JSON.
-    pub fn name(self) -> &'static str {
-        match self {
-            FabricProfile::None => "none",
-            FabricProfile::ShardStorm => "shard-storm",
-            FabricProfile::SwitchCorrelated => "switch-correlated",
-        }
-    }
-
-    /// Index of the shard the profile storms (the highest-indexed GPU,
-    /// so low-indexed peers exist whenever the fabric has more than one
-    /// shard), or `None` for the clean profile.
-    pub fn storm_shard(self, n_shards: usize) -> Option<usize> {
-        match self {
-            FabricProfile::None => None,
-            _ => Some(n_shards.saturating_sub(1)),
-        }
-    }
-}
-
-/// Builds the per-shard fault plans of a fabric profile. `switch_of`
-/// maps each shard to its switch index (one entry per GPU, fabric
-/// order); the result has the same length, `None` meaning that shard's
-/// device runs fault-free. Plans are derived from `seed` and stable
-/// shard/switch coordinates only, so the same inputs always produce the
-/// same tapes.
-pub fn fabric_fault_plans(
-    seed: u64,
-    switch_of: &[usize],
-    profile: FabricProfile,
-) -> Vec<Option<FaultPlan>> {
-    let n = switch_of.len();
-    let Some(storm) = profile.storm_shard(n) else {
-        return vec![None; n];
-    };
-    match profile {
-        FabricProfile::None => vec![None; n],
-        FabricProfile::ShardStorm => (0..n)
-            .map(|i| {
-                (i == storm).then(|| {
-                    FaultPlan::new(seed ^ 0xFAB0_0000 ^ i as u64, FaultConfig::shard_storm())
-                })
-            })
-            .collect(),
-        FabricProfile::SwitchCorrelated => {
-            let storm_switch = switch_of[storm];
-            (0..n)
-                .map(|i| {
-                    (switch_of[i] == storm_switch).then(|| {
-                        // Same per-switch seed for every affected shard:
-                        // identical (correlated) fault tapes.
-                        FaultPlan::new(
-                            seed ^ 0xFAB1_0000 ^ (storm_switch as u64).rotate_left(13),
-                            FaultConfig::switch_correlated(),
-                        )
-                    })
-                })
-                .collect()
-        }
     }
 }
 

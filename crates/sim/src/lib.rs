@@ -36,6 +36,10 @@ pub use cost::CostModel;
 pub use pipeline::CryptoDmaPipeline;
 pub use hix_obs::{Counter, Stage, COUNT_BOUNDS, LATENCY_BOUNDS_NS};
 pub use fault::{Backoff, Dir, FaultConfig, FaultPlan, MsgFault, ReplayWindow, Resequencer, SeqCheck};
+/// SplitMix64, the seed mixer behind the fault plans' generator, for
+/// crates above the simulator that draw a seeded population from a raw
+/// `u64` state (the multi-user model's fault burdens).
+pub use hix_testkit::rng::splitmix64;
 pub use payload::Payload;
 pub use time::{Clock, Nanos};
 pub use trace::{EventKind, Trace};

@@ -19,6 +19,10 @@ for crate in $(sed -n 's/^name = "\(hix-[a-z-]*\)"$/\1/p' crates/*/Cargo.toml); 
     fi
 done
 
+# The test suite includes the exact ledger gate
+# (crates/bench/tests/ledgers.rs): it reruns perf_report, scale_report,
+# fabric_report and fault_report, fails on any byte difference from the
+# committed BENCH_*.json ledgers, and smoke-runs trace_report.
 cargo test -q --offline
 
 # Benchmark self-checks. hixbench is a workspace of its own (path deps on
@@ -54,43 +58,12 @@ for pin in bulk-transfer:a1cb90fb7caee6d2 small-ops:b9246915869affbe \
     fi
 done
 
-# Exact ledger gate. Virtual time is deterministic, so the committed
-# ledgers are their own schema: regenerate the full perf_report,
-# scale_report, fabric_report and fault_report sweeps into target/ and
-# fail on any byte difference from BENCH_perf/scale/fabric/fault.json.
-# Each bin runs its self-checks (reconciliation, fairness, containment,
-# the fault-matrix soak contract, the quarantine bound, double-run
-# determinism, ...) before it writes. On a mismatch the diff names what
-# moved: with zero context lines every hunk header is the perf profile
-# the hunk sits in, and each perf stage or SLO row, each scale, fabric
-# or fault cell and each peer-interference row is one self-describing
-# line. To change a ledger on purpose, rerun the bin with no arguments
-# and commit the diff with the change that caused it.
-ledger_drift=0
-for report in perf scale fabric fault; do
-    fresh="target/BENCH_$report.json"
-    cargo run -q --release --offline -p hix-bench --bin "${report}_report" -- "$fresh" >/dev/null
-    if ! cmp -s "BENCH_$report.json" "$fresh"; then
-        echo "error: BENCH_$report.json differs from a fresh ${report}_report sweep:" >&2
-        diff -U0 -F '"profile"' "BENCH_$report.json" "$fresh" >&2 || true
-        ledger_drift=1
-    fi
-done
-if [ "$ledger_drift" -ne 0 ]; then
-    exit 1
-fi
-
-# Observability smoke test: trace_report exports a Perfetto trace from
-# both stacks and exits non-zero on an empty trace, accounting drift, or
-# a non-deterministic same-seed run.
-cargo run -q --release --offline -p hix-bench --bin trace_report target/trace-report
-
 # Crypto-plane smoke: run the wall-clock crypto bench once (emitting to
 # target/, never overwriting the committed ledger — wall-clock numbers
-# are host-specific, so unlike the virtual-time ledgers above they
-# cannot be compared byte for byte) and schema-validate both the fresh
-# emission and the committed BENCH_crypto.json through the shared
-# hix_bench::json reader.
+# are host-specific, so unlike the virtual-time ledgers they cannot be
+# compared byte for byte) and schema-validate both the fresh emission
+# and the committed BENCH_crypto.json through the shared hix_bench::json
+# reader.
 # The bench self-checks its own emission against the same schema, so a
 # row rename or a broken writer fails here, not at review time.
 # (cargo bench runs the binary with CWD at the package root, so paths

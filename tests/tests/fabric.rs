@@ -1,17 +1,11 @@
 //! The multi-GPU enclave fabric: per-shard trust establishment over a
-//! switched topology, topology-aware placement, shard-local TDR
-//! containment (one GPU's secure reset never stalls a peer shard), and
-//! cross-shard migration of parked sessions.
+//! switched topology, topology-aware placement, and cross-shard
+//! migration of parked sessions. Shard-local TDR containment (one GPU's
+//! secure reset never stalls a peer shard) is `fabric_report`'s
+//! contract, which the tier-1 ledger gate runs.
 
-use hix_core::fabric::{run_fabric_scaled, Fabric, FabricOptions};
-use hix_core::multiuser::{SchedulerConfig, SessionSpec, TaskSpec};
+use hix_core::fabric::{Fabric, FabricOptions};
 use hix_driver::rig::{fabric_rig, RigOptions};
-use hix_sim::fault::{fabric_fault_plans, FabricProfile};
-use hix_sim::{CostModel, Nanos, Payload};
-
-fn pattern(tag: u8) -> Vec<u8> {
-    (0..4096u32).map(|i| (i.wrapping_mul(13) as u8) ^ tag).collect()
-}
 
 #[test]
 fn fabric_launches_one_shard_per_gpu_and_verifies_every_path() {
@@ -52,99 +46,6 @@ fn placement_spreads_across_switches_before_doubling_up() {
     // to the other switch, not to shard 0's neighbor.
     assert_eq!(placed, vec![0, 2, 1, 3]);
     assert_eq!(m.trace().metrics().counter("fabric.placements"), 4);
-}
-
-#[test]
-fn one_shard_secure_reset_is_contained_and_peers_keep_serving() {
-    let (mut m, topo) = fabric_rig(RigOptions::default(), 2, 2);
-    // The storm tenant is a victim of injected faults, not an abuser:
-    // keep it off the eviction ladder so it can recover repeatedly.
-    let mut fabric = Fabric::launch(
-        &mut m,
-        &topo,
-        FabricOptions {
-            evict_after: u32::MAX,
-            ..FabricOptions::default()
-        },
-    )
-    .expect("fabric");
-
-    // One tenant per shard; each plants its own pattern.
-    let (peer_sid, mut peer) = fabric.connect(&mut m, 1 << 20, b"peer").expect("peer");
-    let (storm_sid, mut storm) = fabric.connect(&mut m, 1 << 20, b"storm").expect("storm");
-    let peer_shard = fabric.shard_of(peer_sid).unwrap();
-    let storm_shard = fabric.shard_of(storm_sid).unwrap();
-    assert_ne!(peer_shard, storm_shard, "placement spread the tenants");
-
-    let peer_data = pattern(0xA5);
-    let storm_data = pattern(0x3C);
-    let peer_buf = peer.malloc(&mut m, fabric.shard_mut(peer_shard), 4096).unwrap();
-    peer.memcpy_htod(
-        &mut m,
-        fabric.shard_mut(peer_shard),
-        peer_buf,
-        &Payload::from_bytes(peer_data.clone()),
-    )
-    .unwrap();
-    let storm_a = storm.malloc(&mut m, fabric.shard_mut(storm_shard), 4096).unwrap();
-    storm
-        .memcpy_htod(
-            &mut m,
-            fabric.shard_mut(storm_shard),
-            storm_a,
-            &Payload::from_bytes(storm_data.clone()),
-        )
-        .unwrap();
-
-    // Storm exactly the storm shard's device; the peer's device has no
-    // plan at all.
-    let plans = fabric_fault_plans(
-        0xFAB_0001,
-        &[topo.gpus[0].switch, topo.gpus[1].switch],
-        FabricProfile::ShardStorm,
-    );
-    assert!(plans[peer_shard].is_none() || peer_shard != storm_shard);
-    for (i, plan) in plans.into_iter().enumerate() {
-        m.set_device_fault_plan(topo.gpus[i].bdf, plan);
-    }
-
-    // Drive the storm tenant (with unjournaled reads, so recovery
-    // replay stays short) until the watchdog escalates to a full
-    // secure reset of its shard.
-    let mut ops = 0;
-    while m.trace().metrics().counter("watchdog.resets") == 0 {
-        storm
-            .memcpy_dtoh(&mut m, fabric.shard_mut(storm_shard), storm_a, 4096)
-            .expect("storm dtoh (recovers transparently)");
-        ops += 1;
-        assert!(ops < 300, "the shard storm never escalated to a reset");
-    }
-    for g in &topo.gpus {
-        m.set_device_fault_plan(g.bdf, None);
-    }
-
-    // Containment: the reset touched no peer-shard session.
-    assert_eq!(
-        fabric.reset_blast_radius(&m, storm_shard),
-        0,
-        "a shard-local secure reset must not stale any peer session"
-    );
-    assert_eq!(m.trace().metrics().counter("fabric.reset_blast_radius"), 0);
-
-    // The peer keeps serving — and its data is byte-identical.
-    let peer_back = peer
-        .memcpy_dtoh(&mut m, fabric.shard_mut(peer_shard), peer_buf, 4096)
-        .expect("peer dtoh after the reset");
-    assert_eq!(peer_back.bytes(), &peer_data[..]);
-    // The storm tenant recovered on its own shard via journal replay.
-    let storm_back = storm
-        .memcpy_dtoh(&mut m, fabric.shard_mut(storm_shard), storm_a, 4096)
-        .expect("storm dtoh");
-    assert_eq!(storm_back.bytes(), &storm_data[..]);
-    assert!(storm.epoch() > 0, "the storm tenant re-keyed through recovery");
-
-    // The lockdown chain held throughout for both shards.
-    assert!(fabric.verify_all_paths(&m));
 }
 
 #[test]
@@ -206,34 +107,4 @@ fn work_stealing_plans_move_parked_sessions_toward_idle_shards() {
         .resume(&mut m, fabric.shard_mut(1))
         .expect("resume on the stealing shard");
     assert!(resumed, "migration re-establishes with fresh keys");
-}
-
-#[test]
-fn model_fabric_peers_are_bit_identical_with_and_without_a_reset() {
-    let model = CostModel::paper();
-    let task = TaskSpec {
-        name: "bp-like".into(),
-        htod: 16 << 20,
-        dtoh: 4 << 20,
-        kernel_time: Nanos::from_millis(8),
-        launches: 2,
-    };
-    let specs: Vec<SessionSpec> = (0..8).map(|_| SessionSpec::new(task.clone())).collect();
-    let cfg = SchedulerConfig::new(&model);
-    // 4 shards on 2 switches; shard 3 takes the reset.
-    let switch_of = [0usize, 0, 1, 1];
-    let clean = run_fabric_scaled(&model, &specs, &switch_of, None, &cfg, None);
-    let reset = run_fabric_scaled(&model, &specs, &switch_of, Some(3), &cfg, None);
-    assert_eq!(clean.assignment, reset.assignment, "placement ignores faults");
-    for shard in 0..3 {
-        assert_eq!(
-            clean.per_shard[shard], reset.per_shard[shard],
-            "peer shard {shard} must be bit-identical while shard 3 resets"
-        );
-    }
-    assert!(
-        reset.per_shard[3].makespan > clean.per_shard[3].makespan,
-        "the resetting shard itself pays for its reset"
-    );
-    assert!(reset.makespan >= clean.makespan);
 }
