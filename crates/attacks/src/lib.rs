@@ -12,7 +12,7 @@
 #![warn(missing_docs)]
 
 use hix_core::{GpuEnclave, GpuEnclaveOptions, HixCoreError, HixSession};
-use hix_driver::driver::{os_map_bar0, DriverError, GpuDriver};
+use hix_driver::driver::{os_map_bar0, GpuDriver};
 use hix_driver::rig::{standard_rig, RigOptions, GPU_BDF, PORT_BDF};
 use hix_gpu::device::{GpuConfig, GpuDevice};
 use hix_gpu::regs::bar0;
@@ -241,7 +241,7 @@ pub fn dma_redirection_attack() -> ScenarioReport {
     let dev = s.malloc(&mut m, &mut enclave, 8192).expect("malloc");
     // Learn the shared buffer's bus pages and remap the bulk area to an
     // attacker frame full of chosen data.
-    let bus = s.shared_bus_for_test();
+    let bus = s.shared_bus();
     let evil = m.alloc_frames(1)[0];
     m.os_write_phys(evil, &[0x41u8; PAGE_SIZE as usize]);
     let bulk_page = bus.offset(hix_core::channel::BULK_OFFSET);
@@ -441,7 +441,7 @@ pub fn repeated_bulk_replay_under_faults(n: u32) -> ScenarioReport {
     let mut failures: Vec<String> = Vec::new();
     for round in 0..n {
         // Background noise for the legitimate traffic of this round.
-        m.set_fault_plan(FaultPlan::new(0xA77A_C4 + round as u64, FaultConfig::light()));
+        m.set_fault_plan(FaultPlan::new(0x00A7_7AC4 + round as u64, FaultConfig::light()));
         let mut s = match HixSession::connect(&mut m, &mut enclave) {
             Ok(s) => s,
             Err(e) => {
@@ -712,22 +712,6 @@ pub fn run_all() -> Vec<ScenarioReport> {
         tdr_reset_scrub(),
     ]
 }
-
-/// Helper trait exposing test-only internals of [`HixSession`].
-trait SessionTestExt {
-    fn shared_bus_for_test(&self) -> PhysAddr;
-}
-
-impl SessionTestExt for HixSession {
-    fn shared_bus_for_test(&self) -> PhysAddr {
-        self.shared_bus()
-    }
-}
-
-// Silence an unused-import warning path for DriverError which is part of
-// the public story but only used in doc positions here.
-#[allow(unused)]
-fn _doc_anchor(_: DriverError) {}
 
 #[cfg(test)]
 mod tests {

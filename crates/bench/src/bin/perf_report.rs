@@ -150,7 +150,7 @@ fn run_cell(profile: &'static str, cfg: Option<FaultConfig>, batched: bool) -> C
                 .map(|i| (splitmix64(&mut rng) ^ i ^ round as u64) as u8)
                 .collect();
             let fillers: Vec<bool> =
-                (0..FILLERS).map(|_| splitmix64(&mut rng) % 2 == 0).collect();
+                (0..FILLERS).map(|_| splitmix64(&mut rng).is_multiple_of(2)).collect();
             let wakes0 = m.trace().metrics().counter("cmdq.wakes");
             let frames0 = m.trace().metrics().counter("cmdq.frames");
             if batched {

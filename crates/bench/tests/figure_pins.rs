@@ -139,7 +139,7 @@ fn figure_8_and_9_cells_are_pinned() {
         let mut ratio_sum = 0.0;
         for (w, pin) in rodinia_suite().iter().zip(pins) {
             let spec = w.profile(&model).task_spec();
-            let base = run(&model, &[spec.clone()], Mode::Gdev).makespan;
+            let base = run(&model, std::slice::from_ref(&spec), Mode::Gdev).makespan;
             let g = run(&model, &vec![spec.clone(); users], Mode::Gdev).makespan;
             let h = run(&model, &vec![spec.clone(); users], Mode::Hix);
             let got = (
@@ -168,7 +168,9 @@ fn consolidation_is_pinned() {
     assert_eq!(ns(&h.completions), CONSOLIDATION_HIX);
     assert_eq!((g.makespan.as_nanos(), h.makespan.as_nanos()), (1451582927, 1882882597));
     assert_eq!((g.ctx_switches, h.ctx_switches), (0, 202));
-    let serial: u64 =
-        specs.iter().map(|s| run(&model, &[s.clone()], Mode::Hix).makespan.as_nanos()).sum();
+    let serial: u64 = specs
+        .iter()
+        .map(|s| run(&model, std::slice::from_ref(s), Mode::Hix).makespan.as_nanos())
+        .sum();
     assert_eq!(serial, 1892742597, "serialized HIX reference moved");
 }

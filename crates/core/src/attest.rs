@@ -81,56 +81,37 @@ pub fn pairwise_channel_key(
     user_rng: &mut HmacDrbg,
     enclave_rng: &mut HmacDrbg,
 ) -> Result<[u8; 16], AttestError> {
-    let obs = machine.trace().obs().clone();
-    obs.metrics().inc(Counter::AttestHandshakes);
-    let span = obs.enter(
-        machine.clock().now().as_nanos(),
-        "attestation",
-        "pairwise channel key",
-        &[],
-    );
-    let result = pairwise_channel_key_inner(machine, user, enclave, user_rng, enclave_rng);
-    obs.exit(span, machine.clock().now().as_nanos());
-    result
-}
+    machine.trace().metrics().inc(Counter::AttestHandshakes);
+    machine.in_span("attestation", "pairwise channel key", &[], |machine| {
+        let group = DhGroup::sim();
+        let user_kp = group.generate(user_rng);
+        let encl_kp = group.generate(enclave_rng);
+        let mr_user = machine.measurement_of(user).ok_or(AttestError::NotInitialized)?;
+        let mr_encl = machine.measurement_of(enclave).ok_or(AttestError::NotInitialized)?;
 
-fn pairwise_channel_key_inner(
-    machine: &mut Machine,
-    user: ProcessId,
-    enclave: ProcessId,
-    user_rng: &mut HmacDrbg,
-    enclave_rng: &mut HmacDrbg,
-) -> Result<[u8; 16], AttestError> {
-    let group = DhGroup::sim();
-    let user_kp = group.generate(user_rng);
-    let encl_kp = group.generate(enclave_rng);
-    let mr_user = machine.measurement_of(user).ok_or(AttestError::NotInitialized)?;
-    let mr_encl = machine
-        .measurement_of(enclave)
-        .ok_or(AttestError::NotInitialized)?;
+        // User -> GPU enclave: report carrying g^a.
+        let report_u = machine.ereport(user, &mr_encl, &user_kp.public.to_be_bytes())?;
+        if !machine.everify(enclave, &report_u)? {
+            return Err(AttestError::BadReport);
+        }
+        // The GPU enclave would also check WHO it is talking to; here the
+        // expected user measurement is whatever the report carries, which the
+        // caller can policy-check. (The paper's remote-attestation step is
+        // out of simulation scope.)
 
-    // User -> GPU enclave: report carrying g^a.
-    let report_u = machine.ereport(user, &mr_encl, &user_kp.public.to_be_bytes())?;
-    if !machine.everify(enclave, &report_u)? {
-        return Err(AttestError::BadReport);
-    }
-    // The GPU enclave would also check WHO it is talking to; here the
-    // expected user measurement is whatever the report carries, which the
-    // caller can policy-check. (The paper's remote-attestation step is
-    // out of simulation scope.)
+        // GPU enclave -> user: report carrying g^b.
+        let report_e = machine.ereport(enclave, &mr_user, &encl_kp.public.to_be_bytes())?;
+        if !machine.everify(user, &report_e)? {
+            return Err(AttestError::BadReport);
+        }
 
-    // GPU enclave -> user: report carrying g^b.
-    let report_e = machine.ereport(enclave, &mr_user, &encl_kp.public.to_be_bytes())?;
-    if !machine.everify(user, &report_e)? {
-        return Err(AttestError::BadReport);
-    }
-
-    let peer_of_user = DhPublic::from_be_bytes(&report_e.report_data);
-    let peer_of_encl = DhPublic::from_be_bytes(&report_u.report_data);
-    let s_user = group.agree(&user_kp, &peer_of_user)?;
-    let s_encl = group.agree(&encl_kp, &peer_of_encl)?;
-    debug_assert_eq!(s_user.as_bytes(), s_encl.as_bytes());
-    Ok(s_user.derive_key(b"hix-channel"))
+        let peer_of_user = DhPublic::from_be_bytes(&report_e.report_data);
+        let peer_of_encl = DhPublic::from_be_bytes(&report_u.report_data);
+        let s_user = group.agree(&user_kp, &peer_of_user)?;
+        let s_encl = group.agree(&encl_kp, &peer_of_encl)?;
+        debug_assert_eq!(s_user.as_bytes(), s_encl.as_bytes());
+        Ok(s_user.derive_key(b"hix-channel"))
+    })
 }
 
 /// Output of the three-party exchange.
@@ -164,49 +145,32 @@ pub fn three_party_data_key(
     user_rng: &mut HmacDrbg,
     enclave_rng: &mut HmacDrbg,
 ) -> Result<DataKey, AttestError> {
-    let obs = machine.trace().obs().clone();
-    obs.metrics().inc(Counter::AttestHandshakes);
-    let span = obs.enter(
-        machine.clock().now().as_nanos(),
-        "attestation",
-        "three-party data key",
-        &[],
-    );
-    let result = three_party_data_key_inner(machine, driver, ctx, user_rng, enclave_rng);
-    obs.exit(span, machine.clock().now().as_nanos());
-    result
-}
+    machine.trace().metrics().inc(Counter::AttestHandshakes);
+    machine.in_span("attestation", "three-party data key", &[], |machine| {
+        let group = DhGroup::sim();
+        let a = group.generate(user_rng); // user enclave
+        let b = group.generate(enclave_rng); // GPU enclave
 
-fn three_party_data_key_inner(
-    machine: &mut Machine,
-    driver: &GpuDriver,
-    ctx: CtxId,
-    user_rng: &mut HmacDrbg,
-    enclave_rng: &mut HmacDrbg,
-) -> Result<DataKey, AttestError> {
-    let group = DhGroup::sim();
-    let a = group.generate(user_rng); // user enclave
-    let b = group.generate(enclave_rng); // GPU enclave
+        // Step 1: g^a -> GPU -> g^ac; enclave key.
+        let g_ac = driver
+            .dh_exp(machine, ctx, &a.public.to_be_bytes(), false)?
+            .expect("non-final step returns a value");
+        let enclave_shared = group.agree(&b, &DhPublic::from_be_bytes(&g_ac))?;
 
-    // Step 1: g^a -> GPU -> g^ac; enclave key.
-    let g_ac = driver
-        .dh_exp(machine, ctx, &a.public.to_be_bytes(), false)?
-        .expect("non-final step returns a value");
-    let enclave_shared = group.agree(&b, &DhPublic::from_be_bytes(&g_ac))?;
+        // Step 2: g^b -> GPU -> g^bc; user key.
+        let g_bc = driver
+            .dh_exp(machine, ctx, &b.public.to_be_bytes(), false)?
+            .expect("non-final step returns a value");
+        let user_shared = group.agree(&a, &DhPublic::from_be_bytes(&g_bc))?;
 
-    // Step 2: g^b -> GPU -> g^bc; user key.
-    let g_bc = driver
-        .dh_exp(machine, ctx, &b.public.to_be_bytes(), false)?
-        .expect("non-final step returns a value");
-    let user_shared = group.agree(&a, &DhPublic::from_be_bytes(&g_bc))?;
+        // Step 3: g^ab finalizes the device.
+        let g_ab = group.agree(&b, &a.public)?;
+        driver.dh_exp(machine, ctx, g_ab.as_bytes(), true)?;
 
-    // Step 3: g^ab finalizes the device.
-    let g_ab = group.agree(&b, &a.public)?;
-    driver.dh_exp(machine, ctx, g_ab.as_bytes(), true)?;
-
-    Ok(DataKey {
-        user: kdf::derive_aes128(b"hix-3dh", user_shared.as_bytes(), b"session"),
-        enclave: kdf::derive_aes128(b"hix-3dh", enclave_shared.as_bytes(), b"session"),
+        Ok(DataKey {
+            user: kdf::derive_aes128(b"hix-3dh", user_shared.as_bytes(), b"session"),
+            enclave: kdf::derive_aes128(b"hix-3dh", enclave_shared.as_bytes(), b"session"),
+        })
     })
 }
 

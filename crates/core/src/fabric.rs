@@ -7,12 +7,13 @@
 //!   tie-broken by switch load then index, so traffic spreads across
 //!   both GPUs and switches deterministically.
 //! * **Migration** — a parked session can move between shards
-//!   ([`Fabric::migrate`]): the source shard exports its sealed record
-//!   ([`GpuEnclave::export_parked`]), the target adopts it under a
-//!   fresh id and its own seal key ([`GpuEnclave::adopt_session`]), and
-//!   resumption re-establishes from the journal with keys negotiated
-//!   against the *new* shard. Work-stealing ([`Fabric::plan_steals`]) is
-//!   a policy over this one mechanism.
+//!   ([`Fabric::migrate_session`]): the source shard exports its
+//!   sealed record ([`GpuEnclave::export_parked`]), the target adopts
+//!   it under a fresh id and its own seal key
+//!   ([`GpuEnclave::adopt_session`]), and resumption re-establishes
+//!   from the journal with keys negotiated against the *new* shard.
+//!   Work-stealing ([`Fabric::plan_steals`]) is a policy over this one
+//!   mechanism.
 //! * **Containment** — the TDR watchdog's secure reset is inherently
 //!   shard-local (each enclave owns one device, one BDF);
 //!   [`Fabric::reset_blast_radius`] is the probe that proves it, and
@@ -119,15 +120,9 @@ impl Fabric {
         topology: &FabricTopology,
         options: FabricOptions,
     ) -> Result<Fabric, HixCoreError> {
-        let obs = machine.trace().obs().clone();
-        let span = obs.enter(
-            machine.clock().now().as_nanos(),
-            "fabric",
-            "launch",
-            &[("gpus", topology.gpus.len() as u64)],
-        );
-        let mut shards = Vec::with_capacity(topology.gpus.len());
-        let result: Result<(), HixCoreError> = (|| {
+        let gpus = [("gpus", topology.gpus.len() as u64)];
+        let shards = machine.in_span("fabric", "launch", &gpus, |machine| {
+            let mut shards = Vec::with_capacity(topology.gpus.len());
             for (i, slot) in topology.gpus.iter().enumerate() {
                 let mut seed = options.seed.clone();
                 seed.extend_from_slice(&(i as u32).to_le_bytes());
@@ -147,10 +142,8 @@ impl Fabric {
                     switch: slot.switch,
                 });
             }
-            Ok(())
-        })();
-        obs.exit(span, machine.clock().now().as_nanos());
-        result?;
+            Ok::<_, HixCoreError>(shards)
+        })?;
         machine
             .trace()
             .metrics()
@@ -261,59 +254,58 @@ impl Fabric {
         machine: &mut Machine,
         sid: FabricSessionId,
     ) -> Result<(), HixCoreError> {
+        let (shard, session) = self.placement(sid)?;
+        self.shards[shard].enclave.park_session(machine, session)
+    }
+
+    /// Where a fabric session lives: `(shard, shard-level id)`.
+    fn placement(&self, sid: FabricSessionId) -> Result<(usize, SessionId), HixCoreError> {
         let p = self
             .placements
             .get(&sid)
             .ok_or_else(|| HixCoreError::Protocol(format!("unknown fabric session {sid}")))?;
-        let (shard, session) = (p.shard, p.session);
-        self.shards[shard].enclave.park_session(machine, session)
+        Ok((p.shard, p.session))
     }
 
-    /// Migrates a session to shard `to`: parks it on its current shard
-    /// if still resident, exports the sealed record, and has `to` adopt
-    /// it under a fresh id. Returns the new shard-level id — the caller
-    /// relays it to the runtime with [`HixSession::rebind`] (or uses
-    /// [`Fabric::migrate_session`], which does both). The session
-    /// resumes on the new shard through the ordinary re-establishment
-    /// path: fresh keys with the new shard, fresh context, journal
-    /// replay.
+    /// Migrates a session to shard `to` and rebinds its runtime: parks it
+    /// on its current shard if still resident, exports the sealed
+    /// record, has `to` adopt it under a fresh id, and points `session`
+    /// at that id ([`HixSession::rebind`]). The session resumes on the
+    /// new shard through the ordinary re-establishment path: fresh keys
+    /// with the new shard, fresh context, journal replay.
     ///
     /// # Errors
     ///
     /// Unknown handles and same-shard moves are protocol errors;
     /// [`HixCoreError::Evicted`] if the target shard banned the user.
-    pub fn migrate(
+    /// Panics (programming error) if `session` is not the runtime of
+    /// `sid`'s current placement.
+    pub fn migrate_session(
         &mut self,
         machine: &mut Machine,
         sid: FabricSessionId,
+        session: &mut HixSession,
         to: usize,
-    ) -> Result<SessionId, HixCoreError> {
-        let p = self
-            .placements
-            .get(&sid)
-            .ok_or_else(|| HixCoreError::Protocol(format!("unknown fabric session {sid}")))?;
-        let (from, session) = (p.shard, p.session);
+    ) -> Result<(), HixCoreError> {
+        let (from, placed) = self.placement(sid)?;
+        assert_eq!(
+            placed,
+            session.id(),
+            "runtime session does not match the fabric placement"
+        );
         if to == from {
             return Err(HixCoreError::Protocol(format!(
                 "session {sid} already lives on shard {to}"
             )));
         }
-        let obs = machine.trace().obs().clone();
-        let span = obs.enter(
-            machine.clock().now().as_nanos(),
-            "fabric",
-            "migrate",
-            &[("from", from as u64), ("to", to as u64)],
-        );
-        let result = (|| {
-            if !self.shards[from].enclave.is_parked(session) {
-                self.shards[from].enclave.park_session(machine, session)?;
+        let attrs = [("from", from as u64), ("to", to as u64)];
+        let new_id = machine.in_span("fabric", "migrate", &attrs, |machine| {
+            if !self.shards[from].enclave.is_parked(placed) {
+                self.shards[from].enclave.park_session(machine, placed)?;
             }
-            let migrated = self.shards[from].enclave.export_parked(machine, session)?;
+            let migrated = self.shards[from].enclave.export_parked(machine, placed)?;
             self.shards[to].enclave.adopt_session(machine, migrated)
-        })();
-        obs.exit(span, machine.clock().now().as_nanos());
-        let new_id = result?;
+        })?;
         self.placements.insert(
             sid,
             Placement {
@@ -325,33 +317,6 @@ impl Fabric {
         metrics.inc(Counter::FabricMigrations);
         metrics.add_named(&format!("fabric.shard{to}.migrations_in"), 1);
         metrics.add_named(&format!("fabric.shard{from}.migrations_out"), 1);
-        Ok(new_id)
-    }
-
-    /// [`Fabric::migrate`] plus the runtime rebind, in one call.
-    ///
-    /// # Errors
-    ///
-    /// As [`Fabric::migrate`]. Panics (programming error) if `session`
-    /// is not the runtime of `sid`'s current placement.
-    pub fn migrate_session(
-        &mut self,
-        machine: &mut Machine,
-        sid: FabricSessionId,
-        session: &mut HixSession,
-        to: usize,
-    ) -> Result<(), HixCoreError> {
-        let placed = self
-            .placements
-            .get(&sid)
-            .map(|p| p.session)
-            .ok_or_else(|| HixCoreError::Protocol(format!("unknown fabric session {sid}")))?;
-        assert_eq!(
-            placed,
-            session.id(),
-            "runtime session does not match the fabric placement"
-        );
-        let new_id = self.migrate(machine, sid, to)?;
         session.rebind(new_id);
         Ok(())
     }

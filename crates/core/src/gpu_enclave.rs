@@ -180,12 +180,31 @@ struct Session {
     last_use: u64,
 }
 
+/// What one session establishment produced: a fresh context and staging
+/// buffer, and the keys of the new epoch.
+struct Epoch {
+    ctx: CtxId,
+    staging: DevAddr,
+    staging_len: u64,
+    channel_key: [u8; 16],
+    user_data_key: [u8; 16],
+}
+
+/// What a parked session's sealed record carries: everything needed to
+/// re-admit it, nothing device-side.
+#[derive(Clone, Copy)]
+struct SessionRecord {
+    user_pid: ProcessId,
+    staging_len: u64,
+    stale: bool,
+}
+
 /// A session sealed out of the resident set by the admission bound. The
 /// session *record* is sealed to the enclave's identity; the channel
 /// endpoint stays mapped (the shared ring is OS memory the enclave never
 /// trusted anyway) so the user's next doorbell can wake the session.
 struct ParkedSession {
-    /// OCB-sealed session record (tamper-evident; opened on resume).
+    /// OCB-sealed [`SessionRecord`] (tamper-evident; opened on resume).
     blob: Vec<u8>,
     /// Park sequence bound into the seal's key derivation, so every
     /// park uses a fresh key and a stale or replayed blob cannot be
@@ -206,16 +225,14 @@ struct ParkedSession {
 /// adoption.
 pub struct MigratedSession {
     endpoint: Endpoint,
-    user_pid: ProcessId,
-    staging_len: u64,
-    stale: bool,
+    record: SessionRecord,
 }
 
 impl std::fmt::Debug for MigratedSession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MigratedSession")
-            .field("user_pid", &self.user_pid)
-            .field("staging_len", &self.staging_len)
+            .field("user_pid", &self.record.user_pid)
+            .field("staging_len", &self.record.staging_len)
             .finish()
     }
 }
@@ -489,34 +506,20 @@ impl GpuEnclave {
         // Admission control: make room inside the resident bound by
         // parking the coldest session before spending any setup work.
         self.ensure_resident_slot(machine)?;
-        let init = machine.model().task_init(ExecMode::Hix);
-        machine.clock().advance(init);
         machine.trace().metrics().inc(Counter::EnclaveSessionsAccepted);
-        machine
-            .trace()
-            .emit(machine.clock().now(), init, EventKind::Init, "hix session init");
-
-        let channel_key =
-            attest::pairwise_channel_key(machine, user_pid, self.pid, user_rng, &mut self.rng)?;
-        let ctx = self.driver.create_ctx(machine)?;
-        let keys = attest::three_party_data_key(machine, &self.driver, ctx, user_rng, &mut self.rng)?;
-
-        // Session staging buffer in VRAM for the DtoH per-chunk path.
-        let chunk = machine.model().pipeline_chunk;
-        let staging_len = chunk + hix_crypto::ocb::TAG_LEN as u64;
-        let staging = self.driver.malloc(machine, ctx, staging_len)?;
+        let epoch = self.establish(machine, user_pid, user_rng, "hix session init")?;
 
         let id = self.next_session;
         self.next_session += 1;
         shared.share_with(machine, self.pid);
-        let endpoint = Endpoint::new(self.pid, shared, channel_key);
+        let endpoint = Endpoint::new(self.pid, shared, epoch.channel_key);
         self.sessions.insert(
             id,
             Session {
-                ctx,
+                ctx: epoch.ctx,
                 endpoint,
-                staging,
-                staging_len,
+                staging: epoch.staging,
+                staging_len: epoch.staging_len,
                 user_pid,
                 aborted: false,
                 stale: false,
@@ -524,7 +527,35 @@ impl GpuEnclave {
             },
         );
         self.touch(id);
-        Ok((id, channel_key, keys.user))
+        Ok((id, epoch.channel_key, epoch.user_data_key))
+    }
+
+    /// The one session-establishment step behind
+    /// [`accept_session`](Self::accept_session) and
+    /// [`rebuild_session`](Self::rebuild_session): charges the secure
+    /// task init (emitted as `label`), runs local attestation + pairwise
+    /// DH for the channel key, creates a fresh GPU context, runs the
+    /// three-party DH installing the data key in the device, and
+    /// allocates the session staging buffer in VRAM for the DtoH
+    /// per-chunk path.
+    fn establish(
+        &mut self,
+        machine: &mut Machine,
+        user_pid: ProcessId,
+        user_rng: &mut HmacDrbg,
+        label: &'static str,
+    ) -> Result<Epoch, HixCoreError> {
+        let init = machine.model().task_init(ExecMode::Hix);
+        machine.clock().advance(init);
+        machine.trace().emit(machine.clock().now(), init, EventKind::Init, label);
+
+        let channel_key =
+            attest::pairwise_channel_key(machine, user_pid, self.pid, user_rng, &mut self.rng)?;
+        let ctx = self.driver.create_ctx(machine)?;
+        let keys = attest::three_party_data_key(machine, &self.driver, ctx, user_rng, &mut self.rng)?;
+        let staging_len = machine.model().pipeline_chunk + hix_crypto::ocb::TAG_LEN as u64;
+        let staging = self.driver.malloc(machine, ctx, staging_len)?;
+        Ok(Epoch { ctx, staging, staging_len, channel_key, user_data_key: keys.user })
     }
 
     /// Re-establishes a session whose GPU context was lost to a TDR
@@ -544,44 +575,25 @@ impl GpuEnclave {
         session: SessionId,
         user_rng: &mut HmacDrbg,
     ) -> Result<([u8; 16], [u8; 16]), HixCoreError> {
-        let user_pid = {
-            let state = self.sessions.get(&session).ok_or_else(|| {
-                HixCoreError::Protocol(format!("unknown session {session}"))
-            })?;
-            if state.aborted {
-                return Err(HixCoreError::IntegrityFailure);
-            }
-            if !state.stale {
-                return Err(HixCoreError::Protocol(format!(
-                    "session {session} does not need rebuilding"
-                )));
-            }
-            state.user_pid
-        };
+        let state = self.live_session(session)?;
+        if !state.stale {
+            return Err(HixCoreError::Protocol(format!(
+                "session {session} does not need rebuilding"
+            )));
+        }
+        let user_pid = state.user_pid;
         if self.evicted.contains(&user_pid) {
             machine.trace().metrics().inc(Counter::WatchdogRebuildsRefused);
             return Err(HixCoreError::Evicted);
         }
-        let init = machine.model().task_init(ExecMode::Hix);
-        machine.clock().advance(init);
-        machine
-            .trace()
-            .emit(machine.clock().now(), init, EventKind::Init, "hix session rebuild");
-
-        let channel_key =
-            attest::pairwise_channel_key(machine, user_pid, self.pid, user_rng, &mut self.rng)?;
-        let ctx = self.driver.create_ctx(machine)?;
-        let keys = attest::three_party_data_key(machine, &self.driver, ctx, user_rng, &mut self.rng)?;
-        let chunk = machine.model().pipeline_chunk;
-        let staging_len = chunk + hix_crypto::ocb::TAG_LEN as u64;
-        let staging = self.driver.malloc(machine, ctx, staging_len)?;
+        let epoch = self.establish(machine, user_pid, user_rng, "hix session rebuild")?;
 
         let state = self.sessions.get_mut(&session).expect("checked above");
-        state.ctx = ctx;
-        state.staging = staging;
-        state.staging_len = staging_len;
+        state.ctx = epoch.ctx;
+        state.staging = epoch.staging;
+        state.staging_len = epoch.staging_len;
         state.stale = false;
-        state.endpoint.rekey(channel_key);
+        state.endpoint.rekey(epoch.channel_key);
         self.touch(session);
         machine.trace().metrics().inc(Counter::WatchdogSessionsRebuilt);
         machine.trace().emit(
@@ -590,7 +602,7 @@ impl GpuEnclave {
             EventKind::Security,
             "session re-established after TDR: fresh context, keys, and channel epoch",
         );
-        Ok((channel_key, keys.user))
+        Ok((epoch.channel_key, epoch.user_data_key))
     }
 
     /// Re-runs the key agreement for an existing session and swings its
@@ -610,15 +622,7 @@ impl GpuEnclave {
         session: SessionId,
         user_rng: &mut HmacDrbg,
     ) -> Result<[u8; 16], HixCoreError> {
-        let user_pid = {
-            let state = self.sessions.get(&session).ok_or_else(|| {
-                HixCoreError::Protocol(format!("unknown session {session}"))
-            })?;
-            if state.aborted {
-                return Err(HixCoreError::IntegrityFailure);
-            }
-            state.user_pid
-        };
+        let user_pid = self.live_session(session)?.user_pid;
         let key = attest::pairwise_channel_key(machine, user_pid, self.pid, user_rng, &mut self.rng)?;
         let state = self.sessions.get_mut(&session).expect("checked above");
         state.endpoint.rekey(key);
@@ -630,6 +634,19 @@ impl GpuEnclave {
             "session re-key after channel desync",
         );
         Ok(key)
+    }
+
+    /// A resident session that may still be served: unknown ids are a
+    /// protocol error, and aborted sessions stay aborted.
+    fn live_session(&mut self, session: SessionId) -> Result<&mut Session, HixCoreError> {
+        let state = self
+            .sessions
+            .get_mut(&session)
+            .ok_or_else(|| HixCoreError::Protocol(format!("unknown session {session}")))?;
+        if state.aborted {
+            return Err(HixCoreError::IntegrityFailure);
+        }
+        Ok(state)
     }
 
     /// Frees the GPU context and staging VRAM of sessions that aborted
@@ -710,6 +727,61 @@ impl GpuEnclave {
         )))
     }
 
+    /// Seals `record` for `session` under a fresh park sequence: the one
+    /// place the 13-byte record (user ‖ staging length ‖ stale flag) is
+    /// built. Returns the blob and the sequence its key derives from.
+    fn seal_record(
+        &mut self,
+        machine: &mut Machine,
+        session: SessionId,
+        record: SessionRecord,
+    ) -> Result<(Vec<u8>, u64), HixCoreError> {
+        self.park_seq += 1;
+        let mut plain = Vec::with_capacity(13);
+        plain.extend_from_slice(&record.user_pid.0.to_le_bytes());
+        plain.extend_from_slice(&record.staging_len.to_le_bytes());
+        plain.push(u8::from(record.stale));
+        let blob = self.park_cipher(machine, session, self.park_seq)?.seal(
+            &hix_crypto::ocb::Nonce::from_counter(0),
+            b"hix-park",
+            &plain,
+        );
+        Ok((blob, self.park_seq))
+    }
+
+    /// Takes a parked `session` out of the parked set and opens its
+    /// record under the key its park derived: the one place a record is
+    /// authenticated and parsed. A tampered blob, a malformed record and
+    /// a record naming another user than the parked copy are refused;
+    /// the session is discarded either way.
+    fn open_record(
+        &mut self,
+        machine: &mut Machine,
+        session: SessionId,
+    ) -> Result<(SessionRecord, Endpoint), HixCoreError> {
+        let p = self.parked.remove(&session).expect("caller checked it is parked");
+        let plain = self
+            .park_cipher(machine, session, p.seq)?
+            .open(&hix_crypto::ocb::Nonce::from_counter(0), b"hix-park", &p.blob)
+            .map_err(|_| {
+                HixCoreError::Protocol("parked session record failed authentication".into())
+            })?;
+        if plain.len() != 13 {
+            return Err(HixCoreError::Protocol("malformed parked session record".into()));
+        }
+        let record = SessionRecord {
+            user_pid: ProcessId(u32::from_le_bytes(plain[..4].try_into().expect("4 bytes"))),
+            staging_len: u64::from_le_bytes(plain[4..12].try_into().expect("8 bytes")),
+            stale: plain[12] != 0,
+        };
+        if record.user_pid != p.user_pid {
+            return Err(HixCoreError::Protocol(
+                "parked session record names a different user".into(),
+            ));
+        }
+        Ok((record, p.endpoint))
+    }
+
     /// Seals an idle session out of the resident set (the scale-out half
     /// of §4.5): its GPU context and staging VRAM are destroyed
     /// (scrub-on-free — nothing secret survives on the device) and its
@@ -729,42 +801,23 @@ impl GpuEnclave {
         machine: &mut Machine,
         session: SessionId,
     ) -> Result<(), HixCoreError> {
-        let Some(state) = self.sessions.get(&session) else {
-            return Err(HixCoreError::Protocol(format!("unknown session {session}")));
+        let state = self.live_session(session)?;
+        let record = SessionRecord {
+            user_pid: state.user_pid,
+            staging_len: state.staging_len,
+            stale: state.stale,
         };
-        if state.aborted {
-            return Err(HixCoreError::IntegrityFailure);
-        }
-        let (user_pid, staging_len, stale) = (state.user_pid, state.staging_len, state.stale);
         let cost = machine.model().park_seal();
         machine.clock().advance(cost);
-
-        self.park_seq += 1;
-        let seq = self.park_seq;
-        let mut record = Vec::with_capacity(13);
-        record.extend_from_slice(&user_pid.0.to_le_bytes());
-        record.extend_from_slice(&staging_len.to_le_bytes());
-        record.push(u8::from(stale));
-        let blob = self.park_cipher(machine, session, seq)?.seal(
-            &hix_crypto::ocb::Nonce::from_counter(0),
-            b"hix-park",
-            &record,
-        );
+        let (blob, seq) = self.seal_record(machine, session, record)?;
 
         let state = self.remove_session(session).expect("checked above");
         if !state.stale {
             let _ = self.driver.free(machine, state.ctx, state.staging, true);
             let _ = self.driver.destroy_ctx(machine, state.ctx);
         }
-        self.parked.insert(
-            session,
-            ParkedSession {
-                blob,
-                seq,
-                endpoint: state.endpoint,
-                user_pid,
-            },
-        );
+        let (endpoint, user_pid) = (state.endpoint, record.user_pid);
+        self.parked.insert(session, ParkedSession { blob, seq, endpoint, user_pid });
         machine.trace().metrics().inc(Counter::EnclaveSessionsParked);
         machine.trace().emit(
             machine.clock().now(),
@@ -807,23 +860,7 @@ impl GpuEnclave {
         let cost = machine.model().park_unseal();
         machine.clock().advance(cost);
 
-        let p = self.parked.remove(&session).expect("checked above");
-        let record = self
-            .park_cipher(machine, session, p.seq)?
-            .open(&hix_crypto::ocb::Nonce::from_counter(0), b"hix-park", &p.blob)
-            .map_err(|_| {
-                HixCoreError::Protocol("parked session record failed authentication".into())
-            })?;
-        if record.len() != 13 {
-            return Err(HixCoreError::Protocol("malformed parked session record".into()));
-        }
-        let user_pid = ProcessId(u32::from_le_bytes(record[..4].try_into().expect("4 bytes")));
-        let staging_len = u64::from_le_bytes(record[4..12].try_into().expect("8 bytes"));
-        if user_pid != p.user_pid {
-            return Err(HixCoreError::Protocol(
-                "parked session record names a different user".into(),
-            ));
-        }
+        let (record, endpoint) = self.open_record(machine, session)?;
         self.sessions.insert(
             session,
             Session {
@@ -831,10 +868,10 @@ impl GpuEnclave {
                 // dereferenced because the session is stale until
                 // rebuilt.
                 ctx: CtxId(u32::MAX),
-                endpoint: p.endpoint,
+                endpoint,
                 staging: DevAddr(0),
-                staging_len,
-                user_pid,
+                staging_len: record.staging_len,
+                user_pid: record.user_pid,
                 aborted: false,
                 stale: true,
                 last_use: 0,
@@ -877,22 +914,7 @@ impl GpuEnclave {
         }
         let cost = machine.model().park_unseal();
         machine.clock().advance(cost);
-        let p = self.parked.remove(&session).expect("checked above");
-        let record = self
-            .park_cipher(machine, session, p.seq)?
-            .open(&hix_crypto::ocb::Nonce::from_counter(0), b"hix-park", &p.blob)
-            .map_err(|_| {
-                HixCoreError::Protocol("parked session record failed authentication".into())
-            })?;
-        if record.len() != 13 {
-            return Err(HixCoreError::Protocol("malformed parked session record".into()));
-        }
-        let user_pid = ProcessId(u32::from_le_bytes(record[..4].try_into().expect("4 bytes")));
-        if user_pid != p.user_pid {
-            return Err(HixCoreError::Protocol(
-                "parked session record names a different user".into(),
-            ));
-        }
+        let (record, endpoint) = self.open_record(machine, session)?;
         machine.trace().metrics().inc(Counter::EnclaveSessionsExported);
         machine.trace().emit(
             machine.clock().now(),
@@ -900,12 +922,7 @@ impl GpuEnclave {
             EventKind::EnclaveCrypto,
             format!("session {session} exported for cross-shard migration"),
         );
-        Ok(MigratedSession {
-            endpoint: p.endpoint,
-            user_pid,
-            staging_len: u64::from_le_bytes(record[4..12].try_into().expect("8 bytes")),
-            stale: record[12] != 0,
-        })
+        Ok(MigratedSession { endpoint, record })
     }
 
     /// Adopts a session exported from a peer shard
@@ -928,7 +945,8 @@ impl GpuEnclave {
         machine: &mut Machine,
         migrated: MigratedSession,
     ) -> Result<SessionId, HixCoreError> {
-        if self.evicted.contains(&migrated.user_pid) {
+        let user_pid = migrated.record.user_pid;
+        if self.evicted.contains(&user_pid) {
             machine.trace().metrics().inc(Counter::WatchdogRebuildsRefused);
             return Err(HixCoreError::Evicted);
         }
@@ -938,27 +956,8 @@ impl GpuEnclave {
         self.next_session += 1;
         let mut endpoint = migrated.endpoint;
         endpoint.rehome(machine, self.pid);
-
-        self.park_seq += 1;
-        let seq = self.park_seq;
-        let mut record = Vec::with_capacity(13);
-        record.extend_from_slice(&migrated.user_pid.0.to_le_bytes());
-        record.extend_from_slice(&migrated.staging_len.to_le_bytes());
-        record.push(u8::from(migrated.stale));
-        let blob = self.park_cipher(machine, id, seq)?.seal(
-            &hix_crypto::ocb::Nonce::from_counter(0),
-            b"hix-park",
-            &record,
-        );
-        self.parked.insert(
-            id,
-            ParkedSession {
-                blob,
-                seq,
-                endpoint,
-                user_pid: migrated.user_pid,
-            },
-        );
+        let (blob, seq) = self.seal_record(machine, id, migrated.record)?;
+        self.parked.insert(id, ParkedSession { blob, seq, endpoint, user_pid });
         machine.trace().metrics().inc(Counter::EnclaveSessionsAdopted);
         machine.trace().emit(
             machine.clock().now(),
@@ -986,12 +985,7 @@ impl GpuEnclave {
             self.unpark_session(machine, session)?;
         }
         self.touch(session);
-        let Some(state) = self.sessions.get_mut(&session) else {
-            return Err(HixCoreError::Protocol(format!("unknown session {session}")));
-        };
-        if state.aborted {
-            return Err(HixCoreError::IntegrityFailure);
-        }
+        let state = self.live_session(session)?;
         let body = match state.endpoint.recv_request(machine) {
             Ok(body) => body,
             Err(ChannelError::Empty) => return Ok(false),
@@ -1067,100 +1061,85 @@ impl GpuEnclave {
         session: SessionId,
         cmds: Vec<BatchCmd>,
     ) -> Result<Response, HixCoreError> {
+        let n = cmds.len() as u64;
         machine.trace().metrics().inc(Counter::CmdqFrames);
-        machine.trace().metrics().add(Counter::CmdqFrameCmds, cmds.len() as u64);
-        machine
-            .trace()
-            .metrics()
-            .observe_with("cmdq.batch_len", &COUNT_BOUNDS, cmds.len() as u64);
-        let obs = machine.trace().obs().clone();
-        let frame_span = obs.enter(
-            machine.clock().now().as_nanos(),
-            "enclave",
-            "cmdq.submit",
-            &[("session", session as u64), ("cmds", cmds.len() as u64)],
-        );
-        let model = machine.model().clone();
-        // A frame's sealed HtoD chunks were all staged when the frame was
-        // built, so every transfer in it is ready the moment the frame is
-        // served: transfers book the shared engines from here, letting a
-        // later command's crypto fill hide under an earlier command's DMA
-        // and kernel tail (and under other sessions' still-draining work).
-        let frame_ready = machine.clock().now();
-        let mut entries = Vec::with_capacity(cmds.len());
-        for cmd in cmds {
-            let name: &'static str = match &cmd.req {
-                Request::LoadModule { .. } => "load_module",
-                Request::Free { .. } => "free",
-                Request::MemcpyHtoD { .. } => "memcpy_htod",
-                Request::Memset { .. } => "memset",
-                Request::CopyDtoD { .. } => "memcpy_dtod",
-                Request::Launch { .. } => "launch",
-                Request::Sync => "sync",
-                // Barrier ops never ride a frame: `Malloc` returns an
-                // address, `MemcpyDtoH` owns the bulk area for its
-                // reply, `Close` tears the session down mid-frame, and
-                // nesting is rejected by the decoder already.
-                Request::Malloc { .. }
-                | Request::MemcpyDtoH { .. }
-                | Request::Close
-                | Request::Submit { .. } => {
-                    entries.push((cmd.id, Response::Err("not batchable".into())));
-                    continue;
-                }
-            };
-            let start = machine.clock().now();
-            machine.trace().metrics().observe(
-                "cmdq.queue_delay_ns",
-                start.as_nanos().saturating_sub(cmd.submit_ns),
-            );
-            let htod_len = match &cmd.req {
-                Request::MemcpyHtoD { len, .. } => Some(*len),
-                _ => None,
-            };
-            // Per-command attribution window, dispatch → retire (the
-            // CUDA-event convention: execution, not host enqueue — the
-            // enqueue-to-dispatch wait lands in `cmdq.queue_delay_ns`).
-            // Under the synchronous wrapper the caller's request is
-            // already open, this returns `None`, and the command's
-            // charges roll up into the caller exactly as before.
-            let attr = obs.begin_request(start.as_nanos(), session as u64, name);
-            let result = self.handle(machine, session, cmd.req);
-            if let (Ok(Response::Ok), Some(len)) = (&result, htod_len) {
-                // Time plane at retirement: book the transfer's chunk walk
-                // on the shared engines, merged with whatever the device
-                // already charged. With idle engines (every synchronous
-                // single-command frame) this is exactly the closed form
-                // `start + hix_htod(len)` the synchronous client pins;
-                // inside a batched frame the booking chains through the
-                // engine cursors instead, so consecutive transfers overlap
-                // rather than serialize.
-                let done = self.xfer_pipe.htod(&model, frame_ready, len);
-                machine.clock().advance_to(done);
-            }
-            if let Some(id) = attr {
-                obs.end_request(id, machine.clock().now().as_nanos());
-            }
-            match result {
-                Ok(resp) => {
-                    let reset = matches!(resp, Response::CtxReset);
-                    entries.push((cmd.id, resp));
-                    if reset {
-                        machine.trace().metrics().inc(Counter::CmdqBatchAborts);
-                        break;
+        machine.trace().metrics().add(Counter::CmdqFrameCmds, n);
+        machine.trace().metrics().observe_with("cmdq.batch_len", &COUNT_BOUNDS, n);
+        let attrs = [("session", session as u64), ("cmds", n)];
+        machine.in_span("enclave", "cmdq.submit", &attrs, |machine| {
+            let model = machine.model().clone();
+            // A frame's sealed HtoD chunks were all staged when the frame was
+            // built, so every transfer in it is ready the moment the frame is
+            // served: transfers book the shared engines from here, letting a
+            // later command's crypto fill hide under an earlier command's DMA
+            // and kernel tail (and under other sessions' still-draining work).
+            let frame_ready = machine.clock().now();
+            let mut entries = Vec::with_capacity(cmds.len());
+            for cmd in cmds {
+                let name: &'static str = match &cmd.req {
+                    Request::LoadModule { .. } => "load_module",
+                    Request::Free { .. } => "free",
+                    Request::MemcpyHtoD { .. } => "memcpy_htod",
+                    Request::Memset { .. } => "memset",
+                    Request::CopyDtoD { .. } => "memcpy_dtod",
+                    Request::Launch { .. } => "launch",
+                    Request::Sync => "sync",
+                    // Barrier ops never ride a frame: `Malloc` returns an
+                    // address, `MemcpyDtoH` owns the bulk area for its
+                    // reply, `Close` tears the session down mid-frame, and
+                    // nesting is rejected by the decoder already.
+                    Request::Malloc { .. }
+                    | Request::MemcpyDtoH { .. }
+                    | Request::Close
+                    | Request::Submit { .. } => {
+                        entries.push((cmd.id, Response::Err("not batchable".into())));
+                        continue;
                     }
+                };
+                let start = machine.clock().now();
+                machine.trace().metrics().observe(
+                    "cmdq.queue_delay_ns",
+                    start.as_nanos().saturating_sub(cmd.submit_ns),
+                );
+                let htod_len = match &cmd.req {
+                    Request::MemcpyHtoD { len, .. } => Some(*len),
+                    _ => None,
+                };
+                // Per-command attribution window, dispatch → retire (the
+                // CUDA-event convention: execution, not host enqueue — the
+                // enqueue-to-dispatch wait lands in `cmdq.queue_delay_ns`).
+                // Under the synchronous wrapper the caller's request is
+                // already open, this returns `None`, and the command's
+                // charges roll up into the caller exactly as before.
+                let attr =
+                    machine.trace().obs().begin_request(start.as_nanos(), session as u64, name);
+                let result = self.handle(machine, session, cmd.req);
+                if let (Ok(Response::Ok), Some(len)) = (&result, htod_len) {
+                    // Time plane at retirement: book the transfer's chunk walk
+                    // on the shared engines, merged with whatever the device
+                    // already charged. With idle engines (every synchronous
+                    // single-command frame) this is exactly the closed form
+                    // `start + hix_htod(len)` the synchronous client pins;
+                    // inside a batched frame the booking chains through the
+                    // engine cursors instead, so consecutive transfers overlap
+                    // rather than serialize.
+                    let done = self.xfer_pipe.htod(&model, frame_ready, len);
+                    machine.clock().advance_to(done);
                 }
-                Err(e) => {
-                    // Session aborts (hostile DMA) poison the whole
-                    // frame; the span still closes — no leaked scopes
-                    // on the error path.
-                    obs.exit(frame_span, machine.clock().now().as_nanos());
-                    return Err(e);
+                if let Some(id) = attr {
+                    machine.trace().obs().end_request(id, machine.clock().now().as_nanos());
+                }
+                // Session aborts (hostile DMA) poison the whole frame.
+                let resp = result?;
+                let reset = matches!(resp, Response::CtxReset);
+                entries.push((cmd.id, resp));
+                if reset {
+                    machine.trace().metrics().inc(Counter::CmdqBatchAborts);
+                    break;
                 }
             }
-        }
-        obs.exit(frame_span, machine.clock().now().as_nanos());
-        Ok(Response::Completions(entries))
+            Ok(Response::Completions(entries))
+        })
     }
 
     fn handle(
@@ -1184,7 +1163,7 @@ impl GpuEnclave {
             Request::Sync => Counter::ReqSync,
             Request::Close => Counter::ReqClose,
             // `poll` routes frames to `handle_submit`; one reaching this
-            // path is a protocol violation answered in `handle_inner`.
+            // path is a protocol violation, answered below.
             Request::Submit { .. } => Counter::ReqSubmit,
         };
         // Server-side request ledger: one counter per op type, so the
@@ -1192,212 +1171,181 @@ impl GpuEnclave {
         // the runtime's request attribution. The span carries the same
         // `req.*` name.
         machine.trace().metrics().inc(op);
-        let obs = machine.trace().obs().clone();
-        let span = obs.enter(
-            machine.clock().now().as_nanos(),
-            "enclave",
-            op.name(),
-            &[("session", session as u64)],
-        );
-        let result = self.handle_inner(machine, session, request);
-        obs.exit(span, machine.clock().now().as_nanos());
-        result
-    }
-
-    fn handle_inner(
-        &mut self,
-        machine: &mut Machine,
-        session: SessionId,
-        request: Request,
-    ) -> Result<Response, HixCoreError> {
-        let state = self.sessions.get_mut(&session).expect("checked by poll");
-        let ctx = state.ctx;
-        let chunk_cfg = machine.model().pipeline_chunk;
-        let resp = match request {
-            Request::LoadModule { name } => match self.driver.load_module(machine, &name) {
-                Ok(()) => Response::Ok,
-                Err(e) => Response::Err(e.to_string()),
-            },
-            Request::Malloc { len } => {
-                // Pad for the in-place sealed stream (one tag per chunk,
-                // §4.4.2 single-copy: the sealed bytes land in the same
-                // buffer the plaintext ends up in).
-                let padded = sealed_stream_len(len, chunk_cfg);
-                match self.driver.malloc(machine, ctx, padded.max(1)) {
-                    Ok(va) => Response::Addr(va),
-                    Err(e) => Response::Err(e.to_string()),
-                }
-            }
-            Request::Free { va } => match self.driver.free(machine, ctx, va, true) {
-                Ok(()) => Response::Ok,
-                Err(e) => Response::Err(e.to_string()),
-            },
-            Request::MemcpyHtoD { dst, len, chunk, nonce_start } => {
-                let sealed_len = sealed_stream_len(len, chunk);
-                // The in-GPU decrypt-stream kernel unseals `len` bytes.
-                machine.trace().metrics().add(Counter::DmaBytesDecrypted, len);
-                let buffer = state.endpoint.buffer().clone();
-                // Single copy: DMA the sealed stream straight into the
-                // destination buffer, then one in-GPU decrypt launch. A
-                // MAC failure may be a transient DMA corruption (the OS
-                // owns the fabric): re-DMA up to the retry budget before
-                // declaring the data hostile and aborting the session.
-                const MAX_DMA_ATTEMPTS: u32 = 3;
-                let mut attempt = 0u32;
-                loop {
-                    let flip = if attempt == 0 {
-                        sample_and_apply_flip(machine, &buffer, sealed_len)
-                    } else {
-                        None
-                    };
-                    let copy = self
-                        .driver
-                        .dma_htod(machine, ctx, dst, &buffer, BULK_OFFSET, sealed_len)
-                        .map_err(EngineError::Driver)
-                        .and_then(|()| self.watched_sync(machine, session))
-                        .and_then(|()| {
-                            self.driver
-                                .launch(
-                                    machine,
-                                    ctx,
-                                    DECRYPT_STREAM_KERNEL,
-                                    &[dst.value(), len, chunk, nonce_start],
-                                )
-                                .map_err(EngineError::Driver)
-                        })
-                        .and_then(|()| self.watched_sync(machine, session));
-                    // The in-flight flip hit only this DMA pass; the
-                    // staged sealed bytes themselves are intact again
-                    // for the retry.
-                    if let Some((off, orig)) = flip {
-                        restore_flipped_byte(machine, &buffer, off, orig);
-                    }
-                    match copy {
-                        Ok(()) => break Response::Ok,
-                        Err(EngineError::Driver(DriverError::Gpu(code)))
-                            if code == errcode::INTEGRITY =>
-                        {
-                            attempt += 1;
-                            if attempt < MAX_DMA_ATTEMPTS {
-                                machine.trace().metrics().inc(Counter::RecoveryRedma);
-                                machine.trace().emit(
-                                    machine.clock().now(),
-                                    Nanos::ZERO,
-                                    EventKind::Security,
-                                    "chunk MAC failure; re-DMA",
-                                );
-                                continue;
-                            }
-                            // Persistent corruption: hostile data, not a
-                            // transient fault.
-                            self.sessions.get_mut(&session).expect("session").aborted = true;
-                            return Err(HixCoreError::IntegrityFailure);
-                        }
-                        Err(e) => break self.engine_outcome(Err(e))?,
-                    }
-                }
-            }
-            Request::MemcpyDtoH { src, len, chunk, nonce_start } => {
-                let staging = state.staging;
-                let staging_len = state.staging_len;
-                // The in-GPU encrypt kernel seals `len` bytes chunkwise.
-                machine.trace().metrics().add(Counter::DmaBytesEncrypted, len);
-                let buffer = state.endpoint.buffer().clone();
-                if chunk + hix_crypto::ocb::TAG_LEN as u64 > staging_len {
-                    return Ok(Response::Err("chunk exceeds staging".into()));
-                }
-                // Book the readback on the shared transfer engines. The
-                // chunk walk below charges device time functionally; the
-                // booking records engine occupancy (so later transfers of
-                // any session see it) and floors the clock at the walk's
-                // pipelined completion.
-                let dtoh_done = {
-                    let model = machine.model().clone();
-                    let now = machine.clock().now();
-                    self.xfer_pipe.dtoh(&model, now, len)
-                };
-                let mut off = 0u64;
-                let mut index = 0u64;
-                let mut failure: Option<EngineError> = None;
-                while off < len {
-                    let this = chunk.min(len - off);
-                    let step = self
-                        .driver
-                        .launch(
-                            machine,
-                            ctx,
-                            ENCRYPT_KERNEL,
-                            &[src.value() + off, this, staging.value(), nonce_start + index],
-                        )
-                        .and_then(|()| {
-                            self.driver.dma_dtoh(
-                                machine,
-                                ctx,
-                                staging,
-                                &buffer,
-                                BULK_OFFSET + index * (chunk + hix_crypto::ocb::TAG_LEN as u64),
-                                this + hix_crypto::ocb::TAG_LEN as u64,
-                            )
-                        })
-                        .map_err(EngineError::Driver)
-                        .and_then(|()| self.watched_sync(machine, session));
-                    if let Err(e) = step {
-                        failure = Some(e);
-                        break;
-                    }
-                    off += this;
-                    index += 1;
-                }
-                match failure {
-                    None => {
-                        machine.clock().advance_to(dtoh_done);
-                        Response::Ok
-                    }
-                    Some(e) => self.engine_outcome(Err(e))?,
-                }
-            }
-            Request::Memset { va, len, value } => {
-                let run = self
-                    .driver
-                    .memset(machine, ctx, va, len, value)
-                    .map_err(EngineError::Driver)
-                    .and_then(|()| self.watched_sync(machine, session));
-                self.engine_outcome(run)?
-            }
-            Request::CopyDtoD { src, dst, len } => {
-                let run = self
-                    .driver
-                    .copy_dtod(machine, ctx, src, dst, len)
-                    .map_err(EngineError::Driver)
-                    .and_then(|()| self.watched_sync(machine, session));
-                self.engine_outcome(run)?
-            }
-            Request::Launch { name, args } => {
-                let run = self
-                    .driver
-                    .launch(machine, ctx, &name, &args)
-                    .map_err(EngineError::Driver)
-                    .and_then(|()| self.watched_sync(machine, session));
-                self.engine_outcome(run)?
-            }
-            Request::Sync => {
-                let run = self.watched_sync(machine, session);
-                self.engine_outcome(run)?
-            }
-            Request::Close => {
-                let staging = state.staging;
-                let _ = self.driver.free(machine, ctx, staging, true);
-                match self.driver.destroy_ctx(machine, ctx) {
-                    // The session entry itself is removed by `poll` after
-                    // the response has been sent.
+        machine.in_span("enclave", op.name(), &[("session", session as u64)], |machine| {
+            let state = self.sessions.get_mut(&session).expect("checked by poll");
+            let ctx = state.ctx;
+            let chunk_cfg = machine.model().pipeline_chunk;
+            let resp = match request {
+                Request::LoadModule { name } => match self.driver.load_module(machine, &name) {
                     Ok(()) => Response::Ok,
                     Err(e) => Response::Err(e.to_string()),
+                },
+                Request::Malloc { len } => {
+                    // Pad for the in-place sealed stream (one tag per chunk,
+                    // §4.4.2 single-copy: the sealed bytes land in the same
+                    // buffer the plaintext ends up in).
+                    let padded = sealed_stream_len(len, chunk_cfg);
+                    match self.driver.malloc(machine, ctx, padded.max(1)) {
+                        Ok(va) => Response::Addr(va),
+                        Err(e) => Response::Err(e.to_string()),
+                    }
                 }
-            }
-            // Frames are drained by `handle_submit` and never nest.
-            Request::Submit { .. } => Response::Err("nested submit".into()),
-        };
-        Ok(resp)
+                Request::Free { va } => match self.driver.free(machine, ctx, va, true) {
+                    Ok(()) => Response::Ok,
+                    Err(e) => Response::Err(e.to_string()),
+                },
+                Request::MemcpyHtoD { dst, len, chunk, nonce_start } => {
+                    let sealed_len = sealed_stream_len(len, chunk);
+                    // The in-GPU decrypt-stream kernel unseals `len` bytes.
+                    machine.trace().metrics().add(Counter::DmaBytesDecrypted, len);
+                    let buffer = state.endpoint.buffer().clone();
+                    // Single copy: DMA the sealed stream straight into the
+                    // destination buffer, then one in-GPU decrypt launch. A
+                    // MAC failure may be a transient DMA corruption (the OS
+                    // owns the fabric): re-DMA up to the retry budget before
+                    // declaring the data hostile and aborting the session.
+                    const MAX_DMA_ATTEMPTS: u32 = 3;
+                    let mut attempt = 0u32;
+                    loop {
+                        let flip = if attempt == 0 {
+                            sample_and_apply_flip(machine, &buffer, sealed_len)
+                        } else {
+                            None
+                        };
+                        let copy = self
+                            .driver
+                            .dma_htod(machine, ctx, dst, &buffer, BULK_OFFSET, sealed_len)
+                            .map_err(EngineError::Driver)
+                            .and_then(|()| self.watched_sync(machine, session))
+                            .and_then(|()| {
+                                self.driver
+                                    .launch(
+                                        machine,
+                                        ctx,
+                                        DECRYPT_STREAM_KERNEL,
+                                        &[dst.value(), len, chunk, nonce_start],
+                                    )
+                                    .map_err(EngineError::Driver)
+                            })
+                            .and_then(|()| self.watched_sync(machine, session));
+                        // The in-flight flip hit only this DMA pass; the
+                        // staged sealed bytes themselves are intact again
+                        // for the retry.
+                        if let Some((off, orig)) = flip {
+                            restore_flipped_byte(machine, &buffer, off, orig);
+                        }
+                        match copy {
+                            Ok(()) => break Response::Ok,
+                            Err(EngineError::Driver(DriverError::Gpu(code)))
+                                if code == errcode::INTEGRITY =>
+                            {
+                                attempt += 1;
+                                if attempt < MAX_DMA_ATTEMPTS {
+                                    machine.trace().metrics().inc(Counter::RecoveryRedma);
+                                    machine.trace().emit(
+                                        machine.clock().now(),
+                                        Nanos::ZERO,
+                                        EventKind::Security,
+                                        "chunk MAC failure; re-DMA",
+                                    );
+                                    continue;
+                                }
+                                // Persistent corruption: hostile data, not a
+                                // transient fault.
+                                self.sessions.get_mut(&session).expect("session").aborted = true;
+                                return Err(HixCoreError::IntegrityFailure);
+                            }
+                            Err(e) => break self.engine_outcome(Err(e))?,
+                        }
+                    }
+                }
+                Request::MemcpyDtoH { src, len, chunk, nonce_start } => {
+                    let staging = state.staging;
+                    let staging_len = state.staging_len;
+                    // The in-GPU encrypt kernel seals `len` bytes chunkwise.
+                    machine.trace().metrics().add(Counter::DmaBytesEncrypted, len);
+                    let buffer = state.endpoint.buffer().clone();
+                    if chunk + hix_crypto::ocb::TAG_LEN as u64 > staging_len {
+                        return Ok(Response::Err("chunk exceeds staging".into()));
+                    }
+                    // Book the readback on the shared transfer engines. The
+                    // chunk walk below charges device time functionally; the
+                    // booking records engine occupancy (so later transfers of
+                    // any session see it) and floors the clock at the walk's
+                    // pipelined completion.
+                    let dtoh_done = {
+                        let model = machine.model().clone();
+                        let now = machine.clock().now();
+                        self.xfer_pipe.dtoh(&model, now, len)
+                    };
+                    let mut off = 0u64;
+                    let mut index = 0u64;
+                    let mut failure: Option<EngineError> = None;
+                    while off < len {
+                        let this = chunk.min(len - off);
+                        let step = self
+                            .driver
+                            .launch(
+                                machine,
+                                ctx,
+                                ENCRYPT_KERNEL,
+                                &[src.value() + off, this, staging.value(), nonce_start + index],
+                            )
+                            .and_then(|()| {
+                                self.driver.dma_dtoh(
+                                    machine,
+                                    ctx,
+                                    staging,
+                                    &buffer,
+                                    BULK_OFFSET + index * (chunk + hix_crypto::ocb::TAG_LEN as u64),
+                                    this + hix_crypto::ocb::TAG_LEN as u64,
+                                )
+                            })
+                            .map_err(EngineError::Driver)
+                            .and_then(|()| self.watched_sync(machine, session));
+                        if let Err(e) = step {
+                            failure = Some(e);
+                            break;
+                        }
+                        off += this;
+                        index += 1;
+                    }
+                    match failure {
+                        None => {
+                            machine.clock().advance_to(dtoh_done);
+                            Response::Ok
+                        }
+                        Some(e) => self.engine_outcome(Err(e))?,
+                    }
+                }
+                Request::Memset { va, len, value } => {
+                    let queued = self.driver.memset(machine, ctx, va, len, value);
+                    self.run_watched(machine, session, queued)?
+                }
+                Request::CopyDtoD { src, dst, len } => {
+                    let queued = self.driver.copy_dtod(machine, ctx, src, dst, len);
+                    self.run_watched(machine, session, queued)?
+                }
+                Request::Launch { name, args } => {
+                    let queued = self.driver.launch(machine, ctx, &name, &args);
+                    self.run_watched(machine, session, queued)?
+                }
+                Request::Sync => self.run_watched(machine, session, Ok(()))?,
+                Request::Close => {
+                    let staging = state.staging;
+                    let _ = self.driver.free(machine, ctx, staging, true);
+                    match self.driver.destroy_ctx(machine, ctx) {
+                        // The session entry itself is removed by `poll` after
+                        // the response has been sent.
+                        Ok(()) => Response::Ok,
+                        Err(e) => Response::Err(e.to_string()),
+                    }
+                }
+                // Frames are drained by `handle_submit` and never nest.
+                Request::Submit { .. } => Response::Err("nested submit".into()),
+            };
+            Ok(resp)
+        })
     }
 
     /// Synchronizes with the engine under the TDR watchdog (the
@@ -1459,7 +1407,7 @@ impl GpuEnclave {
             3,
         );
         loop {
-            match ladder.next() {
+            match ladder.next_action() {
                 WatchdogAction::Wait(d) => {
                     machine.clock().advance(d);
                     machine.run_device(self.bdf);
@@ -1548,65 +1496,62 @@ impl GpuEnclave {
     /// reset, so all sessions go stale. No secret survives: keys lived
     /// in device state the reset destroys, VRAM is scrubbed wholesale.
     fn secure_reset(&mut self, machine: &mut Machine) -> Result<(), HixCoreError> {
-        let obs = machine.trace().obs().clone();
-        let span = obs.enter(
-            machine.clock().now().as_nanos(),
-            "watchdog",
-            "secure_reset",
-            &[],
-        );
-        let result = self.secure_reset_inner(machine);
-        obs.exit(span, machine.clock().now().as_nanos());
-        result
+        machine.in_span("watchdog", "secure_reset", &[], |machine| {
+            machine.trace().metrics().inc(Counter::WatchdogResets);
+            machine.fabric_mut().reset_device(self.bdf);
+            // Re-initialization is not free: charge the secure bring-up.
+            machine.clock().advance(machine.model().task_init(ExecMode::Hix));
+
+            // The device was wedged and outside our control for a while —
+            // re-establish every trust premise rather than assuming it.
+            let rom = machine
+                .fabric()
+                .read_expansion_rom(self.bdf, 0, 64 << 10)
+                .map_err(|_| HixCoreError::BiosMismatch)?;
+            if sha256::digest(&rom) != self.bios_digest {
+                return Err(HixCoreError::BiosMismatch);
+            }
+            if !self.verify_path(machine) {
+                return Err(HixCoreError::Protocol("routing path changed across TDR reset".into()));
+            }
+            let owned = machine.hix_state().gecs(self.bdf).is_some_and(|g| !g.owner_dead);
+            if !owned {
+                return Err(HixCoreError::Protocol("GPU ownership lost across TDR reset".into()));
+            }
+
+            self.driver.reinit_after_reset(machine)?;
+            for name in [DECRYPT_KERNEL, ENCRYPT_KERNEL, DECRYPT_STREAM_KERNEL] {
+                self.driver.load_module(machine, name)?;
+            }
+            for state in self.sessions.values_mut() {
+                state.stale = true;
+            }
+            // The reset killed all in-flight transfers; the transfer plane
+            // comes back with idle engines.
+            self.xfer_pipe.reset();
+            machine.trace().emit(
+                machine.clock().now(),
+                Nanos::ZERO,
+                EventKind::Security,
+                "watchdog: secure TDR reset — VRAM scrubbed, BIOS re-verified, path re-checked, lockdown held",
+            );
+            Ok(())
+        })
     }
 
-    fn secure_reset_inner(&mut self, machine: &mut Machine) -> Result<(), HixCoreError> {
-        machine.trace().metrics().inc(Counter::WatchdogResets);
-        machine.fabric_mut().reset_device(self.bdf);
-        // Re-initialization is not free: charge the secure bring-up.
-        machine.clock().advance(machine.model().task_init(ExecMode::Hix));
-
-        // The device was wedged and outside our control for a while —
-        // re-establish every trust premise rather than assuming it.
-        let rom = machine
-            .fabric()
-            .read_expansion_rom(self.bdf, 0, 64 << 10)
-            .map_err(|_| HixCoreError::BiosMismatch)?;
-        if sha256::digest(&rom) != self.bios_digest {
-            return Err(HixCoreError::BiosMismatch);
-        }
-        if !self.verify_path(machine) {
-            return Err(HixCoreError::Protocol(
-                "routing path changed across TDR reset".into(),
-            ));
-        }
-        let owned = machine
-            .hix_state()
-            .gecs(self.bdf)
-            .is_some_and(|g| !g.owner_dead);
-        if !owned {
-            return Err(HixCoreError::Protocol(
-                "GPU ownership lost across TDR reset".into(),
-            ));
-        }
-
-        self.driver.reinit_after_reset(machine)?;
-        for name in [DECRYPT_KERNEL, ENCRYPT_KERNEL, DECRYPT_STREAM_KERNEL] {
-            self.driver.load_module(machine, name)?;
-        }
-        for state in self.sessions.values_mut() {
-            state.stale = true;
-        }
-        // The reset killed all in-flight transfers; the transfer plane
-        // comes back with idle engines.
-        self.xfer_pipe.reset();
-        machine.trace().emit(
-            machine.clock().now(),
-            Nanos::ZERO,
-            EventKind::Security,
-            "watchdog: secure TDR reset — VRAM scrubbed, BIOS re-verified, path re-checked, lockdown held",
-        );
-        Ok(())
+    /// Runs the command just queued (`queued` is its submission) to
+    /// completion under the TDR watchdog and folds the outcome into a
+    /// wire response.
+    fn run_watched(
+        &mut self,
+        machine: &mut Machine,
+        session: SessionId,
+        queued: Result<(), DriverError>,
+    ) -> Result<Response, HixCoreError> {
+        let run = queued
+            .map_err(EngineError::Driver)
+            .and_then(|()| self.watched_sync(machine, session));
+        self.engine_outcome(run)
     }
 
     /// Folds an engine outcome into a wire response.
@@ -1907,6 +1852,59 @@ mod tests {
         m.einit(user).unwrap();
         let fake = m.equote(user, &quote.report_data).unwrap();
         assert!(!fake.verify(&pk, &expected_measurement()));
+    }
+
+    /// Parks a fresh session, lets `tamper` rewrite its parked entry,
+    /// then brings it back through `unpark_session` or, with `export`,
+    /// `export_parked` (the two callers of `open_record`) and returns
+    /// the refusal. The session must be gone afterwards.
+    fn reopen_tampered(
+        export: bool,
+        tamper: impl FnOnce(&mut Machine, &mut GpuEnclave, SessionId),
+    ) -> String {
+        let mut m = standard_rig(RigOptions::default());
+        let mut enclave = GpuEnclave::launch(&mut m, GpuEnclaveOptions::default()).unwrap();
+        let s = crate::runtime::HixSession::connect_with(&mut m, &mut enclave, 1 << 20, b"parked")
+            .unwrap();
+        enclave.park_session(&mut m, s.id()).unwrap();
+        tamper(&mut m, &mut enclave, s.id());
+        let err = if export {
+            enclave.export_parked(&mut m, s.id()).map(drop)
+        } else {
+            enclave.unpark_session(&mut m, s.id())
+        };
+        assert!(!enclave.is_parked(s.id()), "a refused record must not stay parked");
+        assert_eq!(enclave.session_stale(s.id()), None, "a refused session must not come back");
+        match err {
+            Err(HixCoreError::Protocol(msg)) => msg,
+            other => panic!("expected a protocol refusal, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_tampered_park_record_fails_authentication() {
+        for export in [false, true] {
+            let msg = reopen_tampered(export, |_, enclave, id| {
+                enclave.parked.get_mut(&id).unwrap().blob[3] ^= 1;
+            });
+            assert_eq!(msg, "parked session record failed authentication");
+        }
+    }
+
+    #[test]
+    fn a_park_record_naming_another_user_is_refused() {
+        for export in [false, true] {
+            let msg = reopen_tampered(export, |m, enclave, id| {
+                // Authentic under this park's key, but naming another
+                // user than the parked copy.
+                let user_pid = ProcessId(enclave.parked[&id].user_pid.0 + 1);
+                let forged = SessionRecord { user_pid, staging_len: 0, stale: true };
+                let (blob, seq) = enclave.seal_record(m, id, forged).unwrap();
+                let p = enclave.parked.get_mut(&id).unwrap();
+                (p.blob, p.seq) = (blob, seq);
+            });
+            assert_eq!(msg, "parked session record names a different user");
+        }
     }
 
     #[test]

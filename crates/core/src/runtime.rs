@@ -145,25 +145,36 @@ impl std::fmt::Debug for HixSession {
     }
 }
 
-/// Opens a request-attribution scope for one public session op: the
-/// obs layer charges every span completing before the matching
-/// [`end_request`] to this request (per category and as critical-path
-/// intervals). `None` — and a no-op end — when attribution is disabled
-/// or an outer op already holds the request (e.g. `resume` → `sync`),
-/// so nested ops roll up into their caller.
-fn begin_request(machine: &mut Machine, tenant: u64, name: &str) -> Option<hix_obs::RequestId> {
+/// Runs one public session op inside a request-attribution scope: the
+/// obs layer charges every span completing before `op` returns to this
+/// request (per category and as critical-path intervals), and the scope
+/// closes on success and error paths alike. When attribution is
+/// disabled or an outer op already holds the request (e.g. `resume` →
+/// `sync`) no scope opens, so nested ops roll up into their caller.
+fn in_request<R>(
+    machine: &mut Machine,
+    tenant: u64,
+    name: &str,
+    op: impl FnOnce(&mut Machine) -> R,
+) -> R {
     let now = machine.clock().now().as_nanos();
-    machine.trace().obs().begin_request(now, tenant, name)
-}
-
-/// Completes a request scope opened by [`begin_request`]; called on
-/// success and error paths alike so a failing op still closes its
-/// attribution window.
-fn end_request(machine: &mut Machine, req: Option<hix_obs::RequestId>) {
+    let req = machine.trace().obs().begin_request(now, tenant, name);
+    let out = op(machine);
     if let Some(id) = req {
         let now = machine.clock().now().as_nanos();
         machine.trace().obs().end_request(id, now);
     }
+    out
+}
+
+/// §5.5: remote-attests the GPU enclave before any key from it is
+/// trusted — its quote must carry the pinned GPU-enclave measurement.
+fn attest_enclave(machine: &mut Machine, enclave: &GpuEnclave) -> Result<(), HixCoreError> {
+    let quote = enclave.quote(machine)?;
+    if !quote.verify(&machine.provisioning_key(), &crate::gpu_enclave::expected_measurement()) {
+        return Err(HixCoreError::Attest(crate::attest::AttestError::BadReport));
+    }
+    Ok(())
 }
 
 fn build_user_enclave(machine: &mut Machine, tag: &[u8]) -> Result<ProcessId, HixCoreError> {
@@ -203,60 +214,36 @@ impl HixSession {
     ) -> Result<HixSession, HixCoreError> {
         // The session id does not exist yet; connects attribute to the
         // control-plane tenant 0.
-        let req = begin_request(machine, 0, "connect");
-        let obs = machine.trace().obs().clone();
-        let span = obs.enter(
-            machine.clock().now().as_nanos(),
-            "session",
-            "connect",
-            &[("shared_len", shared_len)],
-        );
-        let result = HixSession::connect_inner(machine, enclave, shared_len, seed);
-        obs.exit(span, machine.clock().now().as_nanos());
-        end_request(machine, req);
-        result
-    }
-
-    fn connect_inner(
-        machine: &mut Machine,
-        enclave: &mut GpuEnclave,
-        shared_len: u64,
-        seed: &[u8],
-    ) -> Result<HixSession, HixCoreError> {
-        let pid = build_user_enclave(machine, seed)?;
-        let mut rng = HmacDrbg::new(seed);
-        // §5.5: remote-attest the GPU enclave before trusting it — the
-        // quote must carry the pinned GPU-enclave measurement.
-        let quote = enclave.quote(machine)?;
-        if !quote.verify(
-            &machine.provisioning_key(),
-            &crate::gpu_enclave::expected_measurement(),
-        ) {
-            return Err(HixCoreError::Attest(crate::attest::AttestError::BadReport));
-        }
-        let shared = DmaBuffer::alloc(machine, pid, shared_len);
-        let (id, channel_key, data_key) =
-            enclave.accept_session(machine, pid, &mut rng, shared.clone())?;
-        let synthetic = machine
-            .device_mut(enclave.bdf())
-            .and_then(|d| d.as_any_mut().downcast_mut::<hix_gpu::device::GpuDevice>())
-            .is_some_and(|gpu| gpu.is_synthetic());
-        Ok(HixSession {
-            pid,
-            id,
-            endpoint: Endpoint::new(pid, shared, channel_key),
-            data_ocb: Ocb::new(&Key::from_bytes(data_key)),
-            rng,
-            htod_nonce: 0,
-            dtoh_nonce: DTOH_NONCE_BASE,
-            synthetic,
-            journal: Vec::new(),
-            epoch: 0,
-            sealed_chunk: Vec::new(),
-            pending: VecDeque::new(),
-            completed: VecDeque::new(),
-            next_cmd: 0,
-            batch_max: Self::DEFAULT_BATCH,
+        in_request(machine, 0, "connect", |machine| {
+            machine.in_span("session", "connect", &[("shared_len", shared_len)], |machine| {
+                let pid = build_user_enclave(machine, seed)?;
+                let mut rng = HmacDrbg::new(seed);
+                attest_enclave(machine, enclave)?;
+                let shared = DmaBuffer::alloc(machine, pid, shared_len);
+                let (id, channel_key, data_key) =
+                    enclave.accept_session(machine, pid, &mut rng, shared.clone())?;
+                let synthetic = machine
+                    .device_mut(enclave.bdf())
+                    .and_then(|d| d.as_any_mut().downcast_mut::<hix_gpu::device::GpuDevice>())
+                    .is_some_and(|gpu| gpu.is_synthetic());
+                Ok(HixSession {
+                    pid,
+                    id,
+                    endpoint: Endpoint::new(pid, shared, channel_key),
+                    data_ocb: Ocb::new(&Key::from_bytes(data_key)),
+                    rng,
+                    htod_nonce: 0,
+                    dtoh_nonce: DTOH_NONCE_BASE,
+                    synthetic,
+                    journal: Vec::new(),
+                    epoch: 0,
+                    sealed_chunk: Vec::new(),
+                    pending: VecDeque::new(),
+                    completed: VecDeque::new(),
+                    next_cmd: 0,
+                    batch_max: Self::DEFAULT_BATCH,
+                })
+            })
         })
     }
 
@@ -395,23 +382,15 @@ impl HixSession {
                     "channel unrecoverable after {MAX_ATTEMPTS} attempts"
                 )));
             }
-            if desync || attempts % REKEY_AFTER == 0 {
+            if desync || attempts.is_multiple_of(REKEY_AFTER) {
                 rekeys += 1;
                 if rekeys > MAX_REKEYS {
                     return Err(HixCoreError::Protocol(
                         "channel unrecoverable: re-key budget exhausted".into(),
                     ));
                 }
-                let obs = machine.trace().obs().clone();
-                let span = obs.enter(
-                    machine.clock().now().as_nanos(),
-                    "recovery",
-                    "rekey",
-                    &[("attempt", attempts as u64)],
-                );
-                let rekeyed = self.rekey(machine, enclave);
-                obs.exit(span, machine.clock().now().as_nanos());
-                rekeyed?;
+                let attrs = [("attempt", attempts as u64)];
+                machine.in_span("recovery", "rekey", &attrs, |m| self.rekey(m, enclave))?;
                 // A fresh epoch: the request goes out under a new id.
                 self.endpoint.send_request(machine, &request.encode())?;
                 backoff = None;
@@ -419,22 +398,17 @@ impl HixSession {
                 let base = machine.model().ipc_roundtrip;
                 let b = backoff.get_or_insert_with(|| Backoff::new(base, base * 64));
                 let delay = b.next_delay();
-                let obs = machine.trace().obs().clone();
-                let span = obs.enter(
-                    machine.clock().now().as_nanos(),
-                    "recovery",
-                    "retransmit",
-                    &[("attempt", attempts as u64)],
-                );
-                machine.clock().advance(delay);
-                machine.trace().metrics().inc(Counter::RecoveryRetries);
-                machine.trace().metrics().observe_with(
-                    "recovery.backoff_ns",
-                    &LATENCY_BOUNDS_NS,
-                    delay.as_nanos(),
-                );
-                self.endpoint.resend_request(machine)?;
-                obs.exit(span, machine.clock().now().as_nanos());
+                let attrs = [("attempt", attempts as u64)];
+                machine.in_span("recovery", "retransmit", &attrs, |machine| {
+                    machine.clock().advance(delay);
+                    machine.trace().metrics().inc(Counter::RecoveryRetries);
+                    machine.trace().metrics().observe_with(
+                        "recovery.backoff_ns",
+                        &LATENCY_BOUNDS_NS,
+                        delay.as_nanos(),
+                    );
+                    self.endpoint.resend_request(machine)
+                })?;
             }
         }
     }
@@ -449,13 +423,7 @@ impl HixSession {
     ) -> Result<(), HixCoreError> {
         // Never trust a fresh key from an enclave we haven't just
         // re-verified (§5.5) — the desync may be the OS swapping GPUs.
-        let quote = enclave.quote(machine)?;
-        if !quote.verify(
-            &machine.provisioning_key(),
-            &crate::gpu_enclave::expected_measurement(),
-        ) {
-            return Err(HixCoreError::Attest(crate::attest::AttestError::BadReport));
-        }
+        attest_enclave(machine, enclave)?;
         let key = enclave.rekey_session(machine, self.id, &mut self.rng)?;
         self.endpoint.rekey(key);
         self.endpoint.reset_wire(machine)?;
@@ -511,37 +479,37 @@ impl HixSession {
     /// channel recovery of [`roundtrip`](Self::roundtrip): a `CtxReset`
     /// response means the session's GPU context died to a watchdog
     /// action — re-establish the session (fresh keys, fresh windows,
-    /// fresh nonces), replay the journal, and retry the operation.
+    /// fresh nonces), replay the journal, and retry the operation. The
+    /// request is rebuilt for every attempt, so it reads the current
+    /// epoch's nonce counters.
     fn exec(
         &mut self,
         machine: &mut Machine,
         enclave: &mut GpuEnclave,
-        request: &Request,
+        request: impl Fn(&Self) -> Request,
     ) -> Result<Response, HixCoreError> {
         let mut resets = 0u32;
         loop {
-            let resp = self.roundtrip(machine, enclave, request)?;
+            let resp = self.roundtrip(machine, enclave, &request(self))?;
             if !matches!(resp, Response::CtxReset) {
                 return Ok(resp);
             }
-            resets += 1;
-            if resets > Self::MAX_TDR_RETRIES {
-                return Err(HixCoreError::Protocol(
-                    "TDR recovery budget exhausted".into(),
-                ));
-            }
-            self.recover(machine, enclave)?;
+            self.recover(machine, enclave, &mut resets)?;
         }
     }
 
     /// Re-establishes the session after a TDR action and replays the
     /// journal, bounding the number of rebuild rounds (a replayed
     /// operation can itself draw a fresh fault and lose the new context
-    /// too). Records the wall recovery latency.
+    /// too). Records the wall recovery latency. `resets` counts the
+    /// context resets the current operation has met: past
+    /// [`MAX_TDR_RETRIES`](Self::MAX_TDR_RETRIES) of them the operation
+    /// gives up instead.
     fn recover(
         &mut self,
         machine: &mut Machine,
         enclave: &mut GpuEnclave,
+        resets: &mut u32,
     ) -> Result<(), HixCoreError> {
         // Replay restarts from op 0 whenever a *new* fault lands mid-replay (the
         // rebuilt context is fresh, so partial replay state is unusable). Under a
@@ -549,37 +517,33 @@ impl HixSession {
         // deliberately generous; the *per-incident* latency bound lives in the
         // escalation ladder, not in this retry count.
         const MAX_RECOVERY_ROUNDS: u32 = 64;
-        let obs = machine.trace().obs().clone();
-        let span = obs.enter(
-            machine.clock().now().as_nanos(),
-            "watchdog",
-            "recover",
-            &[("session", u64::from(self.id))],
-        );
-        let start = machine.clock().now();
-        let mut result = Err(HixCoreError::Protocol(
-            "TDR recovery rounds exhausted".into(),
-        ));
-        for _ in 0..MAX_RECOVERY_ROUNDS {
-            match self.try_recover_once(machine, enclave) {
-                Ok(true) => {
-                    result = Ok(());
-                    break;
-                }
-                Ok(false) => {} // another TDR mid-replay: rebuild again
-                Err(e) => {
-                    result = Err(e);
-                    break;
+        *resets += 1;
+        if *resets > Self::MAX_TDR_RETRIES {
+            return Err(HixCoreError::Protocol("TDR recovery budget exhausted".into()));
+        }
+        machine.in_span("watchdog", "recover", &[("session", u64::from(self.id))], |machine| {
+            let start = machine.clock().now();
+            let mut result = Err(HixCoreError::Protocol("TDR recovery rounds exhausted".into()));
+            for _ in 0..MAX_RECOVERY_ROUNDS {
+                match self.try_recover_once(machine, enclave) {
+                    Ok(true) => {
+                        result = Ok(());
+                        break;
+                    }
+                    Ok(false) => {} // another TDR mid-replay: rebuild again
+                    Err(e) => {
+                        result = Err(e);
+                        break;
+                    }
                 }
             }
-        }
-        machine.trace().metrics().observe_with(
-            "watchdog.recovery_latency_ns",
-            &LATENCY_BOUNDS_NS,
-            (machine.clock().now() - start).as_nanos(),
-        );
-        obs.exit(span, machine.clock().now().as_nanos());
-        result
+            machine.trace().metrics().observe_with(
+                "watchdog.recovery_latency_ns",
+                &LATENCY_BOUNDS_NS,
+                (machine.clock().now() - start).as_nanos(),
+            );
+            result
+        })
     }
 
     /// One rebuild + full journal replay. `Ok(false)` means a replayed
@@ -593,13 +557,7 @@ impl HixSession {
         // §5.5 holds here too: never accept fresh keys from an enclave
         // that has not just re-proven its identity — the "reset" could
         // be the OS swapping the device or the service.
-        let quote = enclave.quote(machine)?;
-        if !quote.verify(
-            &machine.provisioning_key(),
-            &crate::gpu_enclave::expected_measurement(),
-        ) {
-            return Err(HixCoreError::Attest(crate::attest::AttestError::BadReport));
-        }
+        attest_enclave(machine, enclave)?;
         let (channel_key, data_key) = enclave.rebuild_session(machine, self.id, &mut self.rng)?;
         // A completely fresh epoch: cipher, wire sequences, replay
         // windows, data key, and nonce counters all restart. Resuming
@@ -927,28 +885,14 @@ impl HixSession {
             let cmds = self.build_frame(machine)?;
             let sent = cmds.len();
             let resp = self.roundtrip(machine, enclave, &Request::Submit { cmds })?;
-            let entries = match resp {
+            let (entries, mut reset) = match resp {
                 // Whole-frame reset: the session itself is stale (TDR
                 // while parked/idle) — nothing in the frame executed.
-                Response::CtxReset => {
-                    resets += 1;
-                    if resets > Self::MAX_TDR_RETRIES {
-                        return Err(HixCoreError::Protocol(
-                            "TDR recovery budget exhausted".into(),
-                        ));
-                    }
-                    self.recover(machine, enclave)?;
-                    continue;
-                }
-                Response::Completions(entries) => entries,
-                _ => {
-                    return Err(HixCoreError::Protocol(
-                        "expected a completions frame".into(),
-                    ))
-                }
+                Response::CtxReset => (Vec::new(), true),
+                Response::Completions(entries) => (entries, false),
+                _ => return Err(HixCoreError::Protocol("expected a completions frame".into())),
             };
             let mut progressed = false;
-            let mut reset = false;
             for (id, r) in entries {
                 let Some(front) = self.pending.front() else {
                     return Err(HixCoreError::Protocol("completion for empty ring".into()));
@@ -990,13 +934,7 @@ impl HixSession {
                     // retry budget is per command, not per frame.
                     resets = 0;
                 }
-                resets += 1;
-                if resets > Self::MAX_TDR_RETRIES {
-                    return Err(HixCoreError::Protocol(
-                        "TDR recovery budget exhausted".into(),
-                    ));
-                }
-                self.recover(machine, enclave)?;
+                self.recover(machine, enclave, &mut resets)?;
                 continue;
             }
             if sent > 0 && !progressed {
@@ -1112,6 +1050,23 @@ impl HixSession {
         }
     }
 
+    /// A synchronous wrapper, as one request named `name`: `submit`
+    /// enqueues the command, then [`drain_for`](Self::drain_for) waits
+    /// for its completion.
+    fn call(
+        &mut self,
+        machine: &mut Machine,
+        enclave: &mut GpuEnclave,
+        name: &str,
+        submit: impl FnOnce(&mut Self, &mut Machine, &mut GpuEnclave)
+            -> Result<CmdId, HixCoreError>,
+    ) -> Result<(), HixCoreError> {
+        in_request(machine, u64::from(self.id), name, |machine| {
+            let id = submit(self, machine, enclave)?;
+            self.drain_for(machine, enclave, id)
+        })
+    }
+
     /// `hixModuleLoad`.
     ///
     /// # Errors
@@ -1123,13 +1078,7 @@ impl HixSession {
         enclave: &mut GpuEnclave,
         name: &str,
     ) -> Result<(), HixCoreError> {
-        let req = begin_request(machine, u64::from(self.id), "load_module");
-        let result = (|| {
-            let id = self.submit_load_module(machine, enclave, name)?;
-            self.drain_for(machine, enclave, id)
-        })();
-        end_request(machine, req);
-        result
+        self.call(machine, enclave, "load_module", |s, m, e| s.submit_load_module(m, e, name))
     }
 
     /// `hixMemAlloc`.
@@ -1143,12 +1092,11 @@ impl HixSession {
         enclave: &mut GpuEnclave,
         len: u64,
     ) -> Result<DevAddr, HixCoreError> {
-        let req = begin_request(machine, u64::from(self.id), "malloc");
-        // A barrier op: the returned address must order after every
-        // queued command, so the ring drains first.
-        let result = (|| {
+        in_request(machine, u64::from(self.id), "malloc", |machine| {
+            // A barrier op: the returned address must order after every
+            // queued command, so the ring drains first.
             self.flush(machine, enclave)?;
-            match self.exec(machine, enclave, &Request::Malloc { len })? {
+            match self.exec(machine, enclave, |_| Request::Malloc { len })? {
                 Response::Addr(va) => {
                     self.journal.push(JournalOp::Malloc { len, va });
                     Ok(va)
@@ -1161,9 +1109,7 @@ impl HixSession {
                     Err(HixCoreError::Protocol("unhandled context reset".into()))
                 }
             }
-        })();
-        end_request(machine, req);
-        result
+        })
     }
 
     /// `hixMemFree` (always scrubbed on the GPU).
@@ -1177,13 +1123,7 @@ impl HixSession {
         enclave: &mut GpuEnclave,
         va: DevAddr,
     ) -> Result<(), HixCoreError> {
-        let req = begin_request(machine, u64::from(self.id), "free");
-        let result = (|| {
-            let id = self.submit_free(machine, enclave, va)?;
-            self.drain_for(machine, enclave, id)
-        })();
-        end_request(machine, req);
-        result
+        self.call(machine, enclave, "free", |s, m, e| s.submit_free(m, e, va))
     }
 
     /// `hixMemcpyHtoD` — the single-copy pipelined secure transfer
@@ -1212,37 +1152,25 @@ impl HixSession {
             sealed_stream_len(len, chunk) <= self.endpoint.bulk_capacity(),
             "transfer exceeds the shared-memory window; reconnect with a larger one"
         );
-        let req = begin_request(machine, u64::from(self.id), "memcpy_htod");
-        let obs = machine.trace().obs().clone();
-        let span = obs.enter(
-            machine.clock().now().as_nanos(),
-            "session",
-            "memcpy_htod",
-            &[("bytes", len)],
-        );
-        let start = machine.clock().now();
-        // Functional plane: the transfer rides the submission ring —
-        // sealing happens at frame-build time, a `CtxReset` completion
-        // triggers recovery and a re-seal under the new epoch's key and
-        // nonces (the old sealed stream is worthless — and must be, or
-        // the reset leaked something). Journal + nonce bump happen at
-        // retirement in `retire_ok`, exactly once.
-        let result = (|| {
-            let id = self.submit_htod(machine, enclave, dst, payload)?;
-            self.drain_for(machine, enclave, id)
-        })();
-        if result.is_ok() {
-            // Time plane: pipelined encrypt+DMA, then the decrypt
-            // kernel. The enclave already pinned the closed form at
-            // retirement; this keeps the clean-path elapsed time exact
-            // even if a recovery replay stretched the drain.
-            machine
-                .clock()
-                .advance_to(start + model.ipc_roundtrip + model.hix_htod(len));
-        }
-        obs.exit(span, machine.clock().now().as_nanos());
-        end_request(machine, req);
-        result
+        in_request(machine, u64::from(self.id), "memcpy_htod", |machine| {
+            machine.in_span("session", "memcpy_htod", &[("bytes", len)], |machine| {
+                let start = machine.clock().now();
+                // Functional plane: the transfer rides the submission ring —
+                // sealing happens at frame-build time, a `CtxReset` completion
+                // triggers recovery and a re-seal under the new epoch's key and
+                // nonces (the old sealed stream is worthless — and must be, or
+                // the reset leaked something). Journal + nonce bump happen at
+                // retirement in `retire_ok`, exactly once.
+                let id = self.submit_htod(machine, enclave, dst, payload)?;
+                self.drain_for(machine, enclave, id)?;
+                // Time plane: pipelined encrypt+DMA, then the decrypt
+                // kernel. The enclave already pinned the closed form at
+                // retirement; this keeps the clean-path elapsed time exact
+                // even if a recovery replay stretched the drain.
+                machine.clock().advance_to(start + model.ipc_roundtrip + model.hix_htod(len));
+                Ok(())
+            })
+        })
     }
 
     /// `hixMemcpyDtoH` — in-GPU encryption, DMA of sealed chunks to
@@ -1268,83 +1196,61 @@ impl HixSession {
             sealed_stream_len(len, chunk) <= self.endpoint.bulk_capacity(),
             "transfer exceeds the shared-memory window; reconnect with a larger one"
         );
-        let req = begin_request(machine, u64::from(self.id), "memcpy_dtoh");
-        let obs = machine.trace().obs().clone();
-        let span = obs.enter(
-            machine.clock().now().as_nanos(),
-            "session",
-            "memcpy_dtoh",
-            &[("bytes", len)],
-        );
-        let start = machine.clock().now();
-        let result = (|| {
-            // A barrier op: the read must observe every queued command,
-            // and its sealed reply owns the bulk area — drain first.
-            self.flush(machine, enclave)?;
-            // Reads are not journaled (they carry no state) but still ride
-            // the TDR-recovery loop: after a recovery the replayed journal
-            // has reconstructed the source buffer, so the retried read
-            // returns exactly the bytes the fault-free run would have.
-            let nonce_start = (|| {
-                let mut resets = 0u32;
-                loop {
-                    let nonce_start = self.dtoh_nonce;
-                    let request = Request::MemcpyDtoH { src, len, chunk, nonce_start };
-                    let resp = self.roundtrip(machine, enclave, &request)?;
-                    if !matches!(resp, Response::CtxReset) {
-                        self.expect_ok(resp)?;
-                        self.dtoh_nonce += len.div_ceil(chunk);
-                        return Ok(nonce_start);
+        in_request(machine, u64::from(self.id), "memcpy_dtoh", |machine| {
+            machine.in_span("session", "memcpy_dtoh", &[("bytes", len)], |machine| {
+                let start = machine.clock().now();
+                // A barrier op: the read must observe every queued command,
+                // and its sealed reply owns the bulk area — drain first.
+                self.flush(machine, enclave)?;
+                // Reads are not journaled (they carry no state) but still ride
+                // the TDR-recovery loop: after a recovery the replayed journal
+                // has reconstructed the source buffer, so the retried read
+                // returns exactly the bytes the fault-free run would have.
+                let resp = self.exec(machine, enclave, |s| Request::MemcpyDtoH {
+                    src,
+                    len,
+                    chunk,
+                    nonce_start: s.dtoh_nonce,
+                })?;
+                self.expect_ok(resp)?;
+                let nonce_start = self.dtoh_nonce;
+                self.dtoh_nonce += len.div_ceil(chunk);
+                let payload = if self.synthetic {
+                    Payload::synthetic(len)
+                } else {
+                    // Each sealed chunk comes out of the window into the
+                    // session's chunk buffer and opens straight into place.
+                    let mut out = vec![0u8; len as usize];
+                    grow(&mut self.sealed_chunk, out.len().min(chunk as usize) + TAG_LEN);
+                    for (i, part) in out.chunks_mut(chunk as usize).enumerate() {
+                        let sealed = &mut self.sealed_chunk[..part.len() + TAG_LEN];
+                        self.endpoint.buffer().read_into(
+                            machine,
+                            self.pid,
+                            BULK_OFFSET + i as u64 * (chunk + TAG_LEN as u64),
+                            sealed,
+                        )?;
+                        let nonce = Nonce::from_counter(nonce_start + i as u64);
+                        self.data_ocb
+                            .open_into(&nonce, DATA_AAD, sealed, part)
+                            .map_err(|_| HixCoreError::IntegrityFailure)?;
                     }
-                    resets += 1;
-                    if resets > Self::MAX_TDR_RETRIES {
-                        return Err(HixCoreError::Protocol(
-                            "TDR recovery budget exhausted".into(),
-                        ));
-                    }
-                    self.recover(machine, enclave)?;
-                }
-            })()?;
-            let payload = if self.synthetic {
-                Payload::synthetic(len)
-            } else {
-                // Each sealed chunk comes out of the window into the
-                // session's chunk buffer and opens straight into place.
-                let mut out = vec![0u8; len as usize];
-                grow(&mut self.sealed_chunk, out.len().min(chunk as usize) + TAG_LEN);
-                for (i, part) in out.chunks_mut(chunk as usize).enumerate() {
-                    let sealed = &mut self.sealed_chunk[..part.len() + TAG_LEN];
-                    self.endpoint.buffer().read_into(
-                        machine,
-                        self.pid,
-                        BULK_OFFSET + i as u64 * (chunk + TAG_LEN as u64),
-                        sealed,
-                    )?;
-                    let nonce = Nonce::from_counter(nonce_start + i as u64);
-                    self.data_ocb
-                        .open_into(&nonce, DATA_AAD, sealed, part)
-                        .map_err(|_| HixCoreError::IntegrityFailure)?;
-                }
-                Payload::from_bytes(out)
-            };
-            // The user-enclave unsealing work rides the pipelined closed form
-            // below; charge it to its own category (recording only).
-            machine.trace().metrics().add(Counter::DmaBytesDecrypted, len);
-            machine.trace().emit_with(
-                machine.clock().now(),
-                model.enclave_crypt(len),
-                EventKind::EnclaveCrypto,
-                "unseal stream",
-                &[("bytes", len)],
-            );
-            machine
-                .clock()
-                .advance_to(start + model.ipc_roundtrip + model.hix_dtoh(len));
-            Ok(payload)
-        })();
-        obs.exit(span, machine.clock().now().as_nanos());
-        end_request(machine, req);
-        result
+                    Payload::from_bytes(out)
+                };
+                // The user-enclave unsealing work rides the pipelined closed form
+                // below; charge it to its own category (recording only).
+                machine.trace().metrics().add(Counter::DmaBytesDecrypted, len);
+                machine.trace().emit_with(
+                    machine.clock().now(),
+                    model.enclave_crypt(len),
+                    EventKind::EnclaveCrypto,
+                    "unseal stream",
+                    &[("bytes", len)],
+                );
+                machine.clock().advance_to(start + model.ipc_roundtrip + model.hix_dtoh(len));
+                Ok(payload)
+            })
+        })
     }
 
     /// `hixMemsetD8`.
@@ -1360,13 +1266,7 @@ impl HixSession {
         len: u64,
         value: u8,
     ) -> Result<(), HixCoreError> {
-        let req = begin_request(machine, u64::from(self.id), "memset");
-        let result = (|| {
-            let id = self.submit_memset(machine, enclave, va, len, value)?;
-            self.drain_for(machine, enclave, id)
-        })();
-        end_request(machine, req);
-        result
+        self.call(machine, enclave, "memset", |s, m, e| s.submit_memset(m, e, va, len, value))
     }
 
     /// `hixMemcpyDtoD` — device-to-device, never leaves the GPU, so no
@@ -1383,13 +1283,7 @@ impl HixSession {
         dst: DevAddr,
         len: u64,
     ) -> Result<(), HixCoreError> {
-        let req = begin_request(machine, u64::from(self.id), "memcpy_dtod");
-        let result = (|| {
-            let id = self.submit_dtod(machine, enclave, src, dst, len)?;
-            self.drain_for(machine, enclave, id)
-        })();
-        end_request(machine, req);
-        result
+        self.call(machine, enclave, "memcpy_dtod", |s, m, e| s.submit_dtod(m, e, src, dst, len))
     }
 
     /// `hixLaunchKernel` (synchronous — the GPU enclave syncs before
@@ -1405,13 +1299,7 @@ impl HixSession {
         name: &str,
         args: &[u64],
     ) -> Result<(), HixCoreError> {
-        let req = begin_request(machine, u64::from(self.id), "launch");
-        let result = (|| {
-            let id = self.submit_launch(machine, enclave, name, args)?;
-            self.drain_for(machine, enclave, id)
-        })();
-        end_request(machine, req);
-        result
+        self.call(machine, enclave, "launch", |s, m, e| s.submit_launch(m, e, name, args))
     }
 
     /// `hixCtxSynchronize`.
@@ -1424,13 +1312,7 @@ impl HixSession {
         machine: &mut Machine,
         enclave: &mut GpuEnclave,
     ) -> Result<(), HixCoreError> {
-        let req = begin_request(machine, u64::from(self.id), "sync");
-        let result = (|| {
-            let id = self.submit_sync(machine, enclave)?;
-            self.drain_for(machine, enclave, id)
-        })();
-        end_request(machine, req);
-        result
+        self.call(machine, enclave, "sync", |s, m, e| s.submit_sync(m, e))
     }
 
     /// Resumes a session that may have been parked (sealed out of the
@@ -1451,13 +1333,10 @@ impl HixSession {
         machine: &mut Machine,
         enclave: &mut GpuEnclave,
     ) -> Result<bool, HixCoreError> {
-        // The nested `sync`'s begin_request returns `None` while this
-        // one is open, so a resume attributes as one request.
-        let req = begin_request(machine, u64::from(self.id), "resume");
+        // The nested `sync` opens no request of its own while this one
+        // is open, so a resume attributes as one request.
         let before = self.epoch;
-        let result = self.sync(machine, enclave);
-        end_request(machine, req);
-        result?;
+        in_request(machine, u64::from(self.id), "resume", |m| self.sync(m, enclave))?;
         Ok(self.epoch > before)
     }
 
@@ -1472,8 +1351,7 @@ impl HixSession {
         machine: &mut Machine,
         enclave: &mut GpuEnclave,
     ) -> Result<(), HixCoreError> {
-        let req = begin_request(machine, u64::from(self.id), "close");
-        let result = (|| {
+        in_request(machine, u64::from(self.id), "close", |machine| {
             // Drain any still-queued commands before tearing down.
             self.flush(machine, enclave)?;
             let resp = match self.roundtrip(machine, enclave, &Request::Close) {
@@ -1490,9 +1368,7 @@ impl HixSession {
             let buffer = self.endpoint.buffer().clone();
             buffer.release(machine);
             Ok(())
-        })();
-        end_request(machine, req);
-        result
+        })
     }
 }
 
@@ -1677,6 +1553,40 @@ mod tests {
         m.clear_fault_plan();
         let again = s.sync(&mut m, &mut enclave);
         assert!(matches!(again, Err(HixCoreError::Evicted)), "{again:?}");
+    }
+
+    #[test]
+    fn every_operation_gives_up_after_its_tdr_budget() {
+        use hix_gpu::crypto_kernels::ENCRYPT_KERNEL;
+        use hix_sim::fault::{FaultConfig, FaultPlan};
+        let (mut m, mut enclave) = setup();
+        let mut s = HixSession::connect_with(&mut m, &mut enclave, 1 << 20, b"budget").unwrap();
+        let dev = s.malloc(&mut m, &mut enclave, 4096).unwrap();
+        // Every data-plane command hangs and every kill lands. Rebuilds
+        // and the journal (one malloc) are control-plane work the plan
+        // never touches, so each recovery succeeds and each retry hangs.
+        m.set_fault_plan(FaultPlan::new(
+            5,
+            FaultConfig {
+                gpu_hang_pm: 1000,
+                gpu_wedge_pm: 0,
+                ..FaultConfig::none()
+            },
+        ));
+        let recoveries = |m: &Machine| m.trace().metrics().counter("watchdog.recoveries");
+        let budget = u64::from(HixSession::MAX_TDR_RETRIES);
+        // A read retries through `exec`...
+        let exhausted = "protocol violation: TDR recovery budget exhausted";
+        let before = recoveries(&m);
+        let err = s.memcpy_dtoh(&mut m, &mut enclave, dev, 4096).unwrap_err();
+        assert_eq!(err.to_string(), exhausted);
+        assert_eq!(recoveries(&m) - before, budget);
+        // ...and a synchronous launch through `flush_frame`.
+        let before = recoveries(&m);
+        let args = [dev.value(), 16, dev.value(), 0];
+        let err = s.launch(&mut m, &mut enclave, ENCRYPT_KERNEL, &args).unwrap_err();
+        assert_eq!(err.to_string(), exhausted);
+        assert_eq!(recoveries(&m) - before, budget);
     }
 
     #[test]

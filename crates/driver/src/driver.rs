@@ -236,10 +236,15 @@ impl GpuDriver {
             .collect();
         for key in keys {
             let alloc = self.allocations.remove(&key).expect("key listed");
-            self.free_frames
-                .extend(alloc.page_frames.into_iter().flatten());
+            self.reclaim(alloc);
         }
         self.heaps.remove(&ctx.0);
+    }
+
+    /// Returns an allocation's resident frames to the free list, in page
+    /// order: the one path by which VRAM frames are reused.
+    fn reclaim(&mut self, alloc: Allocation) {
+        self.free_frames.extend(alloc.page_frames.into_iter().flatten());
     }
 
     /// Re-synchronizes the driver with a freshly reset device: every
@@ -286,18 +291,7 @@ impl GpuDriver {
     /// Propagates submission/sync failures.
     pub fn destroy_ctx(&mut self, machine: &mut Machine, ctx: CtxId) -> Result<(), DriverError> {
         // Reclaim the context's frames for future allocations.
-        let keys: Vec<(u32, u64)> = self
-            .allocations
-            .keys()
-            .filter(|(c, _)| *c == ctx.0)
-            .copied()
-            .collect();
-        for key in keys {
-            let alloc = self.allocations.remove(&key).expect("key listed");
-            self.free_frames
-                .extend(alloc.page_frames.into_iter().flatten());
-        }
-        self.heaps.remove(&ctx.0);
+        self.forget_ctx(ctx);
         self.submit(machine, &GpuCommand::DestroyCtx { ctx })?;
         self.sync(machine)
     }
@@ -504,8 +498,7 @@ impl GpuDriver {
             }
         }
         self.submit(machine, &GpuCommand::UnmapRange { ctx, va, pages })?;
-        self.free_frames
-            .extend(alloc.page_frames.into_iter().flatten());
+        self.reclaim(alloc);
         self.sync(machine)
     }
 
@@ -556,24 +549,10 @@ impl GpuDriver {
         offset: u64,
         len: u64,
     ) -> Result<(), DriverError> {
-        let obs = machine.trace().obs().clone();
-        let span = obs.enter(
-            machine.clock().now().as_nanos(),
-            "driver",
-            "dma_htod",
-            &[("bytes", len)],
-        );
-        let result = self.submit(
-            machine,
-            &GpuCommand::DmaHtoD {
-                ctx,
-                bus: src.bus().offset(offset),
-                va: dst,
-                len,
-            },
-        );
-        obs.exit(span, machine.clock().now().as_nanos());
-        result
+        let bus = src.bus().offset(offset);
+        machine.in_span("driver", "dma_htod", &[("bytes", len)], |machine| {
+            self.submit(machine, &GpuCommand::DmaHtoD { ctx, bus, va: dst, len })
+        })
     }
 
     /// Queues a device→host DMA into a pinned buffer (`cuMemcpyDtoH`).
@@ -590,24 +569,10 @@ impl GpuDriver {
         offset: u64,
         len: u64,
     ) -> Result<(), DriverError> {
-        let obs = machine.trace().obs().clone();
-        let span = obs.enter(
-            machine.clock().now().as_nanos(),
-            "driver",
-            "dma_dtoh",
-            &[("bytes", len)],
-        );
-        let result = self.submit(
-            machine,
-            &GpuCommand::DmaDtoH {
-                ctx,
-                va: src,
-                bus: dst.bus().offset(offset),
-                len,
-            },
-        );
-        obs.exit(span, machine.clock().now().as_nanos());
-        result
+        let bus = dst.bus().offset(offset);
+        machine.in_span("driver", "dma_dtoh", &[("bytes", len)], |machine| {
+            self.submit(machine, &GpuCommand::DmaDtoH { ctx, va: src, bus, len })
+        })
     }
 
     /// "Loads a module": verifies the kernel binary exists on the device

@@ -131,25 +131,19 @@ impl Gdev {
         // Gdev's direct-I/O design DMAs straight from the (pinned,
         // reused) staging buffer; no extra host copy is charged. The
         // pageable path instead pays the staged-copy pipeline.
-        let obs = machine.trace().obs().clone();
-        let span = obs.enter(
-            machine.clock().now().as_nanos(),
-            "session",
-            "memcpy_htod",
-            &[("bytes", len)],
-        );
-        let start = machine.clock().now();
-        let pid = self.driver.pid();
-        let staging = self.staging(machine, len).clone();
-        staging.write(machine, pid, 0, payload)?;
-        self.driver.dma_htod(machine, self.ctx, dst, &staging, 0, len)?;
-        self.driver.sync(machine)?;
-        if self.pageable {
-            let total = machine.model().pageable_transfer(len);
-            machine.clock().advance_to(start + total);
-        }
-        obs.exit(span, machine.clock().now().as_nanos());
-        Ok(())
+        machine.in_span("session", "memcpy_htod", &[("bytes", len)], |machine| {
+            let start = machine.clock().now();
+            let pid = self.driver.pid();
+            let staging = self.staging(machine, len).clone();
+            staging.write(machine, pid, 0, payload)?;
+            self.driver.dma_htod(machine, self.ctx, dst, &staging, 0, len)?;
+            self.driver.sync(machine)?;
+            if self.pageable {
+                let total = machine.model().pageable_transfer(len);
+                machine.clock().advance_to(start + total);
+            }
+            Ok(())
+        })
     }
 
     /// `cuMemcpyDtoH`: plaintext copy back to the host.
@@ -166,27 +160,21 @@ impl Gdev {
         if len == 0 {
             return Ok(Payload::from_bytes(Vec::new()));
         }
-        let obs = machine.trace().obs().clone();
-        let span = obs.enter(
-            machine.clock().now().as_nanos(),
-            "session",
-            "memcpy_dtoh",
-            &[("bytes", len)],
-        );
-        let start = machine.clock().now();
-        let pid = self.driver.pid();
-        let staging = self.staging(machine, len).clone();
-        self.driver.dma_dtoh(machine, self.ctx, src, &staging, 0, len)?;
-        self.driver.sync(machine)?;
-        if self.pageable {
-            let total = machine.model().pageable_transfer(len);
-            machine.clock().advance_to(start + total);
-        }
-        obs.exit(span, machine.clock().now().as_nanos());
+        let staging = machine.in_span("session", "memcpy_dtoh", &[("bytes", len)], |machine| {
+            let start = machine.clock().now();
+            let staging = self.staging(machine, len).clone();
+            self.driver.dma_dtoh(machine, self.ctx, src, &staging, 0, len)?;
+            self.driver.sync(machine)?;
+            if self.pageable {
+                let total = machine.model().pageable_transfer(len);
+                machine.clock().advance_to(start + total);
+            }
+            Ok::<_, DriverError>(staging)
+        })?;
         if self.synthetic {
             return Ok(Payload::synthetic(len));
         }
-        Ok(Payload::from_bytes(staging.read(machine, pid, 0, len)?))
+        Ok(Payload::from_bytes(staging.read(machine, self.driver.pid(), 0, len)?))
     }
 
     /// `cuMemsetD8`: fills device memory.

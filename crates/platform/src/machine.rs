@@ -126,6 +126,22 @@ impl Machine {
         &self.trace
     }
 
+    /// Runs `f` inside a structural span (see `Obs::enter`) opened now
+    /// and closed when `f` returns, on every return path: the charged
+    /// work `f` causes nests under it in the exported timeline.
+    pub fn in_span<R>(
+        &mut self,
+        category: &'static str,
+        name: impl Into<String>,
+        attrs: &[(&'static str, u64)],
+        f: impl FnOnce(&mut Machine) -> R,
+    ) -> R {
+        let span = self.trace.obs().enter(self.clock.now().as_nanos(), category, name, attrs);
+        let out = f(self);
+        self.trace.obs().exit(span, self.clock.now().as_nanos());
+        out
+    }
+
     /// The PCIe fabric (boot-time wiring and adversary config access).
     pub fn fabric_mut(&mut self) -> &mut PcieFabric {
         &mut self.fabric

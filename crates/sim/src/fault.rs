@@ -586,7 +586,7 @@ impl Backoff {
 }
 
 /// One step of the TDR escalation ladder, as directed by
-/// [`EscalationLadder::next`].
+/// [`EscalationLadder::next_action`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WatchdogAction {
     /// Advance virtual time by this much and re-poll the engine.
@@ -650,12 +650,12 @@ impl EscalationLadder {
     /// If called again after directing a [`WatchdogAction::Reset`] —
     /// a reset leaves the device provably idle, so a still-busy engine
     /// after one is a simulator bug, never a recoverable state.
-    pub fn next(&mut self) -> WatchdogAction {
+    pub fn next_action(&mut self) -> WatchdogAction {
         assert!(!self.reset_sent, "escalation ladder exhausted: reset already directed");
         if !self.kill_sent {
             if self.waited < self.patience {
                 let d = self.backoff.next_delay();
-                self.waited = self.waited + d;
+                self.waited += d;
                 return WatchdogAction::Wait(d);
             }
             self.kill_sent = true;
@@ -663,7 +663,7 @@ impl EscalationLadder {
         }
         if self.grace_left > 0 {
             self.grace_left -= 1;
-            self.waited = self.waited + self.kill_grace;
+            self.waited += self.kill_grace;
             return WatchdogAction::Wait(self.kill_grace);
         }
         self.reset_sent = true;
@@ -799,7 +799,7 @@ mod tests {
 
     #[test]
     fn gpu_heavy_plan_injects_every_device_class() {
-        let plan = FaultPlan::new(0x7D12_5eed, FaultConfig::gpu_heavy());
+        let plan = FaultPlan::new(0x7D12_5EED, FaultConfig::gpu_heavy());
         let mut kinds = std::collections::BTreeSet::new();
         for _ in 0..6000 {
             if let Some(f) = plan.sample_gpu_fault() {
@@ -828,7 +828,7 @@ mod tests {
         assert_eq!(bound, us(100) + us(40) + us(60));
         let mut actions = Vec::new();
         loop {
-            let a = ladder.next();
+            let a = ladder.next_action();
             actions.push(a);
             if a == WatchdogAction::Reset {
                 break;
@@ -855,9 +855,9 @@ mod tests {
     fn escalation_ladder_refuses_post_reset_polls() {
         let us = Nanos::from_micros;
         let mut ladder = EscalationLadder::new(us(0), us(1), us(1), us(1), 0);
-        assert_eq!(ladder.next(), WatchdogAction::Kill);
-        assert_eq!(ladder.next(), WatchdogAction::Reset);
-        let _ = ladder.next();
+        assert_eq!(ladder.next_action(), WatchdogAction::Kill);
+        assert_eq!(ladder.next_action(), WatchdogAction::Reset);
+        let _ = ladder.next_action();
     }
 
     #[test]

@@ -466,7 +466,7 @@ pub fn encode_hex(bytes: &[u8]) -> String {
 
 /// Decodes a hex tape; `None` on malformed input.
 pub fn decode_hex(s: &str) -> Option<Vec<u8>> {
-    if s.len() % 2 != 0 {
+    if !s.len().is_multiple_of(2) {
         return None;
     }
     (0..s.len())

@@ -18,6 +18,8 @@ for crate in $(sed -n 's/^name = "\(hix-[a-z-]*\)"$/\1/p' crates/*/Cargo.toml); 
         exit 1
     fi
 done
+# ...and clippy-clean, tests, benches and examples included.
+cargo clippy --offline --workspace --all-targets -- -D warnings
 
 # The test suite includes the exact ledger gate
 # (crates/bench/tests/ledgers.rs): it reruns perf_report, scale_report,

@@ -34,7 +34,7 @@ fn ladder(s: &mut Source) -> (EscalationLadder, Nanos, Nanos, Nanos, u32) {
 fn drain(ladder: &mut EscalationLadder) -> Vec<WatchdogAction> {
     let mut actions = Vec::new();
     loop {
-        let a = ladder.next();
+        let a = ladder.next_action();
         actions.push(a);
         if a == WatchdogAction::Reset {
             return actions;
@@ -79,7 +79,7 @@ fn ladder_orders_deadline_then_kill_then_reset() {
                 waited < patience,
                 "the ladder kept waiting after the deadline passed"
             );
-            waited = waited + d;
+            waited += d;
         }
         assert!(
             waited >= patience,

@@ -391,20 +391,14 @@ fn aborted_batches_leak_no_open_spans() {
         let b = s.malloc(&mut m, &mut enclave, bytes).unwrap();
         let c = s.malloc(&mut m, &mut enclave, bytes).unwrap();
         let ones: Vec<u8> = (0..n * n).flat_map(|_| 1i32.to_le_bytes()).collect();
-        let mut ids = Vec::new();
-        ids.push(s.submit_load_module(&mut m, &mut enclave, "matrix.mul").unwrap());
-        ids.push(s.submit_htod(&mut m, &mut enclave, a, &Payload::from_bytes(ones.clone())).unwrap());
-        ids.push(s.submit_htod(&mut m, &mut enclave, b, &Payload::from_bytes(ones)).unwrap());
-        ids.push(
-            s.submit_launch(&mut m, &mut enclave, "matrix.mul", &[
-                a.value(),
-                b.value(),
-                c.value(),
-                n,
-            ])
-            .unwrap(),
-        );
-        ids.push(s.submit_sync(&mut m, &mut enclave).unwrap());
+        let abcn = [a.value(), b.value(), c.value(), n];
+        let ids = vec![
+            s.submit_load_module(&mut m, &mut enclave, "matrix.mul").unwrap(),
+            s.submit_htod(&mut m, &mut enclave, a, &Payload::from_bytes(ones.clone())).unwrap(),
+            s.submit_htod(&mut m, &mut enclave, b, &Payload::from_bytes(ones)).unwrap(),
+            s.submit_launch(&mut m, &mut enclave, "matrix.mul", &abcn).unwrap(),
+            s.submit_sync(&mut m, &mut enclave).unwrap(),
+        ];
         s.flush(&mut m, &mut enclave)
             .unwrap_or_else(|e| panic!("round {round}: flush under gpu faults: {e}"));
         let comps = s.take_completions();
