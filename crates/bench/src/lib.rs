@@ -126,7 +126,6 @@ pub fn bench_rig_with(model: CostModel) -> Machine {
             model,
             ..hix_platform::MachineConfig::default()
         },
-        ..RigOptions::default()
     })
 }
 

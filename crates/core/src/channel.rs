@@ -618,13 +618,11 @@ impl Endpoint {
 }
 
 /// Sealed-chunk geometry of the bulk stream: returns the total sealed
-/// length of `plain_len` bytes chunked at `chunk`.
-pub fn sealed_stream_len(plain_len: u64, chunk: u64) -> u64 {
-    if plain_len == 0 {
-        return 0;
-    }
-    let chunks = plain_len.div_ceil(chunk);
-    plain_len + chunks * TAG_LEN as u64
+/// length of `plain_len` bytes chunked at `chunk`, or `None` for a zero
+/// chunk or a length that overflows (both can arrive off the wire).
+pub fn sealed_stream_len(plain_len: u64, chunk: u64) -> Option<u64> {
+    let chunks = (chunk != 0).then(|| plain_len.div_ceil(chunk))?;
+    chunks.checked_mul(TAG_LEN as u64)?.checked_add(plain_len)
 }
 
 #[cfg(test)]
@@ -879,9 +877,11 @@ mod tests {
 
     #[test]
     fn sealed_stream_geometry() {
-        assert_eq!(sealed_stream_len(0, 4096), 0);
-        assert_eq!(sealed_stream_len(1, 4096), 1 + 16);
-        assert_eq!(sealed_stream_len(4096, 4096), 4096 + 16);
-        assert_eq!(sealed_stream_len(4097, 4096), 4097 + 32);
+        assert_eq!(sealed_stream_len(0, 4096), Some(0));
+        assert_eq!(sealed_stream_len(1, 4096), Some(1 + 16));
+        assert_eq!(sealed_stream_len(4096, 4096), Some(4096 + 16));
+        assert_eq!(sealed_stream_len(4097, 4096), Some(4097 + 32));
+        assert_eq!(sealed_stream_len(4096, 0), None);
+        assert_eq!(sealed_stream_len(u64::MAX, 4096), None);
     }
 }

@@ -168,7 +168,6 @@ struct Session {
     ctx: CtxId,
     endpoint: Endpoint,
     staging: DevAddr,
-    staging_len: u64,
     user_pid: ProcessId,
     aborted: bool,
     /// The session's GPU context was lost to a watchdog action (per-
@@ -185,26 +184,17 @@ struct Session {
 struct Epoch {
     ctx: CtxId,
     staging: DevAddr,
-    staging_len: u64,
     channel_key: [u8; 16],
     user_data_key: [u8; 16],
 }
 
-/// What a parked session's sealed record carries: everything needed to
-/// re-admit it, nothing device-side.
-#[derive(Clone, Copy)]
-struct SessionRecord {
-    user_pid: ProcessId,
-    staging_len: u64,
-    stale: bool,
-}
-
 /// A session sealed out of the resident set by the admission bound. The
-/// session *record* is sealed to the enclave's identity; the channel
+/// session *record* (its user id: everything needed to re-admit it,
+/// nothing device-side) is sealed to the enclave's identity; the channel
 /// endpoint stays mapped (the shared ring is OS memory the enclave never
 /// trusted anyway) so the user's next doorbell can wake the session.
 struct ParkedSession {
-    /// OCB-sealed [`SessionRecord`] (tamper-evident; opened on resume).
+    /// OCB-sealed session record (tamper-evident; opened on resume).
     blob: Vec<u8>,
     /// Park sequence bound into the seal's key derivation, so every
     /// park uses a fresh key and a stale or replayed blob cannot be
@@ -219,21 +209,18 @@ struct ParkedSession {
 /// A parked session in transit between two GPU-enclave shards of one
 /// fabric ([`GpuEnclave::export_parked`] →
 /// [`GpuEnclave::adopt_session`]). Carries the channel endpoint plus
-/// the authenticated session record in plaintext — the simulated stand-
+/// the authenticated user id in plaintext — the simulated stand-
 /// in for an attested shard-to-shard transfer channel. Deliberately
 /// opaque: it can only be produced by an export and consumed by an
 /// adoption.
 pub struct MigratedSession {
     endpoint: Endpoint,
-    record: SessionRecord,
+    user_pid: ProcessId,
 }
 
 impl std::fmt::Debug for MigratedSession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MigratedSession")
-            .field("user_pid", &self.record.user_pid)
-            .field("staging_len", &self.record.staging_len)
-            .finish()
+        f.debug_struct("MigratedSession").field("user_pid", &self.user_pid).finish()
     }
 }
 
@@ -519,7 +506,6 @@ impl GpuEnclave {
                 ctx: epoch.ctx,
                 endpoint,
                 staging: epoch.staging,
-                staging_len: epoch.staging_len,
                 user_pid,
                 aborted: false,
                 stale: false,
@@ -555,7 +541,7 @@ impl GpuEnclave {
         let keys = attest::three_party_data_key(machine, &self.driver, ctx, user_rng, &mut self.rng)?;
         let staging_len = machine.model().pipeline_chunk + hix_crypto::ocb::TAG_LEN as u64;
         let staging = self.driver.malloc(machine, ctx, staging_len)?;
-        Ok(Epoch { ctx, staging, staging_len, channel_key, user_data_key: keys.user })
+        Ok(Epoch { ctx, staging, channel_key, user_data_key: keys.user })
     }
 
     /// Re-establishes a session whose GPU context was lost to a TDR
@@ -591,7 +577,6 @@ impl GpuEnclave {
         let state = self.sessions.get_mut(&session).expect("checked above");
         state.ctx = epoch.ctx;
         state.staging = epoch.staging;
-        state.staging_len = epoch.staging_len;
         state.stale = false;
         state.endpoint.rekey(epoch.channel_key);
         self.touch(session);
@@ -727,24 +712,20 @@ impl GpuEnclave {
         )))
     }
 
-    /// Seals `record` for `session` under a fresh park sequence: the one
-    /// place the 13-byte record (user ‖ staging length ‖ stale flag) is
+    /// Seals the record of `session`, owned by `user_pid`, under a fresh
+    /// park sequence: the one place the record (the 4-byte user id) is
     /// built. Returns the blob and the sequence its key derives from.
     fn seal_record(
         &mut self,
         machine: &mut Machine,
         session: SessionId,
-        record: SessionRecord,
+        user_pid: ProcessId,
     ) -> Result<(Vec<u8>, u64), HixCoreError> {
         self.park_seq += 1;
-        let mut plain = Vec::with_capacity(13);
-        plain.extend_from_slice(&record.user_pid.0.to_le_bytes());
-        plain.extend_from_slice(&record.staging_len.to_le_bytes());
-        plain.push(u8::from(record.stale));
         let blob = self.park_cipher(machine, session, self.park_seq)?.seal(
             &hix_crypto::ocb::Nonce::from_counter(0),
             b"hix-park",
-            &plain,
+            &user_pid.0.to_le_bytes(),
         );
         Ok((blob, self.park_seq))
     }
@@ -753,12 +734,12 @@ impl GpuEnclave {
     /// record under the key its park derived: the one place a record is
     /// authenticated and parsed. A tampered blob, a malformed record and
     /// a record naming another user than the parked copy are refused;
-    /// the session is discarded either way.
+    /// the session is discarded either way. Returns the record's user id.
     fn open_record(
         &mut self,
         machine: &mut Machine,
         session: SessionId,
-    ) -> Result<(SessionRecord, Endpoint), HixCoreError> {
+    ) -> Result<(ProcessId, Endpoint), HixCoreError> {
         let p = self.parked.remove(&session).expect("caller checked it is parked");
         let plain = self
             .park_cipher(machine, session, p.seq)?
@@ -766,20 +747,15 @@ impl GpuEnclave {
             .map_err(|_| {
                 HixCoreError::Protocol("parked session record failed authentication".into())
             })?;
-        if plain.len() != 13 {
+        let Ok(user) = <[u8; 4]>::try_from(plain.as_slice()) else {
             return Err(HixCoreError::Protocol("malformed parked session record".into()));
-        }
-        let record = SessionRecord {
-            user_pid: ProcessId(u32::from_le_bytes(plain[..4].try_into().expect("4 bytes"))),
-            staging_len: u64::from_le_bytes(plain[4..12].try_into().expect("8 bytes")),
-            stale: plain[12] != 0,
         };
-        if record.user_pid != p.user_pid {
+        if ProcessId(u32::from_le_bytes(user)) != p.user_pid {
             return Err(HixCoreError::Protocol(
                 "parked session record names a different user".into(),
             ));
         }
-        Ok((record, p.endpoint))
+        Ok((p.user_pid, p.endpoint))
     }
 
     /// Seals an idle session out of the resident set (the scale-out half
@@ -801,22 +777,17 @@ impl GpuEnclave {
         machine: &mut Machine,
         session: SessionId,
     ) -> Result<(), HixCoreError> {
-        let state = self.live_session(session)?;
-        let record = SessionRecord {
-            user_pid: state.user_pid,
-            staging_len: state.staging_len,
-            stale: state.stale,
-        };
+        let user_pid = self.live_session(session)?.user_pid;
         let cost = machine.model().park_seal();
         machine.clock().advance(cost);
-        let (blob, seq) = self.seal_record(machine, session, record)?;
+        let (blob, seq) = self.seal_record(machine, session, user_pid)?;
 
         let state = self.remove_session(session).expect("checked above");
         if !state.stale {
             let _ = self.driver.free(machine, state.ctx, state.staging, true);
             let _ = self.driver.destroy_ctx(machine, state.ctx);
         }
-        let (endpoint, user_pid) = (state.endpoint, record.user_pid);
+        let endpoint = state.endpoint;
         self.parked.insert(session, ParkedSession { blob, seq, endpoint, user_pid });
         machine.trace().metrics().inc(Counter::EnclaveSessionsParked);
         machine.trace().emit(
@@ -860,7 +831,7 @@ impl GpuEnclave {
         let cost = machine.model().park_unseal();
         machine.clock().advance(cost);
 
-        let (record, endpoint) = self.open_record(machine, session)?;
+        let (user_pid, endpoint) = self.open_record(machine, session)?;
         self.sessions.insert(
             session,
             Session {
@@ -870,8 +841,7 @@ impl GpuEnclave {
                 ctx: CtxId(u32::MAX),
                 endpoint,
                 staging: DevAddr(0),
-                staging_len: record.staging_len,
-                user_pid: record.user_pid,
+                user_pid,
                 aborted: false,
                 stale: true,
                 last_use: 0,
@@ -914,7 +884,7 @@ impl GpuEnclave {
         }
         let cost = machine.model().park_unseal();
         machine.clock().advance(cost);
-        let (record, endpoint) = self.open_record(machine, session)?;
+        let (user_pid, endpoint) = self.open_record(machine, session)?;
         machine.trace().metrics().inc(Counter::EnclaveSessionsExported);
         machine.trace().emit(
             machine.clock().now(),
@@ -922,7 +892,7 @@ impl GpuEnclave {
             EventKind::EnclaveCrypto,
             format!("session {session} exported for cross-shard migration"),
         );
-        Ok(MigratedSession { endpoint, record })
+        Ok(MigratedSession { endpoint, user_pid })
     }
 
     /// Adopts a session exported from a peer shard
@@ -945,7 +915,7 @@ impl GpuEnclave {
         machine: &mut Machine,
         migrated: MigratedSession,
     ) -> Result<SessionId, HixCoreError> {
-        let user_pid = migrated.record.user_pid;
+        let user_pid = migrated.user_pid;
         if self.evicted.contains(&user_pid) {
             machine.trace().metrics().inc(Counter::WatchdogRebuildsRefused);
             return Err(HixCoreError::Evicted);
@@ -956,7 +926,7 @@ impl GpuEnclave {
         self.next_session += 1;
         let mut endpoint = migrated.endpoint;
         endpoint.rehome(machine, self.pid);
-        let (blob, seq) = self.seal_record(machine, id, migrated.record)?;
+        let (blob, seq) = self.seal_record(machine, id, user_pid)?;
         self.parked.insert(id, ParkedSession { blob, seq, endpoint, user_pid });
         machine.trace().metrics().inc(Counter::EnclaveSessionsAdopted);
         machine.trace().emit(
@@ -1175,6 +1145,24 @@ impl GpuEnclave {
             let state = self.sessions.get_mut(&session).expect("checked by poll");
             let ctx = state.ctx;
             let chunk_cfg = machine.model().pipeline_chunk;
+            // Transfer geometry comes off the wire: before any arithmetic
+            // or DMA, refuse a chunk other than the machine's, a sealed
+            // stream the session's own window cannot hold, a nonce range
+            // that overflows, and an allocation whose padding overflows.
+            let window = state.endpoint.bulk_capacity();
+            let bad_geometry = match request {
+                Request::Malloc { len } => sealed_stream_len(len, chunk_cfg).is_none(),
+                Request::MemcpyHtoD { len, chunk, nonce_start, .. }
+                | Request::MemcpyDtoH { len, chunk, nonce_start, .. } => {
+                    chunk != chunk_cfg
+                        || sealed_stream_len(len, chunk).is_none_or(|n| n > window)
+                        || nonce_start.checked_add(len.div_ceil(chunk)).is_none()
+                }
+                _ => false,
+            };
+            if bad_geometry {
+                return Ok(Response::Err("transfer geometry out of bounds".into()));
+            }
             let resp = match request {
                 Request::LoadModule { name } => match self.driver.load_module(machine, &name) {
                     Ok(()) => Response::Ok,
@@ -1184,7 +1172,7 @@ impl GpuEnclave {
                     // Pad for the in-place sealed stream (one tag per chunk,
                     // §4.4.2 single-copy: the sealed bytes land in the same
                     // buffer the plaintext ends up in).
-                    let padded = sealed_stream_len(len, chunk_cfg);
+                    let padded = sealed_stream_len(len, chunk_cfg).expect("checked above");
                     match self.driver.malloc(machine, ctx, padded.max(1)) {
                         Ok(va) => Response::Addr(va),
                         Err(e) => Response::Err(e.to_string()),
@@ -1195,7 +1183,7 @@ impl GpuEnclave {
                     Err(e) => Response::Err(e.to_string()),
                 },
                 Request::MemcpyHtoD { dst, len, chunk, nonce_start } => {
-                    let sealed_len = sealed_stream_len(len, chunk);
+                    let sealed_len = sealed_stream_len(len, chunk).expect("checked above");
                     // The in-GPU decrypt-stream kernel unseals `len` bytes.
                     machine.trace().metrics().add(Counter::DmaBytesDecrypted, len);
                     let buffer = state.endpoint.buffer().clone();
@@ -1261,13 +1249,9 @@ impl GpuEnclave {
                 }
                 Request::MemcpyDtoH { src, len, chunk, nonce_start } => {
                     let staging = state.staging;
-                    let staging_len = state.staging_len;
                     // The in-GPU encrypt kernel seals `len` bytes chunkwise.
                     machine.trace().metrics().add(Counter::DmaBytesEncrypted, len);
                     let buffer = state.endpoint.buffer().clone();
-                    if chunk + hix_crypto::ocb::TAG_LEN as u64 > staging_len {
-                        return Ok(Response::Err("chunk exceeds staging".into()));
-                    }
                     // Book the readback on the shared transfer engines. The
                     // chunk walk below charges device time functionally; the
                     // booking records engine occupancy (so later transfers of
@@ -1898,8 +1882,7 @@ mod tests {
                 // Authentic under this park's key, but naming another
                 // user than the parked copy.
                 let user_pid = ProcessId(enclave.parked[&id].user_pid.0 + 1);
-                let forged = SessionRecord { user_pid, staging_len: 0, stale: true };
-                let (blob, seq) = enclave.seal_record(m, id, forged).unwrap();
+                let (blob, seq) = enclave.seal_record(m, id, user_pid).unwrap();
                 let p = enclave.parked.get_mut(&id).unwrap();
                 (p.blob, p.seq) = (blob, seq);
             });

@@ -777,7 +777,8 @@ impl HixSession {
             return Ok(id);
         }
         assert!(
-            sealed_stream_len(len, machine.model().pipeline_chunk) <= self.endpoint.bulk_capacity(),
+            sealed_stream_len(len, machine.model().pipeline_chunk)
+                .is_some_and(|n| n <= self.endpoint.bulk_capacity()),
             "transfer exceeds the shared-memory window; reconnect with a larger one"
         );
         self.enqueue(
@@ -1026,14 +1027,18 @@ impl HixSession {
 
     /// Synchronous-wrapper tail: drain the ring, then pluck command
     /// `id`'s completion (other completions stay on the ring for their
-    /// own callers).
+    /// own callers). If the drain fails, command `id` comes back off the
+    /// submission ring: a synchronous op that failed must never run later.
     fn drain_for(
         &mut self,
         machine: &mut Machine,
         enclave: &mut GpuEnclave,
         id: CmdId,
     ) -> Result<(), HixCoreError> {
-        self.flush(machine, enclave)?;
+        if let Err(e) = self.flush(machine, enclave) {
+            self.pending.retain(|cmd| cmd.id != id);
+            return Err(e);
+        }
         let mut status = None;
         self.completed.retain(|(cid, s)| {
             if *cid == id {
@@ -1149,7 +1154,7 @@ impl HixSession {
         let model = machine.model().clone();
         let chunk = model.pipeline_chunk;
         assert!(
-            sealed_stream_len(len, chunk) <= self.endpoint.bulk_capacity(),
+            sealed_stream_len(len, chunk).is_some_and(|n| n <= self.endpoint.bulk_capacity()),
             "transfer exceeds the shared-memory window; reconnect with a larger one"
         );
         in_request(machine, u64::from(self.id), "memcpy_htod", |machine| {
@@ -1193,7 +1198,7 @@ impl HixSession {
         let model = machine.model().clone();
         let chunk = model.pipeline_chunk;
         assert!(
-            sealed_stream_len(len, chunk) <= self.endpoint.bulk_capacity(),
+            sealed_stream_len(len, chunk).is_some_and(|n| n <= self.endpoint.bulk_capacity()),
             "transfer exceeds the shared-memory window; reconnect with a larger one"
         );
         in_request(machine, u64::from(self.id), "memcpy_dtoh", |machine| {
@@ -1384,7 +1389,8 @@ fn grow(buf: &mut Vec<u8>, len: usize) {
 /// Convenience used by tests/benchmarks: required shared-window size for
 /// a given largest transfer.
 pub fn shared_window_for(model: &CostModel, largest_transfer: u64) -> u64 {
-    let sealed = sealed_stream_len(largest_transfer, model.pipeline_chunk);
+    let sealed = sealed_stream_len(largest_transfer, model.pipeline_chunk)
+        .expect("sealed length fits u64");
     (BULK_OFFSET + sealed).div_ceil(PAGE_SIZE) * PAGE_SIZE + PAGE_SIZE
 }
 
@@ -1587,6 +1593,102 @@ mod tests {
         let err = s.launch(&mut m, &mut enclave, ENCRYPT_KERNEL, &args).unwrap_err();
         assert_eq!(err.to_string(), exhausted);
         assert_eq!(recoveries(&m) - before, budget);
+    }
+
+    #[test]
+    fn a_failed_synchronous_op_never_runs_later() {
+        use hix_sim::fault::{FaultConfig, FaultPlan};
+        let (mut m, mut enclave) = setup();
+        let mut s = HixSession::connect_with(&mut m, &mut enclave, 1 << 20, b"undone").unwrap();
+        let a = s.malloc(&mut m, &mut enclave, 4096).unwrap();
+        let b = s.malloc(&mut m, &mut enclave, 4096).unwrap();
+        // Memsets are never fault-eligible, so the journal replays cleanly.
+        s.memset(&mut m, &mut enclave, a, 4096, 0xa5).unwrap();
+        s.memset(&mut m, &mut enclave, b, 4096, 0x3c).unwrap();
+        let journal = s.journal_len();
+        m.set_fault_plan(FaultPlan::new(
+            5,
+            FaultConfig { gpu_hang_pm: 1000, gpu_wedge_pm: 0, ..FaultConfig::none() },
+        ));
+        let failed = s.next_cmd;
+        assert!(s.memcpy_dtod(&mut m, &mut enclave, a, b, 4096).is_err());
+        assert_eq!(s.pending_cmds(), 0, "the failed copy stays queued");
+        m.clear_fault_plan();
+        s.sync(&mut m, &mut enclave).unwrap();
+        assert_eq!(s.journal_len(), journal, "the failed copy was journaled");
+        assert!(s.take_completions().iter().all(|(id, _)| *id != failed));
+        let back = s.memcpy_dtoh(&mut m, &mut enclave, b, 4096).unwrap();
+        assert!(back.bytes().iter().all(|&x| x == 0x3c), "the failed copy ran later");
+    }
+
+    /// A session with a 1 MiB window and one 4 KiB buffer, to send
+    /// hostile requests around the runtime.
+    fn hostile() -> (Machine, GpuEnclave, HixSession, DevAddr) {
+        let (mut m, mut enclave) = setup();
+        let mut s = HixSession::connect_with(&mut m, &mut enclave, 1 << 20, b"hostile").unwrap();
+        let dev = s.malloc(&mut m, &mut enclave, 4096).unwrap();
+        (m, enclave, s, dev)
+    }
+
+    /// Sends `request` raw; the enclave must serve it with a refusal.
+    fn refused(m: &mut Machine, enclave: &mut GpuEnclave, s: &mut HixSession, request: Request) {
+        s.send_raw_request_for_test(m, &request.encode()).unwrap();
+        assert!(enclave.poll(m, s.id()).unwrap());
+        let response = Response::decode(&s.endpoint.recv_response(m).unwrap());
+        assert!(matches!(response, Some(Response::Err(_))), "{response:?}");
+    }
+
+    #[test]
+    fn a_malloc_whose_padding_overflows_is_refused() {
+        let (mut m, mut enclave, mut s, _) = hostile();
+        refused(&mut m, &mut enclave, &mut s, Request::Malloc { len: u64::MAX });
+    }
+
+    #[test]
+    fn an_htod_whose_sealed_length_overflows_is_refused() {
+        let (mut m, mut enclave, mut s, dst) = hostile();
+        let chunk = m.model().pipeline_chunk;
+        let req = Request::MemcpyHtoD { dst, len: u64::MAX, chunk, nonce_start: 0 };
+        refused(&mut m, &mut enclave, &mut s, req);
+    }
+
+    #[test]
+    fn an_htod_with_a_zero_chunk_is_refused() {
+        let (mut m, mut enclave, mut s, dst) = hostile();
+        let req = Request::MemcpyHtoD { dst, len: 4096, chunk: 0, nonce_start: 0 };
+        refused(&mut m, &mut enclave, &mut s, req);
+    }
+
+    #[test]
+    fn a_dtoh_with_a_foreign_chunk_is_refused() {
+        let (mut m, mut enclave, mut s, src) = hostile();
+        let req = Request::MemcpyDtoH { src, len: 4096, chunk: u64::MAX - 3, nonce_start: 0 };
+        refused(&mut m, &mut enclave, &mut s, req);
+    }
+
+    #[test]
+    fn a_dtoh_whose_nonces_overflow_is_refused() {
+        let (mut m, mut enclave) = setup();
+        let len = 2 * m.model().pipeline_chunk;
+        let window = shared_window_for(m.model(), len);
+        let mut s = HixSession::connect_with(&mut m, &mut enclave, window, b"hostile").unwrap();
+        let src = s.malloc(&mut m, &mut enclave, len).unwrap();
+        let chunk = m.model().pipeline_chunk;
+        let req = Request::MemcpyDtoH { src, len, chunk, nonce_start: u64::MAX };
+        refused(&mut m, &mut enclave, &mut s, req);
+    }
+
+    #[test]
+    fn a_dtoh_past_its_window_leaves_the_neighbour_untouched() {
+        let (mut m, mut enclave, mut s, _) = hostile();
+        let n = HixSession::connect_with(&mut m, &mut enclave, 1 << 20, b"neighbour").unwrap();
+        let window = |m: &mut Machine| n.endpoint.buffer().read(m, n.pid, 0, 1 << 20).unwrap();
+        let before = window(&mut m);
+        let len = 3 << 20;
+        let src = s.malloc(&mut m, &mut enclave, len).unwrap();
+        let chunk = m.model().pipeline_chunk;
+        refused(&mut m, &mut enclave, &mut s, Request::MemcpyDtoH { src, len, chunk, nonce_start: 0 });
+        assert!(window(&mut m) == before, "the neighbour's window changed");
     }
 
     #[test]

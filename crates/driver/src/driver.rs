@@ -419,14 +419,8 @@ impl GpuDriver {
         for page in pages {
             let frame = self.alloc_frame()?;
             self.allocations.get_mut(&key).expect("present").page_frames[page] = Some(frame);
-            self.submit(
-                machine,
-                &GpuCommand::MapPage {
-                    ctx,
-                    va: DevAddr(key.1 + page as u64 * GPU_PAGE_SIZE),
-                    pa: frame,
-                },
-            )?;
+            let va = DevAddr(key.1 + page as u64 * GPU_PAGE_SIZE);
+            self.submit(machine, &GpuCommand::MapRange { ctx, va, pa: frame, pages: 1 })?;
         }
         // Clear the fault and drain the mapping commands.
         self.reg_write(machine, bar0::ERROR, 0)?;

@@ -1,12 +1,14 @@
 //! Standard simulated machine construction (the "testbed").
 //!
-//! Wires a [`Machine`] with one root port and the GPU, programs the BARs
-//! the way the BIOS of Table 3's testbed would, and installs the built-in
-//! crypto kernels plus any workload kernels the caller supplies.
+//! Wires a [`Machine`] the way the BIOS of Table 3's testbed would:
+//! bridges forwarding the MMIO hole, GPUs with programmed BARs and the
+//! built-in crypto kernels plus any workload kernels the caller
+//! supplies. [`standard_rig`] hangs one GPU off the root port;
+//! [`fabric_rig`] puts N GPUs behind PCIe switches.
 
 use hix_gpu::device::{GpuConfig, GpuDevice};
 use hix_gpu::GpuKernel;
-use hix_pcie::addr::{Bdf, PhysAddr, PhysRange};
+use hix_pcie::addr::{Bdf, PhysAddr};
 use hix_pcie::config::{offsets, ConfigSpace};
 use hix_pcie::fabric::Provenance;
 use hix_platform::{Machine, MachineConfig};
@@ -27,16 +29,8 @@ pub const PORT_BDF: Bdf = Bdf {
     device: 1,
     function: 0,
 };
-/// The second GPU's BDF when [`RigOptions::second_gpu`] is set.
-pub const GPU2_BDF: Bdf = Bdf {
-    bus: 1,
-    device: 1,
-    function: 0,
-};
-/// BAR0 of the second GPU (registers only; no aperture is programmed).
-pub const GPU2_BAR0_PA: PhysAddr = PhysAddr::new(0xc100_0000);
 
-/// Options for [`standard_rig`].
+/// Options for [`standard_rig`] and [`fabric_rig`].
 #[derive(Default)]
 pub struct RigOptions {
     /// Machine configuration (cost model, boot seed).
@@ -45,9 +39,6 @@ pub struct RigOptions {
     pub gpu: GpuConfig,
     /// Extra kernels to install (workloads).
     pub kernels: Vec<Box<dyn GpuKernel>>,
-    /// Attach a second hardware GPU at [`GPU2_BDF`] (multi-GPU systems
-    /// without peer-to-peer, §5.6).
-    pub second_gpu: bool,
 }
 
 
@@ -60,164 +51,61 @@ impl std::fmt::Debug for RigOptions {
     }
 }
 
+/// BIOS: installs a type-1 bridge at `bdf` with bus numbers `[primary,
+/// secondary, subordinate]` and a window over the whole MMIO hole. Bus-0
+/// bridges are IOH3420 root ports, as in the paper's QEMU setup; the
+/// rest are PLX-style switch ports.
+fn install_bridge(machine: &mut Machine, bdf: Bdf, [primary, secondary, subordinate]: [u8; 3]) {
+    let (vendor, device) = if bdf.bus == 0 { (0x8086, 0x3420) } else { (0x10b5, 0x8747) };
+    let mut cfg = ConfigSpace::bridge(vendor, device);
+    let w = cfg.bridge_window_mut();
+    (w.primary_bus, w.secondary_bus, w.subordinate_bus) = (primary, secondary, subordinate);
+    w.window = Some(hix_platform::mem::layout::MMIO);
+    machine.fabric_mut().add_bridge(bdf, cfg).expect("fresh, routable slot");
+}
+
+/// BIOS: attaches a GPU enumerated at boot (hence Hardware provenance)
+/// at `bdf` with the crypto kernels and `kernels` installed, programs
+/// BAR0 and, where given, the BAR1 VRAM aperture, and enables memory
+/// decode.
+fn install_gpu(
+    machine: &mut Machine,
+    bdf: Bdf,
+    config: GpuConfig,
+    kernels: Vec<Box<dyn GpuKernel>>,
+    bar0: PhysAddr,
+    bar1: Option<PhysAddr>,
+) {
+    let mut gpu = GpuDevice::new(
+        config,
+        machine.clock().clone(),
+        machine.model().clone(),
+        machine.trace().clone(),
+    );
+    hix_gpu::crypto_kernels::install(&mut gpu);
+    for kernel in kernels {
+        gpu.install_kernel(kernel);
+    }
+    machine
+        .fabric_mut()
+        .add_endpoint(bdf, Box::new(gpu), Provenance::Hardware)
+        .expect("fresh slot");
+    let unlocked = "no lockdown at boot";
+    machine.config_write(bdf, offsets::BAR0, bar0.value() as u32).expect(unlocked);
+    if let Some(bar1) = bar1 {
+        machine.config_write(bdf, offsets::BAR0 + 4, bar1.value() as u32).expect(unlocked);
+    }
+    machine.config_write(bdf, offsets::COMMAND, 0b10).expect(unlocked);
+}
+
 /// Builds the standard machine: root port at 00:01.0 forwarding the MMIO
 /// hole to bus 1, the GPU at 01:00.0 with BIOS-programmed BARs, crypto
 /// kernels installed, and the IOMMU left in identity-passthrough (the
 /// common boot configuration; attacks re-program it).
 pub fn standard_rig(options: RigOptions) -> Machine {
-    let gpu_config = options.gpu.clone();
     let mut machine = Machine::new(options.machine);
-
-    // BIOS: root port with a window over the whole MMIO hole.
-    let mut port_cfg = ConfigSpace::bridge(0x8086, 0x3420); // IOH3420, as in the paper's QEMU setup
-    {
-        let w = port_cfg.bridge_window_mut();
-        w.primary_bus = 0;
-        w.secondary_bus = 1;
-        w.subordinate_bus = 1;
-        w.window = Some(PhysRange::new(
-            hix_platform::mem::layout::MMIO.base,
-            hix_platform::mem::layout::MMIO.len,
-        ));
-    }
-    machine
-        .fabric_mut()
-        .add_root_port(PORT_BDF, port_cfg)
-        .expect("fresh fabric");
-
-    // The GPU itself, enumerated at boot => Hardware provenance.
-    let mut gpu = GpuDevice::new(
-        gpu_config.clone(),
-        machine.clock().clone(),
-        machine.model().clone(),
-        machine.trace().clone(),
-    );
-    hix_gpu::crypto_kernels::install(&mut gpu);
-    for kernel in options.kernels {
-        gpu.install_kernel(kernel);
-    }
-    machine
-        .fabric_mut()
-        .add_endpoint(GPU_BDF, Box::new(gpu), Provenance::Hardware)
-        .expect("fresh slot");
-
-    // BIOS programs the BARs and enables memory decode.
-    machine
-        .config_write(GPU_BDF, offsets::BAR0, BAR0_PA.value() as u32)
-        .unwrap();
-    machine
-        .config_write(GPU_BDF, offsets::BAR0 + 4, BAR1_PA.value() as u32)
-        .unwrap();
-    machine.config_write(GPU_BDF, offsets::COMMAND, 0b10).unwrap();
-
-    if options.second_gpu {
-        // A second GPU behind the same root port, registers-only (no
-        // BAR1 aperture programmed — the MMIO hole is sized for one
-        // aperture; the DMA path is unaffected).
-        let mut gpu2 = GpuDevice::new(
-            GpuConfig {
-                seed: gpu_config.seed.wrapping_add(1),
-                ..gpu_config
-            },
-            machine.clock().clone(),
-            machine.model().clone(),
-            machine.trace().clone(),
-        );
-        hix_gpu::crypto_kernels::install(&mut gpu2);
-        machine
-            .fabric_mut()
-            .add_endpoint(GPU2_BDF, Box::new(gpu2), Provenance::Hardware)
-            .expect("fresh slot");
-        machine
-            .config_write(GPU2_BDF, offsets::BAR0, GPU2_BAR0_PA.value() as u32)
-            .unwrap();
-        machine.config_write(GPU2_BDF, offsets::COMMAND, 0b10).unwrap();
-    }
-
-    // Boot firmware leaves the IOMMU in passthrough.
-    machine.iommu_mut().set_passthrough(true);
-    machine
-}
-
-/// The GPU's BDF in the [`switched_rig`] topology.
-pub const SWITCHED_GPU_BDF: Bdf = Bdf {
-    bus: 3,
-    device: 0,
-    function: 0,
-};
-
-/// Builds a machine whose GPU sits *behind a PCIe switch*:
-/// root port (00:01.0) → switch upstream (01:00.0) → switch downstream
-/// (02:00.0) → GPU (03:00.0). Exercises the §4.3.2 requirement that
-/// lockdown freezes every bridge between the root complex and the GPU.
-pub fn switched_rig(options: RigOptions) -> Machine {
-    let gpu_config = options.gpu.clone();
-    let mut machine = Machine::new(options.machine);
-    let window = Some(PhysRange::new(
-        hix_platform::mem::layout::MMIO.base,
-        hix_platform::mem::layout::MMIO.len,
-    ));
-
-    let mut port_cfg = ConfigSpace::bridge(0x8086, 0x3420);
-    {
-        let w = port_cfg.bridge_window_mut();
-        w.secondary_bus = 1;
-        w.subordinate_bus = 3;
-        w.window = window;
-    }
-    machine
-        .fabric_mut()
-        .add_root_port(PORT_BDF, port_cfg)
-        .expect("fresh fabric");
-
-    let mut up_cfg = ConfigSpace::bridge(0x10b5, 0x8747); // PLX-style switch
-    {
-        let w = up_cfg.bridge_window_mut();
-        w.primary_bus = 1;
-        w.secondary_bus = 2;
-        w.subordinate_bus = 3;
-        w.window = window;
-    }
-    machine
-        .fabric_mut()
-        .add_switch_port(Bdf::new(1, 0, 0), up_cfg)
-        .expect("upstream port");
-    let mut down_cfg = ConfigSpace::bridge(0x10b5, 0x8747);
-    {
-        let w = down_cfg.bridge_window_mut();
-        w.primary_bus = 2;
-        w.secondary_bus = 3;
-        w.subordinate_bus = 3;
-        w.window = window;
-    }
-    machine
-        .fabric_mut()
-        .add_switch_port(Bdf::new(2, 0, 0), down_cfg)
-        .expect("downstream port");
-
-    let mut gpu = GpuDevice::new(
-        gpu_config,
-        machine.clock().clone(),
-        machine.model().clone(),
-        machine.trace().clone(),
-    );
-    hix_gpu::crypto_kernels::install(&mut gpu);
-    for kernel in options.kernels {
-        gpu.install_kernel(kernel);
-    }
-    machine
-        .fabric_mut()
-        .add_endpoint(SWITCHED_GPU_BDF, Box::new(gpu), Provenance::Hardware)
-        .expect("fresh slot");
-    machine
-        .config_write(SWITCHED_GPU_BDF, offsets::BAR0, BAR0_PA.value() as u32)
-        .unwrap();
-    machine
-        .config_write(SWITCHED_GPU_BDF, offsets::BAR0 + 4, BAR1_PA.value() as u32)
-        .unwrap();
-    machine
-        .config_write(SWITCHED_GPU_BDF, offsets::COMMAND, 0b10)
-        .unwrap();
+    install_bridge(&mut machine, PORT_BDF, [0, 1, 1]);
+    install_gpu(&mut machine, GPU_BDF, options.gpu, options.kernels, BAR0_PA, Some(BAR1_PA));
     machine.iommu_mut().set_passthrough(true);
     machine
 }
@@ -236,15 +124,19 @@ pub struct FabricGpu {
     pub bios_seed: u64,
 }
 
-/// The wiring plan of a [`fabric_rig`] machine: where every GPU and
-/// switch landed. Purely derived from `(n_gpus, switch_fanout)`, so two
-/// rigs built with the same parameters agree bit-for-bit.
+/// The wiring plan of a [`fabric_rig`] machine: where every GPU, switch
+/// and bridge landed. Purely derived from `(n_gpus, switch_fanout)`, so
+/// two rigs built with the same parameters agree bit-for-bit.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FabricTopology {
     /// Per-GPU slots, in fabric order.
     pub gpus: Vec<FabricGpu>,
     /// Upstream-port BDFs of the switches, in switch order.
     pub switches: Vec<Bdf>,
+    /// Every bridge with its `[primary, secondary, subordinate]` bus
+    /// numbers, parents first: the root port, then each switch's
+    /// upstream port followed by its downstream ports.
+    pub bridges: Vec<(Bdf, [u8; 3])>,
 }
 
 impl FabricTopology {
@@ -256,117 +148,55 @@ impl FabricTopology {
         let n_gpus = n_gpus.max(1);
         let fanout = switch_fanout.max(1);
         let n_switches = n_gpus.div_ceil(fanout);
-        let mut gpus = Vec::with_capacity(n_gpus);
+        // Per switch: one internal bus plus one bus per (potential) GPU
+        // slot; bus 1 holds the upstream ports.
+        let internal_bus = |s: usize| (2 + s * (fanout + 1)) as u8;
         let mut switches = Vec::with_capacity(n_switches);
+        let mut bridges = vec![(PORT_BDF, [0, 1, internal_bus(n_switches) - 1])];
         for s in 0..n_switches {
-            switches.push(Bdf::new(1, s as u8, 0));
+            let (up, bus) = (Bdf::new(1, s as u8, 0), internal_bus(s));
+            switches.push(up);
+            bridges.push((up, [1, bus, bus + fanout as u8]));
+            for j in 0..fanout as u8 {
+                let gpu_bus = bus + 1 + j;
+                bridges.push((Bdf::new(bus, j, 0), [bus, gpu_bus, gpu_bus]));
+            }
         }
-        for i in 0..n_gpus {
-            let s = i / fanout;
-            let j = i % fanout;
-            // Per switch: one internal bus plus one bus per (potential)
-            // GPU slot; bus 1 holds the upstream ports.
-            let internal_bus = 2 + (s * (fanout + 1)) as u8;
-            gpus.push(FabricGpu {
-                bdf: Bdf::new(internal_bus + 1 + j as u8, 0, 0),
+        let gpus = (0..n_gpus)
+            .map(|i| FabricGpu {
+                bdf: Bdf::new(internal_bus(i / fanout) + 1 + (i % fanout) as u8, 0, 0),
                 bar0: PhysAddr::new(0xc000_0000 + (i as u64) * 0x0100_0000),
-                switch: s,
+                switch: i / fanout,
                 bios_seed: bios_seed_base.wrapping_add(i as u64),
-            });
-        }
-        FabricTopology { gpus, switches }
+            })
+            .collect();
+        FabricTopology { gpus, switches, bridges }
     }
 }
 
 /// Builds an N-GPU machine for the enclave fabric: GPUs grouped
 /// `switch_fanout` to a PLX-style switch, every switch behind one root
 /// port. Each GPU carries its own BIOS (seed = base seed + index) and a
-/// BIOS-programmed BAR0 at a distinct physical address (registers only,
-/// like [`RigOptions::second_gpu`] — the MMIO hole is sized for one
-/// VRAM aperture). Returns the machine plus the topology plan the
-/// fabric layer verifies paths against. Only the built-in crypto
-/// kernels are installed per GPU; workload kernels in
-/// [`RigOptions::kernels`] are ignored here (they cannot be cloned per
-/// device — fabric traffic drives the transfer/memset built-ins).
+/// BIOS-programmed BAR0 at a distinct physical address (registers only:
+/// the MMIO hole is sized for one VRAM aperture). Returns the machine
+/// plus the topology plan the fabric layer verifies paths against. Only
+/// the built-in crypto kernels are installed per GPU; workload kernels
+/// in [`RigOptions::kernels`] are ignored here (they cannot be cloned
+/// per device — fabric traffic drives the transfer/memset built-ins).
 pub fn fabric_rig(
     options: RigOptions,
     n_gpus: usize,
     switch_fanout: usize,
 ) -> (Machine, FabricTopology) {
-    let gpu_config = options.gpu.clone();
-    let fanout = switch_fanout.max(1);
-    let topology = FabricTopology::plan(n_gpus, fanout, gpu_config.seed);
+    let topology = FabricTopology::plan(n_gpus, switch_fanout, options.gpu.seed);
     let mut machine = Machine::new(options.machine);
-    let window = Some(PhysRange::new(
-        hix_platform::mem::layout::MMIO.base,
-        hix_platform::mem::layout::MMIO.len,
-    ));
-    let last_bus = 1 + (topology.switches.len() * (fanout + 1)) as u8;
-
-    let mut port_cfg = ConfigSpace::bridge(0x8086, 0x3420);
-    {
-        let w = port_cfg.bridge_window_mut();
-        w.secondary_bus = 1;
-        w.subordinate_bus = last_bus;
-        w.window = window;
+    for &(bdf, buses) in &topology.bridges {
+        install_bridge(&mut machine, bdf, buses);
     }
-    machine
-        .fabric_mut()
-        .add_root_port(PORT_BDF, port_cfg)
-        .expect("fresh fabric");
-
-    for (s, up_bdf) in topology.switches.iter().enumerate() {
-        let internal_bus = 2 + (s * (fanout + 1)) as u8;
-        let mut up_cfg = ConfigSpace::bridge(0x10b5, 0x8747);
-        {
-            let w = up_cfg.bridge_window_mut();
-            w.primary_bus = 1;
-            w.secondary_bus = internal_bus;
-            w.subordinate_bus = internal_bus + fanout as u8;
-            w.window = window;
-        }
-        machine
-            .fabric_mut()
-            .add_switch_port(*up_bdf, up_cfg)
-            .expect("upstream port");
-        for j in 0..fanout {
-            let gpu_bus = internal_bus + 1 + j as u8;
-            let mut down_cfg = ConfigSpace::bridge(0x10b5, 0x8747);
-            {
-                let w = down_cfg.bridge_window_mut();
-                w.primary_bus = internal_bus;
-                w.secondary_bus = gpu_bus;
-                w.subordinate_bus = gpu_bus;
-                w.window = window;
-            }
-            machine
-                .fabric_mut()
-                .add_switch_port(Bdf::new(internal_bus, j as u8, 0), down_cfg)
-                .expect("downstream port");
-        }
-    }
-
     for slot in &topology.gpus {
-        let mut gpu = GpuDevice::new(
-            GpuConfig {
-                seed: slot.bios_seed,
-                ..gpu_config.clone()
-            },
-            machine.clock().clone(),
-            machine.model().clone(),
-            machine.trace().clone(),
-        );
-        hix_gpu::crypto_kernels::install(&mut gpu);
-        machine
-            .fabric_mut()
-            .add_endpoint(slot.bdf, Box::new(gpu), Provenance::Hardware)
-            .expect("fresh slot");
-        machine
-            .config_write(slot.bdf, offsets::BAR0, slot.bar0.value() as u32)
-            .unwrap();
-        machine.config_write(slot.bdf, offsets::COMMAND, 0b10).unwrap();
+        let config = GpuConfig { seed: slot.bios_seed, ..options.gpu.clone() };
+        install_gpu(&mut machine, slot.bdf, config, Vec::new(), slot.bar0, None);
     }
-
     machine.iommu_mut().set_passthrough(true);
     (machine, topology)
 }
@@ -430,6 +260,49 @@ mod tests {
         }
         // The plan is pure: recomputing it matches what the rig built.
         assert_eq!(topo, FabricTopology::plan(4, 2, GpuConfig::default().seed));
+    }
+
+    #[test]
+    fn testbeds_rebuild_the_pinned_config_space() {
+        // Recorded from the builders before they shared one bridge and
+        // one GPU installer: each GPU's routing-path digest, the BIOS's
+        // config writes, and the virtual clock after the build.
+        let check = |machine: &Machine, gpus: &[Bdf], want: &[&str], writes: u64| {
+            assert_eq!(gpus.len(), want.len());
+            for (&bdf, want) in gpus.iter().zip(want) {
+                let snapshot = machine.fabric().path_routing_snapshot(bdf).unwrap();
+                let digest = hix_crypto::sha256::digest(&snapshot);
+                let hex: String = digest.iter().map(|b| format!("{b:02x}")).collect();
+                assert_eq!(hex, *want, "{bdf}");
+            }
+            assert_eq!(machine.trace().metrics().counter("pcie.cfg_writes"), writes);
+            assert_eq!(machine.clock().now().as_nanos(), 0);
+        };
+        let standard = ["e2e909520b27993b34b477f9b14c949b07d71875933b4a30ab53f1435e821384"];
+        check(&standard_rig(RigOptions::default()), &[GPU_BDF], &standard, 3);
+        // (GPUs, fanout, each GPU's digest, config writes)
+        let fabrics: [(usize, usize, &[&str], u64); 4] = [
+            (1, 1, &["255d7f9370b3dfe8b070e243adfea0e94d74e8ca553915bc990d1a42d2ee5b0a"], 2),
+            (2, 1, &[
+                "1297facb3b1b90829c2fb605d95735eb59405531eb1c0a61226374c14cfa8749",
+                "faf767a3a235ad069b6082219474ec4f5f55ce8e08b4d28995ba91115c6f5308",
+            ], 4),
+            (2, 2, &[
+                "ed78ce2771549061ec111f6d6a5f9114bf2677873df98cf9fb725db573247c17",
+                "04eeeb92cee38e014dfa1758c35867e580a84a72b8748e108f0693a92404fcfd",
+            ], 4),
+            (4, 2, &[
+                "0e7acfad63f289875ade1e3da58bde21337f9324daf9191f39ee011e87f9be49",
+                "e8cc2c2ec65a221339f793ea0ef38ad047b62233bed47d9fc4c1784ec13a2fcc",
+                "37da1a028498247bf0366ffc24eea8a69493b5b451f948caea83afa353f03c8f",
+                "fc83511d3fe7d742b4e7eb012a549e2eb5ed1d9c88f7bb75ee08441128af42da",
+            ], 8),
+        ];
+        for (n_gpus, fanout, want, writes) in fabrics {
+            let (machine, topo) = fabric_rig(RigOptions::default(), n_gpus, fanout);
+            let gpus: Vec<Bdf> = topo.gpus.iter().map(|g| g.bdf).collect();
+            check(&machine, &gpus, want, writes);
+        }
     }
 
     #[test]

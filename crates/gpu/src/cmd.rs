@@ -27,15 +27,6 @@ pub enum GpuCommand {
         /// The context to destroy.
         ctx: CtxId,
     },
-    /// Maps a device-virtual page to a VRAM frame in `ctx`.
-    MapPage {
-        /// Target context.
-        ctx: CtxId,
-        /// Device-virtual page base.
-        va: DevAddr,
-        /// VRAM frame base (page-aligned).
-        pa: u64,
-    },
     /// Maps `pages` consecutive device-virtual pages to consecutive VRAM
     /// frames starting at `pa` (bulk allocation fast path).
     MapRange {
@@ -47,13 +38,6 @@ pub enum GpuCommand {
         pa: u64,
         /// Number of pages in the range.
         pages: u64,
-    },
-    /// Unmaps a device-virtual page.
-    UnmapPage {
-        /// Target context.
-        ctx: CtxId,
-        /// Device-virtual page base.
-        va: DevAddr,
     },
     /// Unmaps `pages` consecutive device-virtual pages.
     UnmapRange {
@@ -159,11 +143,9 @@ impl std::error::Error for DecodeError {}
 mod op {
     pub const CREATE_CTX: u8 = 0x01;
     pub const DESTROY_CTX: u8 = 0x02;
-    pub const MAP_PAGE: u8 = 0x03;
     pub const MAP_RANGE: u8 = 0x0a;
     pub const UNMAP_RANGE: u8 = 0x0b;
     pub const COPY_DTOD: u8 = 0x0c;
-    pub const UNMAP_PAGE: u8 = 0x04;
     pub const DMA_HTOD: u8 = 0x05;
     pub const DMA_DTOH: u8 = 0x06;
     pub const MEMSET: u8 = 0x07;
@@ -215,9 +197,7 @@ impl GpuCommand {
         match self {
             GpuCommand::CreateCtx { ctx }
             | GpuCommand::DestroyCtx { ctx }
-            | GpuCommand::MapPage { ctx, .. }
             | GpuCommand::MapRange { ctx, .. }
-            | GpuCommand::UnmapPage { ctx, .. }
             | GpuCommand::UnmapRange { ctx, .. }
             | GpuCommand::DmaHtoD { ctx, .. }
             | GpuCommand::DmaDtoH { ctx, .. }
@@ -268,23 +248,12 @@ impl GpuCommand {
                 out.push(op::DESTROY_CTX);
                 out.extend_from_slice(&ctx.0.to_le_bytes());
             }
-            GpuCommand::MapPage { ctx, va, pa } => {
-                out.push(op::MAP_PAGE);
-                out.extend_from_slice(&ctx.0.to_le_bytes());
-                out.extend_from_slice(&va.value().to_le_bytes());
-                out.extend_from_slice(&pa.to_le_bytes());
-            }
             GpuCommand::MapRange { ctx, va, pa, pages } => {
                 out.push(op::MAP_RANGE);
                 out.extend_from_slice(&ctx.0.to_le_bytes());
                 out.extend_from_slice(&va.value().to_le_bytes());
                 out.extend_from_slice(&pa.to_le_bytes());
                 out.extend_from_slice(&pages.to_le_bytes());
-            }
-            GpuCommand::UnmapPage { ctx, va } => {
-                out.push(op::UNMAP_PAGE);
-                out.extend_from_slice(&ctx.0.to_le_bytes());
-                out.extend_from_slice(&va.value().to_le_bytes());
             }
             GpuCommand::UnmapRange { ctx, va, pages } => {
                 out.push(op::UNMAP_RANGE);
@@ -353,20 +322,11 @@ impl GpuCommand {
         let cmd = match opcode {
             op::CREATE_CTX => GpuCommand::CreateCtx { ctx: CtxId(r.u32()?) },
             op::DESTROY_CTX => GpuCommand::DestroyCtx { ctx: CtxId(r.u32()?) },
-            op::MAP_PAGE => GpuCommand::MapPage {
-                ctx: CtxId(r.u32()?),
-                va: DevAddr(r.u64()?),
-                pa: r.u64()?,
-            },
             op::MAP_RANGE => GpuCommand::MapRange {
                 ctx: CtxId(r.u32()?),
                 va: DevAddr(r.u64()?),
                 pa: r.u64()?,
                 pages: r.u64()?,
-            },
-            op::UNMAP_PAGE => GpuCommand::UnmapPage {
-                ctx: CtxId(r.u32()?),
-                va: DevAddr(r.u64()?),
             },
             op::UNMAP_RANGE => GpuCommand::UnmapRange {
                 ctx: CtxId(r.u32()?),
@@ -447,12 +407,6 @@ mod tests {
     fn all_commands_roundtrip() {
         roundtrip(GpuCommand::CreateCtx { ctx: CtxId(3) });
         roundtrip(GpuCommand::DestroyCtx { ctx: CtxId(3) });
-        roundtrip(GpuCommand::MapPage {
-            ctx: CtxId(1),
-            va: DevAddr(0x1000),
-            pa: 0x8000,
-        });
-        roundtrip(GpuCommand::UnmapPage { ctx: CtxId(1), va: DevAddr(0x1000) });
         roundtrip(GpuCommand::UnmapRange {
             ctx: CtxId(1),
             va: DevAddr(0x1000),

@@ -394,18 +394,6 @@ impl GpuDevice {
                     &[("bytes", bytes)],
                 );
             }
-            GpuCommand::MapPage { ctx, va, pa } => {
-                let vram_size = self.vram.size();
-                let Some(context) = self.ctxs.get_mut(&ctx) else {
-                    self.set_error(errcode::NO_CTX);
-                    return;
-                };
-                if pa % GPU_PAGE_SIZE != 0 || pa + GPU_PAGE_SIZE > vram_size {
-                    self.set_error(errcode::FAULT);
-                    return;
-                }
-                context.map_page(va, pa);
-            }
             GpuCommand::MapRange { ctx, va, pa, pages } => {
                 let vram_size = self.vram.size();
                 let Some(context) = self.ctxs.get_mut(&ctx) else {
@@ -423,13 +411,6 @@ impl GpuDevice {
                 for i in 0..pages {
                     context.map_page(va.offset(i * GPU_PAGE_SIZE), pa + i * GPU_PAGE_SIZE);
                 }
-            }
-            GpuCommand::UnmapPage { ctx, va } => {
-                let Some(context) = self.ctxs.get_mut(&ctx) else {
-                    self.set_error(errcode::NO_CTX);
-                    return;
-                };
-                context.unmap_page(va);
             }
             GpuCommand::UnmapRange { ctx, va, pages } => {
                 let Some(context) = self.ctxs.get_mut(&ctx) else {
@@ -959,7 +940,8 @@ mod tests {
         let data = b"through the fabric and back".to_vec();
         host.dma_write(PhysAddr::new(0x1000), &data).unwrap();
         submit(&mut dev, GpuCommand::CreateCtx { ctx: CtxId(1) });
-        submit(&mut dev, GpuCommand::MapPage { ctx: CtxId(1), va: DevAddr(0x4000), pa: 0x8000 });
+        let map = GpuCommand::MapRange { ctx: CtxId(1), va: DevAddr(0x4000), pa: 0x8000, pages: 1 };
+        submit(&mut dev, map);
         submit(&mut dev, GpuCommand::DmaHtoD {
             ctx: CtxId(1),
             bus: PhysAddr::new(0x1000),
@@ -1005,7 +987,7 @@ mod tests {
         let mut dev = device();
         let mut host = HostStub { fail: true, ..HostStub::default() };
         submit(&mut dev, GpuCommand::CreateCtx { ctx: CtxId(1) });
-        submit(&mut dev, GpuCommand::MapPage { ctx: CtxId(1), va: DevAddr(0), pa: 0 });
+        submit(&mut dev, GpuCommand::MapRange { ctx: CtxId(1), va: DevAddr(0), pa: 0, pages: 1 });
         submit(&mut dev, GpuCommand::DmaHtoD {
             ctx: CtxId(1),
             bus: PhysAddr::new(0x1000),
@@ -1014,6 +996,17 @@ mod tests {
         });
         drain(&mut dev, &mut host);
         assert_eq!(dev.error(), errcode::DMA);
+    }
+
+    #[test]
+    fn a_map_past_the_top_of_the_address_space_faults() {
+        let mut dev = device();
+        let mut host = HostStub::default();
+        submit(&mut dev, GpuCommand::CreateCtx { ctx: CtxId(1) });
+        let pa = 0u64.wrapping_sub(GPU_PAGE_SIZE); // 2^64 - 4096, page-aligned
+        submit(&mut dev, GpuCommand::MapRange { ctx: CtxId(1), va: DevAddr(0), pa, pages: 1 });
+        drain(&mut dev, &mut host);
+        assert_eq!(dev.error(), errcode::FAULT);
     }
 
     #[test]
@@ -1036,7 +1029,8 @@ mod tests {
         let mut host = HostStub::default();
         for c in 1..=2u32 {
             submit(&mut dev, GpuCommand::CreateCtx { ctx: CtxId(c) });
-            submit(&mut dev, GpuCommand::MapPage { ctx: CtxId(c), va: DevAddr(0), pa: (c as u64) * 0x1000 });
+            let pa = u64::from(c) * 0x1000;
+            submit(&mut dev, GpuCommand::MapRange { ctx: CtxId(c), va: DevAddr(0), pa, pages: 1 });
         }
         for _ in 0..3 {
             submit(&mut dev, GpuCommand::Memset { ctx: CtxId(1), va: DevAddr(0), len: 16, value: 1 });
@@ -1052,7 +1046,7 @@ mod tests {
         let mut dev = device();
         let mut host = HostStub::default();
         submit(&mut dev, GpuCommand::CreateCtx { ctx: CtxId(1) });
-        submit(&mut dev, GpuCommand::MapPage { ctx: CtxId(1), va: DevAddr(0), pa: 0x3000 });
+        submit(&mut dev, GpuCommand::MapRange { ctx: CtxId(1), va: DevAddr(0), pa: 0x3000, pages: 1 });
         submit(&mut dev, GpuCommand::Memset { ctx: CtxId(1), va: DevAddr(0), len: 4096, value: 0xaa });
         submit(&mut dev, GpuCommand::DestroyCtx { ctx: CtxId(1) });
         drain(&mut dev, &mut host);
@@ -1176,7 +1170,7 @@ mod tests {
     /// commands are not fault-eligible, so this works under any plan).
     fn ctx_with_page(dev: &mut GpuDevice, host: &mut HostStub, pa: u64) {
         submit(dev, GpuCommand::CreateCtx { ctx: CtxId(1) });
-        submit(dev, GpuCommand::MapPage { ctx: CtxId(1), va: DevAddr(0), pa });
+        submit(dev, GpuCommand::MapRange { ctx: CtxId(1), va: DevAddr(0), pa, pages: 1 });
         drain(dev, host);
         assert_eq!(dev.error(), errcode::NONE);
     }
@@ -1322,7 +1316,8 @@ mod tests {
         let mut host = HostStub::default();
         for c in 1..=2u32 {
             submit(&mut dev, GpuCommand::CreateCtx { ctx: CtxId(c) });
-            submit(&mut dev, GpuCommand::MapPage { ctx: CtxId(c), va: DevAddr(0), pa: u64::from(c) * 0x1000 });
+            let pa = u64::from(c) * 0x1000;
+            submit(&mut dev, GpuCommand::MapRange { ctx: CtxId(c), va: DevAddr(0), pa, pages: 1 });
         }
         drain(&mut dev, &mut host);
         submit(&mut dev, GpuCommand::Memset { ctx: CtxId(1), va: DevAddr(0), len: 16, value: 1 });

@@ -98,35 +98,18 @@ impl PcieFabric {
         }
     }
 
-    /// Installs a root port at a bus-0 slot (BIOS/boot time).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PcieError::SlotOccupied`] if the slot is taken.
-    pub fn add_root_port(&mut self, bdf: Bdf, config: ConfigSpace) -> Result<(), PcieError> {
-        assert_eq!(bdf.bus, 0, "root ports live on bus 0");
-        assert_eq!(config.header(), HeaderType::Bridge, "root port must be a bridge");
-        if self.bridges.contains_key(&bdf) || self.endpoints.contains_key(&bdf) {
-            return Err(PcieError::SlotOccupied(bdf));
-        }
-        self.bridges.insert(bdf, config);
-        Ok(())
-    }
-
-    /// Installs a switch port (a type-1 bridge below a root port —
-    /// upstream or downstream port of a PCIe switch). Its own bus must be
-    /// forwarded by an existing bridge.
+    /// Installs a type-1 bridge (BIOS/boot time): a root port on bus 0,
+    /// or a switch port on a bus an existing bridge already forwards.
     ///
     /// # Errors
     ///
     /// Returns [`PcieError::SlotOccupied`] or [`PcieError::Unroutable`].
-    pub fn add_switch_port(&mut self, bdf: Bdf, config: ConfigSpace) -> Result<(), PcieError> {
-        assert_ne!(bdf.bus, 0, "switch ports live below a root port");
-        assert_eq!(config.header(), HeaderType::Bridge, "switch port must be a bridge");
+    pub fn add_bridge(&mut self, bdf: Bdf, config: ConfigSpace) -> Result<(), PcieError> {
+        assert_eq!(config.header(), HeaderType::Bridge, "{bdf} must be a bridge");
         if self.bridges.contains_key(&bdf) || self.endpoints.contains_key(&bdf) {
             return Err(PcieError::SlotOccupied(bdf));
         }
-        if self.bridge_path_to_bus(bdf.bus).is_empty() {
+        if bdf.bus != 0 && self.bridge_path_to_bus(bdf.bus).is_empty() {
             return Err(PcieError::Unroutable(bdf));
         }
         self.bridges.insert(bdf, config);
@@ -502,7 +485,7 @@ mod tests {
             w.subordinate_bus = 1;
             w.window = Some(PhysRange::new(PhysAddr::new(0xc000_0000), 256 << 20));
         }
-        fabric.add_root_port(port, port_cfg).unwrap();
+        fabric.add_bridge(port, port_cfg).unwrap();
         let gpu = Bdf::new(1, 0, 0);
         fabric
             .add_endpoint(gpu, Box::new(ScratchDev::new()), Provenance::Hardware)
@@ -630,7 +613,7 @@ mod tests {
             w.subordinate_bus = 3;
             w.window = window;
         }
-        fabric.add_root_port(Bdf::new(0, 1, 0), port_cfg).unwrap();
+        fabric.add_bridge(Bdf::new(0, 1, 0), port_cfg).unwrap();
         let mut up_cfg = ConfigSpace::bridge(0x10b5, 0x8747); // PLX switch
         {
             let w = up_cfg.bridge_window_mut();
@@ -639,7 +622,7 @@ mod tests {
             w.subordinate_bus = 3;
             w.window = window;
         }
-        fabric.add_switch_port(Bdf::new(1, 0, 0), up_cfg).unwrap();
+        fabric.add_bridge(Bdf::new(1, 0, 0), up_cfg).unwrap();
         let mut down_cfg = ConfigSpace::bridge(0x10b5, 0x8747);
         {
             let w = down_cfg.bridge_window_mut();
@@ -648,7 +631,7 @@ mod tests {
             w.subordinate_bus = 3;
             w.window = window;
         }
-        fabric.add_switch_port(Bdf::new(2, 0, 0), down_cfg).unwrap();
+        fabric.add_bridge(Bdf::new(2, 0, 0), down_cfg).unwrap();
         let gpu = Bdf::new(3, 0, 0);
         fabric
             .add_endpoint(gpu, Box::new(ScratchDev::new()), Provenance::Hardware)
@@ -720,7 +703,7 @@ mod tests {
     #[test]
     fn switch_port_requires_routable_bus() {
         let mut fabric = PcieFabric::new();
-        let err = fabric.add_switch_port(Bdf::new(5, 0, 0), ConfigSpace::bridge(1, 2));
+        let err = fabric.add_bridge(Bdf::new(5, 0, 0), ConfigSpace::bridge(1, 2));
         assert!(matches!(err, Err(PcieError::Unroutable(_))));
     }
 
@@ -804,12 +787,7 @@ mod tests {
                     let cfg = random_bridge(s);
                     let secondary = cfg.bridge_window().secondary_bus;
                     let bdf = Bdf::new(bus, s.in_range(0..4) as u8, 0);
-                    let added = if bus == 0 {
-                        fabric.add_root_port(bdf, cfg)
-                    } else {
-                        fabric.add_switch_port(bdf, cfg)
-                    };
-                    if added.is_ok() && secondary != 0 {
+                    if fabric.add_bridge(bdf, cfg).is_ok() && secondary != 0 {
                         next.push(secondary);
                     }
                 }

@@ -28,7 +28,8 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 cargo test -q --offline
 
 # Benchmark self-checks. hixbench is a workspace of its own (path deps on
-# the crates). Its package tests cover tape determinism, planted-byte
+# the crates). --locked: its Cargo.lock lists those crates' dependencies,
+# so a new dependency edge fails here instead of rewriting the lock. Its package tests cover tape determinism, planted-byte
 # rejection, span self time and the metric names BENCHMARK.json
 # declares. One zero-second pass per workload then runs its plaintext
 # mirror check (every DtoH byte) and replays the first pass on a second
@@ -41,12 +42,12 @@ cargo test -q --offline
 # in virtual time, a count or the snapshot text fails here. A change
 # that moves virtual time on purpose updates these pins in the same
 # commit.
-cargo build --release --offline --manifest-path hixbench/Cargo.toml
-cargo test --release --offline --manifest-path hixbench/Cargo.toml
+cargo build --release --offline --locked --manifest-path hixbench/Cargo.toml
+cargo test --release --offline --locked --manifest-path hixbench/Cargo.toml
 for pin in bulk-transfer:a1cb90fb7caee6d2 small-ops:b9246915869affbe \
     session-churn:49c90cde7675d613 multiuser-model:801b7e69c487b744; do
     workload=${pin%%:*}
-    output=$(cargo run -q --release --offline --manifest-path hixbench/Cargo.toml -- \
+    output=$(cargo run -q --release --offline --locked --manifest-path hixbench/Cargo.toml -- \
         --workload "$workload" --seconds 0 --seed 501 --trace 0)
     result=$(tail -n 1 <<<"$output")
     if ! grep -q '^{"correct": true, "attempted": [0-9]*, "failed": 0,' <<<"$result"; then

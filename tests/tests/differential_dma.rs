@@ -223,7 +223,7 @@ fn page_walks_match_flat_model() {
             assert_eq!(run(&mut dev, &mut host, &GpuCommand::CreateCtx { ctx: CTX }), errcode::NONE);
             for (page, &pa) in vram_frame.iter().enumerate() {
                 let va = DevAddr(VA_BASE + (page * PAGE) as u64);
-                let map = GpuCommand::MapPage { ctx: CTX, va, pa };
+                let map = GpuCommand::MapRange { ctx: CTX, va, pa, pages: 1 };
                 assert_eq!(run(&mut dev, &mut host, &map), errcode::NONE);
             }
             // Distinct starting contents on both sides.

@@ -3,22 +3,28 @@
 
 use hix_core::{GpuEnclave, GpuEnclaveOptions, HixSession};
 use hix_crypto::sha256;
-use hix_driver::rig::{standard_rig, RigOptions, GPU2_BDF, GPU_BDF};
+use hix_driver::rig::{fabric_rig, RigOptions};
 use hix_gpu::device::{build_bios, GpuConfig};
+use hix_pcie::addr::Bdf;
 use hix_platform::hix::HixError;
 use hix_core::HixCoreError;
 use hix_sim::Payload;
 
-fn two_gpu_rig() -> hix_platform::Machine {
-    standard_rig(RigOptions {
-        second_gpu: true,
-        ..RigOptions::default()
-    })
+/// Two GPUs, each behind its own switch: the two paths share only the
+/// root port. Returns the machine and the GPUs' BDFs.
+fn two_gpu_rig() -> (hix_platform::Machine, [Bdf; 2]) {
+    let (m, topo) = fabric_rig(RigOptions::default(), 2, 1);
+    (m, [topo.gpus[0].bdf, topo.gpus[1].bdf])
 }
 
-fn gpu2_options() -> GpuEnclaveOptions {
+/// GPU1 carries the default BIOS, so the default pin fits it.
+fn gpu1_options(gpu1: Bdf) -> GpuEnclaveOptions {
+    GpuEnclaveOptions { bdf: gpu1, ..Default::default() }
+}
+
+fn gpu2_options(gpu2: Bdf) -> GpuEnclaveOptions {
     GpuEnclaveOptions {
-        bdf: GPU2_BDF,
+        bdf: gpu2,
         // The second GPU carries a different (but genuine) BIOS.
         expected_bios: Some(sha256::digest(&build_bios(
             GpuConfig::default().seed.wrapping_add(1),
@@ -30,33 +36,33 @@ fn gpu2_options() -> GpuEnclaveOptions {
 
 #[test]
 fn each_gpu_gets_its_own_enclave() {
-    let mut m = two_gpu_rig();
-    let enclave1 = GpuEnclave::launch(&mut m, GpuEnclaveOptions::default()).unwrap();
-    let enclave2 = GpuEnclave::launch(&mut m, gpu2_options()).unwrap();
-    assert_eq!(enclave1.bdf(), GPU_BDF);
-    assert_eq!(enclave2.bdf(), GPU2_BDF);
-    assert!(m.hix_state().gecs(GPU_BDF).is_some());
-    assert!(m.hix_state().gecs(GPU2_BDF).is_some());
+    let (mut m, [gpu1, gpu2]) = two_gpu_rig();
+    let enclave1 = GpuEnclave::launch(&mut m, gpu1_options(gpu1)).unwrap();
+    let enclave2 = GpuEnclave::launch(&mut m, gpu2_options(gpu2)).unwrap();
+    assert_eq!(enclave1.bdf(), gpu1);
+    assert_eq!(enclave2.bdf(), gpu2);
+    assert!(m.hix_state().gecs(gpu1).is_some());
+    assert!(m.hix_state().gecs(gpu2).is_some());
 }
 
 #[test]
 fn one_enclave_cannot_own_two_gpus() {
     // §4.2.1: "no GPU is registered to two GPU enclaves at the same
     // time" — and the reproduction also enforces one GPU per enclave.
-    let mut m = two_gpu_rig();
-    let enclave1 = GpuEnclave::launch(&mut m, GpuEnclaveOptions::default()).unwrap();
-    let err = m.egcreate(enclave1.pid(), GPU2_BDF);
+    let (mut m, [gpu1, gpu2]) = two_gpu_rig();
+    let enclave1 = GpuEnclave::launch(&mut m, gpu1_options(gpu1)).unwrap();
+    let err = m.egcreate(enclave1.pid(), gpu2);
     assert!(matches!(err, Err(HixError::OwnerBusy(_))));
 }
 
 #[test]
 fn wrong_bios_pin_rejects_second_gpu() {
-    let mut m = two_gpu_rig();
+    let (mut m, [_, gpu2]) = two_gpu_rig();
     // Pin GPU1's BIOS while binding GPU2: must be refused.
     let err = GpuEnclave::launch(
         &mut m,
         GpuEnclaveOptions {
-            bdf: GPU2_BDF,
+            bdf: gpu2,
             expected_bios: None, // default = GPU1's digest
             seed: b"x".to_vec(),
             ..Default::default()
@@ -64,14 +70,14 @@ fn wrong_bios_pin_rejects_second_gpu() {
     );
     assert!(matches!(err, Err(HixCoreError::BiosMismatch)));
     // With the right pin it works.
-    GpuEnclave::launch(&mut m, gpu2_options()).unwrap();
+    GpuEnclave::launch(&mut m, gpu2_options(gpu2)).unwrap();
 }
 
 #[test]
 fn sessions_on_both_gpus_roundtrip_independently() {
-    let mut m = two_gpu_rig();
-    let mut enclave1 = GpuEnclave::launch(&mut m, GpuEnclaveOptions::default()).unwrap();
-    let mut enclave2 = GpuEnclave::launch(&mut m, gpu2_options()).unwrap();
+    let (mut m, [gpu1, gpu2]) = two_gpu_rig();
+    let mut enclave1 = GpuEnclave::launch(&mut m, gpu1_options(gpu1)).unwrap();
+    let mut enclave2 = GpuEnclave::launch(&mut m, gpu2_options(gpu2)).unwrap();
     let mut s1 = HixSession::connect_with(&mut m, &mut enclave1, 1 << 20, b"u1").unwrap();
     let mut s2 = HixSession::connect_with(&mut m, &mut enclave2, 1 << 20, b"u2").unwrap();
     let d1 = s1.malloc(&mut m, &mut enclave1, 4096).unwrap();
@@ -98,9 +104,9 @@ fn sessions_on_both_gpus_roundtrip_independently() {
 fn shared_root_port_stays_locked_until_both_release() {
     use hix_driver::rig::PORT_BDF;
     use hix_pcie::config::offsets;
-    let mut m = two_gpu_rig();
-    let enclave1 = GpuEnclave::launch(&mut m, GpuEnclaveOptions::default()).unwrap();
-    let enclave2 = GpuEnclave::launch(&mut m, gpu2_options()).unwrap();
+    let (mut m, [gpu1, gpu2]) = two_gpu_rig();
+    let enclave1 = GpuEnclave::launch(&mut m, gpu1_options(gpu1)).unwrap();
+    let enclave2 = GpuEnclave::launch(&mut m, gpu2_options(gpu2)).unwrap();
     // One enclave releases; the port must stay locked for the other.
     enclave1.shutdown(&mut m).unwrap();
     assert!(
@@ -108,7 +114,7 @@ fn shared_root_port_stays_locked_until_both_release() {
         "port still on a locked path (GPU2)"
     );
     // GPU1's own registers are writable again though.
-    m.config_write(GPU_BDF, offsets::BAR0, 0xc000_0000).unwrap();
+    m.config_write(gpu1, offsets::BAR0, 0xc000_0000).unwrap();
     // After the second release everything unlocks.
     enclave2.shutdown(&mut m).unwrap();
     m.config_write(PORT_BDF, offsets::MEMORY_WINDOW, 0xfff0_0000)
@@ -117,8 +123,6 @@ fn shared_root_port_stays_locked_until_both_release() {
 
 #[test]
 fn switched_shared_bridges_stay_locked_until_the_last_shard_releases() {
-    use hix_driver::rig::fabric_rig;
-    use hix_pcie::addr::Bdf;
     use hix_pcie::config::offsets;
     // Two GPUs behind ONE switch: the root port AND the switch upstream
     // port sit on both routing paths; each GPU's downstream port sits
@@ -169,9 +173,9 @@ fn switched_shared_bridges_stay_locked_until_the_last_shard_releases() {
 fn termination_notice_reaches_user_sessions() {
     // Both GPUs, one enclave each, one session each: a termination
     // notice is scoped to the terminating enclave's own sessions.
-    let mut m = two_gpu_rig();
-    let mut enclave1 = GpuEnclave::launch(&mut m, GpuEnclaveOptions::default()).unwrap();
-    let mut enclave2 = GpuEnclave::launch(&mut m, gpu2_options()).unwrap();
+    let (mut m, [gpu1, gpu2]) = two_gpu_rig();
+    let mut enclave1 = GpuEnclave::launch(&mut m, gpu1_options(gpu1)).unwrap();
+    let mut enclave2 = GpuEnclave::launch(&mut m, gpu2_options(gpu2)).unwrap();
     let s1 = HixSession::connect(&mut m, &mut enclave1).unwrap();
     let s2 = HixSession::connect_with(&mut m, &mut enclave2, 1 << 20, b"u2").unwrap();
     assert!(!s1.enclave_terminated(&mut m).unwrap());

@@ -120,7 +120,7 @@ fn sealed_stream_len_is_consistent() {
         let chunk = s.in_range(1..100_000);
         let sealed = hix_core::channel::sealed_stream_len(len, chunk);
         let chunks = len.div_ceil(chunk);
-        assert_eq!(sealed, len + chunks * TAG_LEN as u64);
+        assert_eq!(sealed, Some(len + chunks * TAG_LEN as u64));
     });
 }
 

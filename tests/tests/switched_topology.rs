@@ -3,22 +3,21 @@
 //! secure data path must work unchanged.
 
 use hix_core::{GpuEnclave, GpuEnclaveOptions, HixSession};
-use hix_driver::rig::{switched_rig, RigOptions, PORT_BDF, SWITCHED_GPU_BDF};
+use hix_driver::rig::{fabric_rig, RigOptions, PORT_BDF};
 use hix_pcie::addr::Bdf;
 use hix_pcie::config::offsets;
 use hix_pcie::fabric::PcieError;
 use hix_sim::Payload;
 
+/// A one-GPU, one-switch fabric: root port (00:01.0) → switch upstream
+/// (01:00.0) → switch downstream (02:00.0) → GPU (03:00.0).
+const GPU: Bdf = Bdf { bus: 3, device: 0, function: 0 };
+
 fn launch() -> (hix_platform::Machine, GpuEnclave) {
-    let mut m = switched_rig(RigOptions::default());
-    let enclave = GpuEnclave::launch(
-        &mut m,
-        GpuEnclaveOptions {
-            bdf: SWITCHED_GPU_BDF,
-            ..Default::default()
-        },
-    )
-    .expect("enclave over switch");
+    let (mut m, topo) = fabric_rig(RigOptions::default(), 1, 1);
+    assert_eq!(topo.gpus[0].bdf, GPU);
+    let enclave = GpuEnclave::launch(&mut m, GpuEnclaveOptions { bdf: GPU, ..Default::default() })
+        .expect("enclave over switch");
     (m, enclave)
 }
 
@@ -37,12 +36,7 @@ fn secure_path_works_through_a_switch() {
 #[test]
 fn lockdown_freezes_root_port_and_both_switch_ports() {
     let (mut m, enclave) = launch();
-    for bridge in [
-        PORT_BDF,
-        Bdf::new(1, 0, 0),
-        Bdf::new(2, 0, 0),
-        SWITCHED_GPU_BDF,
-    ] {
+    for bridge in [PORT_BDF, Bdf::new(1, 0, 0), Bdf::new(2, 0, 0), GPU] {
         assert_eq!(
             m.config_write(bridge, offsets::MEMORY_WINDOW, 0),
             Err(PcieError::LockedDown(bridge)),
@@ -61,14 +55,7 @@ fn graceful_release_unfreezes_the_whole_chain() {
             .unwrap_or_else(|e| panic!("{bridge}: {e}"));
     }
     // Re-launch works.
-    GpuEnclave::launch(
-        &mut m,
-        GpuEnclaveOptions {
-            bdf: SWITCHED_GPU_BDF,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    GpuEnclave::launch(&mut m, GpuEnclaveOptions { bdf: GPU, ..Default::default() }).unwrap();
 }
 
 #[test]
