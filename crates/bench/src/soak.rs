@@ -22,8 +22,8 @@ use hix_core::{CmdStatus, GpuEnclave, GpuEnclaveOptions, HixCoreError, HixSessio
 use hix_driver::rig::{standard_rig, RigOptions};
 use hix_obs::Metrics;
 use hix_platform::Machine;
-use hix_sim::fault::{FaultConfig, FaultPlan};
-use hix_sim::{Counter, EventKind, Nanos, Payload};
+use hix_sim::fault::{self, FaultConfig, FaultPlan};
+use hix_sim::{EventKind, Nanos, Payload};
 use hix_testkit::Rng;
 use hix_workloads::all_kernels;
 
@@ -255,9 +255,7 @@ fn matrix(wl: &mut Rng) -> Vec<u8> {
 /// The plan-rolled mid-stream restart: ledger it as an injection, seal
 /// the trust state, shut down, relaunch from the sealed blob.
 fn restart(m: &mut Machine, enclave: GpuEnclave, options: &GpuEnclaveOptions) -> GpuEnclave {
-    m.trace().metrics().inc(Counter::FaultInjected);
-    m.trace().metrics().add_named("fault.injected.restart", 1);
-    m.trace().emit(m.clock().now(), Nanos::ZERO, EventKind::Fault, "inject restart");
+    fault::record(m.trace(), m.clock().now(), Some("restart"), "", &[]);
     let blob = enclave.seal_trust_state(m).expect("seal trust");
     enclave.shutdown(m).expect("shutdown");
     GpuEnclave::launch(

@@ -11,9 +11,9 @@
 //! ## Reliability layer
 //!
 //! The transport is OS-controlled and may drop, duplicate, reorder,
-//! delay, or corrupt traffic (the [`hix_sim::fault`] plan models this).
-//! Two counters make the channel recoverable without weakening the
-//! crypto:
+//! delay, or corrupt traffic: the [`hix_sim::fault`] plan decides how
+//! each sealed frame and its doorbell reach the wire. Two counters make
+//! the channel recoverable without weakening the crypto:
 //!
 //! * **Wire sequence** — bumps on *every* transmission, including
 //!   retransmissions, so every frame seals under a fresh nonce. The
@@ -39,25 +39,39 @@
 //! 0x4000  bulk data area (sealed payload chunks)
 //! ```
 
-use hix_crypto::ocb::{Nonce, Ocb, TAG_LEN};
+use hix_crypto::ocb::{Key, Nonce, Ocb, TAG_LEN};
 use hix_driver::DmaBuffer;
 use hix_platform::mmu::AccessFault;
 use hix_platform::{Machine, ProcessId};
-use hix_sim::fault::{Dir, FaultPlan, MsgFault, ReplayWindow, SeqCheck};
-use hix_sim::{Counter, EventKind, Nanos};
+use hix_sim::fault::{Dir, ReplayWindow, SeqCheck};
+use hix_sim::{Counter, EventKind};
 
-/// Offsets within the shared channel buffer.
+/// Offsets in the shared channel buffer that both directions use.
 mod layout {
-    pub const REQ_SEQ: u64 = 0x0000;
-    pub const RESP_SEQ: u64 = 0x0008;
-    pub const REQ_LEN: u64 = 0x0010;
-    pub const RESP_LEN: u64 = 0x0018;
     pub const NOTICE: u64 = 0x0020;
-    pub const REQ_BODY: u64 = 0x0100;
-    pub const RESP_BODY: u64 = 0x1100;
     pub const BULK: u64 = 0x4000;
     pub const MAX_BODY: u64 = 0x1000;
 }
+
+/// What tells the two directions apart: where the doorbell, length and
+/// sealed body live in the shared buffer, the nonce parity (requests
+/// seal under even counters, responses under odd ones, so the two
+/// senders never share a nonce; bulk data uses the three-party key),
+/// the AAD and the IPC span label.
+struct Lane {
+    seq: u64,
+    len: u64,
+    body: u64,
+    parity: u64,
+    aad: &'static [u8],
+    label: &'static str,
+}
+
+/// The lanes, indexed by `Dir as usize`.
+const LANES: [Lane; 2] = [
+    Lane { seq: 0x0000, len: 0x0010, body: 0x0100, parity: 0, aad: b"hix-req", label: "send request" },
+    Lane { seq: 0x0008, len: 0x0018, body: 0x1100, parity: 1, aad: b"hix-resp", label: "send response" },
+];
 
 /// Value of the termination notice (§4.2.3: "user enclaves are notified
 /// that the GPU enclave is terminated and the GPU is no longer
@@ -113,6 +127,25 @@ impl From<AccessFault> for ChannelError {
     }
 }
 
+/// One direction's wire state at one endpoint.
+#[derive(Debug, Default)]
+struct Wire {
+    /// Wire sequence of the last transmission this side sent (bumps per
+    /// transmission, retransmissions included).
+    seq: u64,
+    /// Anti-replay window over the wire sequences this side received.
+    win: ReplayWindow,
+    /// Requests: the outstanding request's id (user side) or the last
+    /// one served (GPU-enclave side); a response carries the id of the
+    /// request it answers. Responses: the last one accepted (user side),
+    /// which dedups re-delivered responses.
+    id: u64,
+    /// Last body sent: the user's request, for retransmission, or the
+    /// GPU enclave's response, re-sent verbatim when a duplicate request
+    /// arrives.
+    last: Option<Vec<u8>>,
+}
+
 /// One endpoint's view of the channel. Both the user enclave and the GPU
 /// enclave hold an `Endpoint` over the same [`DmaBuffer`], each acting as
 /// its own process.
@@ -120,77 +153,19 @@ pub struct Endpoint {
     pid: ProcessId,
     buffer: DmaBuffer,
     ocb: Ocb,
-    /// Wire sequence of the last *request* transmission this side put on
-    /// the wire (sender side only; bumps per transmission).
-    req_seq: u64,
-    /// Wire sequence of the last *response* transmission (sender side).
-    resp_seq: u64,
-    /// Anti-replay window over incoming request wire sequences.
-    req_win: ReplayWindow,
-    /// Anti-replay window over incoming response wire sequences.
-    resp_win: ReplayWindow,
-    /// User side: id of the current outstanding request. GPU-enclave
-    /// side: id of the last request served.
-    req_id: u64,
-    /// User side: id of the last response accepted (dedups re-delivered
-    /// responses).
-    resp_id: u64,
-    /// Last request body sent (user side), for retransmission.
-    last_request: Option<Vec<u8>>,
-    /// Last response body sent (GPU-enclave side), re-sent verbatim when
-    /// a duplicate request arrives.
-    last_response: Option<Vec<u8>>,
+    /// Wire state per direction, indexed by `Dir as usize`.
+    wires: [Wire; 2],
 }
 
 impl std::fmt::Debug for Endpoint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let [req, resp] = &self.wires;
         f.debug_struct("Endpoint")
             .field("pid", &self.pid)
-            .field("req_seq", &self.req_seq)
-            .field("resp_seq", &self.resp_seq)
-            .field("req_id", &self.req_id)
+            .field("req_seq", &req.seq)
+            .field("resp_seq", &resp.seq)
+            .field("req_id", &req.id)
             .finish()
-    }
-}
-
-// Nonce spaces: requests use even counters, responses odd; bulk data uses
-// a separate key entirely (the three-party key), so no overlap there.
-// Counters are *wire* sequences, so retransmissions seal under fresh
-// nonces and the sender never reuses one.
-fn req_nonce(seq: u64) -> Nonce {
-    Nonce::from_counter(seq * 2)
-}
-
-fn resp_nonce(seq: u64) -> Nonce {
-    Nonce::from_counter(seq * 2 + 1)
-}
-
-/// Per-direction offsets into the shared header.
-struct DirLayout {
-    seq: u64,
-    len: u64,
-    body: u64,
-}
-
-fn dir_layout(dir: Dir) -> DirLayout {
-    match dir {
-        Dir::Request => DirLayout {
-            seq: layout::REQ_SEQ,
-            len: layout::REQ_LEN,
-            body: layout::REQ_BODY,
-        },
-        Dir::Response => DirLayout {
-            seq: layout::RESP_SEQ,
-            len: layout::RESP_LEN,
-            body: layout::RESP_BODY,
-        },
-    }
-}
-
-fn dir_aad(dir: Dir) -> &'static [u8] {
-    match dir {
-        Dir::Request => b"hix-req",
-        Dir::Response => b"hix-resp",
     }
 }
 
@@ -198,19 +173,7 @@ impl Endpoint {
     /// Creates an endpoint for `pid` over `buffer`, keyed with the
     /// pairwise session key from attestation.
     pub fn new(pid: ProcessId, buffer: DmaBuffer, key: [u8; 16]) -> Self {
-        Endpoint {
-            pid,
-            buffer,
-            ocb: Ocb::new(&hix_crypto::ocb::Key::from_bytes(key)),
-            req_seq: 0,
-            resp_seq: 0,
-            req_win: ReplayWindow::default(),
-            resp_win: ReplayWindow::default(),
-            req_id: 0,
-            resp_id: 0,
-            last_request: None,
-            last_response: None,
-        }
+        Endpoint { pid, buffer, ocb: Ocb::new(&Key::from_bytes(key)), wires: Default::default() }
     }
 
     /// The shared buffer (for bulk-area access).
@@ -247,180 +210,64 @@ impl Endpoint {
         Ok(())
     }
 
-    fn win_mut(&mut self, dir: Dir) -> &mut ReplayWindow {
-        match dir {
-            Dir::Request => &mut self.req_win,
-            Dir::Response => &mut self.resp_win,
-        }
-    }
-
-    /// Counts one injected fault against the metrics/trace pairing
-    /// (`fault.injected` total == `Fault`-kind event count, always).
-    fn count_injection(machine: &Machine, kind: &str, dir: Dir) {
-        machine.trace().metrics().inc(Counter::FaultInjected);
-        machine.trace().metrics().add_named(&format!("fault.injected.{kind}"), 1);
-        machine.trace().emit(
-            machine.clock().now(),
-            Nanos::ZERO,
-            EventKind::Fault,
-            format!("inject {kind} ({})", dir.as_str()),
-        );
-    }
-
-    /// Seals `[msg_id ‖ body]` under the next wire sequence and puts it
-    /// on the wire, letting the active fault plan (if any) perturb the
-    /// staging. Charges one IPC hop.
-    fn transmit(
-        &mut self,
-        machine: &mut Machine,
-        dir: Dir,
-        msg_id: u64,
-        body: &[u8],
-    ) -> Result<(), ChannelError> {
+    /// Seals `[msg_id ‖ body]` under the next wire sequence of `dir` and
+    /// stages it, or, under a fault plan, stages what the plan delivers.
+    /// Charges one IPC hop.
+    fn transmit(&mut self, machine: &mut Machine, dir: Dir, body: &[u8]) -> Result<(), ChannelError> {
+        let lane = &LANES[dir as usize];
+        let id = self.wires[Dir::Request as usize].id;
+        let wire = &mut self.wires[dir as usize];
+        wire.seq += 1;
+        let seq = wire.seq;
         let mut framed = Vec::with_capacity(ENVELOPE + body.len());
-        framed.extend_from_slice(&msg_id.to_le_bytes());
+        framed.extend_from_slice(&id.to_le_bytes());
         framed.extend_from_slice(body);
-        let seq = match dir {
-            Dir::Request => {
-                self.req_seq += 1;
-                self.req_seq
-            }
-            Dir::Response => {
-                self.resp_seq += 1;
-                self.resp_seq
-            }
-        };
-        let nonce = match dir {
-            Dir::Request => req_nonce(seq),
-            Dir::Response => resp_nonce(seq),
-        };
-        let mut sealed = self.ocb.seal(&nonce, dir_aad(dir), &framed);
-        match dir {
-            Dir::Request => {
-                assert!(sealed.len() as u64 <= layout::MAX_BODY, "request too large")
-            }
-            Dir::Response => {
-                assert!(sealed.len() as u64 <= layout::MAX_BODY, "response too large")
-            }
-        }
+        let sealed = self.ocb.seal(&Nonce::from_counter(seq * 2 + lane.parity), lane.aad, &framed);
+        assert!(sealed.len() as u64 <= layout::MAX_BODY, "{} too large", dir.as_str());
         let hop = machine.model().ipc_roundtrip / 2;
         machine.clock().advance(hop);
         machine.trace().metrics().inc(Counter::IpcMsgs);
-        let label = match dir {
-            Dir::Request => "send request",
-            Dir::Response => "send response",
+        if dir == Dir::Request {
+            // Every request frame rings the doorbell once: this is the
+            // enclave-wake ledger the batched submission path amortizes.
+            machine.trace().metrics().inc(Counter::CmdqWakes);
+        }
+        let attrs = [("bytes", sealed.len() as u64), ("seq", seq)];
+        machine.trace().emit_with(machine.clock().now(), hop, EventKind::Ipc, lane.label, &attrs);
+        let Some(plan) = machine.fault_plan() else {
+            return self.stage(machine, lane, &sealed, Some(seq));
         };
-        machine.trace().emit_with(
-            machine.clock().now(),
-            hop,
-            EventKind::Ipc,
-            label,
-            &[("bytes", sealed.len() as u64), ("seq", seq)],
-        );
-
-        let lay = dir_layout(dir);
-        let plan = machine.fault_plan();
-        let chan = self.buffer.bus().value();
-        let fault = plan.as_ref().and_then(|p| p.sample_message());
-        match fault {
-            None => {
-                self.stage(machine, &lay, seq, &sealed)?;
-            }
-            Some(MsgFault::Drop) => {
-                Endpoint::count_injection(machine, "drop", dir);
-                // The frame is staged but the doorbell never rings.
-                self.stage_frame(machine, &lay, &sealed)?;
-            }
-            Some(MsgFault::Duplicate) => {
-                self.stage(machine, &lay, seq, &sealed)?;
-                Endpoint::count_injection(machine, "duplicate", dir);
-                plan.as_ref().expect("fault implies plan").arm_duplicate(chan, dir);
-            }
-            Some(MsgFault::Reorder) => {
-                match plan.as_ref().expect("fault implies plan").previous(chan, dir) {
-                    Some((old_seq, old_frame)) => {
-                        Endpoint::count_injection(machine, "reorder", dir);
-                        // The previous frame overtakes: it overwrites the
-                        // single-slot medium, and this transmission is
-                        // lost (the doorbell announces the old sequence).
-                        self.stage_frame(machine, &lay, &old_frame)?;
-                        self.write_u64(machine, lay.seq, old_seq)?;
-                    }
-                    // Nothing to reorder with yet.
-                    None => self.stage(machine, &lay, seq, &sealed)?,
-                }
-            }
-            Some(MsgFault::Delay(by)) => {
-                Endpoint::count_injection(machine, "delay", dir);
-                self.stage_frame(machine, &lay, &sealed)?;
-                let due = machine.clock().now() + by;
-                plan.as_ref()
-                    .expect("fault implies plan")
-                    .hold_doorbell(chan, dir, seq, due);
-            }
-            Some(MsgFault::Corrupt { offset, xor, header }) => {
-                Endpoint::count_injection(machine, "corrupt", dir);
-                if header {
-                    // Tamper the doorbell word itself: the receiver sees
-                    // a sequence the sender never sealed for.
-                    self.stage_frame(machine, &lay, &sealed)?;
-                    let bad = seq ^ (u64::from(xor) << (8 * (offset % 8)));
-                    self.write_u64(machine, lay.seq, bad)?;
-                }
-                else {
-                    let i = (offset % sealed.len() as u64) as usize;
-                    sealed[i] ^= xor;
-                    self.stage(machine, &lay, seq, &sealed)?;
-                }
-            }
-        }
-        if let Some(p) = &plan {
-            p.remember(chan, dir, seq, &sealed);
-        }
-        Ok(())
+        let (trace, now) = (machine.trace().clone(), machine.clock().now());
+        let wire = (self.buffer.bus().value(), dir);
+        plan.deliver(&trace, now, wire, seq, sealed, |frame, bell| self.stage(machine, lane, frame, bell))
     }
 
-    /// Writes frame + length, then rings the doorbell.
-    fn stage(
-        &self,
-        machine: &mut Machine,
-        lay: &DirLayout,
-        seq: u64,
-        sealed: &[u8],
-    ) -> Result<(), ChannelError> {
-        self.stage_frame(machine, lay, sealed)?;
-        self.write_u64(machine, lay.seq, seq)
-    }
-
-    /// Writes frame + length without announcing it.
-    fn stage_frame(
-        &self,
-        machine: &mut Machine,
-        lay: &DirLayout,
-        sealed: &[u8],
-    ) -> Result<(), ChannelError> {
-        self.buffer.write_bytes(machine, self.pid, lay.body, sealed)?;
-        self.write_u64(machine, lay.len, sealed.len() as u64)
+    /// Writes `frame` and its length to `lane`, then rings `bell` on the
+    /// doorbell, if any.
+    fn stage(&self, machine: &mut Machine, lane: &Lane, frame: &[u8], bell: Option<u64>) -> Result<(), ChannelError> {
+        self.buffer.write_bytes(machine, self.pid, lane.body, frame)?;
+        self.write_u64(machine, lane.len, frame.len() as u64)?;
+        bell.map_or(Ok(()), |bell| self.write_u64(machine, lane.seq, bell))
     }
 
     /// Receives whatever is announced on `dir`, classifying it against
     /// the replay window and the message-id envelope.
     fn receive(&mut self, machine: &mut Machine, dir: Dir) -> Result<Vec<u8>, ChannelError> {
-        let lay = dir_layout(dir);
+        let lane = &LANES[dir as usize];
         let chan = self.buffer.bus().value();
-        let plan: Option<FaultPlan> = machine.fault_plan();
+        let plan = machine.fault_plan();
         if let Some(p) = &plan {
             // A delayed doorbell whose virtual due time has passed is
             // delivered now (in sequence order).
             if let Some(seq) = p.release_doorbell(chan, dir, machine.clock().now()) {
-                self.write_u64(machine, lay.seq, seq)?;
+                self.write_u64(machine, lane.seq, seq)?;
             }
         }
-        let seq = self.read_u64(machine, lay.seq)?;
-        match self.win_mut(dir).check(seq) {
+        let seq = self.read_u64(machine, lane.seq)?;
+        match self.wires[dir as usize].win.check(seq) {
             SeqCheck::Stale => {
                 // An armed duplicate presents the consumed slot again.
-                if plan.as_ref().is_some_and(|p| p.take_duplicate(chan, dir)) {
+                if plan.is_some_and(|p| p.take_duplicate(chan, dir)) {
                     return Err(ChannelError::Duplicate);
                 }
                 return Err(ChannelError::Empty);
@@ -428,54 +275,53 @@ impl Endpoint {
             SeqCheck::TooFar => return Err(ChannelError::Desync),
             SeqCheck::Fresh => {}
         }
-        let len = self.read_u64(machine, lay.len)?;
+        let len = self.read_u64(machine, lane.len)?;
         if len > layout::MAX_BODY {
             return Err(ChannelError::Malformed);
         }
-        let sealed = self.buffer.read(machine, self.pid, lay.body, len)?;
-        let nonce = match dir {
-            Dir::Request => req_nonce(seq),
-            Dir::Response => resp_nonce(seq),
-        };
+        let sealed = self.buffer.read(machine, self.pid, lane.body, len)?;
         let framed = self
             .ocb
-            .open(&nonce, dir_aad(dir), &sealed)
+            .open(&Nonce::from_counter(seq * 2 + lane.parity), lane.aad, &sealed)
             .map_err(|_| ChannelError::Tampered)?;
         if framed.len() < ENVELOPE {
             return Err(ChannelError::Malformed);
         }
         // Only now — after authentication — does the window advance.
-        self.win_mut(dir).accept(seq);
+        self.wires[dir as usize].win.accept(seq);
         let id = u64::from_le_bytes(framed[..ENVELOPE].try_into().expect("8 bytes"));
         let body = framed[ENVELOPE..].to_vec();
+        let [req, resp] = &mut self.wires;
         match dir {
-            Dir::Request => {
-                // Receiver side: `req_id` is the last request served.
-                if id == self.req_id + 1 {
-                    self.req_id = id;
-                    Ok(body)
-                } else if id <= self.req_id {
-                    Err(ChannelError::Duplicate)
-                } else {
-                    Err(ChannelError::Desync)
-                }
+            // GPU-enclave side: the request id is the last one served.
+            Dir::Request if id == req.id + 1 => {
+                req.id = id;
+                Ok(body)
             }
-            Dir::Response => {
-                // User side: `req_id` is the outstanding request; its
-                // response carries the same id. Anything at or below the
-                // last accepted id is a re-delivery.
-                if id <= self.resp_id {
-                    Err(ChannelError::Duplicate)
-                } else if id == self.req_id {
-                    self.resp_id = id;
-                    Ok(body)
-                } else if id < self.req_id {
-                    Err(ChannelError::Duplicate)
-                } else {
-                    Err(ChannelError::Desync)
-                }
+            Dir::Request if id <= req.id => Err(ChannelError::Duplicate),
+            // User side: the outstanding request's response carries its
+            // id; anything at or below the last accepted response, or
+            // below the outstanding request, is a re-delivery.
+            Dir::Response if id <= resp.id || id < req.id => Err(ChannelError::Duplicate),
+            Dir::Response if id == req.id => {
+                resp.id = id;
+                Ok(body)
             }
+            _ => Err(ChannelError::Desync),
         }
+    }
+
+    /// Retransmits the last body sent on `dir`: same message id, fresh
+    /// wire sequence (and therefore a fresh nonce). Returns whether there
+    /// was one to send.
+    fn resend(&mut self, machine: &mut Machine, dir: Dir) -> Result<bool, ChannelError> {
+        let Some(body) = self.wires[dir as usize].last.take() else {
+            return Ok(false);
+        };
+        machine.trace().metrics().inc(Counter::RecoveryRetransmits);
+        let sent = self.transmit(machine, dir, &body);
+        self.wires[dir as usize].last = Some(body);
+        sent.map(|()| true)
     }
 
     /// Sends a new request (user side): assigns the next message id,
@@ -486,30 +332,19 @@ impl Endpoint {
     /// Propagates access faults; panics if the message exceeds the body
     /// area.
     pub fn send_request(&mut self, machine: &mut Machine, body: &[u8]) -> Result<(), ChannelError> {
-        self.req_id += 1;
-        self.last_request = Some(body.to_vec());
-        // Every request frame rings the doorbell exactly once: this is
-        // the enclave-wake ledger the batched submission path amortizes.
-        machine.trace().metrics().inc(Counter::CmdqWakes);
-        let id = self.req_id;
-        self.transmit(machine, Dir::Request, id, body)
+        let wire = &mut self.wires[Dir::Request as usize];
+        wire.id += 1;
+        wire.last = Some(body.to_vec());
+        self.transmit(machine, Dir::Request, body)
     }
 
-    /// Retransmits the outstanding request: same message id, fresh wire
-    /// sequence (and therefore a fresh nonce). No-op before the first
-    /// send.
+    /// Retransmits the outstanding request. No-op before the first send.
     ///
     /// # Errors
     ///
     /// Propagates access faults.
     pub fn resend_request(&mut self, machine: &mut Machine) -> Result<(), ChannelError> {
-        let Some(body) = self.last_request.clone() else {
-            return Ok(());
-        };
-        machine.trace().metrics().inc(Counter::RecoveryRetransmits);
-        machine.trace().metrics().inc(Counter::CmdqWakes);
-        let id = self.req_id;
-        self.transmit(machine, Dir::Request, id, &body)
+        self.resend(machine, Dir::Request).map(drop)
     }
 
     /// Receives a pending request (GPU-enclave side).
@@ -531,9 +366,8 @@ impl Endpoint {
     ///
     /// Propagates access faults.
     pub fn send_response(&mut self, machine: &mut Machine, body: &[u8]) -> Result<(), ChannelError> {
-        self.last_response = Some(body.to_vec());
-        let id = self.req_id;
-        self.transmit(machine, Dir::Response, id, body)
+        self.wires[Dir::Response as usize].last = Some(body.to_vec());
+        self.transmit(machine, Dir::Response, body)
     }
 
     /// Re-sends the cached response for the last served request (ARQ
@@ -544,13 +378,7 @@ impl Endpoint {
     ///
     /// Propagates access faults.
     pub fn resend_response(&mut self, machine: &mut Machine) -> Result<bool, ChannelError> {
-        let Some(body) = self.last_response.clone() else {
-            return Ok(false);
-        };
-        machine.trace().metrics().inc(Counter::RecoveryRetransmits);
-        let id = self.req_id;
-        self.transmit(machine, Dir::Response, id, &body)?;
-        Ok(true)
+        self.resend(machine, Dir::Response)
     }
 
     /// Receives the pending response (user side).
@@ -568,15 +396,8 @@ impl Endpoint {
     /// sequences, windows, and message ids — a new channel epoch. Cached
     /// frames from the old epoch are discarded.
     pub fn rekey(&mut self, key: [u8; 16]) {
-        self.ocb = Ocb::new(&hix_crypto::ocb::Key::from_bytes(key));
-        self.req_seq = 0;
-        self.resp_seq = 0;
-        self.req_win.reset();
-        self.resp_win.reset();
-        self.req_id = 0;
-        self.resp_id = 0;
-        self.last_request = None;
-        self.last_response = None;
+        self.ocb = Ocb::new(&Key::from_bytes(key));
+        self.wires = Default::default();
     }
 
     /// Zeroes the shared doorbell/length words so a new epoch does not
@@ -587,10 +408,11 @@ impl Endpoint {
     ///
     /// Propagates access faults.
     pub fn reset_wire(&self, machine: &mut Machine) -> Result<(), ChannelError> {
-        self.write_u64(machine, layout::REQ_SEQ, 0)?;
-        self.write_u64(machine, layout::RESP_SEQ, 0)?;
-        self.write_u64(machine, layout::REQ_LEN, 0)?;
-        self.write_u64(machine, layout::RESP_LEN, 0)
+        for lane in &LANES {
+            self.write_u64(machine, lane.seq, 0)?;
+            self.write_u64(machine, lane.len, 0)?;
+        }
+        Ok(())
     }
 
     /// Capacity of the bulk data area.
@@ -629,7 +451,8 @@ pub fn sealed_stream_len(plain_len: u64, chunk: u64) -> Option<u64> {
 mod tests {
     use super::*;
     use hix_driver::rig::{standard_rig, RigOptions};
-    use hix_sim::fault::FaultConfig;
+    use hix_sim::fault::{FaultConfig, FaultPlan};
+    use hix_sim::Nanos;
 
     fn pair() -> (Machine, Endpoint, Endpoint) {
         let mut m = standard_rig(RigOptions::default());
@@ -681,8 +504,8 @@ mod tests {
         // Adversary flips a ciphertext byte via physical access.
         let pa = m.iommu_mut().translate(user.buffer().bus()).unwrap();
         let mut byte = [0u8; 1];
-        m.os_read_phys(pa.offset(layout::REQ_BODY), &mut byte);
-        m.os_write_phys(pa.offset(layout::REQ_BODY), &[byte[0] ^ 1]);
+        m.os_read_phys(pa.offset(LANES[0].body), &mut byte);
+        m.os_write_phys(pa.offset(LANES[0].body), &[byte[0] ^ 1]);
         assert_eq!(encl.recv_request(&mut m), Err(ChannelError::Tampered));
     }
 
@@ -712,11 +535,11 @@ mod tests {
         // Adversary bumps the doorbell past the real frame: the nonce no
         // longer matches the sealed bytes, so authentication fails.
         let pa = m.iommu_mut().translate(user.buffer().bus()).unwrap();
-        m.os_write_phys(pa.offset(layout::REQ_SEQ), &7u64.to_le_bytes());
+        m.os_write_phys(pa.offset(LANES[0].seq), &7u64.to_le_bytes());
         assert_eq!(encl.recv_request(&mut m), Err(ChannelError::Tampered));
         // Way past the window: the receiver reports desync instead of
         // scanning forever.
-        m.os_write_phys(pa.offset(layout::REQ_SEQ), &10_000u64.to_le_bytes());
+        m.os_write_phys(pa.offset(LANES[0].seq), &10_000u64.to_le_bytes());
         assert_eq!(encl.recv_request(&mut m), Err(ChannelError::Desync));
     }
 
@@ -838,6 +661,20 @@ mod tests {
         let injected = m.trace().metrics().counter("fault.injected");
         assert!(injected > 0, "the plan must actually fire at these rates");
         assert_eq!(m.trace().count(EventKind::Fault), injected);
+    }
+
+    #[test]
+    fn a_frame_that_cannot_be_staged_injects_nothing() {
+        let (mut m, mut user, _encl) = pair();
+        m.set_fault_plan(FaultPlan::new(1, FaultConfig { dup_pm: 1000, ..FaultConfig::none() }));
+        // The OS tears the doorbell page down under the sender.
+        m.os_unmap_shared(user.buffer().va(), 1);
+        let sent = user.send_request(&mut m, b"lost");
+        assert!(matches!(sent, Err(ChannelError::Access(_))), "{sent:?}");
+        assert_eq!(m.trace().metrics().counter("fault.injected"), 0);
+        assert_eq!(m.trace().count(EventKind::Fault), 0);
+        let chan = user.buffer().bus().value();
+        assert!(!m.fault_plan().expect("installed").take_duplicate(chan, Dir::Request));
     }
 
     #[test]

@@ -7,7 +7,9 @@ use hix_crypto::drbg::HmacDrbg;
 use hix_crypto::sha256;
 use hix_driver::driver::{DriverError, GpuDriver};
 use hix_driver::DmaBuffer;
-use hix_gpu::crypto_kernels::{DECRYPT_KERNEL, DECRYPT_STREAM_KERNEL, ENCRYPT_KERNEL};
+use hix_gpu::crypto_kernels::{
+    DECRYPT_KERNEL, DECRYPT_STREAM_KERNEL, ENCRYPT_KERNEL, RESERVED_PREFIX,
+};
 use hix_gpu::ctx::CtxId;
 use hix_gpu::regs::{bar0, errcode};
 use hix_gpu::vram::DevAddr;
@@ -1163,6 +1165,12 @@ impl GpuEnclave {
             if bad_geometry {
                 return Ok(Response::Err("transfer geometry out of bounds".into()));
             }
+            // The enclave's own crypto kernels trust their arguments.
+            if let Request::LoadModule { name } | Request::Launch { name, .. } = &request {
+                if name.starts_with(RESERVED_PREFIX) {
+                    return Ok(Response::Err(format!("{name} is reserved to the GPU enclave")));
+                }
+            }
             let resp = match request {
                 Request::LoadModule { name } => match self.driver.load_module(machine, &name) {
                     Ok(()) => Response::Ok,
@@ -1195,11 +1203,9 @@ impl GpuEnclave {
                     const MAX_DMA_ATTEMPTS: u32 = 3;
                     let mut attempt = 0u32;
                     loop {
-                        let flip = if attempt == 0 {
-                            sample_and_apply_flip(machine, &buffer, sealed_len)
-                        } else {
-                            None
-                        };
+                        // The OS may corrupt the first pass in flight.
+                        let bulk = buffer.bus().offset(BULK_OFFSET);
+                        let flip = (attempt == 0).then(|| machine.os_dma_flip(bulk, sealed_len)).flatten();
                         let copy = self
                             .driver
                             .dma_htod(machine, ctx, dst, &buffer, BULK_OFFSET, sealed_len)
@@ -1219,8 +1225,8 @@ impl GpuEnclave {
                         // The in-flight flip hit only this DMA pass; the
                         // staged sealed bytes themselves are intact again
                         // for the retry.
-                        if let Some((off, orig)) = flip {
-                            restore_flipped_byte(machine, &buffer, off, orig);
+                        if let Some(flip) = flip {
+                            machine.os_undo_dma_flip(flip);
                         }
                         match copy {
                             Ok(()) => break Response::Ok,
@@ -1658,40 +1664,6 @@ impl GpuEnclave {
     /// The admission bound on simultaneously resident sessions.
     pub fn max_resident(&self) -> usize {
         self.max_resident
-    }
-}
-
-/// Rolls the fault plan's DMA-flip dice and, on a hit, flips one byte of
-/// the staged sealed stream via physical access (modeling in-flight DMA
-/// corruption on the OS-owned fabric). Returns the offset and original
-/// byte so the caller can undo the flip after the DMA pass — transient
-/// corruption hits the wire, not the staged data.
-fn sample_and_apply_flip(
-    machine: &mut Machine,
-    buffer: &DmaBuffer,
-    sealed_len: u64,
-) -> Option<(u64, u8)> {
-    let plan = machine.fault_plan()?;
-    let (off, xor) = plan.sample_dma_flip(sealed_len)?;
-    let pa = machine.iommu_mut().translate(buffer.bus().offset(BULK_OFFSET + off))?;
-    let mut orig = [0u8; 1];
-    machine.os_read_phys(pa, &mut orig);
-    machine.os_write_phys(pa, &[orig[0] ^ xor]);
-    machine.trace().metrics().inc(Counter::FaultInjected);
-    machine.trace().metrics().add_named("fault.injected.dma_flip", 1);
-    machine.trace().emit(
-        machine.clock().now(),
-        Nanos::ZERO,
-        EventKind::Fault,
-        format!("inject dma_flip at +{off}"),
-    );
-    Some((off, orig[0]))
-}
-
-/// Undoes [`sample_and_apply_flip`].
-fn restore_flipped_byte(machine: &mut Machine, buffer: &DmaBuffer, off: u64, orig: u8) {
-    if let Some(pa) = machine.iommu_mut().translate(buffer.bus().offset(BULK_OFFSET + off)) {
-        machine.os_write_phys(pa, &[orig]);
     }
 }
 

@@ -345,7 +345,9 @@ impl HixSession {
         let mut backoff: Option<Backoff> = None;
         let mut rekeys: u32 = 0;
         loop {
-            self.maybe_cfg_storm(machine, enclave);
+            // The OS may storm the GPU's config space mid-operation; the
+            // PCIe lockdown must reject every write.
+            machine.os_config_storm(enclave.bdf());
             let mut desync = false;
             match enclave.poll(machine, self.id) {
                 Ok(_) => {}
@@ -428,34 +430,6 @@ impl HixSession {
         self.endpoint.rekey(key);
         self.endpoint.reset_wire(machine)?;
         Ok(())
-    }
-
-    /// Rolls the fault plan's config-storm dice: a burst of hostile OS
-    /// writes to the GPU's config space mid-operation. The PCIe lockdown
-    /// must reject every one of them.
-    fn maybe_cfg_storm(&self, machine: &mut Machine, enclave: &GpuEnclave) {
-        let Some(plan) = machine.fault_plan() else { return };
-        let Some(writes) = plan.sample_cfg_storm() else { return };
-        machine.trace().metrics().inc(Counter::FaultInjected);
-        machine.trace().metrics().add_named("fault.injected.cfg_storm", 1);
-        machine.trace().emit_with(
-            machine.clock().now(),
-            Nanos::ZERO,
-            EventKind::Fault,
-            "inject cfg_storm",
-            &[("writes", writes as u64)],
-        );
-        for i in 0..writes {
-            let r = machine.config_write(
-                enclave.bdf(),
-                hix_pcie::config::offsets::BAR0,
-                0xdead_0000 + i,
-            );
-            debug_assert!(
-                r.is_err(),
-                "PCIe lockdown must reject OS config writes while the enclave owns the GPU"
-            );
-        }
     }
 
     fn expect_ok(&mut self, response: Response) -> Result<(), HixCoreError> {
@@ -1406,6 +1380,30 @@ mod tests {
         (m, enclave)
     }
 
+    /// A tenant kernel: squares `n` i32s in place.
+    struct Square;
+
+    impl hix_gpu::GpuKernel for Square {
+        fn name(&self) -> &str {
+            "test.square"
+        }
+        fn cost(&self, _m: &CostModel, _a: &[u64]) -> Nanos {
+            Nanos::from_micros(10)
+        }
+        fn run(&self, exec: &mut hix_gpu::KernelExec<'_>) -> Result<(), hix_gpu::KernelError> {
+            let ptr = DevAddr(exec.arg(0)?);
+            let mut v = exec.read_i32s(ptr, exec.arg(1)? as usize)?;
+            v.iter_mut().for_each(|x| *x *= *x);
+            exec.write_i32s(ptr, &v)
+        }
+    }
+
+    fn setup_with_square() -> (Machine, GpuEnclave) {
+        let mut m = standard_rig(RigOptions { kernels: vec![Box::new(Square)], ..Default::default() });
+        let enclave = GpuEnclave::launch(&mut m, GpuEnclaveOptions::default()).unwrap();
+        (m, enclave)
+    }
+
     fn setup_with_evict_after(evict_after: u32) -> (Machine, GpuEnclave) {
         let mut m = standard_rig(RigOptions::default());
         let enclave = GpuEnclave::launch(
@@ -1563,14 +1561,15 @@ mod tests {
 
     #[test]
     fn every_operation_gives_up_after_its_tdr_budget() {
-        use hix_gpu::crypto_kernels::ENCRYPT_KERNEL;
         use hix_sim::fault::{FaultConfig, FaultPlan};
-        let (mut m, mut enclave) = setup();
+        let (mut m, mut enclave) = setup_with_square();
         let mut s = HixSession::connect_with(&mut m, &mut enclave, 1 << 20, b"budget").unwrap();
+        s.load_module(&mut m, &mut enclave, "test.square").unwrap();
         let dev = s.malloc(&mut m, &mut enclave, 4096).unwrap();
         // Every data-plane command hangs and every kill lands. Rebuilds
-        // and the journal (one malloc) are control-plane work the plan
-        // never touches, so each recovery succeeds and each retry hangs.
+        // and the journal (the module load and one malloc) are
+        // control-plane work the plan never touches, so each recovery
+        // succeeds and each retry hangs.
         m.set_fault_plan(FaultPlan::new(
             5,
             FaultConfig {
@@ -1589,8 +1588,7 @@ mod tests {
         assert_eq!(recoveries(&m) - before, budget);
         // ...and a synchronous launch through `flush_frame`.
         let before = recoveries(&m);
-        let args = [dev.value(), 16, dev.value(), 0];
-        let err = s.launch(&mut m, &mut enclave, ENCRYPT_KERNEL, &args).unwrap_err();
+        let err = s.launch(&mut m, &mut enclave, "test.square", &[dev.value(), 4]).unwrap_err();
         assert_eq!(err.to_string(), exhausted);
         assert_eq!(recoveries(&m) - before, budget);
     }
@@ -1689,6 +1687,22 @@ mod tests {
         let chunk = m.model().pipeline_chunk;
         refused(&mut m, &mut enclave, &mut s, Request::MemcpyDtoH { src, len, chunk, nonce_start: 0 });
         assert!(window(&mut m) == before, "the neighbour's window changed");
+    }
+
+    #[test]
+    fn a_tenant_can_neither_load_nor_launch_the_enclaves_crypto_kernels() {
+        use hix_gpu::crypto_kernels::{DECRYPT_STREAM_KERNEL, ENCRYPT_KERNEL};
+        let (mut m, mut enclave, mut s, dev) = hostile();
+        let data = Payload::from_bytes(vec![0x5a; 4096]);
+        s.memcpy_htod(&mut m, &mut enclave, dev, &data).unwrap();
+        let args = [dev.value(), 4096, u64::MAX, 0];
+        let launch = s.launch(&mut m, &mut enclave, DECRYPT_STREAM_KERNEL, &args);
+        assert!(launch.is_err(), "a tenant launched the enclave's stream decryption");
+        let load = s.load_module(&mut m, &mut enclave, ENCRYPT_KERNEL);
+        assert!(load.is_err(), "a tenant loaded the enclave's encryption kernel");
+        s.sync(&mut m, &mut enclave).unwrap();
+        let back = s.memcpy_dtoh(&mut m, &mut enclave, dev, 4096).unwrap();
+        assert_eq!(back.bytes(), data.bytes());
     }
 
     #[test]
@@ -1906,31 +1920,7 @@ mod tests {
 
     #[test]
     fn gpu_kernel_computes_on_secure_data() {
-        use hix_gpu::kernel::{GpuKernel, KernelError, KernelExec};
-        use hix_sim::Nanos;
-        struct Square;
-        impl GpuKernel for Square {
-            fn name(&self) -> &str {
-                "test.square"
-            }
-            fn cost(&self, _m: &CostModel, _a: &[u64]) -> Nanos {
-                Nanos::from_micros(10)
-            }
-            fn run(&self, exec: &mut KernelExec<'_>) -> Result<(), KernelError> {
-                let ptr = DevAddr(exec.arg(0)?);
-                let n = exec.arg(1)? as usize;
-                let mut v = exec.read_i32s(ptr, n)?;
-                for x in &mut v {
-                    *x *= *x;
-                }
-                exec.write_i32s(ptr, &v)
-            }
-        }
-        let mut m = standard_rig(RigOptions {
-            kernels: vec![Box::new(Square)],
-            ..Default::default()
-        });
-        let mut enclave = GpuEnclave::launch(&mut m, GpuEnclaveOptions::default()).unwrap();
+        let (mut m, mut enclave) = setup_with_square();
         let mut s = HixSession::connect(&mut m, &mut enclave).unwrap();
         s.load_module(&mut m, &mut enclave, "test.square").unwrap();
         let dev = s.malloc(&mut m, &mut enclave, 400).unwrap();

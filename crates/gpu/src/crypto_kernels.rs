@@ -31,6 +31,10 @@ use crate::vram::DevAddr;
 /// Associated data binding ciphertexts to the HIX data channel.
 pub const DATA_AAD: &[u8] = b"hix-gpu-data";
 
+/// Kernel-name prefix reserved to the GPU enclave's crypto kernels: they
+/// trust their launch arguments, so only the enclave may launch them.
+pub const RESERVED_PREFIX: &str = "hix.";
+
 /// Kernel name of the in-GPU decryptor.
 pub const DECRYPT_KERNEL: &str = "hix.ocb_decrypt";
 
@@ -134,10 +138,18 @@ impl GpuKernel for OcbDecryptStreamKernel {
         let mut index = 0u64;
         while done < plain_len {
             let this = chunk.min(plain_len - done) as usize;
-            let sealed_off = index * (chunk + TAG_LEN as u64);
-            exec.read(buf.offset(sealed_off), &mut sealed[..this + TAG_LEN])?;
+            // Off-device arguments: the chunk's sealed address and nonce
+            // may not wrap (its plaintext lands below its sealed bytes).
+            let sealed_at = chunk
+                .checked_add(TAG_LEN as u64)
+                .and_then(|stride| stride.checked_mul(index))
+                .and_then(|off| buf.value().checked_add(off));
+            let (Some(sealed_at), Some(nonce)) = (sealed_at, nonce_start.checked_add(index)) else {
+                return Err(KernelError::BadArgs("sealed stream overflows"));
+            };
+            exec.read(DevAddr(sealed_at), &mut sealed[..this + TAG_LEN])?;
             ocb.open_into(
-                &Nonce::from_counter(nonce_start + index),
+                &Nonce::from_counter(nonce),
                 DATA_AAD,
                 &sealed[..this + TAG_LEN],
                 &mut plain[..this],
@@ -316,6 +328,34 @@ mod tests {
             OcbDecryptStreamKernel.run(&mut exec),
             Err(KernelError::IntegrityFailure)
         );
+    }
+
+    #[test]
+    fn decrypt_stream_refuses_arguments_that_overflow() {
+        let key = [5u8; 16];
+        let ocb = Ocb::new(&ocb::Key::from_bytes(key));
+        let chunk = 4080u64;
+        let top = u64::MAX - 4095;
+        // (buffer, chunk, nonce_start): a chunk whose sealed stride
+        // overflows, a nonce counter that passes 2^64 on the second
+        // chunk, and a buffer whose second chunk starts at 2^64.
+        for (buf, stride, nonce_start) in [(0, u64::MAX, 0), (0, chunk, u64::MAX), (top, chunk, 0)] {
+            let mut ctx = GpuContext::new(CtxId(1));
+            ctx.map_page(DevAddr(buf), 0);
+            if let Some(next) = buf.checked_add(4096) {
+                ctx.map_page(DevAddr(next), 4096);
+            }
+            ctx.set_session_key(key);
+            let mut vram = Vram::new(1 << 20);
+            // A genuine first chunk, so only the second chunk's
+            // arithmetic is left to fail.
+            vram.write(0, &ocb.seal(&ocb::Nonce::from_counter(nonce_start), DATA_AAD, &[7; 4080]));
+            let args = [buf, 2 * chunk, stride, nonce_start];
+            let mut scratch = Vec::new();
+            let mut exec = KernelExec::new(&ctx, &mut vram, &args, &mut scratch);
+            let result = OcbDecryptStreamKernel.run(&mut exec);
+            assert!(matches!(result, Err(KernelError::BadArgs(_))), "{args:x?}: {result:?}");
+        }
     }
 
     #[test]

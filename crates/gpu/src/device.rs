@@ -9,7 +9,7 @@ use hix_crypto::drbg::HmacDrbg;
 use hix_crypto::kdf;
 use hix_pcie::config::{BarIndex, ConfigSpace};
 use hix_pcie::device::{DmaBus, PcieDevice};
-use hix_sim::fault::{DeviceFault, FaultPlan};
+use hix_sim::fault::{self, DeviceFault, FaultPlan};
 use hix_sim::{Clock, CostModel, Counter, EventKind, Nanos, Trace};
 
 use crate::cmd::GpuCommand;
@@ -237,50 +237,26 @@ impl GpuDevice {
     }
 
     fn set_error(&mut self, code: u32) {
-        self.error = code;
-        let metrics = self.trace.metrics();
-        metrics.inc(Counter::GpuErrors);
+        self.latch_error(code);
         // A raised (not injected) fault: the device *detected* a real
         // problem — e.g. an integrity failure after a bit-flip landed in
-        // a sealed staging buffer. Ledgered separately so the exact
-        // reconciliation `Fault events == fault.injected +
-        // fault.detected` holds even when one injection cascades into a
-        // detected error downstream.
-        metrics.inc(Counter::FaultDetected);
-        self.trace.emit_with(
-            self.clock.now(),
-            Nanos::ZERO,
-            EventKind::Fault,
-            "gpu error",
-            &[("code", code as u64)],
-        );
+        // a sealed staging buffer. Recorded as detected, so one injection
+        // that cascades into a detected error downstream is two faults.
+        fault::record(&self.trace, self.clock.now(), None, "gpu error", &[("code", u64::from(code))]);
     }
 
     /// Latches an error code without the [`GpuDevice::set_error`] `Fault`
-    /// event. Injected device faults account their own single `Fault`
-    /// event through [`GpuDevice::inject_ledger`], keeping the
-    /// `fault.injected` == `Fault`-event-count reconciliation exact; the
-    /// KILL doorbell uses it too because a kill is a recovery action,
-    /// not a fault.
+    /// record: an injected device fault is recorded once, as injected
+    /// ([`GpuDevice::injected`]), and the KILL doorbell uses it too
+    /// because a kill is a recovery action, not a fault.
     fn latch_error(&mut self, code: u32) {
         self.error = code;
         self.trace.metrics().inc(Counter::GpuErrors);
     }
 
-    /// Accounts one injected device fault: the `fault.injected` total,
-    /// the per-kind `fault.injected.gpu.*` counter, and exactly one
-    /// `Fault`-kind trace event.
-    fn inject_ledger(&self, kind: &'static str, ctx: CtxId) {
-        let metrics = self.trace.metrics();
-        metrics.inc(Counter::FaultInjected);
-        metrics.add_named(&format!("fault.injected.{kind}"), 1);
-        self.trace.emit_with(
-            self.clock.now(),
-            Nanos::ZERO,
-            EventKind::Fault,
-            format!("inject {kind}"),
-            &[("ctx", u64::from(ctx.0))],
-        );
+    /// Records one injected device fault against the context it hit.
+    fn injected(&self, what: DeviceFault, ctx: CtxId) {
+        fault::record(&self.trace, self.clock.now(), Some(what.kind()), "", &[("ctx", u64::from(ctx.0))]);
     }
 
     /// Flips one byte inside the context's resident VRAM footprint and
@@ -591,7 +567,7 @@ impl GpuDevice {
                     self.set_error(errcode::NO_KERNEL);
                     return;
                 };
-                let is_crypto = k.name().starts_with("hix.");
+                let is_crypto = k.name().starts_with(crate::crypto_kernels::RESERVED_PREFIX);
                 let cost = self.model.kernel_launch + k.cost(&self.model, &args);
                 self.trace.metrics().inc(if is_crypto {
                     Counter::GpuCryptoLaunches
@@ -807,13 +783,13 @@ impl PcieDevice for GpuDevice {
         };
         match fault {
             Some(hang @ DeviceFault::Hang { wedged }) => {
-                self.inject_ledger(hang.kind(), cmd.ctx());
+                self.injected(hang, cmd.ctx());
                 self.hang = Some(HangState { ctx: cmd.ctx(), wedged });
                 false
             }
             Some(lost @ DeviceFault::LostCompletion) => {
                 let ctx = cmd.ctx();
-                self.inject_ledger(lost.kind(), ctx);
+                self.injected(lost, ctx);
                 self.exec(cmd, dma);
                 // The work is done but the fence update is dropped: the
                 // host observes a busy engine that never completes.
@@ -824,13 +800,13 @@ impl PcieDevice for GpuDevice {
                 let ctx = cmd.ctx();
                 self.exec(cmd, dma);
                 if self.apply_vram_flip(ctx, offset, xor) {
-                    self.inject_ledger(flip.kind(), ctx);
+                    self.injected(flip, ctx);
                 }
                 self.fence += 1;
                 true
             }
             Some(spurious @ DeviceFault::Spurious) => {
-                self.inject_ledger(spurious.kind(), cmd.ctx());
+                self.injected(spurious, cmd.ctx());
                 self.exec(cmd, dma);
                 // The command completed fine; the error latch lies.
                 self.latch_error(errcode::SPURIOUS);

@@ -5,17 +5,19 @@
 //! the fabric: mapping pages ([`Machine::os_map`]), rewriting the IOMMU
 //! ([`Machine::iommu_mut`]), issuing config writes
 //! ([`Machine::config_write`]), killing processes
-//! ([`Machine::kill_process`]). What HIX guarantees is enforced inside
+//! ([`Machine::kill_process`]). The seeded OS adversary of the fault
+//! plan acts through the same surface: [`Machine::os_config_storm`] and
+//! [`Machine::os_dma_flip`]. What HIX guarantees is enforced inside
 //! [`Machine::read`]/[`Machine::write`] (the hardware walker checks) and
 //! inside the fabric (MMIO lockdown) — never by trusting the caller.
 
 use std::collections::BTreeMap;
 
 use hix_pcie::addr::{Bdf, PhysAddr, PhysRange};
-use hix_pcie::config::BarIndex;
+use hix_pcie::config::{offsets, BarIndex};
 use hix_pcie::device::PcieDevice;
 use hix_pcie::fabric::{PcieError, PcieFabric, Provenance};
-use hix_sim::fault::FaultPlan;
+use hix_sim::fault::{self, FaultPlan};
 use hix_sim::{Clock, CostModel, Counter, EventKind, Nanos, Trace};
 
 use crate::hix::{HixError, HixState};
@@ -23,6 +25,14 @@ use crate::iommu::{DmaPort, Iommu};
 use crate::mem::{Ram, VirtAddr, PAGE_SIZE};
 use crate::mmu::{AccessFault, PageTable, Tlb};
 use crate::sgx::{EnclaveId, Measurement, Report, SgxError, SgxState};
+
+/// One byte [`Machine::os_dma_flip`] flipped: its bus address and the
+/// value to restore.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DmaFlip {
+    bus: PhysAddr,
+    orig: u8,
+}
 
 /// Identifies a process (address space + optional enclave).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -167,23 +177,20 @@ impl Machine {
     /// adversary surface — the OS owns the transport and may perturb it
     /// at will; only integrity/confidentiality are hardware-enforced.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.fault_plan = Some(plan.clone());
-        for bdf in self.fabric.endpoints() {
-            if let Some(dev) = self.fabric.device_mut(bdf) {
-                dev.install_fault_plan(Some(plan.clone()));
-            }
-        }
+        self.install_fault_plan(Some(plan));
     }
 
     /// Removes the active fault plan (the transport behaves ideally
     /// again).
     pub fn clear_fault_plan(&mut self) {
-        self.fault_plan = None;
+        self.install_fault_plan(None);
+    }
+
+    fn install_fault_plan(&mut self, plan: Option<FaultPlan>) {
         for bdf in self.fabric.endpoints() {
-            if let Some(dev) = self.fabric.device_mut(bdf) {
-                dev.install_fault_plan(None);
-            }
+            self.set_device_fault_plan(bdf, plan.clone());
         }
+        self.fault_plan = plan;
     }
 
     /// The active fault plan, if any (cheap handle clone).
@@ -310,6 +317,44 @@ impl Machine {
     pub fn os_write_phys(&mut self, pa: PhysAddr, data: &[u8]) {
         if !Ram::is_epc(pa) {
             self.ram.write(pa, data);
+        }
+    }
+
+    /// The fault plan's config-write storm: when the plan rolls one, the
+    /// OS fires its burst of BAR0 writes at `bdf`. Called against a
+    /// device the PCIe lockdown protects, which must refuse them all.
+    pub fn os_config_storm(&mut self, bdf: Bdf) {
+        let Some(writes) = self.fault_plan.as_ref().and_then(FaultPlan::sample_cfg_storm) else {
+            return;
+        };
+        let attrs = [("writes", u64::from(writes))];
+        fault::record(&self.trace, self.clock.now(), Some("cfg_storm"), "", &attrs);
+        for i in 0..writes {
+            let r = self.config_write(bdf, offsets::BAR0, 0xdead_0000 + i);
+            debug_assert!(r.is_err(), "PCIe lockdown must reject OS config writes to {bdf}");
+        }
+    }
+
+    /// The fault plan's in-flight DMA corruption: when the plan rolls a
+    /// flip for the `len` bytes a device is about to read at bus address
+    /// `bus`, the OS flips one byte of them in DRAM. The flip hits one
+    /// DMA pass, not the staged data: undo it with
+    /// [`Machine::os_undo_dma_flip`] once the pass is over.
+    pub fn os_dma_flip(&mut self, bus: PhysAddr, len: u64) -> Option<DmaFlip> {
+        let (off, xor) = self.fault_plan.as_ref()?.sample_dma_flip(len)?;
+        let at = bus.offset(off);
+        let pa = self.iommu.translate(at)?;
+        let mut orig = [0u8; 1];
+        self.os_read_phys(pa, &mut orig);
+        self.os_write_phys(pa, &[orig[0] ^ xor]);
+        fault::record(&self.trace, self.clock.now(), Some("dma_flip"), &format!(" at +{off}"), &[]);
+        Some(DmaFlip { bus: at, orig: orig[0] })
+    }
+
+    /// Restores the byte an [`Machine::os_dma_flip`] flipped.
+    pub fn os_undo_dma_flip(&mut self, flip: DmaFlip) {
+        if let Some(pa) = self.iommu.translate(flip.bus) {
+            self.os_write_phys(pa, &[flip.orig]);
         }
     }
 

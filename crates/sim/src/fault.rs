@@ -6,9 +6,12 @@
 //! confidentiality; *availability* is the runtime's job. This module
 //! supplies the adversary: a seeded [`FaultPlan`] that, driven purely by
 //! `hix_testkit::Rng` and the virtual clock, decides per transmission
-//! whether to drop, duplicate, reorder, delay, or corrupt it, and per
-//! transfer whether to flip a bit on the DMA wire, storm the config
-//! plane, or restart the GPU enclave mid-session.
+//! how a sealed frame and its doorbell reach the wire
+//! ([`FaultPlan::deliver`]: dropped, duplicated, reordered, delayed or
+//! corrupted), and per transfer whether to flip a bit on the DMA wire,
+//! storm the config plane, or restart the GPU enclave mid-session.
+//! [`record`] is the one writer of the fault ledger: every `Fault`
+//! event and its `fault.injected.<kind>` or `fault.detected` counter.
 //!
 //! The plan is *pay-for-what-you-use*: when no plan is installed (or all
 //! rates are zero) no RNG draws happen and no state is kept, so
@@ -25,9 +28,33 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
+use hix_obs::Counter;
 use hix_testkit::Rng;
 
 use crate::time::Nanos;
+use crate::trace::{EventKind, Trace};
+
+/// Records one fault: a zero-length `Fault` event at `now` together
+/// with its counters, so `Fault` events == `fault.injected` +
+/// `fault.detected` holds by construction. `Some(kind)` is an injected
+/// fault, counted under `fault.injected.<kind>` and labelled
+/// `inject <kind><detail>`; `None` is a fault the device raised that no
+/// plan injected, counted under `fault.detected` and labelled `detail`.
+pub fn record(trace: &Trace, now: Nanos, injected: Option<&str>, detail: &str, attrs: &[(&'static str, u64)]) {
+    let metrics = trace.metrics();
+    let label = match injected {
+        Some(kind) => {
+            metrics.inc(Counter::FaultInjected);
+            metrics.add_named(&format!("fault.injected.{kind}"), 1);
+            format!("inject {kind}{detail}")
+        }
+        None => {
+            metrics.inc(Counter::FaultDetected);
+            detail.to_owned()
+        }
+    };
+    trace.emit_with(now, Nanos::ZERO, EventKind::Fault, label, attrs);
+}
 
 /// Which way a channel message travels. The plan keeps independent
 /// wire state per (channel, direction) so a held request doorbell never
@@ -188,7 +215,7 @@ impl FaultConfig {
 
 /// The fault chosen for one message transmission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MsgFault {
+enum MsgFault {
     /// Stage the frame but never ring the doorbell.
     Drop,
     /// Deliver the frame, then present it a second time.
@@ -211,7 +238,7 @@ pub enum MsgFault {
 
 impl MsgFault {
     /// Metric suffix for `fault.injected.<kind>`.
-    pub fn kind(&self) -> &'static str {
+    fn kind(&self) -> &'static str {
         match self {
             MsgFault::Drop => "drop",
             MsgFault::Duplicate => "duplicate",
@@ -320,14 +347,9 @@ impl FaultPlan {
         }
     }
 
-    /// The plan's rate configuration.
-    pub fn config(&self) -> FaultConfig {
-        self.inner.borrow().config
-    }
-
     /// Samples the fault (if any) for one message transmission. Draws
     /// nothing when every message rate is zero.
-    pub fn sample_message(&self) -> Option<MsgFault> {
+    fn sample_message(&self) -> Option<MsgFault> {
         let mut inner = self.inner.borrow_mut();
         let cfg = inner.config;
         let total = cfg.msg_total();
@@ -363,22 +385,79 @@ impl FaultPlan {
         None
     }
 
-    /// Records a frame that hit the wire (fresh or retransmitted) so a
-    /// later reorder fault can re-announce it.
-    pub fn remember(&self, chan: u64, dir: Dir, seq: u64, sealed: &[u8]) {
-        let mut inner = self.inner.borrow_mut();
-        let st = inner.dirs.entry((chan, dir)).or_default();
-        st.last = Some((seq, sealed.to_vec()));
+    /// Decides how one frame sealed under wire sequence `seq` on `wire`
+    /// (channel, direction) reaches it: `stage` writes the frame it is
+    /// given and rings the doorbell sequence, if any. A drop or a delay
+    /// stages `frame` unrung (a delayed doorbell rings through
+    /// [`FaultPlan::release_doorbell`]); a duplicate rings `seq` and arms
+    /// [`FaultPlan::take_duplicate`]; a reorder stages and rings the
+    /// wire's previous frame instead (and with none yet, sends `frame`
+    /// clean); a corruption flips one byte of `frame` or, 1 in 16, of the
+    /// doorbell word. Only once `stage` succeeds does the plan record the
+    /// fault at `now`, arm or hold, and keep `frame` as the wire's
+    /// previous one: a frame that never reached the wire leaves no trace.
+    ///
+    /// # Errors
+    ///
+    /// Propagates `stage`'s error.
+    pub fn deliver<E>(
+        &self,
+        trace: &Trace,
+        now: Nanos,
+        (chan, dir): (u64, Dir),
+        seq: u64,
+        mut frame: Vec<u8>,
+        stage: impl FnOnce(&[u8], Option<u64>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let Some(fault) = self.sample_message() else {
+            stage(&frame, Some(seq))?;
+            self.remember(chan, dir, seq, frame);
+            return Ok(());
+        };
+        let mut bell = Some(seq);
+        let mut previous = None;
+        match fault {
+            MsgFault::Drop | MsgFault::Delay(_) => bell = None,
+            MsgFault::Duplicate => {}
+            MsgFault::Reorder => {
+                let inner = self.inner.borrow();
+                previous = inner.dirs.get(&(chan, dir)).and_then(|st| st.last.clone());
+            }
+            MsgFault::Corrupt { offset, xor, header: true } => {
+                bell = Some(seq ^ (u64::from(xor) << (8 * (offset % 8))));
+            }
+            MsgFault::Corrupt { offset, xor, header: false } => {
+                let i = (offset % frame.len() as u64) as usize;
+                frame[i] ^= xor;
+            }
+        }
+        match &previous {
+            // The previous frame overwrites the single-slot medium and
+            // this transmission is lost.
+            Some((old_seq, old_frame)) => stage(old_frame, Some(*old_seq))?,
+            None => stage(&frame, bell)?,
+        }
+        match fault {
+            MsgFault::Duplicate => self.arm_duplicate(chan, dir),
+            MsgFault::Delay(by) => self.hold_doorbell(chan, dir, seq, now + by),
+            _ => {}
+        }
+        self.remember(chan, dir, seq, frame);
+        if fault != MsgFault::Reorder || previous.is_some() {
+            record(trace, now, Some(fault.kind()), &format!(" ({})", dir.as_str()), &[]);
+        }
+        Ok(())
     }
 
-    /// The previous transmission on this wire, for a reorder fault.
-    pub fn previous(&self, chan: u64, dir: Dir) -> Option<(u64, Vec<u8>)> {
-        let inner = self.inner.borrow();
-        inner.dirs.get(&(chan, dir)).and_then(|st| st.last.clone())
+    /// Records a frame that hit the wire (fresh or retransmitted) so a
+    /// later reorder fault can re-announce it.
+    fn remember(&self, chan: u64, dir: Dir, seq: u64, frame: Vec<u8>) {
+        let mut inner = self.inner.borrow_mut();
+        inner.dirs.entry((chan, dir)).or_default().last = Some((seq, frame));
     }
 
     /// Parks a delayed doorbell until `due`.
-    pub fn hold_doorbell(&self, chan: u64, dir: Dir, seq: u64, due: Nanos) {
+    fn hold_doorbell(&self, chan: u64, dir: Dir, seq: u64, due: Nanos) {
         let mut inner = self.inner.borrow_mut();
         let st = inner.dirs.entry((chan, dir)).or_default();
         st.held.push(seq, due);
@@ -396,7 +475,7 @@ impl FaultPlan {
 
     /// Arms a duplicate delivery: the receiver's next idle poll sees the
     /// already-consumed message again.
-    pub fn arm_duplicate(&self, chan: u64, dir: Dir) {
+    fn arm_duplicate(&self, chan: u64, dir: Dir) {
         let mut inner = self.inner.borrow_mut();
         inner.dirs.entry((chan, dir)).or_default().dup_armed = true;
     }
@@ -877,12 +956,41 @@ mod tests {
         assert!((0..400).any(|_| plan.sample_restart()));
     }
 
+    /// Sends `frame` as `seq` on `wire` and returns what reached it: the
+    /// frame staged and the doorbell rung, if any.
+    fn send_on(plan: &FaultPlan, trace: &Trace, now: Nanos, wire: (u64, Dir), seq: u64, frame: &[u8]) -> (Vec<u8>, Option<u64>) {
+        let mut staged = None;
+        let sent = plan.deliver(trace, now, wire, seq, frame.to_vec(), |frame, bell| {
+            staged = Some((frame.to_vec(), bell));
+            Ok::<(), ()>(())
+        });
+        assert_eq!(sent, Ok(()));
+        staged.expect("every delivery stages a frame")
+    }
+
+    /// Sends `frame` as `seq` on wire (9, request).
+    fn send(plan: &FaultPlan, trace: &Trace, now: Nanos, seq: u64, frame: &[u8]) -> (Vec<u8>, Option<u64>) {
+        send_on(plan, trace, now, (9, Dir::Request), seq, frame)
+    }
+
+    /// Asserts `trace` recorded `times` injections, all of `kind`, and
+    /// one `Fault` event per injected or detected fault.
+    fn recorded(trace: &Trace, kind: &str, times: u64) {
+        let metrics = trace.metrics();
+        assert_eq!(metrics.counter("fault.injected"), times);
+        assert_eq!(metrics.counter(&format!("fault.injected.{kind}")), times);
+        assert_eq!(trace.count(EventKind::Fault), times + metrics.counter("fault.detected"));
+    }
+
     #[test]
     fn doorbell_hold_and_release() {
-        let plan = FaultPlan::new(3, FaultConfig::light());
-        let t = Nanos::from_micros;
-        plan.hold_doorbell(9, Dir::Request, 5, t(10));
-        plan.hold_doorbell(9, Dir::Request, 4, t(20));
+        // Every frame is delayed by exactly 1 ns and stays unrung until due.
+        let cfg = FaultConfig { delay_pm: 1000, max_delay: Nanos::from_nanos(2), ..FaultConfig::none() };
+        let (plan, trace) = (FaultPlan::new(3, cfg), Trace::new());
+        let (t, tick) = (Nanos::from_micros, Nanos::from_nanos(1));
+        assert_eq!(send(&plan, &trace, t(10) - tick, 5, b"five"), (b"five".to_vec(), None));
+        assert_eq!(send(&plan, &trace, t(20) - tick, 4, b"four"), (b"four".to_vec(), None));
+        recorded(&trace, "delay", 2);
         // Nothing due yet.
         assert_eq!(plan.release_doorbell(9, Dir::Request, t(5)), None);
         // Seq 4 is the lowest held; it gates seq 5 even though 5 is due
@@ -895,11 +1003,91 @@ mod tests {
 
     #[test]
     fn duplicate_arm_is_one_shot_per_direction() {
-        let plan = FaultPlan::new(3, FaultConfig::light());
-        plan.arm_duplicate(1, Dir::Response);
+        let plan = FaultPlan::new(3, FaultConfig { dup_pm: 1000, ..FaultConfig::none() });
+        let trace = Trace::new();
+        let sent = send_on(&plan, &trace, Nanos::ZERO, (1, Dir::Response), 1, b"resp");
+        assert_eq!(sent, (b"resp".to_vec(), Some(1)), "delivered once, then again");
+        recorded(&trace, "duplicate", 1);
         assert!(!plan.take_duplicate(1, Dir::Request));
         assert!(plan.take_duplicate(1, Dir::Response));
         assert!(!plan.take_duplicate(1, Dir::Response));
+    }
+
+    #[test]
+    fn deliver_without_a_fault_rings_the_frames_own_sequence() {
+        let (plan, trace) = (FaultPlan::new(3, FaultConfig::none()), Trace::new());
+        assert_eq!(send(&plan, &trace, Nanos::ZERO, 7, b"clean"), (b"clean".to_vec(), Some(7)));
+        recorded(&trace, "drop", 0);
+    }
+
+    #[test]
+    fn deliver_drop_stages_the_frame_but_never_rings() {
+        let plan = FaultPlan::new(3, FaultConfig { drop_pm: 1000, ..FaultConfig::none() });
+        let trace = Trace::new();
+        assert_eq!(send(&plan, &trace, Nanos::ZERO, 7, b"lost"), (b"lost".to_vec(), None));
+        assert_eq!(plan.release_doorbell(9, Dir::Request, Nanos::from_secs(1)), None);
+        recorded(&trace, "drop", 1);
+    }
+
+    #[test]
+    fn deliver_reorder_needs_a_previous_frame() {
+        let plan = FaultPlan::new(3, FaultConfig { reorder_pm: 1000, ..FaultConfig::none() });
+        let trace = Trace::new();
+        // Nothing to reorder with yet: sent clean, nothing recorded.
+        assert_eq!(send(&plan, &trace, Nanos::ZERO, 1, b"one"), (b"one".to_vec(), Some(1)));
+        recorded(&trace, "reorder", 0);
+        // The previous frame overtakes under its own sequence; the lost
+        // frame still becomes the previous one.
+        assert_eq!(send(&plan, &trace, Nanos::ZERO, 2, b"two"), (b"one".to_vec(), Some(1)));
+        assert_eq!(send(&plan, &trace, Nanos::ZERO, 3, b"three"), (b"two".to_vec(), Some(2)));
+        recorded(&trace, "reorder", 2);
+        // The response wire has no previous frame of its own.
+        let other = send_on(&plan, &trace, Nanos::ZERO, (9, Dir::Response), 1, b"resp");
+        assert_eq!(other, (b"resp".to_vec(), Some(1)));
+    }
+
+    #[test]
+    fn a_frame_that_never_reaches_the_wire_leaves_no_trace() {
+        let plan = FaultPlan::new(3, FaultConfig { reorder_pm: 1000, ..FaultConfig::none() });
+        let trace = Trace::new();
+        assert_eq!(send(&plan, &trace, Nanos::ZERO, 1, b"one"), (b"one".to_vec(), Some(1)));
+        // The medium refuses the second frame: it is not recorded, and a
+        // reorder never re-announces it.
+        let refused = plan.deliver(&trace, Nanos::ZERO, (9, Dir::Request), 2, b"two".to_vec(), |_, _| Err("unmapped"));
+        assert_eq!(refused, Err("unmapped"));
+        recorded(&trace, "reorder", 0);
+        assert_eq!(send(&plan, &trace, Nanos::ZERO, 3, b"three"), (b"one".to_vec(), Some(1)));
+        recorded(&trace, "reorder", 1);
+    }
+
+    #[test]
+    fn deliver_corrupts_the_body_or_the_doorbell() {
+        let plan = FaultPlan::new(3, FaultConfig { corrupt_pm: 1000, ..FaultConfig::none() });
+        let (trace, frame) = (Trace::new(), [0x5au8; 32]);
+        let (mut bodies, mut headers) = (0, 0);
+        for seq in 1..=200u64 {
+            let (staged, bell) = send(&plan, &trace, Nanos::ZERO, seq, &frame);
+            let flipped = staged.iter().zip(&frame).filter(|(a, b)| a != b).count();
+            let bell = bell.expect("a corrupted frame still rings") ^ seq;
+            let header = bell.to_le_bytes().iter().filter(|b| **b != 0).count();
+            // One byte of the frame, or one byte of the doorbell word.
+            assert_eq!(flipped + header, 1, "seq {seq}");
+            *(if header == 1 { &mut headers } else { &mut bodies }) += 1;
+        }
+        assert!(bodies > 0 && headers > 0, "{bodies} body and {headers} header corruptions");
+        recorded(&trace, "corrupt", 200);
+    }
+
+    #[test]
+    fn fault_records_tile_injected_and_detected() {
+        let trace = Trace::new();
+        trace.set_recording(true);
+        record(&trace, Nanos::from_nanos(5), Some("gpu.hang"), " here", &[("ctx", 3)]);
+        record(&trace, Nanos::from_nanos(6), None, "gpu error", &[]);
+        recorded(&trace, "gpu.hang", 1);
+        assert_eq!(trace.metrics().counter("fault.detected"), 1);
+        let spans: Vec<_> = trace.obs().spans().into_iter().map(|s| (s.name, s.end_ns, s.attrs)).collect();
+        assert_eq!(spans, [("inject gpu.hang here".into(), 5, vec![("ctx", 3)]), ("gpu error".into(), 6, vec![])]);
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub mod trace;
 pub use cost::CostModel;
 pub use pipeline::CryptoDmaPipeline;
 pub use hix_obs::{Counter, Stage, COUNT_BOUNDS, LATENCY_BOUNDS_NS};
-pub use fault::{Backoff, Dir, FaultConfig, FaultPlan, MsgFault, ReplayWindow, Resequencer, SeqCheck};
+pub use fault::{Backoff, Dir, FaultConfig, FaultPlan, ReplayWindow, Resequencer, SeqCheck};
 /// SplitMix64, the seed mixer behind the fault plans' generator, for
 /// crates above the simulator that draw a seeded population from a raw
 /// `u64` state (the multi-user model's fault burdens).

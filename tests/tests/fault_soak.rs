@@ -15,9 +15,42 @@ use hix_core::multiuser::{
     run_scaled, Mode, SchedulerConfig, SessionFaults, SessionSpec, TaskSpec, EVICT_AFTER,
 };
 use hix_core::{CmdStatus, GpuEnclave, GpuEnclaveOptions, HixSession};
+use hix_crypto::sha256;
 use hix_driver::rig::{standard_rig, RigOptions};
 use hix_sim::{CostModel, Nanos};
 use hix_workloads::all_kernels;
+
+/// SHA-256 of `soak::run(seed, profile, batched).transcript` (every
+/// span, the summary and the snapshot) for five cells: the three rerun
+/// cells below, plus one gpu-heavy and one batched heavy cell so that
+/// together the tapes inject every fault kind and raise a detected
+/// fault. A change that only moves where a fault is decided or
+/// recorded must keep every digest.
+const PINNED: [(u64, &str, bool, &str); 5] = [
+    (0xD1FF_5EED, "heavy", false, "a2a2787a3e1a516127a2ecf7db39a9b828af7c339e125111807b64035585f3ea"),
+    (0xD1FF_5EED, "heavy", true, "93780ae0e88db1f48797bf7fff57f86958b6bef4f2eb276d83240451938131e5"),
+    (0x7D2D_5EED, "gpu-heavy", false, "e6203e2dab65e203feee04a90f519a084822e016c9ca0ce5f3afc0930f41bb51"),
+    (0x7D20_0001, "gpu-heavy", false, "c7ec4abe7a5667ca988944308844b25ce572fdf17de8cc93951127e36cdc2559"),
+    (0xA5E1_0001, "heavy", true, "7a4e8ef8e520a10a3d70f3e05236e5d2d6392c452f692edb2a387a26ef105d2c"),
+];
+
+/// Every `fault.injected.<kind>` the machine profiles inject.
+const KINDS: [&str; 13] = [
+    "drop", "duplicate", "reorder", "delay", "corrupt", "dma_flip", "cfg_storm", "restart",
+    "gpu.hang", "gpu.wedge", "gpu.lost_completion", "gpu.vram_flip", "gpu.spurious",
+];
+
+fn assert_pinned(run: &SoakRun) {
+    let cell = (run.seed, run.profile, run.batched);
+    let want = PINNED
+        .iter()
+        .find(|p| (p.0, p.1, p.2) == cell)
+        .unwrap_or_else(|| panic!("{cell:x?} has no pinned digest"))
+        .3;
+    let got: String =
+        sha256::digest(run.transcript.as_bytes()).iter().map(|b| format!("{b:02x}")).collect();
+    assert_eq!(got, want, "{cell:x?}: the soak transcript moved");
+}
 
 fn checked(cell: SoakRun, clean: &SoakRun) -> SoakRun {
     soak::check(&cell, clean).unwrap_or_else(|e| panic!("{e}"));
@@ -100,6 +133,22 @@ fn rerun_is_identical(
     let b = soak::run(seed, profile, batched);
     assert!(fired(&a) > 0, "the {profile} plan must fire ({seed:#x}, batched={batched})");
     soak::check_rerun(&a, &b).unwrap_or_else(|e| panic!("{e}"));
+    assert_pinned(&a);
+}
+
+/// The pinned cells keep their digests and together inject every kind
+/// and raise at least one detected fault, so the pins cover every
+/// writer of the `Fault` events.
+#[test]
+fn pinned_transcripts_cover_every_fault_kind() {
+    let runs: Vec<SoakRun> =
+        PINNED.iter().map(|&(seed, profile, batched, _)| soak::run(seed, profile, batched)).collect();
+    runs.iter().for_each(assert_pinned);
+    for kind in KINDS {
+        let name = format!("fault.injected.{kind}");
+        assert!(runs.iter().any(|r| r.counter(&name) > 0), "no pinned cell injects {kind}");
+    }
+    assert!(runs.iter().any(|r| r.counter("fault.detected") > 0), "no pinned cell detects a fault");
 }
 
 /// Channel faults, sync engine: same seed, same transcript.
