@@ -447,6 +447,14 @@ pub fn sealed_stream_len(plain_len: u64, chunk: u64) -> Option<u64> {
     chunks.checked_mul(TAG_LEN as u64)?.checked_add(plain_len)
 }
 
+/// Window offset of sealed chunk `index` of a bulk stream chunked at
+/// `chunk`: each chunk before it holds `chunk` bytes and one tag. Callers
+/// check the whole stream against the window first
+/// ([`sealed_stream_len`]), so the offset cannot overflow.
+pub fn sealed_chunk_offset(index: u64, chunk: u64) -> u64 {
+    BULK_OFFSET + index * (chunk + TAG_LEN as u64)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -720,5 +728,7 @@ mod tests {
         assert_eq!(sealed_stream_len(4097, 4096), Some(4097 + 32));
         assert_eq!(sealed_stream_len(4096, 0), None);
         assert_eq!(sealed_stream_len(u64::MAX, 4096), None);
+        assert_eq!(sealed_chunk_offset(0, 4096), BULK_OFFSET);
+        assert_eq!(sealed_chunk_offset(2, 4096), BULK_OFFSET + 2 * (4096 + 16));
     }
 }

@@ -4,6 +4,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
 
 use hix_crypto::drbg::HmacDrbg;
+use hix_crypto::ocb::TAG_LEN;
 use hix_crypto::sha256;
 use hix_driver::driver::{DriverError, GpuDriver};
 use hix_driver::DmaBuffer;
@@ -12,7 +13,7 @@ use hix_gpu::crypto_kernels::{
 };
 use hix_gpu::ctx::CtxId;
 use hix_gpu::regs::{bar0, errcode};
-use hix_gpu::vram::DevAddr;
+use hix_gpu::vram::{span_fits, DevAddr};
 use hix_pcie::addr::Bdf;
 use hix_platform::hix::HixError;
 use hix_platform::mem::PAGE_SIZE;
@@ -24,7 +25,7 @@ use hix_sim::fault::{EscalationLadder, WatchdogAction};
 use hix_sim::{Counter, CryptoDmaPipeline, EventKind, Nanos, COUNT_BOUNDS};
 
 use crate::attest::{self, AttestError};
-use crate::channel::{sealed_stream_len, ChannelError, Endpoint, BULK_OFFSET};
+use crate::channel::{sealed_chunk_offset, sealed_stream_len, ChannelError, Endpoint};
 use crate::protocol::{BatchCmd, Request, Response};
 
 /// Virtual base where the GPU enclave maps BAR0 through `EGADD`.
@@ -541,7 +542,7 @@ impl GpuEnclave {
             attest::pairwise_channel_key(machine, user_pid, self.pid, user_rng, &mut self.rng)?;
         let ctx = self.driver.create_ctx(machine)?;
         let keys = attest::three_party_data_key(machine, &self.driver, ctx, user_rng, &mut self.rng)?;
-        let staging_len = machine.model().pipeline_chunk + hix_crypto::ocb::TAG_LEN as u64;
+        let staging_len = machine.model().pipeline_chunk + TAG_LEN as u64;
         let staging = self.driver.malloc(machine, ctx, staging_len)?;
         Ok(Epoch { ctx, staging, channel_key, user_data_key: keys.user })
     }
@@ -1150,15 +1151,17 @@ impl GpuEnclave {
             // Transfer geometry comes off the wire: before any arithmetic
             // or DMA, refuse a chunk other than the machine's, a sealed
             // stream the session's own window cannot hold, a nonce range
-            // that overflows, and an allocation whose padding overflows.
+            // that overflows, a device range that wraps, and an
+            // allocation whose padding overflows.
             let window = state.endpoint.bulk_capacity();
             let bad_geometry = match request {
                 Request::Malloc { len } => sealed_stream_len(len, chunk_cfg).is_none(),
-                Request::MemcpyHtoD { len, chunk, nonce_start, .. }
-                | Request::MemcpyDtoH { len, chunk, nonce_start, .. } => {
+                Request::MemcpyHtoD { dst: addr, len, chunk, nonce_start }
+                | Request::MemcpyDtoH { src: addr, len, chunk, nonce_start } => {
                     chunk != chunk_cfg
                         || sealed_stream_len(len, chunk).is_none_or(|n| n > window)
                         || nonce_start.checked_add(len.div_ceil(chunk)).is_none()
+                        || !span_fits(addr.value(), len)
                 }
                 _ => false,
             };
@@ -1191,66 +1194,83 @@ impl GpuEnclave {
                     Err(e) => Response::Err(e.to_string()),
                 },
                 Request::MemcpyHtoD { dst, len, chunk, nonce_start } => {
-                    let sealed_len = sealed_stream_len(len, chunk).expect("checked above");
-                    // The in-GPU decrypt-stream kernel unseals `len` bytes.
+                    let staging = state.staging;
+                    // The in-GPU decrypt kernel opens `len` bytes chunkwise.
                     machine.trace().metrics().add(Counter::DmaBytesDecrypted, len);
                     let buffer = state.endpoint.buffer().clone();
-                    // Single copy: DMA the sealed stream straight into the
-                    // destination buffer, then one in-GPU decrypt launch. A
-                    // MAC failure may be a transient DMA corruption (the OS
-                    // owns the fabric): re-DMA up to the retry budget before
-                    // declaring the data hostile and aborting the session.
+                    // Single copy, the mirror of DtoH: each sealed chunk is
+                    // DMAed from the window into the session's staging
+                    // buffer and opened straight into place in-GPU. A MAC
+                    // failure may be a transient DMA corruption (the OS owns
+                    // the fabric): re-DMA that chunk up to the retry budget
+                    // before declaring the data hostile and aborting the
+                    // session.
                     const MAX_DMA_ATTEMPTS: u32 = 3;
-                    let mut attempt = 0u32;
-                    loop {
-                        // The OS may corrupt the first pass in flight.
-                        let bulk = buffer.bus().offset(BULK_OFFSET);
-                        let flip = (attempt == 0).then(|| machine.os_dma_flip(bulk, sealed_len)).flatten();
-                        let copy = self
-                            .driver
-                            .dma_htod(machine, ctx, dst, &buffer, BULK_OFFSET, sealed_len)
-                            .map_err(EngineError::Driver)
-                            .and_then(|()| self.watched_sync(machine, session))
-                            .and_then(|()| {
-                                self.driver
-                                    .launch(
-                                        machine,
-                                        ctx,
-                                        DECRYPT_STREAM_KERNEL,
-                                        &[dst.value(), len, chunk, nonce_start],
-                                    )
-                                    .map_err(EngineError::Driver)
-                            })
-                            .and_then(|()| self.watched_sync(machine, session));
-                        // The in-flight flip hit only this DMA pass; the
-                        // staged sealed bytes themselves are intact again
-                        // for the retry.
-                        if let Some(flip) = flip {
-                            machine.os_undo_dma_flip(flip);
-                        }
-                        match copy {
-                            Ok(()) => break Response::Ok,
-                            Err(EngineError::Driver(DriverError::Gpu(code)))
-                                if code == errcode::INTEGRITY =>
-                            {
-                                attempt += 1;
-                                if attempt < MAX_DMA_ATTEMPTS {
-                                    machine.trace().metrics().inc(Counter::RecoveryRedma);
-                                    machine.trace().emit(
-                                        machine.clock().now(),
-                                        Nanos::ZERO,
-                                        EventKind::Security,
-                                        "chunk MAC failure; re-DMA",
-                                    );
-                                    continue;
-                                }
-                                // Persistent corruption: hostile data, not a
-                                // transient fault.
-                                self.sessions.get_mut(&session).expect("session").aborted = true;
-                                return Err(HixCoreError::IntegrityFailure);
+                    let mut off = 0u64;
+                    let mut index = 0u64;
+                    let mut failure: Option<EngineError> = None;
+                    while off < len {
+                        let this = chunk.min(len - off);
+                        let sealed = this + TAG_LEN as u64;
+                        let at = sealed_chunk_offset(index, chunk);
+                        let args = [staging.value(), sealed, dst.value() + off, nonce_start + index];
+                        let mut attempt = 0u32;
+                        let step = loop {
+                            // The OS may corrupt each chunk's first pass in
+                            // flight.
+                            let flip = (attempt == 0)
+                                .then(|| machine.os_dma_flip(buffer.bus().offset(at), sealed))
+                                .flatten();
+                            let copy = self
+                                .driver
+                                .dma_htod(machine, ctx, staging, &buffer, at, sealed)
+                                .map_err(EngineError::Driver)
+                                .and_then(|()| self.watched_sync(machine, session))
+                                .and_then(|()| {
+                                    self.driver
+                                        .launch(machine, ctx, DECRYPT_KERNEL, &args)
+                                        .map_err(EngineError::Driver)
+                                })
+                                .and_then(|()| self.watched_sync(machine, session));
+                            // The in-flight flip hit only this DMA pass; the
+                            // staged sealed bytes themselves are intact again
+                            // for the retry.
+                            if let Some(flip) = flip {
+                                machine.os_undo_dma_flip(flip);
                             }
-                            Err(e) => break self.engine_outcome(Err(e))?,
+                            match copy {
+                                Err(EngineError::Driver(DriverError::Gpu(code)))
+                                    if code == errcode::INTEGRITY =>
+                                {
+                                    attempt += 1;
+                                    if attempt < MAX_DMA_ATTEMPTS {
+                                        machine.trace().metrics().inc(Counter::RecoveryRedma);
+                                        machine.trace().emit(
+                                            machine.clock().now(),
+                                            Nanos::ZERO,
+                                            EventKind::Security,
+                                            "chunk MAC failure; re-DMA",
+                                        );
+                                        continue;
+                                    }
+                                    // Persistent corruption: hostile data,
+                                    // not a transient fault.
+                                    self.sessions.get_mut(&session).expect("session").aborted = true;
+                                    return Err(HixCoreError::IntegrityFailure);
+                                }
+                                other => break other,
+                            }
+                        };
+                        if let Err(e) = step {
+                            failure = Some(e);
+                            break;
                         }
+                        off += this;
+                        index += 1;
+                    }
+                    match failure {
+                        None => Response::Ok,
+                        Some(e) => self.engine_outcome(Err(e))?,
                     }
                 }
                 Request::MemcpyDtoH { src, len, chunk, nonce_start } => {
@@ -1287,8 +1307,8 @@ impl GpuEnclave {
                                     ctx,
                                     staging,
                                     &buffer,
-                                    BULK_OFFSET + index * (chunk + hix_crypto::ocb::TAG_LEN as u64),
-                                    this + hix_crypto::ocb::TAG_LEN as u64,
+                                    sealed_chunk_offset(index, chunk),
+                                    this + TAG_LEN as u64,
                                 )
                             })
                             .map_err(EngineError::Driver)

@@ -28,7 +28,7 @@ use hix_platform::{Machine, ProcessId, VirtAddr};
 use hix_sim::fault::Backoff;
 use hix_sim::{CostModel, Counter, EventKind, Nanos, Payload, COUNT_BOUNDS, LATENCY_BOUNDS_NS};
 
-use crate::channel::{sealed_stream_len, ChannelError, Endpoint, BULK_OFFSET};
+use crate::channel::{sealed_chunk_offset, sealed_stream_len, ChannelError, Endpoint, BULK_OFFSET};
 use crate::gpu_enclave::{GpuEnclave, HixCoreError, SessionId};
 use crate::protocol::{BatchCmd, Request, Response};
 
@@ -627,12 +627,8 @@ impl HixSession {
                     part,
                     sealed,
                 );
-                self.endpoint.buffer().write_bytes(
-                    machine,
-                    self.pid,
-                    BULK_OFFSET + i as u64 * (chunk + TAG_LEN as u64),
-                    sealed,
-                )?;
+                let at = sealed_chunk_offset(i as u64, chunk);
+                self.endpoint.buffer().write_bytes(machine, self.pid, at, sealed)?;
             }
         }
         machine.trace().metrics().add(Counter::DmaBytesEncrypted, len);
@@ -1203,12 +1199,8 @@ impl HixSession {
                     grow(&mut self.sealed_chunk, out.len().min(chunk as usize) + TAG_LEN);
                     for (i, part) in out.chunks_mut(chunk as usize).enumerate() {
                         let sealed = &mut self.sealed_chunk[..part.len() + TAG_LEN];
-                        self.endpoint.buffer().read_into(
-                            machine,
-                            self.pid,
-                            BULK_OFFSET + i as u64 * (chunk + TAG_LEN as u64),
-                            sealed,
-                        )?;
+                        let at = sealed_chunk_offset(i as u64, chunk);
+                        self.endpoint.buffer().read_into(machine, self.pid, at, sealed)?;
                         let nonce = Nonce::from_counter(nonce_start + i as u64);
                         self.data_ocb
                             .open_into(&nonce, DATA_AAD, sealed, part)
@@ -1687,6 +1679,29 @@ mod tests {
         let chunk = m.model().pipeline_chunk;
         refused(&mut m, &mut enclave, &mut s, Request::MemcpyDtoH { src, len, chunk, nonce_start: 0 });
         assert!(window(&mut m) == before, "the neighbour's window changed");
+    }
+
+    #[test]
+    fn a_transfer_whose_device_range_wraps_is_refused() {
+        let (mut m, mut enclave, mut s, _) = hostile();
+        let chunk = m.model().pipeline_chunk;
+        let top = DevAddr(u64::MAX - 4095);
+        let htod = Request::MemcpyHtoD { dst: top, len: 8192, chunk, nonce_start: 0 };
+        refused(&mut m, &mut enclave, &mut s, htod);
+        let dtoh = Request::MemcpyDtoH { src: top, len: 8192, chunk, nonce_start: 0 };
+        refused(&mut m, &mut enclave, &mut s, dtoh);
+    }
+
+    #[test]
+    fn a_failed_malloc_leaves_vram_for_every_session() {
+        let (mut m, mut enclave) = setup();
+        let mut a = HixSession::connect_with(&mut m, &mut enclave, 1 << 20, b"alice").unwrap();
+        let mut b = HixSession::connect_with(&mut m, &mut enclave, 1 << 20, b"bob").unwrap();
+        // More than the GPU's 1.5 GiB of VRAM.
+        assert!(a.malloc(&mut m, &mut enclave, 2 << 30).is_err());
+        for s in [&mut a, &mut b] {
+            s.malloc(&mut m, &mut enclave, 4096).unwrap();
+        }
     }
 
     #[test]

@@ -320,6 +320,13 @@ impl GpuDriver {
         len: u64,
     ) -> Result<DevAddr, DriverError> {
         let pages = len.div_ceil(GPU_PAGE_SIZE).max(1);
+        // The length comes from a tenant: refuse what the free list and
+        // the unbumped VRAM cannot cover before touching the heap, a
+        // `Vec` or any frame.
+        let unbumped = (self.vram_size.saturating_sub(self.vram_next)) / GPU_PAGE_SIZE;
+        if pages > self.free_frames.len() as u64 + unbumped {
+            return Err(DriverError::OutOfMemory);
+        }
         let heap = self.heaps.get_mut(&ctx.0).expect("context exists");
         let va = DevAddr(*heap);
         *heap += pages * GPU_PAGE_SIZE;
@@ -877,22 +884,37 @@ mod tests {
         driver.sync(&mut m).unwrap();
     }
 
-    #[test]
-    fn out_of_memory_detected() {
+    /// A driver on a GPU with `vram_size` bytes of VRAM, and one context.
+    fn small_vram(vram_size: u64) -> (Machine, GpuDriver, CtxId) {
         let mut m = standard_rig(RigOptions {
-            gpu: hix_gpu::device::GpuConfig {
-                vram_size: 2 << 20,
-                ..Default::default()
-            },
+            gpu: hix_gpu::device::GpuConfig { vram_size, ..Default::default() },
             ..Default::default()
         });
         let pid = m.create_process();
         let bar0_va = os_map_bar0(&mut m, pid, GPU_BDF, 16);
         let mut driver = GpuDriver::attach(&mut m, pid, GPU_BDF, bar0_va, None).unwrap();
         let ctx = driver.create_ctx(&mut m).unwrap();
+        (m, driver, ctx)
+    }
+
+    #[test]
+    fn out_of_memory_detected() {
+        let (mut m, mut driver, ctx) = small_vram(2 << 20);
         assert!(matches!(
             driver.malloc(&mut m, ctx, 64 << 20),
             Err(DriverError::OutOfMemory)
         ));
+    }
+
+    #[test]
+    fn an_oversized_malloc_takes_nothing() {
+        let (mut m, mut driver, ctx) = small_vram(4 << 20);
+        for len in [8 << 20, 1 << 50, u64::MAX] {
+            assert_eq!(driver.malloc(&mut m, ctx, len), Err(DriverError::OutOfMemory), "{len:#x}");
+        }
+        // Neither the heap nor a frame moved: all the VRAM past the
+        // firmware MiB is still one allocation, at the heap's base.
+        let rest = driver.vram_size() - 0x10_0000;
+        assert_eq!(driver.malloc(&mut m, ctx, rest), Ok(DevAddr(0x100_0000)));
     }
 }

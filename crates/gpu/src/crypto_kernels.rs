@@ -43,7 +43,8 @@ pub const ENCRYPT_KERNEL: &str = "hix.ocb_encrypt";
 
 /// `hix.ocb_decrypt(src, sealed_len, dst, nonce_counter)` — opens the
 /// sealed buffer at `src` with the context session key and writes the
-/// plaintext at `dst`.
+/// `sealed_len - 16` plaintext bytes at `dst`. Charged by the plaintext
+/// it opens, as the encryptor is by the plaintext it seals.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct OcbDecryptKernel;
 
@@ -53,7 +54,7 @@ impl GpuKernel for OcbDecryptKernel {
     }
 
     fn cost(&self, model: &CostModel, args: &[u64]) -> Nanos {
-        model.gpu_crypt(args.get(1).copied().unwrap_or(0))
+        model.gpu_crypt(args.get(1).copied().unwrap_or(0).saturating_sub(TAG_LEN as u64))
     }
 
     fn run(&self, exec: &mut KernelExec<'_>) -> Result<(), KernelError> {
@@ -230,6 +231,33 @@ mod tests {
             OcbDecryptKernel.run(&mut exec),
             Err(KernelError::IntegrityFailure)
         );
+    }
+
+    #[test]
+    fn decrypt_kernel_refuses_wrapping_ranges_and_short_buffers() {
+        let key = [9u8; 16];
+        let mut ctx = ctx_with_key(key);
+        // The top page is mapped, so only the wrap is left to refuse.
+        let top = u64::MAX - 4095;
+        ctx.map_page(DevAddr(top), 16 * 4096);
+        let mut vram = Vram::new(1 << 20);
+        let sealed = ocb::seal(
+            &ocb::Key::from_bytes(key),
+            &ocb::Nonce::from_counter(7),
+            DATA_AAD,
+            &[5; 100],
+        );
+        vram.write(0x1000, &sealed);
+        vram.write(16 * 4096 + 4000, &sealed[..96]);
+        let n = sealed.len() as u64;
+        // (src, sealed_len, dst): a source that wraps, a destination
+        // that wraps, and a buffer shorter than a tag.
+        for args in [[top + 4000, n, 0x8000, 7], [0x1000, n, top + 4000, 7], [0x1000, 15, 0x8000, 7]] {
+            let mut scratch = Vec::new();
+            let mut exec = KernelExec::new(&ctx, &mut vram, &args, &mut scratch);
+            let result = OcbDecryptKernel.run(&mut exec);
+            assert!(matches!(result, Err(KernelError::BadArgs(_))), "{args:x?}: {result:?}");
+        }
     }
 
     #[test]
