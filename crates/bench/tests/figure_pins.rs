@@ -30,14 +30,14 @@ fn matrix(op: MatrixOp, n: usize) -> FigureRow {
 
 /// Per app, in suite order: Gdev and HIX mean task times (ns).
 const FIG7: [(&str, u64, u64); 9] = [
-    ("BP", 85559353, 153703328),
+    ("BP", 85559353, 153702873),
     ("BFS", 50829154, 61346110),
-    ("GS", 1080461653, 1121737768),
-    ("HS", 36814763, 28102955),
-    ("LUD", 86059301, 89802787),
+    ("GS", 1080461653, 1121737313),
+    ("HS", 36814763, 28102501),
+    ("LUD", 86059301, 89802333),
     ("NW", 125644869, 213928356),
     ("NN", 24284376, 8069824),
-    ("PF", 82267844, 202781133),
+    ("PF", 82267844, 202780679),
     ("SRAD", 84545706, 94883942),
 ];
 
@@ -59,7 +59,7 @@ fn figure_7_cells_are_pinned() {
 #[test]
 fn matrix_measurement_produces_sane_ratio() {
     let row = matrix(MatrixOp::Add, 2048);
-    assert_eq!(ns(&row), (37508511, 43294608), "add-2048 moved");
+    assert_eq!(ns(&row), (37508511, 43294154), "add-2048 moved");
     assert!(row.hix > row.gdev, "secure path must cost more for add");
 }
 
@@ -69,8 +69,8 @@ fn mul_overhead_shrinks_with_size() {
     // the task-init advantage muddies the trend, as in Fig. 6b).
     let small = matrix(MatrixOp::Mul, 4096);
     let large = matrix(MatrixOp::Mul, 11264);
-    assert_eq!(ns(&small), (524991355, 593599373), "mul-4096 moved");
-    assert_eq!(ns(&large), (9755806003, 10374105831), "mul-11264 moved");
+    assert_eq!(ns(&small), (524991355, 593598919), "mul-4096 moved");
+    assert_eq!(ns(&large), (9755806003, 10374105376), "mul-11264 moved");
     assert!(
         large.overhead_pct() < small.overhead_pct(),
         "compute-dominance hides crypto: {} vs {}",
@@ -82,8 +82,8 @@ fn mul_overhead_shrinks_with_size() {
 #[test]
 fn figure_6_small_cells_are_pinned() {
     let (mul, add) = (matrix(MatrixOp::Mul, 2048), matrix(MatrixOp::Add, 4096));
-    assert_eq!(ns(&mul), (93232443, 99018540), "mul-2048 moved");
-    assert_eq!(ns(&add), (77522171, 146130189), "add-4096 moved");
+    assert_eq!(ns(&mul), (93232443, 99018086), "mul-2048 moved");
+    assert_eq!(ns(&add), (77522171, 146129735), "add-4096 moved");
 }
 
 /// The harnesses' configuration: equal weights, the model's quantum,

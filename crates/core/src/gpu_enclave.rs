@@ -8,9 +8,7 @@ use hix_crypto::ocb::TAG_LEN;
 use hix_crypto::sha256;
 use hix_driver::driver::{DriverError, GpuDriver};
 use hix_driver::DmaBuffer;
-use hix_gpu::crypto_kernels::{
-    DECRYPT_KERNEL, DECRYPT_STREAM_KERNEL, ENCRYPT_KERNEL, RESERVED_PREFIX,
-};
+use hix_gpu::crypto_kernels::{DECRYPT_KERNEL, ENCRYPT_KERNEL, RESERVED_PREFIX};
 use hix_gpu::ctx::CtxId;
 use hix_gpu::regs::{bar0, errcode};
 use hix_gpu::vram::{span_fits, DevAddr};
@@ -399,7 +397,7 @@ impl GpuEnclave {
             TRUSTED_BAR0_VA,
             bar1_va,
         )?;
-        for name in [DECRYPT_KERNEL, ENCRYPT_KERNEL, DECRYPT_STREAM_KERNEL] {
+        for name in [DECRYPT_KERNEL, ENCRYPT_KERNEL] {
             driver.load_module(machine, name)?;
         }
 
@@ -1151,11 +1149,10 @@ impl GpuEnclave {
             // Transfer geometry comes off the wire: before any arithmetic
             // or DMA, refuse a chunk other than the machine's, a sealed
             // stream the session's own window cannot hold, a nonce range
-            // that overflows, a device range that wraps, and an
-            // allocation whose padding overflows.
+            // that overflows and a device range that wraps. (The driver
+            // refuses an allocation larger than the free VRAM itself.)
             let window = state.endpoint.bulk_capacity();
             let bad_geometry = match request {
-                Request::Malloc { len } => sealed_stream_len(len, chunk_cfg).is_none(),
                 Request::MemcpyHtoD { dst: addr, len, chunk, nonce_start }
                 | Request::MemcpyDtoH { src: addr, len, chunk, nonce_start } => {
                     chunk != chunk_cfg
@@ -1179,16 +1176,10 @@ impl GpuEnclave {
                     Ok(()) => Response::Ok,
                     Err(e) => Response::Err(e.to_string()),
                 },
-                Request::Malloc { len } => {
-                    // Pad for the in-place sealed stream (one tag per chunk,
-                    // §4.4.2 single-copy: the sealed bytes land in the same
-                    // buffer the plaintext ends up in).
-                    let padded = sealed_stream_len(len, chunk_cfg).expect("checked above");
-                    match self.driver.malloc(machine, ctx, padded.max(1)) {
-                        Ok(va) => Response::Addr(va),
-                        Err(e) => Response::Err(e.to_string()),
-                    }
-                }
+                Request::Malloc { len } => match self.driver.malloc(machine, ctx, len) {
+                    Ok(va) => Response::Addr(va),
+                    Err(e) => Response::Err(e.to_string()),
+                },
                 Request::Free { va } => match self.driver.free(machine, ctx, va, true) {
                     Ok(()) => Response::Ok,
                     Err(e) => Response::Err(e.to_string()),
@@ -1530,7 +1521,7 @@ impl GpuEnclave {
             }
 
             self.driver.reinit_after_reset(machine)?;
-            for name in [DECRYPT_KERNEL, ENCRYPT_KERNEL, DECRYPT_STREAM_KERNEL] {
+            for name in [DECRYPT_KERNEL, ENCRYPT_KERNEL] {
                 self.driver.load_module(machine, name)?;
             }
             for state in self.sessions.values_mut() {

@@ -1706,13 +1706,13 @@ mod tests {
 
     #[test]
     fn a_tenant_can_neither_load_nor_launch_the_enclaves_crypto_kernels() {
-        use hix_gpu::crypto_kernels::{DECRYPT_STREAM_KERNEL, ENCRYPT_KERNEL};
+        use hix_gpu::crypto_kernels::{DECRYPT_KERNEL, ENCRYPT_KERNEL};
         let (mut m, mut enclave, mut s, dev) = hostile();
         let data = Payload::from_bytes(vec![0x5a; 4096]);
         s.memcpy_htod(&mut m, &mut enclave, dev, &data).unwrap();
         let args = [dev.value(), 4096, u64::MAX, 0];
-        let launch = s.launch(&mut m, &mut enclave, DECRYPT_STREAM_KERNEL, &args);
-        assert!(launch.is_err(), "a tenant launched the enclave's stream decryption");
+        let launch = s.launch(&mut m, &mut enclave, DECRYPT_KERNEL, &args);
+        assert!(launch.is_err(), "a tenant launched the enclave's decryption");
         let load = s.load_module(&mut m, &mut enclave, ENCRYPT_KERNEL);
         assert!(load.is_err(), "a tenant loaded the enclave's encryption kernel");
         s.sync(&mut m, &mut enclave).unwrap();

@@ -1,11 +1,14 @@
 //! The built-in in-GPU OCB-AES kernels (§4.4.2).
 //!
-//! Under HIX's single-copy design, encrypted user data is DMAed straight
-//! into GPU memory and decrypted *inside* the GPU by an ordinary kernel
-//! running in the user's context (whose session key was agreed during the
-//! three-party handshake); DtoH runs the mirror-image encryption kernel
-//! before the DMA out. Nonces are per-direction counters supplied by the
-//! GPU enclave.
+//! Under HIX's single-copy design, encrypted user data crosses PCIe once
+//! and is decrypted *inside* the GPU by an ordinary kernel running in the
+//! user's context (whose session key was agreed during the three-party
+//! handshake). Both directions work one pipeline chunk at a time through
+//! the session's staging buffer in VRAM: HtoD DMAs each sealed chunk into
+//! it and `hix.ocb_decrypt` opens the chunk into the destination; DtoH
+//! seals each chunk into it with `hix.ocb_encrypt` before the DMA out.
+//! Nonces are per-direction counters supplied by the GPU enclave, one per
+//! chunk.
 //!
 //! The kernels run against the context's **cached** keyed OCB context
 //! ([`KernelExec::session_ocb`]): the key schedule and 64-entry L-table
@@ -15,12 +18,11 @@
 //!
 //! Their working buffers (one sealed and one plaintext span) come from
 //! the device's kernel scratch (`KernelExec::scratch_pair`), which lives
-//! across launches. Each launch sizes its spans by what it moves: the
-//! single-shot kernels by their length argument, the stream kernel by
-//! `min(chunk, plain_len)`. The GPU enclave never launches one on more
-//! than a pipeline chunk, so the scratch stays within
-//! 2 x (`pipeline_chunk` + [`TAG_LEN`]) and a steady-state launch
-//! allocates nothing. A 1 KiB transfer touches 2 KiB + 16 of scratch.
+//! across launches. Each launch sizes its spans by its length argument.
+//! The GPU enclave never launches one on more than a pipeline chunk, so
+//! the scratch stays within 2 x (`pipeline_chunk` + [`TAG_LEN`]) and a
+//! steady-state launch allocates nothing. A 1 KiB transfer touches
+//! 2 KiB + 16 of scratch.
 
 use hix_crypto::ocb::{Nonce, TAG_LEN};
 use hix_sim::{CostModel, Nanos};
@@ -101,74 +103,10 @@ impl GpuKernel for OcbEncryptKernel {
     }
 }
 
-/// Kernel name of the in-place streaming decryptor.
-pub const DECRYPT_STREAM_KERNEL: &str = "hix.ocb_decrypt_stream";
-
-/// `hix.ocb_decrypt_stream(buf, plain_len, chunk, nonce_start)` — the
-/// single decryption launch of §4.4.3: the buffer holds the chunked
-/// sealed layout produced by the pipelined HtoD path (chunk *i*'s sealed
-/// bytes at offset `i * (chunk + 16)`); the kernel decrypts every chunk
-/// in place, leaving `plain_len` plaintext bytes at the buffer start.
-/// One nonce is consumed per chunk, starting at `nonce_start`.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct OcbDecryptStreamKernel;
-
-impl GpuKernel for OcbDecryptStreamKernel {
-    fn name(&self) -> &str {
-        DECRYPT_STREAM_KERNEL
-    }
-
-    fn cost(&self, model: &CostModel, args: &[u64]) -> Nanos {
-        model.gpu_crypt(args.get(1).copied().unwrap_or(0))
-    }
-
-    fn run(&self, exec: &mut KernelExec<'_>) -> Result<(), KernelError> {
-        let buf = DevAddr(exec.arg(0)?);
-        let plain_len = exec.arg(1)?;
-        let chunk = exec.arg(2)?;
-        let nonce_start = exec.arg(3)?;
-        if chunk == 0 {
-            return Err(KernelError::BadArgs("zero chunk size"));
-        }
-        let ocb = exec.session_ocb().ok_or(KernelError::BadArgs("no session key"))?;
-        // One sealed and one plaintext span for the whole stream, sized by
-        // the largest chunk this transfer actually has.
-        let span = chunk.min(plain_len) as usize;
-        let (sealed, plain) = exec.scratch_pair(span.saturating_add(TAG_LEN), span)?;
-        let mut done = 0u64;
-        let mut index = 0u64;
-        while done < plain_len {
-            let this = chunk.min(plain_len - done) as usize;
-            // Off-device arguments: the chunk's sealed address and nonce
-            // may not wrap (its plaintext lands below its sealed bytes).
-            let sealed_at = chunk
-                .checked_add(TAG_LEN as u64)
-                .and_then(|stride| stride.checked_mul(index))
-                .and_then(|off| buf.value().checked_add(off));
-            let (Some(sealed_at), Some(nonce)) = (sealed_at, nonce_start.checked_add(index)) else {
-                return Err(KernelError::BadArgs("sealed stream overflows"));
-            };
-            exec.read(DevAddr(sealed_at), &mut sealed[..this + TAG_LEN])?;
-            ocb.open_into(
-                &Nonce::from_counter(nonce),
-                DATA_AAD,
-                &sealed[..this + TAG_LEN],
-                &mut plain[..this],
-            )
-            .map_err(|_| KernelError::IntegrityFailure)?;
-            exec.write(buf.offset(done), &plain[..this])?;
-            done += this as u64;
-            index += 1;
-        }
-        Ok(())
-    }
-}
-
 /// Installs the crypto kernels on a device.
 pub fn install(device: &mut crate::device::GpuDevice) {
     device.install_kernel(Box::new(OcbDecryptKernel));
     device.install_kernel(Box::new(OcbEncryptKernel));
-    device.install_kernel(Box::new(OcbDecryptStreamKernel));
 }
 
 #[cfg(test)]
@@ -177,7 +115,6 @@ mod tests {
     use crate::ctx::{CtxId, GpuContext};
     use crate::vram::Vram;
     use hix_crypto::ocb;
-    use hix_crypto::ocb::Ocb;
 
     fn ctx_with_key(key: [u8; 16]) -> GpuContext {
         let mut ctx = GpuContext::new(CtxId(1));
@@ -300,90 +237,6 @@ mod tests {
             OcbEncryptKernel.run(&mut exec),
             Err(KernelError::BadArgs(_))
         ));
-    }
-
-    #[test]
-    fn decrypt_stream_in_place() {
-        let key = [5u8; 16];
-        let mut ctx = GpuContext::new(CtxId(1));
-        for page in 0..64u64 {
-            ctx.map_page(DevAddr(page * 4096), page * 4096);
-        }
-        ctx.set_session_key(key);
-        let mut vram = Vram::new(1 << 20);
-        // Build the chunked sealed layout the HtoD pipeline produces.
-        let chunk = 1000u64;
-        let plain: Vec<u8> = (0..2500u32).map(|i| (i * 13) as u8).collect();
-        let ocb = Ocb::new(&ocb::Key::from_bytes(key));
-        let nonce_start = 77u64;
-        for (i, part) in plain.chunks(chunk as usize).enumerate() {
-            let sealed = ocb.seal(
-                &ocb::Nonce::from_counter(nonce_start + i as u64),
-                DATA_AAD,
-                part,
-            );
-            vram.write(i as u64 * (chunk + TAG_LEN as u64), &sealed);
-        }
-        let args = [0u64, plain.len() as u64, chunk, nonce_start];
-        let mut scratch = Vec::new();
-        let mut exec = KernelExec::new(&ctx, &mut vram, &args, &mut scratch);
-        OcbDecryptStreamKernel.run(&mut exec).unwrap();
-        let mut out = vec![0u8; plain.len()];
-        vram.read(0, &mut out);
-        assert_eq!(out, plain);
-    }
-
-    #[test]
-    fn decrypt_stream_detects_tampered_chunk() {
-        let key = [5u8; 16];
-        let mut ctx = GpuContext::new(CtxId(1));
-        for page in 0..4u64 {
-            ctx.map_page(DevAddr(page * 4096), page * 4096);
-        }
-        ctx.set_session_key(key);
-        let mut vram = Vram::new(1 << 20);
-        let ocb = Ocb::new(&ocb::Key::from_bytes(key));
-        let sealed = ocb.seal(&ocb::Nonce::from_counter(0), DATA_AAD, &[7u8; 100]);
-        vram.write(0, &sealed);
-        // Corrupt one byte of the second half.
-        let mut byte = [0u8; 1];
-        vram.read(60, &mut byte);
-        vram.write(60, &[byte[0] ^ 1]);
-        let args = [0u64, 100, 4096, 0];
-        let mut scratch = Vec::new();
-        let mut exec = KernelExec::new(&ctx, &mut vram, &args, &mut scratch);
-        assert_eq!(
-            OcbDecryptStreamKernel.run(&mut exec),
-            Err(KernelError::IntegrityFailure)
-        );
-    }
-
-    #[test]
-    fn decrypt_stream_refuses_arguments_that_overflow() {
-        let key = [5u8; 16];
-        let ocb = Ocb::new(&ocb::Key::from_bytes(key));
-        let chunk = 4080u64;
-        let top = u64::MAX - 4095;
-        // (buffer, chunk, nonce_start): a chunk whose sealed stride
-        // overflows, a nonce counter that passes 2^64 on the second
-        // chunk, and a buffer whose second chunk starts at 2^64.
-        for (buf, stride, nonce_start) in [(0, u64::MAX, 0), (0, chunk, u64::MAX), (top, chunk, 0)] {
-            let mut ctx = GpuContext::new(CtxId(1));
-            ctx.map_page(DevAddr(buf), 0);
-            if let Some(next) = buf.checked_add(4096) {
-                ctx.map_page(DevAddr(next), 4096);
-            }
-            ctx.set_session_key(key);
-            let mut vram = Vram::new(1 << 20);
-            // A genuine first chunk, so only the second chunk's
-            // arithmetic is left to fail.
-            vram.write(0, &ocb.seal(&ocb::Nonce::from_counter(nonce_start), DATA_AAD, &[7; 4080]));
-            let args = [buf, 2 * chunk, stride, nonce_start];
-            let mut scratch = Vec::new();
-            let mut exec = KernelExec::new(&ctx, &mut vram, &args, &mut scratch);
-            let result = OcbDecryptStreamKernel.run(&mut exec);
-            assert!(matches!(result, Err(KernelError::BadArgs(_))), "{args:x?}: {result:?}");
-        }
     }
 
     #[test]

@@ -44,8 +44,8 @@ cargo test -q --offline
 # commit.
 cargo build --release --offline --locked --manifest-path hixbench/Cargo.toml
 cargo test --release --offline --locked --manifest-path hixbench/Cargo.toml
-for pin in bulk-transfer:a1cb90fb7caee6d2 small-ops:b9246915869affbe \
-    session-churn:49c90cde7675d613 multiuser-model:801b7e69c487b744; do
+for pin in bulk-transfer:deee277a556768cc small-ops:cb9a1b12ed7eb12e \
+    session-churn:fc7c7916d64f290d multiuser-model:801b7e69c487b744; do
     workload=${pin%%:*}
     output=$(cargo run -q --release --offline --locked --manifest-path hixbench/Cargo.toml -- \
         --workload "$workload" --seconds 0 --seed 501 --trace 0)

@@ -60,22 +60,18 @@ fn draw_off(s: &mut Source, size: usize, len: usize) -> usize {
 fn draw_op(s: &mut Source) -> Op {
     let kind = s.choice(4);
     let buf = s.index(2);
+    if kind == 3 {
+        let len = draw_len(s, SIZES[0].min(SIZES[1]));
+        let src_off = draw_off(s, SIZES[buf], len);
+        let dst_off = draw_off(s, SIZES[1 - buf], len);
+        return Op::DtoD { src: buf, src_off, dst_off, len };
+    }
+    let len = draw_len(s, SIZES[buf]);
+    let off = draw_off(s, SIZES[buf], len);
     match kind {
-        0 | 1 | 2 => {
-            let len = draw_len(s, SIZES[buf]);
-            let off = draw_off(s, SIZES[buf], len);
-            match kind {
-                0 => Op::HtoD { buf, off, len, salt: s.u8() },
-                1 => Op::DtoH { buf, off, len },
-                _ => Op::Memset { buf, off, len, value: s.u8() },
-            }
-        }
-        _ => {
-            let len = draw_len(s, SIZES[0].min(SIZES[1]));
-            let src_off = draw_off(s, SIZES[buf], len);
-            let dst_off = draw_off(s, SIZES[1 - buf], len);
-            Op::DtoD { src: buf, src_off, dst_off, len }
-        }
+        0 => Op::HtoD { buf, off, len, salt: s.u8() },
+        1 => Op::DtoH { buf, off, len },
+        _ => Op::Memset { buf, off, len, value: s.u8() },
     }
 }
 

@@ -27,11 +27,11 @@ use hix_workloads::all_kernels;
 /// fault. A change that only moves where a fault is decided or
 /// recorded must keep every digest.
 const PINNED: [(u64, &str, bool, &str); 5] = [
-    (0xD1FF_5EED, "heavy", false, "a2a2787a3e1a516127a2ecf7db39a9b828af7c339e125111807b64035585f3ea"),
-    (0xD1FF_5EED, "heavy", true, "93780ae0e88db1f48797bf7fff57f86958b6bef4f2eb276d83240451938131e5"),
-    (0x7D2D_5EED, "gpu-heavy", false, "e6203e2dab65e203feee04a90f519a084822e016c9ca0ce5f3afc0930f41bb51"),
-    (0x7D20_0001, "gpu-heavy", false, "c7ec4abe7a5667ca988944308844b25ce572fdf17de8cc93951127e36cdc2559"),
-    (0xA5E1_0001, "heavy", true, "7a4e8ef8e520a10a3d70f3e05236e5d2d6392c452f692edb2a387a26ef105d2c"),
+    (0xD1FF_5EED, "heavy", false, "31aaeb895efc6bb16a7bc25b7d574ea248f2aa4d22148f60d8074622a665da5e"),
+    (0xD1FF_5EED, "heavy", true, "6ca089870d3aff87b442816ce766513a0a626bb9751e95172cd4468f809c2658"),
+    (0x7D2D_5EED, "gpu-heavy", false, "9caaa7efc908a727ca99159515076a9a89f7dfbb4ad18c3c87dc7364d4d5ed74"),
+    (0x7D20_0001, "gpu-heavy", false, "ccd6b427f37f9d3ea9a29580edeeea36ce372cbd06a6c96b43f9e18c6e3f1a6f"),
+    (0xA5E1_0001, "heavy", true, "a38d80e88130bd71c98a5d76a4e236db16ca63dacedf371066992c2c7c888484"),
 ];
 
 /// Every `fault.injected.<kind>` the machine profiles inject.
