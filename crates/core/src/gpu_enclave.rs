@@ -233,8 +233,9 @@ enum EngineError {
     /// The session's context was torn down by a TDR action; the user
     /// must rebuild the session and replay its journal.
     Tdr,
-    /// The secure reset's trust re-checks failed — the enclave itself
-    /// can no longer vouch for the device; propagated as a hard error.
+    /// A hard error, propagated: the secure reset's trust re-checks
+    /// failed (the enclave itself can no longer vouch for the device),
+    /// or a sealed chunk failed its MAC on every attempt (hostile data).
     Fatal(HixCoreError),
 }
 
@@ -1197,16 +1198,21 @@ impl GpuEnclave {
                     // before declaring the data hostile and aborting the
                     // session.
                     const MAX_DMA_ATTEMPTS: u32 = 3;
-                    let mut off = 0u64;
-                    let mut index = 0u64;
-                    let mut failure: Option<EngineError> = None;
-                    while off < len {
-                        let this = chunk.min(len - off);
-                        let sealed = this + TAG_LEN as u64;
+                    let walk = (0..len.div_ceil(chunk)).try_for_each(|index| {
+                        let off = index * chunk;
+                        let sealed = chunk.min(len - off) + TAG_LEN as u64;
                         let at = sealed_chunk_offset(index, chunk);
                         let args = [staging.value(), sealed, dst.value() + off, nonce_start + index];
-                        let mut attempt = 0u32;
-                        let step = loop {
+                        for attempt in 0..MAX_DMA_ATTEMPTS {
+                            if attempt > 0 {
+                                machine.trace().metrics().inc(Counter::RecoveryRedma);
+                                machine.trace().emit(
+                                    machine.clock().now(),
+                                    Nanos::ZERO,
+                                    EventKind::Security,
+                                    "chunk MAC failure; re-DMA",
+                                );
+                            }
                             // The OS may corrupt each chunk's first pass in
                             // flight.
                             let flip = (attempt == 0)
@@ -1230,39 +1236,16 @@ impl GpuEnclave {
                                 machine.os_undo_dma_flip(flip);
                             }
                             match copy {
-                                Err(EngineError::Driver(DriverError::Gpu(code)))
-                                    if code == errcode::INTEGRITY =>
-                                {
-                                    attempt += 1;
-                                    if attempt < MAX_DMA_ATTEMPTS {
-                                        machine.trace().metrics().inc(Counter::RecoveryRedma);
-                                        machine.trace().emit(
-                                            machine.clock().now(),
-                                            Nanos::ZERO,
-                                            EventKind::Security,
-                                            "chunk MAC failure; re-DMA",
-                                        );
-                                        continue;
-                                    }
-                                    // Persistent corruption: hostile data,
-                                    // not a transient fault.
-                                    self.sessions.get_mut(&session).expect("session").aborted = true;
-                                    return Err(HixCoreError::IntegrityFailure);
-                                }
-                                other => break other,
+                                Err(EngineError::Driver(DriverError::Gpu(errcode::INTEGRITY))) => {}
+                                other => return other,
                             }
-                        };
-                        if let Err(e) = step {
-                            failure = Some(e);
-                            break;
                         }
-                        off += this;
-                        index += 1;
-                    }
-                    match failure {
-                        None => Response::Ok,
-                        Some(e) => self.engine_outcome(Err(e))?,
-                    }
+                        // Persistent corruption: hostile data, not a
+                        // transient fault.
+                        self.sessions.get_mut(&session).expect("session").aborted = true;
+                        Err(EngineError::Fatal(HixCoreError::IntegrityFailure))
+                    });
+                    self.engine_outcome(walk)?
                 }
                 Request::MemcpyDtoH { src, len, chunk, nonce_start } => {
                     let staging = state.staging;
@@ -1279,45 +1262,23 @@ impl GpuEnclave {
                         let now = machine.clock().now();
                         self.xfer_pipe.dtoh(&model, now, len)
                     };
-                    let mut off = 0u64;
-                    let mut index = 0u64;
-                    let mut failure: Option<EngineError> = None;
-                    while off < len {
+                    let walk = (0..len.div_ceil(chunk)).try_for_each(|index| {
+                        let off = index * chunk;
                         let this = chunk.min(len - off);
-                        let step = self
-                            .driver
-                            .launch(
-                                machine,
-                                ctx,
-                                ENCRYPT_KERNEL,
-                                &[src.value() + off, this, staging.value(), nonce_start + index],
-                            )
+                        let args = [src.value() + off, this, staging.value(), nonce_start + index];
+                        let at = sealed_chunk_offset(index, chunk);
+                        self.driver
+                            .launch(machine, ctx, ENCRYPT_KERNEL, &args)
                             .and_then(|()| {
-                                self.driver.dma_dtoh(
-                                    machine,
-                                    ctx,
-                                    staging,
-                                    &buffer,
-                                    sealed_chunk_offset(index, chunk),
-                                    this + TAG_LEN as u64,
-                                )
+                                self.driver.dma_dtoh(machine, ctx, staging, &buffer, at, this + TAG_LEN as u64)
                             })
                             .map_err(EngineError::Driver)
-                            .and_then(|()| self.watched_sync(machine, session));
-                        if let Err(e) = step {
-                            failure = Some(e);
-                            break;
-                        }
-                        off += this;
-                        index += 1;
+                            .and_then(|()| self.watched_sync(machine, session))
+                    });
+                    if walk.is_ok() {
+                        machine.clock().advance_to(dtoh_done);
                     }
-                    match failure {
-                        None => {
-                            machine.clock().advance_to(dtoh_done);
-                            Response::Ok
-                        }
-                        Some(e) => self.engine_outcome(Err(e))?,
-                    }
+                    self.engine_outcome(walk)?
                 }
                 Request::Memset { va, len, value } => {
                     let queued = self.driver.memset(machine, ctx, va, len, value);

@@ -1840,6 +1840,23 @@ mod tests {
     }
 
     #[test]
+    fn a_flipped_chunk_is_re_dmaed_alone() {
+        use hix_sim::fault::{FaultConfig, FaultPlan};
+        let (mut m, mut enclave) = setup();
+        let mut s = HixSession::connect(&mut m, &mut enclave).unwrap();
+        // 2.5 pipeline chunks; the OS flips a bit in every first pass.
+        let len = (m.model().pipeline_chunk * 5 / 2) as usize;
+        let dev = s.malloc(&mut m, &mut enclave, len as u64).unwrap();
+        let data: Vec<u8> = (0..len as u32).map(|i| (i ^ (i >> 9)) as u8).collect();
+        m.set_fault_plan(FaultPlan::new(3, FaultConfig { dma_flip_pm: 1000, ..FaultConfig::none() }));
+        s.memcpy_htod(&mut m, &mut enclave, dev, &Payload::from_bytes(data.clone())).unwrap();
+        m.clear_fault_plan();
+        assert_eq!(m.trace().metrics().counter("recovery.redma"), 3, "one re-DMA per chunk");
+        let back = s.memcpy_dtoh(&mut m, &mut enclave, dev, len as u64).unwrap();
+        assert_eq!(back.bytes(), &data[..]);
+    }
+
+    #[test]
     #[should_panic(expected = "shared-memory window")]
     fn transfer_larger_than_window_is_a_programming_error() {
         let (mut m, mut enclave) = setup();

@@ -323,7 +323,7 @@ impl GpuDriver {
         // The length comes from a tenant: refuse what the free list and
         // the unbumped VRAM cannot cover before touching the heap, a
         // `Vec` or any frame.
-        let unbumped = (self.vram_size.saturating_sub(self.vram_next)) / GPU_PAGE_SIZE;
+        let unbumped = self.vram_size.saturating_sub(self.vram_next) / GPU_PAGE_SIZE;
         if pages > self.free_frames.len() as u64 + unbumped {
             return Err(DriverError::OutOfMemory);
         }

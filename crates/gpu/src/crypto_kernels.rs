@@ -185,7 +185,6 @@ mod tests {
             &[5; 100],
         );
         vram.write(0x1000, &sealed);
-        vram.write(16 * 4096 + 4000, &sealed[..96]);
         let n = sealed.len() as u64;
         // (src, sealed_len, dst): a source that wraps, a destination
         // that wraps, and a buffer shorter than a tag.
