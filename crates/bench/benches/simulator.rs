@@ -1,10 +1,12 @@
 //! Micro-benches (hix-testkit): wall-clock cost of the simulator's hot
 //! paths — the routed MMIO access (page walk + EPCM/TGMR checks +
 //! fabric routing), the secure channel round trip (one `sync`: a sealed
-//! request and its response), and a full secure transfer in each
-//! direction. These bound how large a functional experiment the
-//! simulator can carry.
+//! request and its response), a full secure transfer in each
+//! direction, a full handshake, and one whole session on a small
+//! window. These bound how large a functional experiment the simulator
+//! can carry.
 
+use hix_core::runtime::shared_window_for;
 use hix_core::{GpuEnclave, GpuEnclaveOptions, HixSession};
 use hix_driver::driver::os_map_bar0;
 use hix_driver::rig::{standard_rig, RigOptions, GPU_BDF};
@@ -88,10 +90,39 @@ fn bench_session_setup() {
     });
 }
 
+/// One whole session on the window a 96 KiB transfer needs (30 pages,
+/// 26 of them bulk): connect, malloc, 64 KiB HtoD, DtoH, free, close.
+/// The staging buffer the enclave maps at connect and scrubs at close
+/// is sized to the window.
+fn bench_session_lifecycle() {
+    let mut machine = standard_rig(RigOptions::default());
+    let mut enclave = GpuEnclave::launch(&mut machine, GpuEnclaveOptions::default()).unwrap();
+    let window = shared_window_for(machine.model(), 96 << 10);
+    let payload = Payload::from_bytes(vec![0x42u8; 64 << 10]);
+    let mut i = 0u64;
+    Bench::new("hix/session_lifecycle_small_window").run(|| {
+        i += 1;
+        let mut session = HixSession::connect_with(
+            &mut machine,
+            &mut enclave,
+            window,
+            format!("user-{i}").as_bytes(),
+        )
+        .unwrap();
+        let dev = session.malloc(&mut machine, &mut enclave, 64 << 10).unwrap();
+        session.memcpy_htod(&mut machine, &mut enclave, dev, &payload).unwrap();
+        let back = session.memcpy_dtoh(&mut machine, &mut enclave, dev, 64 << 10).unwrap();
+        session.free(&mut machine, &mut enclave, dev).unwrap();
+        session.close(&mut machine, &mut enclave).unwrap();
+        back
+    });
+}
+
 fn main() {
     bench_mmio_access();
     bench_dram_access();
     bench_channel_roundtrip();
     bench_secure_transfer();
     bench_session_setup();
+    bench_session_lifecycle();
 }

@@ -23,7 +23,7 @@ use hix_sim::fault::{EscalationLadder, WatchdogAction};
 use hix_sim::{Counter, CryptoDmaPipeline, EventKind, Nanos, COUNT_BOUNDS};
 
 use crate::attest::{self, AttestError};
-use crate::channel::{sealed_chunk_offset, sealed_stream_len, ChannelError, Endpoint};
+use crate::channel::{sealed_chunk_offset, sealed_stream_len, ChannelError, Endpoint, BULK_OFFSET};
 use crate::protocol::{BatchCmd, Request, Response};
 
 /// Virtual base where the GPU enclave maps BAR0 through `EGADD`.
@@ -496,7 +496,8 @@ impl GpuEnclave {
         // parking the coldest session before spending any setup work.
         self.ensure_resident_slot(machine)?;
         machine.trace().metrics().inc(Counter::EnclaveSessionsAccepted);
-        let epoch = self.establish(machine, user_pid, user_rng, "hix session init")?;
+        let window = shared.len().saturating_sub(BULK_OFFSET);
+        let epoch = self.establish(machine, user_pid, user_rng, window, "hix session init")?;
 
         let id = self.next_session;
         self.next_session += 1;
@@ -524,13 +525,15 @@ impl GpuEnclave {
     /// task init (emitted as `label`), runs local attestation + pairwise
     /// DH for the channel key, creates a fresh GPU context, runs the
     /// three-party DH installing the data key in the device, and
-    /// allocates the session staging buffer in VRAM for the DtoH
-    /// per-chunk path.
+    /// allocates the session staging buffer in VRAM that every sealed
+    /// chunk of either direction passes through, sized to what the
+    /// session's bulk `window` can carry.
     fn establish(
         &mut self,
         machine: &mut Machine,
         user_pid: ProcessId,
         user_rng: &mut HmacDrbg,
+        window: u64,
         label: &'static str,
     ) -> Result<Epoch, HixCoreError> {
         let init = machine.model().task_init(ExecMode::Hix);
@@ -541,7 +544,11 @@ impl GpuEnclave {
             attest::pairwise_channel_key(machine, user_pid, self.pid, user_rng, &mut self.rng)?;
         let ctx = self.driver.create_ctx(machine)?;
         let keys = attest::three_party_data_key(machine, &self.driver, ctx, user_rng, &mut self.rng)?;
-        let staging_len = machine.model().pipeline_chunk + TAG_LEN as u64;
+        // One sealed chunk, or the whole window if that is smaller:
+        // `handle` refuses a transfer whose sealed stream overflows the
+        // window before any DMA, so every chunk staged or sealed here
+        // holds at most `min(chunk, len) + TAG_LEN` bytes and fits.
+        let staging_len = (machine.model().pipeline_chunk + TAG_LEN as u64).min(window);
         let staging = self.driver.malloc(machine, ctx, staging_len)?;
         Ok(Epoch { ctx, staging, channel_key, user_data_key: keys.user })
     }
@@ -569,12 +576,12 @@ impl GpuEnclave {
                 "session {session} does not need rebuilding"
             )));
         }
-        let user_pid = state.user_pid;
+        let (user_pid, window) = (state.user_pid, state.endpoint.bulk_capacity());
         if self.evicted.contains(&user_pid) {
             machine.trace().metrics().inc(Counter::WatchdogRebuildsRefused);
             return Err(HixCoreError::Evicted);
         }
-        let epoch = self.establish(machine, user_pid, user_rng, "hix session rebuild")?;
+        let epoch = self.establish(machine, user_pid, user_rng, window, "hix session rebuild")?;
 
         let state = self.sessions.get_mut(&session).expect("checked above");
         state.ctx = epoch.ctx;
@@ -1832,6 +1839,54 @@ mod tests {
             });
             assert_eq!(msg, "parked session record names a different user");
         }
+    }
+
+    /// Pages mapped in `session`'s current GPU context. A session that
+    /// has allocated nothing maps its staging buffer only.
+    fn staging_pages(m: &mut Machine, enclave: &GpuEnclave, session: SessionId) -> u64 {
+        let ctx = enclave.session_ctx(session).unwrap();
+        let gpu = m
+            .device_mut(GPU_BDF)
+            .and_then(|d| d.as_any_mut().downcast_mut::<hix_gpu::device::GpuDevice>())
+            .unwrap();
+        gpu.context(ctx).unwrap().mapped_pages() as u64
+    }
+
+    #[test]
+    fn staging_is_sized_to_the_window_at_accept_and_every_rebuild() {
+        use crate::runtime::{shared_window_for, HixSession};
+        use hix_gpu::vram::GPU_PAGE_SIZE;
+        let mut m = standard_rig(RigOptions::default());
+        let mut enclave = GpuEnclave::launch(&mut m, GpuEnclaveOptions::default()).unwrap();
+        let window = shared_window_for(m.model(), 96 << 10);
+        let mut small = HixSession::connect_with(&mut m, &mut enclave, window, b"small").unwrap();
+        let mut large = HixSession::connect(&mut m, &mut enclave).unwrap();
+        // The small window's bulk area is 26 pages, less than a chunk
+        // and its tag; the 64 MiB window holds a whole sealed chunk.
+        let small_pages = (window - BULK_OFFSET) / GPU_PAGE_SIZE;
+        assert_eq!(small_pages, 26);
+        let chunk_pages = (m.model().pipeline_chunk + TAG_LEN as u64).div_ceil(GPU_PAGE_SIZE);
+        let expect = |m: &mut Machine, enclave: &GpuEnclave, small: SessionId, large: SessionId| {
+            assert_eq!(staging_pages(m, enclave, small), small_pages);
+            assert_eq!(staging_pages(m, enclave, large), chunk_pages);
+        };
+        expect(&mut m, &enclave, small.id(), large.id());
+        // A secure reset kills both contexts; each session's next
+        // request rebuilds it with fresh staging of the same size.
+        enclave.secure_reset(&mut m).unwrap();
+        small.sync(&mut m, &mut enclave).unwrap();
+        large.sync(&mut m, &mut enclave).unwrap();
+        assert_eq!(m.trace().metrics().counter("watchdog.sessions_rebuilt"), 2);
+        expect(&mut m, &enclave, small.id(), large.id());
+        // Park → unpark: the unparked tombstone is rebuilt the same way.
+        for s in [small.id(), large.id()] {
+            enclave.park_session(&mut m, s).unwrap();
+        }
+        small.sync(&mut m, &mut enclave).unwrap();
+        large.sync(&mut m, &mut enclave).unwrap();
+        assert_eq!(m.trace().metrics().counter("enclave.sessions_unparked"), 2);
+        assert_eq!(m.trace().metrics().counter("watchdog.sessions_rebuilt"), 4);
+        expect(&mut m, &enclave, small.id(), large.id());
     }
 
     #[test]

@@ -1682,6 +1682,47 @@ mod tests {
     }
 
     #[test]
+    fn a_sealed_stream_that_fills_a_small_window_round_trips() {
+        let (mut m, mut enclave) = setup();
+        let window = shared_window_for(m.model(), 96 << 10);
+        let mut s = HixSession::connect_with(&mut m, &mut enclave, window, b"small").unwrap();
+        let chunk = m.model().pipeline_chunk;
+        let capacity = s.endpoint.bulk_capacity();
+        assert!(capacity < chunk + TAG_LEN as u64, "the staging is smaller than a chunk");
+        // One chunk whose sealed stream is exactly the window's bulk
+        // capacity, and so exactly the session's staging buffer.
+        let len = capacity - TAG_LEN as u64;
+        assert_eq!(sealed_stream_len(len, chunk), Some(capacity));
+        let dev = s.malloc(&mut m, &mut enclave, len + 1).unwrap();
+        let data: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+        s.memcpy_htod(&mut m, &mut enclave, dev, &Payload::from_bytes(data.clone())).unwrap();
+        // Read twice: the allocation sits right after the staging in the
+        // session's device address space, so a chunk staged past the
+        // staging's end would land in it.
+        for _ in 0..2 {
+            let back = s.memcpy_dtoh(&mut m, &mut enclave, dev, len).unwrap();
+            assert!(back.bytes() == data.as_slice(), "the round trip changed the data");
+        }
+        // One byte more is refused before any DMA.
+        let dma = |m: &Machine| {
+            let metrics = m.trace().metrics();
+            (metrics.counter("dma.bytes_htod"), metrics.counter("dma.bytes_dtoh"))
+        };
+        let before = dma(&m);
+        let len = len + 1;
+        for request in [
+            Request::MemcpyHtoD { dst: dev, len, chunk, nonce_start: 0 },
+            Request::MemcpyDtoH { src: dev, len, chunk, nonce_start: 0 },
+        ] {
+            s.send_raw_request_for_test(&mut m, &request.encode()).unwrap();
+            assert!(enclave.poll(&mut m, s.id()).unwrap());
+            let response = Response::decode(&s.endpoint.recv_response(&mut m).unwrap());
+            assert_eq!(response, Some(Response::Err("transfer geometry out of bounds".into())));
+        }
+        assert_eq!(dma(&m), before, "a refused transfer moved bytes");
+    }
+
+    #[test]
     fn a_transfer_whose_device_range_wraps_is_refused() {
         let (mut m, mut enclave, mut s, _) = hostile();
         let chunk = m.model().pipeline_chunk;

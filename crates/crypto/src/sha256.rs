@@ -88,12 +88,18 @@ impl Sha256 {
     /// Finalizes and returns the digest.
     pub fn finish(mut self) -> Digest {
         let bit_len = self.total * 8;
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        // Pad in place: 0x80, zeros, then the bit length in the last 8
+        // bytes, spilling into a second block when fewer than 9 bytes
+        // are left after the buffered input.
+        let n = self.buf_len;
+        self.buf[n] = 0x80;
+        self.buf[n + 1..].fill(0);
+        if n >= 56 {
+            let block = self.buf;
+            self.compress(&block);
+            self.buf = [0; 64];
         }
-        // Manual length append to avoid recounting into `total`.
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
+        self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buf;
         self.compress(&block);
         let mut out = [0u8; 32];
@@ -176,6 +182,27 @@ mod tests {
             digest(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
             hexd("248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1")
         );
+    }
+
+    /// Digests of the bytes 0, 1, 2, … at the lengths either side of
+    /// the padding boundaries (55/56: the 0x80 byte and the length still
+    /// fit the last block or spill into one more; 63/64: a nearly full
+    /// and a full buffer; 119/120: 55/56 one block on), from coreutils
+    /// `sha256sum`.
+    #[test]
+    fn padding_boundaries() {
+        for (len, want) in [
+            (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+            (55, "463eb28e72f82e0a96c0a4cc53690c571281131f672aa229e0d45ae59b598b59"),
+            (56, "da2ae4d6b36748f2a318f23e7ab1dfdf45acdc9d049bd80e59de82a60895f562"),
+            (63, "29af2686fd53374a36b0846694cc342177e428d1647515f078784d69cdb9e488"),
+            (64, "fdeab9acf3710362bd2658cdc9a29e8f9c757fcf9811603a8c447cd1d9151108"),
+            (119, "da18797ed7c3a777f0847f429724a2d8cd5138e6ed2895c3fa1a6d39d18f7ec6"),
+            (120, "f52b23db1fbb6ded89ef42a23ce0c8922c45f25c50b568a93bf1c075420bbb7c"),
+        ] {
+            let data: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            assert_eq!(digest(&data), hexd(want), "length {len}");
+        }
     }
 
     #[test]

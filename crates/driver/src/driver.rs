@@ -483,7 +483,8 @@ impl GpuDriver {
             .ok_or(DriverError::BadAllocation(va))?;
         let pages = alloc.page_frames.len() as u64;
         if scrub {
-            // Scrub only resident runs (managed holes are never dirty).
+            // One `Memset` command per resident page, even where pages
+            // are contiguous (managed holes are never dirty).
             for (i, frame) in alloc.page_frames.iter().enumerate() {
                 if frame.is_some() {
                     self.submit(

@@ -45,7 +45,7 @@ cargo test -q --offline
 cargo build --release --offline --locked --manifest-path hixbench/Cargo.toml
 cargo test --release --offline --locked --manifest-path hixbench/Cargo.toml
 for pin in bulk-transfer:deee277a556768cc small-ops:cb9a1b12ed7eb12e \
-    session-churn:fc7c7916d64f290d multiuser-model:801b7e69c487b744; do
+    session-churn:80b49215079b15be multiuser-model:801b7e69c487b744; do
     workload=${pin%%:*}
     output=$(cargo run -q --release --offline --locked --manifest-path hixbench/Cargo.toml -- \
         --workload "$workload" --seconds 0 --seed 501 --trace 0)
