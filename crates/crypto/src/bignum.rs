@@ -440,11 +440,7 @@ mod tests {
             let u = Uint::from_be_bytes(bytes);
             let back = u.to_be_bytes();
             // canonical: strips leading zeros
-            let want: Vec<u8> = bytes
-                .iter()
-                .copied()
-                .skip_while(|&b| b == 0)
-                .collect();
+            let want: Vec<u8> = bytes.iter().copied().skip_while(|&b| b == 0).collect();
             assert_eq!(back, want);
         }
     }

@@ -31,11 +31,11 @@
 #![warn(missing_docs)]
 
 pub mod aes;
+pub mod bignum;
 pub mod dh;
 pub mod drbg;
 pub mod hmac;
 pub mod kdf;
-pub mod bignum;
 pub mod ocb;
 pub mod sha256;
 

@@ -411,12 +411,7 @@ pub fn seal(key: &Key, nonce: &Nonce, aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
 /// # Errors
 ///
 /// Returns [`TagMismatch`] when authentication fails.
-pub fn open(
-    key: &Key,
-    nonce: &Nonce,
-    aad: &[u8],
-    sealed: &[u8],
-) -> Result<Vec<u8>, TagMismatch> {
+pub fn open(key: &Key, nonce: &Nonce, aad: &[u8], sealed: &[u8]) -> Result<Vec<u8>, TagMismatch> {
     Ocb::new(key).open(nonce, aad, sealed)
 }
 
@@ -493,9 +488,8 @@ mod tests {
 
     #[test]
     fn rfc7253_40_bytes_partial_final_block() {
-        let m = hex(
-            "000102030405060708090A0B0C0D0E0F101112131415161718191A1B1C1D1E1F2021222324252627",
-        );
+        let m =
+            hex("000102030405060708090A0B0C0D0E0F101112131415161718191A1B1C1D1E1F2021222324252627");
         let c = seal(&rfc_key(), &rfc_nonce("F"), &m, &m);
         assert_eq!(
             c,
@@ -592,7 +586,10 @@ mod tests {
         sealed[3] ^= 1;
         let mut out = vec![0xffu8; 40];
         assert_eq!(ocb.open_into(&n, b"a", &sealed, &mut out), Err(TagMismatch));
-        assert!(out.iter().all(|&b| b == 0), "plaintext must not leak on failure");
+        assert!(
+            out.iter().all(|&b| b == 0),
+            "plaintext must not leak on failure"
+        );
     }
 
     #[test]
@@ -619,7 +616,10 @@ mod tests {
         assert!(ocb.open(&n, b"b", &sealed).is_err());
         let other = Ocb::new(&Key::from_bytes([9u8; 16]));
         assert!(other.open(&n, b"a", &sealed).is_err());
-        assert!(ocb.open(&n, b"a", &sealed[..10]).is_err(), "truncated input");
+        assert!(
+            ocb.open(&n, b"a", &sealed[..10]).is_err(),
+            "truncated input"
+        );
     }
 
     #[test]
@@ -631,6 +631,9 @@ mod tests {
     #[test]
     fn debug_hides_key() {
         assert_eq!(format!("{:?}", rfc_key()), "Key(<hidden>)");
-        assert_eq!(format!("{:?}", Ocb::new(&rfc_key())), "Ocb(<keyed context>)");
+        assert_eq!(
+            format!("{:?}", Ocb::new(&rfc_key())),
+            "Ocb(<keyed context>)"
+        );
     }
 }
