@@ -22,7 +22,7 @@ use hix_crypto::drbg::HmacDrbg;
 use hix_crypto::ocb::{Key, Nonce, Ocb, TAG_LEN};
 use hix_crypto::{
     aes::{Aes128, WIDE_BATCH},
-    sha256,
+    sha256::{self, Sha256},
 };
 use hix_testkit::bench::{black_box, Bench, Measurement};
 
@@ -36,11 +36,14 @@ const REQUIRED_ROWS: &[&str] = &[
     "ocb/seal/4KiB",
     "ocb/seal/64KiB",
     "ocb/seal/1024KiB",
+    "ocb/seal/64KiB/portable",
     "ocb/open/4KiB",
     "ocb/open/64KiB",
     "ocb/open/1024KiB",
     "sha256/64KiB",
+    "sha256/64KiB/portable",
     "dh/sim-group-agreement",
+    "dh/sim-modexp",
 ];
 
 fn bench_aes_block(rows: &mut Vec<Measurement>) {
@@ -91,6 +94,22 @@ fn bench_ocb_seal(rows: &mut Vec<Measurement>) {
     }
 }
 
+/// The 64 KiB seal on the portable loop and T-table AES: the oracle
+/// path, beside the fused AES-NI row above.
+fn bench_ocb_seal_portable() -> Measurement {
+    let ocb = Ocb::new(&Key::from_bytes([3u8; 16])).portable();
+    let data = vec![0xabu8; 64 * 1024];
+    let mut out = vec![0u8; data.len() + TAG_LEN];
+    let mut counter = 0u64;
+    Bench::new("ocb/seal/64KiB/portable")
+        .throughput_bytes(data.len() as u64)
+        .run(|| {
+            counter += 1;
+            ocb.seal_into(&Nonce::from_counter(counter), b"aad", &data, &mut out);
+            out[0]
+        })
+}
+
 fn bench_ocb_open(rows: &mut Vec<Measurement>) {
     let ocb = Ocb::new(&Key::from_bytes([3u8; 16]));
     for kib in [4u64, 64, 1024] {
@@ -109,11 +128,23 @@ fn bench_ocb_open(rows: &mut Vec<Measurement>) {
     }
 }
 
-fn bench_sha256() -> Measurement {
+fn bench_sha256(rows: &mut Vec<Measurement>) {
     let data = vec![0x11u8; 64 * 1024];
-    Bench::new("sha256/64KiB")
-        .throughput_bytes(data.len() as u64)
-        .run(|| sha256::digest(&data))
+    rows.push(
+        Bench::new("sha256/64KiB")
+            .throughput_bytes(data.len() as u64)
+            .run(|| sha256::digest(&data)),
+    );
+    // The portable compression function, the oracle for SHA-NI.
+    rows.push(
+        Bench::new("sha256/64KiB/portable")
+            .throughput_bytes(data.len() as u64)
+            .run(|| {
+                let mut h = Sha256::new().portable();
+                h.update(&data);
+                h.finish()
+            }),
+    );
 }
 
 fn bench_dh_handshake() -> Measurement {
@@ -126,6 +157,16 @@ fn bench_dh_handshake() -> Measurement {
         let bk = group.generate(&mut rng_b);
         group.agree(&a, &bk.public).unwrap()
     })
+}
+
+/// One exponentiation in the simulator's group: an agreement with fixed
+/// keys, what each of a connect's twelve exponentiations costs.
+fn bench_dh_modexp() -> Measurement {
+    use hix_crypto::dh::DhGroup;
+    let group = DhGroup::sim();
+    let a = group.generate(&mut HmacDrbg::new(b"a"));
+    let b = group.generate(&mut HmacDrbg::new(b"b"));
+    Bench::new("dh/sim-modexp").run(|| group.agree(&a, black_box(&b.public)).unwrap())
 }
 
 /// Renders the measurements as the stable-key-order JSON the other
@@ -221,9 +262,11 @@ fn main() {
     bench_aes_block(&mut rows);
     bench_aes_wide(&mut rows);
     bench_ocb_seal(&mut rows);
+    rows.push(bench_ocb_seal_portable());
     bench_ocb_open(&mut rows);
-    rows.push(bench_sha256());
+    bench_sha256(&mut rows);
     rows.push(bench_dh_handshake());
+    rows.push(bench_dh_modexp());
 
     // cargo passes harness flags like `--bench` and runs the bench with
     // the package as CWD; the output path is the first non-flag

@@ -18,8 +18,10 @@
 //! - a **hardware path** (AES-NI, x86_64): the same wide entry points
 //!   dispatch at runtime to an 8-block-interleaved `aesenc`/`aesdec`
 //!   pipeline when the CPU supports it. This mirrors the paper's own
-//!   platform, where SGX-side crypto ran on AES-NI. The only `unsafe` in
-//!   the crate lives in that module and is guarded by feature detection.
+//!   platform, where SGX-side crypto ran on AES-NI. The same module holds
+//!   OCB's whole-block loop fused into that pipeline
+//!   (`Aes128::ocb_blocks`). Its `unsafe` is fenced as the crate docs
+//!   describe.
 //!
 //! The wide entry points process [`WIDE_BATCH`] blocks per pass; callers
 //! (OCB) batch their offset ladder to match.
@@ -265,6 +267,44 @@ impl Aes128 {
             tt_decrypt_block(&self.dec_round_keys, b);
         }
     }
+
+    /// OCB's whole-block loop fused into the AES-NI pipeline: RFC 7253
+    /// §4.2's encrypt, or §4.3's decrypt when `OPEN`. `src[j]` is message
+    /// block `j + 1` and is sealed (opened) into `dst[j]` under the offset
+    /// ladder over `l` (`L_0`, `L_1`, …): `offset` comes in as `Offset_0`
+    /// and leaves as `Offset_n`, and every plaintext block, read or
+    /// recovered, is folded into `checksum`. Returns `false`, touching
+    /// nothing, when this context runs on the portable backend; the
+    /// caller then runs its own loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dst` is shorter than `src`, or if `l` holds fewer
+    /// entries than the run reaches.
+    pub(crate) fn ocb_blocks<const OPEN: bool>(
+        &self,
+        l: &[Block],
+        offset: &mut Block,
+        checksum: &mut Block,
+        src: &[Block],
+        dst: &mut [Block],
+    ) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        if self.use_ni {
+            let rk = if OPEN {
+                &self.dec_round_keys
+            } else {
+                &self.round_keys
+            };
+            // SAFETY: `use_ni` is only set when runtime detection reported
+            // AES-NI support (`detect_aesni`).
+            unsafe { ni::ocb::<OPEN>(rk, l, offset, checksum, src, dst) };
+            return true;
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = (l, offset, checksum, src, dst);
+        false
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -451,9 +491,10 @@ fn tt_decrypt_block(dec_rk: &[[u8; 16]; 11], block: &mut Block) {
 }
 
 // ---------------------------------------------------------------------------
-// Hardware wide core: AES-NI, 8 interleaved block pipelines per pass.
-// The only unsafe code in the crate; every entry is `#[target_feature]`
-// and reached solely behind `detect_aesni()`.
+// Hardware wide core: AES-NI, 8 interleaved block pipelines per pass, and
+// OCB's whole-block loop fused into it. With `sha256::ni`, the only unsafe
+// code in the crate; every entry is `#[target_feature]` and reached solely
+// behind `detect_aesni()` through the context's stored `use_ni`.
 // ---------------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
@@ -463,6 +504,34 @@ mod ni {
         __m128i, _mm_aesdec_si128, _mm_aesdeclast_si128, _mm_aesenc_si128, _mm_aesenclast_si128,
         _mm_loadu_si128, _mm_storeu_si128, _mm_xor_si128,
     };
+
+    /// One middle round: `aesdec` when `OPEN`, else `aesenc`.
+    ///
+    /// # Safety
+    /// Caller must have verified AES-NI support at runtime.
+    #[inline]
+    #[target_feature(enable = "aes")]
+    unsafe fn round<const OPEN: bool>(s: __m128i, k: __m128i) -> __m128i {
+        if OPEN {
+            _mm_aesdec_si128(s, k)
+        } else {
+            _mm_aesenc_si128(s, k)
+        }
+    }
+
+    /// The final round: `aesdeclast` when `OPEN`, else `aesenclast`.
+    ///
+    /// # Safety
+    /// Caller must have verified AES-NI support at runtime.
+    #[inline]
+    #[target_feature(enable = "aes")]
+    unsafe fn last_round<const OPEN: bool>(s: __m128i, k: __m128i) -> __m128i {
+        if OPEN {
+            _mm_aesdeclast_si128(s, k)
+        } else {
+            _mm_aesenclast_si128(s, k)
+        }
+    }
 
     #[inline]
     unsafe fn load_keys(rk: &[[u8; 16]; 11]) -> [__m128i; 11] {
@@ -531,6 +600,105 @@ mod ni {
             }
             _mm_storeu_si128(b.as_mut_ptr().cast(), _mm_aesdeclast_si128(s, keys[10]));
         }
+    }
+
+    /// OCB's whole-block loop (`Aes128::ocb_blocks` gives the contract),
+    /// `OPEN` picking `aesdec` and folding the output instead of the
+    /// input into the checksum. Each
+    /// 8-block pass takes its offsets from the one before it, whitens the
+    /// blocks, runs the 10 rounds interleaved, then unwhitens, stores and
+    /// folds them.
+    ///
+    /// A pass covers blocks `8k+1 ..= 8k+8`, whose `ntz` are 0, 1, 0, 2,
+    /// 0, 1, 0 and `ntz(8k+8) ≥ 3`. So the first seven offsets are
+    /// `Offset_8k` xor a fixed combination of `L_0`, `L_1`, `L_2`, and
+    /// only the eighth loads one more `L_i`.
+    ///
+    /// # Safety
+    /// Caller must have verified AES-NI support at runtime. For `OPEN`,
+    /// `rk` is the equivalent-inverse-cipher schedule.
+    #[target_feature(enable = "aes")]
+    pub unsafe fn ocb<const OPEN: bool>(
+        rk: &[[u8; 16]; 11],
+        l: &[Block],
+        offset: &mut Block,
+        checksum: &mut Block,
+        src: &[Block],
+        dst: &mut [Block],
+    ) {
+        let dst = &mut dst[..src.len()];
+        let keys = load_keys(rk);
+        let l0 = _mm_loadu_si128(l[0].as_ptr().cast());
+        let l1 = _mm_loadu_si128(l[1].as_ptr().cast());
+        let l2 = _mm_loadu_si128(l[2].as_ptr().cast());
+        let l01 = _mm_xor_si128(l0, l1);
+        let l12 = _mm_xor_si128(l1, l2);
+        // Offset_{8k+j} xor Offset_8k, for j = 1..=7.
+        let rel = [
+            l0,
+            l01,
+            l1,
+            l12,
+            _mm_xor_si128(l0, l12),
+            _mm_xor_si128(l0, l2),
+            l2,
+        ];
+        let mut off = _mm_loadu_si128(offset.as_ptr().cast());
+        let mut sum = _mm_loadu_si128(checksum.as_ptr().cast());
+        let mut src_passes = src.chunks_exact(WIDE_BATCH);
+        let mut dst_passes = dst.chunks_exact_mut(WIDE_BATCH);
+        for (pass, (inp, out)) in (&mut src_passes).zip(&mut dst_passes).enumerate() {
+            let mut o = [off; WIDE_BATCH];
+            for (oj, r) in o.iter_mut().zip(rel) {
+                *oj = _mm_xor_si128(off, r);
+            }
+            let ntz = ((pass + 1) * WIDE_BATCH).trailing_zeros() as usize;
+            o[7] = _mm_xor_si128(o[6], _mm_loadu_si128(l[ntz].as_ptr().cast()));
+            let mut s = [off; WIDE_BATCH];
+            for j in 0..WIDE_BATCH {
+                let b = _mm_loadu_si128(inp[j].as_ptr().cast());
+                if !OPEN {
+                    sum = _mm_xor_si128(sum, b);
+                }
+                s[j] = _mm_xor_si128(_mm_xor_si128(b, o[j]), keys[0]);
+            }
+            for key in keys.iter().take(10).skip(1) {
+                for si in s.iter_mut() {
+                    *si = round::<OPEN>(*si, *key);
+                }
+            }
+            for j in 0..WIDE_BATCH {
+                let p = _mm_xor_si128(last_round::<OPEN>(s[j], keys[10]), o[j]);
+                if OPEN {
+                    sum = _mm_xor_si128(sum, p);
+                }
+                _mm_storeu_si128(out[j].as_mut_ptr().cast(), p);
+            }
+            off = o[7];
+        }
+        let tail = src_passes.remainder().iter();
+        for ((b, out), r) in tail.zip(dst_passes.into_remainder()).zip(rel) {
+            let o = _mm_xor_si128(off, r);
+            let b = _mm_loadu_si128(b.as_ptr().cast());
+            if !OPEN {
+                sum = _mm_xor_si128(sum, b);
+            }
+            let mut s = _mm_xor_si128(_mm_xor_si128(b, o), keys[0]);
+            for key in keys.iter().take(10).skip(1) {
+                s = round::<OPEN>(s, *key);
+            }
+            let p = _mm_xor_si128(last_round::<OPEN>(s, keys[10]), o);
+            if OPEN {
+                sum = _mm_xor_si128(sum, p);
+            }
+            _mm_storeu_si128(out.as_mut_ptr().cast(), p);
+        }
+        let n = src_passes.remainder().len();
+        if n > 0 {
+            off = _mm_xor_si128(off, rel[n - 1]);
+        }
+        _mm_storeu_si128(offset.as_mut_ptr().cast(), off);
+        _mm_storeu_si128(checksum.as_mut_ptr().cast(), sum);
     }
 }
 

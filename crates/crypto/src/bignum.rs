@@ -6,10 +6,13 @@
 //! [`Uint::modpow`] picks its path from the modulus parity alone. An odd
 //! modulus — both DH groups — runs through `Montgomery`: word-level CIOS
 //! multiplication over `u64` limbs driven by a 4-bit fixed window, with the
-//! per-modulus constants computed once. An even modulus has no Montgomery
-//! form and takes [`Uint::modpow_ladder`], the bit-serial shift-and-add
-//! square-and-multiply that also serves as the reference the differential
-//! tests compare the Montgomery path against.
+//! per-modulus constants computed once. A 4-limb (256-bit) modulus, the
+//! simulator's DH group, runs that CIOS on fixed `[u64; 4]` arrays on the
+//! stack; every other width runs it on slices, and
+//! [`Uint::modpow_slice`] reaches the slice path at any width. An even
+//! modulus has no Montgomery form and takes [`Uint::modpow_ladder`], the
+//! bit-serial shift-and-add square-and-multiply that also serves as the
+//! reference the differential tests compare both Montgomery paths against.
 //!
 //! Neither path runs in constant time: both branch on exponent bits and on
 //! operand values (the ladder's conditional subtractions, the window's
@@ -232,6 +235,19 @@ impl Uint {
         }
     }
 
+    /// `self^exp mod m` for odd `m` through the slice CIOS at any width,
+    /// never the fixed-width path [`Uint::modpow`] takes for a 4-limb
+    /// modulus: the oracle the differential suite holds that path to.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m` is even.
+    pub fn modpow_slice(&self, exp: &Uint, m: &Uint) -> Uint {
+        Montgomery::new(m)
+            .expect("modpow_slice needs an odd modulus")
+            .pow_slice(self, exp)
+    }
+
     /// `self^exp mod m` by bit-serial square-and-multiply over
     /// [`Uint::modmul`]; any nonzero modulus. The reference for the
     /// Montgomery path.
@@ -342,8 +358,17 @@ impl Montgomery {
 
     /// `base^exp mod m` with a 4-bit fixed window: per window four
     /// squarings, then one multiply by a precomputed `base^w` (skipped
-    /// when the window is zero).
+    /// when the window is zero). The one dispatch point between the
+    /// fixed-width and the slice multiply.
     pub(crate) fn pow(&self, base: &Uint, exp: &Uint) -> Uint {
+        match self.m.limbs.len() {
+            4 => self.pow_fixed::<4>(base, exp),
+            _ => self.pow_slice(base, exp),
+        }
+    }
+
+    /// [`Self::pow`] over slices of the modulus width.
+    fn pow_slice(&self, base: &Uint, exp: &Uint) -> Uint {
         if self.m.limbs == [1] {
             return Uint::zero();
         }
@@ -368,8 +393,7 @@ impl Montgomery {
                     std::mem::swap(&mut acc, &mut tmp);
                 }
             }
-            let bit = k * WINDOW_BITS;
-            let w = (exp.limbs[bit / 64] >> (bit % 64)) as usize & ((1 << WINDOW_BITS) - 1);
+            let w = window(exp, k);
             if w != 0 {
                 self.mul(&acc, &table[w * n..(w + 1) * n], &mut tmp);
                 std::mem::swap(&mut acc, &mut tmp);
@@ -378,6 +402,50 @@ impl Montgomery {
         // Multiplying by plain 1 leaves Montgomery form.
         self.mul(&acc, &one, &mut tmp);
         let mut out = Uint { limbs: tmp };
+        out.normalize();
+        out
+    }
+
+    /// [`Self::pow`] for a modulus of exactly `N` limbs: the operands, the
+    /// table and the accumulator are `[u64; N]` on the stack, and nothing
+    /// is allocated but the result.
+    fn pow_fixed<const N: usize>(&self, base: &Uint, exp: &Uint) -> Uint {
+        let m: &[u64; N] = self.m.limbs[..].try_into().expect("modulus of N limbs");
+        let mul = |a: &[u64; N], b: &[u64; N]| mul_fixed(a, b, m, self.n0_inv);
+        let reduced;
+        let base = if *base < self.m {
+            base
+        } else {
+            reduced = base.rem(&self.m);
+            &reduced
+        };
+        let mut b = [0u64; N];
+        b[..base.limbs.len()].copy_from_slice(&base.limbs);
+        let mut one = [0u64; N];
+        one[0] = 1;
+        let r2: &[u64; N] = self.r2[..].try_into().expect("R² of N limbs");
+        let mut table = [[0u64; N]; 1 << WINDOW_BITS];
+        table[0] = mul(&one, r2);
+        table[1] = mul(&b, r2);
+        for w in 2..1 << WINDOW_BITS {
+            table[w] = mul(&table[w - 1], &table[1]);
+        }
+        let mut acc = table[0];
+        let windows = exp.bits().div_ceil(WINDOW_BITS);
+        for k in (0..windows).rev() {
+            if k + 1 < windows {
+                for _ in 0..WINDOW_BITS {
+                    acc = mul(&acc, &acc);
+                }
+            }
+            let w = window(exp, k);
+            if w != 0 {
+                acc = mul(&acc, &table[w]);
+            }
+        }
+        let mut out = Uint {
+            limbs: mul(&acc, &one).to_vec(),
+        };
         out.normalize();
         out
     }
@@ -427,6 +495,51 @@ impl Montgomery {
             }
         }
     }
+}
+
+/// Window `k` of `exp`: bits `4k..4k+4`, as a table index.
+fn window(exp: &Uint, k: usize) -> usize {
+    let bit = k * WINDOW_BITS;
+    (exp.limbs[bit / 64] >> (bit % 64)) as usize & ((1 << WINDOW_BITS) - 1)
+}
+
+/// `a·b·R⁻¹ mod m` on fixed `N`-limb arrays: `Montgomery::mul`'s CIOS
+/// step for step, with the accumulator a local array the compiler can
+/// keep in registers.
+fn mul_fixed<const N: usize>(a: &[u64; N], b: &[u64; N], m: &[u64; N], n0_inv: u64) -> [u64; N] {
+    let mut t = [0u64; N];
+    let mut top = 0u64;
+    for &bi in b {
+        let mut carry = 0u64;
+        for j in 0..N {
+            let s = t[j] as u128 + a[j] as u128 * bi as u128 + carry as u128;
+            t[j] = s as u64;
+            carry = (s >> 64) as u64;
+        }
+        let (top_lo, overflow) = top.overflowing_add(carry);
+
+        let q = t[0].wrapping_mul(n0_inv);
+        let s = t[0] as u128 + q as u128 * m[0] as u128;
+        let mut carry = (s >> 64) as u64;
+        for j in 1..N {
+            let s = t[j] as u128 + q as u128 * m[j] as u128 + carry as u128;
+            t[j - 1] = s as u64;
+            carry = (s >> 64) as u64;
+        }
+        let (last, spill) = top_lo.overflowing_add(carry);
+        t[N - 1] = last;
+        top = overflow as u64 + spill as u64;
+    }
+    if top != 0 || t.iter().rev().ge(m.iter().rev()) {
+        let mut borrow = false;
+        for (tj, &mj) in t.iter_mut().zip(m) {
+            let (d1, b1) = tj.overflowing_sub(mj);
+            let (d2, b2) = d1.overflowing_sub(borrow as u64);
+            *tj = d2;
+            borrow = b1 | b2;
+        }
+    }
+    t
 }
 
 #[cfg(test)]

@@ -14,6 +14,8 @@
 //! constants computed once per group. It is not constant-time (see
 //! [`crate::bignum`]).
 
+use std::sync::OnceLock;
+
 use crate::bignum::{Montgomery, Uint};
 use crate::drbg::HmacDrbg;
 use crate::kdf;
@@ -40,11 +42,18 @@ impl DhGroup {
     /// which would use [`DhGroup::modp2048`]. The simulator keeps it
     /// because public values travel through MMIO payloads: a 2048-bit
     /// value would lengthen those payloads and so change virtual time.
+    ///
+    /// The group, its Montgomery constants included, is built once per
+    /// process; each call returns a copy.
     pub fn sim() -> Self {
-        DhGroup::new(
-            "fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f",
-            32,
-        )
+        static SIM: OnceLock<DhGroup> = OnceLock::new();
+        SIM.get_or_init(|| {
+            DhGroup::new(
+                "fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f",
+                32,
+            )
+        })
+        .clone()
     }
 
     /// RFC 3526 group 14 (2048-bit MODP), generator 2.
@@ -82,20 +91,27 @@ impl DhGroup {
         &self.prime
     }
 
-    /// Generates a keypair deterministically from the given DRBG.
-    pub fn generate(&self, rng: &mut HmacDrbg) -> DhKeyPair {
+    /// Draws a private exponent from the given DRBG without computing its
+    /// public value, for a party that only ever raises peers' values to it
+    /// (the GPU's per-context secret in the three-party exchange). It
+    /// consumes the same DRBG bytes, and returns the same exponent, as
+    /// [`Self::generate`].
+    pub fn generate_private(&self, rng: &mut HmacDrbg) -> DhPrivate {
         // Sample until 2 <= x < p-1 (overwhelmingly the first sample).
         let two = Uint::from_u64(2);
         loop {
             let x = Uint::from_be_bytes(&rng.bytes(self.priv_len)).rem(&self.prime);
             if x >= two && x < self.p_minus_1 {
-                let public = self.mont.pow(&self.generator, &x);
-                return DhKeyPair {
-                    private: x,
-                    public: DhPublic(public),
-                };
+                return DhPrivate(x);
             }
         }
+    }
+
+    /// Generates a keypair deterministically from the given DRBG.
+    pub fn generate(&self, rng: &mut HmacDrbg) -> DhKeyPair {
+        let private = self.generate_private(rng);
+        let public = DhPublic(self.mont.pow(&self.generator, &private.0));
+        DhKeyPair { private, public }
     }
 
     /// Computes the shared secret from our private key and a peer's public
@@ -107,10 +123,23 @@ impl DhGroup {
     /// (0, 1, or p-1) and for values not below p; the degenerate ones
     /// would let an attacker force a known secret.
     pub fn agree(&self, ours: &DhKeyPair, theirs: &DhPublic) -> Result<SharedSecret, DhError> {
+        self.agree_private(&ours.private, theirs)
+    }
+
+    /// [`Self::agree`] for a bare private exponent.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::agree`].
+    pub fn agree_private(
+        &self,
+        ours: &DhPrivate,
+        theirs: &DhPublic,
+    ) -> Result<SharedSecret, DhError> {
         if theirs.0 < Uint::from_u64(2) || theirs.0 >= self.p_minus_1 {
             return Err(DhError::InvalidPublic);
         }
-        let secret = self.mont.pow(&theirs.0, &ours.private);
+        let secret = self.mont.pow(&theirs.0, &ours.0);
         Ok(SharedSecret(secret.to_be_bytes()))
     }
 }
@@ -148,10 +177,20 @@ impl DhPublic {
     }
 }
 
+/// A DH private exponent. It never leaves the party that drew it.
+#[derive(Clone)]
+pub struct DhPrivate(Uint);
+
+impl std::fmt::Debug for DhPrivate {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("DhPrivate(<hidden>)")
+    }
+}
+
 /// A DH keypair. The private half never leaves the enclave that made it.
 #[derive(Clone)]
 pub struct DhKeyPair {
-    private: Uint,
+    private: DhPrivate,
     /// The public half.
     pub public: DhPublic,
 }
@@ -257,14 +296,35 @@ mod tests {
         let mut seen = [false; 11];
         for _ in 0..200 {
             let kp = g.generate(&mut rng);
-            assert!(kp.private >= Uint::from_u64(2) && kp.private < g.p_minus_1);
+            let x = &kp.private.0;
+            assert!(*x >= Uint::from_u64(2) && *x < g.p_minus_1);
             assert_ne!(kp.public.0, Uint::one());
-            seen[kp.private.to_be_bytes()[0] as usize] = true;
+            seen[x.to_be_bytes()[0] as usize] = true;
         }
         // Every key in range 2..=9 is still produced.
         assert_eq!(
             seen,
             [false, false, true, true, true, true, true, true, true, true, false]
+        );
+    }
+
+    #[test]
+    fn generate_private_draws_what_generate_draws() {
+        let g = DhGroup::sim();
+        let mut full = HmacDrbg::new(b"same seed");
+        let mut bare = HmacDrbg::new(b"same seed");
+        for _ in 0..3 {
+            let kp = g.generate(&mut full);
+            let x = g.generate_private(&mut bare);
+            assert_eq!(x.0, kp.private.0);
+            let peer = g.generate(&mut HmacDrbg::new(b"peer")).public;
+            assert_eq!(g.agree_private(&x, &peer), g.agree(&kp, &peer));
+        }
+        // Both DRBGs consumed the same bytes.
+        assert_eq!(full.bytes(32), bare.bytes(32));
+        assert_eq!(
+            format!("{:?}", g.generate_private(&mut bare)),
+            "DhPrivate(<hidden>)"
         );
     }
 

@@ -1,7 +1,7 @@
 //! # hix-crypto — cryptographic primitives for the HIX reproduction
 //!
-//! Everything HIX needs, implemented from scratch in safe Rust and tested
-//! against published vectors:
+//! Everything HIX needs, implemented from scratch and tested against
+//! published vectors:
 //!
 //! * [`aes`] — AES-128 block cipher (FIPS 197).
 //! * [`ocb`] — OCB authenticated encryption (RFC 7253), the algorithm the
@@ -17,6 +17,21 @@
 //! This crate is pure (no simulator dependencies): it operates on byte
 //! slices only. Virtual-time charging for crypto happens in the layers
 //! that call it.
+//!
+//! ## Hardware paths and their oracles
+//!
+//! The crate is safe Rust except for two private modules on x86_64:
+//! `aes::ni` (AES-NI: the 8-block wide core and OCB's whole-block loop
+//! fused into it) and `sha256::ni` (the SHA extensions). Both are fenced
+//! the same way. Every `unsafe fn` in them is `#[target_feature]`. It is
+//! reached only through a safe method that checks a detection flag the
+//! context stored when it was built (`use_ni` in [`aes::Aes128`] and
+//! [`sha256::Sha256`]), and that call carries a `// SAFETY:` note. Each
+//! hardware path keeps a portable oracle beside it, which the
+//! differential suites compare it against: [`aes::Aes128::portable`],
+//! [`ocb::Ocb::portable`] and [`sha256::Sha256::portable`]. The
+//! fixed-width Montgomery path in [`bignum`] is safe Rust; its oracles are
+//! the slice CIOS ([`bignum::Uint::modpow_slice`]) and the ladder.
 //!
 //! ```
 //! use hix_crypto::ocb::{self, Key, Nonce};

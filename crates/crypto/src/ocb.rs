@@ -6,10 +6,15 @@
 //! encryption"). Verified against the RFC 7253 Appendix A vectors.
 //!
 //! The bulk paths are built for throughput: [`Ocb::seal_into`] /
-//! [`Ocb::open_into`] are zero-allocation, walk the message
-//! [`WIDE_BATCH`] blocks at a time (precomputing the offset ladder for
-//! each pass and handing the whole batch to the wide AES core), and fuse
-//! the checksum accumulation into the same pass. [`Ocb::seal`] /
+//! [`Ocb::open_into`] are zero-allocation and hand a message's whole
+//! blocks to one loop. On AES-NI that loop is fused into the AES pipeline
+//! (`Aes128::ocb_blocks`): each 8-block pass computes its offsets, runs
+//! the rounds and folds the checksum, and the round keys are loaded once
+//! per message. The portable loop, which
+//! [`Ocb::portable`] pins and the differential suite compares against,
+//! walks the message [`WIDE_BATCH`] blocks at a time, precomputing each
+//! pass's offset ladder and handing the batch to the wide AES core. The
+//! partial tail, the tag and the AAD hash are shared Rust. [`Ocb::seal`] /
 //! [`Ocb::open`] are thin allocating wrappers over them.
 
 use crate::aes::{Aes128, Block, BLOCK, WIDE_BATCH};
@@ -157,8 +162,9 @@ impl Ocb {
     }
 
     /// Returns a clone of this keyed context pinned to the portable AES
-    /// backend (see [`Aes128::portable`]); the differential suite uses it
-    /// to exercise the software wide path on AES-NI machines.
+    /// backend (see [`Aes128::portable`]) and so to the portable
+    /// whole-block loop; the differential suite uses it as the oracle for
+    /// the fused AES-NI loop.
     pub fn portable(&self) -> Self {
         Ocb {
             aes: self.aes.portable(),
@@ -213,6 +219,76 @@ impl Ocb {
         }
     }
 
+    /// Seals the whole blocks of a message, `src[j]` being block `j + 1`,
+    /// into `dst`, advancing `offset` from `Offset_0` and folding each
+    /// plaintext block into `checksum`. AES-NI contexts run the fused
+    /// kernel in [`Aes128`]; the portable one walks the message
+    /// [`WIDE_BATCH`] blocks per pass through the wide AES core.
+    fn seal_blocks(
+        &self,
+        offset: &mut Block,
+        checksum: &mut Block,
+        src: &[Block],
+        dst: &mut [Block],
+    ) {
+        if self
+            .aes
+            .ocb_blocks::<false>(&self.l, offset, checksum, src, dst)
+        {
+            return;
+        }
+        let mut offs = [[0u8; 16]; WIDE_BATCH];
+        let mut blocks = [[0u8; 16]; WIDE_BATCH];
+        let mut done = 0;
+        while done < src.len() {
+            let k = WIDE_BATCH.min(src.len() - done);
+            self.ladder(offset, done, k, &mut offs);
+            for j in 0..k {
+                *checksum = xor(checksum, &src[done + j]);
+                blocks[j] = xor(&src[done + j], &offs[j]);
+            }
+            self.aes.encrypt_blocks(&mut blocks[..k]);
+            for j in 0..k {
+                dst[done + j] = xor(&blocks[j], &offs[j]);
+            }
+            done += k;
+        }
+    }
+
+    /// The mirror of [`Self::seal_blocks`]: opens the whole ciphertext
+    /// blocks of `src` into `dst`, folding each recovered plaintext block
+    /// into `checksum`.
+    fn open_blocks(
+        &self,
+        offset: &mut Block,
+        checksum: &mut Block,
+        src: &[Block],
+        dst: &mut [Block],
+    ) {
+        if self
+            .aes
+            .ocb_blocks::<true>(&self.l, offset, checksum, src, dst)
+        {
+            return;
+        }
+        let mut offs = [[0u8; 16]; WIDE_BATCH];
+        let mut blocks = [[0u8; 16]; WIDE_BATCH];
+        let mut done = 0;
+        while done < src.len() {
+            let k = WIDE_BATCH.min(src.len() - done);
+            self.ladder(offset, done, k, &mut offs);
+            for j in 0..k {
+                blocks[j] = xor(&src[done + j], &offs[j]);
+            }
+            self.aes.decrypt_blocks(&mut blocks[..k]);
+            for j in 0..k {
+                dst[done + j] = xor(&blocks[j], &offs[j]);
+                *checksum = xor(checksum, &dst[done + j]);
+            }
+            done += k;
+        }
+    }
+
     fn hash_aad(&self, aad: &[u8]) -> Block {
         let mut sum = [0u8; 16];
         let mut offset = [0u8; 16];
@@ -256,10 +332,9 @@ impl Ocb {
     /// Encrypts `plaintext` bound to `aad` into `out` without allocating.
     ///
     /// `out` must be exactly `plaintext.len() + TAG_LEN` bytes; it receives
-    /// `ciphertext || tag`. The message is processed [`WIDE_BATCH`] blocks
-    /// per pass — the offset ladder for the pass is precomputed, the batch
-    /// goes through the wide AES core, and the plaintext checksum is
-    /// accumulated in the same pass.
+    /// `ciphertext || tag`. The whole blocks are sealed [`WIDE_BATCH`] per
+    /// pass with the plaintext checksum accumulated in the same pass (see
+    /// the module docs for the two loops).
     ///
     /// # Panics
     ///
@@ -272,25 +347,10 @@ impl Ocb {
         );
         let mut offset = self.initial_offset(nonce);
         let mut checksum = [0u8; 16];
-        let full = plaintext.len() / BLOCK;
-        let mut offs = [[0u8; 16]; WIDE_BATCH];
-        let mut blocks = [[0u8; 16]; WIDE_BATCH];
-        let mut done = 0;
-        while done < full {
-            let k = WIDE_BATCH.min(full - done);
-            self.ladder(&mut offset, done, k, &mut offs);
-            for j in 0..k {
-                blocks[j].copy_from_slice(&plaintext[(done + j) * BLOCK..][..BLOCK]);
-                checksum = xor(&checksum, &blocks[j]);
-                blocks[j] = xor(&blocks[j], &offs[j]);
-            }
-            self.aes.encrypt_blocks(&mut blocks[..k]);
-            for j in 0..k {
-                out[(done + j) * BLOCK..][..BLOCK].copy_from_slice(&xor(&blocks[j], &offs[j]));
-            }
-            done += k;
-        }
-        let rest = &plaintext[full * BLOCK..];
+        let (blocks, rest) = plaintext.as_chunks::<BLOCK>();
+        let full = blocks.len();
+        let sealed = out[..full * BLOCK].as_chunks_mut().0;
+        self.seal_blocks(&mut offset, &mut checksum, blocks, sealed);
         if !rest.is_empty() {
             offset = xor(&offset, &self.l_star);
             let pad = encrypt_one(&self.aes, offset);
@@ -358,26 +418,10 @@ impl Ocb {
         );
         let mut offset = self.initial_offset(nonce);
         let mut checksum = [0u8; 16];
-        let full = ciphertext.len() / BLOCK;
-        let mut offs = [[0u8; 16]; WIDE_BATCH];
-        let mut blocks = [[0u8; 16]; WIDE_BATCH];
-        let mut done = 0;
-        while done < full {
-            let k = WIDE_BATCH.min(full - done);
-            self.ladder(&mut offset, done, k, &mut offs);
-            for j in 0..k {
-                blocks[j].copy_from_slice(&ciphertext[(done + j) * BLOCK..][..BLOCK]);
-                blocks[j] = xor(&blocks[j], &offs[j]);
-            }
-            self.aes.decrypt_blocks(&mut blocks[..k]);
-            for j in 0..k {
-                let p = xor(&blocks[j], &offs[j]);
-                checksum = xor(&checksum, &p);
-                out[(done + j) * BLOCK..][..BLOCK].copy_from_slice(&p);
-            }
-            done += k;
-        }
-        let rest = &ciphertext[full * BLOCK..];
+        let (blocks, rest) = ciphertext.as_chunks::<BLOCK>();
+        let full = blocks.len();
+        let opened = out[..full * BLOCK].as_chunks_mut().0;
+        self.open_blocks(&mut offset, &mut checksum, blocks, opened);
         if !rest.is_empty() {
             offset = xor(&offset, &self.l_star);
             let pad = encrypt_one(&self.aes, offset);

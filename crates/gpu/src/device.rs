@@ -4,7 +4,7 @@
 use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
 
-use hix_crypto::dh::{DhGroup, DhKeyPair, DhPublic};
+use hix_crypto::dh::{DhGroup, DhPrivate, DhPublic};
 use hix_crypto::drbg::HmacDrbg;
 use hix_crypto::kdf;
 use hix_pcie::config::{BarIndex, ConfigSpace};
@@ -65,7 +65,7 @@ pub struct GpuDevice {
     opts: GpuConfig,
     vram: Vram,
     ctxs: BTreeMap<CtxId, GpuContext>,
-    dh_keys: BTreeMap<CtxId, DhKeyPair>,
+    dh_keys: BTreeMap<CtxId, DhPrivate>,
     queue: VecDeque<GpuCommand>,
     staging: Vec<u8>,
     resp: Vec<u8>,
@@ -341,8 +341,8 @@ impl GpuDevice {
                     self.set_error(errcode::CTX_EXISTS);
                     return;
                 }
-                let keypair = self.group.generate(&mut self.drbg);
-                self.dh_keys.insert(ctx, keypair);
+                let secret = self.group.generate_private(&mut self.drbg);
+                self.dh_keys.insert(ctx, secret);
                 self.ctxs.insert(ctx, GpuContext::new(ctx));
                 self.charge(Nanos::from_micros(100), EventKind::Init, "create ctx");
             }
@@ -600,9 +600,9 @@ impl GpuDevice {
                     self.set_error(errcode::NO_CTX);
                     return;
                 };
-                let keypair = &self.dh_keys[&ctx];
+                let secret = &self.dh_keys[&ctx];
                 let peer = DhPublic::from_be_bytes(&public);
-                match self.group.agree(keypair, &peer) {
+                match self.group.agree_private(secret, &peer) {
                     Ok(shared) => {
                         if finalize {
                             let key = kdf::derive_aes128(b"hix-3dh", shared.as_bytes(), b"session");
@@ -1111,6 +1111,15 @@ mod tests {
         // All three parties derived the same key.
         let expect = kdf::derive_aes128(b"hix-3dh", key_e.as_bytes(), b"session");
         assert_eq!(kdf::derive_aes128(b"hix-3dh", key_u.as_bytes(), b"session"), expect);
+        // Pinned for this device seed: the device draws its secret from
+        // its DRBG at CreateCtx, so a change to that draw moves the key.
+        assert_eq!(
+            expect,
+            [
+                0xdd, 0x34, 0x73, 0x63, 0xc2, 0x6e, 0xd0, 0xb6, 0x87, 0x08, 0x8e, 0xe7, 0x40, 0x89,
+                0x2c, 0xff
+            ]
+        );
         assert_eq!(dev.context(CtxId(1)).unwrap().session_key(), Some(expect));
         // The response buffer was cleared after finalize.
         let mut tail = [0u8; 8];

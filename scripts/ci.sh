@@ -20,6 +20,10 @@ for crate in $(sed -n 's/^name = "\(hix-[a-z-]*\)"$/\1/p' crates/*/Cargo.toml); 
 done
 # ...and clippy-clean, tests, benches and examples included.
 cargo clippy --offline --workspace --all-targets -- -D warnings
+# hix-crypto, the TCB crate with the hand-written hardware paths, is
+# rustfmt-clean and stays so. The rest of the workspace is not yet
+# (hundreds of hunks), so it is not gated.
+cargo fmt -p hix-crypto --check
 
 # The test suite includes the exact ledger gate
 # (crates/bench/tests/ledgers.rs): it reruns perf_report, scale_report,

@@ -4,8 +4,11 @@
 //! reference `Uint::modpow_ladder`, over odd moduli of 1–32 limbs. Edge
 //! moduli (3, 2^64k − 1, a top limb of 1) and edge exponents (0, 1,
 //! all-ones) are drawn as often as random ones, and bases are drawn at or
-//! above the modulus so the reduction step runs. `differential_bignum.seeds`
-//! is replayed before any new cases are generated.
+//! above the modulus so the reduction step runs. A 4-limb modulus takes
+//! `modpow`'s fixed-width path, so a second property holds that path to
+//! both the slice CIOS (`Uint::modpow_slice`) and the ladder over 256-bit
+//! moduli. `differential_bignum.seeds` is replayed before any new cases
+//! are generated.
 
 use hix_crypto::bignum::Uint;
 use hix_crypto::dh::DhGroup;
@@ -67,6 +70,64 @@ fn montgomery_modpow_matches_reference_ladder() {
                 base.modpow(&exp, &m),
                 base.modpow_ladder(&exp, &m),
                 "modpow diverged from the ladder: m = {m:?}, exp = {exp:?}, base = {base:?}"
+            );
+        });
+}
+
+/// The secp256k1 field prime, the simulator's DH modulus, low limb first.
+const SECP256K1_P: [u64; 4] = [
+    0xffff_fffe_ffff_fc2f,
+    u64::MAX,
+    u64::MAX,
+    u64::MAX,
+];
+
+#[test]
+fn fixed_width_modpow_matches_slice_and_ladder() {
+    prop("fixed_width_modpow_matches_slice_and_ladder")
+        .corpus(SEEDS)
+        .cases(64)
+        .run(|s| {
+            let modulus_kind = s.choice(4);
+            let exp_kind = s.choice(4);
+            let base_extra = s.usize_in(0..2);
+
+            let mut m = match modulus_kind {
+                0 => draw_limbs(s, 4),
+                1 => SECP256K1_P.to_vec(),
+                2 => {
+                    let mut limbs = draw_limbs(s, 4);
+                    limbs[3] = u64::MAX;
+                    limbs
+                }
+                _ => vec![s.u64(), 0, 0, 1], // just over 2^192
+            };
+            m[0] |= 1;
+            if m[3] == 0 {
+                m[3] = 1;
+            }
+            let m = from_limbs(&m);
+            let exp = match exp_kind {
+                0 => Uint::zero(),
+                1 => Uint::one(),
+                2 => m.checked_sub(&Uint::one()).unwrap(),
+                _ => from_limbs(&draw_limbs(s, 4)),
+            };
+            // With an extra limb the base is above the modulus.
+            let mut base = draw_limbs(s, 4 + base_extra);
+            *base.last_mut().unwrap() |= 1;
+            let base = from_limbs(&base);
+
+            let fixed = base.modpow(&exp, &m);
+            assert_eq!(
+                fixed,
+                base.modpow_slice(&exp, &m),
+                "fixed path diverged from the slice CIOS: m = {m:?}, exp = {exp:?}, base = {base:?}"
+            );
+            assert_eq!(
+                fixed,
+                base.modpow_ladder(&exp, &m),
+                "fixed path diverged from the ladder: m = {m:?}, exp = {exp:?}, base = {base:?}"
             );
         });
 }

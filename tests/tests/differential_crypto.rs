@@ -1,20 +1,61 @@
 //! Pinned-tape differential suite for the fast crypto plane: the wide
-//! (8-blocks-per-pass) AES core and the zero-allocation OCB
-//! `seal_into`/`open_into` paths are checked byte-for-byte against the
-//! scalar oracle and the allocating reference paths, on both the
-//! hardware and the portable table backend. `differential_crypto.seeds`
-//! is replayed before any new cases are generated.
+//! (8-blocks-per-pass) AES core, the zero-allocation OCB
+//! `seal_into`/`open_into` paths (on AES-NI, the fused offset-ladder
+//! kernel) and the SHA-256 compression function are checked
+//! byte-for-byte against the scalar oracle, the allocating reference
+//! paths and the portable backends. `differential_crypto.seeds` is
+//! replayed before any new cases are generated.
 
 use hix_crypto::aes::Aes128;
-use hix_crypto::ocb::{Key, Nonce, Ocb, NONCE_LEN, TAG_LEN};
+use hix_crypto::ocb::{Key, Nonce, Ocb, TagMismatch, NONCE_LEN, TAG_LEN};
+use hix_crypto::sha256::{self, Sha256};
 use hix_testkit::prop::prop;
+use hix_testkit::rng::Rng;
 
 const SEEDS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/differential_crypto.seeds");
 
 /// Message lengths the DMA plane cares about: empty, sub-block, exact
 /// block, block+1, just under/at/over the 8-block wide-pass boundary,
-/// and a multi-pass tail.
-const PINNED_LENGTHS: &[usize] = &[0, 15, 16, 17, 112, 127, 128, 129, 144, 256, 1000];
+/// a multi-pass tail, and two multi-KiB streams whose offset ladders
+/// reach `ntz(i) = 8` (257 blocks) and `ntz(i) = 12` (4,096 blocks).
+const PINNED_LENGTHS: &[usize] = &[
+    0, 15, 16, 17, 112, 127, 128, 129, 144, 256, 1000, 4113, 65541,
+];
+
+/// SHA-256 message lengths either side of the padding boundaries (55/56:
+/// the 0x80 byte and the length fit the last block or spill into one
+/// more; 63/64; 119/120), one page and one 64 KiB chunk.
+const SHA_PINNED_LENGTHS: &[usize] = &[55, 56, 63, 64, 119, 120, 4096, 65536];
+
+#[test]
+fn sha256_hardware_matches_portable() {
+    prop("sha256_hardware_matches_portable")
+        .corpus(SEEDS)
+        .run(|s| {
+            let len = if s.bool() {
+                SHA_PINNED_LENGTHS[s.index(SHA_PINNED_LENGTHS.len())]
+            } else {
+                s.usize_in(0..301)
+            };
+            let data = Rng::new(s.u64()).bytes(len);
+            // Three `update` calls split at two drawn points.
+            let mut cuts = [s.usize_in(0..len + 1), s.usize_in(0..len + 1)];
+            cuts.sort();
+            let parts = [&data[..cuts[0]], &data[cuts[0]..cuts[1]], &data[cuts[1]..]];
+            let mut oracle = Sha256::new().portable();
+            oracle.update(&data);
+            let want = oracle.finish();
+            let hw = Sha256::new();
+            for mut h in [hw.clone(), hw.portable()] {
+                let backend = h.backend();
+                for part in parts {
+                    h.update(part);
+                }
+                assert_eq!(h.finish(), want, "{backend} split at {cuts:?}, len {len}");
+            }
+            assert_eq!(sha256::digest(&data), want, "one-shot digest, len {len}");
+        });
+}
 
 fn hex(s: &str) -> Vec<u8> {
     (0..s.len())
@@ -65,8 +106,11 @@ fn into_paths_match_allocating_paths() {
         };
         let plaintext = s.vec_u8(len..len + 1);
         let nonce = Nonce::from_counter(counter);
-        for ocb in [Ocb::new(&Key::from_bytes(key)), Ocb::new(&Key::from_bytes(key)).portable()] {
+        let hw = Ocb::new(&Key::from_bytes(key));
+        let expect = hw.portable().seal(&nonce, &aad, &plaintext);
+        for ocb in [hw.clone(), hw.portable()] {
             let sealed = ocb.seal(&nonce, &aad, &plaintext);
+            assert_eq!(sealed, expect, "{} seal diverged from portable", ocb.backend());
             let mut sealed_into = vec![0u8; plaintext.len() + TAG_LEN];
             ocb.seal_into(&nonce, &aad, &plaintext, &mut sealed_into);
             assert_eq!(sealed_into, sealed, "seal_into diverged from seal");
@@ -163,6 +207,32 @@ fn roundtrip_pinned_lengths_both_backends() {
             assert!(ocb_hw
                 .open_into(&nonce, b"len-sweep", &sealed[..len - 1 + TAG_LEN], &mut short)
                 .is_err());
+        }
+    }
+}
+
+/// A flipped bit in the last whole ciphertext block of a multi-KiB stream
+/// (the final pass of the fused kernel) fails the open on both backends,
+/// and `out` comes back zeroed.
+#[test]
+fn corrupt_last_whole_block_fails_open_and_zeroes_output() {
+    let hw = Ocb::new(&Key::from_bytes([0x24; 16]));
+    for len in [4113usize, 65541] {
+        let plaintext: Vec<u8> = (0..len).map(|j| (j * 7) as u8).collect();
+        let nonce = Nonce::from_counter(len as u64);
+        for ocb in [hw.clone(), hw.portable()] {
+            let mut sealed = vec![0u8; len + TAG_LEN];
+            ocb.seal_into(&nonce, b"tail", &plaintext, &mut sealed);
+            let last_whole = (len / 16 - 1) * 16;
+            sealed[last_whole + 7] ^= 0x10;
+            let mut out = vec![0xeeu8; len];
+            assert_eq!(
+                ocb.open_into(&nonce, b"tail", &sealed, &mut out),
+                Err(TagMismatch),
+                "{} len {len}",
+                ocb.backend()
+            );
+            assert!(out.iter().all(|&b| b == 0), "{} leaked plaintext", ocb.backend());
         }
     }
 }
