@@ -282,7 +282,12 @@ impl GpuCommand {
                 out.extend_from_slice(&dst.value().to_le_bytes());
                 out.extend_from_slice(&len.to_le_bytes());
             }
-            GpuCommand::Memset { ctx, va, len, value } => {
+            GpuCommand::Memset {
+                ctx,
+                va,
+                len,
+                value,
+            } => {
                 out.push(op::MEMSET);
                 out.extend_from_slice(&ctx.0.to_le_bytes());
                 out.extend_from_slice(&va.value().to_le_bytes());
@@ -299,7 +304,11 @@ impl GpuCommand {
                     out.extend_from_slice(&a.to_le_bytes());
                 }
             }
-            GpuCommand::DhExp { ctx, finalize, public } => {
+            GpuCommand::DhExp {
+                ctx,
+                finalize,
+                public,
+            } => {
                 assert!(public.len() <= u16::MAX as usize, "DH value too large");
                 out.push(op::DH_EXP);
                 out.extend_from_slice(&ctx.0.to_le_bytes());
@@ -320,8 +329,12 @@ impl GpuCommand {
         let mut r = Reader::new(buf);
         let opcode = r.u8()?;
         let cmd = match opcode {
-            op::CREATE_CTX => GpuCommand::CreateCtx { ctx: CtxId(r.u32()?) },
-            op::DESTROY_CTX => GpuCommand::DestroyCtx { ctx: CtxId(r.u32()?) },
+            op::CREATE_CTX => GpuCommand::CreateCtx {
+                ctx: CtxId(r.u32()?),
+            },
+            op::DESTROY_CTX => GpuCommand::DestroyCtx {
+                ctx: CtxId(r.u32()?),
+            },
             op::MAP_RANGE => GpuCommand::MapRange {
                 ctx: CtxId(r.u32()?),
                 va: DevAddr(r.u64()?),
@@ -472,7 +485,10 @@ mod tests {
 
     #[test]
     fn bad_opcode_rejected() {
-        assert_eq!(GpuCommand::decode(&[0xee]), Err(DecodeError::BadOpcode(0xee)));
+        assert_eq!(
+            GpuCommand::decode(&[0xee]),
+            Err(DecodeError::BadOpcode(0xee))
+        );
     }
 
     #[test]
@@ -501,6 +517,11 @@ mod tests {
         assert_eq!(c.ctx(), CtxId(4));
         assert!(c.uses_engines());
         assert!(!GpuCommand::CreateCtx { ctx: CtxId(4) }.uses_engines());
-        assert!(!GpuCommand::DhExp { ctx: CtxId(4), finalize: false, public: vec![] }.uses_engines());
+        assert!(!GpuCommand::DhExp {
+            ctx: CtxId(4),
+            finalize: false,
+            public: vec![]
+        }
+        .uses_engines());
     }
 }

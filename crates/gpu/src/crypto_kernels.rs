@@ -56,7 +56,12 @@ impl GpuKernel for OcbDecryptKernel {
     }
 
     fn cost(&self, model: &CostModel, args: &[u64]) -> Nanos {
-        model.gpu_crypt(args.get(1).copied().unwrap_or(0).saturating_sub(TAG_LEN as u64))
+        model.gpu_crypt(
+            args.get(1)
+                .copied()
+                .unwrap_or(0)
+                .saturating_sub(TAG_LEN as u64),
+        )
     }
 
     fn run(&self, exec: &mut KernelExec<'_>) -> Result<(), KernelError> {
@@ -67,7 +72,9 @@ impl GpuKernel for OcbDecryptKernel {
         if sealed_len < TAG_LEN {
             return Err(KernelError::BadArgs("sealed buffer shorter than a tag"));
         }
-        let ocb = exec.session_ocb().ok_or(KernelError::BadArgs("no session key"))?;
+        let ocb = exec
+            .session_ocb()
+            .ok_or(KernelError::BadArgs("no session key"))?;
         let (sealed, plain) = exec.scratch_pair(sealed_len, sealed_len - TAG_LEN)?;
         exec.read(src, sealed)?;
         ocb.open_into(&Nonce::from_counter(counter), DATA_AAD, sealed, plain)
@@ -95,7 +102,9 @@ impl GpuKernel for OcbEncryptKernel {
         let len = exec.arg(1)? as usize;
         let dst = DevAddr(exec.arg(2)?);
         let counter = exec.arg(3)?;
-        let ocb = exec.session_ocb().ok_or(KernelError::BadArgs("no session key"))?;
+        let ocb = exec
+            .session_ocb()
+            .ok_or(KernelError::BadArgs("no session key"))?;
         let (plain, sealed) = exec.scratch_pair(len, len.saturating_add(TAG_LEN))?;
         exec.read(src, plain)?;
         ocb.seal_into(&Nonce::from_counter(counter), DATA_AAD, plain, sealed);
@@ -188,11 +197,18 @@ mod tests {
         let n = sealed.len() as u64;
         // (src, sealed_len, dst): a source that wraps, a destination
         // that wraps, and a buffer shorter than a tag.
-        for args in [[top + 4000, n, 0x8000, 7], [0x1000, n, top + 4000, 7], [0x1000, 15, 0x8000, 7]] {
+        for args in [
+            [top + 4000, n, 0x8000, 7],
+            [0x1000, n, top + 4000, 7],
+            [0x1000, 15, 0x8000, 7],
+        ] {
             let mut scratch = Vec::new();
             let mut exec = KernelExec::new(&ctx, &mut vram, &args, &mut scratch);
             let result = OcbDecryptKernel.run(&mut exec);
-            assert!(matches!(result, Err(KernelError::BadArgs(_))), "{args:x?}: {result:?}");
+            assert!(
+                matches!(result, Err(KernelError::BadArgs(_))),
+                "{args:x?}: {result:?}"
+            );
         }
     }
 

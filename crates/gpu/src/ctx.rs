@@ -76,7 +76,9 @@ impl GpuContext {
 
     /// Unmaps the page of `va`, returning the frame it pointed to.
     pub fn unmap_page(&mut self, va: DevAddr) -> Option<u64> {
-        self.page_table.remove(&va.vpn()).map(|ppn| ppn * GPU_PAGE_SIZE)
+        self.page_table
+            .remove(&va.vpn())
+            .map(|ppn| ppn * GPU_PAGE_SIZE)
     }
 
     /// Translates one device-virtual address.
@@ -96,7 +98,10 @@ impl GpuContext {
 
     /// All VRAM frames owned by the context (for scrubbing at destroy).
     pub fn frames(&self) -> Vec<u64> {
-        self.page_table.values().map(|ppn| ppn * GPU_PAGE_SIZE).collect()
+        self.page_table
+            .values()
+            .map(|ppn| ppn * GPU_PAGE_SIZE)
+            .collect()
     }
 
     /// Number of mapped pages.
@@ -191,14 +196,20 @@ mod tests {
         use hix_crypto::ocb::Nonce;
         let mut ctx = GpuContext::new(CtxId(1));
         ctx.set_session_key([7u8; 16]);
-        let before = ctx.session_ocb().unwrap().seal(&Nonce::from_counter(1), b"a", b"pt");
+        let before = ctx
+            .session_ocb()
+            .unwrap()
+            .seal(&Nonce::from_counter(1), b"a", b"pt");
         // The cached context is exactly the one a fresh build would give.
         let fresh = Ocb::new(&Key::from_bytes([7u8; 16]));
         assert_eq!(before, fresh.seal(&Nonce::from_counter(1), b"a", b"pt"));
         // Rekey (epoch bump) replaces the cache: same nonce, different key,
         // different ciphertext, and the old context can no longer open it.
         ctx.set_session_key([8u8; 16]);
-        let after = ctx.session_ocb().unwrap().seal(&Nonce::from_counter(1), b"a", b"pt");
+        let after = ctx
+            .session_ocb()
+            .unwrap()
+            .seal(&Nonce::from_counter(1), b"a", b"pt");
         assert_ne!(before, after);
         assert!(fresh.open(&Nonce::from_counter(1), b"a", &after).is_err());
     }

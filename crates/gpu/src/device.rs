@@ -214,7 +214,8 @@ impl GpuDevice {
         attrs: &[(&'static str, u64)],
     ) {
         self.clock.advance(dt);
-        self.trace.emit_with(self.clock.now(), dt, kind, label, attrs);
+        self.trace
+            .emit_with(self.clock.now(), dt, kind, label, attrs);
     }
 
     /// Records a recoverable page fault (demand paging extension, §5.6
@@ -242,7 +243,13 @@ impl GpuDevice {
         // problem — e.g. an integrity failure after a bit-flip landed in
         // a sealed staging buffer. Recorded as detected, so one injection
         // that cascades into a detected error downstream is two faults.
-        fault::record(&self.trace, self.clock.now(), None, "gpu error", &[("code", u64::from(code))]);
+        fault::record(
+            &self.trace,
+            self.clock.now(),
+            None,
+            "gpu error",
+            &[("code", u64::from(code))],
+        );
     }
 
     /// Latches an error code without the [`GpuDevice::set_error`] `Fault`
@@ -256,7 +263,13 @@ impl GpuDevice {
 
     /// Records one injected device fault against the context it hit.
     fn injected(&self, what: DeviceFault, ctx: CtxId) {
-        fault::record(&self.trace, self.clock.now(), Some(what.kind()), "", &[("ctx", u64::from(ctx.0))]);
+        fault::record(
+            &self.trace,
+            self.clock.now(),
+            Some(what.kind()),
+            "",
+            &[("ctx", u64::from(ctx.0))],
+        );
     }
 
     /// Flips one byte inside the context's resident VRAM footprint and
@@ -329,7 +342,11 @@ impl GpuDevice {
     fn exec(&mut self, cmd: GpuCommand, dma: &mut dyn DmaBus) {
         if cmd.uses_engines() && self.engine_ctx != Some(cmd.ctx()) {
             if self.engine_ctx.is_some() {
-                self.charge(self.model.ctx_switch, EventKind::CtxSwitch, "gpu ctx switch");
+                self.charge(
+                    self.model.ctx_switch,
+                    EventKind::CtxSwitch,
+                    "gpu ctx switch",
+                );
                 self.trace.metrics().inc(Counter::GpuCtxSwitches);
                 self.ctx_switches += 1;
             }
@@ -529,7 +546,12 @@ impl GpuDevice {
                     off += take;
                 }
             }
-            GpuCommand::Memset { ctx, va, len, value } => {
+            GpuCommand::Memset {
+                ctx,
+                va,
+                len,
+                value,
+            } => {
                 self.charge_with(
                     Nanos::for_throughput(len.max(1), VRAM_BW),
                     EventKind::GpuMem,
@@ -576,7 +598,11 @@ impl GpuDevice {
                 });
                 self.charge(
                     cost,
-                    if is_crypto { EventKind::GpuCrypto } else { EventKind::Kernel },
+                    if is_crypto {
+                        EventKind::GpuCrypto
+                    } else {
+                        EventKind::Kernel
+                    },
                     "launch",
                 );
                 if self.opts.synthetic {
@@ -594,7 +620,11 @@ impl GpuDevice {
                     Err(KernelError::IntegrityFailure) => self.set_error(errcode::INTEGRITY),
                 }
             }
-            GpuCommand::DhExp { ctx, finalize, public } => {
+            GpuCommand::DhExp {
+                ctx,
+                finalize,
+                public,
+            } => {
                 self.charge(Nanos::from_micros(200), EventKind::Attestation, "gpu dh");
                 let Some(context) = self.ctxs.get_mut(&ctx) else {
                     self.set_error(errcode::NO_CTX);
@@ -784,7 +814,10 @@ impl PcieDevice for GpuDevice {
         match fault {
             Some(hang @ DeviceFault::Hang { wedged }) => {
                 self.injected(hang, cmd.ctx());
-                self.hang = Some(HangState { ctx: cmd.ctx(), wedged });
+                self.hang = Some(HangState {
+                    ctx: cmd.ctx(),
+                    wedged,
+                });
                 false
             }
             Some(lost @ DeviceFault::LostCompletion) => {
@@ -876,7 +909,11 @@ mod tests {
     fn submit(dev: &mut GpuDevice, cmd: GpuCommand) {
         let bytes = cmd.encode();
         dev.mmio_write(BarIndex(0), bar0::CMD_WINDOW, &bytes);
-        dev.mmio_write(BarIndex(0), bar0::DOORBELL, &(bytes.len() as u64).to_le_bytes());
+        dev.mmio_write(
+            BarIndex(0),
+            bar0::DOORBELL,
+            &(bytes.len() as u64).to_le_bytes(),
+        );
     }
 
     fn drain(dev: &mut GpuDevice, host: &mut HostStub) {
@@ -916,20 +953,31 @@ mod tests {
         let data = b"through the fabric and back".to_vec();
         host.dma_write(PhysAddr::new(0x1000), &data).unwrap();
         submit(&mut dev, GpuCommand::CreateCtx { ctx: CtxId(1) });
-        let map = GpuCommand::MapRange { ctx: CtxId(1), va: DevAddr(0x4000), pa: 0x8000, pages: 1 };
+        let map = GpuCommand::MapRange {
+            ctx: CtxId(1),
+            va: DevAddr(0x4000),
+            pa: 0x8000,
+            pages: 1,
+        };
         submit(&mut dev, map);
-        submit(&mut dev, GpuCommand::DmaHtoD {
-            ctx: CtxId(1),
-            bus: PhysAddr::new(0x1000),
-            va: DevAddr(0x4000),
-            len: data.len() as u64,
-        });
-        submit(&mut dev, GpuCommand::DmaDtoH {
-            ctx: CtxId(1),
-            va: DevAddr(0x4000),
-            bus: PhysAddr::new(0x9000),
-            len: data.len() as u64,
-        });
+        submit(
+            &mut dev,
+            GpuCommand::DmaHtoD {
+                ctx: CtxId(1),
+                bus: PhysAddr::new(0x1000),
+                va: DevAddr(0x4000),
+                len: data.len() as u64,
+            },
+        );
+        submit(
+            &mut dev,
+            GpuCommand::DmaDtoH {
+                ctx: CtxId(1),
+                va: DevAddr(0x4000),
+                bus: PhysAddr::new(0x9000),
+                len: data.len() as u64,
+            },
+        );
         drain(&mut dev, &mut host);
         assert_eq!(dev.error(), errcode::NONE);
         let mut back = vec![0u8; data.len()];
@@ -942,14 +990,21 @@ mod tests {
         let mut dev = device();
         let mut host = HostStub::default();
         submit(&mut dev, GpuCommand::CreateCtx { ctx: CtxId(1) });
-        submit(&mut dev, GpuCommand::DmaHtoD {
-            ctx: CtxId(1),
-            bus: PhysAddr::new(0x1000),
-            va: DevAddr(0x4000),
-            len: 16,
-        });
+        submit(
+            &mut dev,
+            GpuCommand::DmaHtoD {
+                ctx: CtxId(1),
+                bus: PhysAddr::new(0x1000),
+                va: DevAddr(0x4000),
+                len: 16,
+            },
+        );
         drain(&mut dev, &mut host);
-        assert_eq!(dev.error(), errcode::PAGE_FAULT, "recoverable fault reported");
+        assert_eq!(
+            dev.error(),
+            errcode::PAGE_FAULT,
+            "recoverable fault reported"
+        );
         // The fault registers carry the details.
         let mut buf = [0u8; 8];
         dev.mmio_read(BarIndex(0), bar0::FAULT_ADDR, &mut buf);
@@ -961,15 +1016,29 @@ mod tests {
     #[test]
     fn host_dma_failure_reported() {
         let mut dev = device();
-        let mut host = HostStub { fail: true, ..HostStub::default() };
+        let mut host = HostStub {
+            fail: true,
+            ..HostStub::default()
+        };
         submit(&mut dev, GpuCommand::CreateCtx { ctx: CtxId(1) });
-        submit(&mut dev, GpuCommand::MapRange { ctx: CtxId(1), va: DevAddr(0), pa: 0, pages: 1 });
-        submit(&mut dev, GpuCommand::DmaHtoD {
-            ctx: CtxId(1),
-            bus: PhysAddr::new(0x1000),
-            va: DevAddr(0),
-            len: 4,
-        });
+        submit(
+            &mut dev,
+            GpuCommand::MapRange {
+                ctx: CtxId(1),
+                va: DevAddr(0),
+                pa: 0,
+                pages: 1,
+            },
+        );
+        submit(
+            &mut dev,
+            GpuCommand::DmaHtoD {
+                ctx: CtxId(1),
+                bus: PhysAddr::new(0x1000),
+                va: DevAddr(0),
+                len: 4,
+            },
+        );
         drain(&mut dev, &mut host);
         assert_eq!(dev.error(), errcode::DMA);
     }
@@ -980,7 +1049,15 @@ mod tests {
         let mut host = HostStub::default();
         submit(&mut dev, GpuCommand::CreateCtx { ctx: CtxId(1) });
         let pa = 0u64.wrapping_sub(GPU_PAGE_SIZE); // 2^64 - 4096, page-aligned
-        submit(&mut dev, GpuCommand::MapRange { ctx: CtxId(1), va: DevAddr(0), pa, pages: 1 });
+        submit(
+            &mut dev,
+            GpuCommand::MapRange {
+                ctx: CtxId(1),
+                va: DevAddr(0),
+                pa,
+                pages: 1,
+            },
+        );
         drain(&mut dev, &mut host);
         assert_eq!(dev.error(), errcode::FAULT);
     }
@@ -1006,11 +1083,35 @@ mod tests {
         for c in 1..=2u32 {
             submit(&mut dev, GpuCommand::CreateCtx { ctx: CtxId(c) });
             let pa = u64::from(c) * 0x1000;
-            submit(&mut dev, GpuCommand::MapRange { ctx: CtxId(c), va: DevAddr(0), pa, pages: 1 });
+            submit(
+                &mut dev,
+                GpuCommand::MapRange {
+                    ctx: CtxId(c),
+                    va: DevAddr(0),
+                    pa,
+                    pages: 1,
+                },
+            );
         }
         for _ in 0..3 {
-            submit(&mut dev, GpuCommand::Memset { ctx: CtxId(1), va: DevAddr(0), len: 16, value: 1 });
-            submit(&mut dev, GpuCommand::Memset { ctx: CtxId(2), va: DevAddr(0), len: 16, value: 2 });
+            submit(
+                &mut dev,
+                GpuCommand::Memset {
+                    ctx: CtxId(1),
+                    va: DevAddr(0),
+                    len: 16,
+                    value: 1,
+                },
+            );
+            submit(
+                &mut dev,
+                GpuCommand::Memset {
+                    ctx: CtxId(2),
+                    va: DevAddr(0),
+                    len: 16,
+                    value: 2,
+                },
+            );
         }
         drain(&mut dev, &mut host);
         // 6 engine ops alternating contexts: 5 switches.
@@ -1022,8 +1123,24 @@ mod tests {
         let mut dev = device();
         let mut host = HostStub::default();
         submit(&mut dev, GpuCommand::CreateCtx { ctx: CtxId(1) });
-        submit(&mut dev, GpuCommand::MapRange { ctx: CtxId(1), va: DevAddr(0), pa: 0x3000, pages: 1 });
-        submit(&mut dev, GpuCommand::Memset { ctx: CtxId(1), va: DevAddr(0), len: 4096, value: 0xaa });
+        submit(
+            &mut dev,
+            GpuCommand::MapRange {
+                ctx: CtxId(1),
+                va: DevAddr(0),
+                pa: 0x3000,
+                pages: 1,
+            },
+        );
+        submit(
+            &mut dev,
+            GpuCommand::Memset {
+                ctx: CtxId(1),
+                va: DevAddr(0),
+                len: 4096,
+                value: 0xaa,
+            },
+        );
         submit(&mut dev, GpuCommand::DestroyCtx { ctx: CtxId(1) });
         drain(&mut dev, &mut host);
         let mut raw = [0u8; 16];
@@ -1070,11 +1187,14 @@ mod tests {
         let user = group.generate(&mut HmacDrbg::new(b"user"));
         let encl = group.generate(&mut HmacDrbg::new(b"enclave"));
         // Step 1: g^a -> device -> g^ac (relayed back for the enclave).
-        submit(&mut dev, GpuCommand::DhExp {
-            ctx: CtxId(1),
-            finalize: false,
-            public: user.public.to_be_bytes(),
-        });
+        submit(
+            &mut dev,
+            GpuCommand::DhExp {
+                ctx: CtxId(1),
+                finalize: false,
+                public: user.public.to_be_bytes(),
+            },
+        );
         drain(&mut dev, &mut host);
         let mut resp = [0u8; 2];
         dev.mmio_read(BarIndex(0), bar0::RESP, &mut resp);
@@ -1082,35 +1202,40 @@ mod tests {
         let mut g_ac = vec![0u8; n];
         dev.mmio_read(BarIndex(0), bar0::RESP + 2, &mut g_ac);
         // Enclave: key = (g^ac)^b.
-        let key_e = group
-            .agree(&encl, &DhPublic::from_be_bytes(&g_ac))
-            .unwrap();
+        let key_e = group.agree(&encl, &DhPublic::from_be_bytes(&g_ac)).unwrap();
         // Step 2: g^b -> device -> g^bc (relayed to the user).
-        submit(&mut dev, GpuCommand::DhExp {
-            ctx: CtxId(1),
-            finalize: false,
-            public: encl.public.to_be_bytes(),
-        });
+        submit(
+            &mut dev,
+            GpuCommand::DhExp {
+                ctx: CtxId(1),
+                finalize: false,
+                public: encl.public.to_be_bytes(),
+            },
+        );
         drain(&mut dev, &mut host);
         dev.mmio_read(BarIndex(0), bar0::RESP, &mut resp);
         let n = u16::from_le_bytes(resp) as usize;
         let mut g_bc = vec![0u8; n];
         dev.mmio_read(BarIndex(0), bar0::RESP + 2, &mut g_bc);
-        let key_u = group
-            .agree(&user, &DhPublic::from_be_bytes(&g_bc))
-            .unwrap();
+        let key_u = group.agree(&user, &DhPublic::from_be_bytes(&g_bc)).unwrap();
         // Step 3: enclave computes g^ab and finalizes on the device.
         let g_ab = group.agree(&encl, &user.public).unwrap();
-        submit(&mut dev, GpuCommand::DhExp {
-            ctx: CtxId(1),
-            finalize: true,
-            public: g_ab.as_bytes().to_vec(),
-        });
+        submit(
+            &mut dev,
+            GpuCommand::DhExp {
+                ctx: CtxId(1),
+                finalize: true,
+                public: g_ab.as_bytes().to_vec(),
+            },
+        );
         drain(&mut dev, &mut host);
         assert_eq!(dev.error(), errcode::NONE);
         // All three parties derived the same key.
         let expect = kdf::derive_aes128(b"hix-3dh", key_e.as_bytes(), b"session");
-        assert_eq!(kdf::derive_aes128(b"hix-3dh", key_u.as_bytes(), b"session"), expect);
+        assert_eq!(
+            kdf::derive_aes128(b"hix-3dh", key_u.as_bytes(), b"session"),
+            expect
+        );
         // Pinned for this device seed: the device draws its secret from
         // its DRBG at CreateCtx, so a change to that draw moves the key.
         assert_eq!(
@@ -1132,7 +1257,14 @@ mod tests {
         let mut dev = device();
         let mut host = HostStub::default();
         submit(&mut dev, GpuCommand::CreateCtx { ctx: CtxId(1) });
-        submit(&mut dev, GpuCommand::Launch { ctx: CtxId(1), kernel: 42, args: vec![] });
+        submit(
+            &mut dev,
+            GpuCommand::Launch {
+                ctx: CtxId(1),
+                kernel: 42,
+                args: vec![],
+            },
+        );
         drain(&mut dev, &mut host);
         assert_eq!(dev.error(), errcode::NO_KERNEL);
     }
@@ -1155,7 +1287,15 @@ mod tests {
     /// commands are not fault-eligible, so this works under any plan).
     fn ctx_with_page(dev: &mut GpuDevice, host: &mut HostStub, pa: u64) {
         submit(dev, GpuCommand::CreateCtx { ctx: CtxId(1) });
-        submit(dev, GpuCommand::MapRange { ctx: CtxId(1), va: DevAddr(0), pa, pages: 1 });
+        submit(
+            dev,
+            GpuCommand::MapRange {
+                ctx: CtxId(1),
+                va: DevAddr(0),
+                pa,
+                pages: 1,
+            },
+        );
         drain(dev, host);
         assert_eq!(dev.error(), errcode::NONE);
     }
@@ -1172,7 +1312,15 @@ mod tests {
         let mut host = HostStub::default();
         ctx_with_page(&mut dev, &mut host, 0x3000);
         dev.install_fault_plan(Some(certain_plan(hang_cfg(0))));
-        submit(&mut dev, GpuCommand::CopyDtoD { ctx: CtxId(1), src: DevAddr(0), dst: DevAddr(64), len: 64 });
+        submit(
+            &mut dev,
+            GpuCommand::CopyDtoD {
+                ctx: CtxId(1),
+                src: DevAddr(0),
+                dst: DevAddr(64),
+                len: 64,
+            },
+        );
         assert!(!dev.tick(&mut host), "hung tick makes no progress");
         assert!(dev.is_hung());
         assert_eq!(status(&mut dev), 1, "busy while hung");
@@ -1193,7 +1341,15 @@ mod tests {
         let mut host = HostStub::default();
         ctx_with_page(&mut dev, &mut host, 0x3000);
         dev.install_fault_plan(Some(certain_plan(hang_cfg(1000))));
-        submit(&mut dev, GpuCommand::CopyDtoD { ctx: CtxId(1), src: DevAddr(0), dst: DevAddr(64), len: 64 });
+        submit(
+            &mut dev,
+            GpuCommand::CopyDtoD {
+                ctx: CtxId(1),
+                src: DevAddr(0),
+                dst: DevAddr(64),
+                len: 64,
+            },
+        );
         assert!(!dev.tick(&mut host));
         dev.mmio_write(BarIndex(0), bar0::KILL, &1u32.to_le_bytes());
         assert!(dev.is_hung(), "a wedged context ignores the kill doorbell");
@@ -1214,9 +1370,25 @@ mod tests {
         })));
         // Memset is not fault-eligible (scrubbing must never hang), so
         // it seeds the page even under the always-fault plan.
-        submit(&mut dev, GpuCommand::Memset { ctx: CtxId(1), va: DevAddr(0), len: 16, value: 0x55 });
+        submit(
+            &mut dev,
+            GpuCommand::Memset {
+                ctx: CtxId(1),
+                va: DevAddr(0),
+                len: 16,
+                value: 0x55,
+            },
+        );
         assert!(dev.tick(&mut host));
-        submit(&mut dev, GpuCommand::CopyDtoD { ctx: CtxId(1), src: DevAddr(0), dst: DevAddr(16), len: 16 });
+        submit(
+            &mut dev,
+            GpuCommand::CopyDtoD {
+                ctx: CtxId(1),
+                src: DevAddr(0),
+                dst: DevAddr(16),
+                len: 16,
+            },
+        );
         assert!(!dev.tick(&mut host));
         let mut raw = [0u8; 16];
         dev.vram().read(0x3010, &mut raw);
@@ -1236,9 +1408,25 @@ mod tests {
             gpu_vram_flip_pm: 1000,
             ..hix_sim::fault::FaultConfig::none()
         })));
-        submit(&mut dev, GpuCommand::Memset { ctx: CtxId(1), va: DevAddr(0), len: 4096, value: 0xaa });
+        submit(
+            &mut dev,
+            GpuCommand::Memset {
+                ctx: CtxId(1),
+                va: DevAddr(0),
+                len: 4096,
+                value: 0xaa,
+            },
+        );
         assert!(dev.tick(&mut host));
-        submit(&mut dev, GpuCommand::CopyDtoD { ctx: CtxId(1), src: DevAddr(0), dst: DevAddr(0), len: 4096 });
+        submit(
+            &mut dev,
+            GpuCommand::CopyDtoD {
+                ctx: CtxId(1),
+                src: DevAddr(0),
+                dst: DevAddr(0),
+                len: 4096,
+            },
+        );
         assert!(dev.tick(&mut host), "an ECC flip does not stall the engine");
         let mut raw = [0u8; 4096];
         dev.vram().read(0x3000, &mut raw);
@@ -1259,9 +1447,25 @@ mod tests {
             gpu_spurious_pm: 1000,
             ..hix_sim::fault::FaultConfig::none()
         })));
-        submit(&mut dev, GpuCommand::Memset { ctx: CtxId(1), va: DevAddr(0), len: 16, value: 0x77 });
+        submit(
+            &mut dev,
+            GpuCommand::Memset {
+                ctx: CtxId(1),
+                va: DevAddr(0),
+                len: 16,
+                value: 0x77,
+            },
+        );
         assert!(dev.tick(&mut host));
-        submit(&mut dev, GpuCommand::CopyDtoD { ctx: CtxId(1), src: DevAddr(0), dst: DevAddr(16), len: 16 });
+        submit(
+            &mut dev,
+            GpuCommand::CopyDtoD {
+                ctx: CtxId(1),
+                src: DevAddr(0),
+                dst: DevAddr(16),
+                len: 16,
+            },
+        );
         assert!(dev.tick(&mut host));
         let mut raw = [0u8; 16];
         dev.vram().read(0x3010, &mut raw);
@@ -1274,7 +1478,10 @@ mod tests {
     fn injections_account_one_fault_event_each() {
         let trace = Trace::new();
         let mut dev = GpuDevice::new(
-            GpuConfig { vram_size: 16 << 20, ..GpuConfig::default() },
+            GpuConfig {
+                vram_size: 16 << 20,
+                ..GpuConfig::default()
+            },
             Clock::new(),
             CostModel::paper(),
             trace.clone(),
@@ -1282,7 +1489,15 @@ mod tests {
         let mut host = HostStub::default();
         ctx_with_page(&mut dev, &mut host, 0x3000);
         dev.install_fault_plan(Some(certain_plan(hang_cfg(0))));
-        submit(&mut dev, GpuCommand::CopyDtoD { ctx: CtxId(1), src: DevAddr(0), dst: DevAddr(16), len: 16 });
+        submit(
+            &mut dev,
+            GpuCommand::CopyDtoD {
+                ctx: CtxId(1),
+                src: DevAddr(0),
+                dst: DevAddr(16),
+                len: 16,
+            },
+        );
         assert!(!dev.tick(&mut host));
         dev.mmio_write(BarIndex(0), bar0::KILL, &1u32.to_le_bytes());
         let metrics = trace.metrics();
@@ -1302,13 +1517,41 @@ mod tests {
         for c in 1..=2u32 {
             submit(&mut dev, GpuCommand::CreateCtx { ctx: CtxId(c) });
             let pa = u64::from(c) * 0x1000;
-            submit(&mut dev, GpuCommand::MapRange { ctx: CtxId(c), va: DevAddr(0), pa, pages: 1 });
+            submit(
+                &mut dev,
+                GpuCommand::MapRange {
+                    ctx: CtxId(c),
+                    va: DevAddr(0),
+                    pa,
+                    pages: 1,
+                },
+            );
         }
         drain(&mut dev, &mut host);
-        submit(&mut dev, GpuCommand::Memset { ctx: CtxId(1), va: DevAddr(0), len: 16, value: 1 });
-        submit(&mut dev, GpuCommand::Memset { ctx: CtxId(2), va: DevAddr(0), len: 16, value: 2 });
+        submit(
+            &mut dev,
+            GpuCommand::Memset {
+                ctx: CtxId(1),
+                va: DevAddr(0),
+                len: 16,
+                value: 1,
+            },
+        );
+        submit(
+            &mut dev,
+            GpuCommand::Memset {
+                ctx: CtxId(2),
+                va: DevAddr(0),
+                len: 16,
+                value: 2,
+            },
+        );
         dev.mmio_write(BarIndex(0), bar0::KILL, &1u32.to_le_bytes());
-        assert_eq!(dev.pending(), 1, "victim's queued work dropped, peer's kept");
+        assert_eq!(
+            dev.pending(),
+            1,
+            "victim's queued work dropped, peer's kept"
+        );
         dev.mmio_write(BarIndex(0), bar0::ERROR, &[0]);
         drain(&mut dev, &mut host);
         assert_eq!(dev.error(), errcode::NONE);
@@ -1323,10 +1566,21 @@ mod tests {
     fn channel_only_plan_leaves_device_untouched() {
         let mut dev = device();
         let mut host = HostStub::default();
-        dev.install_fault_plan(Some(FaultPlan::new(7, hix_sim::fault::FaultConfig::heavy())));
+        dev.install_fault_plan(Some(FaultPlan::new(
+            7,
+            hix_sim::fault::FaultConfig::heavy(),
+        )));
         ctx_with_page(&mut dev, &mut host, 0x3000);
         for _ in 0..50 {
-            submit(&mut dev, GpuCommand::Memset { ctx: CtxId(1), va: DevAddr(0), len: 64, value: 3 });
+            submit(
+                &mut dev,
+                GpuCommand::Memset {
+                    ctx: CtxId(1),
+                    va: DevAddr(0),
+                    len: 64,
+                    value: 3,
+                },
+            );
         }
         drain(&mut dev, &mut host);
         assert_eq!(dev.error(), errcode::NONE);
@@ -1349,12 +1603,15 @@ mod tests {
         );
         let mut host = HostStub::default();
         submit(&mut dev, GpuCommand::CreateCtx { ctx: CtxId(1) });
-        submit(&mut dev, GpuCommand::DmaHtoD {
-            ctx: CtxId(1),
-            bus: PhysAddr::new(0x1000),
-            va: DevAddr(0), // unmapped! would fault in functional mode
-            len: 6 << 20,
-        });
+        submit(
+            &mut dev,
+            GpuCommand::DmaHtoD {
+                ctx: CtxId(1),
+                bus: PhysAddr::new(0x1000),
+                va: DevAddr(0), // unmapped! would fault in functional mode
+                len: 6 << 20,
+            },
+        );
         drain(&mut dev, &mut host);
         assert_eq!(dev.error(), errcode::NONE, "synthetic skips translation");
         assert_eq!(dev.vram().resident_pages(), 0);

@@ -60,7 +60,12 @@ impl<'a> KernelExec<'a> {
         args: &'a [u64],
         scratch: &'a mut Vec<u8>,
     ) -> Self {
-        KernelExec { ctx, vram, args, scratch: Some(scratch) }
+        KernelExec {
+            ctx,
+            vram,
+            args,
+            scratch: Some(scratch),
+        }
     }
 
     /// The launch arguments.
@@ -74,7 +79,10 @@ impl<'a> KernelExec<'a> {
     ///
     /// Returns [`KernelError::BadArgs`] when out of range.
     pub fn arg(&self, i: usize) -> Result<u64, KernelError> {
-        self.args.get(i).copied().ok_or(KernelError::BadArgs("missing argument"))
+        self.args
+            .get(i)
+            .copied()
+            .ok_or(KernelError::BadArgs("missing argument"))
     }
 
     /// The context's session key, if one was agreed.
@@ -116,7 +124,10 @@ impl<'a> KernelExec<'a> {
             .checked_add(second)
             .filter(|&len| len as u64 <= self.vram.size())
             .ok_or(KernelError::BadArgs("scratch larger than device memory"))?;
-        let buf = self.scratch.take().ok_or(KernelError::BadArgs("scratch already taken"))?;
+        let buf = self
+            .scratch
+            .take()
+            .ok_or(KernelError::BadArgs("scratch already taken"))?;
         if buf.len() < len {
             buf.resize(len, 0);
         }
@@ -318,13 +329,23 @@ mod tests {
         let (a, b) = exec.scratch_pair(40, 24).unwrap();
         a.fill(5);
         b.fill(6);
-        assert!(matches!(exec.scratch_pair(1, 1), Err(KernelError::BadArgs(_))));
+        assert!(matches!(
+            exec.scratch_pair(1, 1),
+            Err(KernelError::BadArgs(_))
+        ));
         let mut exec = KernelExec::new(&ctx, &mut vram, &[], &mut scratch);
         let (a, b) = exec.scratch_pair(8, 8).unwrap();
-        assert_eq!((&a[..], &b[..]), (&[5; 8][..], &[5; 8][..]), "a smaller launch reuses it");
+        assert_eq!(
+            (&a[..], &b[..]),
+            (&[5; 8][..], &[5; 8][..]),
+            "a smaller launch reuses it"
+        );
         assert_eq!(scratch.len(), 64);
         let mut exec = KernelExec::new(&ctx, &mut vram, &[], &mut scratch);
-        assert!(matches!(exec.scratch_pair(usize::MAX, 1), Err(KernelError::BadArgs(_))));
+        assert!(matches!(
+            exec.scratch_pair(usize::MAX, 1),
+            Err(KernelError::BadArgs(_))
+        ));
         let mut exec = KernelExec::new(&ctx, &mut vram, &[], &mut scratch);
         assert!(
             matches!(exec.scratch_pair(1 << 20, 1), Err(KernelError::BadArgs(_))),
@@ -345,7 +366,10 @@ mod tests {
             exec.read(DevAddr(u64::MAX - 0xfff), &mut [0; 0x1001]),
             Err(KernelError::BadArgs(_))
         ));
-        assert!(matches!(exec.write(DevAddr(u64::MAX), &[1, 2]), Err(KernelError::BadArgs(_))));
+        assert!(matches!(
+            exec.write(DevAddr(u64::MAX), &[1, 2]),
+            Err(KernelError::BadArgs(_))
+        ));
     }
 
     #[test]

@@ -34,5 +34,5 @@ pub mod vram;
 
 pub use cmd::GpuCommand;
 pub use device::{GpuConfig, GpuDevice};
-pub use kernel::{GpuKernel, KernelExec, KernelError};
+pub use kernel::{GpuKernel, KernelError, KernelExec};
 pub use vram::DevAddr;

@@ -72,7 +72,10 @@ impl Vram {
     ///
     /// Panics unless `size` is page-aligned and nonzero.
     pub fn new(size: u64) -> Self {
-        assert!(size > 0 && size.is_multiple_of(GPU_PAGE_SIZE), "VRAM size must be page-aligned");
+        assert!(
+            size > 0 && size.is_multiple_of(GPU_PAGE_SIZE),
+            "VRAM size must be page-aligned"
+        );
         Vram {
             pages: BTreeMap::new(),
             size,
@@ -91,7 +94,8 @@ impl Vram {
     /// Panics if the span exceeds capacity (device model bug).
     pub fn read(&self, addr: u64, buf: &mut [u8]) {
         assert!(
-            addr.checked_add(buf.len() as u64).is_some_and(|e| e <= self.size),
+            addr.checked_add(buf.len() as u64)
+                .is_some_and(|e| e <= self.size),
             "VRAM read out of range"
         );
         let mut off = 0usize;
@@ -110,14 +114,16 @@ impl Vram {
     /// Panics if the span exceeds capacity.
     pub fn write(&mut self, addr: u64, data: &[u8]) {
         assert!(
-            addr.checked_add(data.len() as u64).is_some_and(|e| e <= self.size),
+            addr.checked_add(data.len() as u64)
+                .is_some_and(|e| e <= self.size),
             "VRAM write out of range"
         );
         let mut off = 0usize;
         while off < data.len() {
             let a = addr + off as u64;
             let take = ((GPU_PAGE_SIZE - a % GPU_PAGE_SIZE) as usize).min(data.len() - off);
-            self.page_slice_mut(a, take).copy_from_slice(&data[off..off + take]);
+            self.page_slice_mut(a, take)
+                .copy_from_slice(&data[off..off + take]);
             off += take;
         }
     }
@@ -242,7 +248,11 @@ mod tests {
     #[test]
     fn page_slices_view_one_page() {
         let mut v = Vram::new(1 << 20);
-        assert_eq!(v.page_slice(0x2ff0, 16), &[0u8; 16], "untouched page reads zero");
+        assert_eq!(
+            v.page_slice(0x2ff0, 16),
+            &[0u8; 16],
+            "untouched page reads zero"
+        );
         assert_eq!(v.resident_pages(), 0, "reading does not materialize");
         v.page_slice_mut(0x2ff0, 16).copy_from_slice(&[7; 16]);
         let mut buf = [0u8; 17];

@@ -38,11 +38,15 @@ impl fmt::Display for HixError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             HixError::AlreadyOwned(bdf) => write!(f, "GPU {bdf} is already owned by a GPU enclave"),
-            HixError::NotHardware(bdf) => write!(f, "{bdf} is not a boot-enumerated hardware device"),
+            HixError::NotHardware(bdf) => {
+                write!(f, "{bdf} is not a boot-enumerated hardware device")
+            }
             HixError::EnclaveNotReady(id) => write!(f, "enclave {id:?} is not initialized"),
             HixError::NotOwner(id) => write!(f, "enclave {id:?} does not own this GPU"),
             HixError::NotDeviceMmio(pa) => write!(f, "{pa} is not inside the device's MMIO BARs"),
-            HixError::DuplicateRegistration => f.write_str("virtual or physical page already registered"),
+            HixError::DuplicateRegistration => {
+                f.write_str("virtual or physical page already registered")
+            }
             HixError::OwnerBusy(id) => write!(f, "enclave {id:?} already owns a GPU"),
         }
     }
@@ -228,12 +232,7 @@ impl HixState {
     /// 4. the physical address matches the TGMR entry.
     ///
     /// Addresses not covered by any protected BAR pass trivially.
-    pub fn check_access(
-        &self,
-        accessor: Option<EnclaveId>,
-        va: VirtAddr,
-        pa: PhysAddr,
-    ) -> bool {
+    pub fn check_access(&self, accessor: Option<EnclaveId>, va: VirtAddr, pa: PhysAddr) -> bool {
         let va_page_of = va.vpn() * crate::mem::PAGE_SIZE;
         // Comparison (2): if the accessor is a GPU enclave and this
         // virtual page is one it registered, the translation must hit the
@@ -263,9 +262,7 @@ impl HixState {
         let va_page = va.vpn() * crate::mem::PAGE_SIZE;
         let pa_page = pa.value() & !(crate::mem::PAGE_SIZE - 1);
         self.tgmr.iter().any(|t| {
-            t.enclave == gecs.enclave
-                && t.va.value() == va_page
-                && t.pa.value() == pa_page
+            t.enclave == gecs.enclave && t.va.value() == va_page && t.pa.value() == pa_page
         })
     }
 }
@@ -390,14 +387,20 @@ mod tests {
         );
         // ...until cold boot.
         h.cold_boot();
-        h.egcreate(EnclaveId(8), true, bdf(), true, &bars()).unwrap();
+        h.egcreate(EnclaveId(8), true, bdf(), true, &bars())
+            .unwrap();
     }
 
     #[test]
     fn graceful_release_returns_gpu() {
         let (mut h, e) = owned();
-        h.egadd(e, bdf(), VirtAddr::new(0x7000_0000), PhysAddr::new(0xc000_2000))
-            .unwrap();
+        h.egadd(
+            e,
+            bdf(),
+            VirtAddr::new(0x7000_0000),
+            PhysAddr::new(0xc000_2000),
+        )
+        .unwrap();
         // Only the live owner may release.
         assert!(h.release(EnclaveId(9), bdf()).is_err());
         h.release(e, bdf()).unwrap();
@@ -406,7 +409,8 @@ mod tests {
         // OS software can now map the (unprotected) MMIO again.
         assert!(h.check_access(None, VirtAddr::new(0x1000), PhysAddr::new(0xc000_2000)));
         // And a new enclave can own it.
-        h.egcreate(EnclaveId(8), true, bdf(), true, &bars()).unwrap();
+        h.egcreate(EnclaveId(8), true, bdf(), true, &bars())
+            .unwrap();
     }
 
     #[test]

@@ -41,9 +41,18 @@ impl Iommu {
     ///
     /// Panics if either address is not page-aligned.
     pub fn map(&mut self, bus: PhysAddr, pa: PhysAddr) {
-        assert_eq!(bus.value() % PAGE_SIZE, 0, "bus address must be page-aligned");
-        assert_eq!(pa.value() % PAGE_SIZE, 0, "physical address must be page-aligned");
-        self.map.insert(bus.value() / PAGE_SIZE, pa.value() / PAGE_SIZE);
+        assert_eq!(
+            bus.value() % PAGE_SIZE,
+            0,
+            "bus address must be page-aligned"
+        );
+        assert_eq!(
+            pa.value() % PAGE_SIZE,
+            0,
+            "physical address must be page-aligned"
+        );
+        self.map
+            .insert(bus.value() / PAGE_SIZE, pa.value() / PAGE_SIZE);
     }
 
     /// Removes a mapping.

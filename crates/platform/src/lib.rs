@@ -33,6 +33,6 @@ pub mod mmu;
 pub mod sgx;
 
 pub use machine::{Machine, MachineConfig, ProcessId};
-pub use mem::{PAGE_SIZE, VirtAddr};
+pub use mem::{VirtAddr, PAGE_SIZE};
 pub use mmu::AccessFault;
 pub use sgx::{EnclaveId, Measurement, Report};

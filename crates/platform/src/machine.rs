@@ -146,7 +146,10 @@ impl Machine {
         attrs: &[(&'static str, u64)],
         f: impl FnOnce(&mut Machine) -> R,
     ) -> R {
-        let span = self.trace.obs().enter(self.clock.now().as_nanos(), category, name, attrs);
+        let span = self
+            .trace
+            .obs()
+            .enter(self.clock.now().as_nanos(), category, name, attrs);
         let out = f(self);
         self.trace.obs().exit(span, self.clock.now().as_nanos());
         out
@@ -324,14 +327,21 @@ impl Machine {
     /// OS fires its burst of BAR0 writes at `bdf`. Called against a
     /// device the PCIe lockdown protects, which must refuse them all.
     pub fn os_config_storm(&mut self, bdf: Bdf) {
-        let Some(writes) = self.fault_plan.as_ref().and_then(FaultPlan::sample_cfg_storm) else {
+        let Some(writes) = self
+            .fault_plan
+            .as_ref()
+            .and_then(FaultPlan::sample_cfg_storm)
+        else {
             return;
         };
         let attrs = [("writes", u64::from(writes))];
         fault::record(&self.trace, self.clock.now(), Some("cfg_storm"), "", &attrs);
         for i in 0..writes {
             let r = self.config_write(bdf, offsets::BAR0, 0xdead_0000 + i);
-            debug_assert!(r.is_err(), "PCIe lockdown must reject OS config writes to {bdf}");
+            debug_assert!(
+                r.is_err(),
+                "PCIe lockdown must reject OS config writes to {bdf}"
+            );
         }
     }
 
@@ -347,8 +357,17 @@ impl Machine {
         let mut orig = [0u8; 1];
         self.os_read_phys(pa, &mut orig);
         self.os_write_phys(pa, &[orig[0] ^ xor]);
-        fault::record(&self.trace, self.clock.now(), Some("dma_flip"), &format!(" at +{off}"), &[]);
-        Some(DmaFlip { bus: at, orig: orig[0] })
+        fault::record(
+            &self.trace,
+            self.clock.now(),
+            Some("dma_flip"),
+            &format!(" at +{off}"),
+            &[],
+        );
+        Some(DmaFlip {
+            bus: at,
+            orig: orig[0],
+        })
     }
 
     /// Restores the byte an [`Machine::os_dma_flip`] flipped.
@@ -365,7 +384,12 @@ impl Machine {
     /// # Errors
     ///
     /// Returns an [`AccessFault`] if translation or validation fails.
-    pub fn read(&mut self, pid: ProcessId, va: VirtAddr, buf: &mut [u8]) -> Result<(), AccessFault> {
+    pub fn read(
+        &mut self,
+        pid: ProcessId,
+        va: VirtAddr,
+        buf: &mut [u8],
+    ) -> Result<(), AccessFault> {
         self.access(pid, va, AccessKind::Read(buf))
     }
 
@@ -378,7 +402,12 @@ impl Machine {
         self.access(pid, va, AccessKind::Write(data))
     }
 
-    fn access(&mut self, pid: ProcessId, va: VirtAddr, mut kind: AccessKind<'_, '_>) -> Result<(), AccessFault> {
+    fn access(
+        &mut self,
+        pid: ProcessId,
+        va: VirtAddr,
+        mut kind: AccessKind<'_, '_>,
+    ) -> Result<(), AccessFault> {
         let len = kind.len();
         let mut off = 0usize;
         while off < len {
@@ -512,7 +541,10 @@ impl Machine {
     /// Fails if the enclave is not initialized or dead.
     pub fn eenter(&mut self, pid: ProcessId) -> Result<(), SgxError> {
         let enclave = self.proc(pid).enclave.expect("process has no enclave");
-        let secs = self.sgx.secs(enclave).ok_or(SgxError::NoSuchEnclave(enclave))?;
+        let secs = self
+            .sgx
+            .secs(enclave)
+            .ok_or(SgxError::NoSuchEnclave(enclave))?;
         if !secs.alive() {
             return Err(SgxError::Dead(enclave));
         }
@@ -646,7 +678,10 @@ impl Machine {
     /// Propagates [`HixError`].
     pub fn egadd(&mut self, pid: ProcessId, va: VirtAddr, pa: PhysAddr) -> Result<(), HixError> {
         let enclave = self.proc(pid).enclave.expect("process has no enclave");
-        let bdf = self.hix.owned_device(enclave).ok_or(HixError::NotOwner(enclave))?;
+        let bdf = self
+            .hix
+            .owned_device(enclave)
+            .ok_or(HixError::NotOwner(enclave))?;
         self.hix.egadd(enclave, bdf, va, pa)?;
         self.trace.metrics().inc(Counter::HixEgaddPages);
         self.proc_mut(pid).page_table.map(
@@ -666,7 +701,10 @@ impl Machine {
     /// Propagates [`HixError::NotOwner`].
     pub fn hix_release(&mut self, pid: ProcessId) -> Result<(), HixError> {
         let enclave = self.proc(pid).enclave.expect("process has no enclave");
-        let bdf = self.hix.owned_device(enclave).ok_or(HixError::NotOwner(enclave))?;
+        let bdf = self
+            .hix
+            .owned_device(enclave)
+            .ok_or(HixError::NotOwner(enclave))?;
         self.hix.release(enclave, bdf)?;
         self.fabric.unlock(bdf);
         Ok(())

@@ -95,8 +95,11 @@ impl PageTable {
     /// page; returns whether any existed.
     pub fn unmap_range(&mut self, va: VirtAddr, pages: u64) -> bool {
         let first = va.vpn();
-        let mapped: Vec<u64> =
-            self.entries.range(first..first + pages).map(|(v, _)| *v).collect();
+        let mapped: Vec<u64> = self
+            .entries
+            .range(first..first + pages)
+            .map(|(v, _)| *v)
+            .collect();
         for vpn in &mapped {
             self.entries.remove(vpn);
         }
@@ -247,7 +250,13 @@ mod tests {
     fn tlb_hit_miss_counters() {
         let mut tlb = Tlb::new(2);
         assert!(tlb.lookup(VirtAddr::new(0x1000)).is_none());
-        tlb.insert(VirtAddr::new(0x1000), Pte { ppn: 5, writable: true });
+        tlb.insert(
+            VirtAddr::new(0x1000),
+            Pte {
+                ppn: 5,
+                writable: true,
+            },
+        );
         assert!(tlb.lookup(VirtAddr::new(0x1fff)).is_some());
         assert_eq!(tlb.stats(), (1, 1));
     }
@@ -258,7 +267,10 @@ mod tests {
         for i in 0..3u64 {
             tlb.insert(
                 VirtAddr::new(i * PAGE_SIZE),
-                Pte { ppn: i, writable: false },
+                Pte {
+                    ppn: i,
+                    writable: false,
+                },
             );
         }
         // First entry was evicted.
@@ -270,8 +282,20 @@ mod tests {
     #[test]
     fn tlb_flush_page() {
         let mut tlb = Tlb::new(4);
-        tlb.insert(VirtAddr::new(0x1000), Pte { ppn: 1, writable: true });
-        tlb.insert(VirtAddr::new(0x2000), Pte { ppn: 2, writable: true });
+        tlb.insert(
+            VirtAddr::new(0x1000),
+            Pte {
+                ppn: 1,
+                writable: true,
+            },
+        );
+        tlb.insert(
+            VirtAddr::new(0x2000),
+            Pte {
+                ppn: 2,
+                writable: true,
+            },
+        );
         tlb.flush_page(VirtAddr::new(0x1000));
         assert!(tlb.lookup(VirtAddr::new(0x1000)).is_none());
         assert!(tlb.lookup(VirtAddr::new(0x2000)).is_some());
@@ -282,8 +306,20 @@ mod tests {
     #[test]
     fn tlb_insert_updates_in_place() {
         let mut tlb = Tlb::new(2);
-        tlb.insert(VirtAddr::new(0x1000), Pte { ppn: 1, writable: false });
-        tlb.insert(VirtAddr::new(0x1000), Pte { ppn: 9, writable: true });
+        tlb.insert(
+            VirtAddr::new(0x1000),
+            Pte {
+                ppn: 1,
+                writable: false,
+            },
+        );
+        tlb.insert(
+            VirtAddr::new(0x1000),
+            Pte {
+                ppn: 9,
+                writable: true,
+            },
+        );
         let pte = tlb.lookup(VirtAddr::new(0x1000)).unwrap();
         assert_eq!(pte.ppn, 9);
     }

@@ -115,7 +115,9 @@ impl Secs {
 
     /// The EPC frame backing the enclave page at `va`, if any.
     pub fn page_frame(&self, va: VirtAddr) -> Option<PhysAddr> {
-        self.pages.get(&va.vpn()).map(|ppn| PhysAddr::new(ppn * PAGE_SIZE))
+        self.pages
+            .get(&va.vpn())
+            .map(|ppn| PhysAddr::new(ppn * PAGE_SIZE))
     }
 
     /// Whether `va` lies inside the enclave's measured pages (ELRANGE
@@ -229,7 +231,10 @@ impl SgxState {
         data: &[u8],
         writable: bool,
     ) -> Result<PhysAddr, SgxError> {
-        assert!(data.len() as u64 <= PAGE_SIZE, "EADD takes at most one page");
+        assert!(
+            data.len() as u64 <= PAGE_SIZE,
+            "EADD takes at most one page"
+        );
         let secs = self
             .enclaves
             .get_mut(&enclave)
@@ -257,7 +262,10 @@ impl SgxState {
             },
         );
         secs.pages.insert(va.vpn(), ppn);
-        let hasher = secs.hasher.as_mut().expect("uninitialized enclave has hasher");
+        let hasher = secs
+            .hasher
+            .as_mut()
+            .expect("uninitialized enclave has hasher");
         hasher.update(b"EADD");
         hasher.update(&va.vpn().to_le_bytes());
         hasher.update(&[writable as u8]);
@@ -282,7 +290,10 @@ impl SgxState {
         if secs.initialized() {
             return Err(SgxError::AlreadyInitialized(enclave));
         }
-        let hasher = secs.hasher.take().expect("uninitialized enclave has hasher");
+        let hasher = secs
+            .hasher
+            .take()
+            .expect("uninitialized enclave has hasher");
         let mr = Measurement(hasher.finish());
         secs.mrenclave = Some(mr);
         Ok(mr)
@@ -319,12 +330,7 @@ impl SgxState {
     ///    exact linear address the page was added with.
     /// 2. An enclave's own linear range must map to the matching EPC
     ///    frame — the OS cannot silently redirect enclave addresses.
-    pub fn check_access(
-        &self,
-        accessor: Option<EnclaveId>,
-        va: VirtAddr,
-        pa: PhysAddr,
-    ) -> bool {
+    pub fn check_access(&self, accessor: Option<EnclaveId>, va: VirtAddr, pa: PhysAddr) -> bool {
         if Ram::is_epc(pa) {
             let Some(entry) = self.epcm_entry(pa) else {
                 return false; // unassigned EPC frame
@@ -593,7 +599,11 @@ mod tests {
     fn destroy_burns_id_and_frees_epcm() {
         let (mut sgx, mut ram) = setup();
         let (a, mr) = build_enclave(&mut sgx, &mut ram, 1);
-        let frame = sgx.secs(a).unwrap().page_frame(VirtAddr::new(0x10_0000)).unwrap();
+        let frame = sgx
+            .secs(a)
+            .unwrap()
+            .page_frame(VirtAddr::new(0x10_0000))
+            .unwrap();
         sgx.destroy(a);
         assert!(!sgx.secs(a).unwrap().alive());
         assert!(sgx.epcm_entry(frame).is_none());
