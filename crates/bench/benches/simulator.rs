@@ -1,8 +1,8 @@
 //! Micro-benches (hix-testkit): wall-clock cost of the simulator's hot
 //! paths — the routed MMIO access (page walk + EPCM/TGMR checks +
 //! fabric routing), the secure channel round trip (one `sync`: a sealed
-//! request and its response), a full secure transfer in each
-//! direction, a full handshake, and one whole session on a small
+//! request and its response), full secure transfers of 64 KiB and of
+//! one 4 MiB pipeline chunk in each direction, a full handshake, and one whole session on a small
 //! window. These bound how large a functional experiment the simulator
 //! can carry.
 
@@ -53,22 +53,27 @@ fn bench_channel_roundtrip() {
         .run(|| session.sync(&mut machine, &mut enclave).expect("sync"));
 }
 
-fn bench_secure_transfer() {
+/// A secure HtoD and DtoH of `kib` KiB each way. The 64 KiB rows are
+/// dominated by per-transfer work; the 4 MiB rows move one whole
+/// pipeline chunk, where the per-byte copies and OCB passes show.
+fn bench_secure_transfer(kib: u64) {
     let (mut machine, mut enclave, mut session) = secure_stack();
-    let dev = session.malloc(&mut machine, &mut enclave, 64 << 10).unwrap();
-    let payload = Payload::from_bytes(vec![0x42u8; 64 << 10]);
-    Bench::new("hix/secure_htod_64KiB_functional")
-        .throughput_bytes(64 << 10)
+    let len = kib << 10;
+    let size = if kib >= 1024 { format!("{}MiB", kib >> 10) } else { format!("{kib}KiB") };
+    let dev = session.malloc(&mut machine, &mut enclave, len).unwrap();
+    let payload = Payload::from_bytes(vec![0x42u8; len as usize]);
+    Bench::new(format!("hix/secure_htod_{size}_functional"))
+        .throughput_bytes(len)
         .run(|| {
             session
                 .memcpy_htod(&mut machine, &mut enclave, dev, &payload)
                 .expect("transfer")
         });
-    Bench::new("hix/secure_dtoh_64KiB_functional")
-        .throughput_bytes(64 << 10)
+    Bench::new(format!("hix/secure_dtoh_{size}_functional"))
+        .throughput_bytes(len)
         .run(|| {
             session
-                .memcpy_dtoh(&mut machine, &mut enclave, dev, 64 << 10)
+                .memcpy_dtoh(&mut machine, &mut enclave, dev, len)
                 .expect("transfer")
         });
 }
@@ -122,7 +127,8 @@ fn main() {
     bench_mmio_access();
     bench_dram_access();
     bench_channel_roundtrip();
-    bench_secure_transfer();
+    bench_secure_transfer(64);
+    bench_secure_transfer(4 << 10);
     bench_session_setup();
     bench_session_lifecycle();
 }

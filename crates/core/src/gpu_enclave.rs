@@ -1188,6 +1188,11 @@ impl GpuEnclave {
                     Ok(va) => Response::Addr(va),
                     Err(e) => Response::Err(e.to_string()),
                 },
+                // The staging buffer is the enclave's, not the tenant's:
+                // freeing it would break every later transfer.
+                Request::Free { va } if va == state.staging => {
+                    Response::Err("the session's staging buffer is not the tenant's to free".into())
+                }
                 Request::Free { va } => match self.driver.free(machine, ctx, va, true) {
                     Ok(()) => Response::Ok,
                     Err(e) => Response::Err(e.to_string()),

@@ -19,6 +19,7 @@
 use std::collections::VecDeque;
 
 use hix_crypto::drbg::HmacDrbg;
+use hix_crypto::aes::BLOCK;
 use hix_crypto::ocb::{Key, Nonce, Ocb, TAG_LEN};
 use hix_driver::DmaBuffer;
 use hix_gpu::crypto_kernels::DATA_AAD;
@@ -122,10 +123,6 @@ pub struct HixSession {
     synthetic: bool,
     journal: Vec<JournalOp>,
     epoch: u32,
-    /// One sealed chunk on its way to or from the shared window, reused
-    /// by every transfer in both directions. Grows to at most
-    /// `min(pipeline_chunk, transfer) + TAG_LEN` bytes.
-    sealed_chunk: Vec<u8>,
     /// Submission ring: commands enqueued but not yet drained.
     pending: VecDeque<PendingCmd>,
     /// Completion ring: `(id, status)` entries not yet taken by the
@@ -237,7 +234,6 @@ impl HixSession {
                     synthetic,
                     journal: Vec::new(),
                     epoch: 0,
-                    sealed_chunk: Vec::new(),
                     pending: VecDeque::new(),
                     completed: VecDeque::new(),
                     next_cmd: 0,
@@ -603,6 +599,15 @@ impl HixSession {
         }
     }
 
+    /// The session's shared window, keyed for the bulk data plane.
+    fn window(&self) -> Window<'_> {
+        Window {
+            buffer: self.endpoint.buffer(),
+            pid: self.pid,
+            ocb: &self.data_ocb,
+        }
+    }
+
     /// Seals `payload` into the bulk area under the current epoch's data
     /// key and nonce counter and builds the matching request. Charges the
     /// sealing work to its own trace category (recording only — the
@@ -617,18 +622,11 @@ impl HixSession {
         let len = payload.len();
         let nonce_start = self.htod_nonce;
         if !payload.is_synthetic() {
-            let bytes = payload.bytes();
-            grow(&mut self.sealed_chunk, bytes.len().min(chunk as usize) + TAG_LEN);
-            for (i, part) in bytes.chunks(chunk as usize).enumerate() {
-                let sealed = &mut self.sealed_chunk[..part.len() + TAG_LEN];
-                self.data_ocb.seal_into(
-                    &Nonce::from_counter(nonce_start + i as u64),
-                    DATA_AAD,
-                    part,
-                    sealed,
-                );
+            // Each chunk is sealed straight into the window's pages.
+            for (i, part) in payload.bytes().chunks(chunk as usize).enumerate() {
+                let nonce = Nonce::from_counter(nonce_start + i as u64);
                 let at = sealed_chunk_offset(i as u64, chunk);
-                self.endpoint.buffer().write_bytes(machine, self.pid, at, sealed)?;
+                self.window().seal(machine, &nonce, at, part)?;
             }
         }
         machine.trace().metrics().add(Counter::DmaBytesEncrypted, len);
@@ -1193,18 +1191,13 @@ impl HixSession {
                 let payload = if self.synthetic {
                     Payload::synthetic(len)
                 } else {
-                    // Each sealed chunk comes out of the window into the
-                    // session's chunk buffer and opens straight into place.
+                    // Each sealed chunk opens straight out of the window's
+                    // pages into place.
                     let mut out = vec![0u8; len as usize];
-                    grow(&mut self.sealed_chunk, out.len().min(chunk as usize) + TAG_LEN);
                     for (i, part) in out.chunks_mut(chunk as usize).enumerate() {
-                        let sealed = &mut self.sealed_chunk[..part.len() + TAG_LEN];
-                        let at = sealed_chunk_offset(i as u64, chunk);
-                        self.endpoint.buffer().read_into(machine, self.pid, at, sealed)?;
                         let nonce = Nonce::from_counter(nonce_start + i as u64);
-                        self.data_ocb
-                            .open_into(&nonce, DATA_AAD, sealed, part)
-                            .map_err(|_| HixCoreError::IntegrityFailure)?;
+                        let at = sealed_chunk_offset(i as u64, chunk);
+                        self.window().open(machine, &nonce, at, part)?;
                     }
                     Payload::from_bytes(out)
                 };
@@ -1343,12 +1336,134 @@ impl HixSession {
     }
 }
 
-/// Grows `buf` to at least `len` bytes; never shrinks it, so a buffer
-/// reused across transfers settles at its largest span and stops
-/// allocating.
-fn grow(buf: &mut Vec<u8>, len: usize) {
-    if buf.len() < len {
-        buf.resize(len, 0);
+/// The session's view of its shared window for the bulk data plane: the
+/// user side seals HtoD chunks straight into the window's pages and opens
+/// DtoH chunks straight out of them, so no sealed chunk is ever staged in
+/// enclave memory. Each chunk's sealed span is walked a page at a time,
+/// every page once and in order, as one `write_bytes`/`read_into` of the
+/// span would: the TLB sees the same translations. The window is
+/// page-aligned, [`BULK_OFFSET`] is too and the chunk stride is
+/// `chunk + TAG_LEN`, so with a chunk of whole blocks every page boundary
+/// falls on a block boundary. The tail and tag, and a block that
+/// straddles a page boundary when the chunk is not a whole number of
+/// blocks, pass through a 32-byte stack buffer.
+struct Window<'a> {
+    buffer: &'a DmaBuffer,
+    pid: ProcessId,
+    ocb: &'a Ocb,
+}
+
+/// Bytes from window offset `at` to the end of its page, capped at `left`.
+fn page_take(at: u64, left: usize) -> usize {
+    ((PAGE_SIZE - at % PAGE_SIZE) as usize).min(left)
+}
+
+impl Window<'_> {
+    /// Seals `plain` under `nonce` into the `plain.len() + TAG_LEN`-byte
+    /// span at window offset `at`.
+    fn seal(
+        &self,
+        machine: &mut Machine,
+        nonce: &Nonce,
+        at: u64,
+        plain: &[u8],
+    ) -> Result<(), HixCoreError> {
+        let whole = plain.len() / BLOCK * BLOCK;
+        let total = plain.len() + TAG_LEN;
+        let mut stream = Some(self.ocb.stream(nonce));
+        // Sealed bytes not yet placed in the window: stage[next..end].
+        let mut stage = [0u8; 2 * BLOCK];
+        let (mut next, mut end) = (0, 0);
+        let mut sealed = 0;
+        let mut pos = 0;
+        while pos < total {
+            let take = page_take(at + pos as u64, total - pos);
+            self.buffer
+                .with_page_mut(machine, self.pid, at + pos as u64, take, |page| {
+                    let mut i = 0;
+                    while i < take {
+                        if next < end {
+                            let n = (end - next).min(take - i);
+                            page[i..i + n].copy_from_slice(&stage[next..next + n]);
+                            (next, i) = (next + n, i + n);
+                        } else if sealed < whole {
+                            let stream = stream.as_mut().expect("sealing until the finish");
+                            let run = ((take - i) / BLOCK * BLOCK).min(whole - sealed);
+                            if run > 0 {
+                                stream
+                                    .seal_run(&plain[sealed..sealed + run], &mut page[i..i + run]);
+                                (sealed, i) = (sealed + run, i + run);
+                            } else {
+                                let block = &plain[sealed..sealed + BLOCK];
+                                stream.seal_run(block, &mut stage[..BLOCK]);
+                                (sealed, next, end) = (sealed + BLOCK, 0, BLOCK);
+                            }
+                        } else {
+                            let stream = stream.take().expect("one finish per chunk");
+                            let tail = &plain[whole..];
+                            let (tail_out, tag) = stage.split_at_mut(tail.len());
+                            tag[..TAG_LEN]
+                                .copy_from_slice(&stream.seal_finish(DATA_AAD, tail, tail_out));
+                            (next, end) = (0, tail.len() + TAG_LEN);
+                        }
+                    }
+                })?;
+            pos += take;
+        }
+        Ok(())
+    }
+
+    /// Opens the `out.len() + TAG_LEN`-byte sealed span at window offset
+    /// `at` under `nonce` into `out`. The caller releases `out` only on
+    /// success.
+    ///
+    /// # Errors
+    ///
+    /// [`HixCoreError::IntegrityFailure`] if the tag fails to verify.
+    fn open(
+        &self,
+        machine: &mut Machine,
+        nonce: &Nonce,
+        at: u64,
+        out: &mut [u8],
+    ) -> Result<(), HixCoreError> {
+        let whole = out.len() / BLOCK * BLOCK;
+        let total = out.len() + TAG_LEN;
+        let mut stream = self.ocb.stream(nonce);
+        // A block that straddles a page boundary, or (past the whole
+        // blocks) the tail and tag, gathered so far: stage[..staged].
+        let mut stage = [0u8; 2 * BLOCK];
+        let mut staged = 0;
+        let mut opened = 0;
+        let mut pos = 0;
+        while pos < total {
+            let take = page_take(at + pos as u64, total - pos);
+            self.buffer
+                .with_page(machine, self.pid, at + pos as u64, take, |page| {
+                    let mut i = 0;
+                    while i < take {
+                        let run = ((take - i) / BLOCK * BLOCK).min(whole - opened);
+                        if staged == 0 && run > 0 {
+                            stream.open_run(&page[i..i + run], &mut out[opened..opened + run]);
+                            (opened, i) = (opened + run, i + run);
+                            continue;
+                        }
+                        let want = if opened < whole { BLOCK } else { total - whole };
+                        let n = (want - staged).min(take - i);
+                        stage[staged..staged + n].copy_from_slice(&page[i..i + n]);
+                        (staged, i) = (staged + n, i + n);
+                        if opened < whole && staged == BLOCK {
+                            stream.open_run(&stage[..BLOCK], &mut out[opened..opened + BLOCK]);
+                            (opened, staged) = (opened + BLOCK, 0);
+                        }
+                    }
+                })?;
+            pos += take;
+        }
+        let (tail, tag) = stage[..total - whole].split_at(out.len() - whole);
+        stream
+            .open_finish(DATA_AAD, tail, tag, &mut out[whole..])
+            .map_err(|_| HixCoreError::IntegrityFailure)
     }
 }
 
@@ -2008,5 +2123,75 @@ mod tests {
             .collect();
         assert_eq!(vals, (1..=100i32).map(|i| i * i).collect::<Vec<_>>());
         let _ = GPU_BDF;
+    }
+
+    /// The enclave allocates a session's staging buffer first in the
+    /// session's context, so on a fresh rig it sits at this address.
+    const STAGING: DevAddr = DevAddr(0x100_0000);
+
+    #[test]
+    fn a_tenant_cannot_free_its_sessions_staging_buffer() {
+        let (mut m, mut enclave, mut s, dev) = hostile();
+        let err = s.free(&mut m, &mut enclave, STAGING).unwrap_err();
+        assert!(matches!(err, HixCoreError::Remote(_)), "{err:?}");
+        // The session still moves data both ways.
+        let payload = Payload::from_bytes((0..4096u32).map(|i| (i * 5) as u8).collect());
+        s.memcpy_htod(&mut m, &mut enclave, dev, &payload).unwrap();
+        let back = s.memcpy_dtoh(&mut m, &mut enclave, dev, 4096).unwrap();
+        assert_eq!(back.bytes(), payload.bytes());
+    }
+
+    #[test]
+    fn a_dtoh_from_the_staging_buffer_is_refused() {
+        let (mut m, mut enclave, mut s, dev) = hostile();
+        // The encrypt kernel would seal the staging buffer into itself:
+        // its source overlaps its sealed range.
+        let err = s
+            .memcpy_dtoh(&mut m, &mut enclave, STAGING, 64)
+            .unwrap_err();
+        let bad_args = format!("GPU error code {}", hix_gpu::regs::errcode::BAD_ARGS);
+        assert!(
+            matches!(&err, HixCoreError::Remote(msg) if msg.contains(&bad_args)),
+            "{err:?}"
+        );
+        let payload = Payload::from_bytes(vec![0x5a; 64]);
+        s.memcpy_htod(&mut m, &mut enclave, dev, &payload).unwrap();
+        assert_eq!(
+            s.memcpy_dtoh(&mut m, &mut enclave, dev, 64)
+                .unwrap()
+                .bytes(),
+            payload.bytes()
+        );
+    }
+
+    /// Chunks that are not a whole number of blocks put some sealed
+    /// chunks off the block grid of the window's pages, so blocks (and
+    /// tails and tags) straddle page boundaries on the user side.
+    #[test]
+    fn chunks_of_partial_blocks_straddle_window_pages() {
+        for chunk in [1000u64, 1032, 4100] {
+            let model = CostModel::builder().pipeline_chunk(chunk).build();
+            let machine = hix_platform::MachineConfig {
+                model,
+                ..Default::default()
+            };
+            let mut m = standard_rig(RigOptions {
+                machine,
+                ..Default::default()
+            });
+            let mut enclave = GpuEnclave::launch(&mut m, GpuEnclaveOptions::default()).unwrap();
+            let mut s = HixSession::connect_with(&mut m, &mut enclave, 1 << 20, b"odd").unwrap();
+            let dev = s.malloc(&mut m, &mut enclave, 12_000).unwrap();
+            let data: Vec<u8> = (0..12_000u32).map(|i| (i * 31 + 7) as u8).collect();
+            s.memcpy_htod(
+                &mut m,
+                &mut enclave,
+                dev,
+                &Payload::from_bytes(data.clone()),
+            )
+            .unwrap();
+            let back = s.memcpy_dtoh(&mut m, &mut enclave, dev, 12_000).unwrap();
+            assert!(back.bytes() == &data[..], "chunk {chunk}");
+        }
     }
 }

@@ -20,8 +20,12 @@
 //!   pipeline when the CPU supports it. This mirrors the paper's own
 //!   platform, where SGX-side crypto ran on AES-NI. The same module holds
 //!   OCB's whole-block loop fused into that pipeline
-//!   (`Aes128::ocb_blocks`). Its `unsafe` is fenced as the crate docs
-//!   describe.
+//!   (`Aes128::ocb_blocks`), in two tiers: a 128-bit kernel that runs
+//!   eight `aesenc` streams, and on CPUs with VAES and AVX-512F a 512-bit
+//!   one that runs each 8-block pass as two vectors of four blocks.
+//!   [`Aes128::aesni`] pins a context to the 128-bit kernel so that the
+//!   differential suite reaches it on a VAES host too. The `unsafe` is
+//!   fenced as the crate docs describe.
 //!
 //! The wide entry points process [`WIDE_BATCH`] blocks per pass; callers
 //! (OCB) batch their offset ladder to match.
@@ -132,6 +136,9 @@ pub struct Aes128 {
     /// True when the CPU supports AES-NI and the wide entry points should
     /// use the hardware path.
     use_ni: bool,
+    /// True when the CPU also supports VAES and AVX-512F, so OCB's whole
+    /// passes run four blocks per instruction. Never set without `use_ni`.
+    use_vaes: bool,
 }
 
 impl std::fmt::Debug for Aes128 {
@@ -176,17 +183,23 @@ impl Aes128 {
             inv_mix_columns(&mut k);
             dec_round_keys[r] = k;
         }
+        let use_ni = detect_aesni();
         Aes128 {
             round_keys,
             dec_round_keys,
-            use_ni: detect_aesni(),
+            use_ni,
+            use_vaes: use_ni && detect_vaes(),
         }
     }
 
-    /// Name of the backend the wide entry points will use: `"aes-ni"` on
-    /// hardware with AES instructions, `"table"` otherwise.
+    /// Name of the backend OCB's whole-block loop will use: `"vaes"` on
+    /// hardware with VAES and AVX-512F, `"aes-ni"` on hardware with AES
+    /// instructions only, `"table"` otherwise. The wide entry points run
+    /// AES-NI on both hardware backends.
     pub fn backend(&self) -> &'static str {
-        if self.use_ni {
+        if self.use_vaes {
+            "vaes"
+        } else if self.use_ni {
             "aes-ni"
         } else {
             "table"
@@ -200,6 +213,17 @@ impl Aes128 {
     pub fn portable(&self) -> Self {
         let mut c = self.clone();
         c.use_ni = false;
+        c.use_vaes = false;
+        c
+    }
+
+    /// Returns a clone of this context that never takes the VAES tier, so
+    /// OCB's whole passes run on the 128-bit AES-NI kernel (or the
+    /// portable loop, on a CPU without AES-NI). Used by the differential
+    /// suite and the benches to reach that kernel on a VAES host.
+    pub fn aesni(&self) -> Self {
+        let mut c = self.clone();
+        c.use_vaes = false;
         c
     }
 
@@ -269,13 +293,16 @@ impl Aes128 {
     }
 
     /// OCB's whole-block loop fused into the AES-NI pipeline: RFC 7253
-    /// §4.2's encrypt, or §4.3's decrypt when `OPEN`. `src[j]` is message
-    /// block `j + 1` and is sealed (opened) into `dst[j]` under the offset
-    /// ladder over `l` (`L_0`, `L_1`, …): `offset` comes in as `Offset_0`
-    /// and leaves as `Offset_n`, and every plaintext block, read or
-    /// recovered, is folded into `checksum`. Returns `false`, touching
-    /// nothing, when this context runs on the portable backend; the
-    /// caller then runs its own loop.
+    /// §4.2's encrypt, or §4.3's decrypt when `OPEN`, over a run that
+    /// starts on a pass boundary. `src[j]` is message block
+    /// `8 * first_pass + j + 1` and is sealed (opened) into `dst[j]` under
+    /// the offset ladder over `l` (`L_0`, `L_1`, …): `offset` comes in as
+    /// `Offset_{8 * first_pass}` and leaves at the run's last block, and
+    /// every plaintext block, read or recovered, is folded into
+    /// `checksum`. On VAES hardware the run's whole passes go through the
+    /// 512-bit kernel and the remainder through the 128-bit one. Returns
+    /// `false`, touching nothing, when this context runs on the portable
+    /// backend; the caller then runs its own loop.
     ///
     /// # Panics
     ///
@@ -284,6 +311,7 @@ impl Aes128 {
     pub(crate) fn ocb_blocks<const OPEN: bool>(
         &self,
         l: &[Block],
+        first_pass: usize,
         offset: &mut Block,
         checksum: &mut Block,
         src: &[Block],
@@ -296,13 +324,45 @@ impl Aes128 {
             } else {
                 &self.round_keys
             };
+            let dst = &mut dst[..src.len()];
+            let mut done = 0;
+            // Only a run holding a whole pass enters the 512-bit kernel,
+            // so short control frames never touch the 512-bit registers.
+            if self.use_vaes && src.len() >= WIDE_BATCH {
+                done = src.len() - src.len() % WIDE_BATCH;
+                // SAFETY: `use_vaes` is only set when runtime detection
+                // reported VAES and AVX-512F on top of AES-NI
+                // (`detect_vaes`, `detect_aesni`); `done` is a whole
+                // number of passes.
+                unsafe {
+                    ni::ocb512::<OPEN>(
+                        rk,
+                        l,
+                        first_pass,
+                        offset,
+                        checksum,
+                        &src[..done],
+                        &mut dst[..done],
+                    )
+                };
+            }
             // SAFETY: `use_ni` is only set when runtime detection reported
             // AES-NI support (`detect_aesni`).
-            unsafe { ni::ocb::<OPEN>(rk, l, offset, checksum, src, dst) };
+            unsafe {
+                ni::ocb::<OPEN>(
+                    rk,
+                    l,
+                    first_pass + done / WIDE_BATCH,
+                    offset,
+                    checksum,
+                    &src[done..],
+                    &mut dst[done..],
+                )
+            };
             return true;
         }
         #[cfg(not(target_arch = "x86_64"))]
-        let _ = (l, offset, checksum, src, dst);
+        let _ = (l, first_pass, offset, checksum, src, dst);
         false
     }
 }
@@ -314,6 +374,16 @@ fn detect_aesni() -> bool {
 
 #[cfg(not(target_arch = "x86_64"))]
 fn detect_aesni() -> bool {
+    false
+}
+
+#[cfg(target_arch = "x86_64")]
+fn detect_vaes() -> bool {
+    std::arch::is_x86_feature_detected!("vaes") && std::arch::is_x86_feature_detected!("avx512f")
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn detect_vaes() -> bool {
     false
 }
 
@@ -492,16 +562,22 @@ fn tt_decrypt_block(dec_rk: &[[u8; 16]; 11], block: &mut Block) {
 
 // ---------------------------------------------------------------------------
 // Hardware wide core: AES-NI, 8 interleaved block pipelines per pass, and
-// OCB's whole-block loop fused into it. With `sha256::ni`, the only unsafe
-// code in the crate; every entry is `#[target_feature]` and reached solely
-// behind `detect_aesni()` through the context's stored `use_ni`.
+// OCB's whole-block loop fused into it, with a VAES-512 tier for whole
+// passes. With `sha256::ni`, the only unsafe code in the crate; every entry
+// is `#[target_feature]` and reached solely behind `detect_aesni()` (and,
+// for the 512-bit kernel, `detect_vaes()`) through the context's stored
+// `use_ni`/`use_vaes`.
 // ---------------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
 mod ni {
     use super::{Block, WIDE_BATCH};
     use core::arch::x86_64::{
-        __m128i, _mm_aesdec_si128, _mm_aesdeclast_si128, _mm_aesenc_si128, _mm_aesenclast_si128,
+        __m128i, __m512i, _mm512_aesdec_epi128, _mm512_aesdeclast_epi128, _mm512_aesenc_epi128,
+        _mm512_aesenclast_epi128, _mm512_broadcast_i32x4, _mm512_castsi128_si512,
+        _mm512_extracti32x4_epi32, _mm512_inserti32x4, _mm512_loadu_si512,
+        _mm512_maskz_broadcast_i32x4, _mm512_setzero_si512, _mm512_storeu_si512, _mm512_xor_si512,
+        _mm_aesdec_si128, _mm_aesdeclast_si128, _mm_aesenc_si128, _mm_aesenclast_si128,
         _mm_loadu_si128, _mm_storeu_si128, _mm_xor_si128,
     };
 
@@ -612,7 +688,9 @@ mod ni {
     /// A pass covers blocks `8k+1 ..= 8k+8`, whose `ntz` are 0, 1, 0, 2,
     /// 0, 1, 0 and `ntz(8k+8) ≥ 3`. So the first seven offsets are
     /// `Offset_8k` xor a fixed combination of `L_0`, `L_1`, `L_2`, and
-    /// only the eighth loads one more `L_i`.
+    /// only the eighth loads one more `L_i`. The run's first pass is pass
+    /// `first_pass` of the message, so each eighth `ntz` is taken of the
+    /// block's absolute index.
     ///
     /// # Safety
     /// Caller must have verified AES-NI support at runtime. For `OPEN`,
@@ -621,6 +699,7 @@ mod ni {
     pub unsafe fn ocb<const OPEN: bool>(
         rk: &[[u8; 16]; 11],
         l: &[Block],
+        first_pass: usize,
         offset: &mut Block,
         checksum: &mut Block,
         src: &[Block],
@@ -652,7 +731,7 @@ mod ni {
             for (oj, r) in o.iter_mut().zip(rel) {
                 *oj = _mm_xor_si128(off, r);
             }
-            let ntz = ((pass + 1) * WIDE_BATCH).trailing_zeros() as usize;
+            let ntz = ((first_pass + pass + 1) * WIDE_BATCH).trailing_zeros() as usize;
             o[7] = _mm_xor_si128(o[6], _mm_loadu_si128(l[ntz].as_ptr().cast()));
             let mut s = [off; WIDE_BATCH];
             for j in 0..WIDE_BATCH {
@@ -699,6 +778,120 @@ mod ni {
         }
         _mm_storeu_si128(offset.as_mut_ptr().cast(), off);
         _mm_storeu_si128(checksum.as_mut_ptr().cast(), sum);
+    }
+
+    /// One middle round on four blocks: `vaesdec` when `OPEN`, else
+    /// `vaesenc`.
+    ///
+    /// # Safety
+    /// Caller must have verified VAES and AVX-512F support at runtime.
+    #[inline]
+    #[target_feature(enable = "avx512f,vaes")]
+    unsafe fn round4<const OPEN: bool>(s: __m512i, k: __m512i) -> __m512i {
+        if OPEN {
+            _mm512_aesdec_epi128(s, k)
+        } else {
+            _mm512_aesenc_epi128(s, k)
+        }
+    }
+
+    /// The final round on four blocks: `vaesdeclast` when `OPEN`, else
+    /// `vaesenclast`.
+    ///
+    /// # Safety
+    /// Caller must have verified VAES and AVX-512F support at runtime.
+    #[inline]
+    #[target_feature(enable = "avx512f,vaes")]
+    unsafe fn last_round4<const OPEN: bool>(s: __m512i, k: __m512i) -> __m512i {
+        if OPEN {
+            _mm512_aesdeclast_epi128(s, k)
+        } else {
+            _mm512_aesenclast_epi128(s, k)
+        }
+    }
+
+    /// The whole passes of [`ocb`] on VAES-512: each 8-block pass runs as
+    /// two vectors of four blocks. `src` holds whole passes only; the
+    /// caller hands any remainder to [`ocb`], with `offset` and `checksum`
+    /// carried over.
+    ///
+    /// The eight offsets of pass `k` are `Offset_8k` broadcast to every
+    /// lane, xor fixed lane constants (`L_0`, `L_0^L_1`, `L_1`, `L_1^L_2`
+    /// and `L_0^L_1^L_2`, `L_0^L_2`, `L_2`, `L_2`), xor `L_ntz(8k+8)` in
+    /// the last lane only. The checksum folds in a 512-bit accumulator
+    /// whose four lanes are xored together at the end.
+    ///
+    /// # Safety
+    /// Caller must have verified AES-NI, VAES and AVX-512F support at
+    /// runtime. For `OPEN`, `rk` is the equivalent-inverse-cipher
+    /// schedule.
+    #[target_feature(enable = "aes,avx512f,vaes")]
+    pub unsafe fn ocb512<const OPEN: bool>(
+        rk: &[[u8; 16]; 11],
+        l: &[Block],
+        first_pass: usize,
+        offset: &mut Block,
+        checksum: &mut Block,
+        src: &[Block],
+        dst: &mut [Block],
+    ) {
+        let keys128 = load_keys(rk);
+        let mut keys = [_mm512_setzero_si512(); 11];
+        for (k, k128) in keys.iter_mut().zip(keys128) {
+            *k = _mm512_broadcast_i32x4(k128);
+        }
+        let l0 = _mm_loadu_si128(l[0].as_ptr().cast());
+        let l1 = _mm_loadu_si128(l[1].as_ptr().cast());
+        let l2 = _mm_loadu_si128(l[2].as_ptr().cast());
+        let l12 = _mm_xor_si128(l1, l2);
+        // Built in registers: four 16-byte stores read back as one
+        // 512-bit load would miss store forwarding on every call.
+        let lanes = |a, b, c, d| {
+            let v = _mm512_inserti32x4::<1>(_mm512_castsi128_si512(a), b);
+            _mm512_inserti32x4::<3>(_mm512_inserti32x4::<2>(v, c), d)
+        };
+        let rel_lo = lanes(l0, _mm_xor_si128(l0, l1), l1, l12);
+        let rel_hi = lanes(_mm_xor_si128(l0, l12), _mm_xor_si128(l0, l2), l2, l2);
+        let mut off = _mm_loadu_si128(offset.as_ptr().cast());
+        let mut sum = _mm512_setzero_si512();
+        let passes = src.as_chunks::<WIDE_BATCH>().0;
+        let outs = dst.as_chunks_mut::<WIDE_BATCH>().0;
+        for (pass, (inp, out)) in passes.iter().zip(outs).enumerate() {
+            let ntz = ((first_pass + pass + 1) * WIDE_BATCH).trailing_zeros() as usize;
+            let l_ntz = _mm_loadu_si128(l[ntz].as_ptr().cast());
+            let base = _mm512_broadcast_i32x4(off);
+            let o_lo = _mm512_xor_si512(base, rel_lo);
+            let o_hi = _mm512_xor_si512(
+                _mm512_xor_si512(base, rel_hi),
+                _mm512_maskz_broadcast_i32x4(0xf000, l_ntz),
+            );
+            let a = _mm512_loadu_si512(inp.as_ptr().cast());
+            let b = _mm512_loadu_si512(inp[4..].as_ptr().cast());
+            if !OPEN {
+                sum = _mm512_xor_si512(sum, _mm512_xor_si512(a, b));
+            }
+            let mut sa = _mm512_xor_si512(_mm512_xor_si512(a, o_lo), keys[0]);
+            let mut sb = _mm512_xor_si512(_mm512_xor_si512(b, o_hi), keys[0]);
+            for key in keys.iter().take(10).skip(1) {
+                sa = round4::<OPEN>(sa, *key);
+                sb = round4::<OPEN>(sb, *key);
+            }
+            let pa = _mm512_xor_si512(last_round4::<OPEN>(sa, keys[10]), o_lo);
+            let pb = _mm512_xor_si512(last_round4::<OPEN>(sb, keys[10]), o_hi);
+            if OPEN {
+                sum = _mm512_xor_si512(sum, _mm512_xor_si512(pa, pb));
+            }
+            _mm512_storeu_si512(out.as_mut_ptr().cast(), pa);
+            _mm512_storeu_si512(out[4..].as_mut_ptr().cast(), pb);
+            off = _mm_xor_si128(_mm_xor_si128(off, l2), l_ntz);
+        }
+        let mut sum128 = _mm_loadu_si128(checksum.as_ptr().cast());
+        sum128 = _mm_xor_si128(sum128, _mm512_extracti32x4_epi32::<0>(sum));
+        sum128 = _mm_xor_si128(sum128, _mm512_extracti32x4_epi32::<1>(sum));
+        sum128 = _mm_xor_si128(sum128, _mm512_extracti32x4_epi32::<2>(sum));
+        sum128 = _mm_xor_si128(sum128, _mm512_extracti32x4_epi32::<3>(sum));
+        _mm_storeu_si128(offset.as_mut_ptr().cast(), off);
+        _mm_storeu_si128(checksum.as_mut_ptr().cast(), sum128);
     }
 }
 

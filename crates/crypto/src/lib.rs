@@ -22,16 +22,24 @@
 //!
 //! The crate is safe Rust except for two private modules on x86_64:
 //! `aes::ni` (AES-NI: the 8-block wide core and OCB's whole-block loop
-//! fused into it) and `sha256::ni` (the SHA extensions). Both are fenced
-//! the same way. Every `unsafe fn` in them is `#[target_feature]`. It is
-//! reached only through a safe method that checks a detection flag the
-//! context stored when it was built (`use_ni` in [`aes::Aes128`] and
-//! [`sha256::Sha256`]), and that call carries a `// SAFETY:` note. Each
-//! hardware path keeps a portable oracle beside it, which the
+//! fused into it, with a VAES-512 tier for whole 8-block passes) and
+//! `sha256::ni` (the SHA extensions). Both are fenced the same way.
+//! Every `unsafe fn` in them is `#[target_feature]`. It is reached only
+//! through a safe method that checks a detection flag the context stored
+//! when it was built (`use_ni` and `use_vaes` in [`aes::Aes128`], `use_ni`
+//! in [`sha256::Sha256`]), and that call carries a `// SAFETY:` note.
+//! Each hardware path keeps a portable oracle beside it, which the
 //! differential suites compare it against: [`aes::Aes128::portable`],
-//! [`ocb::Ocb::portable`] and [`sha256::Sha256::portable`]. The
-//! fixed-width Montgomery path in [`bignum`] is safe Rust; its oracles are
-//! the slice CIOS ([`bignum::Uint::modpow_slice`]) and the ladder.
+//! [`ocb::Ocb::portable`] and [`sha256::Sha256::portable`];
+//! [`ocb::Ocb::aesni`] keeps the 128-bit OCB kernel reachable on a VAES
+//! host. The fixed-width Montgomery path in [`bignum`] is safe Rust; its
+//! oracles are the slice CIOS ([`bignum::Uint::modpow_slice`]) and the
+//! ladder.
+//!
+//! OCB also runs over a message held in pieces ([`ocb::Ocb::stream`]):
+//! runs of whole blocks from any block index, then a finish step for the
+//! tail and the tag. The HIX data plane uses it to seal and open bulk
+//! chunks straight in the pages of the shared window and of VRAM.
 //!
 //! ```
 //! use hix_crypto::ocb::{self, Key, Nonce};

@@ -10,12 +10,19 @@
 //! blocks to one loop. On AES-NI that loop is fused into the AES pipeline
 //! (`Aes128::ocb_blocks`): each 8-block pass computes its offsets, runs
 //! the rounds and folds the checksum, and the round keys are loaded once
-//! per message. The portable loop, which
-//! [`Ocb::portable`] pins and the differential suite compares against,
-//! walks the message [`WIDE_BATCH`] blocks at a time, precomputing each
-//! pass's offset ladder and handing the batch to the wide AES core. The
-//! partial tail, the tag and the AAD hash are shared Rust. [`Ocb::seal`] /
-//! [`Ocb::open`] are thin allocating wrappers over them.
+//! per run; on VAES hardware each pass runs as two 512-bit vectors. The
+//! portable loop, which [`Ocb::portable`] pins and the differential suite
+//! compares against, walks the message [`WIDE_BATCH`] blocks at a time,
+//! precomputing each pass's offset ladder and handing the batch to the
+//! wide AES core. The partial tail, the tag and the AAD hash are shared
+//! Rust. [`Ocb::seal`] / [`Ocb::open`] are thin allocating wrappers over
+//! them.
+//!
+//! A message need not sit in one slice. [`Ocb::stream`] starts an
+//! [`OcbStream`] that seals or opens runs of whole blocks wherever they
+//! live (one page at a time, say) and then finishes the tail and the
+//! tag. `seal_into`/`open_into` are one run plus a finish, so one-shot
+//! and streamed messages share one loop and produce the same bytes.
 
 use crate::aes::{Aes128, Block, BLOCK, WIDE_BATCH};
 use crate::ct_eq;
@@ -174,6 +181,19 @@ impl Ocb {
         }
     }
 
+    /// Returns a clone of this keyed context that never takes the VAES
+    /// tier (see [`Aes128::aesni`]), so its whole passes run on the
+    /// 128-bit AES-NI kernel; the differential suite uses it to reach that
+    /// kernel on a VAES host.
+    pub fn aesni(&self) -> Self {
+        Ocb {
+            aes: self.aes.aesni(),
+            l_star: self.l_star,
+            l_dollar: self.l_dollar,
+            l: self.l.clone(),
+        }
+    }
+
     /// The AES backend this context runs on (see [`Aes128::backend`]).
     pub fn backend(&self) -> &'static str {
         self.aes.backend()
@@ -219,71 +239,67 @@ impl Ocb {
         }
     }
 
-    /// Seals the whole blocks of a message, `src[j]` being block `j + 1`,
-    /// into `dst`, advancing `offset` from `Offset_0` and folding each
-    /// plaintext block into `checksum`. AES-NI contexts run the fused
-    /// kernel in [`Aes128`]; the portable one walks the message
-    /// [`WIDE_BATCH`] blocks per pass through the wide AES core.
-    fn seal_blocks(
+    /// Seals (opens, when `OPEN`) a run of whole blocks, `src[j]` being
+    /// message block `first + j + 1`, into `dst`. `offset` comes in as
+    /// `Offset_first` and leaves at the run's last block; every plaintext
+    /// block, read or recovered, is folded into `checksum`. Blocks before
+    /// the next 8-block boundary take the per-block ladder, so the fused
+    /// kernel in [`Aes128`] always starts on a pass; the portable context
+    /// runs the whole run through the ladder.
+    fn run<const OPEN: bool>(
         &self,
+        first: usize,
         offset: &mut Block,
         checksum: &mut Block,
         src: &[Block],
         dst: &mut [Block],
     ) {
-        if self
+        let lead = (first.wrapping_neg() % WIDE_BATCH).min(src.len());
+        let (src_lead, src) = src.split_at(lead);
+        let (dst_lead, dst) = dst.split_at_mut(lead);
+        self.ladder_run::<OPEN>(first, offset, checksum, src_lead, dst_lead);
+        let first = first + lead;
+        if !self
             .aes
-            .ocb_blocks::<false>(&self.l, offset, checksum, src, dst)
+            .ocb_blocks::<OPEN>(&self.l, first / WIDE_BATCH, offset, checksum, src, dst)
         {
-            return;
-        }
-        let mut offs = [[0u8; 16]; WIDE_BATCH];
-        let mut blocks = [[0u8; 16]; WIDE_BATCH];
-        let mut done = 0;
-        while done < src.len() {
-            let k = WIDE_BATCH.min(src.len() - done);
-            self.ladder(offset, done, k, &mut offs);
-            for j in 0..k {
-                *checksum = xor(checksum, &src[done + j]);
-                blocks[j] = xor(&src[done + j], &offs[j]);
-            }
-            self.aes.encrypt_blocks(&mut blocks[..k]);
-            for j in 0..k {
-                dst[done + j] = xor(&blocks[j], &offs[j]);
-            }
-            done += k;
+            self.ladder_run::<OPEN>(first, offset, checksum, src, dst);
         }
     }
 
-    /// The mirror of [`Self::seal_blocks`]: opens the whole ciphertext
-    /// blocks of `src` into `dst`, folding each recovered plaintext block
-    /// into `checksum`.
-    fn open_blocks(
+    /// The portable loop behind [`Self::run`]: [`WIDE_BATCH`] blocks per
+    /// pass through the offset ladder and the wide AES core, from any
+    /// block index.
+    fn ladder_run<const OPEN: bool>(
         &self,
+        first: usize,
         offset: &mut Block,
         checksum: &mut Block,
         src: &[Block],
         dst: &mut [Block],
     ) {
-        if self
-            .aes
-            .ocb_blocks::<true>(&self.l, offset, checksum, src, dst)
-        {
-            return;
-        }
         let mut offs = [[0u8; 16]; WIDE_BATCH];
         let mut blocks = [[0u8; 16]; WIDE_BATCH];
         let mut done = 0;
         while done < src.len() {
             let k = WIDE_BATCH.min(src.len() - done);
-            self.ladder(offset, done, k, &mut offs);
+            self.ladder(offset, first + done, k, &mut offs);
             for j in 0..k {
+                if !OPEN {
+                    *checksum = xor(checksum, &src[done + j]);
+                }
                 blocks[j] = xor(&src[done + j], &offs[j]);
             }
-            self.aes.decrypt_blocks(&mut blocks[..k]);
+            if OPEN {
+                self.aes.decrypt_blocks(&mut blocks[..k]);
+            } else {
+                self.aes.encrypt_blocks(&mut blocks[..k]);
+            }
             for j in 0..k {
                 dst[done + j] = xor(&blocks[j], &offs[j]);
-                *checksum = xor(checksum, &dst[done + j]);
+                if OPEN {
+                    *checksum = xor(checksum, &dst[done + j]);
+                }
             }
             done += k;
         }
@@ -320,6 +336,29 @@ impl Ocb {
         sum
     }
 
+    /// Starts sealing or opening one message under `nonce`, run by run.
+    ///
+    /// ```
+    /// use hix_crypto::ocb::{Key, Nonce, Ocb, TAG_LEN};
+    /// let ocb = Ocb::new(&Key::from_bytes([5; 16]));
+    /// let msg = [7u8; 40];
+    /// let mut sealed = [0u8; 40 + TAG_LEN];
+    /// let mut s = ocb.stream(&Nonce::from_counter(1));
+    /// s.seal_run(&msg[..16], &mut sealed[..16]);
+    /// s.seal_run(&msg[16..32], &mut sealed[16..32]);
+    /// let tag = s.seal_finish(b"aad", &msg[32..], &mut sealed[32..40]);
+    /// sealed[40..].copy_from_slice(&tag);
+    /// assert_eq!(sealed.to_vec(), ocb.seal(&Nonce::from_counter(1), b"aad", &msg));
+    /// ```
+    pub fn stream(&self, nonce: &Nonce) -> OcbStream<'_> {
+        OcbStream {
+            ocb: self,
+            offset: self.initial_offset(nonce),
+            checksum: [0u8; 16],
+            blocks: 0,
+        }
+    }
+
     /// Encrypts `plaintext` bound to `aad`, returning `ciphertext || tag`.
     ///
     /// Allocating wrapper over [`Self::seal_into`].
@@ -345,26 +384,21 @@ impl Ocb {
             plaintext.len() + TAG_LEN,
             "seal_into: out must hold ciphertext || tag"
         );
+        let whole = plaintext.len() / BLOCK * BLOCK;
+        let (body, tag) = out.split_at_mut(plaintext.len());
+        let (body, tail) = body.split_at_mut(whole);
         let mut offset = self.initial_offset(nonce);
         let mut checksum = [0u8; 16];
-        let (blocks, rest) = plaintext.as_chunks::<BLOCK>();
-        let full = blocks.len();
-        let sealed = out[..full * BLOCK].as_chunks_mut().0;
-        self.seal_blocks(&mut offset, &mut checksum, blocks, sealed);
-        if !rest.is_empty() {
-            offset = xor(&offset, &self.l_star);
-            let pad = encrypt_one(&self.aes, offset);
-            for (i, (p, k)) in rest.iter().zip(&pad).enumerate() {
-                out[full * BLOCK + i] = p ^ k;
-            }
-            let mut padded = [0u8; 16];
-            padded[..rest.len()].copy_from_slice(rest);
-            padded[rest.len()] = 0x80;
-            checksum = xor(&checksum, &padded);
-        }
-        let tag_body = xor(&xor(&checksum, &offset), &self.l_dollar);
-        let tag = xor(&encrypt_one(&self.aes, tag_body), &self.hash_aad(aad));
-        out[plaintext.len()..].copy_from_slice(&tag);
+        let blocks = plaintext[..whole].as_chunks().0;
+        self.run::<false>(
+            0,
+            &mut offset,
+            &mut checksum,
+            blocks,
+            body.as_chunks_mut().0,
+        );
+        let tail_in = &plaintext[whole..];
+        tag.copy_from_slice(&self.finish::<false>(&mut offset, &mut checksum, aad, tail_in, tail));
     }
 
     /// Decrypts `sealed` (`ciphertext || tag`) bound to `aad`.
@@ -416,26 +450,20 @@ impl Ocb {
             ciphertext.len(),
             "open_into: out must hold the plaintext"
         );
+        let whole = ciphertext.len() / BLOCK * BLOCK;
         let mut offset = self.initial_offset(nonce);
         let mut checksum = [0u8; 16];
-        let (blocks, rest) = ciphertext.as_chunks::<BLOCK>();
-        let full = blocks.len();
-        let opened = out[..full * BLOCK].as_chunks_mut().0;
-        self.open_blocks(&mut offset, &mut checksum, blocks, opened);
-        if !rest.is_empty() {
-            offset = xor(&offset, &self.l_star);
-            let pad = encrypt_one(&self.aes, offset);
-            let start = full * BLOCK;
-            for (i, (c, k)) in rest.iter().zip(&pad).enumerate() {
-                out[start + i] = c ^ k;
-            }
-            let mut padded = [0u8; 16];
-            padded[..rest.len()].copy_from_slice(&out[start..]);
-            padded[rest.len()] = 0x80;
-            checksum = xor(&checksum, &padded);
-        }
-        let tag_body = xor(&xor(&checksum, &offset), &self.l_dollar);
-        let expect = xor(&encrypt_one(&self.aes, tag_body), &self.hash_aad(aad));
+        let (body, tail) = out.split_at_mut(whole);
+        let blocks = ciphertext[..whole].as_chunks().0;
+        self.run::<true>(
+            0,
+            &mut offset,
+            &mut checksum,
+            blocks,
+            body.as_chunks_mut().0,
+        );
+        let tail_in = &ciphertext[whole..];
+        let expect = self.finish::<true>(&mut offset, &mut checksum, aad, tail_in, tail);
         if ct_eq(&expect, tag) {
             Ok(())
         } else {
@@ -443,6 +471,134 @@ impl Ocb {
             Err(TagMismatch)
         }
     }
+
+    /// The partial tail and the tag, after the whole blocks: seals
+    /// (opens, when `OPEN`) `tail`, under a block, into `out`, folds the
+    /// plaintext tail into `checksum` and returns the tag over the whole
+    /// message bound to `aad`.
+    fn finish<const OPEN: bool>(
+        &self,
+        offset: &mut Block,
+        checksum: &mut Block,
+        aad: &[u8],
+        tail: &[u8],
+        out: &mut [u8],
+    ) -> Block {
+        if !tail.is_empty() {
+            *offset = xor(offset, &self.l_star);
+            let pad = encrypt_one(&self.aes, *offset);
+            for ((o, t), k) in out.iter_mut().zip(tail).zip(&pad) {
+                *o = t ^ k;
+            }
+            let mut padded = [0u8; 16];
+            padded[..tail.len()].copy_from_slice(if OPEN { out } else { tail });
+            padded[tail.len()] = 0x80;
+            *checksum = xor(checksum, &padded);
+        }
+        let tag_body = xor(&xor(checksum, offset), &self.l_dollar);
+        xor(&encrypt_one(&self.aes, tag_body), &self.hash_aad(aad))
+    }
+}
+
+/// One OCB message in progress (see [`Ocb::stream`]): the running offset,
+/// the checksum and the number of whole blocks done. Runs of whole
+/// blocks go through [`Self::seal_run`] or [`Self::open_run`] in message
+/// order, each starting where the last one ended; then
+/// [`Self::seal_finish`] or [`Self::open_finish`] takes the partial tail
+/// and produces or checks the tag. A stream is used for one direction.
+pub struct OcbStream<'a> {
+    ocb: &'a Ocb,
+    offset: Block,
+    checksum: Block,
+    blocks: usize,
+}
+
+impl OcbStream<'_> {
+    /// Seals the next run of whole plaintext blocks, `src`, into `dst`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `src` is a whole number of blocks and `dst` is as
+    /// long as `src`.
+    pub fn seal_run(&mut self, src: &[u8], dst: &mut [u8]) {
+        self.run::<false>(src, dst);
+    }
+
+    /// Opens the next run of whole ciphertext blocks, `src`, into `dst`.
+    /// The plaintext is not yet authenticated: a caller may release it
+    /// only after [`Self::open_finish`] succeeds.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `src` is a whole number of blocks and `dst` is as
+    /// long as `src`.
+    pub fn open_run(&mut self, src: &[u8], dst: &mut [u8]) {
+        self.run::<true>(src, dst);
+    }
+
+    fn run<const OPEN: bool>(&mut self, src: &[u8], dst: &mut [u8]) {
+        assert_eq!(src.len() % BLOCK, 0, "a run holds whole blocks");
+        assert_eq!(dst.len(), src.len(), "a run's output must match its input");
+        let src = src.as_chunks::<BLOCK>().0;
+        let dst = dst.as_chunks_mut::<BLOCK>().0;
+        self.ocb
+            .run::<OPEN>(self.blocks, &mut self.offset, &mut self.checksum, src, dst);
+        self.blocks += src.len();
+    }
+
+    /// Seals the partial tail (`tail`, under a block) into `tail_out` and
+    /// returns the tag over the whole message bound to `aad`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tail` holds a whole block or `tail_out` is not as long
+    /// as `tail`.
+    pub fn seal_finish(mut self, aad: &[u8], tail: &[u8], tail_out: &mut [u8]) -> [u8; TAG_LEN] {
+        check_tail(tail, tail_out);
+        self.ocb
+            .finish::<false>(&mut self.offset, &mut self.checksum, aad, tail, tail_out)
+    }
+
+    /// Opens the partial tail (`tail`, under a block) into `tail_out` and
+    /// checks `tag` over the whole message bound to `aad`. On a mismatch
+    /// `tail_out` is zeroed; the caller must discard what the runs
+    /// released.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TagMismatch`] if the tag fails to verify.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tail` holds a whole block or `tail_out` is not as long
+    /// as `tail`.
+    pub fn open_finish(
+        mut self,
+        aad: &[u8],
+        tail: &[u8],
+        tag: &[u8],
+        tail_out: &mut [u8],
+    ) -> Result<(), TagMismatch> {
+        check_tail(tail, tail_out);
+        let expect =
+            self.ocb
+                .finish::<true>(&mut self.offset, &mut self.checksum, aad, tail, tail_out);
+        if ct_eq(&expect, tag) {
+            Ok(())
+        } else {
+            tail_out.fill(0);
+            Err(TagMismatch)
+        }
+    }
+}
+
+fn check_tail(tail: &[u8], out: &[u8]) {
+    assert!(tail.len() < BLOCK, "the tail is a partial block");
+    assert_eq!(
+        out.len(),
+        tail.len(),
+        "the tail's output must match its input"
+    );
 }
 
 /// One-shot seal with a fresh context (prefer [`Ocb`] for bulk use).

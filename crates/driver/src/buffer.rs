@@ -147,6 +147,44 @@ impl DmaBuffer {
         machine.read(pid, self.va.offset(offset), buf)
     }
 
+    /// Lends `f` the `len` bytes at `offset`, which must lie in one page,
+    /// for reading as process `pid` (see [`Machine::with_page`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`AccessFault`]; panics if the span exceeds capacity or
+    /// leaves its page.
+    pub fn with_page<R>(
+        &self,
+        machine: &mut Machine,
+        pid: ProcessId,
+        offset: u64,
+        len: usize,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R, AccessFault> {
+        assert!(offset + len as u64 <= self.len, "read exceeds buffer");
+        machine.with_page(pid, self.va.offset(offset), len, f)
+    }
+
+    /// Lends `f` the `len` bytes at `offset`, which must lie in one page,
+    /// for writing as process `pid` (see [`Machine::with_page_mut`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`AccessFault`]; panics if the span exceeds capacity or
+    /// leaves its page.
+    pub fn with_page_mut<R>(
+        &self,
+        machine: &mut Machine,
+        pid: ProcessId,
+        offset: u64,
+        len: usize,
+        f: impl FnOnce(&mut [u8]) -> R,
+    ) -> Result<R, AccessFault> {
+        assert!(offset + len as u64 <= self.len, "payload exceeds buffer");
+        machine.with_page_mut(pid, self.va.offset(offset), len, f)
+    }
+
     /// The process that allocated the buffer.
     pub fn owner(&self) -> ProcessId {
         self.pid

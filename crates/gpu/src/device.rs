@@ -81,8 +81,8 @@ pub struct GpuDevice {
     completion_lost: Option<CtxId>,
     kernels: BTreeMap<u64, Box<dyn GpuKernel>>,
     // Kernel working memory, lent to every launch through `KernelExec`
-    // and kept across launches. The crypto kernels size their use by
-    // the transfer, so it stays within 2 x (pipeline chunk + tag).
+    // and kept across launches. Only `hix.ocb_decrypt` borrows it, one
+    // span sized by the transfer, so it stays within one pipeline chunk.
     scratch: Vec<u8>,
     drbg: HmacDrbg,
     group: DhGroup,

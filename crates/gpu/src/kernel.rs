@@ -99,31 +99,26 @@ impl<'a> KernelExec<'a> {
         self.ctx.session_ocb()
     }
 
-    /// Lends two disjoint spans, of `first` and `second` bytes, of the
-    /// device's kernel scratch memory. The buffer outlives the launch
-    /// and only grows, so a launch no larger than an earlier one
-    /// allocates nothing. Its contents are whatever an earlier launch,
-    /// possibly another context's, left there; that is why only this
-    /// crate's built-in kernels may borrow it, and each of them writes
-    /// every byte before reading it. The borrows are tied to the launch,
-    /// not to `self`, so kernels can keep them across VRAM accesses; a
-    /// launch can take the scratch once. The sizes come from launch
-    /// arguments, so they are bounded before anything is allocated: no
-    /// launch gets more scratch than the device has VRAM.
+    /// Lends a span of `len` bytes of the device's kernel scratch memory.
+    /// The buffer outlives the launch and only grows, so a launch no
+    /// larger than an earlier one allocates nothing. Its contents are
+    /// whatever an earlier launch, possibly another context's, left
+    /// there; that is why only this crate's built-in kernels may borrow
+    /// it, and each of them writes every byte before reading it. The
+    /// borrow is tied to the launch, not to `self`, so kernels can keep
+    /// it across VRAM accesses; a launch can take the scratch once. The
+    /// size comes from a launch argument, so it is bounded before
+    /// anything is allocated: no launch gets more scratch than the device
+    /// has VRAM.
     ///
     /// # Errors
     ///
-    /// Returns [`KernelError::BadArgs`] if the total size exceeds the
-    /// VRAM capacity or this launch already took the scratch.
-    pub(crate) fn scratch_pair(
-        &mut self,
-        first: usize,
-        second: usize,
-    ) -> Result<(&'a mut [u8], &'a mut [u8]), KernelError> {
-        let len = first
-            .checked_add(second)
-            .filter(|&len| len as u64 <= self.vram.size())
-            .ok_or(KernelError::BadArgs("scratch larger than device memory"))?;
+    /// Returns [`KernelError::BadArgs`] if the size exceeds the VRAM
+    /// capacity or this launch already took the scratch.
+    pub(crate) fn scratch(&mut self, len: usize) -> Result<&'a mut [u8], KernelError> {
+        if len as u64 > self.vram.size() {
+            return Err(KernelError::BadArgs("scratch larger than device memory"));
+        }
         let buf = self
             .scratch
             .take()
@@ -131,7 +126,41 @@ impl<'a> KernelExec<'a> {
         if buf.len() < len {
             buf.resize(len, 0);
         }
-        Ok(buf[..len].split_at_mut(first))
+        Ok(&mut buf[..len])
+    }
+
+    /// Lends the `len` bytes at device-virtual `va`, translated, which
+    /// must lie in one page. The crypto kernels read the sealed side of a
+    /// transfer in place through this.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`KernelError::Fault`] on an unmapped page and
+    /// [`KernelError::BadArgs`] for a span that leaves its page.
+    pub fn page(&self, va: DevAddr, len: usize) -> Result<&[u8], KernelError> {
+        let pa = self.page_frame(va, len)?;
+        Ok(self.vram.page_slice(pa, len))
+    }
+
+    /// The writable mirror of [`Self::page`]: the crypto kernels seal
+    /// straight into the sealed side of a transfer through this.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`KernelError::Fault`] on an unmapped page and
+    /// [`KernelError::BadArgs`] for a span that leaves its page.
+    pub fn page_mut(&mut self, va: DevAddr, len: usize) -> Result<&mut [u8], KernelError> {
+        let pa = self.page_frame(va, len)?;
+        Ok(self.vram.page_slice_mut(pa, len))
+    }
+
+    /// The VRAM address of a one-page span for [`Self::page`] and
+    /// [`Self::page_mut`].
+    fn page_frame(&self, va: DevAddr, len: usize) -> Result<u64, KernelError> {
+        if len as u64 > GPU_PAGE_SIZE - va.page_offset() {
+            return Err(KernelError::BadArgs("span leaves its page"));
+        }
+        Ok(self.ctx.translate(va)?)
     }
 
     /// Reads `buf.len()` bytes at device-virtual `va` (page-crossing).
@@ -326,32 +355,54 @@ mod tests {
         let mut vram = Vram::new(1 << 20);
         let mut scratch = Vec::new();
         let mut exec = KernelExec::new(&ctx, &mut vram, &[], &mut scratch);
-        let (a, b) = exec.scratch_pair(40, 24).unwrap();
-        a.fill(5);
-        b.fill(6);
-        assert!(matches!(
-            exec.scratch_pair(1, 1),
-            Err(KernelError::BadArgs(_))
-        ));
+        exec.scratch(64).unwrap().fill(5);
+        assert!(matches!(exec.scratch(1), Err(KernelError::BadArgs(_))));
         let mut exec = KernelExec::new(&ctx, &mut vram, &[], &mut scratch);
-        let (a, b) = exec.scratch_pair(8, 8).unwrap();
         assert_eq!(
-            (&a[..], &b[..]),
-            (&[5; 8][..], &[5; 8][..]),
+            exec.scratch(8).unwrap(),
+            &[5; 8],
             "a smaller launch reuses it"
         );
         assert_eq!(scratch.len(), 64);
         let mut exec = KernelExec::new(&ctx, &mut vram, &[], &mut scratch);
         assert!(matches!(
-            exec.scratch_pair(usize::MAX, 1),
+            exec.scratch(usize::MAX),
             Err(KernelError::BadArgs(_))
         ));
         let mut exec = KernelExec::new(&ctx, &mut vram, &[], &mut scratch);
         assert!(
-            matches!(exec.scratch_pair(1 << 20, 1), Err(KernelError::BadArgs(_))),
+            matches!(exec.scratch((1 << 20) + 1), Err(KernelError::BadArgs(_))),
             "no launch borrows more than the device's memory"
         );
         assert_eq!(scratch.len(), 64, "a refused request allocates nothing");
+    }
+
+    #[test]
+    fn pages_are_lent_translated_and_one_at_a_time() {
+        let mut ctx = GpuContext::new(CtxId(1));
+        ctx.map_page(DevAddr(0x1000), 0x4000);
+        let mut vram = Vram::new(1 << 20);
+        let mut scratch = Vec::new();
+        let mut exec = KernelExec::new(&ctx, &mut vram, &[], &mut scratch);
+        exec.page_mut(DevAddr(0x1ff0), 16)
+            .unwrap()
+            .copy_from_slice(&[7; 16]);
+        assert_eq!(exec.page(DevAddr(0x1ff8), 8).unwrap(), &[7; 8]);
+        assert!(matches!(
+            exec.page(DevAddr(0x1ff0), 17),
+            Err(KernelError::BadArgs(_))
+        ));
+        assert!(matches!(
+            exec.page_mut(DevAddr(0x1001), 4096),
+            Err(KernelError::BadArgs(_))
+        ));
+        assert!(matches!(
+            exec.page(DevAddr(0x2000), 1),
+            Err(KernelError::Fault(_))
+        ));
+        let mut raw = [0u8; 16];
+        vram.read(0x4ff0, &mut raw);
+        assert_eq!(raw, [7; 16], "the bytes live where the page table says");
     }
 
     #[test]

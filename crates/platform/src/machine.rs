@@ -402,6 +402,92 @@ impl Machine {
         self.access(pid, va, AccessKind::Write(data))
     }
 
+    /// Lends `f` the `len` bytes of DRAM at `va` as `pid`, for reading.
+    /// The span must lie in one page; the page gets exactly the
+    /// translation, TLB accounting and EPCM/GECS/TGMR checks of
+    /// [`Machine::read`]. Only DRAM can be lent: a page that translates
+    /// anywhere else (MMIO, the unpopulated hole) is refused. Shared
+    /// windows and DMA buffers are always DRAM.
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`AccessFault`] if translation or validation fails,
+    /// and [`AccessFault::BusError`] for a page that is not DRAM.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the span leaves its page.
+    pub fn with_page<R>(
+        &mut self,
+        pid: ProcessId,
+        va: VirtAddr,
+        len: usize,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R, AccessFault> {
+        let pa = self.resolve_page(pid, va, len, false)?;
+        Ok(f(self.ram.page_slice(pa, len)))
+    }
+
+    /// The writing mirror of [`Machine::with_page`]: lends `f` the `len`
+    /// bytes of DRAM at `va` as `pid` after the checks of
+    /// [`Machine::write`], the writable check included.
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`AccessFault`] if translation or validation fails,
+    /// and [`AccessFault::BusError`] for a page that is not DRAM.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the span leaves its page.
+    pub fn with_page_mut<R>(
+        &mut self,
+        pid: ProcessId,
+        va: VirtAddr,
+        len: usize,
+        f: impl FnOnce(&mut [u8]) -> R,
+    ) -> Result<R, AccessFault> {
+        let pa = self.resolve_page(pid, va, len, true)?;
+        Ok(f(self.ram.page_slice_mut(pa, len)))
+    }
+
+    /// The DRAM address of a one-page span for [`Machine::with_page`] and
+    /// [`Machine::with_page_mut`].
+    fn resolve_page(
+        &mut self,
+        pid: ProcessId,
+        va: VirtAddr,
+        len: usize,
+        write: bool,
+    ) -> Result<PhysAddr, AccessFault> {
+        assert!(
+            va.page_offset() + len as u64 <= PAGE_SIZE,
+            "span leaves its page at {va}"
+        );
+        let pa = self.resolve(pid, va, write)?;
+        if Ram::contains(pa) {
+            Ok(pa)
+        } else {
+            Err(AccessFault::BusError(pa))
+        }
+    }
+
+    /// The physical address of `va` for `pid`: translation (with the
+    /// walker's checks on a TLB fill), then the writable check for a
+    /// write. Every virtual access goes through here.
+    fn resolve(
+        &mut self,
+        pid: ProcessId,
+        va: VirtAddr,
+        write: bool,
+    ) -> Result<PhysAddr, AccessFault> {
+        let pte = self.translate(pid, va)?;
+        if write && !pte.writable {
+            return Err(AccessFault::ReadOnly(va));
+        }
+        Ok(pte.base().offset(va.page_offset()))
+    }
+
     fn access(
         &mut self,
         pid: ProcessId,
@@ -413,11 +499,7 @@ impl Machine {
         while off < len {
             let cur = va.offset(off as u64);
             let take = ((PAGE_SIZE - cur.page_offset()) as usize).min(len - off);
-            let pte = self.translate(pid, cur)?;
-            if kind.is_write() && !pte.writable {
-                return Err(AccessFault::ReadOnly(cur));
-            }
-            let pa = pte.base().offset(cur.page_offset());
+            let pa = self.resolve(pid, cur, kind.is_write())?;
             match &mut kind {
                 AccessKind::Read(buf) => {
                     if Ram::contains(pa) {
@@ -975,6 +1057,136 @@ mod tests {
         let mr_b = m.einit(b).unwrap();
         let report = m.ereport(a, &mr_b, b"hello-b").unwrap();
         assert!(m.everify(b, &report).unwrap());
+    }
+
+    /// Maps `n` fresh writable DRAM pages at `va` into `pid`.
+    fn map_pages(m: &mut Machine, pid: ProcessId, va: VirtAddr, n: usize) {
+        for (i, frame) in m.alloc_frames(n).into_iter().enumerate() {
+            m.os_map(pid, va.offset(i as u64 * PAGE_SIZE), frame, true);
+        }
+    }
+
+    fn tlb_counts(m: &Machine) -> (u64, u64) {
+        let metrics = m.trace().metrics();
+        (
+            metrics.counter("mmu.tlb_hits"),
+            metrics.counter("mmu.tlb_fills_checked"),
+        )
+    }
+
+    #[test]
+    fn page_sweeps_account_the_tlb_like_one_access() {
+        // A range from mid-page across five pages, written and read twice
+        // (cold, then warm TLB) by whole-range accesses on one machine and
+        // by page sweeps on another.
+        let va = VirtAddr::new(0x20_0000);
+        let start = va.offset(100);
+        let data: Vec<u8> = (0..5 * PAGE_SIZE as usize - 300)
+            .map(|i| (i * 13) as u8)
+            .collect();
+        let mut whole = machine();
+        let mut swept = machine();
+        let (a, b) = (whole.create_process(), swept.create_process());
+        map_pages(&mut whole, a, va, 6);
+        map_pages(&mut swept, b, va, 6);
+        let pieces =
+            |m: &mut Machine, f: &mut dyn FnMut(&mut Machine, VirtAddr, std::ops::Range<usize>)| {
+                let mut off = 0;
+                while off < data.len() {
+                    let at = start.offset(off as u64);
+                    let take = ((PAGE_SIZE - at.page_offset()) as usize).min(data.len() - off);
+                    f(m, at, off..off + take);
+                    off += take;
+                }
+            };
+        let mut back = vec![0u8; data.len()];
+        for _ in 0..2 {
+            whole.write(a, start, &data).unwrap();
+            whole.read(a, start, &mut back).unwrap();
+            pieces(&mut swept, &mut |m, at, r| {
+                m.with_page_mut(b, at, r.len(), |page| page.copy_from_slice(&data[r]))
+                    .unwrap();
+            });
+            pieces(&mut swept, &mut |m, at, r| {
+                m.with_page(b, at, r.len(), |page| back[r].copy_from_slice(page))
+                    .unwrap();
+            });
+            assert_eq!(back, data);
+        }
+        assert_eq!(tlb_counts(&swept), tlb_counts(&whole));
+        assert_eq!(tlb_counts(&whole), (15, 5), "5 fills, then 3 x 5 hits");
+    }
+
+    #[test]
+    fn page_accessors_refuse_what_read_and_write_refuse() {
+        let mut m = machine();
+        let pid = m.create_process();
+        let frame = m.alloc_frames(1)[0];
+        let ro = VirtAddr::new(0x10_0000);
+        m.os_map(pid, ro, frame, false);
+        assert_eq!(m.with_page(pid, ro, 4, |p| p.len()), Ok(4));
+        assert_eq!(
+            m.with_page_mut(pid, ro, 4, |_| ()),
+            Err(AccessFault::ReadOnly(ro))
+        );
+        let unmapped = VirtAddr::new(0x30_0000);
+        assert_eq!(
+            m.with_page(pid, unmapped, 1, |_| ()),
+            Err(AccessFault::NotMapped(unmapped))
+        );
+        assert_eq!(
+            m.with_page_mut(pid, unmapped, 1, |_| ()),
+            Err(AccessFault::NotMapped(unmapped))
+        );
+        // An EPC page of another process's enclave.
+        let owner = m.create_process();
+        m.ecreate(owner);
+        let enclave_va = VirtAddr::new(0x40_0000);
+        m.eadd(owner, enclave_va, b"secret", true).unwrap();
+        m.einit(owner).unwrap();
+        let epc = m
+            .sgx
+            .secs(m.enclave_of(owner).unwrap())
+            .unwrap()
+            .page_frame(enclave_va)
+            .unwrap();
+        let stolen = VirtAddr::new(0x50_0000);
+        m.os_map(pid, stolen, epc, true);
+        assert_eq!(
+            m.with_page(pid, stolen, 1, |_| ()),
+            Err(AccessFault::EpcDenied(stolen))
+        );
+        assert_eq!(
+            m.with_page_mut(pid, stolen, 1, |_| ()),
+            Err(AccessFault::EpcDenied(stolen))
+        );
+        // MMIO and the unpopulated hole are not DRAM.
+        let hole = PhysAddr::new(0x8000_0000);
+        for (va, pa) in [
+            (0x60_0000, crate::mem::layout::MMIO.base),
+            (0x61_0000, hole),
+        ] {
+            let va = VirtAddr::new(va);
+            m.os_map(pid, va, pa, true);
+            assert_eq!(
+                m.with_page(pid, va, 1, |_| ()),
+                Err(AccessFault::BusError(pa))
+            );
+            assert_eq!(
+                m.with_page_mut(pid, va, 1, |_| ()),
+                Err(AccessFault::BusError(pa))
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "span leaves its page")]
+    fn page_accessors_lend_one_page_only() {
+        let mut m = machine();
+        let pid = m.create_process();
+        let va = VirtAddr::new(0x10_0000);
+        map_pages(&mut m, pid, va, 2);
+        let _ = m.with_page(pid, va.offset(1), PAGE_SIZE as usize, |_| ());
     }
 
     #[test]

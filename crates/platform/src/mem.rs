@@ -211,14 +211,9 @@ impl Ram {
         );
         let mut off = 0usize;
         while off < buf.len() {
-            let a = addr.value() + off as u64;
-            let ppn = a / PAGE_SIZE;
-            let po = (a % PAGE_SIZE) as usize;
-            let take = (PAGE_SIZE as usize - po).min(buf.len() - off);
-            match self.pages.get(&ppn) {
-                Some(page) => buf[off..off + take].copy_from_slice(&page[po..po + take]),
-                None => buf[off..off + take].fill(0),
-            }
+            let a = addr.offset(off as u64);
+            let take = ((PAGE_SIZE - a.value() % PAGE_SIZE) as usize).min(buf.len() - off);
+            buf[off..off + take].copy_from_slice(self.page_slice(a, take));
             off += take;
         }
     }
@@ -235,17 +230,53 @@ impl Ram {
         );
         let mut off = 0usize;
         while off < data.len() {
-            let a = addr.value() + off as u64;
-            let ppn = a / PAGE_SIZE;
-            let po = (a % PAGE_SIZE) as usize;
-            let take = (PAGE_SIZE as usize - po).min(data.len() - off);
-            let page = self
-                .pages
-                .entry(ppn)
-                .or_insert_with(|| Box::new([0u8; PAGE_SIZE as usize]));
-            page[po..po + take].copy_from_slice(&data[off..off + take]);
+            let a = addr.offset(off as u64);
+            let take = ((PAGE_SIZE - a.value() % PAGE_SIZE) as usize).min(data.len() - off);
+            self.page_slice_mut(a, take)
+                .copy_from_slice(&data[off..off + take]);
             off += take;
         }
+    }
+
+    /// The `len` bytes at `addr`, which must lie in one page. An
+    /// untouched page reads as zeros without being materialized.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the span crosses a page or leaves DRAM.
+    pub fn page_slice(&self, addr: PhysAddr, len: usize) -> &[u8] {
+        static ZERO_PAGE: [u8; PAGE_SIZE as usize] = [0; PAGE_SIZE as usize];
+        let (ppn, range) = Ram::page_span(addr, len);
+        match self.pages.get(&ppn) {
+            Some(page) => &page[range],
+            None => &ZERO_PAGE[range],
+        }
+    }
+
+    /// Mutable view of the `len` bytes at `addr`, which must lie in one
+    /// page; the page is materialized (zero-filled) on first touch, as
+    /// [`Ram::write`] does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the span crosses a page or leaves DRAM.
+    pub fn page_slice_mut(&mut self, addr: PhysAddr, len: usize) -> &mut [u8] {
+        let (ppn, range) = Ram::page_span(addr, len);
+        let page = self
+            .pages
+            .entry(ppn)
+            .or_insert_with(|| Box::new([0u8; PAGE_SIZE as usize]));
+        &mut page[range]
+    }
+
+    /// Page number and in-page byte range of a one-page span.
+    fn page_span(addr: PhysAddr, len: usize) -> (u64, std::ops::Range<usize>) {
+        let po = (addr.value() % PAGE_SIZE) as usize;
+        assert!(
+            po + len <= PAGE_SIZE as usize && layout::DRAM.contains(addr),
+            "DRAM page span out of range at {addr}"
+        );
+        (addr.value() / PAGE_SIZE, po..po + len)
     }
 
     /// Number of resident (materialized) pages.

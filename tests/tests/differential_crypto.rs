@@ -1,9 +1,13 @@
 //! Pinned-tape differential suite for the fast crypto plane: the wide
 //! (8-blocks-per-pass) AES core, the zero-allocation OCB
 //! `seal_into`/`open_into` paths (on AES-NI, the fused offset-ladder
-//! kernel) and the SHA-256 compression function are checked
+//! kernel, and on VAES its 512-bit tier), OCB streamed in runs of whole
+//! blocks, and the SHA-256 compression function are checked
 //! byte-for-byte against the scalar oracle, the allocating reference
-//! paths and the portable backends. `differential_crypto.seeds` is
+//! paths and the portable backends. Every OCB property runs on all three
+//! backends: the context as detected (VAES where the CPU has it), the
+//! same context pinned to the 128-bit AES-NI kernel (`Ocb::aesni`) and
+//! the portable loop (`Ocb::portable`). `differential_crypto.seeds` is
 //! replayed before any new cases are generated.
 
 use hix_crypto::aes::Aes128;
@@ -21,6 +25,13 @@ const SEEDS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/differential_cry
 const PINNED_LENGTHS: &[usize] = &[
     0, 15, 16, 17, 112, 127, 128, 129, 144, 256, 1000, 4113, 65541,
 ];
+
+/// The three OCB backends of one keyed context: as detected, pinned to
+/// the 128-bit AES-NI kernel, and portable. On a host without VAES the
+/// first two are the same kernel; without AES-NI all three are portable.
+fn backends(ocb: &Ocb) -> [Ocb; 3] {
+    [ocb.clone(), ocb.aesni(), ocb.portable()]
+}
 
 /// SHA-256 message lengths either side of the padding boundaries (55/56:
 /// the 0x80 byte and the length fit the last block or spill into one
@@ -108,7 +119,7 @@ fn into_paths_match_allocating_paths() {
         let nonce = Nonce::from_counter(counter);
         let hw = Ocb::new(&Key::from_bytes(key));
         let expect = hw.portable().seal(&nonce, &aad, &plaintext);
-        for ocb in [hw.clone(), hw.portable()] {
+        for ocb in backends(&hw) {
             let sealed = ocb.seal(&nonce, &aad, &plaintext);
             assert_eq!(sealed, expect, "{} seal diverged from portable", ocb.backend());
             let mut sealed_into = vec![0u8; plaintext.len() + TAG_LEN];
@@ -166,7 +177,7 @@ fn rfc7253_vectors_through_multi_block_paths() {
             "4412923493C57D5DE0D700F753CCE0D1D2D95060122E9F15A5DDBFC5787E50B5CC55EE507BCB084E240A353649432AC6C1BDA9ACBA93F56D",
         ),
     ];
-    for ocb in [Ocb::new(&key), Ocb::new(&key).portable()] {
+    for ocb in backends(&Ocb::new(&key)) {
         for (last, aad_hex, pt_hex, sealed_hex) in vectors {
             let aad = hex(aad_hex);
             let pt = hex(pt_hex);
@@ -211,6 +222,130 @@ fn roundtrip_pinned_lengths_both_backends() {
     }
 }
 
+/// The three backends seal every pinned length to the same stream, and
+/// each opens the others' streams.
+#[test]
+fn vaes_aesni_and_portable_agree_over_pinned_lengths() {
+    let hw = Ocb::new(&Key::from_bytes([0x5c; 16]));
+    let [detected, aesni, portable] = backends(&hw);
+    for (i, &len) in PINNED_LENGTHS.iter().enumerate() {
+        let plaintext: Vec<u8> = (0..len).map(|j| (j * 13 + i) as u8).collect();
+        let nonce = Nonce::from_counter(i as u64 + 100);
+        let seal = |ocb: &Ocb| {
+            let mut sealed = vec![0u8; len + TAG_LEN];
+            ocb.seal_into(&nonce, b"three", &plaintext, &mut sealed);
+            sealed
+        };
+        let want = seal(&portable);
+        for ocb in [&detected, &aesni] {
+            assert_eq!(seal(ocb), want, "{} diverged from portable at len {len}", ocb.backend());
+        }
+        for ocb in [&detected, &aesni, &portable] {
+            let mut opened = vec![0u8; len];
+            ocb.open_into(&nonce, b"three", &want, &mut opened).unwrap();
+            assert_eq!(opened, plaintext, "{} failed to open at len {len}", ocb.backend());
+        }
+    }
+}
+
+/// Cuts `blocks` whole blocks into runs: about half of them 1–7 blocks
+/// (a run that starts and ends between pass boundaries), the rest up to
+/// 700 blocks (whole passes, and across the `ntz ≥ 8` rungs at every
+/// 256th block).
+fn draw_runs(s: &mut hix_testkit::prop::Source, blocks: usize) -> Vec<usize> {
+    let mut runs = Vec::new();
+    let mut left = blocks;
+    while left > 0 {
+        let run = if s.bool() { s.usize_in(1..8) } else { s.usize_in(8..700) };
+        runs.push(run.min(left));
+        left -= run.min(left);
+    }
+    runs
+}
+
+/// Seals `plaintext` as `runs` of whole blocks plus a finish, on one
+/// backend; returns `ciphertext || tag`.
+fn seal_streamed(
+    ocb: &Ocb,
+    nonce: &Nonce,
+    aad: &[u8],
+    plaintext: &[u8],
+    runs: &[usize],
+) -> Vec<u8> {
+    let mut out = vec![0u8; plaintext.len() + TAG_LEN];
+    let mut stream = ocb.stream(nonce);
+    let mut at = 0;
+    for run in runs {
+        let end = at + run * 16;
+        stream.seal_run(&plaintext[at..end], &mut out[at..end]);
+        at = end;
+    }
+    let (tail_out, tag) = out[at..].split_at_mut(plaintext.len() - at);
+    tag.copy_from_slice(&stream.seal_finish(aad, &plaintext[at..], tail_out));
+    out
+}
+
+/// Opens `sealed` as `runs` of whole blocks plus a finish, on one
+/// backend. Returns the opened runs, the tail output (pre-filled with
+/// 0xee, so a finish that leaves it alone shows) and the finish result.
+fn open_streamed(
+    ocb: &Ocb,
+    nonce: &Nonce,
+    aad: &[u8],
+    sealed: &[u8],
+    runs: &[usize],
+) -> (Vec<u8>, Vec<u8>, Result<(), TagMismatch>) {
+    let (ciphertext, tag) = sealed.split_at(sealed.len() - TAG_LEN);
+    let mut body = vec![0u8; ciphertext.len() / 16 * 16];
+    let mut stream = ocb.stream(nonce);
+    let mut at = 0;
+    for run in runs {
+        let end = at + run * 16;
+        stream.open_run(&ciphertext[at..end], &mut body[at..end]);
+        at = end;
+    }
+    let mut tail = vec![0xeeu8; ciphertext.len() - at];
+    let result = stream.open_finish(aad, &ciphertext[at..], tag, &mut tail);
+    (body, tail, result)
+}
+
+/// OCB streamed in random runs of whole blocks, from any block index,
+/// is bit-identical to one `seal_into` on every backend, opens back run
+/// by run, and rejects a stream with any one byte flipped, zeroing the
+/// tail output.
+#[test]
+fn streamed_runs_match_seal_into() {
+    prop("streamed_runs_match_seal_into").corpus(SEEDS).run(|s| {
+        let key = s.array_u8::<16>();
+        let nonce = Nonce::from_counter(s.u64());
+        let aad = s.vec_u8(0..48);
+        let len = s.usize_in(0..70_001);
+        let plaintext = Rng::new(s.u64()).bytes(len);
+        let runs = draw_runs(s, len / 16);
+        let flip_at = s.usize_in(0..len + TAG_LEN);
+        let flip_bit = 1u8 << s.usize_in(0..8);
+        let hw = Ocb::new(&Key::from_bytes(key));
+        let mut want = vec![0u8; len + TAG_LEN];
+        hw.portable().seal_into(&nonce, &aad, &plaintext, &mut want);
+        for ocb in backends(&hw) {
+            let backend = ocb.backend();
+            let sealed = seal_streamed(&ocb, &nonce, &aad, &plaintext, &runs);
+            assert!(sealed == want, "{backend} streamed seal diverged, len {len}, runs {runs:?}");
+            let (body, tail, result) = open_streamed(&ocb, &nonce, &aad, &sealed, &runs);
+            assert_eq!(result, Ok(()), "{backend} streamed open failed, len {len}");
+            assert!(
+                body == plaintext[..body.len()] && tail == plaintext[body.len()..],
+                "{backend} streamed open diverged, len {len}, runs {runs:?}"
+            );
+            let mut tampered = sealed;
+            tampered[flip_at] ^= flip_bit;
+            let (_, tail, result) = open_streamed(&ocb, &nonce, &aad, &tampered, &runs);
+            assert_eq!(result, Err(TagMismatch), "{backend} accepted a flip at {flip_at}");
+            assert!(tail.iter().all(|&b| b == 0), "{backend} released the tail on a mismatch");
+        }
+    });
+}
+
 /// A flipped bit in the last whole ciphertext block of a multi-KiB stream
 /// (the final pass of the fused kernel) fails the open on both backends,
 /// and `out` comes back zeroed.
@@ -220,7 +355,7 @@ fn corrupt_last_whole_block_fails_open_and_zeroes_output() {
     for len in [4113usize, 65541] {
         let plaintext: Vec<u8> = (0..len).map(|j| (j * 7) as u8).collect();
         let nonce = Nonce::from_counter(len as u64);
-        for ocb in [hw.clone(), hw.portable()] {
+        for ocb in backends(&hw) {
             let mut sealed = vec![0u8; len + TAG_LEN];
             ocb.seal_into(&nonce, b"tail", &plaintext, &mut sealed);
             let last_whole = (len / 16 - 1) * 16;
@@ -251,7 +386,7 @@ fn rfc7253_iterated_check_value_through_seal_into() {
         b[8..].copy_from_slice(&n.to_be_bytes());
         Nonce::from_bytes(b)
     };
-    for ocb in [Ocb::new(&key), Ocb::new(&key).portable()] {
+    for ocb in backends(&Ocb::new(&key)) {
         let mut c = Vec::new();
         let seal_into = |nonce: Nonce, aad: &[u8], pt: &[u8]| {
             let mut out = vec![0u8; pt.len() + TAG_LEN];
