@@ -74,8 +74,13 @@ pub fn shared_memory_snoop_and_tamper() -> ScenarioReport {
     let mut s = HixSession::connect(&mut m, &mut enclave).expect("session");
     let dev = s.malloc(&mut m, &mut enclave, 8192).expect("malloc");
     let secret = b"FOUR-SCORE-AND-SEVEN-SECRETS".repeat(64);
-    s.memcpy_htod(&mut m, &mut enclave, dev, &Payload::from_bytes(secret.clone()))
-        .expect("transfer");
+    s.memcpy_htod(
+        &mut m,
+        &mut enclave,
+        dev,
+        &Payload::from_bytes(secret.clone()),
+    )
+    .expect("transfer");
     // Snoop: dump all physical frames an adversary could reach. The
     // secret must not appear anywhere outside the EPC and the GPU.
     let mut found = false;
@@ -119,10 +124,7 @@ pub fn kill_and_reclaim_gpu() -> ScenarioReport {
     m.kill_process(enclave.pid());
     // The dead owner's GECS entry must still lock the GPU.
     let second = GpuEnclave::launch(&mut m, GpuEnclaveOptions::default());
-    let still_locked = matches!(
-        second,
-        Err(HixCoreError::Hix(HixError::AlreadyOwned(_)))
-    );
+    let still_locked = matches!(second, Err(HixCoreError::Hix(HixError::AlreadyOwned(_))));
     // Even the OS cannot touch the MMIO.
     let attacker = m.create_process();
     let va = os_map_bar0(&mut m, attacker, GPU_BDF, 1);
@@ -189,9 +191,7 @@ pub fn mmio_translation_attacks() -> ScenarioReport {
         }
     } else {
         Verdict::Breached {
-            detail: format!(
-                "foreign={foreign_denied} write={write_denied} pte={pte_denied}"
-            ),
+            detail: format!("foreign={foreign_denied} write={write_denied} pte={pte_denied}"),
         }
     };
     ScenarioReport {
@@ -245,10 +245,8 @@ pub fn dma_redirection_attack() -> ScenarioReport {
     let evil = m.alloc_frames(1)[0];
     m.os_write_phys(evil, &[0x41u8; PAGE_SIZE as usize]);
     let bulk_page = bus.offset(hix_core::channel::BULK_OFFSET);
-    m.iommu_mut().map(
-        PhysAddr::new(bulk_page.value() & !(PAGE_SIZE - 1)),
-        evil,
-    );
+    m.iommu_mut()
+        .map(PhysAddr::new(bulk_page.value() & !(PAGE_SIZE - 1)), evil);
     let result = s.memcpy_htod(
         &mut m,
         &mut enclave,
@@ -333,25 +331,40 @@ pub fn residual_memory_leak() -> ScenarioReport {
     let buf = hix_driver::DmaBuffer::alloc(&mut m, pid, 4096);
     buf.write(&mut m, pid, 0, &Payload::from_bytes(vec![0xEE; 4096]))
         .expect("host write");
-    driver.dma_htod(&mut m, victim_ctx, a, &buf, 0, 4096).expect("dma");
+    driver
+        .dma_htod(&mut m, victim_ctx, a, &buf, 0, 4096)
+        .expect("dma");
     driver.sync(&mut m).expect("sync");
-    driver.free(&mut m, victim_ctx, a, false).expect("free unscrubbed");
+    driver
+        .free(&mut m, victim_ctx, a, false)
+        .expect("free unscrubbed");
     let b = driver.malloc(&mut m, victim_ctx, 4096).expect("remalloc");
     let out = hix_driver::DmaBuffer::alloc(&mut m, pid, 4096);
-    driver.dma_dtoh(&mut m, victim_ctx, b, &out, 0, 4096).expect("dma out");
+    driver
+        .dma_dtoh(&mut m, victim_ctx, b, &out, 0, 4096)
+        .expect("dma out");
     driver.sync(&mut m).expect("sync");
     let leaked = out.read(&mut m, pid, 0, 16).expect("read")[0] == 0xEE;
 
     // HIX path: scrub-on-free means re-allocation reads zero.
     let scrubbed = {
         let c = driver.malloc(&mut m, victim_ctx, 4096).expect("malloc");
-        driver.dma_htod(&mut m, victim_ctx, c, &buf, 0, 4096).expect("dma");
+        driver
+            .dma_htod(&mut m, victim_ctx, c, &buf, 0, 4096)
+            .expect("dma");
         driver.sync(&mut m).expect("sync");
-        driver.free(&mut m, victim_ctx, c, true).expect("scrubbed free");
+        driver
+            .free(&mut m, victim_ctx, c, true)
+            .expect("scrubbed free");
         let d = driver.malloc(&mut m, victim_ctx, 4096).expect("remalloc");
-        driver.dma_dtoh(&mut m, victim_ctx, d, &out, 0, 4096).expect("dma out");
+        driver
+            .dma_dtoh(&mut m, victim_ctx, d, &out, 0, 4096)
+            .expect("dma out");
         driver.sync(&mut m).expect("sync");
-        out.read(&mut m, pid, 0, 16).expect("read").iter().all(|&x| x == 0)
+        out.read(&mut m, pid, 0, 16)
+            .expect("read")
+            .iter()
+            .all(|&x| x == 0)
     };
     let verdict = if leaked && scrubbed {
         Verdict::Blocked {
@@ -379,11 +392,14 @@ pub fn bulk_replay_attack() -> ScenarioReport {
     let dev = s.malloc(&mut m, &mut enclave, 4096).expect("malloc");
     // Transfer 1 completes normally; the adversary snapshots the sealed
     // chunk from the bulk area.
-    s.memcpy_htod(&mut m, &mut enclave, dev, &Payload::from_bytes(vec![0x11; 4096]))
-        .expect("first transfer");
-    let bulk_bus = s
-        .shared_bus()
-        .offset(hix_core::channel::BULK_OFFSET);
+    s.memcpy_htod(
+        &mut m,
+        &mut enclave,
+        dev,
+        &Payload::from_bytes(vec![0x11; 4096]),
+    )
+    .expect("first transfer");
+    let bulk_bus = s.shared_bus().offset(hix_core::channel::BULK_OFFSET);
     let pa = m
         .iommu_mut()
         .translate(PhysAddr::new(bulk_bus.value() & !(PAGE_SIZE - 1)))
@@ -411,7 +427,8 @@ pub fn bulk_replay_attack() -> ScenarioReport {
     assert!(send.is_ok());
     let verdict = match enclave.poll(&mut m, s.id()) {
         Err(HixCoreError::IntegrityFailure) => Verdict::Blocked {
-            mechanism: "per-chunk counter nonces: a replayed chunk fails its tag under the new nonce",
+            mechanism:
+                "per-chunk counter nonces: a replayed chunk fails its tag under the new nonce",
         },
         Ok(_) => Verdict::Breached {
             detail: "stale data accepted into a fresh transfer".into(),
@@ -441,7 +458,10 @@ pub fn repeated_bulk_replay_under_faults(n: u32) -> ScenarioReport {
     let mut failures: Vec<String> = Vec::new();
     for round in 0..n {
         // Background noise for the legitimate traffic of this round.
-        m.set_fault_plan(FaultPlan::new(0x00A7_7AC4 + round as u64, FaultConfig::light()));
+        m.set_fault_plan(FaultPlan::new(
+            0x00A7_7AC4 + round as u64,
+            FaultConfig::light(),
+        ));
         let mut s = match HixSession::connect(&mut m, &mut enclave) {
             Ok(s) => s,
             Err(e) => {
@@ -450,8 +470,13 @@ pub fn repeated_bulk_replay_under_faults(n: u32) -> ScenarioReport {
             }
         };
         let dev = s.malloc(&mut m, &mut enclave, 4096).expect("malloc");
-        s.memcpy_htod(&mut m, &mut enclave, dev, &Payload::from_bytes(vec![round as u8; 4096]))
-            .expect("transfer under faults");
+        s.memcpy_htod(
+            &mut m,
+            &mut enclave,
+            dev,
+            &Payload::from_bytes(vec![round as u8; 4096]),
+        )
+        .expect("transfer under faults");
         let bulk_bus = s.shared_bus().offset(hix_core::channel::BULK_OFFSET);
         let pa = m
             .iommu_mut()
@@ -466,9 +491,15 @@ pub fn repeated_bulk_replay_under_faults(n: u32) -> ScenarioReport {
         m.clear_fault_plan();
         let dev2 = s.malloc(&mut m, &mut enclave, 4096).expect("malloc");
         let chunk = m.model().pipeline_chunk;
-        let req = Request::MemcpyHtoD { dst: dev2, len: 4096, chunk, nonce_start: 1 };
+        let req = Request::MemcpyHtoD {
+            dst: dev2,
+            len: 4096,
+            chunk,
+            nonce_start: 1,
+        };
         m.os_write_phys(pa, &snapshot);
-        s.send_raw_request_for_test(&mut m, &req.encode()).expect("raw send");
+        s.send_raw_request_for_test(&mut m, &req.encode())
+            .expect("raw send");
         match enclave.poll(&mut m, s.id()) {
             Err(HixCoreError::IntegrityFailure) => {}
             Ok(_) => failures.push(format!("round {round}: stale data accepted")),
@@ -491,10 +522,13 @@ pub fn repeated_bulk_replay_under_faults(n: u32) -> ScenarioReport {
     }
     let verdict = if failures.is_empty() {
         Verdict::Blocked {
-            mechanism: "per-chunk nonces detect every replay; aborted sessions are reaped on re-admission",
+            mechanism:
+                "per-chunk nonces detect every replay; aborted sessions are reaped on re-admission",
         }
     } else {
-        Verdict::Breached { detail: failures.join("; ") }
+        Verdict::Breached {
+            detail: failures.join("; "),
+        }
     };
     ScenarioReport {
         figure_point: 0,
@@ -525,7 +559,14 @@ pub fn vram_holds(m: &mut Machine, needle: &[u8]) -> bool {
     let found = (0..PROBE_BYTES).step_by(PROBE_READ).any(|offset| {
         window.copy_within(PROBE_READ.., 0);
         dev.mmio_read(BarIndex(1), offset, &mut window[carry..]);
-        contains(if offset == 0 { &window[carry..] } else { &window }, needle)
+        contains(
+            if offset == 0 {
+                &window[carry..]
+            } else {
+                &window
+            },
+            needle,
+        )
     });
     dev.mmio_write(BarIndex(0), bar0::APERTURE, &saved_aperture);
     found
@@ -606,7 +647,12 @@ pub fn tdr_reset_scrub() -> ScenarioReport {
     let mut victim = HixSession::connect(&mut m, &mut enclave).expect("victim session");
     let dev = victim.malloc(&mut m, &mut enclave, 4096).expect("malloc");
     victim
-        .memcpy_htod(&mut m, &mut enclave, dev, &Payload::from_bytes(secret.clone()))
+        .memcpy_htod(
+            &mut m,
+            &mut enclave,
+            dev,
+            &Payload::from_bytes(secret.clone()),
+        )
         .expect("plant");
     if !vram_holds(&mut m, needle) {
         return report(Verdict::Breached {
@@ -688,7 +734,9 @@ pub fn repeated_kill_and_reclaim(n: u32) -> ScenarioReport {
             mechanism: "GECS ownership survives owner death and re-arms after every cold boot",
         }
     } else {
-        Verdict::Breached { detail: failures.join("; ") }
+        Verdict::Breached {
+            detail: failures.join("; "),
+        }
     };
     ScenarioReport {
         figure_point: 2,
@@ -784,8 +832,9 @@ mod tests {
         let alphabet = b"TDR-SOAK\0";
         for _ in 0..4000 {
             let len = rng.gen_range_usize(0..160);
-            let mut hay: Vec<u8> =
-                (0..len).map(|_| alphabet[rng.gen_range_usize(0..alphabet.len())]).collect();
+            let mut hay: Vec<u8> = (0..len)
+                .map(|_| alphabet[rng.gen_range_usize(0..alphabet.len())])
+                .collect();
             if len >= NEEDLE.len() && rng.u32().is_multiple_of(2) {
                 let at = rng.gen_range_usize(0..len - NEEDLE.len() + 1);
                 hay[at..at + NEEDLE.len()].copy_from_slice(NEEDLE);

@@ -101,7 +101,11 @@ fn bench_ocb_seal(rows: &mut Vec<Measurement>) {
 /// kernel (`Ocb::aesni`, the VAES tier switched off).
 fn bench_ocb_seal_pinned(backend: &str) -> Measurement {
     let ocb = Ocb::new(&Key::from_bytes([3u8; 16]));
-    let ocb = if backend == "portable" { ocb.portable() } else { ocb.aesni() };
+    let ocb = if backend == "portable" {
+        ocb.portable()
+    } else {
+        ocb.aesni()
+    };
     let data = vec![0xabu8; 64 * 1024];
     let mut out = vec![0u8; data.len() + TAG_LEN];
     let mut counter = 0u64;
@@ -215,7 +219,14 @@ fn validate(text: &str) -> Result<(), String> {
             .get("name")
             .and_then(Json::as_str)
             .ok_or("row without a name")?;
-        for field in ["median_ns", "p95_ns", "min_ns", "iters", "throughput_bytes", "mib_per_sec"] {
+        for field in [
+            "median_ns",
+            "p95_ns",
+            "min_ns",
+            "iters",
+            "throughput_bytes",
+            "mib_per_sec",
+        ] {
             let v = row
                 .get(field)
                 .and_then(Json::as_num)
@@ -276,9 +287,10 @@ fn main() {
     // cargo passes harness flags like `--bench` and runs the bench with
     // the package as CWD; the output path is the first non-flag
     // argument, defaulting to the workspace-root ledger name.
-    let out_path = args.into_iter().next().unwrap_or_else(|| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_crypto.json").into()
-    });
+    let out_path = args
+        .into_iter()
+        .next()
+        .unwrap_or_else(|| concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_crypto.json").into());
     let json = emit_json(&rows);
     // Self-check: what we emit must round-trip through the shared
     // reader and satisfy the same schema `--check` enforces.

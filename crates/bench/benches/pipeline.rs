@@ -13,7 +13,10 @@ use hix_testkit::bench::{black_box, Bench};
 fn print_ablation() {
     let base = CostModel::paper();
     println!("\n== ablation: single-copy pipelined vs naive (modeled) ==");
-    println!("{:>8} {:>14} {:>14} {:>8}", "size", "single-copy", "naive", "saving");
+    println!(
+        "{:>8} {:>14} {:>14} {:>8}",
+        "size", "single-copy", "naive", "saving"
+    );
     for mb in [4u64, 32, 128, 512] {
         let bytes = mb << 20;
         let fast = base.hix_htod(bytes);
@@ -38,7 +41,10 @@ fn print_ablation() {
     }
     println!("\n== ablation: shared transfer engines across sessions (modeled) ==");
     println!("(K sessions, one 32 MiB HtoD each, all staged at t=0)");
-    println!("{:>9} {:>14} {:>14} {:>8}", "sessions", "serialized", "shared-pipe", "saving");
+    println!(
+        "{:>9} {:>14} {:>14} {:>8}",
+        "sessions", "serialized", "shared-pipe", "saving"
+    );
     let bytes = 32u64 << 20;
     for k in [2u64, 4, 8, 16] {
         // Serialized: each transfer pays the full closed form after the
@@ -67,8 +73,7 @@ fn bench_pipeline_eval() {
     let model = CostModel::paper();
     for mb in [4u64, 128] {
         let bytes = mb << 20;
-        Bench::new(format!("cost-model/hix_htod/{mb}MiB"))
-            .run(|| model.hix_htod(black_box(bytes)));
+        Bench::new(format!("cost-model/hix_htod/{mb}MiB")).run(|| model.hix_htod(black_box(bytes)));
     }
     Bench::new("cost-model/naive_htod/128MiB").run(|| model.naive_htod(128 << 20));
     Bench::new("cost-model/shared-pipe/8x32MiB").run(|| {

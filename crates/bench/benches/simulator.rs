@@ -59,7 +59,11 @@ fn bench_channel_roundtrip() {
 fn bench_secure_transfer(kib: u64) {
     let (mut machine, mut enclave, mut session) = secure_stack();
     let len = kib << 10;
-    let size = if kib >= 1024 { format!("{}MiB", kib >> 10) } else { format!("{kib}KiB") };
+    let size = if kib >= 1024 {
+        format!("{}MiB", kib >> 10)
+    } else {
+        format!("{kib}KiB")
+    };
     let dev = session.malloc(&mut machine, &mut enclave, len).unwrap();
     let payload = Payload::from_bytes(vec![0x42u8; len as usize]);
     Bench::new(format!("hix/secure_htod_{size}_functional"))
@@ -114,9 +118,15 @@ fn bench_session_lifecycle() {
             format!("user-{i}").as_bytes(),
         )
         .unwrap();
-        let dev = session.malloc(&mut machine, &mut enclave, 64 << 10).unwrap();
-        session.memcpy_htod(&mut machine, &mut enclave, dev, &payload).unwrap();
-        let back = session.memcpy_dtoh(&mut machine, &mut enclave, dev, 64 << 10).unwrap();
+        let dev = session
+            .malloc(&mut machine, &mut enclave, 64 << 10)
+            .unwrap();
+        session
+            .memcpy_htod(&mut machine, &mut enclave, dev, &payload)
+            .unwrap();
+        let back = session
+            .memcpy_dtoh(&mut machine, &mut enclave, dev, 64 << 10)
+            .unwrap();
         session.free(&mut machine, &mut enclave, dev).unwrap();
         session.close(&mut machine, &mut enclave).unwrap();
         back

@@ -25,15 +25,18 @@ fn decompose(model: &CostModel, htod: u64, dtoh: u64, launches: u64) -> Decompos
     };
     // Extra time on the transfer path attributable to user-enclave
     // authenticated encryption (the pipelined path minus the raw wire).
-    let enclave_crypto = (model.pipelined_transfer(htod, model.enclave_crypto_bw, model.pcie_bw, model.dma_setup)
-        - wire(htod))
+    let enclave_crypto = (model.pipelined_transfer(
+        htod,
+        model.enclave_crypto_bw,
+        model.pcie_bw,
+        model.dma_setup,
+    ) - wire(htod))
         + (model.pipelined_transfer(dtoh, model.pcie_bw, model.enclave_crypto_bw, Nanos::ZERO)
             + model.dma_setup
             - wire(dtoh));
     let chunks_dtoh = dtoh.div_ceil(model.pipeline_chunk).max(1);
-    let gpu_crypto = model.gpu_crypt(htod)
-        + model.gpu_crypt(dtoh)
-        + model.kernel_launch * (1 + chunks_dtoh);
+    let gpu_crypto =
+        model.gpu_crypt(htod) + model.gpu_crypt(dtoh) + model.kernel_launch * (1 + chunks_dtoh);
     let ipc = model.ipc_roundtrip * (launches + 6);
     let init_delta_ms = model.task_init(ExecMode::Hix).as_millis_f64()
         - model.task_init(ExecMode::Gdev).as_millis_f64();
@@ -58,8 +61,7 @@ fn main() {
         let p = w.profile(&model);
         let d = decompose(&model, p.htod, p.dtoh, p.launches);
         let crypto_total = d.enclave_crypto + d.gpu_crypto;
-        let gross =
-            crypto_total.as_millis_f64() + d.ipc.as_millis_f64() + d.init_delta_ms.abs();
+        let gross = crypto_total.as_millis_f64() + d.ipc.as_millis_f64() + d.init_delta_ms.abs();
         let share = crypto_total.as_millis_f64() / gross * 100.0;
         if share > 50.0 {
             ae_dominant += 1;

@@ -13,14 +13,22 @@ fn main() {
         "E GB/s", "mul11264", "add11264", "PF", "BP", "NW", "GS", "HS", "avg9"
     );
     for e in [1600u64, 1700, 1800, 1900, 2000, 2200] {
-        let model = CostModel::builder().enclave_crypto_bw(e * 1_000_000).build();
+        let model = CostModel::builder()
+            .enclave_crypto_bw(e * 1_000_000)
+            .build();
         let mul = measure_both_with(
-            &MatrixAt { op: MatrixOp::Mul, n: 11264 },
+            &MatrixAt {
+                op: MatrixOp::Mul,
+                n: 11264,
+            },
             "mul",
             model.clone(),
         );
         let add = measure_both_with(
-            &MatrixAt { op: MatrixOp::Add, n: 11264 },
+            &MatrixAt {
+                op: MatrixOp::Add,
+                n: 11264,
+            },
             "add",
             model.clone(),
         );

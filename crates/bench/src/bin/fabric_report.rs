@@ -84,7 +84,10 @@ fn fault_plans(profile: &str, seed: u64, switch_of: &[usize]) -> Vec<Option<Faul
                     gpu_spurious_pm: 20,
                     ..FaultConfig::none()
                 };
-                FaultPlan::new(seed ^ 0xFAB1_0000 ^ (storm_switch as u64).rotate_left(13), cfg)
+                FaultPlan::new(
+                    seed ^ 0xFAB1_0000 ^ (storm_switch as u64).rotate_left(13),
+                    cfg,
+                )
             }),
             _ => None,
         })
@@ -194,7 +197,9 @@ fn run_scenario(gpus: usize, profile: &'static str, seed: u64) -> Cell {
             m.set_device_fault_plan(g.bdf, None);
         }
         if session.epoch() == 0 {
-            fail(&format!("{gpus}/{profile}/{seed}: the storm tenant kept its pre-reset keys"));
+            fail(&format!(
+                "{gpus}/{profile}/{seed}: the storm tenant kept its pre-reset keys"
+            ));
         }
 
         // Degraded-mode migration: while the storm shard digs out, move
@@ -231,7 +236,9 @@ fn run_scenario(gpus: usize, profile: &'static str, seed: u64) -> Cell {
         .map(|s| fabric.reset_blast_radius(&m, s))
         .unwrap_or(0);
     if m.trace().metrics().counter("fabric.reset_blast_radius") != 0 {
-        fail(&format!("{gpus}/{profile}/{seed}: the blast-radius counter is not 0"));
+        fail(&format!(
+            "{gpus}/{profile}/{seed}: the blast-radius counter is not 0"
+        ));
     }
 
     // Every tenant — peers, the storm driver, the migrant — reads its
@@ -255,7 +262,9 @@ fn run_scenario(gpus: usize, profile: &'static str, seed: u64) -> Cell {
         ));
     }
     if !fabric.verify_all_paths(&m) {
-        fail(&format!("{gpus} GPUs: lockdown chain broken after the storm"));
+        fail(&format!(
+            "{gpus} GPUs: lockdown chain broken after the storm"
+        ));
     }
 
     let snapshot = m.trace().metrics().snapshot();
@@ -280,7 +289,9 @@ fn run_cell(gpus: usize, profile: &'static str, seed: u64) -> Cell {
     let cell = run_scenario(gpus, profile, seed);
     let again = run_scenario(gpus, profile, seed);
     if let Err(d) = diff_lines(&cell.transcript, &again.transcript) {
-        fail(&format!("{gpus}/{profile}/{seed}: same-seed rerun diverged: {d}"));
+        fail(&format!(
+            "{gpus}/{profile}/{seed}: same-seed rerun diverged: {d}"
+        ));
     }
     cell
 }
@@ -320,10 +331,7 @@ fn check_cells(cells: &[Cell]) {
         if c.served != anchor.served {
             fail(&format!(
                 "{}/{}: seed {} served different bytes than seed {}",
-                c.gpus,
-                c.profile,
-                c.seed,
-                anchor.seed
+                c.gpus, c.profile, c.seed, anchor.seed
             ));
         }
     }
@@ -343,7 +351,9 @@ struct ModelCell {
 const MODEL_TENANTS: usize = 16;
 
 fn run_model_cell(model: &CostModel, gpus: usize) -> ModelCell {
-    let specs: Vec<SessionSpec> = (0..MODEL_TENANTS).map(|_| SessionSpec::new(bp_like())).collect();
+    let specs: Vec<SessionSpec> = (0..MODEL_TENANTS)
+        .map(|_| SessionSpec::new(bp_like()))
+        .collect();
     let switch_of: Vec<usize> = (0..gpus).map(|i| i / FANOUT).collect();
     let cfg = SchedulerConfig::new(model);
     let clean = run_fabric_scaled(model, &specs, &switch_of, None, &cfg, None);
@@ -445,14 +455,20 @@ fn emit_json(cells: &[Cell], model_cells: &[ModelCell]) -> String {
             c.reset_ns as f64 / c.clean_ns as f64,
             u8::from(c.peer_identical),
         );
-        s.push_str(if i + 1 < model_cells.len() { ",\n" } else { "\n" });
+        s.push_str(if i + 1 < model_cells.len() {
+            ",\n"
+        } else {
+            "\n"
+        });
     }
     s.push_str("  ]\n}\n");
     s
 }
 
 fn main() {
-    let out_path = std::env::args().nth(1).unwrap_or_else(|| "BENCH_fabric.json".into());
+    let out_path = std::env::args()
+        .nth(1)
+        .unwrap_or_else(|| "BENCH_fabric.json".into());
 
     let sizes = [1, 2, 4];
     let mut cells = Vec::new();
@@ -469,9 +485,15 @@ fn main() {
     let model_cells = sizes.map(|g| run_model_cell(&model, g));
     check_model(&model_cells);
 
-    println!("# Fabric sweep ({TENANTS_PER_SHARD} tenants/shard, fanout {FANOUT}, seeds {SEEDS:?})\n");
-    println!("| gpus | profile | seed | resets | blast radius | migrations | served | ops to reset |");
-    println!("|-----:|---------|-----:|-------:|-------------:|-----------:|-------:|-------------:|");
+    println!(
+        "# Fabric sweep ({TENANTS_PER_SHARD} tenants/shard, fanout {FANOUT}, seeds {SEEDS:?})\n"
+    );
+    println!(
+        "| gpus | profile | seed | resets | blast radius | migrations | served | ops to reset |"
+    );
+    println!(
+        "|-----:|---------|-----:|-------:|-------------:|-----------:|-------:|-------------:|"
+    );
     for c in &cells {
         println!(
             "| {} | {} | {} | {} | {} | {} | {}/{} | {} |",
@@ -486,7 +508,9 @@ fn main() {
             c.ops_to_reset,
         );
     }
-    println!("\n# Degraded-mode model ({MODEL_TENANTS} bp-like tenants, one shard mid-secure-reset)\n");
+    println!(
+        "\n# Degraded-mode model ({MODEL_TENANTS} bp-like tenants, one shard mid-secure-reset)\n"
+    );
     println!("| gpus | clean makespan | one shard resetting | throughput clean | degraded | peers bit-identical |");
     println!("|-----:|---------------:|--------------------:|-----------------:|---------:|--------------------:|");
     for c in &model_cells {

@@ -71,7 +71,11 @@ fn sweep() -> Vec<SoakRun> {
         for batched in [false, true] {
             for (profile, _) in soak::profiles() {
                 let cell = soak::run(seed, profile, batched);
-                let clean = if profile == "none" { &cell } else { clean_of(&cells, &cell) };
+                let clean = if profile == "none" {
+                    &cell
+                } else {
+                    clean_of(&cells, &cell)
+                };
                 if let Err(e) = soak::check(&cell, clean)
                     .and_then(|()| soak::check_rerun(&cell, &soak::run(seed, profile, batched)))
                 {
@@ -99,7 +103,11 @@ fn peer_rows() -> Vec<PeerRow> {
     };
     let run = |kills: u32, resets: u32| {
         let mut sessions = vec![SessionSpec::new(task.clone()); 4];
-        sessions[0].faults = SessionFaults { tdr_kills: kills, tdr_resets: resets, ..SessionFaults::default() };
+        sessions[0].faults = SessionFaults {
+            tdr_kills: kills,
+            tdr_resets: resets,
+            ..SessionFaults::default()
+        };
         run_scaled(&model, &sessions, Mode::Hix, &config, None)
     };
     let plain = run(0, 0);
@@ -123,11 +131,16 @@ fn peer_rows() -> Vec<PeerRow> {
             .max()
             .unwrap();
         if worst > bound {
-            fail(&format!("{offender}: peer stalled {worst:?}, past the bound {bound:?}"));
+            fail(&format!(
+                "{offender}: peer stalled {worst:?}, past the bound {bound:?}"
+            ));
         }
         let expect_evict = resets >= EVICT_AFTER;
         if out.evicted[0] != expect_evict || out.evicted[1..].iter().any(|e| *e) {
-            fail(&format!("{offender}: eviction flags wrong: {:?}", out.evicted));
+            fail(&format!(
+                "{offender}: eviction flags wrong: {:?}",
+                out.evicted
+            ));
         }
         // Eviction caps the damage: past the cap, more wedges cost the
         // peers exactly nothing more.
@@ -155,9 +168,19 @@ fn emit_json(cells: &[SoakRun], peers: &[PeerRow]) -> String {
     let _ = writeln!(s, "  \"rounds\": {},", soak::ROUNDS);
     s.push_str("  \"cells\": [\n");
     for (i, c) in cells.iter().enumerate() {
-        let _ = write!(s, "    {{\"seed\": {}, \"profile\": \"{}\", \"engine\": \"{}\"", c.seed, c.profile, c.engine());
+        let _ = write!(
+            s,
+            "    {{\"seed\": {}, \"profile\": \"{}\", \"engine\": \"{}\"",
+            c.seed,
+            c.profile,
+            c.engine()
+        );
         for (key, v) in columns(c) {
-            let _ = write!(s, ", \"{key}\": {}", v.map_or("null".into(), |v| v.to_string()));
+            let _ = write!(
+                s,
+                ", \"{key}\": {}",
+                v.map_or("null".into(), |v| v.to_string())
+            );
         }
         s.push_str(if i + 1 < cells.len() { "},\n" } else { "}\n" });
     }
@@ -177,8 +200,14 @@ fn emit_json(cells: &[SoakRun], peers: &[PeerRow]) -> String {
 fn print_tables(cells: &[SoakRun], peers: &[PeerRow]) {
     println!("## Fault matrix ({} rounds per run)\n", soak::ROUNDS);
     let keys = columns(&cells[0]).map(|(key, _)| key);
-    println!("| seed | profile | engine | {} | overhead |", keys.join(" | "));
-    println!("|------|---------|--------|{}---------:|", "---:|".repeat(keys.len()));
+    println!(
+        "| seed | profile | engine | {} | overhead |",
+        keys.join(" | ")
+    );
+    println!(
+        "|------|---------|--------|{}---------:|",
+        "---:|".repeat(keys.len())
+    );
     for c in cells {
         let mut row = format!("| {:#06x} | {} | {} |", c.seed, c.profile, c.engine());
         for (key, v) in columns(c) {
@@ -198,8 +227,12 @@ fn print_tables(cells: &[SoakRun], peers: &[PeerRow]) {
         }
     }
     println!("\n## Peer interference from a misbehaving tenant (4 users, HIX)\n");
-    println!("| offender profile | offender (ms) | worst peer delta | quarantine bound | evicted |");
-    println!("|------------------|--------------:|-----------------:|-----------------:|---------|");
+    println!(
+        "| offender profile | offender (ms) | worst peer delta | quarantine bound | evicted |"
+    );
+    println!(
+        "|------------------|--------------:|-----------------:|-----------------:|---------|"
+    );
     for p in peers {
         println!(
             "| {} | {:.2} | {} | {} | {} |",
@@ -213,7 +246,9 @@ fn print_tables(cells: &[SoakRun], peers: &[PeerRow]) {
 }
 
 fn main() {
-    let out_path = std::env::args().nth(1).unwrap_or_else(|| "BENCH_fault.json".into());
+    let out_path = std::env::args()
+        .nth(1)
+        .unwrap_or_else(|| "BENCH_fault.json".into());
     let cells = sweep();
     let peers = peer_rows();
     print_tables(&cells, &peers);

@@ -6,10 +6,7 @@ use hix_attacks::{run_all, Verdict};
 
 fn main() {
     println!("== Figure 10: attack-surface analysis (executable) ==\n");
-    println!(
-        "{:<4} {:<26} {:<50} result",
-        "pt", "scenario", "attack"
-    );
+    println!("{:<4} {:<26} {:<50} result", "pt", "scenario", "attack");
     let mut all_held = true;
     for report in run_all() {
         let point = if report.figure_point == 0 {

@@ -12,8 +12,20 @@ fn main() {
     let mut add_rows = Vec::new();
     let mut mul_rows = Vec::new();
     for &n in &PAPER_SIZES {
-        add_rows.push(measure_both(&MatrixAt { op: MatrixOp::Add, n }, format!("add-{n}")));
-        mul_rows.push(measure_both(&MatrixAt { op: MatrixOp::Mul, n }, format!("mul-{n}")));
+        add_rows.push(measure_both(
+            &MatrixAt {
+                op: MatrixOp::Add,
+                n,
+            },
+            format!("add-{n}"),
+        ));
+        mul_rows.push(measure_both(
+            &MatrixAt {
+                op: MatrixOp::Mul,
+                n,
+            },
+            format!("mul-{n}"),
+        ));
     }
     print_rows(
         "Figure 6a: matrix addition",

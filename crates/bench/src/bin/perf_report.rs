@@ -118,7 +118,8 @@ fn run_cell(profile: &'static str, cfg: Option<FaultConfig>, batched: bool) -> C
         .map(|_| HixSession::connect(&mut m, &mut enclave).expect("connect"))
         .collect();
     for s in &mut sessions {
-        s.load_module(&mut m, &mut enclave, "matrix.mul").expect("module");
+        s.load_module(&mut m, &mut enclave, "matrix.mul")
+            .expect("module");
     }
     let bytes = N * N * 4;
     let bufs: Vec<[hix_gpu::vram::DevAddr; 3]> = sessions
@@ -149,8 +150,9 @@ fn run_cell(profile: &'static str, cfg: Option<FaultConfig>, batched: bool) -> C
             let input: Vec<u8> = (0..bytes)
                 .map(|i| (splitmix64(&mut rng) ^ i ^ round as u64) as u8)
                 .collect();
-            let fillers: Vec<bool> =
-                (0..FILLERS).map(|_| splitmix64(&mut rng).is_multiple_of(2)).collect();
+            let fillers: Vec<bool> = (0..FILLERS)
+                .map(|_| splitmix64(&mut rng).is_multiple_of(2))
+                .collect();
             let wakes0 = m.trace().metrics().counter("cmdq.wakes");
             let frames0 = m.trace().metrics().counter("cmdq.frames");
             if batched {
@@ -161,45 +163,53 @@ fn run_cell(profile: &'static str, cfg: Option<FaultConfig>, batched: bool) -> C
                 );
                 for &memset in &fillers {
                     ids.push(if memset {
-                        s.submit_memset(&mut m, &mut enclave, b, bytes, 0x2A).expect("memset")
+                        s.submit_memset(&mut m, &mut enclave, b, bytes, 0x2A)
+                            .expect("memset")
                     } else {
-                        s.submit_dtod(&mut m, &mut enclave, a, b, bytes).expect("dtod")
+                        s.submit_dtod(&mut m, &mut enclave, a, b, bytes)
+                            .expect("dtod")
                     });
                 }
                 ids.push(
-                    s.submit_launch(&mut m, &mut enclave, "matrix.mul", &[
-                        a.value(),
-                        b.value(),
-                        c.value(),
-                        N,
-                    ])
+                    s.submit_launch(
+                        &mut m,
+                        &mut enclave,
+                        "matrix.mul",
+                        &[a.value(), b.value(), c.value(), N],
+                    )
                     .expect("launch"),
                 );
                 ids.push(s.submit_sync(&mut m, &mut enclave).expect("sync"));
                 s.flush(&mut m, &mut enclave).expect("flush");
                 let comps = s.take_completions();
                 if comps.iter().map(|(id, _)| *id).collect::<Vec<_>>() != ids {
-                    fail(&format!("{profile}: tenant {t} round {round}: non-FIFO completions"));
+                    fail(&format!(
+                        "{profile}: tenant {t} round {round}: non-FIFO completions"
+                    ));
                 }
                 if comps.iter().any(|(_, st)| *st != CmdStatus::Ok) {
-                    fail(&format!("{profile}: tenant {t} round {round}: command failed"));
+                    fail(&format!(
+                        "{profile}: tenant {t} round {round}: command failed"
+                    ));
                 }
             } else {
                 s.memcpy_htod(&mut m, &mut enclave, a, &Payload::from_bytes(input))
                     .expect("htod");
                 for &memset in &fillers {
                     if memset {
-                        s.memset(&mut m, &mut enclave, b, bytes, 0x2A).expect("memset");
+                        s.memset(&mut m, &mut enclave, b, bytes, 0x2A)
+                            .expect("memset");
                     } else {
-                        s.memcpy_dtod(&mut m, &mut enclave, a, b, bytes).expect("dtod");
+                        s.memcpy_dtod(&mut m, &mut enclave, a, b, bytes)
+                            .expect("dtod");
                     }
                 }
-                s.launch(&mut m, &mut enclave, "matrix.mul", &[
-                    a.value(),
-                    b.value(),
-                    c.value(),
-                    N,
-                ])
+                s.launch(
+                    &mut m,
+                    &mut enclave,
+                    "matrix.mul",
+                    &[a.value(), b.value(), c.value(), N],
+                )
                 .expect("launch");
                 s.sync(&mut m, &mut enclave).expect("sync");
             }
@@ -260,8 +270,12 @@ fn run_cell(profile: &'static str, cfg: Option<FaultConfig>, batched: bool) -> C
         }
         if path > longest_ns {
             longest_ns = path;
-            longest_op = format!("{} (t{}, {} links)", rec.name, rec.tenant,
-                critical_chain(rec).len());
+            longest_op = format!(
+                "{} (t{}, {} links)",
+                rec.name,
+                rec.tenant,
+                critical_chain(rec).len()
+            );
         }
     }
 
@@ -358,8 +372,12 @@ fn emit_json(cells: &[(Cell, Cell)]) -> String {
 
 fn print_cells(cells: &[(Cell, Cell)]) {
     println!("# Serving-path attribution ({TENANTS} tenants, seed {SEED})\n");
-    println!("| profile | requests | e2e | service | queue | longest critical path | unattributed |");
-    println!("|---------|---------:|----:|--------:|------:|-----------------------|-------------:|");
+    println!(
+        "| profile | requests | e2e | service | queue | longest critical path | unattributed |"
+    );
+    println!(
+        "|---------|---------:|----:|--------:|------:|-----------------------|-------------:|"
+    );
     for (c, _) in cells {
         let e2e: u64 = c.requests.iter().map(RequestRecord::e2e_ns).sum();
         let service: u64 = c.slo.iter().map(|r| r.service_ns).sum();
@@ -442,7 +460,9 @@ fn main() {
             // stacks must replay byte-identically — in both engines.
             let again = run_cell(tag, cfg, batched);
             if let Err(d) = diff_lines(&cell.transcript, &again.transcript) {
-                fail(&format!("{tag} (batched={batched}): same-seed rerun diverged: {d}"));
+                fail(&format!(
+                    "{tag} (batched={batched}): same-seed rerun diverged: {d}"
+                ));
             }
             engines.push(cell);
         }

@@ -82,7 +82,10 @@ fn run_cell(model: &CostModel, users: usize, profile: FaultProfile) -> Cell {
     };
     let (outcome, transcript) = run();
     if let Err(d) = diff_lines(&transcript, &run().1) {
-        fail(&format!("{users}/{}: same-seed rerun diverged: {d}", profile.name()));
+        fail(&format!(
+            "{users}/{}: same-seed rerun diverged: {d}",
+            profile.name()
+        ));
     }
 
     let healthy = healthy_indices(&faults);
@@ -128,7 +131,10 @@ fn check_cells(model: &CostModel, cells: &[Cell]) {
         let tag = format!("{}/{}", c.users, c.profile.name());
         // Fairness: every healthy tenant finishes within one round.
         if c.fairness > FAIR_BOUND {
-            fail(&format!("{tag}: fairness ratio {:.3} > {FAIR_BOUND}", c.fairness));
+            fail(&format!(
+                "{tag}: fairness ratio {:.3} > {FAIR_BOUND}",
+                c.fairness
+            ));
         }
         // Healthy tenants: at least half the population, none evicted,
         // each finished, and each delivered exactly the GPU service it
@@ -136,11 +142,17 @@ fn check_cells(model: &CostModel, cells: &[Cell]) {
         // it, but neither may take any of its share.
         let healthy = healthy_indices(&c.faults);
         if healthy.len() * 2 < c.users {
-            fail(&format!("{tag}: only {}/{} tenants healthy", healthy.len(), c.users));
+            fail(&format!(
+                "{tag}: only {}/{} tenants healthy",
+                healthy.len(),
+                c.users
+            ));
         }
         for &i in &healthy {
             if c.outcome.evicted[i] || c.outcome.completions[i].as_nanos() == 0 {
-                fail(&format!("{tag}: healthy tenant {i} evicted or never finished"));
+                fail(&format!(
+                    "{tag}: healthy tenant {i} evicted or never finished"
+                ));
             }
             if c.outcome.service[i] != alone.service[0] {
                 fail(&format!(
@@ -272,7 +284,9 @@ fn emit_json(model: &CostModel, cells: &[Cell]) -> String {
 }
 
 fn main() {
-    let out_path = std::env::args().nth(1).unwrap_or_else(|| "BENCH_scale.json".into());
+    let out_path = std::env::args()
+        .nth(1)
+        .unwrap_or_else(|| "BENCH_scale.json".into());
 
     let model = CostModel::paper();
     let profiles = [FaultProfile::None, FaultProfile::Light, FaultProfile::Heavy];

@@ -121,7 +121,10 @@ const CRATE_ROLES: &[(&str, &str)] = &[
 const NON_TCB_FILES: &[(&str, &str)] = &[
     ("core/src/multiuser.rs", "summary model (multi-user engine)"),
     ("core/src/sched.rs", "summary model (fair-queue scheduler)"),
-    ("core/src/fabric.rs", "multi-GPU fabric control plane (untrusted)"),
+    (
+        "core/src/fabric.rs",
+        "multi-GPU fabric control plane (untrusted)",
+    ),
     ("driver/src/gdev.rs", "insecure Gdev baseline"),
     ("driver/src/rig.rs", "testbed BIOS (rig builders)"),
 ];
@@ -177,7 +180,10 @@ fn print_loc_breakdown() {
         if role.starts_with("TCB") {
             tcb_crates += lines;
         }
-        for (file, what) in NON_TCB_FILES.iter().filter(|(f, _)| f.split('/').next() == Some(*name)) {
+        for (file, what) in NON_TCB_FILES
+            .iter()
+            .filter(|(f, _)| f.split('/').next() == Some(*name))
+        {
             let lines = file_lines(&crates_dir.join(file));
             let file = file.rsplit('/').next().expect("file name");
             println!("  {file:<19} {lines:>8}  non-TCB: {what}");
@@ -185,7 +191,10 @@ fn print_loc_breakdown() {
         }
         listed.push(*name);
     }
-    for entry in std::fs::read_dir(&crates_dir).expect("crates dir").flatten() {
+    for entry in std::fs::read_dir(&crates_dir)
+        .expect("crates dir")
+        .flatten()
+    {
         let name = entry.file_name().to_string_lossy().into_owned();
         if entry.path().is_dir() && !listed.contains(&name.as_str()) {
             panic!("crate `{name}` is not in the TCB breakdown — add it to CRATE_ROLES");

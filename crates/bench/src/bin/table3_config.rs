@@ -20,7 +20,11 @@ fn main() {
     println!("  enclave_crypto_bw  {:>14} B/s", m.enclave_crypto_bw);
     println!("  gpu_crypto_bw      {:>14} B/s", m.gpu_crypto_bw);
     println!("  host_memcpy_bw     {:>14} B/s", m.host_memcpy_bw);
-    println!("  mmio_write/read    {:>8} / {}", m.mmio_write.to_string(), m.mmio_read);
+    println!(
+        "  mmio_write/read    {:>8} / {}",
+        m.mmio_write.to_string(),
+        m.mmio_read
+    );
     println!("  kernel_launch      {:>14}", m.kernel_launch.to_string());
     println!("  ipc_roundtrip      {:>14}", m.ipc_roundtrip.to_string());
     println!("  task_init_gdev     {:>14}", m.task_init_gdev.to_string());

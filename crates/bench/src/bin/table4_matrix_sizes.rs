@@ -27,7 +27,13 @@ fn main() {
         assert_eq!(h, ph << 20, "HtoD at {n}");
         assert_eq!(d, pd << 20, "DtoH at {n}");
         assert_eq!(t, pt << 20, "total at {n}");
-        println!("{:<14} {:>10} {:>10} {:>12}", format!("{n}x{n}"), mb(h), mb(d), mb(t));
+        println!(
+            "{:<14} {:>10} {:>10} {:>12}",
+            format!("{n}x{n}"),
+            mb(h),
+            mb(d),
+            mb(t)
+        );
     }
     println!("\nall rows match the paper exactly");
 }

@@ -49,11 +49,9 @@ fn run_hix(workload: &dyn Workload) -> TracedRun {
     let mut enclave =
         GpuEnclave::launch(&mut machine, GpuEnclaveOptions::default()).expect("enclave");
     let profile = workload.profile(&model);
-    let window =
-        hix_core::runtime::shared_window_for(&model, profile.htod.max(profile.dtoh));
-    let mut session =
-        HixSession::connect_with(&mut machine, &mut enclave, window, b"trace-user")
-            .expect("session");
+    let window = hix_core::runtime::shared_window_for(&model, profile.htod.max(profile.dtoh));
+    let mut session = HixSession::connect_with(&mut machine, &mut enclave, window, b"trace-user")
+        .expect("session");
     workload
         .run_synthetic(
             &mut machine,
@@ -83,8 +81,11 @@ fn collect(machine: &hix_platform::Machine, tag: &str) -> TracedRun {
     }
 
     let spans = obs.spans();
-    let mut kinds: Vec<&'static str> =
-        spans.iter().filter_map(|s| s.kind).map(EventKind::as_str).collect();
+    let mut kinds: Vec<&'static str> = spans
+        .iter()
+        .filter_map(|s| s.kind)
+        .map(EventKind::as_str)
+        .collect();
     kinds.sort_unstable();
     kinds.dedup();
 
@@ -119,7 +120,9 @@ fn check_perfetto(tag: &str, text: &str) {
         };
         for key in ["pid", "tid"] {
             if ev.get(key).and_then(Json::as_num).is_none() {
-                fail(&format!("{tag} trace event {i} ({ph}) has no numeric {key}"));
+                fail(&format!(
+                    "{tag} trace event {i} ({ph}) has no numeric {key}"
+                ));
             }
         }
         if ph == "X" {
@@ -131,7 +134,11 @@ fn check_perfetto(tag: &str, text: &str) {
                     _ => fail(&format!("{tag} trace event {i} has bad {key}")),
                 }
             }
-            if ev.get("name").and_then(Json::as_str).is_none_or(str::is_empty) {
+            if ev
+                .get("name")
+                .and_then(Json::as_str)
+                .is_none_or(str::is_empty)
+            {
                 fail(&format!("{tag} trace event {i} has no name"));
             }
             complete += 1;
@@ -147,7 +154,10 @@ fn main() {
         .nth(1)
         .unwrap_or_else(|| "target/trace-report".to_string());
 
-    let workload = MatrixAt { op: MatrixOp::Add, n: 2048 };
+    let workload = MatrixAt {
+        op: MatrixOp::Add,
+        n: 2048,
+    };
 
     let gdev = run_gdev(&workload);
     let hix = run_hix(&workload);
@@ -155,7 +165,9 @@ fn main() {
     // Same-seed determinism: a second run of each stack must be
     // byte-identical in both the exported trace and the snapshot.
     let transcript = |runs: [&TracedRun; 2]| -> String {
-        runs.iter().map(|r| format!("{}\n{}", r.json, r.snapshot)).collect()
+        runs.iter()
+            .map(|r| format!("{}\n{}", r.json, r.snapshot))
+            .collect()
     };
     let again = transcript([&run_gdev(&workload), &run_hix(&workload)]);
     if let Err(d) = diff_lines(&transcript([&gdev, &hix]), &again) {

@@ -160,10 +160,7 @@ pub fn measure_hix_with(workload: &dyn Workload, model: CostModel) -> Nanos {
     let mut samples = Samples::new();
     for run in 0..RUNS {
         let profile = workload.profile(&model);
-        let window = hix_core::runtime::shared_window_for(
-            &model,
-            profile.htod.max(profile.dtoh),
-        );
+        let window = hix_core::runtime::shared_window_for(&model, profile.htod.max(profile.dtoh));
         let start = machine.clock().now();
         let mut session = HixSession::connect_with(
             &mut machine,
@@ -245,7 +242,13 @@ pub fn print_multiuser(users: u32, paper_ratio: f64) {
     for w in hix_workloads::rodinia_suite() {
         let spec = SessionSpec::new(w.profile(&model).task_spec());
         let sessions = vec![spec.clone(); users as usize];
-        let base = run_scaled(&model, std::slice::from_ref(&spec), Mode::Gdev, &config, None);
+        let base = run_scaled(
+            &model,
+            std::slice::from_ref(&spec),
+            Mode::Gdev,
+            &config,
+            None,
+        );
         let base = base.makespan;
         let g = run_scaled(&model, &sessions, Mode::Gdev, &config, None);
         let h = run_scaled(&model, &sessions, Mode::Hix, &config, None);
@@ -287,9 +290,11 @@ pub fn print_rows(title: &str, rows: &[FigureRow], paper_note: &str) {
             row.overhead_pct()
         );
     }
-    let avg: f64 =
-        rows.iter().map(FigureRow::overhead_pct).sum::<f64>() / rows.len().max(1) as f64;
-    println!("{:<8} {:>14} {:>14} {:>10} {:>+9.1}%", "average", "", "", "", avg);
+    let avg: f64 = rows.iter().map(FigureRow::overhead_pct).sum::<f64>() / rows.len().max(1) as f64;
+    println!(
+        "{:<8} {:>14} {:>14} {:>10} {:>+9.1}%",
+        "average", "", "", "", avg
+    );
     println!();
 }
 

@@ -80,7 +80,10 @@ impl SoakRun {
     }
 
     fn sum(&self, family: &str, kinds: &[&str]) -> u64 {
-        kinds.iter().map(|k| self.counter(&format!("{family}.{k}"))).sum()
+        kinds
+            .iter()
+            .map(|k| self.counter(&format!("{family}.{k}")))
+            .sum()
     }
 
     /// `fault.injected` + `fault.detected`: what the `Fault` events
@@ -97,12 +100,18 @@ impl SoakRun {
 
     /// Channel recovery actions of every kind.
     pub fn recovery_actions(&self) -> u64 {
-        self.sum("recovery", &["retries", "retransmits", "redma", "rekeys", "dup_served"])
+        self.sum(
+            "recovery",
+            &["retries", "retransmits", "redma", "rekeys", "dup_served"],
+        )
     }
 
     /// Watchdog actions of every kind.
     pub fn watchdog_actions(&self) -> u64 {
-        self.sum("watchdog", &["hangs_detected", "kills", "resets", "recoveries"])
+        self.sum(
+            "watchdog",
+            &["hangs_detected", "kills", "resets", "recoveries"],
+        )
     }
 
     /// `sync` or `batched`.
@@ -141,7 +150,9 @@ pub fn run(seed: u64, profile: &'static str, batched: bool) -> SoakRun {
     // The victim plants before the plan goes live (the plant itself
     // never needs recovery) and stays idle, so no replay re-uploads it.
     let mut victim = HixSession::connect(&mut m, &mut enclave).expect("victim connect");
-    let plant = victim.malloc(&mut m, &mut enclave, 4096).expect("victim malloc");
+    let plant = victim
+        .malloc(&mut m, &mut enclave, 4096)
+        .expect("victim malloc");
     let secret: Vec<u8> = SECRET.iter().copied().cycle().take(4096).collect();
     victim
         .memcpy_htod(&mut m, &mut enclave, plant, &Payload::from_bytes(secret))
@@ -228,7 +239,11 @@ fn round(
         s.flush(m, enclave)?;
         assert_eq!(s.pending_cmds(), 0, "flush must drain the ring");
         let want: Vec<_> = ids.into_iter().map(|id| (id, CmdStatus::Ok)).collect();
-        assert_eq!(s.take_completions(), want, "every command completes Ok, in FIFO order");
+        assert_eq!(
+            s.take_completions(),
+            want,
+            "every command completes Ok, in FIFO order"
+        );
     } else {
         s.load_module(m, enclave, "matrix.mul")?;
         s.memcpy_htod(m, enclave, a, &av)?;
@@ -288,7 +303,8 @@ pub fn check(cell: &SoakRun, clean: &SoakRun) -> Result<(), String> {
             cell.counter("fault.detected")
         ));
     }
-    if cell.profile == "none" && cell.faults() + cell.recovery_actions() + cell.watchdog_actions() != 0
+    if cell.profile == "none"
+        && cell.faults() + cell.recovery_actions() + cell.watchdog_actions() != 0
     {
         return broken(format!(
             "clean run recorded {} faults, {} recovery actions, {} watchdog actions",
@@ -297,8 +313,7 @@ pub fn check(cell: &SoakRun, clean: &SoakRun) -> Result<(), String> {
             cell.watchdog_actions()
         ));
     }
-    let scrubbed =
-        cell.counter("watchdog.resets") + cell.counter("fault.injected.restart") > 0;
+    let scrubbed = cell.counter("watchdog.resets") + cell.counter("fault.injected.restart") > 0;
     if cell.secret_in_vram == scrubbed {
         return broken(if scrubbed {
             "the victim's secret survived a secure reset or restart".into()
@@ -330,26 +345,39 @@ pub fn check_rerun(a: &SoakRun, b: &SoakRun) -> Result<(), String> {
 pub fn check_sweep(cells: &[SoakRun]) -> Result<(), String> {
     for (profile, cfg) in profiles() {
         for batched in [false, true] {
-            let runs: Vec<&SoakRun> =
-                cells.iter().filter(|c| c.profile == profile && c.batched == batched).collect();
+            let runs: Vec<&SoakRun> = cells
+                .iter()
+                .filter(|c| c.profile == profile && c.batched == batched)
+                .collect();
             let Some(first) = runs.first() else { continue };
             if cfg.is_some() && runs.iter().all(|c| c.faults() == 0) {
-                return Err(format!("{profile}/{}: the plan fired on no seed", first.engine()));
+                return Err(format!(
+                    "{profile}/{}: the plan fired on no seed",
+                    first.engine()
+                ));
             }
             if profile.starts_with("gpu-") && runs.iter().all(|c| c.device_faults() == 0) {
-                return Err(format!("{profile}/{}: no device fault injected", first.engine()));
+                return Err(format!(
+                    "{profile}/{}: no device fault injected",
+                    first.engine()
+                ));
             }
         }
     }
     for sync in cells.iter().filter(|c| c.profile == "none" && !c.batched) {
-        let Some(batched) =
-            cells.iter().find(|c| c.profile == "none" && c.batched && c.seed == sync.seed)
+        let Some(batched) = cells
+            .iter()
+            .find(|c| c.profile == "none" && c.batched && c.seed == sync.seed)
         else {
             continue;
         };
-        let (sync_wakes, batched_wakes) = (sync.counter("cmdq.wakes"), batched.counter("cmdq.wakes"));
+        let (sync_wakes, batched_wakes) =
+            (sync.counter("cmdq.wakes"), batched.counter("cmdq.wakes"));
         if batched.results != sync.results {
-            return Err(format!("{:#x}: the engines' clean results differ", sync.seed));
+            return Err(format!(
+                "{:#x}: the engines' clean results differ",
+                sync.seed
+            ));
         }
         if batched_wakes >= sync_wakes || batched.counter("cmdq.frames") == 0 {
             return Err(format!(

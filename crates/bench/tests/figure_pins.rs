@@ -153,25 +153,38 @@ fn figure_8_and_9_cells_are_pinned() {
             assert_eq!(got, *pin, "{users}-user cell moved");
             ratio_sum += h.makespan.as_nanos() as f64 / g.as_nanos() as f64;
         }
-        assert_eq!(format!("{:.3}", ratio_sum / 9.0), average, "{users}-user average moved");
+        assert_eq!(
+            format!("{:.3}", ratio_sum / 9.0),
+            average,
+            "{users}-user average moved"
+        );
     }
 }
 
 #[test]
 fn consolidation_is_pinned() {
     let model = CostModel::paper();
-    let specs: Vec<TaskSpec> =
-        rodinia_suite().iter().map(|w| w.profile(&model).task_spec()).collect();
+    let specs: Vec<TaskSpec> = rodinia_suite()
+        .iter()
+        .map(|w| w.profile(&model).task_spec())
+        .collect();
     let g = run(&model, &specs, Mode::Gdev);
     let h = run(&model, &specs, Mode::Hix);
     let ns = |c: &[Nanos]| c.iter().map(|n| n.as_nanos()).collect::<Vec<_>>();
     assert_eq!(ns(&g.completions), CONSOLIDATION_GDEV);
     assert_eq!(ns(&h.completions), CONSOLIDATION_HIX);
-    assert_eq!((g.makespan.as_nanos(), h.makespan.as_nanos()), (1451582927, 1882882597));
+    assert_eq!(
+        (g.makespan.as_nanos(), h.makespan.as_nanos()),
+        (1451582927, 1882882597)
+    );
     assert_eq!((g.ctx_switches, h.ctx_switches), (0, 202));
     let serial: u64 = specs
         .iter()
-        .map(|s| run(&model, std::slice::from_ref(s), Mode::Hix).makespan.as_nanos())
+        .map(|s| {
+            run(&model, std::slice::from_ref(s), Mode::Hix)
+                .makespan
+                .as_nanos()
+        })
         .sum();
     assert_eq!(serial, 1892742597, "serialized HIX reference moved");
 }

@@ -86,8 +86,12 @@ pub fn pairwise_channel_key(
         let group = DhGroup::sim();
         let user_kp = group.generate(user_rng);
         let encl_kp = group.generate(enclave_rng);
-        let mr_user = machine.measurement_of(user).ok_or(AttestError::NotInitialized)?;
-        let mr_encl = machine.measurement_of(enclave).ok_or(AttestError::NotInitialized)?;
+        let mr_user = machine
+            .measurement_of(user)
+            .ok_or(AttestError::NotInitialized)?;
+        let mr_encl = machine
+            .measurement_of(enclave)
+            .ok_or(AttestError::NotInitialized)?;
 
         // User -> GPU enclave: report carrying g^a.
         let report_u = machine.ereport(user, &mr_encl, &user_kp.public.to_be_bytes())?;

@@ -69,8 +69,22 @@ struct Lane {
 
 /// The lanes, indexed by `Dir as usize`.
 const LANES: [Lane; 2] = [
-    Lane { seq: 0x0000, len: 0x0010, body: 0x0100, parity: 0, aad: b"hix-req", label: "send request" },
-    Lane { seq: 0x0008, len: 0x0018, body: 0x1100, parity: 1, aad: b"hix-resp", label: "send response" },
+    Lane {
+        seq: 0x0000,
+        len: 0x0010,
+        body: 0x0100,
+        parity: 0,
+        aad: b"hix-req",
+        label: "send request",
+    },
+    Lane {
+        seq: 0x0008,
+        len: 0x0018,
+        body: 0x1100,
+        parity: 1,
+        aad: b"hix-resp",
+        label: "send response",
+    },
 ];
 
 /// Value of the termination notice (§4.2.3: "user enclaves are notified
@@ -114,7 +128,9 @@ impl std::fmt::Display for ChannelError {
             ChannelError::Empty => f.write_str("no pending message"),
             ChannelError::Malformed => f.write_str("malformed channel message"),
             ChannelError::Duplicate => f.write_str("duplicate delivery of a served message"),
-            ChannelError::Desync => f.write_str("channel sequence desynchronized beyond the replay window"),
+            ChannelError::Desync => {
+                f.write_str("channel sequence desynchronized beyond the replay window")
+            }
         }
     }
 }
@@ -173,7 +189,12 @@ impl Endpoint {
     /// Creates an endpoint for `pid` over `buffer`, keyed with the
     /// pairwise session key from attestation.
     pub fn new(pid: ProcessId, buffer: DmaBuffer, key: [u8; 16]) -> Self {
-        Endpoint { pid, buffer, ocb: Ocb::new(&Key::from_bytes(key)), wires: Default::default() }
+        Endpoint {
+            pid,
+            buffer,
+            ocb: Ocb::new(&Key::from_bytes(key)),
+            wires: Default::default(),
+        }
     }
 
     /// The shared buffer (for bulk-area access).
@@ -213,7 +234,12 @@ impl Endpoint {
     /// Seals `[msg_id ‖ body]` under the next wire sequence of `dir` and
     /// stages it, or, under a fault plan, stages what the plan delivers.
     /// Charges one IPC hop.
-    fn transmit(&mut self, machine: &mut Machine, dir: Dir, body: &[u8]) -> Result<(), ChannelError> {
+    fn transmit(
+        &mut self,
+        machine: &mut Machine,
+        dir: Dir,
+        body: &[u8],
+    ) -> Result<(), ChannelError> {
         let lane = &LANES[dir as usize];
         let id = self.wires[Dir::Request as usize].id;
         let wire = &mut self.wires[dir as usize];
@@ -222,8 +248,16 @@ impl Endpoint {
         let mut framed = Vec::with_capacity(ENVELOPE + body.len());
         framed.extend_from_slice(&id.to_le_bytes());
         framed.extend_from_slice(body);
-        let sealed = self.ocb.seal(&Nonce::from_counter(seq * 2 + lane.parity), lane.aad, &framed);
-        assert!(sealed.len() as u64 <= layout::MAX_BODY, "{} too large", dir.as_str());
+        let sealed = self.ocb.seal(
+            &Nonce::from_counter(seq * 2 + lane.parity),
+            lane.aad,
+            &framed,
+        );
+        assert!(
+            sealed.len() as u64 <= layout::MAX_BODY,
+            "{} too large",
+            dir.as_str()
+        );
         let hop = machine.model().ipc_roundtrip / 2;
         machine.clock().advance(hop);
         machine.trace().metrics().inc(Counter::IpcMsgs);
@@ -233,19 +267,34 @@ impl Endpoint {
             machine.trace().metrics().inc(Counter::CmdqWakes);
         }
         let attrs = [("bytes", sealed.len() as u64), ("seq", seq)];
-        machine.trace().emit_with(machine.clock().now(), hop, EventKind::Ipc, lane.label, &attrs);
+        machine.trace().emit_with(
+            machine.clock().now(),
+            hop,
+            EventKind::Ipc,
+            lane.label,
+            &attrs,
+        );
         let Some(plan) = machine.fault_plan() else {
             return self.stage(machine, lane, &sealed, Some(seq));
         };
         let (trace, now) = (machine.trace().clone(), machine.clock().now());
         let wire = (self.buffer.bus().value(), dir);
-        plan.deliver(&trace, now, wire, seq, sealed, |frame, bell| self.stage(machine, lane, frame, bell))
+        plan.deliver(&trace, now, wire, seq, sealed, |frame, bell| {
+            self.stage(machine, lane, frame, bell)
+        })
     }
 
     /// Writes `frame` and its length to `lane`, then rings `bell` on the
     /// doorbell, if any.
-    fn stage(&self, machine: &mut Machine, lane: &Lane, frame: &[u8], bell: Option<u64>) -> Result<(), ChannelError> {
-        self.buffer.write_bytes(machine, self.pid, lane.body, frame)?;
+    fn stage(
+        &self,
+        machine: &mut Machine,
+        lane: &Lane,
+        frame: &[u8],
+        bell: Option<u64>,
+    ) -> Result<(), ChannelError> {
+        self.buffer
+            .write_bytes(machine, self.pid, lane.body, frame)?;
         self.write_u64(machine, lane.len, frame.len() as u64)?;
         bell.map_or(Ok(()), |bell| self.write_u64(machine, lane.seq, bell))
     }
@@ -282,7 +331,11 @@ impl Endpoint {
         let sealed = self.buffer.read(machine, self.pid, lane.body, len)?;
         let framed = self
             .ocb
-            .open(&Nonce::from_counter(seq * 2 + lane.parity), lane.aad, &sealed)
+            .open(
+                &Nonce::from_counter(seq * 2 + lane.parity),
+                lane.aad,
+                &sealed,
+            )
             .map_err(|_| ChannelError::Tampered)?;
         if framed.len() < ENVELOPE {
             return Err(ChannelError::Malformed);
@@ -365,7 +418,11 @@ impl Endpoint {
     /// # Errors
     ///
     /// Propagates access faults.
-    pub fn send_response(&mut self, machine: &mut Machine, body: &[u8]) -> Result<(), ChannelError> {
+    pub fn send_response(
+        &mut self,
+        machine: &mut Machine,
+        body: &[u8],
+    ) -> Result<(), ChannelError> {
         self.wires[Dir::Response as usize].last = Some(body.to_vec());
         self.transmit(machine, Dir::Response, body)
     }
@@ -621,9 +678,8 @@ mod tests {
                         let _ = encl.resend_response(&mut m).unwrap();
                     }
                     Err(ChannelError::Desync) => desync = true,
-                    Err(
-                        ChannelError::Empty | ChannelError::Tampered | ChannelError::Malformed,
-                    ) => {}
+                    Err(ChannelError::Empty | ChannelError::Tampered | ChannelError::Malformed) => {
+                    }
                     Err(e) => panic!("unexpected access fault on lossy wire: {e}"),
                 }
                 if !desync {
@@ -665,7 +721,11 @@ mod tests {
         // (the runtime tolerates that); dedup adjacent repeats before
         // checking exactly-once-in-order delivery.
         served.dedup();
-        assert_eq!(served, (0..40).collect::<Vec<_>>(), "each op served in order");
+        assert_eq!(
+            served,
+            (0..40).collect::<Vec<_>>(),
+            "each op served in order"
+        );
         let injected = m.trace().metrics().counter("fault.injected");
         assert!(injected > 0, "the plan must actually fire at these rates");
         assert_eq!(m.trace().count(EventKind::Fault), injected);
@@ -674,7 +734,13 @@ mod tests {
     #[test]
     fn a_frame_that_cannot_be_staged_injects_nothing() {
         let (mut m, mut user, _encl) = pair();
-        m.set_fault_plan(FaultPlan::new(1, FaultConfig { dup_pm: 1000, ..FaultConfig::none() }));
+        m.set_fault_plan(FaultPlan::new(
+            1,
+            FaultConfig {
+                dup_pm: 1000,
+                ..FaultConfig::none()
+            },
+        ));
         // The OS tears the doorbell page down under the sender.
         m.os_unmap_shared(user.buffer().va(), 1);
         let sent = user.send_request(&mut m, b"lost");
@@ -682,7 +748,10 @@ mod tests {
         assert_eq!(m.trace().metrics().counter("fault.injected"), 0);
         assert_eq!(m.trace().count(EventKind::Fault), 0);
         let chan = user.buffer().bus().value();
-        assert!(!m.fault_plan().expect("installed").take_duplicate(chan, Dir::Request));
+        assert!(!m
+            .fault_plan()
+            .expect("installed")
+            .take_duplicate(chan, Dir::Request));
     }
 
     #[test]

@@ -385,7 +385,10 @@ impl Fabric {
                 }
             }
         }
-        machine.trace().metrics().add(Counter::FabricResetBlastRadius, blast);
+        machine
+            .trace()
+            .metrics()
+            .add(Counter::FabricResetBlastRadius, blast);
         blast
     }
 

@@ -76,7 +76,9 @@ impl std::fmt::Display for HixCoreError {
             HixCoreError::Attest(e) => write!(f, "attestation: {e}"),
             HixCoreError::BiosMismatch => f.write_str("GPU BIOS measurement mismatch"),
             HixCoreError::Protocol(msg) => write!(f, "protocol violation: {msg}"),
-            HixCoreError::IntegrityFailure => f.write_str("in-GPU integrity check failed; session aborted"),
+            HixCoreError::IntegrityFailure => {
+                f.write_str("in-GPU integrity check failed; session aborted")
+            }
             HixCoreError::Access(e) => write!(f, "access fault: {e}"),
             HixCoreError::Remote(msg) => write!(f, "GPU service error: {msg}"),
             HixCoreError::Evicted => {
@@ -221,7 +223,9 @@ pub struct MigratedSession {
 
 impl std::fmt::Debug for MigratedSession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MigratedSession").field("user_pid", &self.user_pid).finish()
+        f.debug_struct("MigratedSession")
+            .field("user_pid", &self.user_pid)
+            .finish()
     }
 }
 
@@ -333,7 +337,9 @@ impl GpuEnclave {
                         HixCoreError::Protocol("sealed trust state failed authentication".into())
                     })?;
                 if state.len() != 64 {
-                    return Err(HixCoreError::Protocol("malformed sealed trust state".into()));
+                    return Err(HixCoreError::Protocol(
+                        "malformed sealed trust state".into(),
+                    ));
                 }
                 Ok(state[..32].try_into().expect("32 bytes"))
             })();
@@ -380,24 +386,26 @@ impl GpuEnclave {
         let bars = machine.device_bar_ranges(options.bdf);
         let bar0 = bars[0].base;
         for i in 0..MMIO_PAGES {
-            machine.egadd(pid, TRUSTED_BAR0_VA.offset(i * PAGE_SIZE), bar0.offset(i * PAGE_SIZE))?;
+            machine.egadd(
+                pid,
+                TRUSTED_BAR0_VA.offset(i * PAGE_SIZE),
+                bar0.offset(i * PAGE_SIZE),
+            )?;
         }
         let bar1_va = if let Some(bar1) = bars.get(1).map(|r| r.base) {
             for i in 0..MMIO_PAGES {
-                machine.egadd(pid, TRUSTED_BAR1_VA.offset(i * PAGE_SIZE), bar1.offset(i * PAGE_SIZE))?;
+                machine.egadd(
+                    pid,
+                    TRUSTED_BAR1_VA.offset(i * PAGE_SIZE),
+                    bar1.offset(i * PAGE_SIZE),
+                )?;
             }
             Some(TRUSTED_BAR1_VA)
         } else {
             None
         };
 
-        let mut driver = GpuDriver::attach(
-            machine,
-            pid,
-            options.bdf,
-            TRUSTED_BAR0_VA,
-            bar1_va,
-        )?;
+        let mut driver = GpuDriver::attach(machine, pid, options.bdf, TRUSTED_BAR0_VA, bar1_va)?;
         for name in [DECRYPT_KERNEL, ENCRYPT_KERNEL] {
             driver.load_module(machine, name)?;
         }
@@ -495,7 +503,10 @@ impl GpuEnclave {
         // Admission control: make room inside the resident bound by
         // parking the coldest session before spending any setup work.
         self.ensure_resident_slot(machine)?;
-        machine.trace().metrics().inc(Counter::EnclaveSessionsAccepted);
+        machine
+            .trace()
+            .metrics()
+            .inc(Counter::EnclaveSessionsAccepted);
         let window = shared.len().saturating_sub(BULK_OFFSET);
         let epoch = self.establish(machine, user_pid, user_rng, window, "hix session init")?;
 
@@ -538,19 +549,27 @@ impl GpuEnclave {
     ) -> Result<Epoch, HixCoreError> {
         let init = machine.model().task_init(ExecMode::Hix);
         machine.clock().advance(init);
-        machine.trace().emit(machine.clock().now(), init, EventKind::Init, label);
+        machine
+            .trace()
+            .emit(machine.clock().now(), init, EventKind::Init, label);
 
         let channel_key =
             attest::pairwise_channel_key(machine, user_pid, self.pid, user_rng, &mut self.rng)?;
         let ctx = self.driver.create_ctx(machine)?;
-        let keys = attest::three_party_data_key(machine, &self.driver, ctx, user_rng, &mut self.rng)?;
+        let keys =
+            attest::three_party_data_key(machine, &self.driver, ctx, user_rng, &mut self.rng)?;
         // One sealed chunk, or the whole window if that is smaller:
         // `handle` refuses a transfer whose sealed stream overflows the
         // window before any DMA, so every chunk staged or sealed here
         // holds at most `min(chunk, len) + TAG_LEN` bytes and fits.
         let staging_len = (machine.model().pipeline_chunk + TAG_LEN as u64).min(window);
         let staging = self.driver.malloc(machine, ctx, staging_len)?;
-        Ok(Epoch { ctx, staging, channel_key, user_data_key: keys.user })
+        Ok(Epoch {
+            ctx,
+            staging,
+            channel_key,
+            user_data_key: keys.user,
+        })
     }
 
     /// Re-establishes a session whose GPU context was lost to a TDR
@@ -578,7 +597,10 @@ impl GpuEnclave {
         }
         let (user_pid, window) = (state.user_pid, state.endpoint.bulk_capacity());
         if self.evicted.contains(&user_pid) {
-            machine.trace().metrics().inc(Counter::WatchdogRebuildsRefused);
+            machine
+                .trace()
+                .metrics()
+                .inc(Counter::WatchdogRebuildsRefused);
             return Err(HixCoreError::Evicted);
         }
         let epoch = self.establish(machine, user_pid, user_rng, window, "hix session rebuild")?;
@@ -589,7 +611,10 @@ impl GpuEnclave {
         state.stale = false;
         state.endpoint.rekey(epoch.channel_key);
         self.touch(session);
-        machine.trace().metrics().inc(Counter::WatchdogSessionsRebuilt);
+        machine
+            .trace()
+            .metrics()
+            .inc(Counter::WatchdogSessionsRebuilt);
         machine.trace().emit(
             machine.clock().now(),
             Nanos::ZERO,
@@ -617,7 +642,8 @@ impl GpuEnclave {
         user_rng: &mut HmacDrbg,
     ) -> Result<[u8; 16], HixCoreError> {
         let user_pid = self.live_session(session)?.user_pid;
-        let key = attest::pairwise_channel_key(machine, user_pid, self.pid, user_rng, &mut self.rng)?;
+        let key =
+            attest::pairwise_channel_key(machine, user_pid, self.pid, user_rng, &mut self.rng)?;
         let state = self.sessions.get_mut(&session).expect("checked above");
         state.endpoint.rekey(key);
         machine.trace().metrics().inc(Counter::RecoveryRekeys);
@@ -663,7 +689,10 @@ impl GpuEnclave {
                 let _ = self.driver.free(machine, s.ctx, s.staging, true);
                 let _ = self.driver.destroy_ctx(machine, s.ctx);
             }
-            machine.trace().metrics().inc(Counter::EnclaveSessionsReaped);
+            machine
+                .trace()
+                .metrics()
+                .inc(Counter::EnclaveSessionsReaped);
         }
     }
 
@@ -677,7 +706,10 @@ impl GpuEnclave {
         let seq = self.use_seq;
         self.lru.remove(&old);
         self.lru.insert(seq, session);
-        self.sessions.get_mut(&session).expect("checked above").last_use = seq;
+        self.sessions
+            .get_mut(&session)
+            .expect("checked above")
+            .last_use = seq;
     }
 
     /// Removes a session and its LRU entry together (the only sanctioned
@@ -716,9 +748,13 @@ impl GpuEnclave {
         let mut context = b"parked-session".to_vec();
         context.extend_from_slice(&session.to_le_bytes());
         context.extend_from_slice(&seq.to_le_bytes());
-        Ok(hix_crypto::ocb::Ocb::new(&hix_crypto::ocb::Key::from_bytes(
-            hix_crypto::kdf::derive_aes128(b"hix-seal", &key, &context),
-        )))
+        Ok(hix_crypto::ocb::Ocb::new(
+            &hix_crypto::ocb::Key::from_bytes(hix_crypto::kdf::derive_aes128(
+                b"hix-seal",
+                &key,
+                &context,
+            )),
+        ))
     }
 
     /// Seals the record of `session`, owned by `user_pid`, under a fresh
@@ -749,15 +785,24 @@ impl GpuEnclave {
         machine: &mut Machine,
         session: SessionId,
     ) -> Result<(ProcessId, Endpoint), HixCoreError> {
-        let p = self.parked.remove(&session).expect("caller checked it is parked");
+        let p = self
+            .parked
+            .remove(&session)
+            .expect("caller checked it is parked");
         let plain = self
             .park_cipher(machine, session, p.seq)?
-            .open(&hix_crypto::ocb::Nonce::from_counter(0), b"hix-park", &p.blob)
+            .open(
+                &hix_crypto::ocb::Nonce::from_counter(0),
+                b"hix-park",
+                &p.blob,
+            )
             .map_err(|_| {
                 HixCoreError::Protocol("parked session record failed authentication".into())
             })?;
         let Ok(user) = <[u8; 4]>::try_from(plain.as_slice()) else {
-            return Err(HixCoreError::Protocol("malformed parked session record".into()));
+            return Err(HixCoreError::Protocol(
+                "malformed parked session record".into(),
+            ));
         };
         if ProcessId(u32::from_le_bytes(user)) != p.user_pid {
             return Err(HixCoreError::Protocol(
@@ -797,8 +842,19 @@ impl GpuEnclave {
             let _ = self.driver.destroy_ctx(machine, state.ctx);
         }
         let endpoint = state.endpoint;
-        self.parked.insert(session, ParkedSession { blob, seq, endpoint, user_pid });
-        machine.trace().metrics().inc(Counter::EnclaveSessionsParked);
+        self.parked.insert(
+            session,
+            ParkedSession {
+                blob,
+                seq,
+                endpoint,
+                user_pid,
+            },
+        );
+        machine
+            .trace()
+            .metrics()
+            .inc(Counter::EnclaveSessionsParked);
         machine.trace().emit(
             machine.clock().now(),
             cost,
@@ -832,7 +888,10 @@ impl GpuEnclave {
             )));
         };
         if self.evicted.contains(&p.user_pid) {
-            machine.trace().metrics().inc(Counter::WatchdogRebuildsRefused);
+            machine
+                .trace()
+                .metrics()
+                .inc(Counter::WatchdogRebuildsRefused);
             return Err(HixCoreError::Evicted);
         }
         // Unparking may itself need a slot: the coldest resident yields.
@@ -857,7 +916,10 @@ impl GpuEnclave {
             },
         );
         self.touch(session);
-        machine.trace().metrics().inc(Counter::EnclaveSessionsUnparked);
+        machine
+            .trace()
+            .metrics()
+            .inc(Counter::EnclaveSessionsUnparked);
         machine.trace().emit(
             machine.clock().now(),
             cost,
@@ -894,7 +956,10 @@ impl GpuEnclave {
         let cost = machine.model().park_unseal();
         machine.clock().advance(cost);
         let (user_pid, endpoint) = self.open_record(machine, session)?;
-        machine.trace().metrics().inc(Counter::EnclaveSessionsExported);
+        machine
+            .trace()
+            .metrics()
+            .inc(Counter::EnclaveSessionsExported);
         machine.trace().emit(
             machine.clock().now(),
             cost,
@@ -926,7 +991,10 @@ impl GpuEnclave {
     ) -> Result<SessionId, HixCoreError> {
         let user_pid = migrated.user_pid;
         if self.evicted.contains(&user_pid) {
-            machine.trace().metrics().inc(Counter::WatchdogRebuildsRefused);
+            machine
+                .trace()
+                .metrics()
+                .inc(Counter::WatchdogRebuildsRefused);
             return Err(HixCoreError::Evicted);
         }
         let cost = machine.model().park_seal();
@@ -936,8 +1004,19 @@ impl GpuEnclave {
         let mut endpoint = migrated.endpoint;
         endpoint.rehome(machine, self.pid);
         let (blob, seq) = self.seal_record(machine, id, user_pid)?;
-        self.parked.insert(id, ParkedSession { blob, seq, endpoint, user_pid });
-        machine.trace().metrics().inc(Counter::EnclaveSessionsAdopted);
+        self.parked.insert(
+            id,
+            ParkedSession {
+                blob,
+                seq,
+                endpoint,
+                user_pid,
+            },
+        );
+        machine
+            .trace()
+            .metrics()
+            .inc(Counter::EnclaveSessionsAdopted);
         machine.trace().emit(
             machine.clock().now(),
             cost,
@@ -954,7 +1033,11 @@ impl GpuEnclave {
     ///
     /// Channel tampering aborts with an error; GPU integrity failures
     /// abort the session.
-    pub fn poll(&mut self, machine: &mut Machine, session: SessionId) -> Result<bool, HixCoreError> {
+    pub fn poll(
+        &mut self,
+        machine: &mut Machine,
+        session: SessionId,
+    ) -> Result<bool, HixCoreError> {
         if !self.sessions.contains_key(&session) && self.parked.contains_key(&session) {
             // Transparent resume: the first doorbell at a parked session
             // unseals its record back into the resident set; it then
@@ -980,7 +1063,10 @@ impl GpuEnclave {
                 // An unauthenticated or unparsable frame is the OS's
                 // problem, not ours: log it and wait for the sender's
                 // retransmission to overwrite the slot.
-                machine.trace().metrics().inc(Counter::RecoveryMsgsDiscarded);
+                machine
+                    .trace()
+                    .metrics()
+                    .inc(Counter::RecoveryMsgsDiscarded);
                 machine.trace().emit(
                     machine.clock().now(),
                     Nanos::ZERO,
@@ -999,7 +1085,11 @@ impl GpuEnclave {
             // executed until the user re-establishes. Closing a stale
             // session is trivially fine — the device side is already
             // gone.
-            let response = if closing { Response::Ok } else { Response::CtxReset };
+            let response = if closing {
+                Response::Ok
+            } else {
+                Response::CtxReset
+            };
             if !closing {
                 machine.trace().metrics().inc(Counter::WatchdogStaleServed);
             }
@@ -1043,7 +1133,10 @@ impl GpuEnclave {
         let n = cmds.len() as u64;
         machine.trace().metrics().inc(Counter::CmdqFrames);
         machine.trace().metrics().add(Counter::CmdqFrameCmds, n);
-        machine.trace().metrics().observe_with("cmdq.batch_len", &COUNT_BOUNDS, n);
+        machine
+            .trace()
+            .metrics()
+            .observe_with("cmdq.batch_len", &COUNT_BOUNDS, n);
         let attrs = [("session", session as u64), ("cmds", n)];
         machine.in_span("enclave", "cmdq.submit", &attrs, |machine| {
             let model = machine.model().clone();
@@ -1091,7 +1184,10 @@ impl GpuEnclave {
                 // already open, this returns `None`, and the command's
                 // charges roll up into the caller exactly as before.
                 let attr =
-                    machine.trace().obs().begin_request(start.as_nanos(), session as u64, name);
+                    machine
+                        .trace()
+                        .obs()
+                        .begin_request(start.as_nanos(), session as u64, name);
                 let result = self.handle(machine, session, cmd.req);
                 if let (Ok(Response::Ok), Some(len)) = (&result, htod_len) {
                     // Time plane at retirement: book the transfer's chunk walk
@@ -1106,7 +1202,10 @@ impl GpuEnclave {
                     machine.clock().advance_to(done);
                 }
                 if let Some(id) = attr {
-                    machine.trace().obs().end_request(id, machine.clock().now().as_nanos());
+                    machine
+                        .trace()
+                        .obs()
+                        .end_request(id, machine.clock().now().as_nanos());
                 }
                 // Session aborts (hostile DMA) poison the whole frame.
                 let resp = result?;
@@ -1150,176 +1249,228 @@ impl GpuEnclave {
         // the runtime's request attribution. The span carries the same
         // `req.*` name.
         machine.trace().metrics().inc(op);
-        machine.in_span("enclave", op.name(), &[("session", session as u64)], |machine| {
-            let state = self.sessions.get_mut(&session).expect("checked by poll");
-            let ctx = state.ctx;
-            let chunk_cfg = machine.model().pipeline_chunk;
-            // Transfer geometry comes off the wire: before any arithmetic
-            // or DMA, refuse a chunk other than the machine's, a sealed
-            // stream the session's own window cannot hold, a nonce range
-            // that overflows and a device range that wraps. (The driver
-            // refuses an allocation larger than the free VRAM itself.)
-            let window = state.endpoint.bulk_capacity();
-            let bad_geometry = match request {
-                Request::MemcpyHtoD { dst: addr, len, chunk, nonce_start }
-                | Request::MemcpyDtoH { src: addr, len, chunk, nonce_start } => {
-                    chunk != chunk_cfg
-                        || sealed_stream_len(len, chunk).is_none_or(|n| n > window)
-                        || nonce_start.checked_add(len.div_ceil(chunk)).is_none()
-                        || !span_fits(addr.value(), len)
-                }
-                _ => false,
-            };
-            if bad_geometry {
-                return Ok(Response::Err("transfer geometry out of bounds".into()));
-            }
-            // The enclave's own crypto kernels trust their arguments.
-            if let Request::LoadModule { name } | Request::Launch { name, .. } = &request {
-                if name.starts_with(RESERVED_PREFIX) {
-                    return Ok(Response::Err(format!("{name} is reserved to the GPU enclave")));
-                }
-            }
-            let resp = match request {
-                Request::LoadModule { name } => match self.driver.load_module(machine, &name) {
-                    Ok(()) => Response::Ok,
-                    Err(e) => Response::Err(e.to_string()),
-                },
-                Request::Malloc { len } => match self.driver.malloc(machine, ctx, len) {
-                    Ok(va) => Response::Addr(va),
-                    Err(e) => Response::Err(e.to_string()),
-                },
-                // The staging buffer is the enclave's, not the tenant's:
-                // freeing it would break every later transfer.
-                Request::Free { va } if va == state.staging => {
-                    Response::Err("the session's staging buffer is not the tenant's to free".into())
-                }
-                Request::Free { va } => match self.driver.free(machine, ctx, va, true) {
-                    Ok(()) => Response::Ok,
-                    Err(e) => Response::Err(e.to_string()),
-                },
-                Request::MemcpyHtoD { dst, len, chunk, nonce_start } => {
-                    let staging = state.staging;
-                    // The in-GPU decrypt kernel opens `len` bytes chunkwise.
-                    machine.trace().metrics().add(Counter::DmaBytesDecrypted, len);
-                    let buffer = state.endpoint.buffer().clone();
-                    // Single copy, the mirror of DtoH: each sealed chunk is
-                    // DMAed from the window into the session's staging
-                    // buffer and opened straight into place in-GPU. A MAC
-                    // failure may be a transient DMA corruption (the OS owns
-                    // the fabric): re-DMA that chunk up to the retry budget
-                    // before declaring the data hostile and aborting the
-                    // session.
-                    const MAX_DMA_ATTEMPTS: u32 = 3;
-                    let walk = (0..len.div_ceil(chunk)).try_for_each(|index| {
-                        let off = index * chunk;
-                        let sealed = chunk.min(len - off) + TAG_LEN as u64;
-                        let at = sealed_chunk_offset(index, chunk);
-                        let args = [staging.value(), sealed, dst.value() + off, nonce_start + index];
-                        for attempt in 0..MAX_DMA_ATTEMPTS {
-                            if attempt > 0 {
-                                machine.trace().metrics().inc(Counter::RecoveryRedma);
-                                machine.trace().emit(
-                                    machine.clock().now(),
-                                    Nanos::ZERO,
-                                    EventKind::Security,
-                                    "chunk MAC failure; re-DMA",
-                                );
-                            }
-                            // The OS may corrupt each chunk's first pass in
-                            // flight.
-                            let flip = (attempt == 0)
-                                .then(|| machine.os_dma_flip(buffer.bus().offset(at), sealed))
-                                .flatten();
-                            let copy = self
-                                .driver
-                                .dma_htod(machine, ctx, staging, &buffer, at, sealed)
-                                .map_err(EngineError::Driver)
-                                .and_then(|()| self.watched_sync(machine, session))
-                                .and_then(|()| {
-                                    self.driver
-                                        .launch(machine, ctx, DECRYPT_KERNEL, &args)
-                                        .map_err(EngineError::Driver)
-                                })
-                                .and_then(|()| self.watched_sync(machine, session));
-                            // The in-flight flip hit only this DMA pass; the
-                            // staged sealed bytes themselves are intact again
-                            // for the retry.
-                            if let Some(flip) = flip {
-                                machine.os_undo_dma_flip(flip);
-                            }
-                            match copy {
-                                Err(EngineError::Driver(DriverError::Gpu(errcode::INTEGRITY))) => {}
-                                other => return other,
-                            }
-                        }
-                        // Persistent corruption: hostile data, not a
-                        // transient fault.
-                        self.sessions.get_mut(&session).expect("session").aborted = true;
-                        Err(EngineError::Fatal(HixCoreError::IntegrityFailure))
-                    });
-                    self.engine_outcome(walk)?
-                }
-                Request::MemcpyDtoH { src, len, chunk, nonce_start } => {
-                    let staging = state.staging;
-                    // The in-GPU encrypt kernel seals `len` bytes chunkwise.
-                    machine.trace().metrics().add(Counter::DmaBytesEncrypted, len);
-                    let buffer = state.endpoint.buffer().clone();
-                    // Book the readback on the shared transfer engines. The
-                    // chunk walk below charges device time functionally; the
-                    // booking records engine occupancy (so later transfers of
-                    // any session see it) and floors the clock at the walk's
-                    // pipelined completion.
-                    let dtoh_done = {
-                        let model = machine.model().clone();
-                        let now = machine.clock().now();
-                        self.xfer_pipe.dtoh(&model, now, len)
-                    };
-                    let walk = (0..len.div_ceil(chunk)).try_for_each(|index| {
-                        let off = index * chunk;
-                        let this = chunk.min(len - off);
-                        let args = [src.value() + off, this, staging.value(), nonce_start + index];
-                        let at = sealed_chunk_offset(index, chunk);
-                        self.driver
-                            .launch(machine, ctx, ENCRYPT_KERNEL, &args)
-                            .and_then(|()| {
-                                self.driver.dma_dtoh(machine, ctx, staging, &buffer, at, this + TAG_LEN as u64)
-                            })
-                            .map_err(EngineError::Driver)
-                            .and_then(|()| self.watched_sync(machine, session))
-                    });
-                    if walk.is_ok() {
-                        machine.clock().advance_to(dtoh_done);
+        machine.in_span(
+            "enclave",
+            op.name(),
+            &[("session", session as u64)],
+            |machine| {
+                let state = self.sessions.get_mut(&session).expect("checked by poll");
+                let ctx = state.ctx;
+                let chunk_cfg = machine.model().pipeline_chunk;
+                // Transfer geometry comes off the wire: before any arithmetic
+                // or DMA, refuse a chunk other than the machine's, a sealed
+                // stream the session's own window cannot hold, a nonce range
+                // that overflows and a device range that wraps. (The driver
+                // refuses an allocation larger than the free VRAM itself.)
+                let window = state.endpoint.bulk_capacity();
+                let bad_geometry = match request {
+                    Request::MemcpyHtoD {
+                        dst: addr,
+                        len,
+                        chunk,
+                        nonce_start,
                     }
-                    self.engine_outcome(walk)?
+                    | Request::MemcpyDtoH {
+                        src: addr,
+                        len,
+                        chunk,
+                        nonce_start,
+                    } => {
+                        chunk != chunk_cfg
+                            || sealed_stream_len(len, chunk).is_none_or(|n| n > window)
+                            || nonce_start.checked_add(len.div_ceil(chunk)).is_none()
+                            || !span_fits(addr.value(), len)
+                    }
+                    _ => false,
+                };
+                if bad_geometry {
+                    return Ok(Response::Err("transfer geometry out of bounds".into()));
                 }
-                Request::Memset { va, len, value } => {
-                    let queued = self.driver.memset(machine, ctx, va, len, value);
-                    self.run_watched(machine, session, queued)?
+                // The enclave's own crypto kernels trust their arguments.
+                if let Request::LoadModule { name } | Request::Launch { name, .. } = &request {
+                    if name.starts_with(RESERVED_PREFIX) {
+                        return Ok(Response::Err(format!(
+                            "{name} is reserved to the GPU enclave"
+                        )));
+                    }
                 }
-                Request::CopyDtoD { src, dst, len } => {
-                    let queued = self.driver.copy_dtod(machine, ctx, src, dst, len);
-                    self.run_watched(machine, session, queued)?
-                }
-                Request::Launch { name, args } => {
-                    let queued = self.driver.launch(machine, ctx, &name, &args);
-                    self.run_watched(machine, session, queued)?
-                }
-                Request::Sync => self.run_watched(machine, session, Ok(()))?,
-                Request::Close => {
-                    let staging = state.staging;
-                    let _ = self.driver.free(machine, ctx, staging, true);
-                    match self.driver.destroy_ctx(machine, ctx) {
-                        // The session entry itself is removed by `poll` after
-                        // the response has been sent.
+                let resp = match request {
+                    Request::LoadModule { name } => match self.driver.load_module(machine, &name) {
                         Ok(()) => Response::Ok,
                         Err(e) => Response::Err(e.to_string()),
+                    },
+                    Request::Malloc { len } => match self.driver.malloc(machine, ctx, len) {
+                        Ok(va) => Response::Addr(va),
+                        Err(e) => Response::Err(e.to_string()),
+                    },
+                    // The staging buffer is the enclave's, not the tenant's:
+                    // freeing it would break every later transfer.
+                    Request::Free { va } if va == state.staging => Response::Err(
+                        "the session's staging buffer is not the tenant's to free".into(),
+                    ),
+                    Request::Free { va } => match self.driver.free(machine, ctx, va, true) {
+                        Ok(()) => Response::Ok,
+                        Err(e) => Response::Err(e.to_string()),
+                    },
+                    Request::MemcpyHtoD {
+                        dst,
+                        len,
+                        chunk,
+                        nonce_start,
+                    } => {
+                        let staging = state.staging;
+                        // The in-GPU decrypt kernel opens `len` bytes chunkwise.
+                        machine
+                            .trace()
+                            .metrics()
+                            .add(Counter::DmaBytesDecrypted, len);
+                        let buffer = state.endpoint.buffer().clone();
+                        // Single copy, the mirror of DtoH: each sealed chunk is
+                        // DMAed from the window into the session's staging
+                        // buffer and opened straight into place in-GPU. A MAC
+                        // failure may be a transient DMA corruption (the OS owns
+                        // the fabric): re-DMA that chunk up to the retry budget
+                        // before declaring the data hostile and aborting the
+                        // session.
+                        const MAX_DMA_ATTEMPTS: u32 = 3;
+                        let walk = (0..len.div_ceil(chunk)).try_for_each(|index| {
+                            let off = index * chunk;
+                            let sealed = chunk.min(len - off) + TAG_LEN as u64;
+                            let at = sealed_chunk_offset(index, chunk);
+                            let args = [
+                                staging.value(),
+                                sealed,
+                                dst.value() + off,
+                                nonce_start + index,
+                            ];
+                            for attempt in 0..MAX_DMA_ATTEMPTS {
+                                if attempt > 0 {
+                                    machine.trace().metrics().inc(Counter::RecoveryRedma);
+                                    machine.trace().emit(
+                                        machine.clock().now(),
+                                        Nanos::ZERO,
+                                        EventKind::Security,
+                                        "chunk MAC failure; re-DMA",
+                                    );
+                                }
+                                // The OS may corrupt each chunk's first pass in
+                                // flight.
+                                let flip = (attempt == 0)
+                                    .then(|| machine.os_dma_flip(buffer.bus().offset(at), sealed))
+                                    .flatten();
+                                let copy = self
+                                    .driver
+                                    .dma_htod(machine, ctx, staging, &buffer, at, sealed)
+                                    .map_err(EngineError::Driver)
+                                    .and_then(|()| self.watched_sync(machine, session))
+                                    .and_then(|()| {
+                                        self.driver
+                                            .launch(machine, ctx, DECRYPT_KERNEL, &args)
+                                            .map_err(EngineError::Driver)
+                                    })
+                                    .and_then(|()| self.watched_sync(machine, session));
+                                // The in-flight flip hit only this DMA pass; the
+                                // staged sealed bytes themselves are intact again
+                                // for the retry.
+                                if let Some(flip) = flip {
+                                    machine.os_undo_dma_flip(flip);
+                                }
+                                match copy {
+                                    Err(EngineError::Driver(DriverError::Gpu(
+                                        errcode::INTEGRITY,
+                                    ))) => {}
+                                    other => return other,
+                                }
+                            }
+                            // Persistent corruption: hostile data, not a
+                            // transient fault.
+                            self.sessions.get_mut(&session).expect("session").aborted = true;
+                            Err(EngineError::Fatal(HixCoreError::IntegrityFailure))
+                        });
+                        self.engine_outcome(walk)?
                     }
-                }
-                // Frames are drained by `handle_submit` and never nest.
-                Request::Submit { .. } => Response::Err("nested submit".into()),
-            };
-            Ok(resp)
-        })
+                    Request::MemcpyDtoH {
+                        src,
+                        len,
+                        chunk,
+                        nonce_start,
+                    } => {
+                        let staging = state.staging;
+                        // The in-GPU encrypt kernel seals `len` bytes chunkwise.
+                        machine
+                            .trace()
+                            .metrics()
+                            .add(Counter::DmaBytesEncrypted, len);
+                        let buffer = state.endpoint.buffer().clone();
+                        // Book the readback on the shared transfer engines. The
+                        // chunk walk below charges device time functionally; the
+                        // booking records engine occupancy (so later transfers of
+                        // any session see it) and floors the clock at the walk's
+                        // pipelined completion.
+                        let dtoh_done = {
+                            let model = machine.model().clone();
+                            let now = machine.clock().now();
+                            self.xfer_pipe.dtoh(&model, now, len)
+                        };
+                        let walk = (0..len.div_ceil(chunk)).try_for_each(|index| {
+                            let off = index * chunk;
+                            let this = chunk.min(len - off);
+                            let args = [
+                                src.value() + off,
+                                this,
+                                staging.value(),
+                                nonce_start + index,
+                            ];
+                            let at = sealed_chunk_offset(index, chunk);
+                            self.driver
+                                .launch(machine, ctx, ENCRYPT_KERNEL, &args)
+                                .and_then(|()| {
+                                    self.driver.dma_dtoh(
+                                        machine,
+                                        ctx,
+                                        staging,
+                                        &buffer,
+                                        at,
+                                        this + TAG_LEN as u64,
+                                    )
+                                })
+                                .map_err(EngineError::Driver)
+                                .and_then(|()| self.watched_sync(machine, session))
+                        });
+                        if walk.is_ok() {
+                            machine.clock().advance_to(dtoh_done);
+                        }
+                        self.engine_outcome(walk)?
+                    }
+                    Request::Memset { va, len, value } => {
+                        let queued = self.driver.memset(machine, ctx, va, len, value);
+                        self.run_watched(machine, session, queued)?
+                    }
+                    Request::CopyDtoD { src, dst, len } => {
+                        let queued = self.driver.copy_dtod(machine, ctx, src, dst, len);
+                        self.run_watched(machine, session, queued)?
+                    }
+                    Request::Launch { name, args } => {
+                        let queued = self.driver.launch(machine, ctx, &name, &args);
+                        self.run_watched(machine, session, queued)?
+                    }
+                    Request::Sync => self.run_watched(machine, session, Ok(()))?,
+                    Request::Close => {
+                        let staging = state.staging;
+                        let _ = self.driver.free(machine, ctx, staging, true);
+                        match self.driver.destroy_ctx(machine, ctx) {
+                            // The session entry itself is removed by `poll` after
+                            // the response has been sent.
+                            Ok(()) => Response::Ok,
+                            Err(e) => Response::Err(e.to_string()),
+                        }
+                    }
+                    // Frames are drained by `handle_submit` and never nest.
+                    Request::Submit { .. } => Response::Err("nested submit".into()),
+                };
+                Ok(resp)
+            },
+        )
     }
 
     /// Synchronizes with the engine under the TDR watchdog (the
@@ -1331,7 +1482,11 @@ impl GpuEnclave {
     /// model-derived patience deadline, then a per-context kill, then a
     /// bounded grace, then a full secure reset. Never waits more than
     /// [`EscalationLadder::max_recovery_wait`] of virtual time.
-    fn watched_sync(&mut self, machine: &mut Machine, session: SessionId) -> Result<(), EngineError> {
+    fn watched_sync(
+        &mut self,
+        machine: &mut Machine,
+        session: SessionId,
+    ) -> Result<(), EngineError> {
         let ctx = self.sessions.get(&session).expect("checked by poll").ctx;
         match self.driver.sync(machine) {
             Ok(()) => {}
@@ -1339,7 +1494,10 @@ impl GpuEnclave {
                 // The engine latched an error although the command
                 // completed; `sync` already cleared the latch. The work
                 // is good — fall through to the progress check.
-                machine.trace().metrics().inc(Counter::WatchdogSpuriousCleared);
+                machine
+                    .trace()
+                    .metrics()
+                    .inc(Counter::WatchdogSpuriousCleared);
             }
             Err(DriverError::Gpu(code)) if code == errcode::ECC => {
                 // A bit flipped in a live VRAM buffer: the context's
@@ -1354,17 +1512,28 @@ impl GpuEnclave {
                     EventKind::Security,
                     "watchdog: ECC corruption in live buffer; kill context",
                 );
-                self.driver.kill_ctx(machine, ctx).map_err(EngineError::Driver)?;
-                return self.finish_kill(machine, session).and(Err(EngineError::Tdr));
+                self.driver
+                    .kill_ctx(machine, ctx)
+                    .map_err(EngineError::Driver)?;
+                return self
+                    .finish_kill(machine, session)
+                    .and(Err(EngineError::Tdr));
             }
             Err(e) => return Err(EngineError::Driver(e)),
         }
-        if !self.driver.status_busy(machine).map_err(EngineError::Driver)? {
+        if !self
+            .driver
+            .status_busy(machine)
+            .map_err(EngineError::Driver)?
+        {
             return Ok(());
         }
 
         // Hang detected: clean sync, busy engine.
-        machine.trace().metrics().inc(Counter::WatchdogHangsDetected);
+        machine
+            .trace()
+            .metrics()
+            .inc(Counter::WatchdogHangsDetected);
         machine.trace().emit(
             machine.clock().now(),
             Nanos::ZERO,
@@ -1385,14 +1554,23 @@ impl GpuEnclave {
                 WatchdogAction::Wait(d) => {
                     machine.clock().advance(d);
                     machine.run_device(self.bdf);
-                    if !self.driver.status_busy(machine).map_err(EngineError::Driver)? {
+                    if !self
+                        .driver
+                        .status_busy(machine)
+                        .map_err(EngineError::Driver)?
+                    {
                         if ladder.kill_sent() {
                             // The kill landed within the grace period.
-                            return self.finish_kill(machine, session).and(Err(EngineError::Tdr));
+                            return self
+                                .finish_kill(machine, session)
+                                .and(Err(EngineError::Tdr));
                         }
                         // The engine recovered on its own: no action
                         // beyond the waits was taken.
-                        machine.trace().metrics().inc(Counter::WatchdogTransientRecovered);
+                        machine
+                            .trace()
+                            .metrics()
+                            .inc(Counter::WatchdogTransientRecovered);
                         return Ok(());
                     }
                 }
@@ -1404,10 +1582,18 @@ impl GpuEnclave {
                         EventKind::Security,
                         format!("watchdog: kill context {}", ctx.0),
                     );
-                    self.driver.kill_ctx(machine, ctx).map_err(EngineError::Driver)?;
+                    self.driver
+                        .kill_ctx(machine, ctx)
+                        .map_err(EngineError::Driver)?;
                     machine.run_device(self.bdf);
-                    if !self.driver.status_busy(machine).map_err(EngineError::Driver)? {
-                        return self.finish_kill(machine, session).and(Err(EngineError::Tdr));
+                    if !self
+                        .driver
+                        .status_busy(machine)
+                        .map_err(EngineError::Driver)?
+                    {
+                        return self
+                            .finish_kill(machine, session)
+                            .and(Err(EngineError::Tdr));
                     }
                     // A wedged context ignored the doorbell; the grace
                     // re-polls confirm before the reset rung.
@@ -1432,7 +1618,11 @@ impl GpuEnclave {
     /// Completes a successful per-context kill: clears the `KILLED`
     /// error latch (so the next sync starts clean) and marks the
     /// session stale for re-establishment.
-    fn finish_kill(&mut self, machine: &mut Machine, session: SessionId) -> Result<(), EngineError> {
+    fn finish_kill(
+        &mut self,
+        machine: &mut Machine,
+        session: SessionId,
+    ) -> Result<(), EngineError> {
         self.driver
             .reg_write(machine, bar0::ERROR, 0)
             .map_err(EngineError::Driver)?;
@@ -1456,7 +1646,10 @@ impl GpuEnclave {
                 machine.clock().now(),
                 Nanos::ZERO,
                 EventKind::Security,
-                format!("watchdog: user {} evicted after {count} device resets", user.0),
+                format!(
+                    "watchdog: user {} evicted after {count} device resets",
+                    user.0
+                ),
             );
         }
     }
@@ -1590,7 +1783,11 @@ impl GpuEnclave {
         let mut state = Vec::with_capacity(64);
         state.extend_from_slice(&self.bios_digest);
         state.extend_from_slice(&self.path_digest);
-        Ok(ocb.seal(&hix_crypto::ocb::Nonce::from_counter(0), b"hix-trust", &state))
+        Ok(ocb.seal(
+            &hix_crypto::ocb::Nonce::from_counter(0),
+            b"hix-trust",
+            &state,
+        ))
     }
 
     /// Produces a remote-attestation quote over the enclave's identity
@@ -1664,8 +1861,14 @@ pub fn expected_measurement() -> hix_platform::sgx::Measurement {
         let mut ram = hix_platform::mem::Ram::new();
         let id = sgx.ecreate();
         for (i, chunk) in GPU_ENCLAVE_CODE_IDENTITY.chunks(64).enumerate() {
-            sgx.eadd(&mut ram, id, CODE_VA.offset(i as u64 * PAGE_SIZE), chunk, true)
-                .expect("replay eadd");
+            sgx.eadd(
+                &mut ram,
+                id,
+                CODE_VA.offset(i as u64 * PAGE_SIZE),
+                chunk,
+                true,
+            )
+            .expect("replay eadd");
         }
         sgx.einit(id).expect("replay einit")
     })
@@ -1788,7 +1991,8 @@ mod tests {
         // enclave.
         let user = m.create_process();
         m.ecreate(user);
-        m.eadd(user, VirtAddr::new(0x10_0000), b"impostor", true).unwrap();
+        m.eadd(user, VirtAddr::new(0x10_0000), b"impostor", true)
+            .unwrap();
         m.einit(user).unwrap();
         let fake = m.equote(user, &quote.report_data).unwrap();
         assert!(!fake.verify(&pk, &expected_measurement()));
@@ -1813,8 +2017,15 @@ mod tests {
         } else {
             enclave.unpark_session(&mut m, s.id())
         };
-        assert!(!enclave.is_parked(s.id()), "a refused record must not stay parked");
-        assert_eq!(enclave.session_stale(s.id()), None, "a refused session must not come back");
+        assert!(
+            !enclave.is_parked(s.id()),
+            "a refused record must not stay parked"
+        );
+        assert_eq!(
+            enclave.session_stale(s.id()),
+            None,
+            "a refused session must not come back"
+        );
         match err {
             Err(HixCoreError::Protocol(msg)) => msg,
             other => panic!("expected a protocol refusal, got {other:?}"),

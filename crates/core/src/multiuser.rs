@@ -334,8 +334,7 @@ fn build_segments(
     // window (they rebuild host-side while the engine scrubs),
     // so the engine blockage is the whole peer-visible price.
     let kill_block = model.tdr_patience();
-    let reset_block =
-        model.tdr_patience() + model.tdr_kill_grace() * 3 + model.tdr_reset_penalty();
+    let reset_block = model.tdr_patience() + model.tdr_kill_grace() * 3 + model.tdr_reset_penalty();
     let rebuild = model.task_init(ExecMode::Hix) + model.ipc_roundtrip * 4;
     let resets = f.tdr_resets.min(EVICT_AFTER);
     let evicted = f.tdr_resets >= EVICT_AFTER;
@@ -392,7 +391,10 @@ pub fn run_scaled(
     obs: Option<&Metrics>,
 ) -> ScaleOutcome {
     assert!(config.max_resident >= 1, "at least one session must fit");
-    assert!(config.quantum > Nanos::ZERO, "a zero quantum never advances");
+    assert!(
+        config.quantum > Nanos::ZERO,
+        "a zero quantum never advances"
+    );
 
     let mut queue = FairQueue::new();
     let mut slots: Vec<Slot> = sessions
@@ -401,8 +403,14 @@ pub fn run_scaled(
         .map(|(u, sess)| {
             let id = queue.insert(sess.weight);
             debug_assert_eq!(id, u, "slot ids are insertion-ordered");
-            let (segments, evicted) =
-                build_segments(model, &sess.task, &sess.faults, u as u32, mode, config.quantum);
+            let (segments, evicted) = build_segments(
+                model,
+                &sess.task,
+                &sess.faults,
+                u as u32,
+                mode,
+                config.quantum,
+            );
             Slot {
                 segments,
                 next: 0,
@@ -460,7 +468,9 @@ pub fn run_scaled(
             queue.pick()
         } else {
             // Idle engine: jump to the next arrival (work-conserving).
-            let Some(Reverse((t, i))) = future.pop() else { break };
+            let Some(Reverse((t, i))) = future.pop() else {
+                break;
+            };
             gpu_free = gpu_free.max(Nanos::from_nanos(t));
             queue.activate(i);
             continue;
@@ -678,13 +688,22 @@ mod tests {
         let sessions: Vec<SessionSpec> = specs
             .iter()
             .zip(faults)
-            .map(|(task, &faults)| SessionSpec { task: task.clone(), weight: 1, faults })
+            .map(|(task, &faults)| SessionSpec {
+                task: task.clone(),
+                weight: 1,
+                faults,
+            })
             .collect();
         run_scaled(model, &sessions, mode, &SchedulerConfig::new(model), None)
     }
 
     fn run(model: &CostModel, specs: &[TaskSpec], mode: Mode) -> ScaleOutcome {
-        run_faulted(model, specs, mode, &vec![SessionFaults::default(); specs.len()])
+        run_faulted(
+            model,
+            specs,
+            mode,
+            &vec![SessionFaults::default(); specs.len()],
+        )
     }
 
     fn spec() -> TaskSpec {

@@ -159,13 +159,23 @@ impl Request {
                 out.push(3);
                 out.extend_from_slice(&va.value().to_le_bytes());
             }
-            Request::MemcpyHtoD { dst, len, chunk, nonce_start } => {
+            Request::MemcpyHtoD {
+                dst,
+                len,
+                chunk,
+                nonce_start,
+            } => {
                 out.push(4);
                 for v in [dst.value(), *len, *chunk, *nonce_start] {
                     out.extend_from_slice(&v.to_le_bytes());
                 }
             }
-            Request::MemcpyDtoH { src, len, chunk, nonce_start } => {
+            Request::MemcpyDtoH {
+                src,
+                len,
+                chunk,
+                nonce_start,
+            } => {
                 out.push(5);
                 for v in [src.value(), *len, *chunk, *nonce_start] {
                     out.extend_from_slice(&v.to_le_bytes());
@@ -359,9 +369,13 @@ mod tests {
 
     #[test]
     fn requests_roundtrip() {
-        roundtrip_req(Request::LoadModule { name: "matrix_add".into() });
+        roundtrip_req(Request::LoadModule {
+            name: "matrix_add".into(),
+        });
         roundtrip_req(Request::Malloc { len: 1 << 30 });
-        roundtrip_req(Request::Free { va: DevAddr(0x1234) });
+        roundtrip_req(Request::Free {
+            va: DevAddr(0x1234),
+        });
         roundtrip_req(Request::MemcpyHtoD {
             dst: DevAddr(0x1000),
             len: 999,
@@ -392,11 +406,18 @@ mod tests {
         });
         roundtrip_req(Request::Submit {
             cmds: vec![
-                BatchCmd { id: 0, submit_ns: 10, req: Request::Sync },
+                BatchCmd {
+                    id: 0,
+                    submit_ns: 10,
+                    req: Request::Sync,
+                },
                 BatchCmd {
                     id: 1,
                     submit_ns: 10,
-                    req: Request::Launch { name: "k".into(), args: vec![9] },
+                    req: Request::Launch {
+                        name: "k".into(),
+                        args: vec![9],
+                    },
                 },
                 BatchCmd {
                     id: 2,

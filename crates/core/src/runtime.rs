@@ -18,8 +18,8 @@
 
 use std::collections::VecDeque;
 
-use hix_crypto::drbg::HmacDrbg;
 use hix_crypto::aes::BLOCK;
+use hix_crypto::drbg::HmacDrbg;
 use hix_crypto::ocb::{Key, Nonce, Ocb, TAG_LEN};
 use hix_driver::DmaBuffer;
 use hix_gpu::crypto_kernels::DATA_AAD;
@@ -45,13 +45,34 @@ const DTOH_NONCE_BASE: u64 = 1 << 63;
 /// not journaled.
 #[derive(Debug, Clone)]
 enum JournalOp {
-    LoadModule { name: String },
-    Malloc { len: u64, va: DevAddr },
-    Free { va: DevAddr },
-    HtoD { dst: DevAddr, payload: Payload },
-    Memset { va: DevAddr, len: u64, value: u8 },
-    DtoD { src: DevAddr, dst: DevAddr, len: u64 },
-    Launch { name: String, args: Vec<u64> },
+    LoadModule {
+        name: String,
+    },
+    Malloc {
+        len: u64,
+        va: DevAddr,
+    },
+    Free {
+        va: DevAddr,
+    },
+    HtoD {
+        dst: DevAddr,
+        payload: Payload,
+    },
+    Memset {
+        va: DevAddr,
+        len: u64,
+        value: u8,
+    },
+    DtoD {
+        src: DevAddr,
+        dst: DevAddr,
+        len: u64,
+    },
+    Launch {
+        name: String,
+        args: Vec<u64>,
+    },
 }
 
 /// The wire request for a journaled op that needs no staging. `HtoD`
@@ -61,15 +82,20 @@ fn op_request(op: &JournalOp) -> Request {
     match op {
         JournalOp::LoadModule { name } => Request::LoadModule { name: name.clone() },
         JournalOp::Free { va } => Request::Free { va: *va },
-        JournalOp::Memset { va, len, value } => {
-            Request::Memset { va: *va, len: *len, value: *value }
-        }
-        JournalOp::DtoD { src, dst, len } => {
-            Request::CopyDtoD { src: *src, dst: *dst, len: *len }
-        }
-        JournalOp::Launch { name, args } => {
-            Request::Launch { name: name.clone(), args: args.clone() }
-        }
+        JournalOp::Memset { va, len, value } => Request::Memset {
+            va: *va,
+            len: *len,
+            value: *value,
+        },
+        JournalOp::DtoD { src, dst, len } => Request::CopyDtoD {
+            src: *src,
+            dst: *dst,
+            len: *len,
+        },
+        JournalOp::Launch { name, args } => Request::Launch {
+            name: name.clone(),
+            args: args.clone(),
+        },
         JournalOp::HtoD { .. } | JournalOp::Malloc { .. } => {
             unreachable!("staged or barrier ops have no direct request form")
         }
@@ -168,7 +194,10 @@ fn in_request<R>(
 /// trusted — its quote must carry the pinned GPU-enclave measurement.
 fn attest_enclave(machine: &mut Machine, enclave: &GpuEnclave) -> Result<(), HixCoreError> {
     let quote = enclave.quote(machine)?;
-    if !quote.verify(&machine.provisioning_key(), &crate::gpu_enclave::expected_measurement()) {
+    if !quote.verify(
+        &machine.provisioning_key(),
+        &crate::gpu_enclave::expected_measurement(),
+    ) {
         return Err(HixCoreError::Attest(crate::attest::AttestError::BadReport));
     }
     Ok(())
@@ -212,34 +241,39 @@ impl HixSession {
         // The session id does not exist yet; connects attribute to the
         // control-plane tenant 0.
         in_request(machine, 0, "connect", |machine| {
-            machine.in_span("session", "connect", &[("shared_len", shared_len)], |machine| {
-                let pid = build_user_enclave(machine, seed)?;
-                let mut rng = HmacDrbg::new(seed);
-                attest_enclave(machine, enclave)?;
-                let shared = DmaBuffer::alloc(machine, pid, shared_len);
-                let (id, channel_key, data_key) =
-                    enclave.accept_session(machine, pid, &mut rng, shared.clone())?;
-                let synthetic = machine
-                    .device_mut(enclave.bdf())
-                    .and_then(|d| d.as_any_mut().downcast_mut::<hix_gpu::device::GpuDevice>())
-                    .is_some_and(|gpu| gpu.is_synthetic());
-                Ok(HixSession {
-                    pid,
-                    id,
-                    endpoint: Endpoint::new(pid, shared, channel_key),
-                    data_ocb: Ocb::new(&Key::from_bytes(data_key)),
-                    rng,
-                    htod_nonce: 0,
-                    dtoh_nonce: DTOH_NONCE_BASE,
-                    synthetic,
-                    journal: Vec::new(),
-                    epoch: 0,
-                    pending: VecDeque::new(),
-                    completed: VecDeque::new(),
-                    next_cmd: 0,
-                    batch_max: Self::DEFAULT_BATCH,
-                })
-            })
+            machine.in_span(
+                "session",
+                "connect",
+                &[("shared_len", shared_len)],
+                |machine| {
+                    let pid = build_user_enclave(machine, seed)?;
+                    let mut rng = HmacDrbg::new(seed);
+                    attest_enclave(machine, enclave)?;
+                    let shared = DmaBuffer::alloc(machine, pid, shared_len);
+                    let (id, channel_key, data_key) =
+                        enclave.accept_session(machine, pid, &mut rng, shared.clone())?;
+                    let synthetic = machine
+                        .device_mut(enclave.bdf())
+                        .and_then(|d| d.as_any_mut().downcast_mut::<hix_gpu::device::GpuDevice>())
+                        .is_some_and(|gpu| gpu.is_synthetic());
+                    Ok(HixSession {
+                        pid,
+                        id,
+                        endpoint: Endpoint::new(pid, shared, channel_key),
+                        data_ocb: Ocb::new(&Key::from_bytes(data_key)),
+                        rng,
+                        htod_nonce: 0,
+                        dtoh_nonce: DTOH_NONCE_BASE,
+                        synthetic,
+                        journal: Vec::new(),
+                        epoch: 0,
+                        pending: VecDeque::new(),
+                        completed: VecDeque::new(),
+                        next_cmd: 0,
+                        batch_max: Self::DEFAULT_BATCH,
+                    })
+                },
+            )
         })
     }
 
@@ -360,9 +394,8 @@ impl HixSession {
                                 attempts as u64,
                             );
                         }
-                        return Response::decode(&body).ok_or_else(|| {
-                            HixCoreError::Protocol("undecodable response".into())
-                        });
+                        return Response::decode(&body)
+                            .ok_or_else(|| HixCoreError::Protocol("undecodable response".into()));
                     }
                     Err(
                         ChannelError::Empty
@@ -433,9 +466,9 @@ impl HixSession {
             Response::Ok => Ok(()),
             Response::Addr(_) => Err(HixCoreError::Protocol("unexpected address".into())),
             Response::Err(msg) => Err(HixCoreError::Remote(msg)),
-            Response::Completions(_) => {
-                Err(HixCoreError::Protocol("unexpected completions frame".into()))
-            }
+            Response::Completions(_) => Err(HixCoreError::Protocol(
+                "unexpected completions frame".into(),
+            )),
             // `exec` intercepts resets before they get here.
             Response::CtxReset => Err(HixCoreError::Protocol("unhandled context reset".into())),
         }
@@ -489,31 +522,40 @@ impl HixSession {
         const MAX_RECOVERY_ROUNDS: u32 = 64;
         *resets += 1;
         if *resets > Self::MAX_TDR_RETRIES {
-            return Err(HixCoreError::Protocol("TDR recovery budget exhausted".into()));
+            return Err(HixCoreError::Protocol(
+                "TDR recovery budget exhausted".into(),
+            ));
         }
-        machine.in_span("watchdog", "recover", &[("session", u64::from(self.id))], |machine| {
-            let start = machine.clock().now();
-            let mut result = Err(HixCoreError::Protocol("TDR recovery rounds exhausted".into()));
-            for _ in 0..MAX_RECOVERY_ROUNDS {
-                match self.try_recover_once(machine, enclave) {
-                    Ok(true) => {
-                        result = Ok(());
-                        break;
-                    }
-                    Ok(false) => {} // another TDR mid-replay: rebuild again
-                    Err(e) => {
-                        result = Err(e);
-                        break;
+        machine.in_span(
+            "watchdog",
+            "recover",
+            &[("session", u64::from(self.id))],
+            |machine| {
+                let start = machine.clock().now();
+                let mut result = Err(HixCoreError::Protocol(
+                    "TDR recovery rounds exhausted".into(),
+                ));
+                for _ in 0..MAX_RECOVERY_ROUNDS {
+                    match self.try_recover_once(machine, enclave) {
+                        Ok(true) => {
+                            result = Ok(());
+                            break;
+                        }
+                        Ok(false) => {} // another TDR mid-replay: rebuild again
+                        Err(e) => {
+                            result = Err(e);
+                            break;
+                        }
                     }
                 }
-            }
-            machine.trace().metrics().observe_with(
-                "watchdog.recovery_latency_ns",
-                &LATENCY_BOUNDS_NS,
-                (machine.clock().now() - start).as_nanos(),
-            );
-            result
-        })
+                machine.trace().metrics().observe_with(
+                    "watchdog.recovery_latency_ns",
+                    &LATENCY_BOUNDS_NS,
+                    (machine.clock().now() - start).as_nanos(),
+                );
+                result
+            },
+        )
     }
 
     /// One rebuild + full journal replay. `Ok(false)` means a replayed
@@ -545,7 +587,10 @@ impl HixSession {
                 return Ok(false);
             }
         }
-        machine.trace().metrics().inc(Counter::WatchdogReplaysCompleted);
+        machine
+            .trace()
+            .metrics()
+            .inc(Counter::WatchdogReplaysCompleted);
         machine.trace().emit(
             machine.clock().now(),
             Nanos::ZERO,
@@ -591,10 +636,12 @@ impl HixSession {
         match resp {
             Response::Ok => Ok(true),
             Response::CtxReset => Ok(false),
-            Response::Addr(_) => Err(HixCoreError::Protocol("unexpected address in replay".into())),
-            Response::Completions(_) => {
-                Err(HixCoreError::Protocol("unexpected completions in replay".into()))
-            }
+            Response::Addr(_) => Err(HixCoreError::Protocol(
+                "unexpected address in replay".into(),
+            )),
+            Response::Completions(_) => Err(HixCoreError::Protocol(
+                "unexpected completions in replay".into(),
+            )),
             Response::Err(msg) => Err(HixCoreError::Remote(msg)),
         }
     }
@@ -629,7 +676,10 @@ impl HixSession {
                 self.window().seal(machine, &nonce, at, part)?;
             }
         }
-        machine.trace().metrics().add(Counter::DmaBytesEncrypted, len);
+        machine
+            .trace()
+            .metrics()
+            .add(Counter::DmaBytesEncrypted, len);
         machine.trace().emit_with(
             machine.clock().now(),
             machine.model().enclave_crypt(len),
@@ -637,7 +687,12 @@ impl HixSession {
             "seal stream",
             &[("bytes", len)],
         );
-        Ok(Request::MemcpyHtoD { dst, len, chunk, nonce_start })
+        Ok(Request::MemcpyHtoD {
+            dst,
+            len,
+            chunk,
+            nonce_start,
+        })
     }
 
     /// Submission-ring capacity: enqueueing into a full ring first
@@ -674,7 +729,10 @@ impl HixSession {
         op: CmdOp,
     ) -> Result<CmdId, HixCoreError> {
         if self.pending.len() >= Self::RING_CAPACITY {
-            machine.trace().metrics().inc(Counter::CmdqBackpressureFlushes);
+            machine
+                .trace()
+                .metrics()
+                .inc(Counter::CmdqBackpressureFlushes);
             self.flush(machine, enclave)?;
         }
         let id = self.next_cmd;
@@ -752,7 +810,10 @@ impl HixSession {
         self.enqueue(
             machine,
             enclave,
-            CmdOp::State(JournalOp::HtoD { dst, payload: payload.clone() }),
+            CmdOp::State(JournalOp::HtoD {
+                dst,
+                payload: payload.clone(),
+            }),
         )
     }
 
@@ -769,7 +830,11 @@ impl HixSession {
         len: u64,
         value: u8,
     ) -> Result<CmdId, HixCoreError> {
-        self.enqueue(machine, enclave, CmdOp::State(JournalOp::Memset { va, len, value }))
+        self.enqueue(
+            machine,
+            enclave,
+            CmdOp::State(JournalOp::Memset { va, len, value }),
+        )
     }
 
     /// Enqueues a device-to-device copy.
@@ -785,7 +850,11 @@ impl HixSession {
         dst: DevAddr,
         len: u64,
     ) -> Result<CmdId, HixCoreError> {
-        self.enqueue(machine, enclave, CmdOp::State(JournalOp::DtoD { src, dst, len }))
+        self.enqueue(
+            machine,
+            enclave,
+            CmdOp::State(JournalOp::DtoD { src, dst, len }),
+        )
     }
 
     /// Enqueues a kernel launch.
@@ -803,7 +872,10 @@ impl HixSession {
         self.enqueue(
             machine,
             enclave,
-            CmdOp::State(JournalOp::Launch { name: name.into(), args: args.to_vec() }),
+            CmdOp::State(JournalOp::Launch {
+                name: name.into(),
+                args: args.to_vec(),
+            }),
         )
     }
 
@@ -859,7 +931,11 @@ impl HixSession {
                 // while parked/idle) — nothing in the frame executed.
                 Response::CtxReset => (Vec::new(), true),
                 Response::Completions(entries) => (entries, false),
-                _ => return Err(HixCoreError::Protocol("expected a completions frame".into())),
+                _ => {
+                    return Err(HixCoreError::Protocol(
+                        "expected a completions frame".into(),
+                    ))
+                }
             };
             let mut progressed = false;
             for (id, r) in entries {
@@ -969,7 +1045,11 @@ impl HixSession {
                     CmdOp::State(op) => op_request(op),
                     CmdOp::Sync => Request::Sync,
                 };
-                Ok(BatchCmd { id: cmd.id, submit_ns: cmd.submit_ns, req })
+                Ok(BatchCmd {
+                    id: cmd.id,
+                    submit_ns: cmd.submit_ns,
+                    req,
+                })
             })
             .collect();
         self.pending = ring;
@@ -1031,8 +1111,7 @@ impl HixSession {
         machine: &mut Machine,
         enclave: &mut GpuEnclave,
         name: &str,
-        submit: impl FnOnce(&mut Self, &mut Machine, &mut GpuEnclave)
-            -> Result<CmdId, HixCoreError>,
+        submit: impl FnOnce(&mut Self, &mut Machine, &mut GpuEnclave) -> Result<CmdId, HixCoreError>,
     ) -> Result<(), HixCoreError> {
         in_request(machine, u64::from(self.id), name, |machine| {
             let id = submit(self, machine, enclave)?;
@@ -1051,7 +1130,9 @@ impl HixSession {
         enclave: &mut GpuEnclave,
         name: &str,
     ) -> Result<(), HixCoreError> {
-        self.call(machine, enclave, "load_module", |s, m, e| s.submit_load_module(m, e, name))
+        self.call(machine, enclave, "load_module", |s, m, e| {
+            s.submit_load_module(m, e, name)
+        })
     }
 
     /// `hixMemAlloc`.
@@ -1078,9 +1159,7 @@ impl HixSession {
                 Response::Ok | Response::Completions(_) => {
                     Err(HixCoreError::Protocol("expected address".into()))
                 }
-                Response::CtxReset => {
-                    Err(HixCoreError::Protocol("unhandled context reset".into()))
-                }
+                Response::CtxReset => Err(HixCoreError::Protocol("unhandled context reset".into())),
             }
         })
     }
@@ -1140,7 +1219,9 @@ impl HixSession {
                 // kernel. The enclave already pinned the closed form at
                 // retirement; this keeps the clean-path elapsed time exact
                 // even if a recovery replay stretched the drain.
-                machine.clock().advance_to(start + model.ipc_roundtrip + model.hix_htod(len));
+                machine
+                    .clock()
+                    .advance_to(start + model.ipc_roundtrip + model.hix_htod(len));
                 Ok(())
             })
         })
@@ -1203,7 +1284,10 @@ impl HixSession {
                 };
                 // The user-enclave unsealing work rides the pipelined closed form
                 // below; charge it to its own category (recording only).
-                machine.trace().metrics().add(Counter::DmaBytesDecrypted, len);
+                machine
+                    .trace()
+                    .metrics()
+                    .add(Counter::DmaBytesDecrypted, len);
                 machine.trace().emit_with(
                     machine.clock().now(),
                     model.enclave_crypt(len),
@@ -1211,7 +1295,9 @@ impl HixSession {
                     "unseal stream",
                     &[("bytes", len)],
                 );
-                machine.clock().advance_to(start + model.ipc_roundtrip + model.hix_dtoh(len));
+                machine
+                    .clock()
+                    .advance_to(start + model.ipc_roundtrip + model.hix_dtoh(len));
                 Ok(payload)
             })
         })
@@ -1230,7 +1316,9 @@ impl HixSession {
         len: u64,
         value: u8,
     ) -> Result<(), HixCoreError> {
-        self.call(machine, enclave, "memset", |s, m, e| s.submit_memset(m, e, va, len, value))
+        self.call(machine, enclave, "memset", |s, m, e| {
+            s.submit_memset(m, e, va, len, value)
+        })
     }
 
     /// `hixMemcpyDtoD` — device-to-device, never leaves the GPU, so no
@@ -1247,7 +1335,9 @@ impl HixSession {
         dst: DevAddr,
         len: u64,
     ) -> Result<(), HixCoreError> {
-        self.call(machine, enclave, "memcpy_dtod", |s, m, e| s.submit_dtod(m, e, src, dst, len))
+        self.call(machine, enclave, "memcpy_dtod", |s, m, e| {
+            s.submit_dtod(m, e, src, dst, len)
+        })
     }
 
     /// `hixLaunchKernel` (synchronous — the GPU enclave syncs before
@@ -1263,7 +1353,9 @@ impl HixSession {
         name: &str,
         args: &[u64],
     ) -> Result<(), HixCoreError> {
-        self.call(machine, enclave, "launch", |s, m, e| s.submit_launch(m, e, name, args))
+        self.call(machine, enclave, "launch", |s, m, e| {
+            s.submit_launch(m, e, name, args)
+        })
     }
 
     /// `hixCtxSynchronize`.
@@ -1300,7 +1392,9 @@ impl HixSession {
         // The nested `sync` opens no request of its own while this one
         // is open, so a resume attributes as one request.
         let before = self.epoch;
-        in_request(machine, u64::from(self.id), "resume", |m| self.sync(m, enclave))?;
+        in_request(machine, u64::from(self.id), "resume", |m| {
+            self.sync(m, enclave)
+        })?;
         Ok(self.epoch > before)
     }
 
@@ -1470,8 +1564,8 @@ impl Window<'_> {
 /// Convenience used by tests/benchmarks: required shared-window size for
 /// a given largest transfer.
 pub fn shared_window_for(model: &CostModel, largest_transfer: u64) -> u64 {
-    let sealed = sealed_stream_len(largest_transfer, model.pipeline_chunk)
-        .expect("sealed length fits u64");
+    let sealed =
+        sealed_stream_len(largest_transfer, model.pipeline_chunk).expect("sealed length fits u64");
     (BULK_OFFSET + sealed).div_ceil(PAGE_SIZE) * PAGE_SIZE + PAGE_SIZE
 }
 
@@ -1506,7 +1600,10 @@ mod tests {
     }
 
     fn setup_with_square() -> (Machine, GpuEnclave) {
-        let mut m = standard_rig(RigOptions { kernels: vec![Box::new(Square)], ..Default::default() });
+        let mut m = standard_rig(RigOptions {
+            kernels: vec![Box::new(Square)],
+            ..Default::default()
+        });
         let enclave = GpuEnclave::launch(&mut m, GpuEnclaveOptions::default()).unwrap();
         (m, enclave)
     }
@@ -1540,11 +1637,17 @@ mod tests {
         let mut s = HixSession::connect(&mut m, &mut enclave).unwrap();
         let dev = s.malloc(&mut m, &mut enclave, 65536).unwrap();
         let data: Vec<u8> = (0..65536u32).map(|i| (i * 13 + 7) as u8).collect();
-        s.memcpy_htod(&mut m, &mut enclave, dev, &Payload::from_bytes(data.clone()))
-            .unwrap();
+        s.memcpy_htod(
+            &mut m,
+            &mut enclave,
+            dev,
+            &Payload::from_bytes(data.clone()),
+        )
+        .unwrap();
         let dev2 = s.malloc(&mut m, &mut enclave, 65536).unwrap();
         for _ in 0..6 {
-            s.memcpy_dtod(&mut m, &mut enclave, dev, dev2, 65536).unwrap();
+            s.memcpy_dtod(&mut m, &mut enclave, dev, dev2, 65536)
+                .unwrap();
         }
         let back = s.memcpy_dtoh(&mut m, &mut enclave, dev2, 65536).unwrap();
         assert_eq!(back.bytes(), &data[..], "recovery must be byte-identical");
@@ -1579,11 +1682,17 @@ mod tests {
         let mut s = HixSession::connect(&mut m, &mut enclave).unwrap();
         let dev = s.malloc(&mut m, &mut enclave, 32768).unwrap();
         let data: Vec<u8> = (0..32768u32).map(|i| (i ^ 0x5a) as u8).collect();
-        s.memcpy_htod(&mut m, &mut enclave, dev, &Payload::from_bytes(data.clone()))
-            .unwrap();
+        s.memcpy_htod(
+            &mut m,
+            &mut enclave,
+            dev,
+            &Payload::from_bytes(data.clone()),
+        )
+        .unwrap();
         let dev2 = s.malloc(&mut m, &mut enclave, 32768).unwrap();
         for _ in 0..8 {
-            s.memcpy_dtod(&mut m, &mut enclave, dev, dev2, 32768).unwrap();
+            s.memcpy_dtod(&mut m, &mut enclave, dev, dev2, 32768)
+                .unwrap();
         }
         let back = s.memcpy_dtoh(&mut m, &mut enclave, dev2, 32768).unwrap();
         assert_eq!(back.bytes(), &data[..]);
@@ -1618,11 +1727,17 @@ mod tests {
         let mut s = HixSession::connect(&mut m, &mut enclave).unwrap();
         let dev = s.malloc(&mut m, &mut enclave, 16384).unwrap();
         let data: Vec<u8> = (0..16384u32).map(|i| (i * 7 + 3) as u8).collect();
-        s.memcpy_htod(&mut m, &mut enclave, dev, &Payload::from_bytes(data.clone()))
-            .unwrap();
+        s.memcpy_htod(
+            &mut m,
+            &mut enclave,
+            dev,
+            &Payload::from_bytes(data.clone()),
+        )
+        .unwrap();
         let dev2 = s.malloc(&mut m, &mut enclave, 16384).unwrap();
         for _ in 0..6 {
-            s.memcpy_dtod(&mut m, &mut enclave, dev, dev2, 16384).unwrap();
+            s.memcpy_dtod(&mut m, &mut enclave, dev, dev2, 16384)
+                .unwrap();
         }
         let back = s.memcpy_dtoh(&mut m, &mut enclave, dev2, 16384).unwrap();
         assert_eq!(
@@ -1695,7 +1810,9 @@ mod tests {
         assert_eq!(recoveries(&m) - before, budget);
         // ...and a synchronous launch through `flush_frame`.
         let before = recoveries(&m);
-        let err = s.launch(&mut m, &mut enclave, "test.square", &[dev.value(), 4]).unwrap_err();
+        let err = s
+            .launch(&mut m, &mut enclave, "test.square", &[dev.value(), 4])
+            .unwrap_err();
         assert_eq!(err.to_string(), exhausted);
         assert_eq!(recoveries(&m) - before, budget);
     }
@@ -1713,7 +1830,11 @@ mod tests {
         let journal = s.journal_len();
         m.set_fault_plan(FaultPlan::new(
             5,
-            FaultConfig { gpu_hang_pm: 1000, gpu_wedge_pm: 0, ..FaultConfig::none() },
+            FaultConfig {
+                gpu_hang_pm: 1000,
+                gpu_wedge_pm: 0,
+                ..FaultConfig::none()
+            },
         ));
         let failed = s.next_cmd;
         assert!(s.memcpy_dtod(&mut m, &mut enclave, a, b, 4096).is_err());
@@ -1723,7 +1844,10 @@ mod tests {
         assert_eq!(s.journal_len(), journal, "the failed copy was journaled");
         assert!(s.take_completions().iter().all(|(id, _)| *id != failed));
         let back = s.memcpy_dtoh(&mut m, &mut enclave, b, 4096).unwrap();
-        assert!(back.bytes().iter().all(|&x| x == 0x3c), "the failed copy ran later");
+        assert!(
+            back.bytes().iter().all(|&x| x == 0x3c),
+            "the failed copy ran later"
+        );
     }
 
     /// A session with a 1 MiB window and one 4 KiB buffer, to send
@@ -1746,28 +1870,48 @@ mod tests {
     #[test]
     fn a_malloc_whose_padding_overflows_is_refused() {
         let (mut m, mut enclave, mut s, _) = hostile();
-        refused(&mut m, &mut enclave, &mut s, Request::Malloc { len: u64::MAX });
+        refused(
+            &mut m,
+            &mut enclave,
+            &mut s,
+            Request::Malloc { len: u64::MAX },
+        );
     }
 
     #[test]
     fn an_htod_whose_sealed_length_overflows_is_refused() {
         let (mut m, mut enclave, mut s, dst) = hostile();
         let chunk = m.model().pipeline_chunk;
-        let req = Request::MemcpyHtoD { dst, len: u64::MAX, chunk, nonce_start: 0 };
+        let req = Request::MemcpyHtoD {
+            dst,
+            len: u64::MAX,
+            chunk,
+            nonce_start: 0,
+        };
         refused(&mut m, &mut enclave, &mut s, req);
     }
 
     #[test]
     fn an_htod_with_a_zero_chunk_is_refused() {
         let (mut m, mut enclave, mut s, dst) = hostile();
-        let req = Request::MemcpyHtoD { dst, len: 4096, chunk: 0, nonce_start: 0 };
+        let req = Request::MemcpyHtoD {
+            dst,
+            len: 4096,
+            chunk: 0,
+            nonce_start: 0,
+        };
         refused(&mut m, &mut enclave, &mut s, req);
     }
 
     #[test]
     fn a_dtoh_with_a_foreign_chunk_is_refused() {
         let (mut m, mut enclave, mut s, src) = hostile();
-        let req = Request::MemcpyDtoH { src, len: 4096, chunk: u64::MAX - 3, nonce_start: 0 };
+        let req = Request::MemcpyDtoH {
+            src,
+            len: 4096,
+            chunk: u64::MAX - 3,
+            nonce_start: 0,
+        };
         refused(&mut m, &mut enclave, &mut s, req);
     }
 
@@ -1779,7 +1923,12 @@ mod tests {
         let mut s = HixSession::connect_with(&mut m, &mut enclave, window, b"hostile").unwrap();
         let src = s.malloc(&mut m, &mut enclave, len).unwrap();
         let chunk = m.model().pipeline_chunk;
-        let req = Request::MemcpyDtoH { src, len, chunk, nonce_start: u64::MAX };
+        let req = Request::MemcpyDtoH {
+            src,
+            len,
+            chunk,
+            nonce_start: u64::MAX,
+        };
         refused(&mut m, &mut enclave, &mut s, req);
     }
 
@@ -1792,7 +1941,17 @@ mod tests {
         let len = 3 << 20;
         let src = s.malloc(&mut m, &mut enclave, len).unwrap();
         let chunk = m.model().pipeline_chunk;
-        refused(&mut m, &mut enclave, &mut s, Request::MemcpyDtoH { src, len, chunk, nonce_start: 0 });
+        refused(
+            &mut m,
+            &mut enclave,
+            &mut s,
+            Request::MemcpyDtoH {
+                src,
+                len,
+                chunk,
+                nonce_start: 0,
+            },
+        );
         assert!(window(&mut m) == before, "the neighbour's window changed");
     }
 
@@ -1803,36 +1962,65 @@ mod tests {
         let mut s = HixSession::connect_with(&mut m, &mut enclave, window, b"small").unwrap();
         let chunk = m.model().pipeline_chunk;
         let capacity = s.endpoint.bulk_capacity();
-        assert!(capacity < chunk + TAG_LEN as u64, "the staging is smaller than a chunk");
+        assert!(
+            capacity < chunk + TAG_LEN as u64,
+            "the staging is smaller than a chunk"
+        );
         // One chunk whose sealed stream is exactly the window's bulk
         // capacity, and so exactly the session's staging buffer.
         let len = capacity - TAG_LEN as u64;
         assert_eq!(sealed_stream_len(len, chunk), Some(capacity));
         let dev = s.malloc(&mut m, &mut enclave, len + 1).unwrap();
         let data: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
-        s.memcpy_htod(&mut m, &mut enclave, dev, &Payload::from_bytes(data.clone())).unwrap();
+        s.memcpy_htod(
+            &mut m,
+            &mut enclave,
+            dev,
+            &Payload::from_bytes(data.clone()),
+        )
+        .unwrap();
         // Read twice: the allocation sits right after the staging in the
         // session's device address space, so a chunk staged past the
         // staging's end would land in it.
         for _ in 0..2 {
             let back = s.memcpy_dtoh(&mut m, &mut enclave, dev, len).unwrap();
-            assert!(back.bytes() == data.as_slice(), "the round trip changed the data");
+            assert!(
+                back.bytes() == data.as_slice(),
+                "the round trip changed the data"
+            );
         }
         // One byte more is refused before any DMA.
         let dma = |m: &Machine| {
             let metrics = m.trace().metrics();
-            (metrics.counter("dma.bytes_htod"), metrics.counter("dma.bytes_dtoh"))
+            (
+                metrics.counter("dma.bytes_htod"),
+                metrics.counter("dma.bytes_dtoh"),
+            )
         };
         let before = dma(&m);
         let len = len + 1;
         for request in [
-            Request::MemcpyHtoD { dst: dev, len, chunk, nonce_start: 0 },
-            Request::MemcpyDtoH { src: dev, len, chunk, nonce_start: 0 },
+            Request::MemcpyHtoD {
+                dst: dev,
+                len,
+                chunk,
+                nonce_start: 0,
+            },
+            Request::MemcpyDtoH {
+                src: dev,
+                len,
+                chunk,
+                nonce_start: 0,
+            },
         ] {
-            s.send_raw_request_for_test(&mut m, &request.encode()).unwrap();
+            s.send_raw_request_for_test(&mut m, &request.encode())
+                .unwrap();
             assert!(enclave.poll(&mut m, s.id()).unwrap());
             let response = Response::decode(&s.endpoint.recv_response(&mut m).unwrap());
-            assert_eq!(response, Some(Response::Err("transfer geometry out of bounds".into())));
+            assert_eq!(
+                response,
+                Some(Response::Err("transfer geometry out of bounds".into()))
+            );
         }
         assert_eq!(dma(&m), before, "a refused transfer moved bytes");
     }
@@ -1842,9 +2030,19 @@ mod tests {
         let (mut m, mut enclave, mut s, _) = hostile();
         let chunk = m.model().pipeline_chunk;
         let top = DevAddr(u64::MAX - 4095);
-        let htod = Request::MemcpyHtoD { dst: top, len: 8192, chunk, nonce_start: 0 };
+        let htod = Request::MemcpyHtoD {
+            dst: top,
+            len: 8192,
+            chunk,
+            nonce_start: 0,
+        };
         refused(&mut m, &mut enclave, &mut s, htod);
-        let dtoh = Request::MemcpyDtoH { src: top, len: 8192, chunk, nonce_start: 0 };
+        let dtoh = Request::MemcpyDtoH {
+            src: top,
+            len: 8192,
+            chunk,
+            nonce_start: 0,
+        };
         refused(&mut m, &mut enclave, &mut s, dtoh);
     }
 
@@ -1868,9 +2066,15 @@ mod tests {
         s.memcpy_htod(&mut m, &mut enclave, dev, &data).unwrap();
         let args = [dev.value(), 4096, u64::MAX, 0];
         let launch = s.launch(&mut m, &mut enclave, DECRYPT_KERNEL, &args);
-        assert!(launch.is_err(), "a tenant launched the enclave's decryption");
+        assert!(
+            launch.is_err(),
+            "a tenant launched the enclave's decryption"
+        );
         let load = s.load_module(&mut m, &mut enclave, ENCRYPT_KERNEL);
-        assert!(load.is_err(), "a tenant loaded the enclave's encryption kernel");
+        assert!(
+            load.is_err(),
+            "a tenant loaded the enclave's encryption kernel"
+        );
         s.sync(&mut m, &mut enclave).unwrap();
         let back = s.memcpy_dtoh(&mut m, &mut enclave, dev, 4096).unwrap();
         assert_eq!(back.bytes(), data.bytes());
@@ -1881,8 +2085,13 @@ mod tests {
         let (mut m, mut enclave) = setup();
         let mut s = HixSession::connect(&mut m, &mut enclave).unwrap();
         let dev = s.malloc(&mut m, &mut enclave, 65536).unwrap();
-        s.memcpy_htod(&mut m, &mut enclave, dev, &Payload::from_bytes(vec![0x42; 65536]))
-            .unwrap();
+        s.memcpy_htod(
+            &mut m,
+            &mut enclave,
+            dev,
+            &Payload::from_bytes(vec![0x42; 65536]),
+        )
+        .unwrap();
         let _ = s.memcpy_dtoh(&mut m, &mut enclave, dev, 65536).unwrap();
         s.close(&mut m, &mut enclave).unwrap();
         for metric in [
@@ -1893,7 +2102,11 @@ mod tests {
             "watchdog.offenses",
             "watchdog.evictions",
         ] {
-            assert_eq!(m.trace().metrics().counter(metric), 0, "{metric} on a clean run");
+            assert_eq!(
+                m.trace().metrics().counter(metric),
+                0,
+                "{metric} on a clean run"
+            );
         }
     }
 
@@ -1917,8 +2130,13 @@ mod tests {
         let mut s = HixSession::connect(&mut m, &mut enclave).unwrap();
         let dev = s.malloc(&mut m, &mut enclave, 100_000).unwrap();
         let data: Vec<u8> = (0..100_000u32).map(|i| (i * 31) as u8).collect();
-        s.memcpy_htod(&mut m, &mut enclave, dev, &Payload::from_bytes(data.clone()))
-            .unwrap();
+        s.memcpy_htod(
+            &mut m,
+            &mut enclave,
+            dev,
+            &Payload::from_bytes(data.clone()),
+        )
+        .unwrap();
         let back = s.memcpy_dtoh(&mut m, &mut enclave, dev, 100_000).unwrap();
         assert_eq!(back.bytes(), &data[..], "faults must never corrupt results");
         s.close(&mut m, &mut enclave).unwrap();
@@ -1942,8 +2160,13 @@ mod tests {
         let mut s = HixSession::connect(&mut m, &mut enclave).unwrap();
         let dev = s.malloc(&mut m, &mut enclave, 100_000).unwrap();
         let data: Vec<u8> = (0..100_000u32).map(|i| (i * 31) as u8).collect();
-        s.memcpy_htod(&mut m, &mut enclave, dev, &Payload::from_bytes(data.clone()))
-            .unwrap();
+        s.memcpy_htod(
+            &mut m,
+            &mut enclave,
+            dev,
+            &Payload::from_bytes(data.clone()),
+        )
+        .unwrap();
         let back = s.memcpy_dtoh(&mut m, &mut enclave, dev, 100_000).unwrap();
         assert_eq!(back.bytes(), &data[..]);
         s.close(&mut m, &mut enclave).unwrap();
@@ -1957,8 +2180,13 @@ mod tests {
         let dev = s.malloc(&mut m, &mut enclave, 4096).unwrap();
         let secret = b"TOP-SECRET-TENSOR-DATA-0123456789".repeat(100);
         let bus = s.endpoint.buffer().bus();
-        s.memcpy_htod(&mut m, &mut enclave, dev, &Payload::from_bytes(secret.clone()))
-            .unwrap();
+        s.memcpy_htod(
+            &mut m,
+            &mut enclave,
+            dev,
+            &Payload::from_bytes(secret.clone()),
+        )
+        .unwrap();
         // Adversary dumps the whole shared window.
         let window = s.endpoint.buffer().len();
         let mut dump = vec![0u8; window as usize];
@@ -1977,7 +2205,9 @@ mod tests {
         );
         // But it *is* in GPU memory (decrypted in-GPU), proving the
         // transfer really happened.
-        let back = s.memcpy_dtoh(&mut m, &mut enclave, dev, secret.len() as u64).unwrap();
+        let back = s
+            .memcpy_dtoh(&mut m, &mut enclave, dev, secret.len() as u64)
+            .unwrap();
         assert_eq!(back.bytes(), &secret[..]);
     }
 
@@ -1989,9 +2219,16 @@ mod tests {
         let len = (m.model().pipeline_chunk * 7 / 2) as usize;
         let dev = s.malloc(&mut m, &mut enclave, len as u64).unwrap();
         let data: Vec<u8> = (0..len as u32).map(|i| (i ^ (i >> 11)) as u8).collect();
-        s.memcpy_htod(&mut m, &mut enclave, dev, &Payload::from_bytes(data.clone()))
+        s.memcpy_htod(
+            &mut m,
+            &mut enclave,
+            dev,
+            &Payload::from_bytes(data.clone()),
+        )
+        .unwrap();
+        let back = s
+            .memcpy_dtoh(&mut m, &mut enclave, dev, len as u64)
             .unwrap();
-        let back = s.memcpy_dtoh(&mut m, &mut enclave, dev, len as u64).unwrap();
         assert_eq!(back.bytes(), &data[..]);
     }
 
@@ -2004,11 +2241,29 @@ mod tests {
         let len = (m.model().pipeline_chunk * 5 / 2) as usize;
         let dev = s.malloc(&mut m, &mut enclave, len as u64).unwrap();
         let data: Vec<u8> = (0..len as u32).map(|i| (i ^ (i >> 9)) as u8).collect();
-        m.set_fault_plan(FaultPlan::new(3, FaultConfig { dma_flip_pm: 1000, ..FaultConfig::none() }));
-        s.memcpy_htod(&mut m, &mut enclave, dev, &Payload::from_bytes(data.clone())).unwrap();
+        m.set_fault_plan(FaultPlan::new(
+            3,
+            FaultConfig {
+                dma_flip_pm: 1000,
+                ..FaultConfig::none()
+            },
+        ));
+        s.memcpy_htod(
+            &mut m,
+            &mut enclave,
+            dev,
+            &Payload::from_bytes(data.clone()),
+        )
+        .unwrap();
         m.clear_fault_plan();
-        assert_eq!(m.trace().metrics().counter("recovery.redma"), 3, "one re-DMA per chunk");
-        let back = s.memcpy_dtoh(&mut m, &mut enclave, dev, len as u64).unwrap();
+        assert_eq!(
+            m.trace().metrics().counter("recovery.redma"),
+            3,
+            "one re-DMA per chunk"
+        );
+        let back = s
+            .memcpy_dtoh(&mut m, &mut enclave, dev, len as u64)
+            .unwrap();
         assert_eq!(back.bytes(), &data[..]);
     }
 
@@ -2016,8 +2271,7 @@ mod tests {
     #[should_panic(expected = "shared-memory window")]
     fn transfer_larger_than_window_is_a_programming_error() {
         let (mut m, mut enclave) = setup();
-        let mut s =
-            HixSession::connect_with(&mut m, &mut enclave, 1 << 20, b"tiny").unwrap();
+        let mut s = HixSession::connect_with(&mut m, &mut enclave, 1 << 20, b"tiny").unwrap();
         let dev = s.malloc(&mut m, &mut enclave, 8 << 20).unwrap();
         let _ = s.memcpy_htod(&mut m, &mut enclave, dev, &Payload::synthetic(8 << 20));
     }
@@ -2029,8 +2283,13 @@ mod tests {
         let len = 8u64 << 20;
         let dev = s.malloc(&mut m, &mut enclave, len).unwrap();
         let t0 = m.clock().now();
-        s.memcpy_htod(&mut m, &mut enclave, dev, &Payload::from_bytes(vec![7; len as usize]))
-            .unwrap();
+        s.memcpy_htod(
+            &mut m,
+            &mut enclave,
+            dev,
+            &Payload::from_bytes(vec![7; len as usize]),
+        )
+        .unwrap();
         let elapsed = m.clock().now() - t0;
         let expect = m.model().ipc_roundtrip + m.model().hix_htod(len);
         assert_eq!(elapsed, expect, "advance_to pins the closed form");
@@ -2055,10 +2314,20 @@ mod tests {
         let mut b = HixSession::connect_with(&mut m, &mut enclave, 1 << 20, b"bob").unwrap();
         let dev_a = a.malloc(&mut m, &mut enclave, 4096).unwrap();
         let dev_b = b.malloc(&mut m, &mut enclave, 4096).unwrap();
-        a.memcpy_htod(&mut m, &mut enclave, dev_a, &Payload::from_bytes(vec![0xAA; 4096]))
-            .unwrap();
-        b.memcpy_htod(&mut m, &mut enclave, dev_b, &Payload::from_bytes(vec![0xBB; 4096]))
-            .unwrap();
+        a.memcpy_htod(
+            &mut m,
+            &mut enclave,
+            dev_a,
+            &Payload::from_bytes(vec![0xAA; 4096]),
+        )
+        .unwrap();
+        b.memcpy_htod(
+            &mut m,
+            &mut enclave,
+            dev_b,
+            &Payload::from_bytes(vec![0xBB; 4096]),
+        )
+        .unwrap();
         // Different GPU contexts entirely.
         assert_ne!(enclave.session_ctx(a.id()), enclave.session_ctx(b.id()));
         let back_a = a.memcpy_dtoh(&mut m, &mut enclave, dev_a, 4096).unwrap();
@@ -2076,7 +2345,9 @@ mod tests {
         // before the GPU enclave picks it up. We do this by sending the
         // request manually around the runtime.
         let data = Payload::from_bytes(vec![0x5A; 4096]);
-        let sealed = s.data_ocb.seal(&Nonce::from_counter(0), DATA_AAD, data.bytes());
+        let sealed = s
+            .data_ocb
+            .seal(&Nonce::from_counter(0), DATA_AAD, data.bytes());
         s.endpoint
             .buffer()
             .write(&mut m, s.pid, BULK_OFFSET, &sealed.into())
@@ -2113,8 +2384,10 @@ mod tests {
         s.load_module(&mut m, &mut enclave, "test.square").unwrap();
         let dev = s.malloc(&mut m, &mut enclave, 400).unwrap();
         let input: Vec<u8> = (1..=100i32).flat_map(|i| i.to_le_bytes()).collect();
-        s.memcpy_htod(&mut m, &mut enclave, dev, &Payload::from_bytes(input)).unwrap();
-        s.launch(&mut m, &mut enclave, "test.square", &[dev.value(), 100]).unwrap();
+        s.memcpy_htod(&mut m, &mut enclave, dev, &Payload::from_bytes(input))
+            .unwrap();
+        s.launch(&mut m, &mut enclave, "test.square", &[dev.value(), 100])
+            .unwrap();
         let out = s.memcpy_dtoh(&mut m, &mut enclave, dev, 400).unwrap();
         let vals: Vec<i32> = out
             .bytes()

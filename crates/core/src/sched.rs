@@ -117,7 +117,10 @@ impl FairQueue {
             }
             e.active = false;
             self.active -= 1;
-            debug_assert!(vtime >= self.vfloor, "floor must never overtake the minimum");
+            debug_assert!(
+                vtime >= self.vfloor,
+                "floor must never overtake the minimum"
+            );
             self.vfloor = self.vfloor.max(vtime);
             return Some(id);
         }

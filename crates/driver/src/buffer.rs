@@ -110,7 +110,10 @@ impl DmaBuffer {
         offset: u64,
         data: &[u8],
     ) -> Result<(), AccessFault> {
-        assert!(offset + data.len() as u64 <= self.len, "payload exceeds buffer");
+        assert!(
+            offset + data.len() as u64 <= self.len,
+            "payload exceeds buffer"
+        );
         machine.write(pid, self.va.offset(offset), data)
     }
 
@@ -229,7 +232,8 @@ mod tests {
         let mut m = standard_rig(RigOptions::default());
         let pid = m.create_process();
         let buf = DmaBuffer::alloc(&mut m, pid, 4096);
-        buf.write(&mut m, pid, 0, &Payload::synthetic(4096)).unwrap();
+        buf.write(&mut m, pid, 0, &Payload::synthetic(4096))
+            .unwrap();
         let back = buf.read(&mut m, pid, 0, 16).unwrap();
         assert_eq!(back, vec![0u8; 16]);
     }
@@ -249,7 +253,10 @@ mod tests {
         let va = buf.va();
         buf.release(&mut m);
         for pid in [a, b] {
-            assert!(matches!(m.read(pid, va, &mut [0u8; 1]), Err(AccessFault::NotMapped(_))));
+            assert!(matches!(
+                m.read(pid, va, &mut [0u8; 1]),
+                Err(AccessFault::NotMapped(_))
+            ));
         }
     }
 
@@ -260,8 +267,10 @@ mod tests {
         let b1 = DmaBuffer::alloc(&mut m, pid, 8192);
         let b2 = DmaBuffer::alloc(&mut m, pid, 8192);
         assert_ne!(b1.bus(), b2.bus());
-        b1.write(&mut m, pid, 0, &Payload::from_bytes(vec![1; 8192])).unwrap();
-        b2.write(&mut m, pid, 0, &Payload::from_bytes(vec![2; 8192])).unwrap();
+        b1.write(&mut m, pid, 0, &Payload::from_bytes(vec![1; 8192]))
+            .unwrap();
+        b2.write(&mut m, pid, 0, &Payload::from_bytes(vec![2; 8192]))
+            .unwrap();
         assert_eq!(b1.read(&mut m, pid, 0, 1).unwrap(), vec![1]);
         assert_eq!(b2.read(&mut m, pid, 0, 1).unwrap(), vec![2]);
 
@@ -275,8 +284,13 @@ mod tests {
         let b2_frames = frames_of(&mut m, &b2);
         b1.release(&mut m);
         let b3 = DmaBuffer::alloc(&mut m, pid, 64 << 10);
-        b3.write(&mut m, pid, 0, &Payload::from_bytes(vec![3; 64 << 10])).unwrap();
-        assert_eq!(frames_of(&mut m, &b2), b2_frames, "b2's bus pages were remapped");
+        b3.write(&mut m, pid, 0, &Payload::from_bytes(vec![3; 64 << 10]))
+            .unwrap();
+        assert_eq!(
+            frames_of(&mut m, &b2),
+            b2_frames,
+            "b2's bus pages were remapped"
+        );
         assert_eq!(b2.read(&mut m, pid, 0, 8192).unwrap(), vec![2; 8192]);
         assert_eq!(b3.read(&mut m, pid, 0, 1).unwrap(), vec![3]);
     }

@@ -244,7 +244,8 @@ impl GpuDriver {
     /// Returns an allocation's resident frames to the free list, in page
     /// order: the one path by which VRAM frames are reused.
     fn reclaim(&mut self, alloc: Allocation) {
-        self.free_frames.extend(alloc.page_frames.into_iter().flatten());
+        self.free_frames
+            .extend(alloc.page_frames.into_iter().flatten());
     }
 
     /// Re-synchronizes the driver with a freshly reset device: every
@@ -410,8 +411,7 @@ impl GpuDriver {
             .range(..=(ctx.0, addr.value()))
             .next_back()
             .filter(|((c, base), a)| {
-                *c == ctx.0
-                    && addr.value() < base + a.page_frames.len() as u64 * GPU_PAGE_SIZE
+                *c == ctx.0 && addr.value() < base + a.page_frames.len() as u64 * GPU_PAGE_SIZE
             })
             .map(|(k, _)| *k)
             .ok_or(DriverError::BadAllocation(addr))?;
@@ -427,7 +427,15 @@ impl GpuDriver {
             let frame = self.alloc_frame()?;
             self.allocations.get_mut(&key).expect("present").page_frames[page] = Some(frame);
             let va = DevAddr(key.1 + page as u64 * GPU_PAGE_SIZE);
-            self.submit(machine, &GpuCommand::MapRange { ctx, va, pa: frame, pages: 1 })?;
+            self.submit(
+                machine,
+                &GpuCommand::MapRange {
+                    ctx,
+                    va,
+                    pa: frame,
+                    pages: 1,
+                },
+            )?;
         }
         // Clear the fault and drain the mapping commands.
         self.reg_write(machine, bar0::ERROR, 0)?;
@@ -517,7 +525,15 @@ impl GpuDriver {
         len: u64,
         value: u8,
     ) -> Result<(), DriverError> {
-        self.submit(machine, &GpuCommand::Memset { ctx, va, len, value })
+        self.submit(
+            machine,
+            &GpuCommand::Memset {
+                ctx,
+                va,
+                len,
+                value,
+            },
+        )
     }
 
     /// Queues a device-to-device copy (`cuMemcpyDtoD`).
@@ -553,7 +569,15 @@ impl GpuDriver {
     ) -> Result<(), DriverError> {
         let bus = src.bus().offset(offset);
         machine.in_span("driver", "dma_htod", &[("bytes", len)], |machine| {
-            self.submit(machine, &GpuCommand::DmaHtoD { ctx, bus, va: dst, len })
+            self.submit(
+                machine,
+                &GpuCommand::DmaHtoD {
+                    ctx,
+                    bus,
+                    va: dst,
+                    len,
+                },
+            )
         })
     }
 
@@ -573,7 +597,15 @@ impl GpuDriver {
     ) -> Result<(), DriverError> {
         let bus = dst.bus().offset(offset);
         machine.in_span("driver", "dma_dtoh", &[("bytes", len)], |machine| {
-            self.submit(machine, &GpuCommand::DmaDtoH { ctx, va: src, bus, len })
+            self.submit(
+                machine,
+                &GpuCommand::DmaDtoH {
+                    ctx,
+                    va: src,
+                    bus,
+                    len,
+                },
+            )
         })
     }
 
@@ -688,14 +720,9 @@ impl GpuDriver {
             let page = cur / GPU_PAGE_SIZE;
             let po = cur % GPU_PAGE_SIZE;
             let take = ((GPU_PAGE_SIZE - po) as usize).min(data.len() - written);
-            let frame = alloc.page_frames[page as usize]
-                .ok_or(DriverError::BadAllocation(dst))?;
+            let frame = alloc.page_frames[page as usize].ok_or(DriverError::BadAllocation(dst))?;
             self.reg_write(machine, bar0::APERTURE, frame)?;
-            machine.write(
-                self.pid,
-                bar1.offset(po),
-                &data[written..written + take],
-            )?;
+            machine.write(self.pid, bar1.offset(po), &data[written..written + take])?;
             written += take;
         }
         Ok(())
@@ -715,7 +742,12 @@ pub fn os_map_bar0(machine: &mut Machine, pid: ProcessId, bdf: Bdf, pages: u64) 
         .base();
     let va = VirtAddr::new(0x7f00_0000_0000);
     for i in 0..pages {
-        machine.os_map(pid, va.offset(i * PAGE_SIZE), base.offset(i * PAGE_SIZE), true);
+        machine.os_map(
+            pid,
+            va.offset(i * PAGE_SIZE),
+            base.offset(i * PAGE_SIZE),
+            true,
+        );
     }
     va
 }
@@ -731,7 +763,12 @@ pub fn os_map_bar1(machine: &mut Machine, pid: ProcessId, bdf: Bdf, pages: u64) 
         .base();
     let va = VirtAddr::new(0x7f10_0000_0000);
     for i in 0..pages {
-        machine.os_map(pid, va.offset(i * PAGE_SIZE), base.offset(i * PAGE_SIZE), true);
+        machine.os_map(
+            pid,
+            va.offset(i * PAGE_SIZE),
+            base.offset(i * PAGE_SIZE),
+            true,
+        );
     }
     va
 }
@@ -772,7 +809,8 @@ mod tests {
         let dev = driver.malloc(&mut m, ctx, 10_000).unwrap();
         let data: Vec<u8> = (0..10_000u32).map(|i| (i * 7) as u8).collect();
         let hbuf = DmaBuffer::alloc(&mut m, pid, 10_000);
-        hbuf.write(&mut m, pid, 0, &Payload::from_bytes(data.clone())).unwrap();
+        hbuf.write(&mut m, pid, 0, &Payload::from_bytes(data.clone()))
+            .unwrap();
         driver.dma_htod(&mut m, ctx, dev, &hbuf, 0, 10_000).unwrap();
         driver.sync(&mut m).unwrap();
         let out = DmaBuffer::alloc(&mut m, pid, 10_000);
@@ -808,7 +846,10 @@ mod tests {
         let out = DmaBuffer::alloc(&mut m, driver.pid(), 4096);
         driver.dma_dtoh(&mut m, ctx, b, &out, 0, 4096).unwrap();
         driver.sync(&mut m).unwrap();
-        assert_eq!(out.read(&mut m, driver.pid(), 0, 16).unwrap(), vec![0u8; 16]);
+        assert_eq!(
+            out.read(&mut m, driver.pid(), 0, 16).unwrap(),
+            vec![0u8; 16]
+        );
     }
 
     #[test]
@@ -819,14 +860,23 @@ mod tests {
         let dev = driver.malloc(&mut m, ctx, 4096).unwrap();
         m.set_fault_plan(FaultPlan::new(
             1,
-            FaultConfig { gpu_hang_pm: 1000, ..FaultConfig::none() },
+            FaultConfig {
+                gpu_hang_pm: 1000,
+                ..FaultConfig::none()
+            },
         ));
         driver.copy_dtod(&mut m, ctx, dev, dev, 64).unwrap();
         driver.sync(&mut m).unwrap(); // no error code — just no progress
-        assert!(driver.status_busy(&mut m).unwrap(), "hang leaves engines busy");
+        assert!(
+            driver.status_busy(&mut m).unwrap(),
+            "hang leaves engines busy"
+        );
         m.clear_fault_plan();
         driver.kill_ctx(&mut m, ctx).unwrap();
-        assert!(!driver.status_busy(&mut m).unwrap(), "kill unblocks the device");
+        assert!(
+            !driver.status_busy(&mut m).unwrap(),
+            "kill unblocks the device"
+        );
         // The latched KILLED code surfaces exactly once at the next sync.
         assert_eq!(driver.sync(&mut m), Err(DriverError::Gpu(errcode::KILLED)));
         driver.sync(&mut m).unwrap();
@@ -875,7 +925,9 @@ mod tests {
             Err(DriverError::UnknownKernel(_)) // installed but not loaded
         ));
         driver.load_module(&mut m, "hix.ocb_decrypt").unwrap();
-        driver.launch(&mut m, ctx, "hix.ocb_decrypt", &[0, 0, 0, 0]).unwrap();
+        driver
+            .launch(&mut m, ctx, "hix.ocb_decrypt", &[0, 0, 0, 0])
+            .unwrap();
         // No session key -> BAD_ARGS from the device.
         assert_eq!(
             driver.sync(&mut m),
@@ -888,7 +940,10 @@ mod tests {
     /// A driver on a GPU with `vram_size` bytes of VRAM, and one context.
     fn small_vram(vram_size: u64) -> (Machine, GpuDriver, CtxId) {
         let mut m = standard_rig(RigOptions {
-            gpu: hix_gpu::device::GpuConfig { vram_size, ..Default::default() },
+            gpu: hix_gpu::device::GpuConfig {
+                vram_size,
+                ..Default::default()
+            },
             ..Default::default()
         });
         let pid = m.create_process();
@@ -911,7 +966,11 @@ mod tests {
     fn an_oversized_malloc_takes_nothing() {
         let (mut m, mut driver, ctx) = small_vram(4 << 20);
         for len in [8 << 20, 1 << 50, u64::MAX] {
-            assert_eq!(driver.malloc(&mut m, ctx, len), Err(DriverError::OutOfMemory), "{len:#x}");
+            assert_eq!(
+                driver.malloc(&mut m, ctx, len),
+                Err(DriverError::OutOfMemory),
+                "{len:#x}"
+            );
         }
         // Neither the heap nor a frame moved: all the VRAM past the
         // firmware MiB is still one allocation, at the heap's base.

@@ -9,12 +9,12 @@ use hix_gpu::ctx::CtxId;
 use hix_gpu::device::GpuDevice;
 use hix_gpu::vram::DevAddr;
 use hix_pcie::addr::Bdf;
+use hix_platform::{Machine, ProcessId};
 use hix_sim::cost::ExecMode;
 use hix_sim::{EventKind, Payload};
-use hix_platform::{Machine, ProcessId};
 
-use crate::driver::{os_map_bar0, os_map_bar1, DriverError, GpuDriver};
 use crate::buffer::DmaBuffer;
+use crate::driver::{os_map_bar0, os_map_bar1, DriverError, GpuDriver};
 
 /// The insecure baseline runtime ("Gdev" in the figures).
 #[derive(Debug)]
@@ -37,9 +37,12 @@ impl Gdev {
     pub fn open(machine: &mut Machine, pid: ProcessId, bdf: Bdf) -> Result<Self, DriverError> {
         let init = machine.model().task_init(ExecMode::Gdev);
         machine.clock().advance(init);
-        machine
-            .trace()
-            .emit(machine.clock().now(), init, EventKind::Init, "gdev task init");
+        machine.trace().emit(
+            machine.clock().now(),
+            init,
+            EventKind::Init,
+            "gdev task init",
+        );
         let bar0_va = os_map_bar0(machine, pid, bdf, 16);
         let bar1_va = os_map_bar1(machine, pid, bdf, 16);
         let mut driver = GpuDriver::attach(machine, pid, bdf, bar0_va, Some(bar1_va))?;
@@ -136,7 +139,8 @@ impl Gdev {
             let pid = self.driver.pid();
             let staging = self.staging(machine, len).clone();
             staging.write(machine, pid, 0, payload)?;
-            self.driver.dma_htod(machine, self.ctx, dst, &staging, 0, len)?;
+            self.driver
+                .dma_htod(machine, self.ctx, dst, &staging, 0, len)?;
             self.driver.sync(machine)?;
             if self.pageable {
                 let total = machine.model().pageable_transfer(len);
@@ -163,7 +167,8 @@ impl Gdev {
         let staging = machine.in_span("session", "memcpy_dtoh", &[("bytes", len)], |machine| {
             let start = machine.clock().now();
             let staging = self.staging(machine, len).clone();
-            self.driver.dma_dtoh(machine, self.ctx, src, &staging, 0, len)?;
+            self.driver
+                .dma_dtoh(machine, self.ctx, src, &staging, 0, len)?;
             self.driver.sync(machine)?;
             if self.pageable {
                 let total = machine.model().pageable_transfer(len);
@@ -174,7 +179,12 @@ impl Gdev {
         if self.synthetic {
             return Ok(Payload::synthetic(len));
         }
-        Ok(Payload::from_bytes(staging.read(machine, self.driver.pid(), 0, len)?))
+        Ok(Payload::from_bytes(staging.read(
+            machine,
+            self.driver.pid(),
+            0,
+            len,
+        )?))
     }
 
     /// `cuMemsetD8`: fills device memory.
@@ -285,8 +295,10 @@ mod tests {
         gdev.load_module(&mut m, "test.inc").unwrap();
         let dev = gdev.malloc(&mut m, 4 * 100).unwrap();
         let input: Vec<u8> = (0..100i32).flat_map(|i| i.to_le_bytes()).collect();
-        gdev.memcpy_htod(&mut m, dev, &Payload::from_bytes(input)).unwrap();
-        gdev.launch(&mut m, "test.inc", &[dev.value(), 100]).unwrap();
+        gdev.memcpy_htod(&mut m, dev, &Payload::from_bytes(input))
+            .unwrap();
+        gdev.launch(&mut m, "test.inc", &[dev.value(), 100])
+            .unwrap();
         let out = gdev.memcpy_dtoh(&mut m, dev, 400).unwrap();
         let vals: Vec<i32> = out
             .bytes()
@@ -326,11 +338,13 @@ mod tests {
         let mut fast = Gdev::open(&mut m, pid, GPU_BDF).unwrap();
         let dev = fast.malloc(&mut m, 8 << 20).unwrap();
         let t0 = m.clock().now();
-        fast.memcpy_htod(&mut m, dev, &Payload::from_bytes(vec![1; 8 << 20])).unwrap();
+        fast.memcpy_htod(&mut m, dev, &Payload::from_bytes(vec![1; 8 << 20]))
+            .unwrap();
         let direct = m.clock().now() - t0;
         fast.set_pageable(true);
         let t0 = m.clock().now();
-        fast.memcpy_htod(&mut m, dev, &Payload::from_bytes(vec![1; 8 << 20])).unwrap();
+        fast.memcpy_htod(&mut m, dev, &Payload::from_bytes(vec![1; 8 << 20]))
+            .unwrap();
         let pageable = m.clock().now() - t0;
         assert!(
             pageable > direct,
@@ -364,7 +378,8 @@ mod tests {
         let pid = m.create_process();
         let mut gdev = Gdev::open(&mut m, pid, GPU_BDF).unwrap();
         let dev = gdev.malloc(&mut m, 32 << 20).unwrap();
-        gdev.memcpy_htod(&mut m, dev, &Payload::synthetic(32 << 20)).unwrap();
+        gdev.memcpy_htod(&mut m, dev, &Payload::synthetic(32 << 20))
+            .unwrap();
         let out = gdev.memcpy_dtoh(&mut m, dev, 16 << 20).unwrap();
         assert!(out.is_synthetic());
         assert_eq!(out.len(), 16 << 20);

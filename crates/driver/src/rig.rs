@@ -41,7 +41,6 @@ pub struct RigOptions {
     pub kernels: Vec<Box<dyn GpuKernel>>,
 }
 
-
 impl std::fmt::Debug for RigOptions {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RigOptions")
@@ -56,12 +55,19 @@ impl std::fmt::Debug for RigOptions {
 /// bridges are IOH3420 root ports, as in the paper's QEMU setup; the
 /// rest are PLX-style switch ports.
 fn install_bridge(machine: &mut Machine, bdf: Bdf, [primary, secondary, subordinate]: [u8; 3]) {
-    let (vendor, device) = if bdf.bus == 0 { (0x8086, 0x3420) } else { (0x10b5, 0x8747) };
+    let (vendor, device) = if bdf.bus == 0 {
+        (0x8086, 0x3420)
+    } else {
+        (0x10b5, 0x8747)
+    };
     let mut cfg = ConfigSpace::bridge(vendor, device);
     let w = cfg.bridge_window_mut();
     (w.primary_bus, w.secondary_bus, w.subordinate_bus) = (primary, secondary, subordinate);
     w.window = Some(hix_platform::mem::layout::MMIO);
-    machine.fabric_mut().add_bridge(bdf, cfg).expect("fresh, routable slot");
+    machine
+        .fabric_mut()
+        .add_bridge(bdf, cfg)
+        .expect("fresh, routable slot");
 }
 
 /// BIOS: attaches a GPU enumerated at boot (hence Hardware provenance)
@@ -91,11 +97,17 @@ fn install_gpu(
         .add_endpoint(bdf, Box::new(gpu), Provenance::Hardware)
         .expect("fresh slot");
     let unlocked = "no lockdown at boot";
-    machine.config_write(bdf, offsets::BAR0, bar0.value() as u32).expect(unlocked);
+    machine
+        .config_write(bdf, offsets::BAR0, bar0.value() as u32)
+        .expect(unlocked);
     if let Some(bar1) = bar1 {
-        machine.config_write(bdf, offsets::BAR0 + 4, bar1.value() as u32).expect(unlocked);
+        machine
+            .config_write(bdf, offsets::BAR0 + 4, bar1.value() as u32)
+            .expect(unlocked);
     }
-    machine.config_write(bdf, offsets::COMMAND, 0b10).expect(unlocked);
+    machine
+        .config_write(bdf, offsets::COMMAND, 0b10)
+        .expect(unlocked);
 }
 
 /// Builds the standard machine: root port at 00:01.0 forwarding the MMIO
@@ -105,7 +117,14 @@ fn install_gpu(
 pub fn standard_rig(options: RigOptions) -> Machine {
     let mut machine = Machine::new(options.machine);
     install_bridge(&mut machine, PORT_BDF, [0, 1, 1]);
-    install_gpu(&mut machine, GPU_BDF, options.gpu, options.kernels, BAR0_PA, Some(BAR1_PA));
+    install_gpu(
+        &mut machine,
+        GPU_BDF,
+        options.gpu,
+        options.kernels,
+        BAR0_PA,
+        Some(BAR1_PA),
+    );
     machine.iommu_mut().set_passthrough(true);
     machine
 }
@@ -170,7 +189,11 @@ impl FabricTopology {
                 bios_seed: bios_seed_base.wrapping_add(i as u64),
             })
             .collect();
-        FabricTopology { gpus, switches, bridges }
+        FabricTopology {
+            gpus,
+            switches,
+            bridges,
+        }
     }
 }
 
@@ -194,7 +217,10 @@ pub fn fabric_rig(
         install_bridge(&mut machine, bdf, buses);
     }
     for slot in &topology.gpus {
-        let config = GpuConfig { seed: slot.bios_seed, ..options.gpu.clone() };
+        let config = GpuConfig {
+            seed: slot.bios_seed,
+            ..options.gpu.clone()
+        };
         install_gpu(&mut machine, slot.bdf, config, Vec::new(), slot.bar0, None);
     }
     machine.iommu_mut().set_passthrough(true);
@@ -279,24 +305,49 @@ mod tests {
             assert_eq!(machine.clock().now().as_nanos(), 0);
         };
         let standard = ["e2e909520b27993b34b477f9b14c949b07d71875933b4a30ab53f1435e821384"];
-        check(&standard_rig(RigOptions::default()), &[GPU_BDF], &standard, 3);
+        check(
+            &standard_rig(RigOptions::default()),
+            &[GPU_BDF],
+            &standard,
+            3,
+        );
         // (GPUs, fanout, each GPU's digest, config writes)
         let fabrics: [(usize, usize, &[&str], u64); 4] = [
-            (1, 1, &["255d7f9370b3dfe8b070e243adfea0e94d74e8ca553915bc990d1a42d2ee5b0a"], 2),
-            (2, 1, &[
-                "1297facb3b1b90829c2fb605d95735eb59405531eb1c0a61226374c14cfa8749",
-                "faf767a3a235ad069b6082219474ec4f5f55ce8e08b4d28995ba91115c6f5308",
-            ], 4),
-            (2, 2, &[
-                "ed78ce2771549061ec111f6d6a5f9114bf2677873df98cf9fb725db573247c17",
-                "04eeeb92cee38e014dfa1758c35867e580a84a72b8748e108f0693a92404fcfd",
-            ], 4),
-            (4, 2, &[
-                "0e7acfad63f289875ade1e3da58bde21337f9324daf9191f39ee011e87f9be49",
-                "e8cc2c2ec65a221339f793ea0ef38ad047b62233bed47d9fc4c1784ec13a2fcc",
-                "37da1a028498247bf0366ffc24eea8a69493b5b451f948caea83afa353f03c8f",
-                "fc83511d3fe7d742b4e7eb012a549e2eb5ed1d9c88f7bb75ee08441128af42da",
-            ], 8),
+            (
+                1,
+                1,
+                &["255d7f9370b3dfe8b070e243adfea0e94d74e8ca553915bc990d1a42d2ee5b0a"],
+                2,
+            ),
+            (
+                2,
+                1,
+                &[
+                    "1297facb3b1b90829c2fb605d95735eb59405531eb1c0a61226374c14cfa8749",
+                    "faf767a3a235ad069b6082219474ec4f5f55ce8e08b4d28995ba91115c6f5308",
+                ],
+                4,
+            ),
+            (
+                2,
+                2,
+                &[
+                    "ed78ce2771549061ec111f6d6a5f9114bf2677873df98cf9fb725db573247c17",
+                    "04eeeb92cee38e014dfa1758c35867e580a84a72b8748e108f0693a92404fcfd",
+                ],
+                4,
+            ),
+            (
+                4,
+                2,
+                &[
+                    "0e7acfad63f289875ade1e3da58bde21337f9324daf9191f39ee011e87f9be49",
+                    "e8cc2c2ec65a221339f793ea0ef38ad047b62233bed47d9fc4c1784ec13a2fcc",
+                    "37da1a028498247bf0366ffc24eea8a69493b5b451f948caea83afa353f03c8f",
+                    "fc83511d3fe7d742b4e7eb012a549e2eb5ed1d9c88f7bb75ee08441128af42da",
+                ],
+                8,
+            ),
         ];
         for (n_gpus, fanout, want, writes) in fabrics {
             let (machine, topo) = fabric_rig(RigOptions::default(), n_gpus, fanout);
@@ -308,10 +359,7 @@ mod tests {
     #[test]
     fn rig_bios_measurable() {
         let machine = standard_rig(RigOptions::default());
-        let rom = machine
-            .fabric()
-            .read_expansion_rom(GPU_BDF, 0, 8)
-            .unwrap();
+        let rom = machine.fabric().read_expansion_rom(GPU_BDF, 0, 8).unwrap();
         assert_eq!(&rom, b"HIXBIOS1");
     }
 }

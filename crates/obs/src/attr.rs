@@ -363,7 +363,11 @@ impl AttrState {
         match &mut self.current {
             Some(req) => {
                 req.by_kind.add(kind, dur_ns);
-                req.intervals.push(ChargedInterval { start_ns, dur_ns, kind });
+                req.intervals.push(ChargedInterval {
+                    start_ns,
+                    dur_ns,
+                    kind,
+                });
             }
             None => self.unattributed.add(kind, dur_ns),
         }
@@ -445,8 +449,7 @@ impl Obs {
             }
             Some(inner.attr.next_id())
         })?;
-        let scope =
-            self.enter(now_ns, "request", name, &[("req", id), ("tenant", tenant)]);
+        let scope = self.enter(now_ns, "request", name, &[("req", id), ("tenant", tenant)]);
         self.with_inner(|inner| {
             inner.attr.current = Some(OpenRequest {
                 id,
@@ -608,7 +611,11 @@ mod tests {
             start_ns: start,
             end_ns: end,
             by_kind,
-            intervals: vec![ChargedInterval { start_ns: start, dur_ns: end - start, kind: Dma }],
+            intervals: vec![ChargedInterval {
+                start_ns: start,
+                dur_ns: end - start,
+                kind: Dma,
+            }],
         }
     }
 
@@ -652,7 +659,11 @@ mod tests {
         assert_eq!(total, 137);
         assert_eq!(total, ledger.total());
         let channel = stages[Stage::Channel as usize];
-        assert_eq!(channel, (Stage::Channel, 37, 4), "ipc+mmio fold into channel");
+        assert_eq!(
+            channel,
+            (Stage::Channel, 37, 4),
+            "ipc+mmio fold into channel"
+        );
     }
 
     #[test]
@@ -691,7 +702,10 @@ mod tests {
         let reqs = obs.requests();
         assert_eq!(reqs.len(), 1);
         assert_eq!(reqs[0].name, "resume");
-        assert_eq!(reqs[0].by_kind.rows().collect::<Vec<_>>(), vec![(Kernel, 10, 1)]);
+        assert_eq!(
+            reqs[0].by_kind.rows().collect::<Vec<_>>(),
+            vec![(Kernel, 10, 1)]
+        );
     }
 
     #[test]
@@ -699,8 +713,12 @@ mod tests {
         let obs = Obs::new();
         assert!(obs.begin_request(0, 1, "x").is_none(), "off by default");
         obs.charged(0, 9, Dma, "d", &[]);
-        assert_eq!(obs.unattributed_totals().rows().collect::<Vec<_>>(), vec![(Dma, 9, 1)]);
-        obs.check_attribution().expect("invariant holds while disabled");
+        assert_eq!(
+            obs.unattributed_totals().rows().collect::<Vec<_>>(),
+            vec![(Dma, 9, 1)]
+        );
+        obs.check_attribution()
+            .expect("invariant holds while disabled");
     }
 
     #[test]
@@ -731,9 +749,17 @@ mod tests {
         assert_eq!(spans[0].category, "request");
         assert_eq!(spans[0].name, "launch");
         assert_eq!(spans[0].dur_ns(), 10);
-        assert!(spans[1].attrs.contains(&("req", id.value())), "{:?}", spans[1]);
+        assert!(
+            spans[1].attrs.contains(&("req", id.value())),
+            "{:?}",
+            spans[1]
+        );
         assert!(spans[1].attrs.contains(&("grid", 8)));
-        assert_eq!(spans[1].parent, Some(0), "charged span nests under the request");
+        assert_eq!(
+            spans[1].parent,
+            Some(0),
+            "charged span nests under the request"
+        );
         assert!(
             !spans[2].attrs.iter().any(|(k, _)| *k == "req"),
             "spans outside a request carry no req attr"
@@ -761,7 +787,11 @@ mod tests {
         let mut r3 = rec(2, 0, 100);
         r3.by_kind = Ledger::default();
         r3.by_kind.add(Dma, 50);
-        r3.intervals = vec![ChargedInterval { start_ns: 0, dur_ns: 50, kind: Dma }];
+        r3.intervals = vec![ChargedInterval {
+            start_ns: 0,
+            dur_ns: 50,
+            kind: Dma,
+        }];
         let records = vec![rec(1, 0, 10), rec(1, 10, 30), r3];
         let table = slo_table(&records);
         assert_eq!(table.len(), 2);
@@ -788,10 +818,7 @@ mod tests {
         let total: u64 = table.iter().map(|r| r.requests).sum();
         assert_eq!(total, records.len() as u64, "no request lost to the gate");
         let service: u64 = table.iter().map(|r| r.service_ns).sum();
-        let expect: u64 = records
-            .iter()
-            .map(crate::critpath::critical_path_ns)
-            .sum();
+        let expect: u64 = records.iter().map(crate::critpath::critical_path_ns).sum();
         assert_eq!(service, expect);
     }
 }

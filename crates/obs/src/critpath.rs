@@ -139,7 +139,11 @@ mod tests {
             by_kind: Ledger::default(),
             intervals: intervals
                 .into_iter()
-                .map(|(s, d, kind)| ChargedInterval { start_ns: s, dur_ns: d, kind })
+                .map(|(s, d, kind)| ChargedInterval {
+                    start_ns: s,
+                    dur_ns: d,
+                    kind,
+                })
                 .collect(),
         }
     }

@@ -63,7 +63,10 @@ pub fn chrome_trace_json(spans: &[Span], process_name: &str) -> String {
         out.push_str(&format!(",\"ts\":{}", ts_us(span.start_ns)));
         out.push_str(&format!(",\"dur\":{}", ts_us(span.dur_ns())));
         out.push_str(&format!(",\"cat\":\"{}\"", json_escape(span.category)));
-        out.push_str(&format!(",\"name\":\"{}\"", json_escape(span.name.as_str())));
+        out.push_str(&format!(
+            ",\"name\":\"{}\"",
+            json_escape(span.name.as_str())
+        ));
         out.push_str(&format!(",\"args\":{{\"span\":{idx}"));
         if let Some(parent) = span.parent {
             out.push_str(&format!(",\"parent\":{parent}"));
@@ -93,10 +96,12 @@ const PIPELINE_PHASES: [(&str, EventKind); 3] = [
 pub fn phase_table(obs: &Obs) -> String {
     let totals = obs.totals();
     let (pipeline_total, pipeline_spans) =
-        PIPELINE_PHASES.iter().fold((0, 0), |(ns, spans), &(_, kind)| {
-            let (kind_ns, kind_spans) = totals.get(kind);
-            (ns + kind_ns, spans + kind_spans)
-        });
+        PIPELINE_PHASES
+            .iter()
+            .fold((0, 0), |(ns, spans), &(_, kind)| {
+                let (kind_ns, kind_spans) = totals.get(kind);
+                (ns + kind_ns, spans + kind_spans)
+            });
     let mut out = String::from("== secure DMA pipeline breakdown ==\n");
     out.push_str(&format!(
         "{:<20} {:>14} {:>10} {:>8}\n",
@@ -136,7 +141,13 @@ mod tests {
         let obs = Obs::new();
         obs.set_recording(true);
         let sp = obs.enter(0, "session", "memcpy_htod", &[("bytes", 4096)]);
-        obs.charged(0, 300, EventKind::EnclaveCrypto, "seal stream", &[("bytes", 4096)]);
+        obs.charged(
+            0,
+            300,
+            EventKind::EnclaveCrypto,
+            "seal stream",
+            &[("bytes", 4096)],
+        );
         obs.charged(300, 500, EventKind::Dma, "HtoD", &[("bytes", 4096)]);
         obs.charged(800, 200, EventKind::GpuCrypto, "launch", &[]);
         obs.exit(sp, 1_000);
@@ -157,12 +168,22 @@ mod tests {
         assert!(json.ends_with("\n]}\n"));
         assert!(json.contains("\"cat\":\"enclave-crypto\""));
         assert!(json.contains("\"bytes\":4096"));
-        assert!(json.contains("\"parent\":0"), "children link to scope: {json}");
+        assert!(
+            json.contains("\"parent\":0"),
+            "children link to scope: {json}"
+        );
         // The three charged spans carry their kind's stage; the
         // structural scope carries neither mark.
-        assert_eq!(json.matches("\"charged\":1,\"stage\":").count(), 3, "{json}");
+        assert_eq!(
+            json.matches("\"charged\":1,\"stage\":").count(),
+            3,
+            "{json}"
+        );
         assert_eq!(json.matches("\"stage\":").count(), 3, "{json}");
-        assert!(json.contains("\"charged\":1,\"stage\":2"), "crypto-cpu: {json}");
+        assert!(
+            json.contains("\"charged\":1,\"stage\":2"),
+            "crypto-cpu: {json}"
+        );
     }
 
     #[test]
@@ -201,7 +222,10 @@ mod tests {
         assert!(table.contains("50.0%"), "{table}");
         assert!(table.contains("20.0%"), "{table}");
         assert!(table.contains("pipeline total"), "{table}");
-        assert!(table.contains("1.00 µs") || table.contains("1000 ns"), "{table}");
+        assert!(
+            table.contains("1.00 µs") || table.contains("1000 ns"),
+            "{table}"
+        );
     }
 
     #[test]

@@ -149,7 +149,10 @@ pub fn is_family_name(name: &str) -> bool {
     /// `<digits>.<non-empty rest>`.
     fn indexed(rest: &str) -> bool {
         let digits = rest.bytes().take_while(u8::is_ascii_digit).count();
-        digits > 0 && rest[digits..].strip_prefix('.').is_some_and(|w| !w.is_empty())
+        digits > 0
+            && rest[digits..]
+                .strip_prefix('.')
+                .is_some_and(|w| !w.is_empty())
     }
     if let Some(kind) = name.strip_prefix("fault.injected.") {
         return !kind.is_empty();
@@ -397,11 +400,8 @@ impl Metrics {
         for (name, v) in &inner.gauges {
             out.push_str(&format!("gauge {name} {v}\n"));
         }
-        let mut hists: BTreeMap<String, &Hist> = inner
-            .hists
-            .iter()
-            .map(|(n, h)| (n.clone(), h))
-            .collect();
+        let mut hists: BTreeMap<String, &Hist> =
+            inner.hists.iter().map(|(n, h)| (n.clone(), h)).collect();
         for (kind, h) in EventKind::ALL.iter().zip(&inner.span_latency) {
             if let Some(h) = h {
                 hists.insert(format!("span.latency.{kind}"), h);
@@ -436,7 +436,12 @@ mod tests {
             assert_eq!(*c as usize, i, "{c:?}");
         }
         for w in Counter::ALL.windows(2) {
-            assert!(w[0].name() < w[1].name(), "{} !< {}", w[0].name(), w[1].name());
+            assert!(
+                w[0].name() < w[1].name(),
+                "{} !< {}",
+                w[0].name(),
+                w[1].name()
+            );
         }
     }
 

@@ -305,9 +305,17 @@ mod tests {
         assert_eq!(spans[1].category, "dma");
         assert_eq!(spans[2].kind, None);
         assert_eq!(spans[0].dur_ns(), 40);
-        assert_eq!(spans[1].parent, Some(0), "charged span nests under open scope");
+        assert_eq!(
+            spans[1].parent,
+            Some(0),
+            "charged span nests under open scope"
+        );
         assert_eq!(spans[2].parent, Some(0));
-        assert_eq!(obs.category_ns("session"), 0, "structural spans charge nothing");
+        assert_eq!(
+            obs.category_ns("session"),
+            0,
+            "structural spans charge nothing"
+        );
         assert_eq!(obs.category_ns("dma"), 20);
     }
 
@@ -353,7 +361,10 @@ mod tests {
         let d = snap.find("span.ns.dma 4").expect("dma line");
         let m = snap.find("span.ns.mmio 9").expect("mmio line");
         assert!(d < m, "sorted by name: {snap}");
-        assert!(!snap.contains("span.ns.kernel"), "uncharged kinds are not listed: {snap}");
+        assert!(
+            !snap.contains("span.ns.kernel"),
+            "uncharged kinds are not listed: {snap}"
+        );
         assert!(snap.contains("counter ipc.msgs 1"), "{snap}");
     }
 

@@ -26,7 +26,11 @@ impl PhysAddr {
     ///
     /// Panics on address-space overflow.
     pub fn offset(self, delta: u64) -> Self {
-        PhysAddr(self.0.checked_add(delta).expect("physical address overflow"))
+        PhysAddr(
+            self.0
+                .checked_add(delta)
+                .expect("physical address overflow"),
+        )
     }
 
     /// Byte distance from `base` to `self`.

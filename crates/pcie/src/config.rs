@@ -49,7 +49,10 @@ impl Bar {
     ///
     /// Panics unless `size` is a nonzero power of two of at least 16.
     pub fn with_size(size: u64) -> Self {
-        assert!(size.is_power_of_two() && size >= 16, "BAR size must be a power of two >= 16");
+        assert!(
+            size.is_power_of_two() && size >= 16,
+            "BAR size must be a power of two >= 16"
+        );
         Bar {
             size,
             base: 0,
@@ -136,10 +139,9 @@ pub enum WriteClass {
 /// Classifies a config-space write by register offset.
 pub fn classify_write(offset: u16) -> WriteClass {
     match offset & !0x3 {
-        offsets::COMMAND
-        | offsets::BUS_NUMBERS
-        | offsets::MEMORY_WINDOW
-        | offsets::ROM => WriteClass::Routing,
+        offsets::COMMAND | offsets::BUS_NUMBERS | offsets::MEMORY_WINDOW | offsets::ROM => {
+            WriteClass::Routing
+        }
         o if (offsets::BAR0..offsets::BAR0 + 24).contains(&o) => WriteClass::Routing,
         _ => WriteClass::Benign,
     }
@@ -243,11 +245,13 @@ impl ConfigSpace {
         match offset & !0x3 {
             offsets::ID => (self.device_id as u32) << 16 | self.vendor_id as u32,
             offsets::COMMAND => self.command,
-            offsets::CLASS => self.class_code << 8
-                | match self.header {
-                    HeaderType::Endpoint => 0,
-                    HeaderType::Bridge => 1,
-                },
+            offsets::CLASS => {
+                self.class_code << 8
+                    | match self.header {
+                        HeaderType::Endpoint => 0,
+                        HeaderType::Bridge => 1,
+                    }
+            }
             o if (offsets::BAR0..offsets::BAR0 + 24).contains(&o) => {
                 let idx = ((o - offsets::BAR0) / 4) as usize;
                 match self.header {

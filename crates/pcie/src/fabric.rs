@@ -105,7 +105,11 @@ impl PcieFabric {
     ///
     /// Returns [`PcieError::SlotOccupied`] or [`PcieError::Unroutable`].
     pub fn add_bridge(&mut self, bdf: Bdf, config: ConfigSpace) -> Result<(), PcieError> {
-        assert_eq!(config.header(), HeaderType::Bridge, "{bdf} must be a bridge");
+        assert_eq!(
+            config.header(),
+            HeaderType::Bridge,
+            "{bdf} must be a bridge"
+        );
         if self.bridges.contains_key(&bdf) || self.endpoints.contains_key(&bdf) {
             return Err(PcieError::SlotOccupied(bdf));
         }
@@ -191,7 +195,10 @@ impl PcieFabric {
                 continue;
             }
             let Some((bar, range)) = (0..6).map(BarIndex).find_map(|bar| {
-                cfg.bar(bar).range().filter(|r| r.contains(addr)).map(|r| (bar, r))
+                cfg.bar(bar)
+                    .range()
+                    .filter(|r| r.contains(addr))
+                    .map(|r| (bar, r))
             }) else {
                 continue;
             };
@@ -214,9 +221,16 @@ impl PcieFabric {
             .ok_or(PcieError::NoDevice(Bdf::new(0, 0, 0)))?;
         self.clock.advance(self.model.mmio_read);
         self.trace.metrics().inc(Counter::PcieMmioReads);
-        self.trace
-            .emit(self.clock.now(), self.model.mmio_read, EventKind::Mmio, "read");
-        let slot = self.endpoints.get_mut(&bdf).expect("routed endpoint exists");
+        self.trace.emit(
+            self.clock.now(),
+            self.model.mmio_read,
+            EventKind::Mmio,
+            "read",
+        );
+        let slot = self
+            .endpoints
+            .get_mut(&bdf)
+            .expect("routed endpoint exists");
         slot.device.mmio_read(bar, offset, buf);
         Ok(())
     }
@@ -232,9 +246,16 @@ impl PcieFabric {
             .ok_or(PcieError::NoDevice(Bdf::new(0, 0, 0)))?;
         self.clock.advance(self.model.mmio_write);
         self.trace.metrics().inc(Counter::PcieMmioWrites);
-        self.trace
-            .emit(self.clock.now(), self.model.mmio_write, EventKind::Mmio, "write");
-        let slot = self.endpoints.get_mut(&bdf).expect("routed endpoint exists");
+        self.trace.emit(
+            self.clock.now(),
+            self.model.mmio_write,
+            EventKind::Mmio,
+            "write",
+        );
+        let slot = self
+            .endpoints
+            .get_mut(&bdf)
+            .expect("routed endpoint exists");
         slot.device.mmio_write(bar, offset, data);
         Ok(())
     }
@@ -374,9 +395,17 @@ impl PcieFabric {
     ///
     /// Returns [`PcieError::NoDevice`] if `bdf` is unpopulated or has no
     /// ROM.
-    pub fn read_expansion_rom(&self, bdf: Bdf, offset: u64, len: usize) -> Result<Vec<u8>, PcieError> {
+    pub fn read_expansion_rom(
+        &self,
+        bdf: Bdf,
+        offset: u64,
+        len: usize,
+    ) -> Result<Vec<u8>, PcieError> {
         let slot = self.endpoints.get(&bdf).ok_or(PcieError::NoDevice(bdf))?;
-        let rom = slot.device.expansion_rom().ok_or(PcieError::NoDevice(bdf))?;
+        let rom = slot
+            .device
+            .expansion_rom()
+            .ok_or(PcieError::NoDevice(bdf))?;
         let start = (offset as usize).min(rom.len());
         let end = (start + len).min(rom.len());
         Ok(rom[start..end].to_vec())
@@ -491,7 +520,9 @@ mod tests {
             .add_endpoint(gpu, Box::new(ScratchDev::new()), Provenance::Hardware)
             .unwrap();
         // BIOS programs BAR0 and enables memory decode.
-        fabric.config_write(gpu, offsets::BAR0, 0xc000_0000).unwrap();
+        fabric
+            .config_write(gpu, offsets::BAR0, 0xc000_0000)
+            .unwrap();
         fabric.config_write(gpu, offsets::COMMAND, 0b10).unwrap();
         (fabric, gpu)
     }
@@ -511,7 +542,9 @@ mod tests {
     fn unrouted_addresses_fail() {
         let (mut fabric, _) = build_fabric();
         assert!(fabric.route_mem(PhysAddr::new(0x1000)).is_none());
-        assert!(fabric.mmio_read(PhysAddr::new(0x1000), &mut [0u8; 1]).is_err());
+        assert!(fabric
+            .mmio_read(PhysAddr::new(0x1000), &mut [0u8; 1])
+            .is_err());
     }
 
     #[test]
@@ -554,7 +587,9 @@ mod tests {
         let (mut fabric, gpu) = build_fabric();
         fabric.lockdown(gpu).unwrap();
         fabric.unlock(gpu);
-        fabric.config_write(gpu, offsets::BAR0, 0xc800_0000).unwrap();
+        fabric
+            .config_write(gpu, offsets::BAR0, 0xc800_0000)
+            .unwrap();
         assert_eq!(fabric.config_read(gpu, offsets::BAR0).unwrap(), 0xc800_0000);
     }
 
@@ -576,7 +611,9 @@ mod tests {
         let a = fabric.path_routing_snapshot(gpu).unwrap();
         // Change the *port* window: snapshot must change.
         let port = Bdf::new(0, 1, 0);
-        fabric.config_write(port, offsets::MEMORY_WINDOW, 0xfff0_0000).unwrap();
+        fabric
+            .config_write(port, offsets::MEMORY_WINDOW, 0xfff0_0000)
+            .unwrap();
         let b = fabric.path_routing_snapshot(gpu).unwrap();
         assert_ne!(a, b);
     }
@@ -636,7 +673,9 @@ mod tests {
         fabric
             .add_endpoint(gpu, Box::new(ScratchDev::new()), Provenance::Hardware)
             .unwrap();
-        fabric.config_write(gpu, offsets::BAR0, 0xc000_0000).unwrap();
+        fabric
+            .config_write(gpu, offsets::BAR0, 0xc000_0000)
+            .unwrap();
         fabric.config_write(gpu, offsets::COMMAND, 0b10).unwrap();
         (fabric, gpu)
     }
@@ -764,7 +803,11 @@ mod tests {
                 cfg.set_bar_size(BarIndex(i as u8), 0x1000 << s.in_range(0..3));
                 // Unprogrammed (base 0) or somewhere in the region; the
                 // BAR masks the base down to its size alignment.
-                let base = if s.choice(4) == 0 { 0 } else { REGION + s.in_range(0..16) * 0x1000 };
+                let base = if s.choice(4) == 0 {
+                    0
+                } else {
+                    REGION + s.in_range(0..16) * 0x1000
+                };
                 cfg.write(offsets::BAR0 + 4 * i, base as u32);
             }
         }
@@ -810,16 +853,24 @@ mod tests {
                 let (offset, value) = match s.choice(3) {
                     0 => {
                         let (secondary, subordinate) = (s.in_range(0..6), s.in_range(0..8));
-                        (offsets::BUS_NUMBERS, (subordinate << 16 | secondary << 8) as u32)
+                        (
+                            offsets::BUS_NUMBERS,
+                            (subordinate << 16 | secondary << 8) as u32,
+                        )
                     }
                     1 => (offsets::MEMORY_WINDOW, 0x0000_fff0),
                     _ => (offsets::MEMORY_WINDOW, 0xc000_c000),
                 };
-                fabric.config_write(bdf, offset, value).expect("bridge present, not locked");
+                fabric
+                    .config_write(bdf, offset, value)
+                    .expect("bridge present, not locked");
             }
             // Probe every window and BAR edge, one byte either side.
-            let mut ranges: Vec<PhysRange> =
-                fabric.bridges.values().filter_map(|c| c.bridge_window().window).collect();
+            let mut ranges: Vec<PhysRange> = fabric
+                .bridges
+                .values()
+                .filter_map(|c| c.bridge_window().window)
+                .collect();
             for slot in fabric.endpoints.values() {
                 ranges.extend((0..6).filter_map(|i| slot.device.config().bar(BarIndex(i)).range()));
             }
@@ -833,7 +884,10 @@ mod tests {
                 }
             }
         });
-        assert!(routed.get() > 0, "the generator must produce routable topologies");
+        assert!(
+            routed.get() > 0,
+            "the generator must produce routable topologies"
+        );
     }
 
     #[test]

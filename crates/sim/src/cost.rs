@@ -342,8 +342,14 @@ impl CostModelBuilder {
     /// Finalizes the model.
     pub fn build(self) -> CostModel {
         assert!(self.model.pcie_bw > 0, "pcie_bw must be positive");
-        assert!(self.model.enclave_crypto_bw > 0, "enclave_crypto_bw must be positive");
-        assert!(self.model.gpu_crypto_bw > 0, "gpu_crypto_bw must be positive");
+        assert!(
+            self.model.enclave_crypto_bw > 0,
+            "enclave_crypto_bw must be positive"
+        );
+        assert!(
+            self.model.gpu_crypto_bw > 0,
+            "gpu_crypto_bw must be positive"
+        );
         self.model
     }
 }
@@ -379,15 +385,13 @@ mod tests {
         let bytes = 128 * MB;
         let crypto = m.enclave_crypt(bytes);
         let serial = crypto + m.pcie_transfer(bytes);
-        let pipelined =
-            m.pipelined_transfer(bytes, m.enclave_crypto_bw, m.pcie_bw, m.dma_setup);
+        let pipelined = m.pipelined_transfer(bytes, m.enclave_crypto_bw, m.pcie_bw, m.dma_setup);
         assert!(pipelined > crypto, "pipeline still pays last-chunk drain");
         assert!(pipelined < serial, "pipeline must beat the serial path");
         // The drain is one chunk of PCIe plus per-chunk setup.
         let slack = pipelined - crypto;
         let chunks = bytes / m.pipeline_chunk;
-        let bound = Nanos::for_throughput(m.pipeline_chunk, m.pcie_bw)
-            + m.dma_setup * (chunks + 1);
+        let bound = Nanos::for_throughput(m.pipeline_chunk, m.pcie_bw) + m.dma_setup * (chunks + 1);
         assert!(slack <= bound, "slack {slack} > bound {bound}");
     }
 
@@ -416,7 +420,10 @@ mod tests {
         let m = CostModel::paper();
         for mb in [1, 16, 128] {
             let b = mb * MB;
-            assert!(m.naive_htod(b) > m.hix_htod(b), "naive must lose at {mb} MiB");
+            assert!(
+                m.naive_htod(b) > m.hix_htod(b),
+                "naive must lose at {mb} MiB"
+            );
         }
     }
 
@@ -459,7 +466,9 @@ mod tests {
     #[test]
     fn sched_quantum_defaults_to_figure_8_slice() {
         assert_eq!(CostModel::paper().sched_quantum, Nanos::from_millis(5));
-        let fast = CostModel::builder().sched_quantum(Nanos::from_millis(1)).build();
+        let fast = CostModel::builder()
+            .sched_quantum(Nanos::from_millis(1))
+            .build();
         assert_eq!(fast.sched_quantum, Nanos::from_millis(1));
     }
 }

@@ -40,7 +40,13 @@ use crate::trace::{EventKind, Trace};
 /// fault, counted under `fault.injected.<kind>` and labelled
 /// `inject <kind><detail>`; `None` is a fault the device raised that no
 /// plan injected, counted under `fault.detected` and labelled `detail`.
-pub fn record(trace: &Trace, now: Nanos, injected: Option<&str>, detail: &str, attrs: &[(&'static str, u64)]) {
+pub fn record(
+    trace: &Trace,
+    now: Nanos,
+    injected: Option<&str>,
+    detail: &str,
+    attrs: &[(&'static str, u64)],
+) {
     let metrics = trace.metrics();
     let label = match injected {
         Some(kind) => {
@@ -380,7 +386,11 @@ impl FaultPlan {
             let offset = inner.rng.u64();
             let xor = (inner.rng.gen_range(0..255) + 1) as u8;
             let header = inner.rng.gen_range(0..16) == 0;
-            return Some(MsgFault::Corrupt { offset, xor, header });
+            return Some(MsgFault::Corrupt {
+                offset,
+                xor,
+                header,
+            });
         }
         None
     }
@@ -423,10 +433,18 @@ impl FaultPlan {
                 let inner = self.inner.borrow();
                 previous = inner.dirs.get(&(chan, dir)).and_then(|st| st.last.clone());
             }
-            MsgFault::Corrupt { offset, xor, header: true } => {
+            MsgFault::Corrupt {
+                offset,
+                xor,
+                header: true,
+            } => {
                 bell = Some(seq ^ (u64::from(xor) << (8 * (offset % 8))));
             }
-            MsgFault::Corrupt { offset, xor, header: false } => {
+            MsgFault::Corrupt {
+                offset,
+                xor,
+                header: false,
+            } => {
                 let i = (offset % frame.len() as u64) as usize;
                 frame[i] ^= xor;
             }
@@ -444,7 +462,13 @@ impl FaultPlan {
         }
         self.remember(chan, dir, seq, frame);
         if fault != MsgFault::Reorder || previous.is_some() {
-            record(trace, now, Some(fault.kind()), &format!(" ({})", dir.as_str()), &[]);
+            record(
+                trace,
+                now,
+                Some(fault.kind()),
+                &format!(" ({})", dir.as_str()),
+                &[],
+            );
         }
         Ok(())
     }
@@ -648,7 +672,11 @@ impl Backoff {
     /// `max(base, cap)`.
     pub fn new(base: Nanos, cap: Nanos) -> Self {
         let cap = cap.max(base);
-        Backoff { base, cap, next: base }
+        Backoff {
+            base,
+            cap,
+            next: base,
+        }
     }
 
     /// The next delay; doubles the following one up to the cap.
@@ -730,7 +758,10 @@ impl EscalationLadder {
     /// a reset leaves the device provably idle, so a still-busy engine
     /// after one is a simulator bug, never a recoverable state.
     pub fn next_action(&mut self) -> WatchdogAction {
-        assert!(!self.reset_sent, "escalation ladder exhausted: reset already directed");
+        assert!(
+            !self.reset_sent,
+            "escalation ladder exhausted: reset already directed"
+        );
         if !self.kill_sent {
             if self.waited < self.patience {
                 let d = self.backoff.next_delay();
@@ -789,7 +820,10 @@ pub struct Resequencer<T> {
 impl<T> Resequencer<T> {
     /// An empty buffer with no floor.
     pub fn new() -> Self {
-        Resequencer { held: BTreeMap::new(), floor: None }
+        Resequencer {
+            held: BTreeMap::new(),
+            floor: None,
+        }
     }
 
     /// Holds `item` under `seq`. Returns `false` (and drops the item)
@@ -914,7 +948,10 @@ mod tests {
             }
         }
         // Strict phase ordering: Wait* , Kill , Wait*, Reset.
-        let kill_at = actions.iter().position(|a| *a == WatchdogAction::Kill).unwrap();
+        let kill_at = actions
+            .iter()
+            .position(|a| *a == WatchdogAction::Kill)
+            .unwrap();
         assert!(actions[..kill_at]
             .iter()
             .all(|a| matches!(a, WatchdogAction::Wait(_))));
@@ -922,10 +959,17 @@ mod tests {
         assert!(actions[kill_at + 1..actions.len() - 1]
             .iter()
             .all(|a| *a == WatchdogAction::Wait(us(20))));
-        assert_eq!(actions.len() - kill_at - 2, 3, "exactly kill_checks grace polls");
+        assert_eq!(
+            actions.len() - kill_at - 2,
+            3,
+            "exactly kill_checks grace polls"
+        );
         // 5+10+20+40+40 = 115 ≥ patience, then 3×20 grace.
         assert_eq!(ladder.waited(), us(115) + us(60));
-        assert!(ladder.waited() <= bound, "closed form must bound the actual tape");
+        assert!(
+            ladder.waited() <= bound,
+            "closed form must bound the actual tape"
+        );
         assert!(ladder.kill_sent() && ladder.reset_sent());
     }
 
@@ -958,7 +1002,14 @@ mod tests {
 
     /// Sends `frame` as `seq` on `wire` and returns what reached it: the
     /// frame staged and the doorbell rung, if any.
-    fn send_on(plan: &FaultPlan, trace: &Trace, now: Nanos, wire: (u64, Dir), seq: u64, frame: &[u8]) -> (Vec<u8>, Option<u64>) {
+    fn send_on(
+        plan: &FaultPlan,
+        trace: &Trace,
+        now: Nanos,
+        wire: (u64, Dir),
+        seq: u64,
+        frame: &[u8],
+    ) -> (Vec<u8>, Option<u64>) {
         let mut staged = None;
         let sent = plan.deliver(trace, now, wire, seq, frame.to_vec(), |frame, bell| {
             staged = Some((frame.to_vec(), bell));
@@ -969,7 +1020,13 @@ mod tests {
     }
 
     /// Sends `frame` as `seq` on wire (9, request).
-    fn send(plan: &FaultPlan, trace: &Trace, now: Nanos, seq: u64, frame: &[u8]) -> (Vec<u8>, Option<u64>) {
+    fn send(
+        plan: &FaultPlan,
+        trace: &Trace,
+        now: Nanos,
+        seq: u64,
+        frame: &[u8],
+    ) -> (Vec<u8>, Option<u64>) {
         send_on(plan, trace, now, (9, Dir::Request), seq, frame)
     }
 
@@ -979,17 +1036,30 @@ mod tests {
         let metrics = trace.metrics();
         assert_eq!(metrics.counter("fault.injected"), times);
         assert_eq!(metrics.counter(&format!("fault.injected.{kind}")), times);
-        assert_eq!(trace.count(EventKind::Fault), times + metrics.counter("fault.detected"));
+        assert_eq!(
+            trace.count(EventKind::Fault),
+            times + metrics.counter("fault.detected")
+        );
     }
 
     #[test]
     fn doorbell_hold_and_release() {
         // Every frame is delayed by exactly 1 ns and stays unrung until due.
-        let cfg = FaultConfig { delay_pm: 1000, max_delay: Nanos::from_nanos(2), ..FaultConfig::none() };
+        let cfg = FaultConfig {
+            delay_pm: 1000,
+            max_delay: Nanos::from_nanos(2),
+            ..FaultConfig::none()
+        };
         let (plan, trace) = (FaultPlan::new(3, cfg), Trace::new());
         let (t, tick) = (Nanos::from_micros, Nanos::from_nanos(1));
-        assert_eq!(send(&plan, &trace, t(10) - tick, 5, b"five"), (b"five".to_vec(), None));
-        assert_eq!(send(&plan, &trace, t(20) - tick, 4, b"four"), (b"four".to_vec(), None));
+        assert_eq!(
+            send(&plan, &trace, t(10) - tick, 5, b"five"),
+            (b"five".to_vec(), None)
+        );
+        assert_eq!(
+            send(&plan, &trace, t(20) - tick, 4, b"four"),
+            (b"four".to_vec(), None)
+        );
         recorded(&trace, "delay", 2);
         // Nothing due yet.
         assert_eq!(plan.release_doorbell(9, Dir::Request, t(5)), None);
@@ -1003,10 +1073,20 @@ mod tests {
 
     #[test]
     fn duplicate_arm_is_one_shot_per_direction() {
-        let plan = FaultPlan::new(3, FaultConfig { dup_pm: 1000, ..FaultConfig::none() });
+        let plan = FaultPlan::new(
+            3,
+            FaultConfig {
+                dup_pm: 1000,
+                ..FaultConfig::none()
+            },
+        );
         let trace = Trace::new();
         let sent = send_on(&plan, &trace, Nanos::ZERO, (1, Dir::Response), 1, b"resp");
-        assert_eq!(sent, (b"resp".to_vec(), Some(1)), "delivered once, then again");
+        assert_eq!(
+            sent,
+            (b"resp".to_vec(), Some(1)),
+            "delivered once, then again"
+        );
         recorded(&trace, "duplicate", 1);
         assert!(!plan.take_duplicate(1, Dir::Request));
         assert!(plan.take_duplicate(1, Dir::Response));
@@ -1016,30 +1096,60 @@ mod tests {
     #[test]
     fn deliver_without_a_fault_rings_the_frames_own_sequence() {
         let (plan, trace) = (FaultPlan::new(3, FaultConfig::none()), Trace::new());
-        assert_eq!(send(&plan, &trace, Nanos::ZERO, 7, b"clean"), (b"clean".to_vec(), Some(7)));
+        assert_eq!(
+            send(&plan, &trace, Nanos::ZERO, 7, b"clean"),
+            (b"clean".to_vec(), Some(7))
+        );
         recorded(&trace, "drop", 0);
     }
 
     #[test]
     fn deliver_drop_stages_the_frame_but_never_rings() {
-        let plan = FaultPlan::new(3, FaultConfig { drop_pm: 1000, ..FaultConfig::none() });
+        let plan = FaultPlan::new(
+            3,
+            FaultConfig {
+                drop_pm: 1000,
+                ..FaultConfig::none()
+            },
+        );
         let trace = Trace::new();
-        assert_eq!(send(&plan, &trace, Nanos::ZERO, 7, b"lost"), (b"lost".to_vec(), None));
-        assert_eq!(plan.release_doorbell(9, Dir::Request, Nanos::from_secs(1)), None);
+        assert_eq!(
+            send(&plan, &trace, Nanos::ZERO, 7, b"lost"),
+            (b"lost".to_vec(), None)
+        );
+        assert_eq!(
+            plan.release_doorbell(9, Dir::Request, Nanos::from_secs(1)),
+            None
+        );
         recorded(&trace, "drop", 1);
     }
 
     #[test]
     fn deliver_reorder_needs_a_previous_frame() {
-        let plan = FaultPlan::new(3, FaultConfig { reorder_pm: 1000, ..FaultConfig::none() });
+        let plan = FaultPlan::new(
+            3,
+            FaultConfig {
+                reorder_pm: 1000,
+                ..FaultConfig::none()
+            },
+        );
         let trace = Trace::new();
         // Nothing to reorder with yet: sent clean, nothing recorded.
-        assert_eq!(send(&plan, &trace, Nanos::ZERO, 1, b"one"), (b"one".to_vec(), Some(1)));
+        assert_eq!(
+            send(&plan, &trace, Nanos::ZERO, 1, b"one"),
+            (b"one".to_vec(), Some(1))
+        );
         recorded(&trace, "reorder", 0);
         // The previous frame overtakes under its own sequence; the lost
         // frame still becomes the previous one.
-        assert_eq!(send(&plan, &trace, Nanos::ZERO, 2, b"two"), (b"one".to_vec(), Some(1)));
-        assert_eq!(send(&plan, &trace, Nanos::ZERO, 3, b"three"), (b"two".to_vec(), Some(2)));
+        assert_eq!(
+            send(&plan, &trace, Nanos::ZERO, 2, b"two"),
+            (b"one".to_vec(), Some(1))
+        );
+        assert_eq!(
+            send(&plan, &trace, Nanos::ZERO, 3, b"three"),
+            (b"two".to_vec(), Some(2))
+        );
         recorded(&trace, "reorder", 2);
         // The response wire has no previous frame of its own.
         let other = send_on(&plan, &trace, Nanos::ZERO, (9, Dir::Response), 1, b"resp");
@@ -1048,21 +1158,46 @@ mod tests {
 
     #[test]
     fn a_frame_that_never_reaches_the_wire_leaves_no_trace() {
-        let plan = FaultPlan::new(3, FaultConfig { reorder_pm: 1000, ..FaultConfig::none() });
+        let plan = FaultPlan::new(
+            3,
+            FaultConfig {
+                reorder_pm: 1000,
+                ..FaultConfig::none()
+            },
+        );
         let trace = Trace::new();
-        assert_eq!(send(&plan, &trace, Nanos::ZERO, 1, b"one"), (b"one".to_vec(), Some(1)));
+        assert_eq!(
+            send(&plan, &trace, Nanos::ZERO, 1, b"one"),
+            (b"one".to_vec(), Some(1))
+        );
         // The medium refuses the second frame: it is not recorded, and a
         // reorder never re-announces it.
-        let refused = plan.deliver(&trace, Nanos::ZERO, (9, Dir::Request), 2, b"two".to_vec(), |_, _| Err("unmapped"));
+        let refused = plan.deliver(
+            &trace,
+            Nanos::ZERO,
+            (9, Dir::Request),
+            2,
+            b"two".to_vec(),
+            |_, _| Err("unmapped"),
+        );
         assert_eq!(refused, Err("unmapped"));
         recorded(&trace, "reorder", 0);
-        assert_eq!(send(&plan, &trace, Nanos::ZERO, 3, b"three"), (b"one".to_vec(), Some(1)));
+        assert_eq!(
+            send(&plan, &trace, Nanos::ZERO, 3, b"three"),
+            (b"one".to_vec(), Some(1))
+        );
         recorded(&trace, "reorder", 1);
     }
 
     #[test]
     fn deliver_corrupts_the_body_or_the_doorbell() {
-        let plan = FaultPlan::new(3, FaultConfig { corrupt_pm: 1000, ..FaultConfig::none() });
+        let plan = FaultPlan::new(
+            3,
+            FaultConfig {
+                corrupt_pm: 1000,
+                ..FaultConfig::none()
+            },
+        );
         let (trace, frame) = (Trace::new(), [0x5au8; 32]);
         let (mut bodies, mut headers) = (0, 0);
         for seq in 1..=200u64 {
@@ -1072,9 +1207,16 @@ mod tests {
             let header = bell.to_le_bytes().iter().filter(|b| **b != 0).count();
             // One byte of the frame, or one byte of the doorbell word.
             assert_eq!(flipped + header, 1, "seq {seq}");
-            *(if header == 1 { &mut headers } else { &mut bodies }) += 1;
+            *(if header == 1 {
+                &mut headers
+            } else {
+                &mut bodies
+            }) += 1;
         }
-        assert!(bodies > 0 && headers > 0, "{bodies} body and {headers} header corruptions");
+        assert!(
+            bodies > 0 && headers > 0,
+            "{bodies} body and {headers} header corruptions"
+        );
         recorded(&trace, "corrupt", 200);
     }
 
@@ -1082,12 +1224,29 @@ mod tests {
     fn fault_records_tile_injected_and_detected() {
         let trace = Trace::new();
         trace.set_recording(true);
-        record(&trace, Nanos::from_nanos(5), Some("gpu.hang"), " here", &[("ctx", 3)]);
+        record(
+            &trace,
+            Nanos::from_nanos(5),
+            Some("gpu.hang"),
+            " here",
+            &[("ctx", 3)],
+        );
         record(&trace, Nanos::from_nanos(6), None, "gpu error", &[]);
         recorded(&trace, "gpu.hang", 1);
         assert_eq!(trace.metrics().counter("fault.detected"), 1);
-        let spans: Vec<_> = trace.obs().spans().into_iter().map(|s| (s.name, s.end_ns, s.attrs)).collect();
-        assert_eq!(spans, [("inject gpu.hang here".into(), 5, vec![("ctx", 3)]), ("gpu error".into(), 6, vec![])]);
+        let spans: Vec<_> = trace
+            .obs()
+            .spans()
+            .into_iter()
+            .map(|s| (s.name, s.end_ns, s.attrs))
+            .collect();
+        assert_eq!(
+            spans,
+            [
+                ("inject gpu.hang here".into(), 5, vec![("ctx", 3)]),
+                ("gpu error".into(), 6, vec![])
+            ]
+        );
     }
 
     #[test]

@@ -230,11 +230,22 @@ mod tests {
     fn clones_share_bytes() {
         let p = Payload::from_bytes(vec![1, 2, 3]);
         let q = p.clone();
-        assert!(std::ptr::eq(p.bytes(), q.bytes()), "a clone is a reference, not a copy");
-        assert_eq!(q.into_bytes(), vec![1, 2, 3], "a shared payload still yields its bytes");
+        assert!(
+            std::ptr::eq(p.bytes(), q.bytes()),
+            "a clone is a reference, not a copy"
+        );
+        assert_eq!(
+            q.into_bytes(),
+            vec![1, 2, 3],
+            "a shared payload still yields its bytes"
+        );
         let addr = p.bytes().as_ptr();
         let owned = p.into_bytes();
-        assert_eq!(owned.as_ptr(), addr, "the last owner takes the buffer as is");
+        assert_eq!(
+            owned.as_ptr(),
+            addr,
+            "the last owner takes the buffer as is"
+        );
     }
 
     #[test]

@@ -143,7 +143,10 @@ mod tests {
         }
         // Zero bytes: nothing booked, completion = ready.
         let mut pipe = CryptoDmaPipeline::new();
-        assert_eq!(pipe.htod(&model, Nanos::from_micros(5), 0), Nanos::from_micros(5));
+        assert_eq!(
+            pipe.htod(&model, Nanos::from_micros(5), 0),
+            Nanos::from_micros(5)
+        );
         assert_eq!(pipe, CryptoDmaPipeline::new());
     }
 
@@ -160,7 +163,10 @@ mod tests {
             );
         }
         let mut pipe = CryptoDmaPipeline::new();
-        assert_eq!(pipe.dtoh(&model, Nanos::from_micros(5), 0), Nanos::from_micros(5));
+        assert_eq!(
+            pipe.dtoh(&model, Nanos::from_micros(5), 0),
+            Nanos::from_micros(5)
+        );
     }
 
     #[test]
@@ -236,12 +242,18 @@ mod tests {
         let model = CostModel::paper();
         let mut pipe = CryptoDmaPipeline::new();
         let (mut crypt, mut dma) = (Nanos::ZERO, Nanos::ZERO);
-        for (i, bytes) in [1u64, 4096, 1 << 20, 4 << 20, 64, 9 << 20].into_iter().enumerate() {
+        for (i, bytes) in [1u64, 4096, 1 << 20, 4 << 20, 64, 9 << 20]
+            .into_iter()
+            .enumerate()
+        {
             let done = pipe.htod(&model, Nanos::from_micros(i as u64), bytes);
             assert!(done > Nanos::from_micros(i as u64));
             assert!(pipe.crypt_free() >= crypt, "i {i}");
             assert!(pipe.dma_free() >= dma, "i {i}");
-            assert!(pipe.dma_free() >= pipe.crypt_free(), "dma follows crypt, i {i}");
+            assert!(
+                pipe.dma_free() >= pipe.crypt_free(),
+                "dma follows crypt, i {i}"
+            );
             crypt = pipe.crypt_free();
             dma = pipe.dma_free();
         }

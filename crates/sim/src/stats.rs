@@ -141,10 +141,7 @@ mod tests {
 
     #[test]
     fn mean_min_max() {
-        let s: Samples = [4u64, 1, 7]
-            .into_iter()
-            .map(Nanos::from_nanos)
-            .collect();
+        let s: Samples = [4u64, 1, 7].into_iter().map(Nanos::from_nanos).collect();
         assert_eq!(s.mean().as_nanos(), 4);
         assert_eq!(s.min().as_nanos(), 1);
         assert_eq!(s.max().as_nanos(), 7);
@@ -181,7 +178,11 @@ mod tests {
         assert_eq!(small.p99(), small.p999(), "coarse grid below 1k samples");
         let big: Samples = (1..=10_000u64).map(Nanos::from_nanos).collect();
         assert_eq!(big.p99().as_nanos(), 9_901);
-        assert_eq!(big.p999().as_nanos(), 9_991, "p99.9 exposes the deeper tail");
+        assert_eq!(
+            big.p999().as_nanos(),
+            9_991,
+            "p99.9 exposes the deeper tail"
+        );
         assert_eq!(Samples::new().p999(), Nanos::ZERO);
     }
 

@@ -183,8 +183,12 @@ impl Clock {
 
     /// Advances the clock by `dt`.
     pub fn advance(&self, dt: Nanos) {
-        self.now
-            .set(self.now.get().checked_add(dt.0).expect("virtual time overflow"));
+        self.now.set(
+            self.now
+                .get()
+                .checked_add(dt.0)
+                .expect("virtual time overflow"),
+        );
     }
 
     /// Moves the clock forward *to* `t` if `t` is in the future; does

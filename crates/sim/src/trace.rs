@@ -69,7 +69,8 @@ impl Trace {
     ) {
         // `at` is the completion time; the span starts `duration` earlier.
         let start = at.as_nanos().saturating_sub(duration.as_nanos());
-        self.obs.charged(start, duration.as_nanos(), kind, label, attrs);
+        self.obs
+            .charged(start, duration.as_nanos(), kind, label, attrs);
     }
 
     /// Total time charged to `kind` so far.
@@ -123,7 +124,12 @@ mod tests {
     fn recording_captures_events() {
         let t = Trace::new();
         t.set_recording(true);
-        t.emit(Nanos::from_nanos(3), Nanos::from_nanos(2), EventKind::Ipc, "req");
+        t.emit(
+            Nanos::from_nanos(3),
+            Nanos::from_nanos(2),
+            EventKind::Ipc,
+            "req",
+        );
         let spans = t.obs().spans();
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].name, "req");
@@ -163,8 +169,16 @@ mod tests {
     #[test]
     fn emit_feeds_latency_histogram_and_snapshot() {
         let t = Trace::new();
-        t.emit(Nanos::from_micros(2), Nanos::from_micros(2), EventKind::Dma, "d");
-        let h = t.metrics().span_latency(EventKind::Dma).expect("histogram exists");
+        t.emit(
+            Nanos::from_micros(2),
+            Nanos::from_micros(2),
+            EventKind::Dma,
+            "d",
+        );
+        let h = t
+            .metrics()
+            .span_latency(EventKind::Dma)
+            .expect("histogram exists");
         assert_eq!(h.count(), 1);
         assert_eq!(h.sum(), 2_000);
         let snap = t.obs().snapshot();

@@ -53,7 +53,10 @@ pub struct Bench {
 impl Bench {
     /// Starts a benchmark named `name`.
     pub fn new(name: impl Into<String>) -> Self {
-        Bench { name: name.into(), throughput_bytes: None }
+        Bench {
+            name: name.into(),
+            throughput_bytes: None,
+        }
     }
 
     /// Reports throughput (MiB/s) for an operation processing `bytes`
@@ -120,9 +123,7 @@ impl Measurement {
     /// Median throughput in MiB/s (zero without a byte count).
     pub fn mib_per_sec(&self) -> f64 {
         match self.throughput_bytes {
-            Some(bytes) => {
-                bytes as f64 / (1 << 20) as f64 * 1e9 / self.median_ns as f64
-            }
+            Some(bytes) => bytes as f64 / (1 << 20) as f64 * 1e9 / self.median_ns as f64,
             None => 0.0,
         }
     }

@@ -41,13 +41,21 @@ impl Source {
     /// A fresh generating source: draws come from `rng` and are
     /// recorded.
     fn generating(rng: Rng) -> Self {
-        Source { tape: Vec::new(), pos: 0, rng: Some(rng) }
+        Source {
+            tape: Vec::new(),
+            pos: 0,
+            rng: Some(rng),
+        }
     }
 
     /// A replaying source: draws come from `tape`; past its end every
     /// byte is zero (decoding to minimal values).
     fn replaying(tape: Vec<u8>) -> Self {
-        Source { tape, pos: 0, rng: None }
+        Source {
+            tape,
+            pos: 0,
+            rng: None,
+        }
     }
 
     fn byte(&mut self) -> u8 {
@@ -177,7 +185,11 @@ pub struct Config {
 
 impl Default for Config {
     fn default() -> Self {
-        Config { cases: 256, seed: 0x4849_5821, max_shrink_iters: 4096 }
+        Config {
+            cases: 256,
+            seed: 0x4849_5821,
+            max_shrink_iters: 4096,
+        }
     }
 }
 
@@ -223,7 +235,11 @@ pub struct Prop {
 /// Starts a property check named `name` (the name keys corpus entries
 /// and appears in failure reports).
 pub fn prop(name: &str) -> Prop {
-    Prop { name: name.to_string(), config: Config::default(), corpus: Vec::new() }
+    Prop {
+        name: name.to_string(),
+        config: Config::default(),
+        corpus: Vec::new(),
+    }
 }
 
 impl Prop {
@@ -258,8 +274,7 @@ impl Prop {
             if name != self.name {
                 continue;
             }
-            let tape = decode_hex(hex)
-                .unwrap_or_else(|| panic!("{path}:{}: bad hex tape", i + 1));
+            let tape = decode_hex(hex).unwrap_or_else(|| panic!("{path}:{}: bad hex tape", i + 1));
             self.corpus.push((path.to_string(), i + 1, tape));
         }
         self
@@ -290,7 +305,10 @@ impl Prop {
                     name: self.name,
                     tape: tape.clone(),
                     message,
-                    origin: Origin::Corpus { path: path.clone(), line: *line },
+                    origin: Origin::Corpus {
+                        path: path.clone(),
+                        line: *line,
+                    },
                 });
             }
         }
@@ -312,7 +330,10 @@ impl Prop {
                     name: self.name,
                     tape,
                     message,
-                    origin: Origin::Generated { seed: self.config.seed, case },
+                    origin: Origin::Generated {
+                        seed: self.config.seed,
+                        case,
+                    },
                 });
             }
         }
@@ -326,9 +347,8 @@ fn run_once(
     property: &impl Fn(&mut Source),
     mut src: impl std::borrow::BorrowMut<Source>,
 ) -> Result<(), String> {
-    let result = with_quiet_panics(|| {
-        panic::catch_unwind(AssertUnwindSafe(|| property(src.borrow_mut())))
-    });
+    let result =
+        with_quiet_panics(|| panic::catch_unwind(AssertUnwindSafe(|| property(src.borrow_mut()))));
     result.map_err(|e| {
         if let Some(s) = e.downcast_ref::<&str>() {
             s.to_string()

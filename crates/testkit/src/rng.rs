@@ -71,10 +71,7 @@ impl Rng {
     /// Next raw 64-bit output.
     pub fn u64(&mut self) -> u64 {
         let s = &mut self.s;
-        let result = s[1]
-            .wrapping_mul(5)
-            .rotate_left(7)
-            .wrapping_mul(9);
+        let result = s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = s[1] << 17;
         s[2] ^= s[0];
         s[3] ^= s[1];
@@ -176,10 +173,7 @@ mod tests {
         // First outputs of xoshiro256** with its state seeded from
         // SplitMix64(0) — locks both the seeding path and the core.
         let mut rng = Rng::new(0);
-        assert_eq!(
-            [rng.u64(), rng.u64(), rng.u64(), rng.u64()],
-            KAT_SEED0,
-        );
+        assert_eq!([rng.u64(), rng.u64(), rng.u64(), rng.u64()], KAT_SEED0,);
     }
 
     #[test]

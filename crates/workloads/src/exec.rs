@@ -103,12 +103,7 @@ pub trait GpuExecutor {
     /// # Errors
     ///
     /// Propagates stack failures.
-    fn launch(
-        &mut self,
-        machine: &mut Machine,
-        name: &str,
-        args: &[u64],
-    ) -> Result<(), ExecError>;
+    fn launch(&mut self, machine: &mut Machine, name: &str, args: &[u64]) -> Result<(), ExecError>;
 
     /// Whether payloads flow as real bytes (verification possible).
     fn is_functional(&self) -> bool;
@@ -154,12 +149,7 @@ impl GpuExecutor for GdevExec<'_> {
         Ok(self.gdev.memcpy_dtoh(machine, src, len)?)
     }
 
-    fn launch(
-        &mut self,
-        machine: &mut Machine,
-        name: &str,
-        args: &[u64],
-    ) -> Result<(), ExecError> {
+    fn launch(&mut self, machine: &mut Machine, name: &str, args: &[u64]) -> Result<(), ExecError> {
         Ok(self.gdev.launch(machine, name, args)?)
     }
 
@@ -176,7 +166,9 @@ pub struct HixExec<'a> {
 
 impl std::fmt::Debug for HixExec<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HixExec").field("session", &self.session).finish()
+        f.debug_struct("HixExec")
+            .field("session", &self.session)
+            .finish()
     }
 }
 
@@ -202,7 +194,9 @@ impl GpuExecutor for HixExec<'_> {
         dst: DevAddr,
         payload: &Payload,
     ) -> Result<(), ExecError> {
-        Ok(self.session.memcpy_htod(machine, self.enclave, dst, payload)?)
+        Ok(self
+            .session
+            .memcpy_htod(machine, self.enclave, dst, payload)?)
     }
 
     fn dtoh(
@@ -214,12 +208,7 @@ impl GpuExecutor for HixExec<'_> {
         Ok(self.session.memcpy_dtoh(machine, self.enclave, src, len)?)
     }
 
-    fn launch(
-        &mut self,
-        machine: &mut Machine,
-        name: &str,
-        args: &[u64],
-    ) -> Result<(), ExecError> {
+    fn launch(&mut self, machine: &mut Machine, name: &str, args: &[u64]) -> Result<(), ExecError> {
         Ok(self.session.launch(machine, self.enclave, name, args)?)
     }
 

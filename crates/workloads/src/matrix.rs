@@ -4,11 +4,11 @@
 //! arithmetic). Host-to-device traffic is the two inputs (`2·n²·4`
 //! bytes), device-to-host the result (`n²·4`) — exactly Table 4's rows.
 
-use hix_testkit::Rng;
 use hix_gpu::vram::DevAddr;
 use hix_gpu::{GpuKernel, KernelError, KernelExec};
 use hix_platform::Machine;
 use hix_sim::{CostModel, Nanos, Payload};
+use hix_testkit::Rng;
 
 use crate::exec::{ExecError, GpuExecutor, RunStats};
 use crate::{Profile, Workload};
@@ -98,8 +98,7 @@ impl GpuKernel for MatrixMulKernel {
                     continue;
                 }
                 for j in 0..n {
-                    cv[i * n + j] =
-                        cv[i * n + j].wrapping_add(aik.wrapping_mul(bv[k * n + j]));
+                    cv[i * n + j] = cv[i * n + j].wrapping_add(aik.wrapping_mul(bv[k * n + j]));
                 }
             }
         }

@@ -5,11 +5,11 @@
 //! (row offsets + edge list + masks) goes in; the per-node cost array
 //! comes back.
 
-use hix_testkit::Rng;
 use hix_gpu::vram::DevAddr;
 use hix_gpu::{GpuKernel, KernelError, KernelExec};
 use hix_platform::Machine;
 use hix_sim::{CostModel, Nanos, Payload};
+use hix_testkit::Rng;
 
 use crate::exec::{ExecError, GpuExecutor, RunStats};
 use crate::rodinia::mb;
@@ -149,8 +149,7 @@ impl Workload for Bfs {
         let total_edges = n * DEGREE as u64;
         let levels = 24u64; // random graphs of this density finish fast
         let per_level = total_edges / levels;
-        let kernel_time =
-            BfsLevelKernel.cost(model, &[0, 0, 0, 0, 0, n, 0, per_level]) * levels;
+        let kernel_time = BfsLevelKernel.cost(model, &[0, 0, 0, 0, 0, n, 0, per_level]) * levels;
         Profile {
             abbrev: "BFS",
             htod: mb(45.78),
@@ -261,7 +260,10 @@ mod tests {
         // seed only for extras): all nodes reachable.
         let (rows, edges) = gen_graph(50, "ring");
         let cost = cpu_bfs(&rows, &edges, 50);
-        assert!(cost.iter().all(|&c| c >= 0), "ring keeps the graph connected");
+        assert!(
+            cost.iter().all(|&c| c >= 0),
+            "ring keeps the graph connected"
+        );
         assert_eq!(cost[0], 0);
     }
 

@@ -6,11 +6,11 @@
 //! (`(n+1) × 17` floats), copied in for the forward pass and back out
 //! after the weight adjustment.
 
-use hix_testkit::Rng;
 use hix_gpu::vram::DevAddr;
 use hix_gpu::{GpuKernel, KernelError, KernelExec};
 use hix_platform::Machine;
 use hix_sim::{CostModel, Nanos, Payload};
+use hix_testkit::Rng;
 
 use crate::exec::{ExecError, GpuExecutor, RunStats};
 use crate::rodinia::mb;
@@ -144,8 +144,8 @@ impl Workload for BackProp {
     fn profile(&self, model: &CostModel) -> Profile {
         let n = self.paper_size() as u64;
         let args = [0u64, 0, 0, n];
-        let kernel_time = LayerForwardKernel.cost(model, &args) * 2
-            + AdjustWeightsKernel.cost(model, &args) * 2;
+        let kernel_time =
+            LayerForwardKernel.cost(model, &args) * 2 + AdjustWeightsKernel.cost(model, &args) * 2;
         Profile {
             abbrev: "BP",
             htod: mb(117.0),
@@ -181,9 +181,19 @@ impl Workload for BackProp {
         exec.htod(machine, d_weights, &f32s_payload(&weights))?;
         exec.htod(machine, d_delta, &f32s_payload(&delta))?;
 
-        let args = [d_units.value(), d_weights.value(), d_hidden.value(), n as u64];
+        let args = [
+            d_units.value(),
+            d_weights.value(),
+            d_hidden.value(),
+            n as u64,
+        ];
         exec.launch(machine, "bp.layerforward", &args)?;
-        let adj = [d_units.value(), d_weights.value(), d_delta.value(), n as u64];
+        let adj = [
+            d_units.value(),
+            d_weights.value(),
+            d_delta.value(),
+            n as u64,
+        ];
         exec.launch(machine, "bp.adjust", &adj)?;
 
         let hidden = exec.dtoh(machine, d_hidden, ((HIDDEN + 1) * 4) as u64)?;

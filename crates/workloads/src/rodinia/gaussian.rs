@@ -6,11 +6,11 @@
 //! Table 5: 32.00 MB / 32.00 MB, 2048×2048 points (matrix in, reduced
 //! matrix + multipliers out).
 
-use hix_testkit::Rng;
 use hix_gpu::vram::DevAddr;
 use hix_gpu::{GpuKernel, KernelError, KernelExec};
 use hix_platform::Machine;
 use hix_sim::{CostModel, Nanos, Payload};
+use hix_testkit::Rng;
 
 use crate::exec::{ExecError, GpuExecutor, RunStats};
 use crate::{Profile, Workload};

@@ -4,11 +4,11 @@
 //! and power grids in, final temperatures out. One of the short apps the
 //! paper observes running *faster* under HIX (cheap task init).
 
-use hix_testkit::Rng;
 use hix_gpu::vram::DevAddr;
 use hix_gpu::{GpuKernel, KernelError, KernelExec};
 use hix_platform::Machine;
 use hix_sim::{CostModel, Nanos, Payload};
+use hix_testkit::Rng;
 
 use crate::exec::{ExecError, GpuExecutor, RunStats};
 use crate::{Profile, Workload};
@@ -143,7 +143,11 @@ impl Workload for Hotspot {
         let steps = STEPS.min(6); // functional test iterations
         let (mut src, mut dst) = (d_a, d_b);
         for _ in 0..steps {
-            exec.launch(machine, "hs.step", &[src.value(), d_p.value(), dst.value(), n as u64])?;
+            exec.launch(
+                machine,
+                "hs.step",
+                &[src.value(), d_p.value(), dst.value(), n as u64],
+            )?;
             std::mem::swap(&mut src, &mut dst);
         }
         let out = exec.dtoh(machine, src, bytes)?;

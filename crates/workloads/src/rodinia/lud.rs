@@ -4,11 +4,11 @@
 //!
 //! Table 5: 16.00 MB / 16.00 MB, 2048×2048 points.
 
-use hix_testkit::Rng;
 use hix_gpu::vram::DevAddr;
 use hix_gpu::{GpuKernel, KernelError, KernelExec};
 use hix_platform::Machine;
 use hix_sim::{CostModel, Nanos, Payload};
+use hix_testkit::Rng;
 
 use crate::exec::{ExecError, GpuExecutor, RunStats};
 use crate::{Profile, Workload};
@@ -194,7 +194,13 @@ mod tests {
                 lu[i * n + k]
             }
         };
-        let u = |k: usize, j: usize| -> f32 { if k > j { 0.0 } else { lu[k * n + j] } };
+        let u = |k: usize, j: usize| -> f32 {
+            if k > j {
+                0.0
+            } else {
+                lu[k * n + j]
+            }
+        };
         for i in 0..n {
             for j in 0..n {
                 let sum: f32 = (0..n).map(|k| l(i, k) * u(k, j)).sum();

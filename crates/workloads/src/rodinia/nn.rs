@@ -5,11 +5,11 @@
 //! record inputs — the smallest app in the suite, and one the paper
 //! observes running *faster* under HIX thanks to the cheaper task init.
 
-use hix_testkit::Rng;
 use hix_gpu::vram::DevAddr;
 use hix_gpu::{GpuKernel, KernelError, KernelExec};
 use hix_platform::Machine;
 use hix_sim::{CostModel, Nanos, Payload};
+use hix_testkit::Rng;
 
 use crate::exec::{ExecError, GpuExecutor, RunStats};
 use crate::rodinia::kb;

@@ -6,11 +6,11 @@
 //! paper's worst case for HIX (+154%): enormous input, tiny output,
 //! almost no compute — the crypto cost has nothing to hide behind.
 
-use hix_testkit::Rng;
 use hix_gpu::vram::DevAddr;
 use hix_gpu::{GpuKernel, KernelError, KernelExec};
 use hix_platform::Machine;
 use hix_sim::{CostModel, Nanos, Payload};
+use hix_testkit::Rng;
 
 use crate::exec::{ExecError, GpuExecutor, RunStats};
 use crate::rodinia::kb;
@@ -108,8 +108,7 @@ impl Workload for Pathfinder {
     fn profile(&self, model: &CostModel) -> Profile {
         let n = self.paper_size() as u64;
         let launches = (n - 1).div_ceil(PYRAMID);
-        let kernel_time =
-            PathfinderRowsKernel.cost(model, &[0, 0, n, 0, n - 1]);
+        let kernel_time = PathfinderRowsKernel.cost(model, &[0, 0, n, 0, n - 1]);
         let _ = launches;
         Profile {
             abbrev: "PF",

@@ -5,11 +5,11 @@
 //! Table 5: 24.23 MB HtoD / 24.19 MB DtoH, 3096×2048 points (the image
 //! in and the despeckled image back).
 
-use hix_testkit::Rng;
 use hix_gpu::vram::DevAddr;
 use hix_gpu::{GpuKernel, KernelError, KernelExec};
 use hix_platform::Machine;
 use hix_sim::{CostModel, Nanos, Payload};
+use hix_testkit::Rng;
 
 use crate::exec::{ExecError, GpuExecutor, RunStats};
 use crate::rodinia::mb;
@@ -39,7 +39,11 @@ fn srad_coeff(img: &[f32], rows: usize, cols: usize) -> Vec<f32> {
             let idx = i * cols + j;
             let p = img[idx];
             let north = img[if i > 0 { (i - 1) * cols + j } else { idx }];
-            let south = img[if i + 1 < rows { (i + 1) * cols + j } else { idx }];
+            let south = img[if i + 1 < rows {
+                (i + 1) * cols + j
+            } else {
+                idx
+            }];
             let west = img[if j > 0 { i * cols + j - 1 } else { idx }];
             let east = img[if j + 1 < cols { i * cols + j + 1 } else { idx }];
             let dn = north - p;
@@ -65,11 +69,19 @@ fn srad_update(img: &mut [f32], c: &[f32], rows: usize, cols: usize) {
             let idx = i * cols + j;
             let p = orig[idx];
             let cn = c[idx];
-            let cs = c[if i + 1 < rows { (i + 1) * cols + j } else { idx }];
+            let cs = c[if i + 1 < rows {
+                (i + 1) * cols + j
+            } else {
+                idx
+            }];
             let cw = c[idx];
             let ce = c[if j + 1 < cols { i * cols + j + 1 } else { idx }];
             let north = orig[if i > 0 { (i - 1) * cols + j } else { idx }];
-            let south = orig[if i + 1 < rows { (i + 1) * cols + j } else { idx }];
+            let south = orig[if i + 1 < rows {
+                (i + 1) * cols + j
+            } else {
+                idx
+            }];
             let west = orig[if j > 0 { i * cols + j - 1 } else { idx }];
             let east = orig[if j + 1 < cols { i * cols + j + 1 } else { idx }];
             let d = cn * (north - p) + cs * (south - p) + cw * (west - p) + ce * (east - p);
@@ -162,9 +174,8 @@ impl Workload for Srad {
     fn profile(&self, model: &CostModel) -> Profile {
         let (rows, cols) = Srad::dims(self.paper_size());
         let args = [0u64, 0, rows as u64, cols as u64];
-        let kernel_time = (SradCoeffKernel.cost(model, &args)
-            + SradUpdateKernel.cost(model, &args))
-            * ITERATIONS;
+        let kernel_time =
+            (SradCoeffKernel.cost(model, &args) + SradUpdateKernel.cost(model, &args)) * ITERATIONS;
         Profile {
             abbrev: "SRAD",
             htod: mb(24.23),

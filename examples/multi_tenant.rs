@@ -27,8 +27,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for name in ["alice", "bob", "carol"] {
         let session =
             HixSession::connect_with(&mut machine, &mut enclave, 1 << 20, name.as_bytes())?;
-        println!("tenant {name:>5}: session {} (ctx {:?})", session.id(),
-            enclave.session_ctx(session.id()).unwrap());
+        println!(
+            "tenant {name:>5}: session {} (ctx {:?})",
+            session.id(),
+            enclave.session_ctx(session.id()).unwrap()
+        );
         tenants.push(session);
     }
     assert_eq!(enclave.session_count(), 3);
@@ -94,7 +97,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for session in tenants {
         session.close(&mut machine, &mut enclave)?;
     }
-    println!("all sessions closed; {} contexts remain", enclave.session_count());
+    println!(
+        "all sessions closed; {} contexts remain",
+        enclave.session_count()
+    );
 
     // Finally, the Figure 8/9 timing question: what does sharing cost?
     let model = CostModel::paper();

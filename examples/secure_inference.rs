@@ -34,13 +34,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     tensor[1000..1000 + marker.len()].copy_from_slice(marker);
     let dev = session.malloc(&mut machine, &mut enclave, tensor.len() as u64)?;
     let shared_bus = session.shared_bus();
-    session.memcpy_htod(&mut machine, &mut enclave, dev, &Payload::from_bytes(tensor))?;
-    println!("tenant uploaded {}-KiB weight tensor through the secure path", 64);
+    session.memcpy_htod(
+        &mut machine,
+        &mut enclave,
+        dev,
+        &Payload::from_bytes(tensor),
+    )?;
+    println!(
+        "tenant uploaded {}-KiB weight tensor through the secure path",
+        64
+    );
 
     // --- adversary time: dump the shared-memory window physically. ---
     let mut found = false;
     for page in 0..64u64 {
-        if let Some(pa) = machine.iommu_mut().translate(shared_bus.offset(page * PAGE_SIZE)) {
+        if let Some(pa) = machine
+            .iommu_mut()
+            .translate(shared_bus.offset(page * PAGE_SIZE))
+        {
             let mut dump = vec![0u8; PAGE_SIZE as usize];
             machine.os_read_phys(pa, &mut dump);
             if dump.windows(marker.len()).any(|w| w == marker) {
@@ -50,7 +61,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!(
         "adversary dumped the inter-enclave shared memory: weights {}",
-        if found { "FOUND (!!)" } else { "not found — ciphertext only" }
+        if found {
+            "FOUND (!!)"
+        } else {
+            "not found — ciphertext only"
+        }
     );
     assert!(!found, "plaintext weights must never cross the host");
 

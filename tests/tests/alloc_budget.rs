@@ -109,11 +109,17 @@ fn first_multi_chunk_round_allocates_the_scratch_and_the_output_only() {
     let mut enclave = GpuEnclave::launch(&mut machine, GpuEnclaveOptions::default()).unwrap();
     let mut session = HixSession::connect(&mut machine, &mut enclave).unwrap();
     let len = chunk + 1024;
-    let dev = session.malloc(&mut machine, &mut enclave, len as u64).unwrap();
+    let dev = session
+        .malloc(&mut machine, &mut enclave, len as u64)
+        .unwrap();
     let payload = Payload::from_bytes((0..len as u32).map(|i| (i * 11) as u8).collect());
     let (back, n, sizes) = large_allocs_during(|| {
-        session.memcpy_htod(&mut machine, &mut enclave, dev, &payload).unwrap();
-        session.memcpy_dtoh(&mut machine, &mut enclave, dev, len as u64).unwrap()
+        session
+            .memcpy_htod(&mut machine, &mut enclave, dev, &payload)
+            .unwrap();
+        session
+            .memcpy_dtoh(&mut machine, &mut enclave, dev, len as u64)
+            .unwrap()
     });
     assert!(back.bytes() == payload.bytes(), "the round trip lost data");
     assert_eq!(
@@ -131,11 +137,18 @@ fn small_round_trip_makes_no_large_allocation_after_warm_up() {
     let dev = session.malloc(&mut machine, &mut enclave, 1 << 10).unwrap();
     let payload = Payload::from_bytes((0..1024u32).map(|i| (i * 7) as u8).collect());
     let mut round = || {
-        session.memcpy_htod(&mut machine, &mut enclave, dev, &payload).unwrap();
-        session.memcpy_dtoh(&mut machine, &mut enclave, dev, 1 << 10).unwrap()
+        session
+            .memcpy_htod(&mut machine, &mut enclave, dev, &payload)
+            .unwrap();
+        session
+            .memcpy_dtoh(&mut machine, &mut enclave, dev, 1 << 10)
+            .unwrap()
     };
     assert_eq!(round().bytes(), payload.bytes(), "warm-up round");
     let (back, n, sizes) = large_allocs_during(&mut round);
     assert_eq!(back.bytes(), payload.bytes());
-    assert_eq!(n, 0, "{n} allocations of 64 KiB or more (first sizes {sizes:?}) in a 1 KiB round");
+    assert_eq!(
+        n, 0,
+        "{n} allocations of 64 KiB or more (first sizes {sizes:?}) in a 1 KiB round"
+    );
 }

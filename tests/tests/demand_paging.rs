@@ -24,11 +24,16 @@ fn setup() -> (Machine, GpuDriver) {
 fn managed_alloc_commits_on_dma_touch() {
     let (mut m, mut driver) = setup();
     let ctx = driver.create_ctx(&mut m).unwrap();
-    let managed = driver.malloc_managed(&mut m, ctx, 3 * GPU_PAGE_SIZE).unwrap();
+    let managed = driver
+        .malloc_managed(&mut m, ctx, 3 * GPU_PAGE_SIZE)
+        .unwrap();
     let pid = driver.pid();
-    let data: Vec<u8> = (0..3 * GPU_PAGE_SIZE as u32).map(|i| (i * 7) as u8).collect();
+    let data: Vec<u8> = (0..3 * GPU_PAGE_SIZE as u32)
+        .map(|i| (i * 7) as u8)
+        .collect();
     let buf = DmaBuffer::alloc(&mut m, pid, data.len() as u64);
-    buf.write(&mut m, pid, 0, &Payload::from_bytes(data.clone())).unwrap();
+    buf.write(&mut m, pid, 0, &Payload::from_bytes(data.clone()))
+        .unwrap();
     // The DMA faults on the first (unmapped) page; sync_paged services
     // the fault and re-submits.
     let cmd = GpuCommand::DmaHtoD {
@@ -127,7 +132,9 @@ fn faulting_kernel_launch_retries_to_completion() {
 fn managed_free_reclaims_only_resident_pages() {
     let (mut m, mut driver) = setup();
     let ctx = driver.create_ctx(&mut m).unwrap();
-    let managed = driver.malloc_managed(&mut m, ctx, 8 * GPU_PAGE_SIZE).unwrap();
+    let managed = driver
+        .malloc_managed(&mut m, ctx, 8 * GPU_PAGE_SIZE)
+        .unwrap();
     // Touch only the first page.
     let pid = driver.pid();
     let buf = DmaBuffer::alloc(&mut m, pid, 16);

@@ -80,7 +80,10 @@ fn transcript(seed: u64) -> String {
 fn same_seed_runs_are_byte_identical() {
     let a = transcript(0x4849_5821);
     let b = transcript(0x4849_5821);
-    assert!(!a.is_empty() && a.contains("=== hix"), "transcript rendered");
+    assert!(
+        !a.is_empty() && a.contains("=== hix"),
+        "transcript rendered"
+    );
     if a != b {
         // Point at the first divergence instead of dumping megabytes.
         let line = a

@@ -14,7 +14,10 @@ use hix_crypto::bignum::Uint;
 use hix_crypto::dh::DhGroup;
 use hix_testkit::prop::{prop, Source};
 
-const SEEDS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/differential_bignum.seeds");
+const SEEDS: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/differential_bignum.seeds"
+);
 
 fn from_limbs(limbs: &[u64]) -> Uint {
     let bytes: Vec<u8> = limbs.iter().rev().flat_map(|l| l.to_be_bytes()).collect();
@@ -75,12 +78,7 @@ fn montgomery_modpow_matches_reference_ladder() {
 }
 
 /// The secp256k1 field prime, the simulator's DH modulus, low limb first.
-const SECP256K1_P: [u64; 4] = [
-    0xffff_fffe_ffff_fc2f,
-    u64::MAX,
-    u64::MAX,
-    u64::MAX,
-];
+const SECP256K1_P: [u64; 4] = [0xffff_fffe_ffff_fc2f, u64::MAX, u64::MAX, u64::MAX];
 
 #[test]
 fn fixed_width_modpow_matches_slice_and_ladder() {

@@ -16,7 +16,10 @@ use hix_crypto::sha256::{self, Sha256};
 use hix_testkit::prop::prop;
 use hix_testkit::rng::Rng;
 
-const SEEDS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/differential_crypto.seeds");
+const SEEDS: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/differential_crypto.seeds"
+);
 
 /// Message lengths the DMA plane cares about: empty, sub-block, exact
 /// block, block+1, just under/at/over the 8-block wide-pass boundary,
@@ -77,60 +80,80 @@ fn hex(s: &str) -> Vec<u8> {
 
 #[test]
 fn wide_aes_matches_scalar_oracle_on_both_backends() {
-    prop("wide_aes_matches_scalar_oracle").corpus(SEEDS).run(|s| {
-        let key = s.array_u8::<16>();
-        let n = (s.u64() % 25) as usize; // crosses 0, one pass, tail
-        let blocks: Vec<[u8; 16]> = (0..n).map(|_| s.array_u8::<16>()).collect();
-        let aes = Aes128::new(&key);
-        for cipher in [Aes128::new(&key), aes.portable()] {
-            // Scalar oracle, block by block.
-            let expect_enc: Vec<[u8; 16]> =
-                blocks.iter().map(|b| aes.encrypt_block(*b)).collect();
-            let expect_dec: Vec<[u8; 16]> =
-                blocks.iter().map(|b| aes.decrypt_block(*b)).collect();
-            let mut wide = blocks.clone();
-            cipher.encrypt_blocks(&mut wide);
-            assert_eq!(wide, expect_enc, "wide encrypt diverged ({:?})", cipher.backend());
-            let mut wide = blocks.clone();
-            cipher.decrypt_blocks(&mut wide);
-            assert_eq!(wide, expect_dec, "wide decrypt diverged ({:?})", cipher.backend());
-            // Inverse property through the wide paths.
-            let mut round = blocks.clone();
-            cipher.encrypt_blocks(&mut round);
-            cipher.decrypt_blocks(&mut round);
-            assert_eq!(round, blocks, "wide decrypt(encrypt) != id");
-        }
-    });
+    prop("wide_aes_matches_scalar_oracle")
+        .corpus(SEEDS)
+        .run(|s| {
+            let key = s.array_u8::<16>();
+            let n = (s.u64() % 25) as usize; // crosses 0, one pass, tail
+            let blocks: Vec<[u8; 16]> = (0..n).map(|_| s.array_u8::<16>()).collect();
+            let aes = Aes128::new(&key);
+            for cipher in [Aes128::new(&key), aes.portable()] {
+                // Scalar oracle, block by block.
+                let expect_enc: Vec<[u8; 16]> =
+                    blocks.iter().map(|b| aes.encrypt_block(*b)).collect();
+                let expect_dec: Vec<[u8; 16]> =
+                    blocks.iter().map(|b| aes.decrypt_block(*b)).collect();
+                let mut wide = blocks.clone();
+                cipher.encrypt_blocks(&mut wide);
+                assert_eq!(
+                    wide,
+                    expect_enc,
+                    "wide encrypt diverged ({:?})",
+                    cipher.backend()
+                );
+                let mut wide = blocks.clone();
+                cipher.decrypt_blocks(&mut wide);
+                assert_eq!(
+                    wide,
+                    expect_dec,
+                    "wide decrypt diverged ({:?})",
+                    cipher.backend()
+                );
+                // Inverse property through the wide paths.
+                let mut round = blocks.clone();
+                cipher.encrypt_blocks(&mut round);
+                cipher.decrypt_blocks(&mut round);
+                assert_eq!(round, blocks, "wide decrypt(encrypt) != id");
+            }
+        });
 }
 
 #[test]
 fn into_paths_match_allocating_paths() {
-    prop("into_paths_match_allocating_paths").corpus(SEEDS).run(|s| {
-        let key = s.array_u8::<16>();
-        let counter = s.u64();
-        let aad = s.vec_u8(0..48);
-        // Half the cases draw a pinned boundary length, half free-range.
-        let len = if s.bool() {
-            PINNED_LENGTHS[s.index(PINNED_LENGTHS.len())]
-        } else {
-            s.vec_u8(0..300).len()
-        };
-        let plaintext = s.vec_u8(len..len + 1);
-        let nonce = Nonce::from_counter(counter);
-        let hw = Ocb::new(&Key::from_bytes(key));
-        let expect = hw.portable().seal(&nonce, &aad, &plaintext);
-        for ocb in backends(&hw) {
-            let sealed = ocb.seal(&nonce, &aad, &plaintext);
-            assert_eq!(sealed, expect, "{} seal diverged from portable", ocb.backend());
-            let mut sealed_into = vec![0u8; plaintext.len() + TAG_LEN];
-            ocb.seal_into(&nonce, &aad, &plaintext, &mut sealed_into);
-            assert_eq!(sealed_into, sealed, "seal_into diverged from seal");
-            let mut opened_into = vec![0u8; plaintext.len()];
-            ocb.open_into(&nonce, &aad, &sealed, &mut opened_into).unwrap();
-            assert_eq!(opened_into, plaintext, "open_into diverged from plaintext");
-            assert_eq!(ocb.open(&nonce, &aad, &sealed).unwrap(), plaintext);
-        }
-    });
+    prop("into_paths_match_allocating_paths")
+        .corpus(SEEDS)
+        .run(|s| {
+            let key = s.array_u8::<16>();
+            let counter = s.u64();
+            let aad = s.vec_u8(0..48);
+            // Half the cases draw a pinned boundary length, half free-range.
+            let len = if s.bool() {
+                PINNED_LENGTHS[s.index(PINNED_LENGTHS.len())]
+            } else {
+                s.vec_u8(0..300).len()
+            };
+            let plaintext = s.vec_u8(len..len + 1);
+            let nonce = Nonce::from_counter(counter);
+            let hw = Ocb::new(&Key::from_bytes(key));
+            let expect = hw.portable().seal(&nonce, &aad, &plaintext);
+            for ocb in backends(&hw) {
+                let sealed = ocb.seal(&nonce, &aad, &plaintext);
+                assert_eq!(
+                    sealed,
+                    expect,
+                    "{} seal diverged from portable",
+                    ocb.backend()
+                );
+                let mut sealed_into = vec![0u8; plaintext.len() + TAG_LEN];
+                ocb.seal_into(&nonce, &aad, &plaintext, &mut sealed_into);
+                assert_eq!(sealed_into, sealed, "seal_into diverged from seal");
+                let mut opened_into = vec![0u8; plaintext.len()];
+                ocb.open_into(&nonce, &aad, &sealed, &mut opened_into)
+                    .unwrap();
+                assert_eq!(opened_into, plaintext, "open_into diverged from plaintext");
+                assert_eq!(ocb.open(&nonce, &aad, &sealed).unwrap(), plaintext);
+            }
+        });
 }
 
 /// RFC 7253 Appendix A sample vectors, driven through the *multi-block*
@@ -140,7 +163,11 @@ fn into_paths_match_allocating_paths() {
 fn rfc7253_vectors_through_multi_block_paths() {
     let key = Key::from_bytes(hex("000102030405060708090A0B0C0D0E0F").try_into().unwrap());
     let nonce = |last: &str| {
-        Nonce::from_bytes(hex(&format!("BBAA9988776655443322110{last}")).try_into().unwrap())
+        Nonce::from_bytes(
+            hex(&format!("BBAA9988776655443322110{last}"))
+                .try_into()
+                .unwrap(),
+        )
     };
     // (nonce suffix, aad, plaintext, expected sealed stream)
     let vectors: &[(&str, &str, &str, &str)] = &[
@@ -185,12 +212,14 @@ fn rfc7253_vectors_through_multi_block_paths() {
             let mut sealed = vec![0u8; pt.len() + TAG_LEN];
             ocb.seal_into(&nonce(last), &aad, &pt, &mut sealed);
             assert_eq!(
-                sealed, expect,
+                sealed,
+                expect,
                 "seal_into vs RFC 7253 N=..{last} ({:?})",
                 ocb.backend()
             );
             let mut opened = vec![0u8; pt.len()];
-            ocb.open_into(&nonce(last), &aad, &sealed, &mut opened).unwrap();
+            ocb.open_into(&nonce(last), &aad, &sealed, &mut opened)
+                .unwrap();
             assert_eq!(opened, pt, "open_into vs RFC 7253 N=..{last}");
         }
     }
@@ -210,13 +239,20 @@ fn roundtrip_pinned_lengths_both_backends() {
         ocb_pt.seal_into(&nonce, b"len-sweep", &plaintext, &mut sealed_pt);
         assert_eq!(sealed_pt, sealed, "backends diverged at len {len}");
         let mut opened = vec![0u8; len];
-        ocb_pt.open_into(&nonce, b"len-sweep", &sealed, &mut opened).unwrap();
+        ocb_pt
+            .open_into(&nonce, b"len-sweep", &sealed, &mut opened)
+            .unwrap();
         assert_eq!(opened, plaintext, "roundtrip failed at len {len}");
         // A truncated or grown stream must never authenticate.
         if len > 0 {
             let mut short = vec![0u8; len - 1];
             assert!(ocb_hw
-                .open_into(&nonce, b"len-sweep", &sealed[..len - 1 + TAG_LEN], &mut short)
+                .open_into(
+                    &nonce,
+                    b"len-sweep",
+                    &sealed[..len - 1 + TAG_LEN],
+                    &mut short
+                )
                 .is_err());
         }
     }
@@ -238,12 +274,22 @@ fn vaes_aesni_and_portable_agree_over_pinned_lengths() {
         };
         let want = seal(&portable);
         for ocb in [&detected, &aesni] {
-            assert_eq!(seal(ocb), want, "{} diverged from portable at len {len}", ocb.backend());
+            assert_eq!(
+                seal(ocb),
+                want,
+                "{} diverged from portable at len {len}",
+                ocb.backend()
+            );
         }
         for ocb in [&detected, &aesni, &portable] {
             let mut opened = vec![0u8; len];
             ocb.open_into(&nonce, b"three", &want, &mut opened).unwrap();
-            assert_eq!(opened, plaintext, "{} failed to open at len {len}", ocb.backend());
+            assert_eq!(
+                opened,
+                plaintext,
+                "{} failed to open at len {len}",
+                ocb.backend()
+            );
         }
     }
 }
@@ -256,7 +302,11 @@ fn draw_runs(s: &mut hix_testkit::prop::Source, blocks: usize) -> Vec<usize> {
     let mut runs = Vec::new();
     let mut left = blocks;
     while left > 0 {
-        let run = if s.bool() { s.usize_in(1..8) } else { s.usize_in(8..700) };
+        let run = if s.bool() {
+            s.usize_in(1..8)
+        } else {
+            s.usize_in(8..700)
+        };
         runs.push(run.min(left));
         left -= run.min(left);
     }
@@ -315,35 +365,47 @@ fn open_streamed(
 /// tail output.
 #[test]
 fn streamed_runs_match_seal_into() {
-    prop("streamed_runs_match_seal_into").corpus(SEEDS).run(|s| {
-        let key = s.array_u8::<16>();
-        let nonce = Nonce::from_counter(s.u64());
-        let aad = s.vec_u8(0..48);
-        let len = s.usize_in(0..70_001);
-        let plaintext = Rng::new(s.u64()).bytes(len);
-        let runs = draw_runs(s, len / 16);
-        let flip_at = s.usize_in(0..len + TAG_LEN);
-        let flip_bit = 1u8 << s.usize_in(0..8);
-        let hw = Ocb::new(&Key::from_bytes(key));
-        let mut want = vec![0u8; len + TAG_LEN];
-        hw.portable().seal_into(&nonce, &aad, &plaintext, &mut want);
-        for ocb in backends(&hw) {
-            let backend = ocb.backend();
-            let sealed = seal_streamed(&ocb, &nonce, &aad, &plaintext, &runs);
-            assert!(sealed == want, "{backend} streamed seal diverged, len {len}, runs {runs:?}");
-            let (body, tail, result) = open_streamed(&ocb, &nonce, &aad, &sealed, &runs);
-            assert_eq!(result, Ok(()), "{backend} streamed open failed, len {len}");
-            assert!(
-                body == plaintext[..body.len()] && tail == plaintext[body.len()..],
-                "{backend} streamed open diverged, len {len}, runs {runs:?}"
-            );
-            let mut tampered = sealed;
-            tampered[flip_at] ^= flip_bit;
-            let (_, tail, result) = open_streamed(&ocb, &nonce, &aad, &tampered, &runs);
-            assert_eq!(result, Err(TagMismatch), "{backend} accepted a flip at {flip_at}");
-            assert!(tail.iter().all(|&b| b == 0), "{backend} released the tail on a mismatch");
-        }
-    });
+    prop("streamed_runs_match_seal_into")
+        .corpus(SEEDS)
+        .run(|s| {
+            let key = s.array_u8::<16>();
+            let nonce = Nonce::from_counter(s.u64());
+            let aad = s.vec_u8(0..48);
+            let len = s.usize_in(0..70_001);
+            let plaintext = Rng::new(s.u64()).bytes(len);
+            let runs = draw_runs(s, len / 16);
+            let flip_at = s.usize_in(0..len + TAG_LEN);
+            let flip_bit = 1u8 << s.usize_in(0..8);
+            let hw = Ocb::new(&Key::from_bytes(key));
+            let mut want = vec![0u8; len + TAG_LEN];
+            hw.portable().seal_into(&nonce, &aad, &plaintext, &mut want);
+            for ocb in backends(&hw) {
+                let backend = ocb.backend();
+                let sealed = seal_streamed(&ocb, &nonce, &aad, &plaintext, &runs);
+                assert!(
+                    sealed == want,
+                    "{backend} streamed seal diverged, len {len}, runs {runs:?}"
+                );
+                let (body, tail, result) = open_streamed(&ocb, &nonce, &aad, &sealed, &runs);
+                assert_eq!(result, Ok(()), "{backend} streamed open failed, len {len}");
+                assert!(
+                    body == plaintext[..body.len()] && tail == plaintext[body.len()..],
+                    "{backend} streamed open diverged, len {len}, runs {runs:?}"
+                );
+                let mut tampered = sealed;
+                tampered[flip_at] ^= flip_bit;
+                let (_, tail, result) = open_streamed(&ocb, &nonce, &aad, &tampered, &runs);
+                assert_eq!(
+                    result,
+                    Err(TagMismatch),
+                    "{backend} accepted a flip at {flip_at}"
+                );
+                assert!(
+                    tail.iter().all(|&b| b == 0),
+                    "{backend} released the tail on a mismatch"
+                );
+            }
+        });
 }
 
 /// A flipped bit in the last whole ciphertext block of a multi-KiB stream
@@ -367,7 +429,11 @@ fn corrupt_last_whole_block_fails_open_and_zeroes_output() {
                 "{} len {len}",
                 ocb.backend()
             );
-            assert!(out.iter().all(|&b| b == 0), "{} leaked plaintext", ocb.backend());
+            assert!(
+                out.iter().all(|&b| b == 0),
+                "{} leaked plaintext",
+                ocb.backend()
+            );
         }
     }
 }

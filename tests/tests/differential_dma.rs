@@ -118,8 +118,16 @@ fn draw_op(s: &mut Source) -> Op {
     let kind = s.choice(4);
     let len = draw_len(s);
     match kind {
-        0 => Op::HtoD { bus: draw_off(s, len), va: draw_off(s, len), len },
-        1 => Op::DtoH { va: draw_off(s, len), bus: draw_off(s, len), len },
+        0 => Op::HtoD {
+            bus: draw_off(s, len),
+            va: draw_off(s, len),
+            len,
+        },
+        1 => Op::DtoH {
+            va: draw_off(s, len),
+            bus: draw_off(s, len),
+            len,
+        },
         2 => {
             let src = draw_off(s, len);
             let dst = if s.bool() {
@@ -132,7 +140,11 @@ fn draw_op(s: &mut Source) -> Op {
             };
             Op::Copy { src, dst, len }
         }
-        _ => Op::Memset { va: draw_off(s, len), len, value: s.u8() },
+        _ => Op::Memset {
+            va: draw_off(s, len),
+            len,
+            value: s.u8(),
+        },
     }
 }
 
@@ -157,7 +169,9 @@ fn model(op: Op, host: &mut [u8], dev: &mut [u8]) {
         Op::Copy { src, dst, len } => {
             let mut off = 0;
             while off < len {
-                let take = (PAGE - (src + off) % PAGE).min(PAGE - (dst + off) % PAGE).min(len - off);
+                let take = (PAGE - (src + off) % PAGE)
+                    .min(PAGE - (dst + off) % PAGE)
+                    .min(len - off);
                 dev.copy_within(src + off..src + off + take, dst + off);
                 off += take;
             }
@@ -170,18 +184,30 @@ fn command(op: Op) -> GpuCommand {
     let bus = |off: usize| PhysAddr::new(BUS_BASE + off as u64);
     let va = |off: usize| DevAddr(VA_BASE + off as u64);
     match op {
-        Op::HtoD { bus: b, va: v, len } => {
-            GpuCommand::DmaHtoD { ctx: CTX, bus: bus(b), va: va(v), len: len as u64 }
-        }
-        Op::DtoH { va: v, bus: b, len } => {
-            GpuCommand::DmaDtoH { ctx: CTX, va: va(v), bus: bus(b), len: len as u64 }
-        }
-        Op::Copy { src, dst, len } => {
-            GpuCommand::CopyDtoD { ctx: CTX, src: va(src), dst: va(dst), len: len as u64 }
-        }
-        Op::Memset { va: v, len, value } => {
-            GpuCommand::Memset { ctx: CTX, va: va(v), len: len as u64, value }
-        }
+        Op::HtoD { bus: b, va: v, len } => GpuCommand::DmaHtoD {
+            ctx: CTX,
+            bus: bus(b),
+            va: va(v),
+            len: len as u64,
+        },
+        Op::DtoH { va: v, bus: b, len } => GpuCommand::DmaDtoH {
+            ctx: CTX,
+            va: va(v),
+            bus: bus(b),
+            len: len as u64,
+        },
+        Op::Copy { src, dst, len } => GpuCommand::CopyDtoD {
+            ctx: CTX,
+            src: va(src),
+            dst: va(dst),
+            len: len as u64,
+        },
+        Op::Memset { va: v, len, value } => GpuCommand::Memset {
+            ctx: CTX,
+            va: va(v),
+            len: len as u64,
+            value,
+        },
     }
 }
 
@@ -190,7 +216,11 @@ fn command(op: Op) -> GpuCommand {
 fn run(dev: &mut GpuDevice, host: &mut Host, cmd: &GpuCommand) -> u32 {
     let bytes = cmd.encode();
     dev.mmio_write(BarIndex(0), bar0::CMD_WINDOW, &bytes);
-    dev.mmio_write(BarIndex(0), bar0::DOORBELL, &(bytes.len() as u64).to_le_bytes());
+    dev.mmio_write(
+        BarIndex(0),
+        bar0::DOORBELL,
+        &(bytes.len() as u64).to_le_bytes(),
+    );
     while dev.tick(host) {}
     dev.error()
 }
@@ -204,51 +234,80 @@ fn pattern(salt: u32) -> Vec<u8> {
 
 #[test]
 fn page_walks_match_flat_model() {
-    prop("page_walks_match_flat_model")
-        .corpus(SEEDS)
-        .run(|s| {
-            let mut host = Host { frames: vec![[0; PAGE]; PAGES], frame_of: draw_perm(s, PAGES) };
-            // Device page i sits at VRAM frame 2 * perm[i] + 1: scattered,
-            // with an unmapped frame between any two.
-            let vram_frame: Vec<u64> =
-                draw_perm(s, PAGES).iter().map(|&f| (2 * f as u64 + 1) * GPU_PAGE_SIZE).collect();
-            let ops = s.collect(1..12, draw_op);
+    prop("page_walks_match_flat_model").corpus(SEEDS).run(|s| {
+        let mut host = Host {
+            frames: vec![[0; PAGE]; PAGES],
+            frame_of: draw_perm(s, PAGES),
+        };
+        // Device page i sits at VRAM frame 2 * perm[i] + 1: scattered,
+        // with an unmapped frame between any two.
+        let vram_frame: Vec<u64> = draw_perm(s, PAGES)
+            .iter()
+            .map(|&f| (2 * f as u64 + 1) * GPU_PAGE_SIZE)
+            .collect();
+        let ops = s.collect(1..12, draw_op);
 
-            let mut dev = GpuDevice::new(
-                GpuConfig { vram_size: 16 << 20, ..GpuConfig::default() },
-                Clock::new(),
-                CostModel::paper(),
-                Trace::new(),
+        let mut dev = GpuDevice::new(
+            GpuConfig {
+                vram_size: 16 << 20,
+                ..GpuConfig::default()
+            },
+            Clock::new(),
+            CostModel::paper(),
+            Trace::new(),
+        );
+        assert_eq!(
+            run(&mut dev, &mut host, &GpuCommand::CreateCtx { ctx: CTX }),
+            errcode::NONE
+        );
+        for (page, &pa) in vram_frame.iter().enumerate() {
+            let va = DevAddr(VA_BASE + (page * PAGE) as u64);
+            let map = GpuCommand::MapRange {
+                ctx: CTX,
+                va,
+                pa,
+                pages: 1,
+            };
+            assert_eq!(run(&mut dev, &mut host, &map), errcode::NONE);
+        }
+        // Distinct starting contents on both sides.
+        let mut flat_dev = pattern(1);
+        host.fill(&flat_dev);
+        let load = Op::HtoD {
+            bus: 0,
+            va: 0,
+            len: WINDOW,
+        };
+        assert_eq!(run(&mut dev, &mut host, &command(load)), errcode::NONE);
+        let mut flat_host = pattern(2);
+        host.fill(&flat_host);
+
+        for op in ops {
+            assert_eq!(
+                run(&mut dev, &mut host, &command(op)),
+                errcode::NONE,
+                "{op:?}"
             );
-            assert_eq!(run(&mut dev, &mut host, &GpuCommand::CreateCtx { ctx: CTX }), errcode::NONE);
+            model(op, &mut flat_host, &mut flat_dev);
+            let mut got = vec![0u8; WINDOW];
             for (page, &pa) in vram_frame.iter().enumerate() {
-                let va = DevAddr(VA_BASE + (page * PAGE) as u64);
-                let map = GpuCommand::MapRange { ctx: CTX, va, pa, pages: 1 };
-                assert_eq!(run(&mut dev, &mut host, &map), errcode::NONE);
+                dev.vram()
+                    .read(pa, &mut got[page * PAGE..(page + 1) * PAGE]);
             }
-            // Distinct starting contents on both sides.
-            let mut flat_dev = pattern(1);
-            host.fill(&flat_dev);
-            let load = Op::HtoD { bus: 0, va: 0, len: WINDOW };
-            assert_eq!(run(&mut dev, &mut host, &command(load)), errcode::NONE);
-            let mut flat_host = pattern(2);
-            host.fill(&flat_host);
-
-            for op in ops {
-                assert_eq!(run(&mut dev, &mut host, &command(op)), errcode::NONE, "{op:?}");
-                model(op, &mut flat_host, &mut flat_dev);
-                let mut got = vec![0u8; WINDOW];
-                for (page, &pa) in vram_frame.iter().enumerate() {
-                    dev.vram().read(pa, &mut got[page * PAGE..(page + 1) * PAGE]);
-                }
-                assert!(got == flat_dev, "device window differs from the model after {op:?}");
-                assert!(host.flat() == flat_host, "host window differs from the model after {op:?}");
-            }
-            // The unmapped frames between and around them stay zero.
-            for gap in (0..=2 * PAGES as u64).step_by(2) {
-                let mut page = [0u8; PAGE];
-                dev.vram().read(gap * GPU_PAGE_SIZE, &mut page);
-                assert!(page == [0; PAGE], "unmapped frame {gap} was written");
-            }
-        });
+            assert!(
+                got == flat_dev,
+                "device window differs from the model after {op:?}"
+            );
+            assert!(
+                host.flat() == flat_host,
+                "host window differs from the model after {op:?}"
+            );
+        }
+        // The unmapped frames between and around them stay zero.
+        for gap in (0..=2 * PAGES as u64).step_by(2) {
+            let mut page = [0u8; PAGE];
+            dev.vram().read(gap * GPU_PAGE_SIZE, &mut page);
+            assert!(page == [0; PAGE], "unmapped frame {gap} was written");
+        }
+    });
 }

@@ -27,7 +27,10 @@ use hix_platform::MachineConfig;
 use hix_sim::{CostModel, Payload};
 use hix_testkit::prop::{prop, Source};
 
-const SEEDS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/differential_transfers.seeds");
+const SEEDS: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/differential_transfers.seeds"
+);
 
 /// The rig's pipeline chunk.
 const CHUNK: usize = 4096;
@@ -36,11 +39,30 @@ const SIZES: [usize; 2] = [6 * CHUNK + 1000, 3 * CHUNK + 1];
 
 #[derive(Debug, Clone, Copy)]
 enum Op {
-    HtoD { buf: usize, off: usize, len: usize, salt: u8 },
-    DtoH { buf: usize, off: usize, len: usize },
-    Memset { buf: usize, off: usize, len: usize, value: u8 },
+    HtoD {
+        buf: usize,
+        off: usize,
+        len: usize,
+        salt: u8,
+    },
+    DtoH {
+        buf: usize,
+        off: usize,
+        len: usize,
+    },
+    Memset {
+        buf: usize,
+        off: usize,
+        len: usize,
+        value: u8,
+    },
     /// From one allocation into the other (never overlapping).
-    DtoD { src: usize, src_off: usize, dst_off: usize, len: usize },
+    DtoD {
+        src: usize,
+        src_off: usize,
+        dst_off: usize,
+        len: usize,
+    },
 }
 
 /// A transfer length no larger than `size`: the chunk edges as often as
@@ -70,20 +92,37 @@ fn draw_op(s: &mut Source) -> Op {
         let len = draw_len(s, SIZES[0].min(SIZES[1]));
         let src_off = draw_off(s, SIZES[buf], len);
         let dst_off = draw_off(s, SIZES[1 - buf], len);
-        return Op::DtoD { src: buf, src_off, dst_off, len };
+        return Op::DtoD {
+            src: buf,
+            src_off,
+            dst_off,
+            len,
+        };
     }
     let len = draw_len(s, SIZES[buf]);
     let off = draw_off(s, SIZES[buf], len);
     match kind {
-        0 => Op::HtoD { buf, off, len, salt: s.u8() },
+        0 => Op::HtoD {
+            buf,
+            off,
+            len,
+            salt: s.u8(),
+        },
         1 => Op::DtoH { buf, off, len },
-        _ => Op::Memset { buf, off, len, value: s.u8() },
+        _ => Op::Memset {
+            buf,
+            off,
+            len,
+            value: s.u8(),
+        },
     }
 }
 
 /// A deterministic payload, distinct per `salt`.
 fn pattern(len: usize, salt: u8) -> Vec<u8> {
-    (0..len as u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8 ^ salt).collect()
+    (0..len as u32)
+        .map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8 ^ salt)
+        .collect()
 }
 
 /// Runs `ops` on one session whose shared window is `window` bytes,
@@ -91,27 +130,44 @@ fn pattern(len: usize, salt: u8) -> Vec<u8> {
 /// area admits), and checks each readback against the flat model.
 fn run_tape(ops: &[Op], window: u64, max: usize) {
     let model = CostModel::builder().pipeline_chunk(CHUNK as u64).build();
-    let machine = MachineConfig { model, ..MachineConfig::default() };
-    let mut m = standard_rig(RigOptions { machine, ..RigOptions::default() });
+    let machine = MachineConfig {
+        model,
+        ..MachineConfig::default()
+    };
+    let mut m = standard_rig(RigOptions {
+        machine,
+        ..RigOptions::default()
+    });
     let mut enclave = GpuEnclave::launch(&mut m, GpuEnclaveOptions::default()).expect("launch");
-    let mut session = HixSession::connect_with(&mut m, &mut enclave, window, b"differential")
-        .expect("connect");
+    let mut session =
+        HixSession::connect_with(&mut m, &mut enclave, window, b"differential").expect("connect");
     let mut dev = [DevAddr(0); 2];
     let mut flat: [Vec<u8>; 2] = [Vec::new(), Vec::new()];
     for (i, &size) in SIZES.iter().enumerate() {
-        dev[i] = session.malloc(&mut m, &mut enclave, size as u64).expect("malloc");
+        dev[i] = session
+            .malloc(&mut m, &mut enclave, size as u64)
+            .expect("malloc");
         let fill = 0xa0 + i as u8;
-        session.memset(&mut m, &mut enclave, dev[i], size as u64, fill).expect("fill");
+        session
+            .memset(&mut m, &mut enclave, dev[i], size as u64, fill)
+            .expect("fill");
         flat[i] = vec![fill; size];
     }
     let at = |buf: usize, off: usize| dev[buf].offset(off as u64);
 
     for &op in ops {
         match op {
-            Op::HtoD { buf, off, len, salt } => {
+            Op::HtoD {
+                buf,
+                off,
+                len,
+                salt,
+            } => {
                 let data = pattern(len.min(max), salt);
                 let payload = Payload::from_bytes(data.clone());
-                session.memcpy_htod(&mut m, &mut enclave, at(buf, off), &payload).expect("htod");
+                session
+                    .memcpy_htod(&mut m, &mut enclave, at(buf, off), &payload)
+                    .expect("htod");
                 flat[buf][off..off + data.len()].copy_from_slice(&data);
             }
             Op::DtoH { buf, off, len } => {
@@ -119,16 +175,37 @@ fn run_tape(ops: &[Op], window: u64, max: usize) {
                 let back = session
                     .memcpy_dtoh(&mut m, &mut enclave, at(buf, off), len as u64)
                     .expect("dtoh");
-                assert!(back.bytes() == &flat[buf][off..off + len], "{op:?} differs from the model");
+                assert!(
+                    back.bytes() == &flat[buf][off..off + len],
+                    "{op:?} differs from the model"
+                );
             }
-            Op::Memset { buf, off, len, value } => {
-                session.memset(&mut m, &mut enclave, at(buf, off), len as u64, value).expect("memset");
+            Op::Memset {
+                buf,
+                off,
+                len,
+                value,
+            } => {
+                session
+                    .memset(&mut m, &mut enclave, at(buf, off), len as u64, value)
+                    .expect("memset");
                 flat[buf][off..off + len].fill(value);
             }
-            Op::DtoD { src, src_off, dst_off, len } => {
+            Op::DtoD {
+                src,
+                src_off,
+                dst_off,
+                len,
+            } => {
                 let dst = 1 - src;
                 session
-                    .memcpy_dtod(&mut m, &mut enclave, at(src, src_off), at(dst, dst_off), len as u64)
+                    .memcpy_dtod(
+                        &mut m,
+                        &mut enclave,
+                        at(src, src_off),
+                        at(dst, dst_off),
+                        len as u64,
+                    )
                     .expect("dtod");
                 let bytes = flat[src][src_off..src_off + len].to_vec();
                 flat[dst][dst_off..dst_off + len].copy_from_slice(&bytes);
@@ -141,8 +218,15 @@ fn run_tape(ops: &[Op], window: u64, max: usize) {
             let back = session
                 .memcpy_dtoh(&mut m, &mut enclave, at(buf, off), len as u64)
                 .expect("dtoh");
-            let first = back.bytes().iter().zip(&flat[buf][off..]).position(|(a, b)| a != b);
-            assert!(first.is_none(), "allocation {buf} differs from the model at byte {off} + {first:?}");
+            let first = back
+                .bytes()
+                .iter()
+                .zip(&flat[buf][off..])
+                .position(|(a, b)| a != b);
+            assert!(
+                first.is_none(),
+                "allocation {buf} differs from the model at byte {off} + {first:?}"
+            );
         }
     }
     session.close(&mut m, &mut enclave).expect("close");

@@ -27,17 +27,53 @@ use hix_workloads::all_kernels;
 /// fault. A change that only moves where a fault is decided or
 /// recorded must keep every digest.
 const PINNED: [(u64, &str, bool, &str); 5] = [
-    (0xD1FF_5EED, "heavy", false, "31aaeb895efc6bb16a7bc25b7d574ea248f2aa4d22148f60d8074622a665da5e"),
-    (0xD1FF_5EED, "heavy", true, "6ca089870d3aff87b442816ce766513a0a626bb9751e95172cd4468f809c2658"),
-    (0x7D2D_5EED, "gpu-heavy", false, "9caaa7efc908a727ca99159515076a9a89f7dfbb4ad18c3c87dc7364d4d5ed74"),
-    (0x7D20_0001, "gpu-heavy", false, "ccd6b427f37f9d3ea9a29580edeeea36ce372cbd06a6c96b43f9e18c6e3f1a6f"),
-    (0xA5E1_0001, "heavy", true, "a38d80e88130bd71c98a5d76a4e236db16ca63dacedf371066992c2c7c888484"),
+    (
+        0xD1FF_5EED,
+        "heavy",
+        false,
+        "31aaeb895efc6bb16a7bc25b7d574ea248f2aa4d22148f60d8074622a665da5e",
+    ),
+    (
+        0xD1FF_5EED,
+        "heavy",
+        true,
+        "6ca089870d3aff87b442816ce766513a0a626bb9751e95172cd4468f809c2658",
+    ),
+    (
+        0x7D2D_5EED,
+        "gpu-heavy",
+        false,
+        "9caaa7efc908a727ca99159515076a9a89f7dfbb4ad18c3c87dc7364d4d5ed74",
+    ),
+    (
+        0x7D20_0001,
+        "gpu-heavy",
+        false,
+        "ccd6b427f37f9d3ea9a29580edeeea36ce372cbd06a6c96b43f9e18c6e3f1a6f",
+    ),
+    (
+        0xA5E1_0001,
+        "heavy",
+        true,
+        "a38d80e88130bd71c98a5d76a4e236db16ca63dacedf371066992c2c7c888484",
+    ),
 ];
 
 /// Every `fault.injected.<kind>` the machine profiles inject.
 const KINDS: [&str; 13] = [
-    "drop", "duplicate", "reorder", "delay", "corrupt", "dma_flip", "cfg_storm", "restart",
-    "gpu.hang", "gpu.wedge", "gpu.lost_completion", "gpu.vram_flip", "gpu.spurious",
+    "drop",
+    "duplicate",
+    "reorder",
+    "delay",
+    "corrupt",
+    "dma_flip",
+    "cfg_storm",
+    "restart",
+    "gpu.hang",
+    "gpu.wedge",
+    "gpu.lost_completion",
+    "gpu.vram_flip",
+    "gpu.spurious",
 ];
 
 fn assert_pinned(run: &SoakRun) {
@@ -47,8 +83,10 @@ fn assert_pinned(run: &SoakRun) {
         .find(|p| (p.0, p.1, p.2) == cell)
         .unwrap_or_else(|| panic!("{cell:x?} has no pinned digest"))
         .3;
-    let got: String =
-        sha256::digest(run.transcript.as_bytes()).iter().map(|b| format!("{b:02x}")).collect();
+    let got: String = sha256::digest(run.transcript.as_bytes())
+        .iter()
+        .map(|b| format!("{b:02x}"))
+        .collect();
     assert_eq!(got, want, "{cell:x?}: the soak transcript moved");
 }
 
@@ -89,7 +127,10 @@ fn gpu_faulted_runs_are_byte_identical_to_clean() {
         let clean = clean(seed, false);
         for profile in ["gpu-light", "gpu-heavy"] {
             let cell = checked(soak::run(seed, profile, false), &clean);
-            assert!(cell.faults() > 0, "{profile} plan never fired (seed {seed:#x})");
+            assert!(
+                cell.faults() > 0,
+                "{profile} plan never fired (seed {seed:#x})"
+            );
             cells.push(cell);
         }
     }
@@ -109,29 +150,33 @@ fn batched_submission_is_byte_identical_to_sync() {
             let clean = clean(seed, batched);
             for profile in ["light", "heavy"] {
                 let cell = checked(soak::run(seed, profile, batched), &clean);
-                assert!(cell.faults() > 0, "{profile} plan never fired ({seed:#x}, batched={batched})");
+                assert!(
+                    cell.faults() > 0,
+                    "{profile} plan never fired ({seed:#x}, batched={batched})"
+                );
                 cells.push(cell);
             }
             cells.push(clean);
         }
     }
     for cell in cells.iter().filter(|c| c.batched) {
-        assert!(cell.counter("cmdq.frames") > 0, "batched mode must actually use frames");
+        assert!(
+            cell.counter("cmdq.frames") > 0,
+            "batched mode must actually use frames"
+        );
     }
     soak::check_sweep(&cells).unwrap_or_else(|e| panic!("{e}"));
 }
 
 /// Runs one cell twice; `fired` picks the counter that shows the plan
 /// did something, so an idle plan cannot pass as deterministic.
-fn rerun_is_identical(
-    seed: u64,
-    profile: &'static str,
-    batched: bool,
-    fired: fn(&SoakRun) -> u64,
-) {
+fn rerun_is_identical(seed: u64, profile: &'static str, batched: bool, fired: fn(&SoakRun) -> u64) {
     let a = soak::run(seed, profile, batched);
     let b = soak::run(seed, profile, batched);
-    assert!(fired(&a) > 0, "the {profile} plan must fire ({seed:#x}, batched={batched})");
+    assert!(
+        fired(&a) > 0,
+        "the {profile} plan must fire ({seed:#x}, batched={batched})"
+    );
     soak::check_rerun(&a, &b).unwrap_or_else(|e| panic!("{e}"));
     assert_pinned(&a);
 }
@@ -141,14 +186,22 @@ fn rerun_is_identical(
 /// writer of the `Fault` events.
 #[test]
 fn pinned_transcripts_cover_every_fault_kind() {
-    let runs: Vec<SoakRun> =
-        PINNED.iter().map(|&(seed, profile, batched, _)| soak::run(seed, profile, batched)).collect();
+    let runs: Vec<SoakRun> = PINNED
+        .iter()
+        .map(|&(seed, profile, batched, _)| soak::run(seed, profile, batched))
+        .collect();
     runs.iter().for_each(assert_pinned);
     for kind in KINDS {
         let name = format!("fault.injected.{kind}");
-        assert!(runs.iter().any(|r| r.counter(&name) > 0), "no pinned cell injects {kind}");
+        assert!(
+            runs.iter().any(|r| r.counter(&name) > 0),
+            "no pinned cell injects {kind}"
+        );
     }
-    assert!(runs.iter().any(|r| r.counter("fault.detected") > 0), "no pinned cell detects a fault");
+    assert!(
+        runs.iter().any(|r| r.counter("fault.detected") > 0),
+        "no pinned cell detects a fault"
+    );
 }
 
 /// Channel faults, sync engine: same seed, same transcript.
@@ -174,9 +227,15 @@ fn same_seed_gpu_faulted_reruns_are_trace_identical() {
 fn heavier_profiles_inject_and_recover_more() {
     let light = soak::run(0xBEEF, "light", false);
     let heavy = soak::run(0xBEEF, "heavy", false);
-    let (l, h) = (light.counter("fault.injected"), heavy.counter("fault.injected"));
+    let (l, h) = (
+        light.counter("fault.injected"),
+        heavy.counter("fault.injected"),
+    );
     assert!(h > l, "heavy ({h}) must out-inject light ({l})");
-    assert!(heavy.recovery_actions() > 0, "heavy faults must exercise recovery");
+    assert!(
+        heavy.recovery_actions() > 0,
+        "heavy faults must exercise recovery"
+    );
     assert!(
         heavy.transcript.contains("recovery.retries_per_op")
             || heavy.counter("recovery.retries") == 0,
@@ -202,9 +261,15 @@ fn permanently_hung_context_never_stalls_peers_beyond_quarantine_bound() {
     let mut sessions = vec![SessionSpec::new(spec); 4];
     let plain = run_scaled(&model, &sessions, Mode::Hix, &config, None);
     // wedges forever, or would
-    sessions[0].faults = SessionFaults { tdr_resets: u32::MAX, ..SessionFaults::default() };
+    sessions[0].faults = SessionFaults {
+        tdr_resets: u32::MAX,
+        ..SessionFaults::default()
+    };
     let degraded = run_scaled(&model, &sessions, Mode::Hix, &config, None);
-    assert!(degraded.evicted[0], "a forever-wedging context must be evicted");
+    assert!(
+        degraded.evicted[0],
+        "a forever-wedging context must be evicted"
+    );
     let per_offense = model.tdr_patience()
         + model.tdr_kill_grace() * 3
         + model.tdr_reset_penalty()
@@ -233,15 +298,23 @@ fn barriers_order_after_queued_commands() {
     let mut enclave = GpuEnclave::launch(&mut m, GpuEnclaveOptions::default()).expect("launch");
     let mut s = HixSession::connect(&mut m, &mut enclave).expect("connect");
     let a = s.malloc(&mut m, &mut enclave, 4096).expect("malloc");
-    let id0 = s.submit_memset(&mut m, &mut enclave, a, 4096, 0x5a).unwrap();
+    let id0 = s
+        .submit_memset(&mut m, &mut enclave, a, 4096, 0x5a)
+        .unwrap();
     // The barrier read drains the pending memset before serving.
     let back = s.memcpy_dtoh(&mut m, &mut enclave, a, 4096).expect("dtoh");
-    assert!(back.bytes().iter().all(|&x| x == 0x5a), "barrier saw stale bytes");
+    assert!(
+        back.bytes().iter().all(|&x| x == 0x5a),
+        "barrier saw stale bytes"
+    );
     let comps = s.take_completions();
     assert_eq!(comps, vec![(id0, CmdStatus::Ok)]);
     // A failing queued command completes with Err, not a flush error.
-    let bad = s.submit_launch(&mut m, &mut enclave, "no.such.kernel", &[]).unwrap();
-    s.flush(&mut m, &mut enclave).expect("flush survives command errors");
+    let bad = s
+        .submit_launch(&mut m, &mut enclave, "no.such.kernel", &[])
+        .unwrap();
+    s.flush(&mut m, &mut enclave)
+        .expect("flush survives command errors");
     let comps = s.take_completions();
     assert_eq!(comps.len(), 1);
     assert_eq!(comps[0].0, bad);

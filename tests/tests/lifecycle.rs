@@ -29,8 +29,13 @@ fn many_sessions_sequentially() {
         .unwrap_or_else(|e| panic!("session {i} ({window} B window): {e}"));
         let dev = s.malloc(&mut m, &mut enclave, 8192).unwrap();
         let data = vec![i as u8; 8192];
-        s.memcpy_htod(&mut m, &mut enclave, dev, &Payload::from_bytes(data.clone()))
-            .unwrap();
+        s.memcpy_htod(
+            &mut m,
+            &mut enclave,
+            dev,
+            &Payload::from_bytes(data.clone()),
+        )
+        .unwrap();
         let back = s.memcpy_dtoh(&mut m, &mut enclave, dev, 8192).unwrap();
         assert_eq!(back.bytes(), &data[..]);
         s.close(&mut m, &mut enclave).unwrap();
@@ -54,10 +59,19 @@ fn closed_window_does_not_alias_a_live_one() {
             .malloc(&mut m, &mut enclave, 8192)
             .unwrap_or_else(|e| panic!("session {tag}: malloc: {e}"));
         let data = vec![tag.as_bytes()[0]; 8192];
-        s.memcpy_htod(&mut m, &mut enclave, dev, &Payload::from_bytes(data.clone()))
-            .unwrap_or_else(|e| panic!("session {tag}: htod: {e}"));
+        s.memcpy_htod(
+            &mut m,
+            &mut enclave,
+            dev,
+            &Payload::from_bytes(data.clone()),
+        )
+        .unwrap_or_else(|e| panic!("session {tag}: htod: {e}"));
         let back = s.memcpy_dtoh(&mut m, &mut enclave, dev, 8192).unwrap();
-        assert_eq!(back.bytes(), &data[..], "session {tag} read back foreign bytes");
+        assert_eq!(
+            back.bytes(),
+            &data[..],
+            "session {tag} read back foreign bytes"
+        );
     }
     b.close(&mut m, &mut enclave).unwrap();
     c.close(&mut m, &mut enclave).unwrap();
@@ -78,8 +92,13 @@ fn interleaved_concurrent_sessions() {
         .enumerate()
         .map(|(i, s)| {
             let dev = s.malloc(&mut m, &mut enclave, 4096).unwrap();
-            s.memcpy_htod(&mut m, &mut enclave, dev, &Payload::from_bytes(vec![i as u8 + 1; 4096]))
-                .unwrap();
+            s.memcpy_htod(
+                &mut m,
+                &mut enclave,
+                dev,
+                &Payload::from_bytes(vec![i as u8 + 1; 4096]),
+            )
+            .unwrap();
             dev
         })
         .collect();
@@ -107,8 +126,13 @@ fn enclave_shutdown_and_relaunch_cycles() {
         )
         .unwrap();
         let dev = s.malloc(&mut m, &mut enclave, 4096).unwrap();
-        s.memcpy_htod(&mut m, &mut enclave, dev, &Payload::from_bytes(vec![7; 4096]))
-            .unwrap();
+        s.memcpy_htod(
+            &mut m,
+            &mut enclave,
+            dev,
+            &Payload::from_bytes(vec![7; 4096]),
+        )
+        .unwrap();
         s.close(&mut m, &mut enclave).unwrap();
         enclave.shutdown(&mut m).unwrap();
     }
@@ -129,8 +153,13 @@ fn cold_boot_recovers_from_forced_kill() {
     let mut enclave = GpuEnclave::launch(&mut m, GpuEnclaveOptions::default()).unwrap();
     let mut s = HixSession::connect(&mut m, &mut enclave).unwrap();
     let dev = s.malloc(&mut m, &mut enclave, 4096).unwrap();
-    s.memcpy_htod(&mut m, &mut enclave, dev, &Payload::from_bytes(vec![1; 4096]))
-        .unwrap();
+    s.memcpy_htod(
+        &mut m,
+        &mut enclave,
+        dev,
+        &Payload::from_bytes(vec![1; 4096]),
+    )
+    .unwrap();
 }
 
 #[test]
@@ -140,13 +169,9 @@ fn vram_is_reclaimed_across_sessions() {
     let mut m = rig();
     let mut enclave = GpuEnclave::launch(&mut m, GpuEnclaveOptions::default()).unwrap();
     for i in 0..8u32 {
-        let mut s = HixSession::connect_with(
-            &mut m,
-            &mut enclave,
-            1 << 20,
-            format!("big-{i}").as_bytes(),
-        )
-        .unwrap();
+        let mut s =
+            HixSession::connect_with(&mut m, &mut enclave, 1 << 20, format!("big-{i}").as_bytes())
+                .unwrap();
         let dev = s.malloc(&mut m, &mut enclave, 400 << 20).unwrap();
         let _ = dev;
         s.close(&mut m, &mut enclave).unwrap();
@@ -161,7 +186,8 @@ fn gdev_and_hix_can_alternate_with_graceful_handoff() {
     let pid = m.create_process();
     let mut gdev = Gdev::open(&mut m, pid, GPU_BDF).unwrap();
     let dev = gdev.malloc(&mut m, 4096).unwrap();
-    gdev.memcpy_htod(&mut m, dev, &Payload::from_bytes(vec![1; 4096])).unwrap();
+    gdev.memcpy_htod(&mut m, dev, &Payload::from_bytes(vec![1; 4096]))
+        .unwrap();
     gdev.close(&mut m).unwrap();
     // HIX takes over; the enclave resets the device at init.
     let mut enclave = GpuEnclave::launch(&mut m, GpuEnclaveOptions::default()).unwrap();
@@ -177,5 +203,8 @@ fn gdev_and_hix_can_alternate_with_graceful_handoff() {
     // And back to Gdev after graceful release.
     let pid2 = m.create_process();
     let gdev2 = Gdev::open(&mut m, pid2, GPU_BDF);
-    assert!(gdev2.is_ok(), "GPU returned to the OS after graceful termination");
+    assert!(
+        gdev2.is_ok(),
+        "GPU returned to the OS after graceful termination"
+    );
 }

@@ -1,13 +1,13 @@
 //! Multi-GPU (no peer-to-peer, §5.6/§7): each GPU is owned by its own
 //! GPU enclave; ownership, lockdown, and sessions are independent.
 
+use hix_core::HixCoreError;
 use hix_core::{GpuEnclave, GpuEnclaveOptions, HixSession};
 use hix_crypto::sha256;
 use hix_driver::rig::{fabric_rig, RigOptions};
 use hix_gpu::device::{build_bios, GpuConfig};
 use hix_pcie::addr::Bdf;
 use hix_platform::hix::HixError;
-use hix_core::HixCoreError;
 use hix_sim::Payload;
 
 /// Two GPUs, each behind its own switch: the two paths share only the
@@ -19,7 +19,10 @@ fn two_gpu_rig() -> (hix_platform::Machine, [Bdf; 2]) {
 
 /// GPU1 carries the default BIOS, so the default pin fits it.
 fn gpu1_options(gpu1: Bdf) -> GpuEnclaveOptions {
-    GpuEnclaveOptions { bdf: gpu1, ..Default::default() }
+    GpuEnclaveOptions {
+        bdf: gpu1,
+        ..Default::default()
+    }
 }
 
 fn gpu2_options(gpu2: Bdf) -> GpuEnclaveOptions {
@@ -82,10 +85,20 @@ fn sessions_on_both_gpus_roundtrip_independently() {
     let mut s2 = HixSession::connect_with(&mut m, &mut enclave2, 1 << 20, b"u2").unwrap();
     let d1 = s1.malloc(&mut m, &mut enclave1, 4096).unwrap();
     let d2 = s2.malloc(&mut m, &mut enclave2, 4096).unwrap();
-    s1.memcpy_htod(&mut m, &mut enclave1, d1, &Payload::from_bytes(vec![0xA1; 4096]))
-        .unwrap();
-    s2.memcpy_htod(&mut m, &mut enclave2, d2, &Payload::from_bytes(vec![0xB2; 4096]))
-        .unwrap();
+    s1.memcpy_htod(
+        &mut m,
+        &mut enclave1,
+        d1,
+        &Payload::from_bytes(vec![0xA1; 4096]),
+    )
+    .unwrap();
+    s2.memcpy_htod(
+        &mut m,
+        &mut enclave2,
+        d2,
+        &Payload::from_bytes(vec![0xB2; 4096]),
+    )
+    .unwrap();
     assert!(s1
         .memcpy_dtoh(&mut m, &mut enclave1, d1, 4096)
         .unwrap()

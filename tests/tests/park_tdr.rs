@@ -31,9 +31,16 @@ fn parked_session_survives_a_secure_reset_and_recovers_via_replay() {
     // The victim plants data, then goes idle.
     let mut victim = HixSession::connect(&mut m, &mut enclave).expect("victim");
     let plant = victim.malloc(&mut m, &mut enclave, 4096).expect("malloc");
-    let secret: Vec<u8> = (0..4096u32).map(|i| (i.wrapping_mul(31) ^ 0xA7) as u8).collect();
+    let secret: Vec<u8> = (0..4096u32)
+        .map(|i| (i.wrapping_mul(31) ^ 0xA7) as u8)
+        .collect();
     victim
-        .memcpy_htod(&mut m, &mut enclave, plant, &Payload::from_bytes(secret.clone()))
+        .memcpy_htod(
+            &mut m,
+            &mut enclave,
+            plant,
+            &Payload::from_bytes(secret.clone()),
+        )
         .expect("plant");
     let before = victim
         .memcpy_dtoh(&mut m, &mut enclave, plant, 4096)
@@ -81,7 +88,10 @@ fn parked_session_survives_a_secure_reset_and_recovers_via_replay() {
             .memcpy_dtod(&mut m, &mut enclave, off_a, off_b, 8192)
             .expect("offender dtod");
         ops += 1;
-        assert!(ops < 200, "the fault plan never escalated to a secure reset");
+        assert!(
+            ops < 200,
+            "the fault plan never escalated to a secure reset"
+        );
     }
     m.clear_fault_plan();
     assert!(
@@ -94,17 +104,27 @@ fn parked_session_survives_a_secure_reset_and_recovers_via_replay() {
     // re-establishment (fresh keys, journal replay), never a resume of
     // pre-reset device state.
     let reestablished = victim.resume(&mut m, &mut enclave).expect("resume");
-    assert!(reestablished, "a parked session re-admits via re-establishment");
+    assert!(
+        reestablished,
+        "a parked session re-admits via re-establishment"
+    );
     assert!(!enclave.is_parked(victim.id()));
     assert!(victim.epoch() > 0, "re-admission must mint fresh keys");
-    assert!(victim.journal_len() > 0, "the replay journal drove recovery");
+    assert!(
+        victim.journal_len() > 0,
+        "the replay journal drove recovery"
+    );
     assert!(
         m.trace().metrics().counter("enclave.sessions_unparked") >= 1,
         "unparking must be visible in the metrics registry"
     );
     // Two live slots, three tenants: re-admitting the victim parks the
     // current LRU resident in turn.
-    assert_eq!(enclave.parked_count(), 1, "re-admission parks the next LRU victim");
+    assert_eq!(
+        enclave.parked_count(),
+        1,
+        "re-admission parks the next LRU victim"
+    );
 
     let after = victim
         .memcpy_dtoh(&mut m, &mut enclave, plant, 4096)
@@ -144,9 +164,16 @@ fn parked_session_unparks_on_a_different_shard_with_fresh_keys() {
     let plant = mover
         .malloc(&mut m, fabric.shard_mut(from), 4096)
         .expect("malloc");
-    let secret: Vec<u8> = (0..4096u32).map(|i| (i.wrapping_mul(29) ^ 0x5D) as u8).collect();
+    let secret: Vec<u8> = (0..4096u32)
+        .map(|i| (i.wrapping_mul(29) ^ 0x5D) as u8)
+        .collect();
     mover
-        .memcpy_htod(&mut m, fabric.shard_mut(from), plant, &Payload::from_bytes(secret.clone()))
+        .memcpy_htod(
+            &mut m,
+            fabric.shard_mut(from),
+            plant,
+            &Payload::from_bytes(secret.clone()),
+        )
         .expect("plant");
     assert_eq!(mover.epoch(), 0, "no recovery has happened yet");
 
@@ -182,7 +209,10 @@ fn parked_session_unparks_on_a_different_shard_with_fresh_keys() {
     assert!(reestablished, "unpark on a different shard re-establishes");
     assert!(!fabric.shard(to).is_parked(mover.id()));
     assert!(mover.epoch() > 0, "the adopting shard must mint fresh keys");
-    assert!(mover.journal_len() > 0, "the replay journal drove the rebuild");
+    assert!(
+        mover.journal_len() > 0,
+        "the replay journal drove the rebuild"
+    );
     let back = mover
         .memcpy_dtoh(&mut m, fabric.shard_mut(to), plant, 4096)
         .expect("dtoh on the adopting shard");

@@ -27,9 +27,9 @@
 use hix_core::runtime::shared_window_for;
 use hix_core::{CmdId, CmdStatus, GpuEnclave, GpuEnclaveOptions, HixSession};
 use hix_driver::rig::{standard_rig, RigOptions};
+use hix_gpu::vram::DevAddr;
 use hix_platform::Machine;
 use hix_sim::fault::{FaultConfig, FaultPlan};
-use hix_gpu::vram::DevAddr;
 use hix_sim::Payload;
 use hix_testkit::prop::{prop, Source};
 use hix_testkit::Rng;
@@ -38,7 +38,10 @@ use hix_workloads::all_kernels;
 const SEEDS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/proptest_cmdqueue.seeds");
 
 fn rig() -> Machine {
-    let m = standard_rig(RigOptions { kernels: all_kernels(), ..RigOptions::default() });
+    let m = standard_rig(RigOptions {
+        kernels: all_kernels(),
+        ..RigOptions::default()
+    });
     m.trace().set_recording(true);
     m
 }
@@ -46,9 +49,17 @@ fn rig() -> Machine {
 /// One drawn queue operation against two pre-allocated buffers.
 #[derive(Debug, Clone)]
 enum QueueOp {
-    Memset { which: bool, value: u8 },
-    DtoD { forward: bool },
-    HtoD { which: bool, len: usize },
+    Memset {
+        which: bool,
+        value: u8,
+    },
+    DtoD {
+        forward: bool,
+    },
+    HtoD {
+        which: bool,
+        len: usize,
+    },
     LoadModule,
     /// May complete `Err` if the module was never loaded — errors must
     /// still retire in order, exactly once.
@@ -60,9 +71,15 @@ enum QueueOp {
 
 fn queue_op(s: &mut Source) -> QueueOp {
     match s.choice(7) {
-        0 => QueueOp::Memset { which: s.bool(), value: s.u8() },
+        0 => QueueOp::Memset {
+            which: s.bool(),
+            value: s.u8(),
+        },
         1 => QueueOp::DtoD { forward: s.bool() },
-        2 => QueueOp::HtoD { which: s.bool(), len: s.usize_in(4..256) },
+        2 => QueueOp::HtoD {
+            which: s.bool(),
+            len: s.usize_in(4..256),
+        },
         3 => QueueOp::LoadModule,
         4 => QueueOp::Launch,
         5 => QueueOp::Sync,
@@ -96,22 +113,29 @@ fn apply_op(
 ) {
     let buf = |which: bool| if which { a } else { b };
     let id = match op {
-        QueueOp::Memset { which, value } => {
-            s.submit_memset(m, enclave, buf(which), 4096, value).expect("submit memset")
-        }
+        QueueOp::Memset { which, value } => s
+            .submit_memset(m, enclave, buf(which), 4096, value)
+            .expect("submit memset"),
         QueueOp::DtoD { forward } => {
             let (src, dst) = if forward { (a, b) } else { (b, a) };
-            s.submit_dtod(m, enclave, src, dst, 4096).expect("submit dtod")
+            s.submit_dtod(m, enclave, src, dst, 4096)
+                .expect("submit dtod")
         }
         QueueOp::HtoD { which, len } => {
             let payload = Payload::from_bytes(vec![(len & 0xff) as u8; len]);
-            s.submit_htod(m, enclave, buf(which), &payload).expect("submit htod")
+            s.submit_htod(m, enclave, buf(which), &payload)
+                .expect("submit htod")
         }
-        QueueOp::LoadModule => {
-            s.submit_load_module(m, enclave, "matrix.mul").expect("submit module")
-        }
+        QueueOp::LoadModule => s
+            .submit_load_module(m, enclave, "matrix.mul")
+            .expect("submit module"),
         QueueOp::Launch => s
-            .submit_launch(m, enclave, "matrix.mul", &[a.value(), b.value(), a.value(), 8])
+            .submit_launch(
+                m,
+                enclave,
+                "matrix.mul",
+                &[a.value(), b.value(), a.value(), 8],
+            )
             .expect("submit launch"),
         QueueOp::Sync => s.submit_sync(m, enclave).expect("submit sync"),
         QueueOp::Harvest => {
@@ -147,7 +171,16 @@ fn completions_are_fifo_exactly_once_under_wire_faults() {
             let mut submitted = Vec::new();
             let mut done = Vec::new();
             for op in ops {
-                apply_op(op, &mut m, &mut enclave, &mut s, a, b, &mut submitted, &mut done);
+                apply_op(
+                    op,
+                    &mut m,
+                    &mut enclave,
+                    &mut s,
+                    a,
+                    b,
+                    &mut submitted,
+                    &mut done,
+                );
                 assert!(
                     s.pending_cmds() <= HixSession::RING_CAPACITY,
                     "ring occupancy {} exceeds capacity",
@@ -160,7 +193,10 @@ fn completions_are_fifo_exactly_once_under_wire_faults() {
             // Exactly-once, in submission order: the concatenation of
             // every harvest equals the submitted-id sequence.
             let retired: Vec<CmdId> = done.iter().map(|(id, _)| *id).collect();
-            assert_eq!(retired, submitted, "completions lost, duplicated, or reordered");
+            assert_eq!(
+                retired, submitted,
+                "completions lost, duplicated, or reordered"
+            );
             s.close(&mut m, &mut enclave).expect("close");
         });
 }
@@ -198,9 +234,15 @@ fn clean_wire_wakes_equal_frames() {
             let wakes = mx.counter("cmdq.wakes") - wakes0;
             let frames = mx.counter("cmdq.frames") - frames0;
             let cmds = mx.counter("cmdq.frame_cmds") - cmds0;
-            assert_eq!(cmds, k as u64, "every submitted command rides exactly one frame");
+            assert_eq!(
+                cmds, k as u64,
+                "every submitted command rides exactly one frame"
+            );
             assert_eq!(wakes, frames, "clean wire: one doorbell ring per frame");
-            assert!(frames >= k.div_ceil(batch) as u64, "frames carry at most batch_max");
+            assert!(
+                frames >= k.div_ceil(batch) as u64,
+                "frames carry at most batch_max"
+            );
             assert!(frames <= k as u64, "frames carry at least one command");
         });
 }
@@ -237,8 +279,7 @@ fn faulty_wire_wakes_and_backoff_are_bounded() {
                 mx.counter("recovery.retries"),
                 mx.counter("recovery.rekeys"),
             );
-            let backoff0 =
-                mx.hist("recovery.backoff_ns").map(|h| h.sum()).unwrap_or(0);
+            let backoff0 = mx.hist("recovery.backoff_ns").map(|h| h.sum()).unwrap_or(0);
             for i in 0..k {
                 s.submit_memset(&mut m, &mut enclave, a, 4096, (i & 0xff) as u8)
                     .expect("submit");
@@ -249,8 +290,7 @@ fn faulty_wire_wakes_and_backoff_are_bounded() {
             let frames = mx.counter("cmdq.frames") - frames0;
             let retries = mx.counter("recovery.retries") - retries0;
             let rekeys = mx.counter("recovery.rekeys") - rekeys0;
-            let backoff =
-                mx.hist("recovery.backoff_ns").map(|h| h.sum()).unwrap_or(0) - backoff0;
+            let backoff = mx.hist("recovery.backoff_ns").map(|h| h.sum()).unwrap_or(0) - backoff0;
             assert_eq!(
                 wakes,
                 frames + retries + rekeys,
@@ -296,8 +336,7 @@ fn batched_submission_reduces_wakes_per_op_at_scale() {
     /// plus the channel wakes accumulated inside the op-mix windows.
     fn sweep(batched: bool) -> (Vec<Vec<u8>>, u64) {
         let mut m = standard_rig(RigOptions::default());
-        let mut enclave =
-            GpuEnclave::launch(&mut m, GpuEnclaveOptions::default()).expect("launch");
+        let mut enclave = GpuEnclave::launch(&mut m, GpuEnclaveOptions::default()).expect("launch");
         let window = shared_window_for(m.model(), BYTES);
         let mut wl = Rng::new(0x5CA1_E5CA);
         let mut results = Vec::with_capacity(USERS);
@@ -311,21 +350,27 @@ fn batched_submission_reduces_wakes_per_op_at_scale() {
             let payload: Vec<u8> = (0..BYTES).map(|_| (wl.u32() & 0xff) as u8).collect();
             let wakes0 = m.trace().metrics().counter("cmdq.wakes");
             if batched {
-                s.submit_memset(&mut m, &mut enclave, b, BYTES, fill).expect("memset");
+                s.submit_memset(&mut m, &mut enclave, b, BYTES, fill)
+                    .expect("memset");
                 s.submit_htod(&mut m, &mut enclave, a, &Payload::from_bytes(payload))
                     .expect("htod");
-                s.submit_dtod(&mut m, &mut enclave, a, b, BYTES / 2).expect("dtod");
+                s.submit_dtod(&mut m, &mut enclave, a, b, BYTES / 2)
+                    .expect("dtod");
                 s.submit_sync(&mut m, &mut enclave).expect("sync");
                 s.flush(&mut m, &mut enclave).expect("flush");
                 assert!(
-                    s.take_completions().iter().all(|(_, st)| *st == CmdStatus::Ok),
+                    s.take_completions()
+                        .iter()
+                        .all(|(_, st)| *st == CmdStatus::Ok),
                     "session {u}: a queued command failed"
                 );
             } else {
-                s.memset(&mut m, &mut enclave, b, BYTES, fill).expect("memset");
+                s.memset(&mut m, &mut enclave, b, BYTES, fill)
+                    .expect("memset");
                 s.memcpy_htod(&mut m, &mut enclave, a, &Payload::from_bytes(payload))
                     .expect("htod");
-                s.memcpy_dtod(&mut m, &mut enclave, a, b, BYTES / 2).expect("dtod");
+                s.memcpy_dtod(&mut m, &mut enclave, a, b, BYTES / 2)
+                    .expect("dtod");
                 s.sync(&mut m, &mut enclave).expect("sync");
             }
             wakes += m.trace().metrics().counter("cmdq.wakes") - wakes0;

@@ -187,8 +187,15 @@ fn counter_names_are_unique_well_formed_and_round_trip() {
                 "{name}: segment {seg:?} breaks the naming scheme"
             );
         }
-        assert!(!is_family_name(name), "{name} collides with a run-time family");
-        assert_eq!(Counter::from_name(name), Some(c), "{name} does not round-trip");
+        assert!(
+            !is_family_name(name),
+            "{name} collides with a run-time family"
+        );
+        assert_eq!(
+            Counter::from_name(name),
+            Some(c),
+            "{name} does not round-trip"
+        );
     }
     for name in FAMILY_NAMES {
         assert!(is_family_name(name), "{name}");
@@ -217,7 +224,14 @@ const CATEGORY_STAGE: [(&str, &str); 13] = [
 
 /// Stage names in report order (`BENCH_perf.json`'s stage rows).
 const STAGE_ORDER: [&str; 8] = [
-    "runtime", "channel", "crypto-cpu", "crypto-gpu", "dma", "compute", "security", "fault",
+    "runtime",
+    "channel",
+    "crypto-cpu",
+    "crypto-gpu",
+    "dma",
+    "compute",
+    "security",
+    "fault",
 ];
 
 #[derive(Debug, Clone)]
@@ -312,7 +326,10 @@ impl ChargeModel {
 
     /// Clears everything but the attributing flag.
     fn clear(&mut self) {
-        *self = ChargeModel { attributing: self.attributing, ..ChargeModel::default() };
+        *self = ChargeModel {
+            attributing: self.attributing,
+            ..ChargeModel::default()
+        };
     }
 
     fn snapshot(&self) -> String {
@@ -322,7 +339,12 @@ impl ChargeModel {
         }
         out += "# metrics\n";
         for (category, h) in &self.latency {
-            render_hist(&mut out, &format!("span.latency.{category}"), &LATENCY_BOUNDS_NS, h);
+            render_hist(
+                &mut out,
+                &format!("span.latency.{category}"),
+                &LATENCY_BOUNDS_NS,
+                h,
+            );
         }
         out
     }
@@ -345,72 +367,83 @@ fn roll_up(ledger: &CategoryLedger) -> Vec<(&'static str, u64, u64)> {
 
 #[test]
 fn typed_ledger_matches_the_string_keyed_accounting() {
-    prop("typed_ledger_matches_the_string_keyed_accounting").corpus(SEEDS).run(|s| {
-        let ops = s.collect(0..48, charge_op);
-        let trace = Trace::new();
-        let obs = trace.obs();
-        let mut model = ChargeModel::default();
-        // Issued ids outlive `clear()`, which restarts ids at 1, so an
-        // id from before it can close a newer request; the model
-        // compares ids by value, as the collector does.
-        let mut issued: Vec<RequestId> = Vec::new();
-        let mut now = 0u64;
-        for op in &ops {
-            match *op {
-                ChargeOp::Charge(k, dur) => {
-                    now += dur;
-                    let kind = EventKind::ALL[k];
-                    trace.emit(Nanos::from_nanos(now), Nanos::from_nanos(dur), kind, "op");
-                    model.charge(CATEGORY_STAGE[k].0, dur);
-                }
-                ChargeOp::Begin(tenant) => {
-                    let id = obs.begin_request(now, tenant, "req");
-                    assert_eq!(id.map(RequestId::value), model.begin(), "begin_request");
-                    issued.extend(id);
-                }
-                ChargeOp::End(pick) => {
-                    let i = pick.map_or(issued.len().wrapping_sub(1), |i| i % issued.len().max(1));
-                    if let Some(&id) = issued.get(i) {
-                        obs.end_request(id, now);
-                        model.end(id.value());
+    prop("typed_ledger_matches_the_string_keyed_accounting")
+        .corpus(SEEDS)
+        .run(|s| {
+            let ops = s.collect(0..48, charge_op);
+            let trace = Trace::new();
+            let obs = trace.obs();
+            let mut model = ChargeModel::default();
+            // Issued ids outlive `clear()`, which restarts ids at 1, so an
+            // id from before it can close a newer request; the model
+            // compares ids by value, as the collector does.
+            let mut issued: Vec<RequestId> = Vec::new();
+            let mut now = 0u64;
+            for op in &ops {
+                match *op {
+                    ChargeOp::Charge(k, dur) => {
+                        now += dur;
+                        let kind = EventKind::ALL[k];
+                        trace.emit(Nanos::from_nanos(now), Nanos::from_nanos(dur), kind, "op");
+                        model.charge(CATEGORY_STAGE[k].0, dur);
+                    }
+                    ChargeOp::Begin(tenant) => {
+                        let id = obs.begin_request(now, tenant, "req");
+                        assert_eq!(id.map(RequestId::value), model.begin(), "begin_request");
+                        issued.extend(id);
+                    }
+                    ChargeOp::End(pick) => {
+                        let i =
+                            pick.map_or(issued.len().wrapping_sub(1), |i| i % issued.len().max(1));
+                        if let Some(&id) = issued.get(i) {
+                            obs.end_request(id, now);
+                            model.end(id.value());
+                        }
+                    }
+                    ChargeOp::Attributing(on) => {
+                        obs.set_attributing(on);
+                        model.attributing = on;
+                    }
+                    ChargeOp::Recording(on) => trace.set_recording(on),
+                    ChargeOp::Clear => {
+                        trace.clear();
+                        model.clear();
                     }
                 }
-                ChargeOp::Attributing(on) => {
-                    obs.set_attributing(on);
-                    model.attributing = on;
-                }
-                ChargeOp::Recording(on) => trace.set_recording(on),
-                ChargeOp::Clear => {
-                    trace.clear();
-                    model.clear();
-                }
-            }
 
-            assert_eq!(obs.snapshot(), model.snapshot(), "after {op:?}");
-            for (category, _) in CATEGORY_STAGE.iter().chain(&[("no-such-kind", "")]) {
-                let (ns, count) = model.totals.get(category).copied().unwrap_or((0, 0));
-                assert_eq!(obs.category_ns(category), ns, "{category} after {op:?}");
-                assert_eq!(obs.category_count(category), count, "{category} after {op:?}");
+                assert_eq!(obs.snapshot(), model.snapshot(), "after {op:?}");
+                for (category, _) in CATEGORY_STAGE.iter().chain(&[("no-such-kind", "")]) {
+                    let (ns, count) = model.totals.get(category).copied().unwrap_or((0, 0));
+                    assert_eq!(obs.category_ns(category), ns, "{category} after {op:?}");
+                    assert_eq!(
+                        obs.category_count(category),
+                        count,
+                        "{category} after {op:?}"
+                    );
+                }
+                for (kind, (category, _)) in EventKind::ALL.iter().zip(&CATEGORY_STAGE) {
+                    let (ns, count) = model.totals.get(category).copied().unwrap_or((0, 0));
+                    assert_eq!(trace.total(*kind).as_nanos(), ns, "{kind:?} after {op:?}");
+                    assert_eq!(trace.count(*kind), count, "{kind:?} after {op:?}");
+                }
+                let unattributed: CategoryLedger = obs
+                    .unattributed_totals()
+                    .rows()
+                    .map(|(kind, ns, count)| (kind.as_str(), (ns, count)))
+                    .collect();
+                assert_eq!(unattributed, model.unattributed, "after {op:?}");
+                obs.check_attribution()
+                    .unwrap_or_else(|e| panic!("{e} after {op:?}"));
+                let requests = obs.requests();
+                assert_eq!(requests.len(), model.finished.len(), "after {op:?}");
+                for (rec, ledger) in requests.iter().zip(&model.finished) {
+                    let stages: Vec<_> = rec
+                        .by_stage()
+                        .iter()
+                        .map(|&(st, ns, n)| (st.as_str(), ns, n))
+                        .collect();
+                    assert_eq!(stages, roll_up(ledger), "request {} after {op:?}", rec.id);
+                }
             }
-            for (kind, (category, _)) in EventKind::ALL.iter().zip(&CATEGORY_STAGE) {
-                let (ns, count) = model.totals.get(category).copied().unwrap_or((0, 0));
-                assert_eq!(trace.total(*kind).as_nanos(), ns, "{kind:?} after {op:?}");
-                assert_eq!(trace.count(*kind), count, "{kind:?} after {op:?}");
-            }
-            let unattributed: CategoryLedger = obs
-                .unattributed_totals()
-                .rows()
-                .map(|(kind, ns, count)| (kind.as_str(), (ns, count)))
-                .collect();
-            assert_eq!(unattributed, model.unattributed, "after {op:?}");
-            obs.check_attribution().unwrap_or_else(|e| panic!("{e} after {op:?}"));
-            let requests = obs.requests();
-            assert_eq!(requests.len(), model.finished.len(), "after {op:?}");
-            for (rec, ledger) in requests.iter().zip(&model.finished) {
-                let stages: Vec<_> =
-                    rec.by_stage().iter().map(|&(st, ns, n)| (st.as_str(), ns, n)).collect();
-                assert_eq!(stages, roll_up(ledger), "request {} after {op:?}", rec.id);
-            }
-        }
-    });
+        });
 }

@@ -54,7 +54,9 @@ fn page_table_matches_reference_model() {
         }
         for vpn in 0..32u64 {
             let got = pt.walk(VirtAddr::new(vpn * PAGE_SIZE + 123));
-            let want = reference.get(&vpn).map(|&(ppn, writable)| Pte { ppn, writable });
+            let want = reference
+                .get(&vpn)
+                .map(|&(ppn, writable)| Pte { ppn, writable });
             assert_eq!(got, want, "vpn {vpn}");
         }
     });
@@ -70,7 +72,13 @@ fn tlb_never_contradicts_inserts() {
         let mut tlb = Tlb::new(capacity);
         let mut last = std::collections::BTreeMap::new();
         for (vpn, ppn) in inserts {
-            tlb.insert(VirtAddr::new(vpn * PAGE_SIZE), Pte { ppn, writable: true });
+            tlb.insert(
+                VirtAddr::new(vpn * PAGE_SIZE),
+                Pte {
+                    ppn,
+                    writable: true,
+                },
+            );
             last.insert(vpn, ppn);
         }
         for (vpn, ppn) in last {

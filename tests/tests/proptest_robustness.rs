@@ -16,7 +16,10 @@ use hix_pcie::addr::{Bdf, PhysAddr};
 use hix_pcie::config::BarIndex;
 use hix_testkit::prop::{decode_tape, prop, Source};
 
-const SEEDS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/proptest_robustness.seeds");
+const SEEDS: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/proptest_robustness.seeds"
+);
 
 #[derive(Debug, Clone)]
 enum MmioOp {
@@ -38,7 +41,9 @@ fn mmio_op(s: &mut Source) -> MmioOp {
             offset: s.in_range(0..0x3000),
             len: s.usize_in(1..64),
         },
-        2 => MmioOp::Doorbell { staged: s.vec_u8(0..128) },
+        2 => MmioOp::Doorbell {
+            staged: s.vec_u8(0..128),
+        },
         _ => MmioOp::ConfigWrite {
             offset: s.in_range(0..0x40) as u16,
             value: s.u32(),
@@ -117,7 +122,11 @@ fn edge_command(s: &mut Source) -> GpuCommand {
             pa: s.in_range(0..16) * GPU_PAGE_SIZE,
             pages: s.in_range(1..4),
         },
-        1 => GpuCommand::UnmapRange { ctx, va: edge_page(s), pages: s.in_range(1..4) },
+        1 => GpuCommand::UnmapRange {
+            ctx,
+            va: edge_page(s),
+            pages: s.in_range(1..4),
+        },
         2 => GpuCommand::DmaHtoD {
             ctx,
             bus: PhysAddr::new(edge_addr(s)),
@@ -184,14 +193,21 @@ fn wellformed_commands_at_address_space_edges_never_panic() {
                 let device = machine.device_mut(GPU_BDF).expect("gpu present");
                 device.mmio_write(BarIndex(0), bar0::ERROR, &[0]);
                 device.mmio_write(BarIndex(0), bar0::CMD_WINDOW, &bytes);
-                device.mmio_write(BarIndex(0), bar0::DOORBELL, &(bytes.len() as u64).to_le_bytes());
+                device.mmio_write(
+                    BarIndex(0),
+                    bar0::DOORBELL,
+                    &(bytes.len() as u64).to_le_bytes(),
+                );
                 machine.run_device(GPU_BDF);
                 let device = machine.device_mut(GPU_BDF).expect("gpu present");
                 let mut error = [0u8; 8];
                 device.mmio_read(BarIndex(0), bar0::ERROR, &mut error);
                 u64::from_le_bytes(error) as u32
             };
-            assert_eq!(submit(&mut machine, &GpuCommand::CreateCtx { ctx: CtxId(1) }), errcode::NONE);
+            assert_eq!(
+                submit(&mut machine, &GpuCommand::CreateCtx { ctx: CtxId(1) }),
+                errcode::NONE
+            );
             for cmd in cmds {
                 let error = submit(&mut machine, &cmd);
                 if command_wraps(&cmd) {
@@ -243,7 +259,10 @@ fn bar1_aperture_edges_never_panic() {
                     .and_then(|base| base.checked_add(data.len() as u64))
                     .is_some_and(|end| end <= vram_size);
                 if !fits {
-                    assert!(back.iter().all(|&b| b == 0xff), "{aperture:#x}+{offset:#x}: {back:?}");
+                    assert!(
+                        back.iter().all(|&b| b == 0xff),
+                        "{aperture:#x}+{offset:#x}: {back:?}"
+                    );
                 } else if write {
                     assert_eq!(back, data, "{aperture:#x}+{offset:#x}");
                 }
@@ -268,7 +287,11 @@ fn hostile_dma_lengths_saturate_the_byte_counters() {
         let bytes = cmd.encode();
         let device = machine.device_mut(GPU_BDF).expect("gpu present");
         device.mmio_write(BarIndex(0), bar0::CMD_WINDOW, &bytes);
-        device.mmio_write(BarIndex(0), bar0::DOORBELL, &(bytes.len() as u64).to_le_bytes());
+        device.mmio_write(
+            BarIndex(0),
+            bar0::DOORBELL,
+            &(bytes.len() as u64).to_le_bytes(),
+        );
         machine.run_device(GPU_BDF);
         let device = machine.device_mut(GPU_BDF).expect("gpu present");
         let mut error = [0u8; 4];
@@ -301,18 +324,18 @@ fn fabric_survives_arbitrary_config_traffic() {
             }
             // The fabric still routes *something* deterministic (either the
             // GPU if decode survived, or nothing — never a panic).
-            let _ = machine.fabric().route_mem(hix_pcie::addr::PhysAddr::new(0xc000_0000));
+            let _ = machine
+                .fabric()
+                .route_mem(hix_pcie::addr::PhysAddr::new(0xc000_0000));
         });
 }
 
 #[test]
 fn command_decoder_never_panics() {
-    prop("command_decoder_never_panics")
-        .corpus(SEEDS)
-        .run(|s| {
-            let bytes = s.vec_u8(0..256);
-            let _ = hix_gpu::cmd::GpuCommand::decode(&bytes);
-        });
+    prop("command_decoder_never_panics").corpus(SEEDS).run(|s| {
+        let bytes = s.vec_u8(0..256);
+        let _ = hix_gpu::cmd::GpuCommand::decode(&bytes);
+    });
 }
 
 #[test]
@@ -355,30 +378,32 @@ fn replay_window_case(s: &mut Source) -> (u64, Vec<u64>) {
 #[test]
 fn replay_window_matches_model() {
     use hix_sim::fault::{ReplayWindow, SeqCheck};
-    prop("replay_window_matches_model")
-        .corpus(SEEDS)
-        .run(|s| {
-            let (window, seqs) = replay_window_case(s);
-            let mut win = ReplayWindow::new(window);
-            let mut model_last = 0u64;
-            for seq in seqs {
-                let expect = if seq <= model_last {
-                    SeqCheck::Stale
-                } else if seq > model_last + window {
-                    SeqCheck::TooFar
-                } else {
-                    SeqCheck::Fresh
-                };
-                assert_eq!(win.check(seq), expect, "check({seq}) with last={model_last} window={window}");
-                assert_eq!(win.accept(seq), expect, "accept must classify like check");
-                if expect == SeqCheck::Fresh {
-                    model_last = seq;
-                }
-                assert_eq!(win.last(), model_last, "only fresh sequences may advance");
+    prop("replay_window_matches_model").corpus(SEEDS).run(|s| {
+        let (window, seqs) = replay_window_case(s);
+        let mut win = ReplayWindow::new(window);
+        let mut model_last = 0u64;
+        for seq in seqs {
+            let expect = if seq <= model_last {
+                SeqCheck::Stale
+            } else if seq > model_last + window {
+                SeqCheck::TooFar
+            } else {
+                SeqCheck::Fresh
+            };
+            assert_eq!(
+                win.check(seq),
+                expect,
+                "check({seq}) with last={model_last} window={window}"
+            );
+            assert_eq!(win.accept(seq), expect, "accept must classify like check");
+            if expect == SeqCheck::Fresh {
+                model_last = seq;
             }
-            win.reset();
-            assert_eq!(win.last(), 0, "reset must reopen the epoch");
-        });
+            assert_eq!(win.last(), model_last, "only fresh sequences may advance");
+        }
+        win.reset();
+        assert_eq!(win.last(), 0, "reset must reopen the epoch");
+    });
 }
 
 /// The resequencer must release held items lowest-sequence-first and
@@ -406,8 +431,16 @@ fn resequencer_matches_sorted_model() {
                     }
                 } else {
                     let expect = held.iter().next().copied();
-                    assert_eq!(rs.peek().map(|(q, _)| q), expect, "peek must see the minimum");
-                    assert_eq!(rs.pop().map(|(q, _)| q), expect, "pop must release the minimum");
+                    assert_eq!(
+                        rs.peek().map(|(q, _)| q),
+                        expect,
+                        "peek must see the minimum"
+                    );
+                    assert_eq!(
+                        rs.pop().map(|(q, _)| q),
+                        expect,
+                        "pop must release the minimum"
+                    );
                     if let Some(q) = expect {
                         held.remove(&q);
                         floor = Some(q);
@@ -470,9 +503,9 @@ fn migrated_regression_seed_decodes_to_original_counterexample() {
         panic!("expected a Doorbell op, got {:?}", ops[0]);
     };
     let original: &[u8] = &[
-        12, 220, 192, 56, 123, 180, 193, 49, 130, 120, 16, 42, 233, 167, 207, 230, 216, 241,
-        75, 189, 200, 74, 132, 153, 160, 129, 188, 145, 131, 73, 213, 243, 209, 9, 103, 89,
-        62, 72, 20, 4, 2, 8, 105, 83, 219, 212, 11, 77, 137, 119, 238,
+        12, 220, 192, 56, 123, 180, 193, 49, 130, 120, 16, 42, 233, 167, 207, 230, 216, 241, 75,
+        189, 200, 74, 132, 153, 160, 129, 188, 145, 131, 73, 213, 243, 209, 9, 103, 89, 62, 72, 20,
+        4, 2, 8, 105, 83, 219, 212, 11, 77, 137, 119, 238,
     ];
     assert_eq!(staged, original);
 }
@@ -513,12 +546,29 @@ fn pinned_edge_seeds_decode_to_documented_cases() {
         .collect();
     let ctx = CtxId(1);
     let top = DevAddr(u64::MAX - 0xfff);
-    assert_eq!(decoded[0], [GpuCommand::UnmapRange { ctx, va: top, pages: 2 }]);
+    assert_eq!(
+        decoded[0],
+        [GpuCommand::UnmapRange {
+            ctx,
+            va: top,
+            pages: 2
+        }]
+    );
     assert_eq!(
         decoded[2],
         [
-            GpuCommand::MapRange { ctx, va: top, pa: 0, pages: 1 },
-            GpuCommand::DmaHtoD { ctx, bus: PhysAddr::new(0), va: top, len: 0x2000 },
+            GpuCommand::MapRange {
+                ctx,
+                va: top,
+                pa: 0,
+                pages: 1
+            },
+            GpuCommand::DmaHtoD {
+                ctx,
+                bus: PhysAddr::new(0),
+                va: top,
+                len: 0x2000
+            },
         ]
     );
 }

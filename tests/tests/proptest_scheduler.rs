@@ -30,7 +30,10 @@ use hix_obs::Metrics;
 use hix_sim::{CostModel, Nanos, Payload};
 use hix_testkit::prop::{prop, Source};
 
-const SEEDS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/proptest_scheduler.seeds");
+const SEEDS: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/proptest_scheduler.seeds"
+);
 
 /// A random population: 1..12 sessions with weights in [1, 64].
 fn population(s: &mut Source, q: &mut FairQueue) -> Vec<SlotId> {
@@ -89,7 +92,10 @@ struct RefQueue {
 
 impl RefQueue {
     fn new() -> Self {
-        RefQueue { slots: Vec::new(), floor: 0 }
+        RefQueue {
+            slots: Vec::new(),
+            floor: 0,
+        }
     }
     fn insert(&mut self, weight: u32) -> usize {
         self.slots.push((self.floor, weight, false));
@@ -244,10 +250,12 @@ fn metrics_cardinality_gate_loses_no_counts() {
             let out = run_scaled(&model, &sessions, Mode::Hix, &cfg, Some(&m));
 
             let gated = users.min(PER_SESSION_METRICS_MAX);
-            let named_service: u64 =
-                (0..gated).map(|i| m.counter(&format!("sched.s{i}.service_ns"))).sum();
-            let named_wait: u64 =
-                (0..gated).map(|i| m.counter(&format!("sched.s{i}.wait_ns"))).sum();
+            let named_service: u64 = (0..gated)
+                .map(|i| m.counter(&format!("sched.s{i}.service_ns")))
+                .sum();
+            let named_wait: u64 = (0..gated)
+                .map(|i| m.counter(&format!("sched.s{i}.wait_ns")))
+                .sum();
             assert_eq!(
                 named_service + m.counter("sched.overflow.service_ns"),
                 m.counter("sched.service_ns"),
@@ -278,8 +286,8 @@ fn park_then_unseal_round_trips_byte_identical() {
         .corpus(SEEDS)
         .run(|s| {
             let mut m = standard_rig(RigOptions::default());
-            let mut enclave = GpuEnclave::launch(&mut m, GpuEnclaveOptions::default())
-                .expect("enclave launches");
+            let mut enclave =
+                GpuEnclave::launch(&mut m, GpuEnclaveOptions::default()).expect("enclave launches");
             let mut sess = HixSession::connect(&mut m, &mut enclave).expect("session");
             let a = sess.malloc(&mut m, &mut enclave, 8192).expect("malloc");
             let data = s.vec_u8(1..4096);
@@ -299,7 +307,10 @@ fn park_then_unseal_round_trips_byte_identical() {
             // re-keys, and replays the journal (parking never resumes
             // device state — it rebuilds it).
             let reestablished = sess.resume(&mut m, &mut enclave).expect("resume");
-            assert!(reestablished, "a parked session resumes via re-establishment");
+            assert!(
+                reestablished,
+                "a parked session resumes via re-establishment"
+            );
             assert!(!enclave.is_parked(id));
             assert!(sess.epoch() > 0, "re-establishment mints fresh keys");
 

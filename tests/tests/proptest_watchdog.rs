@@ -53,12 +53,18 @@ fn ladder_orders_deadline_then_kill_then_reset() {
             .position(|a| *a == WatchdogAction::Kill)
             .expect("exactly one kill rung");
         assert_eq!(
-            actions.iter().filter(|a| **a == WatchdogAction::Kill).count(),
+            actions
+                .iter()
+                .filter(|a| **a == WatchdogAction::Kill)
+                .count(),
             1
         );
         assert_eq!(*actions.last().unwrap(), WatchdogAction::Reset);
         assert_eq!(
-            actions.iter().filter(|a| **a == WatchdogAction::Reset).count(),
+            actions
+                .iter()
+                .filter(|a| **a == WatchdogAction::Reset)
+                .count(),
             1
         );
 
@@ -123,8 +129,8 @@ fn zero_faults_mean_zero_watchdog_actions() {
         .cases(24)
         .run(|s| {
             let mut m = standard_rig(RigOptions::default());
-            let mut enclave = GpuEnclave::launch(&mut m, GpuEnclaveOptions::default())
-                .expect("enclave launches");
+            let mut enclave =
+                GpuEnclave::launch(&mut m, GpuEnclaveOptions::default()).expect("enclave launches");
             let mut sess = HixSession::connect(&mut m, &mut enclave).expect("session");
             let a = sess.malloc(&mut m, &mut enclave, 8192).expect("malloc");
             let b = sess.malloc(&mut m, &mut enclave, 8192).expect("malloc");
@@ -141,7 +147,8 @@ fn zero_faults_mean_zero_watchdog_actions() {
                             .expect("dtod");
                     }
                     2 => {
-                        sess.memcpy_dtoh(&mut m, &mut enclave, b, 4096).expect("dtoh");
+                        sess.memcpy_dtoh(&mut m, &mut enclave, b, 4096)
+                            .expect("dtoh");
                     }
                     3 => {
                         sess.memset(&mut m, &mut enclave, a, 4096, s.u8())

@@ -11,13 +11,23 @@ use hix_sim::Payload;
 
 /// A one-GPU, one-switch fabric: root port (00:01.0) → switch upstream
 /// (01:00.0) → switch downstream (02:00.0) → GPU (03:00.0).
-const GPU: Bdf = Bdf { bus: 3, device: 0, function: 0 };
+const GPU: Bdf = Bdf {
+    bus: 3,
+    device: 0,
+    function: 0,
+};
 
 fn launch() -> (hix_platform::Machine, GpuEnclave) {
     let (mut m, topo) = fabric_rig(RigOptions::default(), 1, 1);
     assert_eq!(topo.gpus[0].bdf, GPU);
-    let enclave = GpuEnclave::launch(&mut m, GpuEnclaveOptions { bdf: GPU, ..Default::default() })
-        .expect("enclave over switch");
+    let enclave = GpuEnclave::launch(
+        &mut m,
+        GpuEnclaveOptions {
+            bdf: GPU,
+            ..Default::default()
+        },
+    )
+    .expect("enclave over switch");
     (m, enclave)
 }
 
@@ -27,8 +37,13 @@ fn secure_path_works_through_a_switch() {
     let mut s = HixSession::connect(&mut m, &mut enclave).unwrap();
     let dev = s.malloc(&mut m, &mut enclave, 8192).unwrap();
     let data = vec![0x3c; 8192];
-    s.memcpy_htod(&mut m, &mut enclave, dev, &Payload::from_bytes(data.clone()))
-        .unwrap();
+    s.memcpy_htod(
+        &mut m,
+        &mut enclave,
+        dev,
+        &Payload::from_bytes(data.clone()),
+    )
+    .unwrap();
     let back = s.memcpy_dtoh(&mut m, &mut enclave, dev, 8192).unwrap();
     assert_eq!(back.bytes(), &data[..]);
 }
@@ -55,7 +70,14 @@ fn graceful_release_unfreezes_the_whole_chain() {
             .unwrap_or_else(|e| panic!("{bridge}: {e}"));
     }
     // Re-launch works.
-    GpuEnclave::launch(&mut m, GpuEnclaveOptions { bdf: GPU, ..Default::default() }).unwrap();
+    GpuEnclave::launch(
+        &mut m,
+        GpuEnclaveOptions {
+            bdf: GPU,
+            ..Default::default()
+        },
+    )
+    .unwrap();
 }
 
 #[test]

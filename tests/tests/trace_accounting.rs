@@ -17,8 +17,13 @@ fn hix_run_charges_gpu_crypto_and_dma() {
     let mut s = HixSession::connect(&mut m, &mut enclave).unwrap();
     let dev = s.malloc(&mut m, &mut enclave, 1 << 20).unwrap();
     m.trace().clear();
-    s.memcpy_htod(&mut m, &mut enclave, dev, &Payload::from_bytes(vec![1; 1 << 20]))
-        .unwrap();
+    s.memcpy_htod(
+        &mut m,
+        &mut enclave,
+        dev,
+        &Payload::from_bytes(vec![1; 1 << 20]),
+    )
+    .unwrap();
     let _ = s.memcpy_dtoh(&mut m, &mut enclave, dev, 1 << 20).unwrap();
     assert!(
         m.trace().total(EventKind::GpuCrypto) > Nanos::ZERO,
@@ -28,7 +33,10 @@ fn hix_run_charges_gpu_crypto_and_dma() {
         m.trace().total(EventKind::Dma) > Nanos::ZERO,
         "DMA wire time must be accounted"
     );
-    assert!(m.trace().count(EventKind::Mmio) > 0, "MMIO traffic happened");
+    assert!(
+        m.trace().count(EventKind::Mmio) > 0,
+        "MMIO traffic happened"
+    );
     // The summary renders every active category.
     let summary = m.trace().summary();
     assert!(summary.contains("gpu-crypto"), "{summary}");
@@ -67,10 +75,22 @@ fn figure_harness_runs_emit_no_catchall_events() {
         });
         let pid = m.create_process();
         let mut gdev = Gdev::open(&mut m, pid, GPU_BDF).unwrap();
-        workload.run(&mut m, &mut GdevExec::new(&mut gdev), n).unwrap();
+        workload
+            .run(&mut m, &mut GdevExec::new(&mut gdev), n)
+            .unwrap();
         gdev.close(&mut m).unwrap();
-        assert_eq!(m.trace().count(EventKind::Other), 0, "gdev {}", workload.name());
-        assert_eq!(m.trace().count(EventKind::Fault), 0, "gdev {}", workload.name());
+        assert_eq!(
+            m.trace().count(EventKind::Other),
+            0,
+            "gdev {}",
+            workload.name()
+        );
+        assert_eq!(
+            m.trace().count(EventKind::Fault),
+            0,
+            "gdev {}",
+            workload.name()
+        );
 
         let mut m = standard_rig(RigOptions {
             kernels: all_kernels(),
@@ -82,8 +102,18 @@ fn figure_harness_runs_emit_no_catchall_events() {
             .run(&mut m, &mut HixExec::new(&mut s, &mut enclave), n)
             .unwrap();
         s.close(&mut m, &mut enclave).unwrap();
-        assert_eq!(m.trace().count(EventKind::Other), 0, "hix {}", workload.name());
-        assert_eq!(m.trace().count(EventKind::Fault), 0, "hix {}", workload.name());
+        assert_eq!(
+            m.trace().count(EventKind::Other),
+            0,
+            "hix {}",
+            workload.name()
+        );
+        assert_eq!(
+            m.trace().count(EventKind::Fault),
+            0,
+            "hix {}",
+            workload.name()
+        );
     }
 }
 
@@ -101,15 +131,27 @@ fn injected_faults_emit_fault_kind_events_and_recovery_reconciles() {
     let mut enclave = GpuEnclave::launch(&mut m, GpuEnclaveOptions::default()).unwrap();
     let mut s = HixSession::connect(&mut m, &mut enclave).unwrap();
     let dev = s.malloc(&mut m, &mut enclave, 64 << 10).unwrap();
-    s.memcpy_htod(&mut m, &mut enclave, dev, &Payload::from_bytes(vec![7; 64 << 10]))
-        .unwrap();
+    s.memcpy_htod(
+        &mut m,
+        &mut enclave,
+        dev,
+        &Payload::from_bytes(vec![7; 64 << 10]),
+    )
+    .unwrap();
     let back = s.memcpy_dtoh(&mut m, &mut enclave, dev, 64 << 10).unwrap();
-    assert_eq!(back.bytes(), &vec![7u8; 64 << 10][..], "recovery must preserve the data");
+    assert_eq!(
+        back.bytes(),
+        &vec![7u8; 64 << 10][..],
+        "recovery must preserve the data"
+    );
     s.close(&mut m, &mut enclave).unwrap();
 
     let mx = m.trace().metrics();
     let injected = mx.counter("fault.injected");
-    assert!(injected > 0, "the heavy plan must fire on a transfer workload");
+    assert!(
+        injected > 0,
+        "the heavy plan must fire on a transfer workload"
+    );
     assert_eq!(
         m.trace().count(EventKind::Fault),
         injected,
@@ -121,17 +163,30 @@ fn injected_faults_emit_fault_kind_events_and_recovery_reconciles() {
         "fault handling must never fall back to the Other catch-all"
     );
     let per_kind: u64 = [
-        "drop", "duplicate", "reorder", "delay", "corrupt", "dma_flip", "cfg_storm", "restart",
+        "drop",
+        "duplicate",
+        "reorder",
+        "delay",
+        "corrupt",
+        "dma_flip",
+        "cfg_storm",
+        "restart",
     ]
     .iter()
     .map(|kind| mx.counter(&format!("fault.injected.{kind}")))
     .sum();
-    assert_eq!(per_kind, injected, "the per-kind ledger must tile the total");
+    assert_eq!(
+        per_kind, injected,
+        "the per-kind ledger must tile the total"
+    );
 
     // One span per retransmit attempt, one per re-key escalation.
     let retries = mx.counter("recovery.retries");
     let rekeys = mx.counter("recovery.rekeys");
-    assert!(retries > 0, "a heavy plan on transfers must force retransmissions");
+    assert!(
+        retries > 0,
+        "a heavy plan on transfers must force retransmissions"
+    );
     let spans = m.trace().obs().spans();
     let retransmit_spans = spans
         .iter()
@@ -145,7 +200,10 @@ fn injected_faults_emit_fault_kind_events_and_recovery_reconciles() {
         retransmit_spans, retries,
         "one recovery span per retransmit attempt"
     );
-    assert_eq!(rekey_spans, rekeys, "one recovery span per re-key escalation");
+    assert_eq!(
+        rekey_spans, rekeys,
+        "one recovery span per re-key escalation"
+    );
     let snapshot = m.trace().obs().snapshot();
     assert!(
         snapshot.contains("recovery.retries_per_op"),
@@ -198,20 +256,43 @@ fn gpu_fault_ledger_tiles_injected_total_and_watchdog_spans_reconcile() {
             .unwrap();
         s.memcpy_htod(&mut m, &mut enclave, b, &Payload::from_bytes(ones))
             .unwrap();
-        s.launch(&mut m, &mut enclave, "matrix.mul", &[a.value(), b.value(), c.value(), n])
-            .unwrap();
+        s.launch(
+            &mut m,
+            &mut enclave,
+            "matrix.mul",
+            &[a.value(), b.value(), c.value(), n],
+        )
+        .unwrap();
         s.sync(&mut m, &mut enclave).unwrap();
         let back = s.memcpy_dtoh(&mut m, &mut enclave, c, bytes).unwrap();
         let expect: Vec<u8> = (0..n * n).flat_map(|_| (n as i32).to_le_bytes()).collect();
-        assert_eq!(back.bytes(), &expect[..], "recovery must preserve the result");
+        assert_eq!(
+            back.bytes(),
+            &expect[..],
+            "recovery must preserve the result"
+        );
         s.close(&mut m, &mut enclave).unwrap();
     }
 
     let mx = m.trace().metrics();
     let injected = mx.counter("fault.injected");
-    let gpu_kinds = ["gpu.hang", "gpu.wedge", "gpu.lost_completion", "gpu.vram_flip", "gpu.spurious"];
-    let channel_kinds =
-        ["drop", "duplicate", "reorder", "delay", "corrupt", "dma_flip", "cfg_storm", "restart"];
+    let gpu_kinds = [
+        "gpu.hang",
+        "gpu.wedge",
+        "gpu.lost_completion",
+        "gpu.vram_flip",
+        "gpu.spurious",
+    ];
+    let channel_kinds = [
+        "drop",
+        "duplicate",
+        "reorder",
+        "delay",
+        "corrupt",
+        "dma_flip",
+        "cfg_storm",
+        "restart",
+    ];
     let gpu_injected: u64 = gpu_kinds
         .iter()
         .map(|kind| mx.counter(&format!("fault.injected.{kind}")))
@@ -221,8 +302,14 @@ fn gpu_fault_ledger_tiles_injected_total_and_watchdog_spans_reconcile() {
         .map(|kind| mx.counter(&format!("fault.injected.{kind}")))
         .sum::<u64>()
         + gpu_injected;
-    assert!(gpu_injected > 0, "the gpu-heavy plan must inject device faults");
-    assert_eq!(per_kind, injected, "the per-kind ledger must tile the total exactly");
+    assert!(
+        gpu_injected > 0,
+        "the gpu-heavy plan must inject device faults"
+    );
+    assert_eq!(
+        per_kind, injected,
+        "the per-kind ledger must tile the total exactly"
+    );
     // One Fault event per injection, plus one per *detected* real error
     // (an injected bit-flip in a sealed staging buffer surfaces as a
     // device-side integrity failure — a second, legitimate event for
@@ -284,7 +371,11 @@ fn span_accounting_reconciles_with_legacy_totals() {
     let mut enclave = GpuEnclave::launch(&mut m, GpuEnclaveOptions::default()).unwrap();
     let mut s = HixSession::connect(&mut m, &mut enclave).unwrap();
     MatrixMul
-        .run(&mut m, &mut HixExec::new(&mut s, &mut enclave), MatrixMul.test_size())
+        .run(
+            &mut m,
+            &mut HixExec::new(&mut s, &mut enclave),
+            MatrixMul.test_size(),
+        )
         .unwrap();
     s.close(&mut m, &mut enclave).unwrap();
 
@@ -293,7 +384,11 @@ fn span_accounting_reconciles_with_legacy_totals() {
         let ns = m.trace().total(kind).as_nanos();
         let count = m.trace().count(kind);
         assert_eq!(m.trace().obs().category_ns(kind.as_str()), ns, "{kind}");
-        assert_eq!(m.trace().obs().category_count(kind.as_str()), count, "{kind}");
+        assert_eq!(
+            m.trace().obs().category_count(kind.as_str()),
+            count,
+            "{kind}"
+        );
         if count > 0 {
             assert!(
                 snapshot.contains(&format!("span.ns.{kind} {ns}")),
@@ -320,7 +415,11 @@ fn request_attribution_reconciles_on_the_real_stack() {
     let mut enclave = GpuEnclave::launch(&mut m, GpuEnclaveOptions::default()).unwrap();
     let mut s = HixSession::connect(&mut m, &mut enclave).unwrap();
     MatrixMul
-        .run(&mut m, &mut HixExec::new(&mut s, &mut enclave), MatrixMul.test_size())
+        .run(
+            &mut m,
+            &mut HixExec::new(&mut s, &mut enclave),
+            MatrixMul.test_size(),
+        )
         .unwrap();
     s.close(&mut m, &mut enclave).unwrap();
 
@@ -354,7 +453,10 @@ fn request_attribution_reconciles_on_the_real_stack() {
     // unattributed ledger still reconciles on a fresh machine.
     let m2 = standard_rig(RigOptions::default());
     assert!(m2.trace().obs().begin_request(0, 1, "noop").is_none());
-    m2.trace().obs().check_attribution().expect("reconciles while disabled");
+    m2.trace()
+        .obs()
+        .check_attribution()
+        .expect("reconciles while disabled");
 }
 
 #[test]
@@ -393,10 +495,14 @@ fn aborted_batches_leak_no_open_spans() {
         let ones: Vec<u8> = (0..n * n).flat_map(|_| 1i32.to_le_bytes()).collect();
         let abcn = [a.value(), b.value(), c.value(), n];
         let ids = vec![
-            s.submit_load_module(&mut m, &mut enclave, "matrix.mul").unwrap(),
-            s.submit_htod(&mut m, &mut enclave, a, &Payload::from_bytes(ones.clone())).unwrap(),
-            s.submit_htod(&mut m, &mut enclave, b, &Payload::from_bytes(ones)).unwrap(),
-            s.submit_launch(&mut m, &mut enclave, "matrix.mul", &abcn).unwrap(),
+            s.submit_load_module(&mut m, &mut enclave, "matrix.mul")
+                .unwrap(),
+            s.submit_htod(&mut m, &mut enclave, a, &Payload::from_bytes(ones.clone()))
+                .unwrap(),
+            s.submit_htod(&mut m, &mut enclave, b, &Payload::from_bytes(ones))
+                .unwrap(),
+            s.submit_launch(&mut m, &mut enclave, "matrix.mul", &abcn)
+                .unwrap(),
             s.submit_sync(&mut m, &mut enclave).unwrap(),
         ];
         s.flush(&mut m, &mut enclave)
@@ -408,7 +514,11 @@ fn aborted_batches_leak_no_open_spans() {
         }
         let back = s.memcpy_dtoh(&mut m, &mut enclave, c, bytes).unwrap();
         let expect: Vec<u8> = (0..n * n).flat_map(|_| (n as i32).to_le_bytes()).collect();
-        assert_eq!(back.bytes(), &expect[..], "recovery must preserve the result");
+        assert_eq!(
+            back.bytes(),
+            &expect[..],
+            "recovery must preserve the result"
+        );
         s.close(&mut m, &mut enclave).unwrap();
     }
     let mx = m.trace().metrics();
@@ -422,7 +532,10 @@ fn aborted_batches_leak_no_open_spans() {
     );
     let spans = m.trace().obs().spans();
     let open: Vec<_> = spans.iter().filter(|s| s.is_open()).collect();
-    assert!(open.is_empty(), "aborted batches leaked open spans: {open:?}");
+    assert!(
+        open.is_empty(),
+        "aborted batches leaked open spans: {open:?}"
+    );
     m.trace()
         .obs()
         .check_attribution()

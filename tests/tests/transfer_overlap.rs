@@ -40,26 +40,34 @@ fn batched_frames_hide_gpu_work_under_the_transfer_pipeline() {
     let copy_len = 64 << 20; // ~0.9 ms of VRAM traffic, >> IPC noise
     let a = s.malloc(&mut m, &mut enclave, len).expect("malloc a");
     let b = s.malloc(&mut m, &mut enclave, len).expect("malloc b");
-    let big_src = s.malloc(&mut m, &mut enclave, copy_len).expect("malloc src");
-    let big_dst = s.malloc(&mut m, &mut enclave, copy_len).expect("malloc dst");
+    let big_src = s
+        .malloc(&mut m, &mut enclave, copy_len)
+        .expect("malloc src");
+    let big_dst = s
+        .malloc(&mut m, &mut enclave, copy_len)
+        .expect("malloc dst");
     let av = vec![0xA5u8; len as usize];
     let bv = vec![0x5Au8; len as usize];
 
     // Calibration frame 1: the DtoD alone.
-    s.submit_dtod(&mut m, &mut enclave, big_src, big_dst, copy_len).unwrap();
+    s.submit_dtod(&mut m, &mut enclave, big_src, big_dst, copy_len)
+        .unwrap();
     let before = m.clock().now();
     s.flush(&mut m, &mut enclave).expect("flush dtod");
     let t_dtod = m.clock().now() - before;
 
     // Calibration frame 2: the transfer alone.
-    s.submit_htod(&mut m, &mut enclave, a, &Payload::from_bytes(av.clone())).unwrap();
+    s.submit_htod(&mut m, &mut enclave, a, &Payload::from_bytes(av.clone()))
+        .unwrap();
     let before = m.clock().now();
     s.flush(&mut m, &mut enclave).expect("flush htod");
     let t_htod = m.clock().now() - before;
 
     // Combined frame: DtoD first, then the transfer.
-    s.submit_dtod(&mut m, &mut enclave, big_src, big_dst, copy_len).unwrap();
-    s.submit_htod(&mut m, &mut enclave, b, &Payload::from_bytes(bv.clone())).unwrap();
+    s.submit_dtod(&mut m, &mut enclave, big_src, big_dst, copy_len)
+        .unwrap();
+    s.submit_htod(&mut m, &mut enclave, b, &Payload::from_bytes(bv.clone()))
+        .unwrap();
     let before = m.clock().now();
     s.flush(&mut m, &mut enclave).expect("flush combined");
     let t_both = m.clock().now() - before;
@@ -93,8 +101,13 @@ fn single_transfer_frames_keep_the_closed_form() {
     let len = transfer_len(&m);
     let a = s.malloc(&mut m, &mut enclave, len).expect("malloc");
     let before = m.clock().now();
-    s.memcpy_htod(&mut m, &mut enclave, a, &Payload::from_bytes(vec![7u8; len as usize]))
-        .expect("htod");
+    s.memcpy_htod(
+        &mut m,
+        &mut enclave,
+        a,
+        &Payload::from_bytes(vec![7u8; len as usize]),
+    )
+    .expect("htod");
     let elapsed = m.clock().now() - before;
     assert_eq!(
         elapsed,
@@ -118,16 +131,36 @@ fn engines_are_shared_across_sessions() {
     let a1 = s1.malloc(&mut m, &mut enclave, len).expect("malloc s1");
     let a2 = s2.malloc(&mut m, &mut enclave, len).expect("malloc s2");
 
-    assert_eq!(enclave.xfer_pipeline().dma_free(), Nanos::ZERO, "no booking yet");
+    assert_eq!(
+        enclave.xfer_pipeline().dma_free(),
+        Nanos::ZERO,
+        "no booking yet"
+    );
 
-    s1.memcpy_htod(&mut m, &mut enclave, a1, &Payload::from_bytes(vec![1u8; len as usize]))
-        .expect("htod s1");
-    let after_s1 = (enclave.xfer_pipeline().crypt_free(), enclave.xfer_pipeline().dma_free());
+    s1.memcpy_htod(
+        &mut m,
+        &mut enclave,
+        a1,
+        &Payload::from_bytes(vec![1u8; len as usize]),
+    )
+    .expect("htod s1");
+    let after_s1 = (
+        enclave.xfer_pipeline().crypt_free(),
+        enclave.xfer_pipeline().dma_free(),
+    );
     assert!(after_s1.0 > Nanos::ZERO && after_s1.1 > after_s1.0);
 
-    s2.memcpy_htod(&mut m, &mut enclave, a2, &Payload::from_bytes(vec![2u8; len as usize]))
-        .expect("htod s2");
-    let after_s2 = (enclave.xfer_pipeline().crypt_free(), enclave.xfer_pipeline().dma_free());
+    s2.memcpy_htod(
+        &mut m,
+        &mut enclave,
+        a2,
+        &Payload::from_bytes(vec![2u8; len as usize]),
+    )
+    .expect("htod s2");
+    let after_s2 = (
+        enclave.xfer_pipeline().crypt_free(),
+        enclave.xfer_pipeline().dma_free(),
+    );
     assert!(
         after_s2.0 > after_s1.0 && after_s2.1 > after_s1.1,
         "session 2's transfer must book the same engines session 1 used"
@@ -135,7 +168,8 @@ fn engines_are_shared_across_sessions() {
 
     // Readbacks book the same engines in the other direction.
     let before_dtoh = enclave.xfer_pipeline().crypt_free();
-    s1.memcpy_dtoh(&mut m, &mut enclave, a1, len).expect("dtoh s1");
+    s1.memcpy_dtoh(&mut m, &mut enclave, a1, len)
+        .expect("dtoh s1");
     assert!(
         enclave.xfer_pipeline().crypt_free() > before_dtoh,
         "DtoH must book the shared crypto engine too"
