@@ -17,6 +17,8 @@
 //!   rollup tiles the category sums;
 //! * **critical path ≤ e2e** — every request's longest charged chain
 //!   fits inside its end-to-end window (so queue = e2e − service ≥ 0);
+//! * **queue is waiting** — one synchronous caller never waits, so
+//!   every profile's synchronous cell has `queue_ns == 0`;
 //! * **determinism** — same-seed reruns are byte-identical in requests,
 //!   snapshot, and emitted JSON;
 //! * **engine equivalence** — batched and sync runs of a profile
@@ -472,6 +474,10 @@ fn main() {
         // single result byte, on any fault profile.
         if cell.results != batched.results {
             fail(&format!("{tag}: batched engine changed GPU results"));
+        }
+        let queue: u64 = cell.slo.iter().map(|r| r.queue_ns).sum();
+        if queue != 0 {
+            fail(&format!("{tag}: one synchronous caller queued {queue} ns"));
         }
         if batched.mix_wakes >= cell.mix_wakes {
             fail(&format!(

@@ -207,8 +207,4 @@ fn print_loc_breakdown() {
          in the verify path: none",
         tcb_crates - non_tcb
     );
-    println!(
-        "Trusted code counted under sim: the channel's ReplayWindow, the \
-         runtime's Backoff and the watchdog's EscalationLadder (hix_sim::fault)."
-    );
 }

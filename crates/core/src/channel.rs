@@ -43,8 +43,10 @@ use hix_crypto::ocb::{Key, Nonce, Ocb, TAG_LEN};
 use hix_driver::DmaBuffer;
 use hix_platform::mmu::AccessFault;
 use hix_platform::{Machine, ProcessId};
-use hix_sim::fault::{Dir, ReplayWindow, SeqCheck};
+use hix_sim::fault::Dir;
 use hix_sim::{Counter, EventKind};
+
+use crate::recovery::{ReplayWindow, SeqCheck};
 
 /// Offsets in the shared channel buffer that both directions use.
 mod layout {
@@ -259,21 +261,16 @@ impl Endpoint {
             dir.as_str()
         );
         let hop = machine.model().ipc_roundtrip / 2;
-        machine.clock().advance(hop);
+        let attrs = [("bytes", sealed.len() as u64), ("seq", seq)];
+        machine
+            .trace()
+            .charge_with(machine.clock(), hop, EventKind::Ipc, lane.label, &attrs);
         machine.trace().metrics().inc(Counter::IpcMsgs);
         if dir == Dir::Request {
             // Every request frame rings the doorbell once: this is the
             // enclave-wake ledger the batched submission path amortizes.
             machine.trace().metrics().inc(Counter::CmdqWakes);
         }
-        let attrs = [("bytes", sealed.len() as u64), ("seq", seq)];
-        machine.trace().emit_with(
-            machine.clock().now(),
-            hop,
-            EventKind::Ipc,
-            lane.label,
-            &attrs,
-        );
         let Some(plan) = machine.fault_plan() else {
             return self.stage(machine, lane, &sealed, Some(seq));
         };
@@ -712,7 +709,7 @@ mod tests {
                     user.send_request(&mut m, &body).unwrap();
                     continue;
                 }
-                m.clock().advance(Nanos::from_micros(10));
+                m.charge(EventKind::Ipc, Nanos::from_micros(10), "retransmit timer");
                 user.resend_request(&mut m).unwrap();
             }
             assert!(done, "op {op} never completed under the fault plan");

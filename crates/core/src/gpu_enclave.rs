@@ -19,12 +19,12 @@ use hix_platform::mmu::AccessFault;
 use hix_platform::sgx::SgxError;
 use hix_platform::{Machine, ProcessId, VirtAddr};
 use hix_sim::cost::ExecMode;
-use hix_sim::fault::{EscalationLadder, WatchdogAction};
 use hix_sim::{Counter, CryptoDmaPipeline, EventKind, Nanos, COUNT_BOUNDS};
 
 use crate::attest::{self, AttestError};
 use crate::channel::{sealed_chunk_offset, sealed_stream_len, ChannelError, Endpoint, BULK_OFFSET};
 use crate::protocol::{BatchCmd, Request, Response};
+use crate::recovery::{EscalationLadder, WatchdogAction};
 
 /// Virtual base where the GPU enclave maps BAR0 through `EGADD`.
 const TRUSTED_BAR0_VA: VirtAddr = VirtAddr::new(0x7000_0000_0000);
@@ -373,10 +373,9 @@ impl GpuEnclave {
 
         // §4.2.2: reset to purge any pre-existing GPU state.
         machine.fabric_mut().reset_device(options.bdf);
-        machine.trace().emit(
-            machine.clock().now(),
-            Nanos::ZERO,
+        machine.charge(
             EventKind::Security,
+            Nanos::ZERO,
             "GPU enclave initialized: BIOS verified, device reset",
         );
 
@@ -548,10 +547,7 @@ impl GpuEnclave {
         label: &'static str,
     ) -> Result<Epoch, HixCoreError> {
         let init = machine.model().task_init(ExecMode::Hix);
-        machine.clock().advance(init);
-        machine
-            .trace()
-            .emit(machine.clock().now(), init, EventKind::Init, label);
+        machine.charge(EventKind::Init, init, label);
 
         let channel_key =
             attest::pairwise_channel_key(machine, user_pid, self.pid, user_rng, &mut self.rng)?;
@@ -615,10 +611,9 @@ impl GpuEnclave {
             .trace()
             .metrics()
             .inc(Counter::WatchdogSessionsRebuilt);
-        machine.trace().emit(
-            machine.clock().now(),
-            Nanos::ZERO,
+        machine.charge(
             EventKind::Security,
+            Nanos::ZERO,
             "session re-established after TDR: fresh context, keys, and channel epoch",
         );
         Ok((epoch.channel_key, epoch.user_data_key))
@@ -647,10 +642,9 @@ impl GpuEnclave {
         let state = self.sessions.get_mut(&session).expect("checked above");
         state.endpoint.rekey(key);
         machine.trace().metrics().inc(Counter::RecoveryRekeys);
-        machine.trace().emit(
-            machine.clock().now(),
-            Nanos::ZERO,
+        machine.charge(
             EventKind::Security,
+            Nanos::ZERO,
             "session re-key after channel desync",
         );
         Ok(key)
@@ -832,8 +826,11 @@ impl GpuEnclave {
         session: SessionId,
     ) -> Result<(), HixCoreError> {
         let user_pid = self.live_session(session)?.user_pid;
-        let cost = machine.model().park_seal();
-        machine.clock().advance(cost);
+        machine.charge(
+            EventKind::EnclaveCrypto,
+            machine.model().park_seal(),
+            format!("session {session} parked: state sealed, context scrubbed"),
+        );
         let (blob, seq) = self.seal_record(machine, session, user_pid)?;
 
         let state = self.remove_session(session).expect("checked above");
@@ -855,12 +852,6 @@ impl GpuEnclave {
             .trace()
             .metrics()
             .inc(Counter::EnclaveSessionsParked);
-        machine.trace().emit(
-            machine.clock().now(),
-            cost,
-            EventKind::EnclaveCrypto,
-            format!("session {session} parked: state sealed, context scrubbed"),
-        );
         Ok(())
     }
 
@@ -896,9 +887,11 @@ impl GpuEnclave {
         }
         // Unparking may itself need a slot: the coldest resident yields.
         self.ensure_resident_slot(machine)?;
-        let cost = machine.model().park_unseal();
-        machine.clock().advance(cost);
-
+        machine.charge(
+            EventKind::EnclaveCrypto,
+            machine.model().park_unseal(),
+            format!("session {session} unparked: record verified, awaiting re-establishment"),
+        );
         let (user_pid, endpoint) = self.open_record(machine, session)?;
         self.sessions.insert(
             session,
@@ -920,12 +913,6 @@ impl GpuEnclave {
             .trace()
             .metrics()
             .inc(Counter::EnclaveSessionsUnparked);
-        machine.trace().emit(
-            machine.clock().now(),
-            cost,
-            EventKind::EnclaveCrypto,
-            format!("session {session} unparked: record verified, awaiting re-establishment"),
-        );
         Ok(())
     }
 
@@ -953,19 +940,16 @@ impl GpuEnclave {
                 "session {session} is not parked"
             )));
         }
-        let cost = machine.model().park_unseal();
-        machine.clock().advance(cost);
+        machine.charge(
+            EventKind::EnclaveCrypto,
+            machine.model().park_unseal(),
+            format!("session {session} exported for cross-shard migration"),
+        );
         let (user_pid, endpoint) = self.open_record(machine, session)?;
         machine
             .trace()
             .metrics()
             .inc(Counter::EnclaveSessionsExported);
-        machine.trace().emit(
-            machine.clock().now(),
-            cost,
-            EventKind::EnclaveCrypto,
-            format!("session {session} exported for cross-shard migration"),
-        );
         Ok(MigratedSession { endpoint, user_pid })
     }
 
@@ -997,10 +981,13 @@ impl GpuEnclave {
                 .inc(Counter::WatchdogRebuildsRefused);
             return Err(HixCoreError::Evicted);
         }
-        let cost = machine.model().park_seal();
-        machine.clock().advance(cost);
         let id = self.next_session;
         self.next_session += 1;
+        machine.charge(
+            EventKind::EnclaveCrypto,
+            machine.model().park_seal(),
+            format!("migrated session adopted as {id}: record re-sealed to this shard"),
+        );
         let mut endpoint = migrated.endpoint;
         endpoint.rehome(machine, self.pid);
         let (blob, seq) = self.seal_record(machine, id, user_pid)?;
@@ -1017,12 +1004,6 @@ impl GpuEnclave {
             .trace()
             .metrics()
             .inc(Counter::EnclaveSessionsAdopted);
-        machine.trace().emit(
-            machine.clock().now(),
-            cost,
-            EventKind::EnclaveCrypto,
-            format!("migrated session adopted as {id}: record re-sealed to this shard"),
-        );
         Ok(id)
     }
 
@@ -1067,10 +1048,9 @@ impl GpuEnclave {
                     .trace()
                     .metrics()
                     .inc(Counter::RecoveryMsgsDiscarded);
-                machine.trace().emit(
-                    machine.clock().now(),
-                    Nanos::ZERO,
+                machine.charge(
                     EventKind::Security,
+                    Nanos::ZERO,
                     "discard unauthenticated channel frame",
                 );
                 return Ok(false);
@@ -1199,6 +1179,7 @@ impl GpuEnclave {
                     // engine cursors instead, so consecutive transfers overlap
                     // rather than serialize.
                     let done = self.xfer_pipe.htod(&model, frame_ready, len);
+                    // An uncharged floor until ROADMAP item 6 step 2.
                     machine.clock().advance_to(done);
                 }
                 if let Some(id) = attr {
@@ -1346,10 +1327,9 @@ impl GpuEnclave {
                             for attempt in 0..MAX_DMA_ATTEMPTS {
                                 if attempt > 0 {
                                     machine.trace().metrics().inc(Counter::RecoveryRedma);
-                                    machine.trace().emit(
-                                        machine.clock().now(),
-                                        Nanos::ZERO,
+                                    machine.charge(
                                         EventKind::Security,
+                                        Nanos::ZERO,
                                         "chunk MAC failure; re-DMA",
                                     );
                                 }
@@ -1438,6 +1418,7 @@ impl GpuEnclave {
                                 .and_then(|()| self.watched_sync(machine, session))
                         });
                         if walk.is_ok() {
+                            // An uncharged floor until ROADMAP item 6 step 2.
                             machine.clock().advance_to(dtoh_done);
                         }
                         self.engine_outcome(walk)?
@@ -1506,10 +1487,9 @@ impl GpuEnclave {
                 // byte-identical recovery comes from the journal, never
                 // from corrupted device state.
                 machine.trace().metrics().inc(Counter::WatchdogEccKills);
-                machine.trace().emit(
-                    machine.clock().now(),
-                    Nanos::ZERO,
+                machine.charge(
                     EventKind::Security,
+                    Nanos::ZERO,
                     "watchdog: ECC corruption in live buffer; kill context",
                 );
                 self.driver
@@ -1534,10 +1514,9 @@ impl GpuEnclave {
             .trace()
             .metrics()
             .inc(Counter::WatchdogHangsDetected);
-        machine.trace().emit(
-            machine.clock().now(),
-            Nanos::ZERO,
+        machine.charge(
             EventKind::Security,
+            Nanos::ZERO,
             "watchdog: engine hang detected (no forward progress)",
         );
         let model = machine.model();
@@ -1552,7 +1531,7 @@ impl GpuEnclave {
         loop {
             match ladder.next_action() {
                 WatchdogAction::Wait(d) => {
-                    machine.clock().advance(d);
+                    machine.charge(EventKind::Security, d, "watchdog: wait for progress");
                     machine.run_device(self.bdf);
                     if !self
                         .driver
@@ -1576,10 +1555,9 @@ impl GpuEnclave {
                 }
                 WatchdogAction::Kill => {
                     machine.trace().metrics().inc(Counter::WatchdogKills);
-                    machine.trace().emit(
-                        machine.clock().now(),
-                        Nanos::ZERO,
+                    machine.charge(
                         EventKind::Security,
+                        Nanos::ZERO,
                         format!("watchdog: kill context {}", ctx.0),
                     );
                     self.driver
@@ -1642,10 +1620,9 @@ impl GpuEnclave {
         machine.trace().metrics().inc(Counter::WatchdogOffenses);
         if *count >= self.evict_after && self.evicted.insert(user) {
             machine.trace().metrics().inc(Counter::WatchdogEvictions);
-            machine.trace().emit(
-                machine.clock().now(),
-                Nanos::ZERO,
+            machine.charge(
                 EventKind::Security,
+                Nanos::ZERO,
                 format!(
                     "watchdog: user {} evicted after {count} device resets",
                     user.0
@@ -1667,7 +1644,8 @@ impl GpuEnclave {
             machine.trace().metrics().inc(Counter::WatchdogResets);
             machine.fabric_mut().reset_device(self.bdf);
             // Re-initialization is not free: charge the secure bring-up.
-            machine.clock().advance(machine.model().task_init(ExecMode::Hix));
+            let init = machine.model().task_init(ExecMode::Hix);
+            machine.charge(EventKind::Init, init, "secure reset: task init");
 
             // The device was wedged and outside our control for a while —
             // re-establish every trust premise rather than assuming it.
@@ -1696,10 +1674,9 @@ impl GpuEnclave {
             // The reset killed all in-flight transfers; the transfer plane
             // comes back with idle engines.
             self.xfer_pipe.reset();
-            machine.trace().emit(
-                machine.clock().now(),
-                Nanos::ZERO,
+            machine.charge(
                 EventKind::Security,
+                Nanos::ZERO,
                 "watchdog: secure TDR reset — VRAM scrubbed, BIOS re-verified, path re-checked, lockdown held",
             );
             Ok(())
@@ -1757,10 +1734,9 @@ impl GpuEnclave {
         machine.hix_release(self.pid)?;
         machine.eexit(self.pid);
         machine.trace().metrics().inc(Counter::EnclaveShutdowns);
-        machine.trace().emit(
-            machine.clock().now(),
-            Nanos::ZERO,
+        machine.charge(
             EventKind::Security,
+            Nanos::ZERO,
             "GPU enclave graceful termination",
         );
         Ok(())

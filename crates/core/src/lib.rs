@@ -17,6 +17,9 @@
 //!   ([`HixSession`]): `hixMemAlloc`, `hixMemcpyHtoD/DtoH` (single-copy,
 //!   pipelined, §4.4.2), `hixLaunchKernel`, `hixSync` — same shape as the
 //!   CUDA driver API, as the paper promises.
+//! * [`recovery`] — the trusted recovery primitives: the channel's
+//!   anti-replay window, the runtime's retransmit backoff and the TDR
+//!   watchdog's escalation ladder.
 //! * [`multiuser`] — the multi-context scheduler model behind Figures 8
 //!   and 9, scaled to 10,000 tenants by the weighted-fair queue in
 //!   [`sched`] plus admission control and sealed-state parking.
@@ -48,6 +51,7 @@ pub mod fabric;
 pub mod gpu_enclave;
 pub mod multiuser;
 pub mod protocol;
+pub mod recovery;
 pub mod runtime;
 pub mod sched;
 

@@ -9,12 +9,15 @@
 //!
 //! ## Time accounting
 //!
-//! Functional byte work (sealing, unsealing) is not wall-clock charged
-//! per byte; instead, each transfer advances the virtual clock to the
-//! closed-form pipelined duration from the cost model
+//! Functional byte work (sealing, unsealing) is not charged per byte;
+//! instead, each transfer advances the virtual clock to the closed-form
+//! pipelined duration from the cost model
 //! ([`CostModel::hix_htod`]/[`hix_dtoh`](CostModel::hix_dtoh)), merged
 //! with whatever the device already charged (DMA wire time, in-GPU crypto)
-//! via `Clock::advance_to` — overlap is modeled, never double-charged.
+//! via `Clock::advance_to`. The clock never pays for overlap twice, but
+//! the ledger can: the floor's advance lies in no charged span and the
+//! recording-only seal/unseal spans overlap the device's, so a transfer's
+//! charges may sum to more or less than its time (ROADMAP item 6 step 2).
 
 use std::collections::VecDeque;
 
@@ -26,12 +29,12 @@ use hix_gpu::crypto_kernels::DATA_AAD;
 use hix_gpu::vram::DevAddr;
 use hix_platform::mem::PAGE_SIZE;
 use hix_platform::{Machine, ProcessId, VirtAddr};
-use hix_sim::fault::Backoff;
 use hix_sim::{CostModel, Counter, EventKind, Nanos, Payload, COUNT_BOUNDS, LATENCY_BOUNDS_NS};
 
 use crate::channel::{sealed_chunk_offset, sealed_stream_len, ChannelError, Endpoint, BULK_OFFSET};
 use crate::gpu_enclave::{GpuEnclave, HixCoreError, SessionId};
 use crate::protocol::{BatchCmd, Request, Response};
+use crate::recovery::Backoff;
 
 /// Nonce-space split: HtoD counters grow from 0, DtoH from 2^63 (same
 /// data key, disjoint nonces).
@@ -431,7 +434,7 @@ impl HixSession {
                 let delay = b.next_delay();
                 let attrs = [("attempt", attempts as u64)];
                 machine.in_span("recovery", "retransmit", &attrs, |machine| {
-                    machine.clock().advance(delay);
+                    machine.charge(EventKind::Ipc, delay, "retransmit backoff");
                     machine.trace().metrics().inc(Counter::RecoveryRetries);
                     machine.trace().metrics().observe_with(
                         "recovery.backoff_ns",
@@ -591,10 +594,9 @@ impl HixSession {
             .trace()
             .metrics()
             .inc(Counter::WatchdogReplaysCompleted);
-        machine.trace().emit(
-            machine.clock().now(),
-            Nanos::ZERO,
+        machine.charge(
             EventKind::Security,
+            Nanos::ZERO,
             "session recovered after TDR: journal replayed onto fresh context",
         );
         Ok(true)
@@ -1218,7 +1220,8 @@ impl HixSession {
                 // Time plane: pipelined encrypt+DMA, then the decrypt
                 // kernel. The enclave already pinned the closed form at
                 // retirement; this keeps the clean-path elapsed time exact
-                // even if a recovery replay stretched the drain.
+                // even if a recovery replay stretched the drain. An
+                // uncharged floor until ROADMAP item 6 step 2.
                 machine
                     .clock()
                     .advance_to(start + model.ipc_roundtrip + model.hix_htod(len));
@@ -1295,6 +1298,7 @@ impl HixSession {
                     "unseal stream",
                     &[("bytes", len)],
                 );
+                // An uncharged floor until ROADMAP item 6 step 2.
                 machine
                     .clock()
                     .advance_to(start + model.ipc_roundtrip + model.hix_dtoh(len));

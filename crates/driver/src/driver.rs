@@ -20,7 +20,7 @@ use hix_pcie::config::BarIndex;
 use hix_platform::mem::PAGE_SIZE;
 use hix_platform::mmu::AccessFault;
 use hix_platform::{Machine, ProcessId, VirtAddr};
-use hix_sim::Counter;
+use hix_sim::{Counter, EventKind};
 
 use crate::buffer::DmaBuffer;
 
@@ -626,7 +626,7 @@ impl GpuDriver {
         }
         // Model the cubin upload (64 KiB binary).
         let cost = machine.model().pcie_transfer(64 << 10);
-        machine.clock().advance(cost);
+        machine.charge(EventKind::Dma, cost, "module upload");
         self.modules.insert(name.to_string(), hash);
         Ok(())
     }

@@ -36,13 +36,7 @@ impl Gdev {
     /// Propagates [`DriverError`].
     pub fn open(machine: &mut Machine, pid: ProcessId, bdf: Bdf) -> Result<Self, DriverError> {
         let init = machine.model().task_init(ExecMode::Gdev);
-        machine.clock().advance(init);
-        machine.trace().emit(
-            machine.clock().now(),
-            init,
-            EventKind::Init,
-            "gdev task init",
-        );
+        machine.charge(EventKind::Init, init, "gdev task init");
         let bar0_va = os_map_bar0(machine, pid, bdf, 16);
         let bar1_va = os_map_bar1(machine, pid, bdf, 16);
         let mut driver = GpuDriver::attach(machine, pid, bdf, bar0_va, Some(bar1_va))?;
@@ -144,6 +138,7 @@ impl Gdev {
             self.driver.sync(machine)?;
             if self.pageable {
                 let total = machine.model().pageable_transfer(len);
+                // An uncharged floor until ROADMAP item 6 step 2.
                 machine.clock().advance_to(start + total);
             }
             Ok(())
@@ -172,6 +167,7 @@ impl Gdev {
             self.driver.sync(machine)?;
             if self.pageable {
                 let total = machine.model().pageable_transfer(len);
+                // An uncharged floor until ROADMAP item 6 step 2.
                 machine.clock().advance_to(start + total);
             }
             Ok::<_, DriverError>(staging)

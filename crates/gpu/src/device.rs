@@ -202,22 +202,6 @@ impl GpuDevice {
         self.ctxs.get(&ctx)
     }
 
-    fn charge(&self, dt: Nanos, kind: EventKind, label: &'static str) {
-        self.charge_with(dt, kind, label, &[]);
-    }
-
-    fn charge_with(
-        &self,
-        dt: Nanos,
-        kind: EventKind,
-        label: &'static str,
-        attrs: &[(&'static str, u64)],
-    ) {
-        self.clock.advance(dt);
-        self.trace
-            .emit_with(self.clock.now(), dt, kind, label, attrs);
-    }
-
     /// Records a recoverable page fault (demand paging extension, §5.6
     /// future work): the driver reads the faulting address, maps the
     /// page, and re-submits the command.
@@ -323,7 +307,8 @@ impl GpuDevice {
             if self.engine_ctx == Some(ctx) {
                 self.engine_ctx = None;
             }
-            self.charge_with(
+            self.trace.charge_with(
+                &self.clock,
                 Nanos::for_throughput(bytes.max(1), VRAM_BW),
                 EventKind::GpuMem,
                 "kill ctx",
@@ -342,11 +327,9 @@ impl GpuDevice {
     fn exec(&mut self, cmd: GpuCommand, dma: &mut dyn DmaBus) {
         if cmd.uses_engines() && self.engine_ctx != Some(cmd.ctx()) {
             if self.engine_ctx.is_some() {
-                self.charge(
-                    self.model.ctx_switch,
-                    EventKind::CtxSwitch,
-                    "gpu ctx switch",
-                );
+                let dt = self.model.ctx_switch;
+                self.trace
+                    .charge(&self.clock, dt, EventKind::CtxSwitch, "gpu ctx switch");
                 self.trace.metrics().inc(Counter::GpuCtxSwitches);
                 self.ctx_switches += 1;
             }
@@ -361,7 +344,9 @@ impl GpuDevice {
                 let secret = self.group.generate_private(&mut self.drbg);
                 self.dh_keys.insert(ctx, secret);
                 self.ctxs.insert(ctx, GpuContext::new(ctx));
-                self.charge(Nanos::from_micros(100), EventKind::Init, "create ctx");
+                let dt = Nanos::from_micros(100);
+                self.trace
+                    .charge(&self.clock, dt, EventKind::Init, "create ctx");
             }
             GpuCommand::DestroyCtx { ctx } => {
                 let Some(context) = self.ctxs.remove(&ctx) else {
@@ -380,7 +365,8 @@ impl GpuDevice {
                 if self.engine_ctx == Some(ctx) {
                     self.engine_ctx = None;
                 }
-                self.charge_with(
+                self.trace.charge_with(
+                    &self.clock,
                     Nanos::for_throughput(bytes.max(1), VRAM_BW),
                     EventKind::GpuMem,
                     "scrub ctx",
@@ -422,7 +408,8 @@ impl GpuDevice {
                 }
             }
             GpuCommand::DmaHtoD { ctx, bus, va, len } => {
-                self.charge_with(
+                self.trace.charge_with(
+                    &self.clock,
                     self.model.pcie_transfer(len),
                     EventKind::Dma,
                     "HtoD",
@@ -461,7 +448,8 @@ impl GpuDevice {
                 }
             }
             GpuCommand::DmaDtoH { ctx, va, bus, len } => {
-                self.charge_with(
+                self.trace.charge_with(
+                    &self.clock,
                     self.model.pcie_transfer(len),
                     EventKind::Dma,
                     "DtoH",
@@ -500,7 +488,8 @@ impl GpuDevice {
                 }
             }
             GpuCommand::CopyDtoD { ctx, src, dst, len } => {
-                self.charge_with(
+                self.trace.charge_with(
+                    &self.clock,
                     // read + write traffic; saturate — a hostile length
                     // must cost time, never wrap (fuzzer-found).
                     Nanos::for_throughput(len.max(1).saturating_mul(2), VRAM_BW),
@@ -552,7 +541,8 @@ impl GpuDevice {
                 len,
                 value,
             } => {
-                self.charge_with(
+                self.trace.charge_with(
+                    &self.clock,
                     Nanos::for_throughput(len.max(1), VRAM_BW),
                     EventKind::GpuMem,
                     "memset",
@@ -596,7 +586,8 @@ impl GpuDevice {
                 } else {
                     Counter::GpuKernelLaunches
                 });
-                self.charge(
+                self.trace.charge(
+                    &self.clock,
                     cost,
                     if is_crypto {
                         EventKind::GpuCrypto
@@ -625,7 +616,9 @@ impl GpuDevice {
                 finalize,
                 public,
             } => {
-                self.charge(Nanos::from_micros(200), EventKind::Attestation, "gpu dh");
+                let dt = Nanos::from_micros(200);
+                self.trace
+                    .charge(&self.clock, dt, EventKind::Attestation, "gpu dh");
                 let Some(context) = self.ctxs.get_mut(&ctx) else {
                     self.set_error(errcode::NO_CTX);
                     return;
@@ -750,7 +743,8 @@ impl PcieDevice for GpuDevice {
                 // Bulk MMIO data path into VRAM: slower than DMA; charge
                 // at half PCIe bandwidth for large writes.
                 if data.len() > 64 {
-                    self.charge(
+                    self.trace.charge(
+                        &self.clock,
                         Nanos::for_throughput(data.len() as u64, self.model.pcie_bw / 2),
                         EventKind::Mmio,
                         "bar1 bulk",
@@ -791,7 +785,9 @@ impl PcieDevice for GpuDevice {
         self.completion_lost = None;
         self.vram.clear();
         self.scratch.fill(0);
-        self.charge(Nanos::from_millis(10), EventKind::Init, "gpu reset");
+        let dt = Nanos::from_millis(10);
+        self.trace
+            .charge(&self.clock, dt, EventKind::Init, "gpu reset");
     }
 
     fn install_fault_plan(&mut self, plan: Option<FaultPlan>) {

@@ -219,14 +219,9 @@ impl PcieFabric {
         let (bdf, bar, offset) = self
             .route_mem(addr)
             .ok_or(PcieError::NoDevice(Bdf::new(0, 0, 0)))?;
-        self.clock.advance(self.model.mmio_read);
+        self.trace
+            .charge(&self.clock, self.model.mmio_read, EventKind::Mmio, "read");
         self.trace.metrics().inc(Counter::PcieMmioReads);
-        self.trace.emit(
-            self.clock.now(),
-            self.model.mmio_read,
-            EventKind::Mmio,
-            "read",
-        );
         let slot = self
             .endpoints
             .get_mut(&bdf)
@@ -244,14 +239,9 @@ impl PcieFabric {
         let (bdf, bar, offset) = self
             .route_mem(addr)
             .ok_or(PcieError::NoDevice(Bdf::new(0, 0, 0)))?;
-        self.clock.advance(self.model.mmio_write);
+        self.trace
+            .charge(&self.clock, self.model.mmio_write, EventKind::Mmio, "write");
         self.trace.metrics().inc(Counter::PcieMmioWrites);
-        self.trace.emit(
-            self.clock.now(),
-            self.model.mmio_write,
-            EventKind::Mmio,
-            "write",
-        );
         let slot = self
             .endpoints
             .get_mut(&bdf)
@@ -290,8 +280,8 @@ impl PcieFabric {
         self.trace.metrics().inc(Counter::PcieCfgWrites);
         if self.is_locked_path(bdf) && classify_write(offset) == WriteClass::Routing {
             self.trace.metrics().inc(Counter::PcieCfgWritesDenied);
-            self.trace.emit_with(
-                self.clock.now(),
+            self.trace.charge_with(
+                &self.clock,
                 hix_sim::Nanos::ZERO,
                 EventKind::Security,
                 "lockdown: config write discarded",
@@ -338,8 +328,8 @@ impl PcieFabric {
         self.trace
             .metrics()
             .set_gauge("pcie.locked_devices", self.locked.len() as u64);
-        self.trace.emit(
-            self.clock.now(),
+        self.trace.charge(
+            &self.clock,
             hix_sim::Nanos::ZERO,
             EventKind::Security,
             "MMIO lockdown engaged",

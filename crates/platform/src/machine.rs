@@ -136,6 +136,12 @@ impl Machine {
         &self.trace
     }
 
+    /// [`Trace::charge`] on this machine's clock: advances it by `dt`
+    /// and records the span as `kind` (a zero `dt` is a marker).
+    pub fn charge(&self, kind: EventKind, dt: Nanos, label: impl Into<String>) {
+        self.trace.charge(&self.clock, dt, kind, label);
+    }
+
     /// Runs `f` inside a structural span (see `Obs::enter`) opened now
     /// and closed when `f` returns, on every return path: the charged
     /// work `f` causes nests under it in the exported timeline.
@@ -545,20 +551,18 @@ impl Machine {
         let pa = pte.base();
         if !self.sgx.check_access(accessor, va, pa) {
             self.trace.metrics().inc(Counter::MmuFillsDenied);
-            self.trace.emit(
-                self.clock.now(),
-                Nanos::ZERO,
+            self.charge(
                 EventKind::Security,
+                Nanos::ZERO,
                 "EPCM check failed at TLB fill",
             );
             return Err(AccessFault::EpcDenied(va));
         }
         if !self.hix.check_access(accessor, va, pa) {
             self.trace.metrics().inc(Counter::MmuFillsDenied);
-            self.trace.emit(
-                self.clock.now(),
-                Nanos::ZERO,
+            self.charge(
                 EventKind::Security,
+                Nanos::ZERO,
                 "GECS/TGMR check failed at TLB fill",
             );
             return Err(AccessFault::TgmrDenied(va));
@@ -669,7 +673,7 @@ impl Machine {
         report_data: &[u8],
     ) -> Result<Report, SgxError> {
         let enclave = self.proc(pid).enclave.expect("process has no enclave");
-        self.clock.advance(Nanos::from_micros(4));
+        self.charge(EventKind::Attestation, Nanos::from_micros(4), "EREPORT");
         self.sgx.ereport(enclave, target, report_data)
     }
 
@@ -680,7 +684,7 @@ impl Machine {
     /// Propagates [`SgxError`].
     pub fn everify(&mut self, pid: ProcessId, report: &Report) -> Result<bool, SgxError> {
         let enclave = self.proc(pid).enclave.expect("process has no enclave");
-        self.clock.advance(Nanos::from_micros(4));
+        self.charge(EventKind::Attestation, Nanos::from_micros(4), "EVERIFY");
         self.sgx.everify(enclave, report)
     }
 
@@ -695,7 +699,8 @@ impl Machine {
         report_data: &[u8],
     ) -> Result<crate::sgx::Quote, SgxError> {
         let enclave = self.proc(pid).enclave.expect("process has no enclave");
-        self.clock.advance(Nanos::from_millis(1)); // quoting enclave round trip
+        // The quoting enclave's round trip.
+        self.charge(EventKind::Attestation, Nanos::from_millis(1), "EQUOTE");
         self.sgx.equote(enclave, report_data)
     }
 
@@ -738,8 +743,8 @@ impl Machine {
             .egcreate(enclave, initialized, bdf, is_hardware, &bars)?;
         self.fabric.lockdown(bdf).expect("owned device exists");
         self.trace.metrics().inc(Counter::HixEgcreate);
-        self.trace.emit_with(
-            self.clock.now(),
+        self.trace.charge_with(
+            &self.clock,
             Nanos::ZERO,
             EventKind::Security,
             "EGCREATE: GPU enclave owns device",
@@ -862,7 +867,8 @@ impl Machine {
         let seed = format!("reboot-{}", self.boot_epoch);
         self.sgx = SgxState::new(seed.as_bytes());
         self.procs.clear();
-        self.clock.advance(Nanos::from_secs(30)); // a reboot is not free
+        // A reboot is not free.
+        self.charge(EventKind::Init, Nanos::from_secs(30), "cold boot");
     }
 
     /// Direct mutable access to a device for model-level plumbing

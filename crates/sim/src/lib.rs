@@ -9,17 +9,19 @@
 //! (size-only, for paper-scale benchmarks).
 //!
 //! Every component of the HIX platform (PCIe fabric, SGX model, GPU device,
-//! enclave runtimes) holds a cheaply-clonable [`Clock`] handle and charges
-//! time to it through the cost model. Figures in the paper are regenerated
-//! by reading the virtual clock, never the wall clock.
+//! enclave runtimes) holds cheaply-clonable [`Clock`] and [`Trace`]
+//! handles and spends the cost model's durations through
+//! [`Trace::charge`], which advances the clock and records a charged span
+//! in one call. Figures in the paper are regenerated by reading the
+//! virtual clock, never the wall clock.
 //!
 //! ```
-//! use hix_sim::{Clock, cost::CostModel};
+//! use hix_sim::{cost::CostModel, Clock, EventKind, Trace};
 //!
-//! let clock = Clock::new();
-//! let model = CostModel::paper();
-//! clock.advance(model.pcie_transfer(32 << 20)); // 32 MiB over PCIe
-//! assert!(clock.now().as_nanos() > 0);
+//! let (clock, trace) = (Clock::new(), Trace::new());
+//! let dt = CostModel::paper().pcie_transfer(32 << 20); // 32 MiB over PCIe
+//! trace.charge(&clock, dt, EventKind::Dma, "HtoD");
+//! assert_eq!(trace.total(EventKind::Dma), clock.now());
 //! ```
 
 #![warn(missing_docs)]
@@ -33,7 +35,7 @@ pub mod time;
 pub mod trace;
 
 pub use cost::CostModel;
-pub use fault::{Backoff, Dir, FaultConfig, FaultPlan, ReplayWindow, Resequencer, SeqCheck};
+pub use fault::{Dir, FaultConfig, FaultPlan, Resequencer};
 pub use hix_obs::{Counter, Stage, COUNT_BOUNDS, LATENCY_BOUNDS_NS};
 /// SplitMix64, the seed mixer behind the fault plans' generator, for
 /// crates above the simulator that draw a seeded population from a raw

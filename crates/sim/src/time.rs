@@ -155,15 +155,16 @@ impl fmt::Display for Nanos {
 
 /// A shared, cheaply clonable virtual clock.
 ///
-/// All simulator components hold a clone of the same clock; advancing it
-/// from any handle is visible to every other handle.
+/// All simulator components hold a clone of the same clock; a move from
+/// any handle is visible to every other handle. Durations are spent only
+/// through [`Trace::charge`](crate::Trace::charge).
 ///
 /// ```
-/// use hix_sim::{Clock, Nanos};
-/// let a = Clock::new();
+/// use hix_sim::{Clock, EventKind, Nanos, Trace};
+/// let (a, trace) = (Clock::new(), Trace::new());
 /// let b = a.clone();
-/// a.advance(Nanos::from_micros(5));
-/// assert_eq!(b.now(), Nanos::from_micros(5));
+/// trace.charge(&a, Nanos::from_micros(5), EventKind::Dma, "HtoD");
+/// assert_eq!(b.now(), trace.total(EventKind::Dma));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Clock {
@@ -181,8 +182,8 @@ impl Clock {
         Nanos(self.now.get())
     }
 
-    /// Advances the clock by `dt`.
-    pub fn advance(&self, dt: Nanos) {
+    /// Advances the clock by `dt` (see [`Trace::charge`](crate::Trace::charge)).
+    pub(crate) fn advance(&self, dt: Nanos) {
         self.now.set(
             self.now
                 .get()
@@ -194,24 +195,13 @@ impl Clock {
     /// Moves the clock forward *to* `t` if `t` is in the future; does
     /// nothing if `t` is in the past. Returns the new current time.
     ///
-    /// Used by schedulers that merge per-agent completion times.
+    /// Charges nothing: only the transfer floors use it, until ROADMAP
+    /// item 6 step 2 replaces them with charged chunk walks.
     pub fn advance_to(&self, t: Nanos) -> Nanos {
         if t.0 > self.now.get() {
             self.now.set(t.0);
         }
         self.now()
-    }
-
-    /// Measures the virtual time consumed by `f`.
-    pub fn measure<T>(&self, f: impl FnOnce() -> T) -> (T, Nanos) {
-        let start = self.now();
-        let out = f();
-        (out, self.now() - start)
-    }
-
-    /// Returns `true` if `other` refers to the same underlying clock.
-    pub fn same_clock(&self, other: &Clock) -> bool {
-        Rc::ptr_eq(&self.now, &other.now)
     }
 }
 
@@ -258,7 +248,6 @@ mod tests {
     fn clock_shared_between_clones() {
         let a = Clock::new();
         let b = a.clone();
-        assert!(a.same_clock(&b));
         a.advance(Nanos::from_nanos(7));
         b.advance(Nanos::from_nanos(3));
         assert_eq!(a.now().as_nanos(), 10);
@@ -272,17 +261,6 @@ mod tests {
         assert_eq!(c.now().as_nanos(), 100);
         c.advance_to(Nanos::from_nanos(150));
         assert_eq!(c.now().as_nanos(), 150);
-    }
-
-    #[test]
-    fn clock_measure() {
-        let c = Clock::new();
-        let (v, dt) = c.measure(|| {
-            c.advance(Nanos::from_micros(2));
-            42
-        });
-        assert_eq!(v, 42);
-        assert_eq!(dt, Nanos::from_micros(2));
     }
 
     #[test]

@@ -1,16 +1,17 @@
 //! Event tracing for debugging and per-kind time accounting.
 //!
-//! This module is a thin facade over [`hix_obs`]: every [`Trace::emit`]
-//! becomes a *charged* span of its [`EventKind`] in the underlying
+//! This module is a thin facade over [`hix_obs`]: every [`Trace::charge`]
+//! advances the [`Clock`] and becomes a *charged* span of its
+//! [`EventKind`] over the interval it advanced, in the underlying
 //! [`Obs`] collector (feeding the per-kind totals and latency
-//! histograms), and the collector additionally carries *structural*
-//! spans and a metrics registry that instrumented subsystems use
-//! directly. Reach them through [`Trace::obs`] and [`Trace::metrics`];
-//! recorded spans, charged and structural, are [`Obs::spans`].
+//! histograms). The collector additionally carries *structural* spans
+//! and a metrics registry that instrumented subsystems use directly.
+//! Reach them through [`Trace::obs`] and [`Trace::metrics`]; recorded
+//! spans, charged and structural, are [`Obs::spans`].
 
 use hix_obs::{Metrics, Obs};
 
-use crate::time::Nanos;
+use crate::time::{Clock, Nanos};
 
 pub use hix_obs::EventKind;
 
@@ -20,9 +21,10 @@ pub use hix_obs::EventKind;
 /// kept); enable with [`Trace::set_recording`] when debugging.
 ///
 /// ```
-/// use hix_sim::{Trace, Nanos, EventKind};
-/// let t = Trace::new();
-/// t.emit(Nanos::from_micros(1), Nanos::from_micros(1), EventKind::Dma, "HtoD");
+/// use hix_sim::{Clock, EventKind, Nanos, Trace};
+/// let (clock, t) = (Clock::new(), Trace::new());
+/// t.charge(&clock, Nanos::from_micros(1), EventKind::Dma, "HtoD");
+/// assert_eq!(clock.now(), Nanos::from_micros(1));
 /// assert_eq!(t.total(EventKind::Dma), Nanos::from_micros(1));
 /// assert_eq!(t.obs().category_ns("dma"), 1_000);
 /// ```
@@ -52,13 +54,35 @@ impl Trace {
         self.obs.set_recording(on);
     }
 
-    /// Emits an event completing at `at` with the given `duration`.
+    /// Advances `clock` by `dt` and charges the span `[before, after]` to
+    /// `kind`: the one way time moves by a duration (a zero `dt` is a
+    /// marker). `label` becomes a `String` only while recording.
+    pub fn charge(&self, clock: &Clock, dt: Nanos, kind: EventKind, label: impl Into<String>) {
+        self.charge_with(clock, dt, kind, label, &[]);
+    }
+
+    /// [`Trace::charge`] with numeric span attributes (bytes, ids…).
+    pub fn charge_with(
+        &self,
+        clock: &Clock,
+        dt: Nanos,
+        kind: EventKind,
+        label: impl Into<String>,
+        attrs: &[(&'static str, u64)],
+    ) {
+        let start = clock.now().as_nanos();
+        clock.advance(dt);
+        self.obs.charged(start, dt.as_nanos(), kind, label, attrs);
+    }
+
+    /// Records a charged span ending at `at` without moving the clock:
+    /// `fault::record`'s markers, and the runtime's recording-only seal
+    /// and unseal spans, which ROADMAP item 6 step 2 removes.
     pub fn emit(&self, at: Nanos, duration: Nanos, kind: EventKind, label: impl Into<String>) {
         self.emit_with(at, duration, kind, label, &[]);
     }
 
-    /// [`Trace::emit`] with numeric span attributes (bytes moved, ids…)
-    /// that ride into the exported trace.
+    /// [`Trace::emit`] with numeric span attributes.
     pub fn emit_with(
         &self,
         at: Nanos,
@@ -186,6 +210,31 @@ mod tests {
         // The snapshot reconciles with the legacy accounting by
         // construction: same accumulator.
         assert_eq!(t.total(EventKind::Dma).as_nanos(), 2_000);
+    }
+
+    #[test]
+    fn charge_advances_and_records_the_interval() {
+        let (clock, t) = (Clock::new(), Trace::new());
+        t.set_recording(true);
+        t.charge(&clock, Nanos::from_nanos(5), EventKind::Mmio, "read");
+        t.charge_with(&clock, Nanos::ZERO, EventKind::Security, "m", &[("x", 1)]);
+        t.charge(&clock, Nanos::from_nanos(7), EventKind::Dma, "d");
+        assert_eq!(clock.now().as_nanos(), 12);
+        let spans: Vec<_> = t
+            .obs()
+            .spans()
+            .iter()
+            .map(|s| (s.start_ns, s.end_ns, s.kind))
+            .collect();
+        assert_eq!(
+            spans,
+            [
+                (0, 5, Some(EventKind::Mmio)),
+                (5, 5, Some(EventKind::Security)),
+                (5, 12, Some(EventKind::Dma)),
+            ]
+        );
+        assert_eq!(t.count(EventKind::Security), 1);
     }
 
     #[test]

@@ -31,31 +31,31 @@ const PINNED: [(u64, &str, bool, &str); 5] = [
         0xD1FF_5EED,
         "heavy",
         false,
-        "31aaeb895efc6bb16a7bc25b7d574ea248f2aa4d22148f60d8074622a665da5e",
+        "1aa4e27518fc9314d6952c911dbc1cfd46a2f6e5329306a5f88271f454b77e02",
     ),
     (
         0xD1FF_5EED,
         "heavy",
         true,
-        "6ca089870d3aff87b442816ce766513a0a626bb9751e95172cd4468f809c2658",
+        "6c2a279f2e39b1968f7c0f0777dc1196f71706ce3485925c3a30076ea3459036",
     ),
     (
         0x7D2D_5EED,
         "gpu-heavy",
         false,
-        "9caaa7efc908a727ca99159515076a9a89f7dfbb4ad18c3c87dc7364d4d5ed74",
+        "eca0e8343149ffc4d3ef948ab7e1a0a88d4c4b6a015193aae4fe574d660b830f",
     ),
     (
         0x7D20_0001,
         "gpu-heavy",
         false,
-        "ccd6b427f37f9d3ea9a29580edeeea36ce372cbd06a6c96b43f9e18c6e3f1a6f",
+        "d36b3d99466a773df642f978f45dfb9866ebe0a630823de7c330a768326770cf",
     ),
     (
         0xA5E1_0001,
         "heavy",
         true,
-        "a38d80e88130bd71c98a5d76a4e236db16ca63dacedf371066992c2c7c888484",
+        "cf5aa7123919fac7ffa6994ee05d3f96ce80f2e66de1d41531b9dc6b414ba5a6",
     ),
 ];
 

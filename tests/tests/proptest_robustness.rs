@@ -377,7 +377,7 @@ fn replay_window_case(s: &mut Source) -> (u64, Vec<u64>) {
 /// is fresh and advances the mark.
 #[test]
 fn replay_window_matches_model() {
-    use hix_sim::fault::{ReplayWindow, SeqCheck};
+    use hix_core::recovery::{ReplayWindow, SeqCheck};
     prop("replay_window_matches_model").corpus(SEEDS).run(|s| {
         let (window, seqs) = replay_window_case(s);
         let mut win = ReplayWindow::new(window);
@@ -457,7 +457,7 @@ fn resequencer_matches_sorted_model() {
 /// over `cap`, and `reset()` restarts the schedule at `base`.
 #[test]
 fn backoff_schedule_is_monotone_and_capped() {
-    use hix_sim::fault::Backoff;
+    use hix_core::recovery::Backoff;
     use hix_sim::Nanos;
     prop("backoff_schedule_is_monotone_and_capped")
         .corpus(SEEDS)

@@ -5,9 +5,9 @@
 //!
 //! Runs on the in-tree `hix-testkit` harness.
 
+use hix_core::recovery::{EscalationLadder, WatchdogAction};
 use hix_core::{GpuEnclave, GpuEnclaveOptions, HixSession};
 use hix_driver::rig::{standard_rig, RigOptions};
-use hix_sim::fault::{EscalationLadder, WatchdogAction};
 use hix_sim::{Nanos, Payload};
 use hix_testkit::prop::{prop, Source};
 
