@@ -45,6 +45,7 @@ const REQUIRED_ROWS: &[&str] = &[
     "sha256/64KiB/portable",
     "dh/sim-group-agreement",
     "dh/sim-modexp",
+    "dh/sim-generate",
 ];
 
 fn bench_aes_block(rows: &mut Vec<Measurement>) {
@@ -177,6 +178,16 @@ fn bench_dh_modexp() -> Measurement {
     Bench::new("dh/sim-modexp").run(|| group.agree(&a, black_box(&b.public)).unwrap())
 }
 
+/// One fixed-base exponentiation in the simulator's group: the public
+/// value of a fixed private key, what each of a connect's four key
+/// generations costs past its DRBG draw.
+fn bench_dh_generate() -> Measurement {
+    use hix_crypto::dh::DhGroup;
+    let group = DhGroup::sim();
+    let x = group.generate_private(&mut HmacDrbg::new(b"a"));
+    Bench::new("dh/sim-generate").run(|| group.public_value(black_box(&x)))
+}
+
 /// Renders the measurements as the stable-key-order JSON the other
 /// `BENCH_*.json` files use (same reader: `hix_bench::json`).
 fn emit_json(rows: &[Measurement]) -> String {
@@ -283,6 +294,7 @@ fn main() {
     bench_sha256(&mut rows);
     rows.push(bench_dh_handshake());
     rows.push(bench_dh_modexp());
+    rows.push(bench_dh_generate());
 
     // cargo passes harness flags like `--bench` and runs the bench with
     // the package as CWD; the output path is the first non-flag

@@ -3,21 +3,26 @@
 //! Only the operations modular exponentiation needs: comparison, addition,
 //! subtraction, shift, modular multiplication and exponentiation.
 //!
-//! [`Uint::modpow`] picks its path from the modulus parity alone. An odd
-//! modulus — both DH groups — runs through `Montgomery`: word-level CIOS
-//! multiplication over `u64` limbs driven by a 4-bit fixed window, with the
-//! per-modulus constants computed once. A 4-limb (256-bit) modulus, the
-//! simulator's DH group, runs that CIOS on fixed `[u64; 4]` arrays on the
-//! stack; every other width runs it on slices, and
-//! [`Uint::modpow_slice`] reaches the slice path at any width. An even
-//! modulus has no Montgomery form and takes [`Uint::modpow_ladder`], the
-//! bit-serial shift-and-add square-and-multiply that also serves as the
-//! reference the differential tests compare both Montgomery paths against.
+//! [`Uint::modpow`] picks its path from the modulus's limbs, once per
+//! modulus (`Modulus`). A pseudo-Mersenne modulus `p = 2^256 − c` with an
+//! odd `c < 2^64` — the simulator's DH group, `c = 2^32 + 977` — runs in
+//! plain field form on `[u64; 4]` arrays (`PseudoMersenne`): a schoolbook
+//! multiply, a dedicated square of 10 limb products, and a reduction that
+//! folds the high half times `c` in twice and subtracts `p` at most once.
+//! A fixed base can be laid out once as a comb (`Comb`), after which each
+//! exponentiation is at most 64 multiplies and no squarings. Every other
+//! odd modulus runs through `Montgomery`: word-level CIOS multiplication
+//! over `u64` limb slices, with the per-modulus constants computed once;
+//! [`Uint::modpow_slice`] reaches that path at any modulus. Both run a
+//! 4-bit fixed window. An even modulus has no Montgomery form and takes
+//! [`Uint::modpow_ladder`], the bit-serial shift-and-add
+//! square-and-multiply that also serves, with the slice CIOS, as the
+//! reference the differential tests compare the faster paths against.
 //!
-//! Neither path runs in constant time: both branch on exponent bits and on
+//! No path runs in constant time: all branch on exponent bits and on
 //! operand values (the ladder's conditional subtractions, the window's
-//! table index, Montgomery's final subtraction). That is fine for a
-//! simulator and not for a deployment.
+//! table index, the final subtractions). That is fine for a simulator and
+//! not for a deployment.
 
 use std::cmp::Ordering;
 
@@ -221,23 +226,24 @@ impl Uint {
         })
     }
 
-    /// `self^exp mod m`: through Montgomery multiplication when `m` is odd,
-    /// through [`Uint::modpow_ladder`] when it is even. Both give the same
-    /// value.
+    /// `self^exp mod m`: in the pseudo-Mersenne field when `m` is
+    /// `2^256 − c` for an odd `c < 2^64`, through Montgomery multiplication
+    /// when `m` is any other odd modulus, through [`Uint::modpow_ladder`]
+    /// when it is even. All give the same value.
     ///
     /// # Panics
     ///
     /// Panics if `m` is zero.
     pub fn modpow(&self, exp: &Uint, m: &Uint) -> Uint {
-        match Montgomery::new(m) {
-            Some(mont) => mont.pow(self, exp),
+        match Modulus::new(m) {
+            Some(modulus) => modulus.pow(self, exp),
             None => self.modpow_ladder(exp, m),
         }
     }
 
     /// `self^exp mod m` for odd `m` through the slice CIOS at any width,
-    /// never the fixed-width path [`Uint::modpow`] takes for a 4-limb
-    /// modulus: the oracle the differential suite holds that path to.
+    /// never the field path [`Uint::modpow`] takes for `m = 2^256 − c`:
+    /// the oracle the differential suite holds that path to.
     ///
     /// # Panics
     ///
@@ -245,7 +251,7 @@ impl Uint {
     pub fn modpow_slice(&self, exp: &Uint, m: &Uint) -> Uint {
         Montgomery::new(m)
             .expect("modpow_slice needs an odd modulus")
-            .pow_slice(self, exp)
+            .pow(self, exp)
     }
 
     /// `self^exp mod m` by bit-serial square-and-multiply over
@@ -312,14 +318,43 @@ impl Ord for Uint {
     }
 }
 
-/// Exponent bits consumed per step of [`Montgomery::pow`]; divides 64, so
-/// a window never straddles two limbs.
+/// Exponent bits consumed per window step; divides 64, so a window never
+/// straddles two limbs.
 const WINDOW_BITS: usize = 4;
+
+/// The exponentiation path for one odd modulus, chosen once from its limbs,
+/// so a caller that exponentiates repeatedly under one modulus (a DH group)
+/// pays for the choice and the per-modulus constants once.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Modulus {
+    /// `2^256 − c` for an odd `c < 2^64`.
+    Field(PseudoMersenne),
+    /// Any other odd modulus.
+    Montgomery(Montgomery),
+}
+
+impl Modulus {
+    /// The path for `m`, or `None` when `m` is even (zero included).
+    pub(crate) fn new(m: &Uint) -> Option<Self> {
+        match PseudoMersenne::new(m) {
+            Some(field) => Some(Modulus::Field(field)),
+            None => Montgomery::new(m).map(Modulus::Montgomery),
+        }
+    }
+
+    /// `base^exp mod m`.
+    pub(crate) fn pow(&self, base: &Uint, exp: &Uint) -> Uint {
+        match self {
+            Modulus::Field(field) => field.pow(base, exp),
+            Modulus::Montgomery(mont) => mont.pow(base, exp),
+        }
+    }
+}
 
 /// Montgomery arithmetic modulo one odd `m` of `n` limbs, `R = 2^(64n)`.
 ///
 /// Holds the two per-modulus constants, so a caller that exponentiates
-/// repeatedly under one modulus (a DH group) computes them once.
+/// repeatedly under one modulus computes them once.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Montgomery {
     /// The modulus; its `n` limbs are the operand width.
@@ -333,7 +368,7 @@ pub(crate) struct Montgomery {
 impl Montgomery {
     /// The constants for `m`, or `None` when `m` is even (zero included):
     /// `m` then has no inverse modulo `2^64`.
-    pub(crate) fn new(m: &Uint) -> Option<Self> {
+    fn new(m: &Uint) -> Option<Self> {
         if !m.bit(0) {
             return None;
         }
@@ -358,17 +393,8 @@ impl Montgomery {
 
     /// `base^exp mod m` with a 4-bit fixed window: per window four
     /// squarings, then one multiply by a precomputed `base^w` (skipped
-    /// when the window is zero). The one dispatch point between the
-    /// fixed-width and the slice multiply.
-    pub(crate) fn pow(&self, base: &Uint, exp: &Uint) -> Uint {
-        match self.m.limbs.len() {
-            4 => self.pow_fixed::<4>(base, exp),
-            _ => self.pow_slice(base, exp),
-        }
-    }
-
-    /// [`Self::pow`] over slices of the modulus width.
-    fn pow_slice(&self, base: &Uint, exp: &Uint) -> Uint {
+    /// when the window is zero), over slices of the modulus width.
+    fn pow(&self, base: &Uint, exp: &Uint) -> Uint {
         if self.m.limbs == [1] {
             return Uint::zero();
         }
@@ -402,50 +428,6 @@ impl Montgomery {
         // Multiplying by plain 1 leaves Montgomery form.
         self.mul(&acc, &one, &mut tmp);
         let mut out = Uint { limbs: tmp };
-        out.normalize();
-        out
-    }
-
-    /// [`Self::pow`] for a modulus of exactly `N` limbs: the operands, the
-    /// table and the accumulator are `[u64; N]` on the stack, and nothing
-    /// is allocated but the result.
-    fn pow_fixed<const N: usize>(&self, base: &Uint, exp: &Uint) -> Uint {
-        let m: &[u64; N] = self.m.limbs[..].try_into().expect("modulus of N limbs");
-        let mul = |a: &[u64; N], b: &[u64; N]| mul_fixed(a, b, m, self.n0_inv);
-        let reduced;
-        let base = if *base < self.m {
-            base
-        } else {
-            reduced = base.rem(&self.m);
-            &reduced
-        };
-        let mut b = [0u64; N];
-        b[..base.limbs.len()].copy_from_slice(&base.limbs);
-        let mut one = [0u64; N];
-        one[0] = 1;
-        let r2: &[u64; N] = self.r2[..].try_into().expect("R² of N limbs");
-        let mut table = [[0u64; N]; 1 << WINDOW_BITS];
-        table[0] = mul(&one, r2);
-        table[1] = mul(&b, r2);
-        for w in 2..1 << WINDOW_BITS {
-            table[w] = mul(&table[w - 1], &table[1]);
-        }
-        let mut acc = table[0];
-        let windows = exp.bits().div_ceil(WINDOW_BITS);
-        for k in (0..windows).rev() {
-            if k + 1 < windows {
-                for _ in 0..WINDOW_BITS {
-                    acc = mul(&acc, &acc);
-                }
-            }
-            let w = window(exp, k);
-            if w != 0 {
-                acc = mul(&acc, &table[w]);
-            }
-        }
-        let mut out = Uint {
-            limbs: mul(&acc, &one).to_vec(),
-        };
         out.normalize();
         out
     }
@@ -503,43 +485,226 @@ fn window(exp: &Uint, k: usize) -> usize {
     (exp.limbs[bit / 64] >> (bit % 64)) as usize & ((1 << WINDOW_BITS) - 1)
 }
 
-/// `a·b·R⁻¹ mod m` on fixed `N`-limb arrays: `Montgomery::mul`'s CIOS
-/// step for step, with the accumulator a local array the compiler can
-/// keep in registers.
-fn mul_fixed<const N: usize>(a: &[u64; N], b: &[u64; N], m: &[u64; N], n0_inv: u64) -> [u64; N] {
-    let mut t = [0u64; N];
-    let mut top = 0u64;
-    for &bi in b {
-        let mut carry = 0u64;
-        for j in 0..N {
-            let s = t[j] as u128 + a[j] as u128 * bi as u128 + carry as u128;
-            t[j] = s as u64;
-            carry = (s >> 64) as u64;
-        }
-        let (top_lo, overflow) = top.overflowing_add(carry);
+/// A field element: four little-endian limbs, any value below `2^256`.
+type Limbs = [u64; 4];
 
-        let q = t[0].wrapping_mul(n0_inv);
-        let s = t[0] as u128 + q as u128 * m[0] as u128;
-        let mut carry = (s >> 64) as u64;
-        for j in 1..N {
-            let s = t[j] as u128 + q as u128 * m[j] as u128 + carry as u128;
-            t[j - 1] = s as u64;
-            carry = (s >> 64) as u64;
+/// The field element 1.
+const ONE: Limbs = [1, 0, 0, 0];
+
+/// Arithmetic modulo `p = 2^256 − c` for an odd `c < 2^64`, in plain (not
+/// Montgomery) form on [`Limbs`]. Because `2^256 ≡ c (mod p)`, a 512-bit
+/// product `hi·2^256 + lo` reduces by folding `hi·c` into `lo`. The
+/// multiply and the square accept any operands below `2^256`, at or above
+/// `p` too, and return a value below `p`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PseudoMersenne {
+    c: u64,
+}
+
+impl PseudoMersenne {
+    /// The field for `m` when `m` is `2^256 − c` for an odd `c < 2^64`:
+    /// four limbs, the top three all ones and the lowest odd.
+    pub(crate) fn new(m: &Uint) -> Option<Self> {
+        match m.limbs[..] {
+            [low, u64::MAX, u64::MAX, u64::MAX] if low & 1 == 1 => Some(PseudoMersenne {
+                c: low.wrapping_neg(),
+            }),
+            _ => None,
         }
-        let (last, spill) = top_lo.overflowing_add(carry);
-        t[N - 1] = last;
-        top = overflow as u64 + spill as u64;
     }
-    if top != 0 || t.iter().rev().ge(m.iter().rev()) {
-        let mut borrow = false;
-        for (tj, &mj) in t.iter_mut().zip(m) {
-            let (d1, b1) = tj.overflowing_sub(mj);
-            let (d2, b2) = d1.overflowing_sub(borrow as u64);
-            *tj = d2;
-            borrow = b1 | b2;
+
+    /// `base^exp mod p` with the same 4-bit fixed window as
+    /// `Montgomery::pow`, every squaring through [`Self::square`].
+    pub(crate) fn pow(&self, base: &Uint, exp: &Uint) -> Uint {
+        let mut table = [ONE; 1 << WINDOW_BITS];
+        table[1] = self.limbs_of(base);
+        for w in 2..1 << WINDOW_BITS {
+            table[w] = self.mul(&table[w - 1], &table[1]);
         }
+        let mut acc = ONE;
+        let windows = exp.bits().div_ceil(WINDOW_BITS);
+        for k in (0..windows).rev() {
+            if k + 1 < windows {
+                for _ in 0..WINDOW_BITS {
+                    acc = self.square(&acc);
+                }
+            }
+            let w = window(exp, k);
+            if w != 0 {
+                acc = self.mul(&acc, &table[w]);
+            }
+        }
+        to_uint(&acc)
     }
-    t
+
+    /// The fixed-base comb of `base`: row `i` holds `base^(w·16^i)` for
+    /// every window value `w`, 64 rows for exponents below `2^256`.
+    pub(crate) fn comb(&self, base: &Uint) -> Comb {
+        let mut rows = vec![[ONE; 1 << WINDOW_BITS]; 256 / WINDOW_BITS];
+        // base^(16^i): reduced once by the multiply by 1, then each row's
+        // last entry times it gives the next row's.
+        let mut unit = self.mul(&ONE, &self.limbs_of(base));
+        for row in &mut rows {
+            row[1] = unit;
+            for w in 2..1 << WINDOW_BITS {
+                row[w] = self.mul(&row[w - 1], &unit);
+            }
+            unit = self.mul(&row[(1 << WINDOW_BITS) - 1], &unit);
+        }
+        Comb { field: *self, rows }
+    }
+
+    /// `x` as limbs: unchanged when it fits in 256 bits (the multiply
+    /// reduces it), reduced modulo `p` first when it does not.
+    fn limbs_of(&self, x: &Uint) -> Limbs {
+        let reduced;
+        let x = if x.limbs.len() <= 4 {
+            x
+        } else {
+            let p = Uint {
+                limbs: vec![self.c.wrapping_neg(), u64::MAX, u64::MAX, u64::MAX],
+            };
+            reduced = x.rem(&p);
+            &reduced
+        };
+        let mut out = [0u64; 4];
+        out[..x.limbs.len()].copy_from_slice(&x.limbs);
+        out
+    }
+
+    /// `a·b mod p`: the 16-product schoolbook multiply, then [`Self::reduce`].
+    #[inline(always)]
+    fn mul(&self, a: &Limbs, b: &Limbs) -> Limbs {
+        let mut t = [0u64; 8];
+        for (i, &bi) in b.iter().enumerate() {
+            let mut carry = 0u64;
+            for (j, &aj) in a.iter().enumerate() {
+                let s = t[i + j] as u128 + aj as u128 * bi as u128 + carry as u128;
+                t[i + j] = s as u64;
+                carry = (s >> 64) as u64;
+            }
+            t[i + 4] = carry;
+        }
+        self.reduce(&t)
+    }
+
+    /// `a² mod p` from 10 limb products instead of 16: each cross product
+    /// `a_i·a_j` (`i < j`) once, the sum doubled by a one-bit shift, then
+    /// the squares `a_i²` added on the diagonal.
+    #[inline(always)]
+    fn square(&self, a: &Limbs) -> Limbs {
+        let mut t = [0u64; 8];
+        for i in 0..3 {
+            let mut carry = 0u64;
+            for j in i + 1..4 {
+                let s = t[i + j] as u128 + a[i] as u128 * a[j] as u128 + carry as u128;
+                t[i + j] = s as u64;
+                carry = (s >> 64) as u64;
+            }
+            t[i + 4] = carry;
+        }
+        // The cross sum fits in seven limbs; doubling it carries its top
+        // bit into limb 7.
+        t[7] = t[6] >> 63;
+        for i in (2..7).rev() {
+            t[i] = t[i] << 1 | t[i - 1] >> 63;
+        }
+        t[1] <<= 1;
+        let mut carry = 0u64;
+        for (i, &ai) in a.iter().enumerate() {
+            let sq = ai as u128 * ai as u128;
+            let lo = t[2 * i] as u128 + (sq as u64) as u128 + carry as u128;
+            t[2 * i] = lo as u64;
+            let hi = t[2 * i + 1] as u128 + (sq >> 64) + (lo >> 64);
+            t[2 * i + 1] = hi as u64;
+            carry = (hi >> 64) as u64;
+        }
+        self.reduce(&t)
+    }
+
+    /// `t mod p` for any 512-bit `t = hi·2^256 + lo`.
+    #[inline(always)]
+    fn reduce(&self, t: &[u64; 8]) -> Limbs {
+        let c = self.c as u128;
+        // First fold: lo + hi·c < 2^320, four limbs and a top limb.
+        let mut r = [0u64; 4];
+        let mut carry = 0u128;
+        for i in 0..4 {
+            let s = t[i] as u128 + t[i + 4] as u128 * c + carry;
+            r[i] = s as u64;
+            carry = s >> 64;
+        }
+        // Second fold: the top limb times c, below 2^128. What is left
+        // is r + carry·2^256 with carry at most 1.
+        let top = carry * c;
+        let s = r[0] as u128 + (top as u64) as u128;
+        r[0] = s as u64;
+        let mut carry = (top >> 64) + (s >> 64);
+        for limb in &mut r[1..] {
+            let s = *limb as u128 + carry;
+            *limb = s as u64;
+            carry = s >> 64;
+        }
+        // One conditional subtraction of p, done as adding c modulo 2^256.
+        // It is due when the second fold carried (r is then below 2^128,
+        // so adding c carries no further) or when r ≥ p.
+        let p0 = self.c.wrapping_neg();
+        if carry != 0 || (r[1] & r[2] & r[3] == u64::MAX && r[0] >= p0) {
+            let mut k = c;
+            for limb in &mut r {
+                let s = *limb as u128 + k;
+                *limb = s as u64;
+                k = s >> 64;
+            }
+        }
+        r
+    }
+}
+
+/// A reduced field element as a [`Uint`].
+fn to_uint(x: &Limbs) -> Uint {
+    let mut out = Uint { limbs: x.to_vec() };
+    out.normalize();
+    out
+}
+
+/// A fixed base's powers laid out for exponentiation without squarings
+/// (built by [`PseudoMersenne::comb`]): `rows[i][w] = base^(w·16^i) mod
+/// p`, 64 rows of 16 entries, 32 KiB.
+#[derive(Clone, PartialEq, Eq)]
+pub(crate) struct Comb {
+    field: PseudoMersenne,
+    rows: Vec<[Limbs; 1 << WINDOW_BITS]>,
+}
+
+impl Comb {
+    /// `base^exp mod p` for `exp < 2^256`: one multiply per nonzero 4-bit
+    /// window of `exp`, at most 64, and no squarings.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `exp` is `2^256` or more.
+    pub(crate) fn pow(&self, exp: &Uint) -> Uint {
+        let windows = exp.bits().div_ceil(WINDOW_BITS);
+        assert!(windows <= self.rows.len(), "comb exponent beyond 2^256");
+        let mut acc = ONE;
+        for (k, row) in self.rows[..windows].iter().enumerate() {
+            let w = window(exp, k);
+            if w != 0 {
+                acc = self.field.mul(&acc, &row[w]);
+            }
+        }
+        to_uint(&acc)
+    }
+}
+
+impl std::fmt::Debug for Comb {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Comb")
+            .field("field", &self.field)
+            .field("rows", &self.rows.len())
+            .finish()
+    }
 }
 
 #[cfg(test)]
@@ -640,6 +805,60 @@ mod tests {
                 base.modpow(&exp, &m),
                 base.modpow_ladder(&exp, &m),
                 "m = {modulus}"
+            );
+        }
+    }
+
+    #[test]
+    fn field_path_is_chosen_from_the_limbs() {
+        let c_of = |limbs: [u64; 4]| {
+            PseudoMersenne::new(&Uint {
+                limbs: limbs.to_vec(),
+            })
+            .map(|f| f.c)
+        };
+        let ones = u64::MAX;
+        assert_eq!(c_of([ones; 4]), Some(1));
+        assert_eq!(c_of([1, ones, ones, ones]), Some(ones));
+        assert_eq!(
+            c_of([0xffff_fffe_ffff_fc2f, ones, ones, ones]),
+            Some((1 << 32) + 977)
+        );
+        // An even c, or a high limb not all ones: not the field path.
+        assert_eq!(c_of([ones - 1, ones, ones, ones]), None);
+        assert_eq!(c_of([ones, ones, ones - 1, ones]), None);
+        // Nor any other width.
+        for n in [3, 5] {
+            let m = Uint {
+                limbs: vec![ones; n],
+            };
+            assert!(PseudoMersenne::new(&m).is_none());
+            assert!(matches!(Modulus::new(&m), Some(Modulus::Montgomery(_))));
+        }
+    }
+
+    #[test]
+    fn comb_matches_the_slice_cios_at_edge_exponents() {
+        let p = Uint::from_hex("fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f");
+        let comb = PseudoMersenne::new(&p).unwrap().comb(&Uint::from_u64(2));
+        let mut top = Uint::zero();
+        top.limbs = vec![0, 0, 0, 1 << 63];
+        let p_minus_2 = p.checked_sub(&Uint::from_u64(2)).unwrap();
+        let all_ones = Uint::from_hex(&"f".repeat(64));
+        for exp in [
+            Uint::zero(),
+            Uint::one(),
+            Uint::from_u64(15),
+            Uint::from_u64(16),
+            Uint::from_u64(0x1234_5678_9abc_def0),
+            top,
+            p_minus_2,
+            all_ones,
+        ] {
+            assert_eq!(
+                comb.pow(&exp),
+                Uint::from_u64(2).modpow_slice(&exp, &p),
+                "exp = {exp:?}"
             );
         }
     }

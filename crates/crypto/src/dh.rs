@@ -10,13 +10,16 @@
 //!   handshakes. The security *protocol* is identical; only the parameter
 //!   size differs (documented substitution, see DESIGN.md).
 //!
-//! Exponentiation runs through Montgomery multiplication with the group's
-//! constants computed once per group. It is not constant-time (see
-//! [`crate::bignum`]).
+//! Each group picks its exponentiation path once, from its modulus (see
+//! [`crate::bignum`]): the `sim` group's prime `2^256 − 2^32 − 977` runs in
+//! the pseudo-Mersenne field, and its generator's powers are laid out once
+//! per process as a fixed-base comb, so [`DhGroup::generate`] needs no
+//! squarings; the 2048-bit group runs Montgomery multiplication. None of
+//! it is constant-time.
 
 use std::sync::OnceLock;
 
-use crate::bignum::{Montgomery, Uint};
+use crate::bignum::{Comb, Modulus, Uint};
 use crate::drbg::HmacDrbg;
 use crate::kdf;
 
@@ -28,8 +31,10 @@ pub struct DhGroup {
     /// public value peers reject.
     p_minus_1: Uint,
     generator: Uint,
-    /// Montgomery constants for `prime`.
-    mont: Montgomery,
+    /// The exponentiation path for `prime`.
+    modulus: Modulus,
+    /// The generator's fixed-base comb, for a prime on the field path.
+    comb: Option<Comb>,
     /// Private-key length in bytes.
     priv_len: usize,
 }
@@ -43,9 +48,9 @@ impl DhGroup {
     /// because public values travel through MMIO payloads: a 2048-bit
     /// value would lengthen those payloads and so change virtual time.
     ///
-    /// The group, its Montgomery constants included, is built once per
-    /// process; each call returns a copy.
-    pub fn sim() -> Self {
+    /// The group, the generator's 32 KiB comb included, is built once per
+    /// process and shared by every caller.
+    pub fn sim() -> &'static Self {
         static SIM: OnceLock<DhGroup> = OnceLock::new();
         SIM.get_or_init(|| {
             DhGroup::new(
@@ -53,7 +58,6 @@ impl DhGroup {
                 32,
             )
         })
-        .clone()
     }
 
     /// RFC 3526 group 14 (2048-bit MODP), generator 2.
@@ -74,14 +78,22 @@ impl DhGroup {
         )
     }
 
-    /// A group over the odd prime `prime_hex`, generator 2.
+    /// A group over the odd prime `prime_hex`, generator 2; on the field
+    /// path it lays out the generator's comb.
     fn new(prime_hex: &str, priv_len: usize) -> Self {
         let prime = Uint::from_hex(prime_hex);
+        let generator = Uint::from_u64(2);
+        let modulus = Modulus::new(&prime).expect("DH prime is odd");
+        let comb = match &modulus {
+            Modulus::Field(field) => Some(field.comb(&generator)),
+            Modulus::Montgomery(_) => None,
+        };
         DhGroup {
             p_minus_1: prime.checked_sub(&Uint::one()).expect("prime > 1"),
-            mont: Montgomery::new(&prime).expect("DH prime is odd"),
             prime,
-            generator: Uint::from_u64(2),
+            generator,
+            modulus,
+            comb,
             priv_len,
         }
     }
@@ -110,8 +122,17 @@ impl DhGroup {
     /// Generates a keypair deterministically from the given DRBG.
     pub fn generate(&self, rng: &mut HmacDrbg) -> DhKeyPair {
         let private = self.generate_private(rng);
-        let public = DhPublic(self.mont.pow(&self.generator, &private.0));
+        let public = self.public_value(&private);
         DhKeyPair { private, public }
+    }
+
+    /// The public value `g^x` of a private exponent `x`: through the
+    /// generator's comb when the group has one.
+    pub fn public_value(&self, private: &DhPrivate) -> DhPublic {
+        DhPublic(match &self.comb {
+            Some(comb) => comb.pow(&private.0),
+            None => self.modulus.pow(&self.generator, &private.0),
+        })
     }
 
     /// Computes the shared secret from our private key and a peer's public
@@ -139,7 +160,7 @@ impl DhGroup {
         if theirs.0 < Uint::from_u64(2) || theirs.0 >= self.p_minus_1 {
             return Err(DhError::InvalidPublic);
         }
-        let secret = self.mont.pow(&theirs.0, &ours.0);
+        let secret = self.modulus.pow(&theirs.0, &ours.0);
         Ok(SharedSecret(secret.to_be_bytes()))
     }
 }

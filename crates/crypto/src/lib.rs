@@ -32,9 +32,10 @@
 //! differential suites compare it against: [`aes::Aes128::portable`],
 //! [`ocb::Ocb::portable`] and [`sha256::Sha256::portable`];
 //! [`ocb::Ocb::aesni`] keeps the 128-bit OCB kernel reachable on a VAES
-//! host. The fixed-width Montgomery path in [`bignum`] is safe Rust; its
-//! oracles are the slice CIOS ([`bignum::Uint::modpow_slice`]) and the
-//! ladder.
+//! host. The pseudo-Mersenne field path in [`bignum`], which the
+//! simulator's 256-bit DH group takes (and the fixed-base comb for its
+//! generator), is safe Rust and chosen from the modulus alone; its oracles
+//! are the slice CIOS ([`bignum::Uint::modpow_slice`]) and the ladder.
 //!
 //! OCB also runs over a message held in pieces ([`ocb::Ocb::stream`]):
 //! runs of whole blocks from any block index, then a finish step for the

@@ -85,7 +85,7 @@ pub struct GpuDevice {
     // span sized by the transfer, so it stays within one pipeline chunk.
     scratch: Vec<u8>,
     drbg: HmacDrbg,
-    group: DhGroup,
+    group: &'static DhGroup,
     bios: Vec<u8>,
     clock: Clock,
     model: CostModel,

@@ -30,6 +30,12 @@ cargo fmt --all --check
 # committed BENCH_*.json ledgers, and smoke-runs trace_report.
 cargo test -q --offline
 
+# The benchmark runs hix-crypto's arithmetic in release, where overflow
+# checks and debug_assert! are off: its unit tests and the two crypto
+# differential suites run there as well.
+cargo test -q --release --offline -p hix-crypto
+cargo test -q --release --offline -p xtests --test differential_bignum --test differential_crypto
+
 # Benchmark self-checks. hixbench is a workspace of its own (path deps on
 # the crates). --locked: its Cargo.lock lists those crates' dependencies,
 # so a new dependency edge fails here instead of rewriting the lock. Its package tests cover tape determinism, planted-byte

@@ -4,14 +4,17 @@
 //! reference `Uint::modpow_ladder`, over odd moduli of 1–32 limbs. Edge
 //! moduli (3, 2^64k − 1, a top limb of 1) and edge exponents (0, 1,
 //! all-ones) are drawn as often as random ones, and bases are drawn at or
-//! above the modulus so the reduction step runs. A 4-limb modulus takes
-//! `modpow`'s fixed-width path, so a second property holds that path to
-//! both the slice CIOS (`Uint::modpow_slice`) and the ladder over 256-bit
-//! moduli. `differential_bignum.seeds` is replayed before any new cases
-//! are generated.
+//! above the modulus so the reduction step runs. A modulus `2^256 − c`
+//! with odd `c < 2^64` takes `modpow`'s pseudo-Mersenne field path, so a
+//! second property holds that path to both the slice CIOS
+//! (`Uint::modpow_slice`) and the ladder over such moduli, and a third
+//! holds the simulator group's fixed-base comb (`DhGroup::generate`) to
+//! the slice CIOS. `differential_bignum.seeds` is replayed before any new
+//! cases are generated.
 
 use hix_crypto::bignum::Uint;
-use hix_crypto::dh::DhGroup;
+use hix_crypto::dh::{DhGroup, DhPublic};
+use hix_crypto::drbg::HmacDrbg;
 use hix_testkit::prop::{prop, Source};
 
 const SEEDS: &str = concat!(
@@ -77,8 +80,14 @@ fn montgomery_modpow_matches_reference_ladder() {
         });
 }
 
-/// The secp256k1 field prime, the simulator's DH modulus, low limb first.
-const SECP256K1_P: [u64; 4] = [0xffff_fffe_ffff_fc2f, u64::MAX, u64::MAX, u64::MAX];
+/// The simulator's DH modulus is `2^256 − c` for this `c` (secp256k1's
+/// field prime).
+const SIM_C: u64 = (1 << 32) + 977;
+
+/// `2^256 − c`.
+fn pseudo_mersenne(c: u64) -> Uint {
+    from_limbs(&[c.wrapping_neg(), u64::MAX, u64::MAX, u64::MAX])
+}
 
 #[test]
 fn fixed_width_modpow_matches_slice_and_ladder() {
@@ -86,46 +95,84 @@ fn fixed_width_modpow_matches_slice_and_ladder() {
         .corpus(SEEDS)
         .cases(64)
         .run(|s| {
-            let modulus_kind = s.choice(4);
-            let exp_kind = s.choice(4);
-            let base_extra = s.usize_in(0..2);
+            let c_kind = s.choice(4);
+            let base_kind = s.choice(7);
+            let exp_kind = s.choice(6);
 
-            let mut m = match modulus_kind {
-                0 => draw_limbs(s, 4),
-                1 => SECP256K1_P.to_vec(),
-                2 => {
-                    let mut limbs = draw_limbs(s, 4);
-                    limbs[3] = u64::MAX;
-                    limbs
-                }
-                _ => vec![s.u64(), 0, 0, 1], // just over 2^192
+            let c = match c_kind {
+                0 => s.u64() | 1,
+                1 => 1,
+                2 => u64::MAX,
+                _ => SIM_C,
             };
-            m[0] |= 1;
-            if m[3] == 0 {
-                m[3] = 1;
-            }
-            let m = from_limbs(&m);
+            let p = pseudo_mersenne(c);
+            let p_minus_1 = p.checked_sub(&Uint::one()).unwrap();
+            let base = match base_kind {
+                0 => from_limbs(&draw_limbs(s, 4)),
+                1 => Uint::zero(),
+                2 => Uint::one(),
+                3 => p_minus_1.clone(),
+                // In [p, 2^256): the field path takes it unreduced.
+                4 => from_limbs(&[
+                    c.wrapping_neg() + s.u64() % c,
+                    u64::MAX,
+                    u64::MAX,
+                    u64::MAX,
+                ]),
+                5 => from_limbs(&[u64::MAX; 4]),
+                // Above 2^256: reduced before the field path.
+                _ => {
+                    let mut limbs = draw_limbs(s, 5);
+                    limbs[4] |= 1;
+                    from_limbs(&limbs)
+                }
+            };
             let exp = match exp_kind {
                 0 => Uint::zero(),
                 1 => Uint::one(),
-                2 => m.checked_sub(&Uint::one()).unwrap(),
-                _ => from_limbs(&draw_limbs(s, 4)),
+                2 => p_minus_1,
+                3 => from_limbs(&[u64::MAX; 4]),
+                4 => from_limbs(&draw_limbs(s, 4)),
+                // Short: one limb, its top bits cleared.
+                _ => Uint::from_u64(s.u64() >> s.usize_in(0..64)),
             };
-            // With an extra limb the base is above the modulus.
-            let mut base = draw_limbs(s, 4 + base_extra);
-            *base.last_mut().unwrap() |= 1;
-            let base = from_limbs(&base);
 
-            let fixed = base.modpow(&exp, &m);
+            let field = base.modpow(&exp, &p);
             assert_eq!(
-                fixed,
-                base.modpow_slice(&exp, &m),
-                "fixed path diverged from the slice CIOS: m = {m:?}, exp = {exp:?}, base = {base:?}"
+                field,
+                base.modpow_slice(&exp, &p),
+                "field path diverged from the slice CIOS: c = {c:#x}, exp = {exp:?}, base = {base:?}"
             );
             assert_eq!(
-                fixed,
-                base.modpow_ladder(&exp, &m),
-                "fixed path diverged from the ladder: m = {m:?}, exp = {exp:?}, base = {base:?}"
+                field,
+                base.modpow_ladder(&exp, &p),
+                "field path diverged from the ladder: c = {c:#x}, exp = {exp:?}, base = {base:?}"
+            );
+        });
+}
+
+/// `DhGroup::generate` raises the generator 2 through the group's
+/// fixed-base comb; its public value must be `2^x mod p` by the slice
+/// CIOS for the exponent `x` it drew.
+#[test]
+fn generate_matches_modpow_slice() {
+    let group = DhGroup::sim();
+    let p = group.prime();
+    prop("generate_matches_modpow_slice")
+        .corpus(SEEDS)
+        .cases(64)
+        .run(|s| {
+            let mut rng = HmacDrbg::new(&s.u64().to_le_bytes());
+            // `generate` draws x as its DRBG's next 32 bytes reduced
+            // modulo p, and draws again only when x < 2 or x ≥ p − 1
+            // (odds below 2^-200).
+            let x = Uint::from_be_bytes(&rng.clone().bytes(32)).rem(p);
+            let public = group.generate(&mut rng).public;
+            let want = Uint::from_u64(2).modpow_slice(&x, p);
+            assert_eq!(
+                public,
+                DhPublic::from_be_bytes(&want.to_be_bytes()),
+                "comb diverged from the slice CIOS: x = {x:?}"
             );
         });
 }
