@@ -454,6 +454,29 @@ impl Endpoint {
         self.wires = Default::default();
     }
 
+    /// [`Self::rekey`] on the GPU-enclave side, given `in_flight`, the
+    /// old-epoch id of the peer's outstanding request. The peer re-sends
+    /// that request first in the new epoch, under id 1. When it was
+    /// already served here, the new epoch starts with id 1 served and the
+    /// old response cached, so the re-sent copy arrives as a
+    /// [`ChannelError::Duplicate`] and is answered from the cache,
+    /// re-sealed under the new key, instead of being executed again.
+    pub fn rekey_serving(&mut self, key: [u8; 16], in_flight: u64) {
+        let served = self.wires[Dir::Request as usize].id == in_flight;
+        let cached = self.wires[Dir::Response as usize].last.take();
+        self.rekey(key);
+        if served && cached.is_some() {
+            self.wires[Dir::Request as usize].id = 1;
+            self.wires[Dir::Response as usize].last = cached;
+        }
+    }
+
+    /// The outstanding request's id (user side) or the last one served
+    /// (GPU-enclave side), in the current epoch.
+    pub fn request_id(&self) -> u64 {
+        self.wires[Dir::Request as usize].id
+    }
+
     /// Zeroes the shared doorbell/length words so a new epoch does not
     /// trip over stale announcements (run by the user side right after
     /// both endpoints re-key).

@@ -624,7 +624,11 @@ impl GpuEnclave {
     /// channel's wire state desynchronized beyond the replay window.
     /// Returns the new channel key (the user derives the same value on
     /// its side of the simulated exchange). The bulk data key is
-    /// untouched: only the control channel re-keys.
+    /// untouched: only the control channel re-keys. `in_flight` is the
+    /// old-epoch id of the user's outstanding request, which it re-sends
+    /// under the new key: if this enclave already served it, the re-sent
+    /// copy is answered from the cached response and not executed again
+    /// ([`Endpoint::rekey_serving`]).
     ///
     /// # Errors
     ///
@@ -635,12 +639,13 @@ impl GpuEnclave {
         machine: &mut Machine,
         session: SessionId,
         user_rng: &mut HmacDrbg,
+        in_flight: u64,
     ) -> Result<[u8; 16], HixCoreError> {
         let user_pid = self.live_session(session)?.user_pid;
         let key =
             attest::pairwise_channel_key(machine, user_pid, self.pid, user_rng, &mut self.rng)?;
         let state = self.sessions.get_mut(&session).expect("checked above");
-        state.endpoint.rekey(key);
+        state.endpoint.rekey_serving(key, in_flight);
         machine.trace().metrics().inc(Counter::RecoveryRekeys);
         machine.charge(
             EventKind::Security,

@@ -425,7 +425,9 @@ impl HixSession {
                 }
                 let attrs = [("attempt", attempts as u64)];
                 machine.in_span("recovery", "rekey", &attrs, |m| self.rekey(m, enclave))?;
-                // A fresh epoch: the request goes out under a new id.
+                // A fresh epoch: the request goes out under a new id. If
+                // the enclave already served it, it answers from its
+                // cached response.
                 self.endpoint.send_request(machine, &request.encode())?;
                 backoff = None;
             } else {
@@ -458,7 +460,8 @@ impl HixSession {
         // Never trust a fresh key from an enclave we haven't just
         // re-verified (§5.5) — the desync may be the OS swapping GPUs.
         attest_enclave(machine, enclave)?;
-        let key = enclave.rekey_session(machine, self.id, &mut self.rng)?;
+        let in_flight = self.endpoint.request_id();
+        let key = enclave.rekey_session(machine, self.id, &mut self.rng, in_flight)?;
         self.endpoint.rekey(key);
         self.endpoint.reset_wire(machine)?;
         Ok(())
@@ -1869,6 +1872,39 @@ mod tests {
         assert!(enclave.poll(m, s.id()).unwrap());
         let response = Response::decode(&s.endpoint.recv_response(m).unwrap());
         assert!(matches!(response, Some(Response::Err(_))), "{response:?}");
+    }
+
+    #[test]
+    fn a_rekey_never_re_executes_a_served_request() {
+        let (mut m, mut enclave) = setup();
+        let mut s = HixSession::connect_with(&mut m, &mut enclave, 1 << 20, b"rekey").unwrap();
+        let malloc = Request::Malloc { len: 4096 }.encode();
+        let dup_served = |m: &Machine| m.trace().metrics().counter("recovery.dup_served");
+
+        // The enclave serves a malloc whose response the user takes as
+        // lost: it re-keys and re-sends the request under a fresh id, as
+        // `roundtrip` does. The enclave answers from its cache.
+        s.send_raw_request_for_test(&mut m, &malloc).unwrap();
+        assert!(enclave.poll(&mut m, s.id()).unwrap());
+        let served = Response::decode(&s.endpoint.recv_response(&mut m).unwrap());
+        assert!(matches!(served, Some(Response::Addr(_))), "{served:?}");
+        s.rekey(&mut m, &mut enclave).unwrap();
+        let before = dup_served(&m);
+        s.endpoint.send_request(&mut m, &malloc).unwrap();
+        assert!(enclave.poll(&mut m, s.id()).unwrap());
+        let answered = Response::decode(&s.endpoint.recv_response(&mut m).unwrap());
+        assert_eq!(answered, served, "the re-sent malloc ran again");
+        assert_eq!(dup_served(&m), before + 1);
+
+        // A request the enclave never saw runs once in the new epoch.
+        s.send_raw_request_for_test(&mut m, &malloc).unwrap();
+        s.rekey(&mut m, &mut enclave).unwrap();
+        s.endpoint.send_request(&mut m, &malloc).unwrap();
+        assert!(enclave.poll(&mut m, s.id()).unwrap());
+        let fresh = Response::decode(&s.endpoint.recv_response(&mut m).unwrap());
+        assert!(matches!(fresh, Some(Response::Addr(_))), "{fresh:?}");
+        assert_ne!(fresh, served);
+        assert_eq!(dup_served(&m), before + 1);
     }
 
     #[test]

@@ -316,16 +316,7 @@ fn charged_spans_tile_the_clock_outside_transfers() {
                     let (m, start, ended) = run_tape(&ops, plan, batched);
                     let run = format!("{profile} (batched: {batched})");
                     if let Err(e) = ended {
-                        // The one way a tape may end early, and only on a
-                        // faulty wire (CHANGES.md `FOUND:`): a re-key
-                        // re-executes an in-flight malloc, so the journal
-                        // replay of a later re-establishment allocates a
-                        // different address. The clock up to the error
-                        // must tile all the same.
-                        assert!(
-                            cfg.is_some() && e.contains("journal replay allocated"),
-                            "{run}: {e}"
-                        );
+                        panic!("{run}: {e}");
                     }
                     let end = m.clock().now().as_nanos();
                     if let Err(e) = tiles(timed_charges(&m), start, end) {

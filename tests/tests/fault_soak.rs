@@ -31,7 +31,7 @@ const PINNED: [(u64, &str, bool, &str); 5] = [
         0xD1FF_5EED,
         "heavy",
         false,
-        "1aa4e27518fc9314d6952c911dbc1cfd46a2f6e5329306a5f88271f454b77e02",
+        "b63f06d03bae940821b08523595f307689079cfd3b577fbb78e813f5460e2559",
     ),
     (
         0xD1FF_5EED,
