@@ -25,7 +25,9 @@
 //!   stable across retransmissions. The receiver serves id `served+1`,
 //!   answers id `≤ served` with [`ChannelError::Duplicate`] (the cached
 //!   response is re-sent instead of re-executing), and treats anything
-//!   else as desync.
+//!   else as desync. A re-key restarts ids at 1; the GPU enclave carries
+//!   an already-served in-flight request's response into the new epoch
+//!   ([`Endpoint::rekey_serving`]).
 //!
 //! Layout of the shared buffer:
 //!
