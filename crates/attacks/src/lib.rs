@@ -544,7 +544,7 @@ const PROBE_BYTES: u64 = 64 << 20;
 /// The probe's BAR1 read size.
 const PROBE_READ: usize = 1 << 20;
 
-/// Whether `needle` occurs anywhere in the low [`PROBE_BYTES`] of VRAM,
+/// Whether `needle` occurs anywhere in the low 64 MiB (`PROBE_BYTES`) of VRAM,
 /// read through BAR1 straight off the device model — the bus-analyzer
 /// probe that works regardless of MMIO lockdown.
 pub fn vram_holds(m: &mut Machine, needle: &[u8]) -> bool {

@@ -1,11 +1,11 @@
 //! Perf-trajectory report for the serving path: request-level latency
-//! attribution, per-tenant SLO tables, and the critical-path profiler,
-//! swept across fault profiles — each profile in *both* submission
-//! engines. Four tenants serve a seeded round-robin op mix (one
-//! transfer, six compute-plane fillers, a kernel, a sync per round)
-//! through the full HIX stack with span recording and request
-//! attribution on, once via the synchronous wrappers (one channel wake
-//! per op) and once via explicit batch-8 submission rings; the report
+//! attribution and per-tenant SLO tables, swept across fault profiles
+//! — each profile in *both* submission engines. Four tenants serve a
+//! seeded round-robin op mix (one transfer, six compute-plane
+//! fillers, a kernel, a sync per round) through the full HIX stack
+//! with span recording and request attribution on, once via the
+//! synchronous wrappers (one channel wake per op) and once via
+//! explicit batch-8 submission rings; the report
 //! prints the per-stage attribution, SLO, and doorbell-amortization
 //! tables behind EXPERIMENTS.md, emits `BENCH_perf.json` (the
 //! serving-path perf-trajectory file, now with a `batched` column per
@@ -15,10 +15,9 @@
 //! * **reconciliation (±0)** — attributed + unattributed charged time
 //!   equals the legacy per-category accumulator exactly, and the stage
 //!   rollup tiles the category sums;
-//! * **critical path ≤ e2e** — every request's longest charged chain
-//!   fits inside its end-to-end window (so queue = e2e − service ≥ 0);
-//! * **queue is waiting** — one synchronous caller never waits, so
-//!   every profile's synchronous cell has `queue_ns == 0`;
+//! * **charges tile requests** — every request's charged total equals
+//!   its end-to-end window, in both engines (so service = e2e and
+//!   queue = 0 by construction);
 //! * **determinism** — same-seed reruns are byte-identical in requests,
 //!   snapshot, and emitted JSON;
 //! * **engine equivalence** — batched and sync runs of a profile
@@ -42,9 +41,7 @@ use std::fmt::Write as _;
 use hix_bench::{diff_lines, fail, soak, write_ledger};
 use hix_core::{CmdStatus, GpuEnclave, GpuEnclaveOptions, HixSession};
 use hix_driver::rig::{standard_rig, RigOptions};
-use hix_obs::{
-    critical_chain, critical_path_ns, fmt_ns, folded_stacks, RequestRecord, SloRow, Stage,
-};
+use hix_obs::{fmt_ns, folded_stacks, percentile_sorted, RequestRecord, SloRow, Stage};
 use hix_sim::fault::{FaultConfig, FaultPlan};
 use hix_sim::Payload;
 use hix_testkit::rng::splitmix64;
@@ -75,7 +72,8 @@ struct Cell {
     unattributed_ns: u64,
     slo: Vec<SloRow>,
     makespan_ns: u64,
-    /// The single longest critical path of the run and its request.
+    /// The single longest request of the run (its charged total, which
+    /// is its end-to-end window) and what it was.
     longest_ns: u64,
     longest_op: String,
     folded: String,
@@ -94,13 +92,6 @@ struct Cell {
     frames: u64,
     /// p99 end-to-end request latency across the whole cell.
     p99_ns: u64,
-}
-
-/// p99 over every request's end-to-end window (nearest-rank).
-fn p99_e2e(requests: &[RequestRecord]) -> u64 {
-    let mut v: Vec<u64> = requests.iter().map(RequestRecord::e2e_ns).collect();
-    v.sort_unstable();
-    v[((v.len() * 99).div_ceil(100)).saturating_sub(1)]
 }
 
 fn run_cell(profile: &'static str, cfg: Option<FaultConfig>, batched: bool) -> Cell {
@@ -256,30 +247,26 @@ fn run_cell(profile: &'static str, cfg: Option<FaultConfig>, batched: bool) -> C
         ));
     }
 
-    // Critical path ≤ e2e for every request; track the run's longest.
+    // Charges tile every request window; track the run's longest.
     let mut longest_ns = 0u64;
     let mut longest_op = String::new();
     for rec in &requests {
-        let path = critical_path_ns(rec);
-        if path > rec.e2e_ns() {
+        if rec.charged_ns() != rec.e2e_ns() {
             fail(&format!(
-                "{profile}: request {} ({}): critical path {} ns exceeds e2e {} ns",
+                "{profile} (batched={batched}): request {} ({}): charged {} ns for e2e {} ns",
                 rec.id,
                 rec.name,
-                path,
+                rec.charged_ns(),
                 rec.e2e_ns()
             ));
         }
-        if path > longest_ns {
-            longest_ns = path;
-            longest_op = format!(
-                "{} (t{}, {} links)",
-                rec.name,
-                rec.tenant,
-                critical_chain(rec).len()
-            );
+        if rec.e2e_ns() > longest_ns {
+            longest_ns = rec.e2e_ns();
+            longest_op = format!("{} (t{})", rec.name, rec.tenant);
         }
     }
+    let mut e2e: Vec<u64> = requests.iter().map(RequestRecord::e2e_ns).collect();
+    e2e.sort_unstable();
 
     let folded = folded_stacks(&obs.spans(), "hix");
     let mut transcript: String = requests.iter().map(|r| format!("{r:?}\n")).collect();
@@ -299,7 +286,7 @@ fn run_cell(profile: &'static str, cfg: Option<FaultConfig>, batched: bool) -> C
         mix_wakes,
         mix_ops,
         frames: mix_frames,
-        p99_ns: p99_e2e(&requests),
+        p99_ns: percentile_sorted(&e2e, 99).expect("requests recorded"),
         requests,
     }
 }
@@ -335,6 +322,8 @@ fn emit_json(cells: &[(Cell, Cell)]) -> String {
             batched.p99_ns,
             batched.requests.len(),
         );
+        // A request's charges tile its window, so its critical path is
+        // the whole window.
         let _ = writeln!(s, "     \"longest_critical_path_ns\": {},", c.longest_ns);
         let _ = writeln!(s, "     \"unattributed_ns\": {},", c.unattributed_ns);
         s.push_str("     \"stages\": [\n");
@@ -374,12 +363,8 @@ fn emit_json(cells: &[(Cell, Cell)]) -> String {
 
 fn print_cells(cells: &[(Cell, Cell)]) {
     println!("# Serving-path attribution ({TENANTS} tenants, seed {SEED})\n");
-    println!(
-        "| profile | requests | e2e | service | queue | longest critical path | unattributed |"
-    );
-    println!(
-        "|---------|---------:|----:|--------:|------:|-----------------------|-------------:|"
-    );
+    println!("| profile | requests | e2e | service | queue | longest request | unattributed |");
+    println!("|---------|---------:|----:|--------:|------:|-----------------|-------------:|");
     for (c, _) in cells {
         let e2e: u64 = c.requests.iter().map(RequestRecord::e2e_ns).sum();
         let service: u64 = c.slo.iter().map(|r| r.service_ns).sum();
@@ -474,10 +459,6 @@ fn main() {
         // single result byte, on any fault profile.
         if cell.results != batched.results {
             fail(&format!("{tag}: batched engine changed GPU results"));
-        }
-        let queue: u64 = cell.slo.iter().map(|r| r.queue_ns).sum();
-        if queue != 0 {
-            fail(&format!("{tag}: one synchronous caller queued {queue} ns"));
         }
         if batched.mix_wakes >= cell.mix_wakes {
             fail(&format!(

@@ -60,7 +60,7 @@ const DIFF_LINES: usize = 100;
 /// Compares `got` with `want` line by line: a same-seed rerun's
 /// transcript with the first run's, or a fresh ledger with the
 /// committed one. `Ok` when they are identical. Otherwise the error
-/// lists each moved line (up to [`DIFF_LINES`]) as a `-want`/`+got`
+/// lists each moved line (up to 100, `DIFF_LINES`) as a `-want`/`+got`
 /// pair under its line number and the nearest line above it that
 /// contains `"profile"` and leaves its object open: the head of the
 /// perf profile a stage or SLO row belongs to. One-line rows (the

@@ -270,7 +270,7 @@ fn matrix(wl: &mut Rng) -> Vec<u8> {
 /// The plan-rolled mid-stream restart: ledger it as an injection, seal
 /// the trust state, shut down, relaunch from the sealed blob.
 fn restart(m: &mut Machine, enclave: GpuEnclave, options: &GpuEnclaveOptions) -> GpuEnclave {
-    fault::record(m.trace(), m.clock().now(), Some("restart"), "", &[]);
+    fault::record(m.trace(), m.clock(), Some("restart"), "", &[]);
     let blob = enclave.seal_trust_state(m).expect("seal trust");
     enclave.shutdown(m).expect("shutdown");
     GpuEnclave::launch(

@@ -276,9 +276,9 @@ impl Endpoint {
         let Some(plan) = machine.fault_plan() else {
             return self.stage(machine, lane, &sealed, Some(seq));
         };
-        let (trace, now) = (machine.trace().clone(), machine.clock().now());
+        let (trace, clock) = (machine.trace().clone(), machine.clock().clone());
         let wire = (self.buffer.bus().value(), dir);
-        plan.deliver(&trace, now, wire, seq, sealed, |frame, bell| {
+        plan.deliver(&trace, &clock, wire, seq, sealed, |frame, bell| {
             self.stage(machine, lane, frame, bell)
         })
     }

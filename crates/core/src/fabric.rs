@@ -105,8 +105,8 @@ impl std::fmt::Debug for Fabric {
 }
 
 impl Fabric {
-    /// Launches one GPU enclave per GPU of a [`fabric_rig`]
-    /// (`hix_driver::rig::fabric_rig`) topology. Each shard pins *its
+    /// Launches one GPU enclave per GPU of a
+    /// [`fabric_rig`](hix_driver::rig::fabric_rig) topology. Each shard pins *its
     /// own* GPU's BIOS digest (derived from the slot's BIOS seed) and
     /// verifies its own routing path — a fabric never shares a trust
     /// premise between shards.

@@ -1176,16 +1176,20 @@ impl GpuEnclave {
                 let result = self.handle(machine, session, cmd.req);
                 if let (Ok(Response::Ok), Some(len)) = (&result, htod_len) {
                     // Time plane at retirement: book the transfer's chunk walk
-                    // on the shared engines, merged with whatever the device
-                    // already charged. With idle engines (every synchronous
-                    // single-command frame) this is exactly the closed form
-                    // `start + hix_htod(len)` the synchronous client pins;
-                    // inside a batched frame the booking chains through the
-                    // engine cursors instead, so consecutive transfers overlap
-                    // rather than serialize.
+                    // on the shared engines and charge what the device's own
+                    // charges left of it as the exposed sealing. With idle
+                    // engines (every synchronous single-command frame) this
+                    // ends at exactly the closed form `start + hix_htod(len)`
+                    // the synchronous client pins; inside a batched frame the
+                    // booking chains through the engine cursors instead, so
+                    // consecutive transfers overlap rather than serialize.
                     let done = self.xfer_pipe.htod(&model, frame_ready, len);
-                    // An uncharged floor until ROADMAP item 6 step 2.
-                    machine.clock().advance_to(done);
+                    machine.trace().charge_until(
+                        machine.clock(),
+                        done,
+                        EventKind::EnclaveCrypto,
+                        "seal (pipelined)",
+                    );
                 }
                 if let Some(id) = attr {
                     machine
@@ -1390,8 +1394,9 @@ impl GpuEnclave {
                         // Book the readback on the shared transfer engines. The
                         // chunk walk below charges device time functionally; the
                         // booking records engine occupancy (so later transfers of
-                        // any session see it) and floors the clock at the walk's
-                        // pipelined completion.
+                        // any session see it), and what the walk leaves of its
+                        // pipelined completion is charged as the exposed
+                        // unsealing.
                         let dtoh_done = {
                             let model = machine.model().clone();
                             let now = machine.clock().now();
@@ -1423,8 +1428,12 @@ impl GpuEnclave {
                                 .and_then(|()| self.watched_sync(machine, session))
                         });
                         if walk.is_ok() {
-                            // An uncharged floor until ROADMAP item 6 step 2.
-                            machine.clock().advance_to(dtoh_done);
+                            machine.trace().charge_until(
+                                machine.clock(),
+                                dtoh_done,
+                                EventKind::EnclaveCrypto,
+                                "open (pipelined)",
+                            );
                         }
                         self.engine_outcome(walk)?
                     }
@@ -1474,8 +1483,10 @@ impl GpuEnclave {
         session: SessionId,
     ) -> Result<(), EngineError> {
         let ctx = self.sessions.get(&session).expect("checked by poll").ctx;
-        match self.driver.sync(machine) {
-            Ok(()) => {}
+        // `Some(drained)` after an ECC kill: whether the sync's drain had
+        // retired every command the driver submitted.
+        let ecc_kill = match self.driver.sync(machine) {
+            Ok(()) => None,
             Err(DriverError::Gpu(code)) if code == errcode::SPURIOUS => {
                 // The engine latched an error although the command
                 // completed; `sync` already cleared the latch. The work
@@ -1484,6 +1495,7 @@ impl GpuEnclave {
                     .trace()
                     .metrics()
                     .inc(Counter::WatchdogSpuriousCleared);
+                None
             }
             Err(DriverError::Gpu(code)) if code == errcode::ECC => {
                 // A bit flipped in a live VRAM buffer: the context's
@@ -1497,21 +1509,29 @@ impl GpuEnclave {
                     Nanos::ZERO,
                     "watchdog: ECC corruption in live buffer; kill context",
                 );
+                let drained = self.driver.drained();
                 self.driver
                     .kill_ctx(machine, ctx)
                     .map_err(EngineError::Driver)?;
-                return self
-                    .finish_kill(machine, session)
-                    .and(Err(EngineError::Tdr));
+                Some(drained)
             }
             Err(e) => return Err(EngineError::Driver(e)),
-        }
-        if !self
-            .driver
-            .status_busy(machine)
-            .map_err(EngineError::Driver)?
-        {
-            return Ok(());
+        };
+        // A fully drained ECC kill leaves nothing running. Otherwise a
+        // command queued behind the corrupted one may have hung a
+        // context deaf to the kill: the progress check sees it.
+        let busy = ecc_kill != Some(true)
+            && self
+                .driver
+                .status_busy(machine)
+                .map_err(EngineError::Driver)?;
+        if !busy {
+            return match ecc_kill {
+                Some(_) => self
+                    .finish_kill(machine, session)
+                    .and(Err(EngineError::Tdr)),
+                None => Ok(()),
+            };
         }
 
         // Hang detected: clean sync, busy engine.

@@ -9,15 +9,14 @@
 //!
 //! ## Time accounting
 //!
-//! Functional byte work (sealing, unsealing) is not charged per byte;
-//! instead, each transfer advances the virtual clock to the closed-form
-//! pipelined duration from the cost model
-//! ([`CostModel::hix_htod`]/[`hix_dtoh`](CostModel::hix_dtoh)), merged
-//! with whatever the device already charged (DMA wire time, in-GPU crypto)
-//! via `Clock::advance_to`. The clock never pays for overlap twice, but
-//! the ledger can: the floor's advance lies in no charged span and the
-//! recording-only seal/unseal spans overlap the device's, so a transfer's
-//! charges may sum to more or less than its time (ROADMAP item 6 step 2).
+//! Functional byte work (sealing, unsealing) is not charged per byte.
+//! The runtime charges its two channel half-hops; everything else a
+//! transfer costs is charged by the GPU enclave: the device's DMA wire
+//! time and in-GPU crypto as they run, and then, as enclave crypto, the
+//! remainder up to the pipelined completion from the cost model
+//! ([`CostModel::hix_htod`]/[`hix_dtoh`](CostModel::hix_dtoh)) that the
+//! device work left uncovered. The sealing hidden behind the wire is
+//! charged nowhere, so a transfer's charges sum to exactly its time.
 
 use std::collections::VecDeque;
 
@@ -173,7 +172,7 @@ impl std::fmt::Debug for HixSession {
 
 /// Runs one public session op inside a request-attribution scope: the
 /// obs layer charges every span completing before `op` returns to this
-/// request (per category and as critical-path intervals), and the scope
+/// request (per category), and the scope
 /// closes on success and error paths alike. When attribution is
 /// disabled or an outer op already holds the request (e.g. `resume` →
 /// `sync`) no scope opens, so nested ops roll up into their caller.
@@ -661,9 +660,9 @@ impl HixSession {
     }
 
     /// Seals `payload` into the bulk area under the current epoch's data
-    /// key and nonce counter and builds the matching request. Charges the
-    /// sealing work to its own trace category (recording only — the
-    /// clock advances via the transfer closed form).
+    /// key and nonce counter and builds the matching request. The sealing
+    /// charges nothing here: the GPU enclave charges the part of it the
+    /// pipelined transfer exposes.
     fn stage_htod(
         &mut self,
         machine: &mut Machine,
@@ -685,13 +684,6 @@ impl HixSession {
             .trace()
             .metrics()
             .add(Counter::DmaBytesEncrypted, len);
-        machine.trace().emit_with(
-            machine.clock().now(),
-            machine.model().enclave_crypt(len),
-            EventKind::EnclaveCrypto,
-            "seal stream",
-            &[("bytes", len)],
-        );
         Ok(Request::MemcpyHtoD {
             dst,
             len,
@@ -1203,32 +1195,22 @@ impl HixSession {
         if len == 0 {
             return Ok(());
         }
-        let model = machine.model().clone();
-        let chunk = model.pipeline_chunk;
+        let chunk = machine.model().pipeline_chunk;
         assert!(
             sealed_stream_len(len, chunk).is_some_and(|n| n <= self.endpoint.bulk_capacity()),
             "transfer exceeds the shared-memory window; reconnect with a larger one"
         );
         in_request(machine, u64::from(self.id), "memcpy_htod", |machine| {
             machine.in_span("session", "memcpy_htod", &[("bytes", len)], |machine| {
-                let start = machine.clock().now();
                 // Functional plane: the transfer rides the submission ring —
                 // sealing happens at frame-build time, a `CtxReset` completion
                 // triggers recovery and a re-seal under the new epoch's key and
                 // nonces (the old sealed stream is worthless — and must be, or
                 // the reset leaked something). Journal + nonce bump happen at
-                // retirement in `retire_ok`, exactly once.
+                // retirement in `retire_ok`, exactly once. Time plane: the
+                // enclave charges the pipelined transfer at retirement.
                 let id = self.submit_htod(machine, enclave, dst, payload)?;
-                self.drain_for(machine, enclave, id)?;
-                // Time plane: pipelined encrypt+DMA, then the decrypt
-                // kernel. The enclave already pinned the closed form at
-                // retirement; this keeps the clean-path elapsed time exact
-                // even if a recovery replay stretched the drain. An
-                // uncharged floor until ROADMAP item 6 step 2.
-                machine
-                    .clock()
-                    .advance_to(start + model.ipc_roundtrip + model.hix_htod(len));
-                Ok(())
+                self.drain_for(machine, enclave, id)
             })
         })
     }
@@ -1250,15 +1232,13 @@ impl HixSession {
         if len == 0 {
             return Ok(Payload::from_bytes(Vec::new()));
         }
-        let model = machine.model().clone();
-        let chunk = model.pipeline_chunk;
+        let chunk = machine.model().pipeline_chunk;
         assert!(
             sealed_stream_len(len, chunk).is_some_and(|n| n <= self.endpoint.bulk_capacity()),
             "transfer exceeds the shared-memory window; reconnect with a larger one"
         );
         in_request(machine, u64::from(self.id), "memcpy_dtoh", |machine| {
             machine.in_span("session", "memcpy_dtoh", &[("bytes", len)], |machine| {
-                let start = machine.clock().now();
                 // A barrier op: the read must observe every queued command,
                 // and its sealed reply owns the bulk area — drain first.
                 self.flush(machine, enclave)?;
@@ -1288,23 +1268,12 @@ impl HixSession {
                     }
                     Payload::from_bytes(out)
                 };
-                // The user-enclave unsealing work rides the pipelined closed form
-                // below; charge it to its own category (recording only).
+                // The unsealing is part of the pipelined transfer the enclave
+                // charged before replying.
                 machine
                     .trace()
                     .metrics()
                     .add(Counter::DmaBytesDecrypted, len);
-                machine.trace().emit_with(
-                    machine.clock().now(),
-                    model.enclave_crypt(len),
-                    EventKind::EnclaveCrypto,
-                    "unseal stream",
-                    &[("bytes", len)],
-                );
-                // An uncharged floor until ROADMAP item 6 step 2.
-                machine
-                    .clock()
-                    .advance_to(start + model.ipc_roundtrip + model.hix_dtoh(len));
                 Ok(payload)
             })
         })
@@ -2332,7 +2301,10 @@ mod tests {
         .unwrap();
         let elapsed = m.clock().now() - t0;
         let expect = m.model().ipc_roundtrip + m.model().hix_htod(len);
-        assert_eq!(elapsed, expect, "advance_to pins the closed form");
+        assert_eq!(
+            elapsed, expect,
+            "the IPC round trip and the enclave's charges sum to the closed form"
+        );
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! [`DriverError::Access`], which is precisely the paper's isolation
 //! property showing up as an API error.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 
 use hix_gpu::cmd::GpuCommand;
@@ -87,6 +88,11 @@ pub struct GpuDriver {
     /// Loaded modules: kernel name → device handle ([`kernel_hash`]),
     /// so a launch looks the handle up instead of rehashing the name.
     modules: BTreeMap<String, u64>,
+    /// Submitted commands the fence has not yet counted as retired
+    /// (a kill or a reset drops them all).
+    outstanding: Cell<u64>,
+    /// The fence value the last sync read.
+    fence: Cell<u64>,
 }
 
 impl GpuDriver {
@@ -116,6 +122,8 @@ impl GpuDriver {
             heaps: BTreeMap::new(),
             allocations: BTreeMap::new(),
             modules: BTreeMap::new(),
+            outstanding: Cell::new(0),
+            fence: Cell::new(0),
         };
         let magic = driver.reg_read(machine, bar0::ID)?;
         if magic != GPU_MAGIC {
@@ -174,7 +182,9 @@ impl GpuDriver {
     pub fn submit(&self, machine: &mut Machine, cmd: &GpuCommand) -> Result<(), DriverError> {
         let bytes = cmd.encode();
         machine.write(self.pid, self.bar0_va.offset(bar0::CMD_WINDOW), &bytes)?;
-        self.reg_write(machine, bar0::DOORBELL, bytes.len() as u64)
+        self.reg_write(machine, bar0::DOORBELL, bytes.len() as u64)?;
+        self.outstanding.set(self.outstanding.get() + 1);
+        Ok(())
     }
 
     /// Waits for the GPU to drain its queue (Gdev synchronizes by MMIO
@@ -187,7 +197,10 @@ impl GpuDriver {
     pub fn sync(&self, machine: &mut Machine) -> Result<(), DriverError> {
         machine.run_device(self.bdf);
         // Poll once (models the final fence read).
-        let _fence = self.reg_read(machine, bar0::FENCE)?;
+        let fence = self.reg_read(machine, bar0::FENCE)?;
+        let retired = fence - self.fence.replace(fence);
+        self.outstanding
+            .set(self.outstanding.get().saturating_sub(retired));
         let error = self.reg_read(machine, bar0::ERROR)? as u32;
         if error != errcode::NONE {
             self.reg_write(machine, bar0::ERROR, 0)?;
@@ -195,6 +208,14 @@ impl GpuDriver {
             return Err(DriverError::Gpu(error));
         }
         Ok(())
+    }
+
+    /// Whether the fence the last [`GpuDriver::sync`] read counted
+    /// every command submitted so far as retired: a hang or a lost
+    /// completion leaves this false until a kill or a reset. Host-side
+    /// bookkeeping only; it reads no register.
+    pub fn drained(&self) -> bool {
+        self.outstanding.get() == 0
     }
 
     /// Whether the engines report busy (bit0 of STATUS): commands
@@ -221,6 +242,9 @@ impl GpuDriver {
     pub fn kill_ctx(&mut self, machine: &mut Machine, ctx: CtxId) -> Result<(), DriverError> {
         self.reg_write(machine, bar0::KILL, u64::from(ctx.0))?;
         self.forget_ctx(ctx);
+        // The device dropped the context's queued work, which will never
+        // retire (a wedged context's hung command waits for the reset).
+        self.outstanding.set(0);
         Ok(())
     }
 
@@ -268,6 +292,9 @@ impl GpuDriver {
         self.heaps.clear();
         self.allocations.clear();
         self.modules.clear();
+        // The reset zeroed the fence and dropped every queued command.
+        self.outstanding.set(0);
+        self.fence.set(0);
         Ok(())
     }
 
@@ -880,6 +907,28 @@ mod tests {
         // The latched KILLED code surfaces exactly once at the next sync.
         assert_eq!(driver.sync(&mut m), Err(DriverError::Gpu(errcode::KILLED)));
         driver.sync(&mut m).unwrap();
+    }
+
+    #[test]
+    fn drained_counts_what_the_fence_never_retired() {
+        use hix_sim::fault::{FaultConfig, FaultPlan};
+        let (mut m, _pid, mut driver) = setup();
+        let ctx = driver.create_ctx(&mut m).unwrap();
+        let dev = driver.malloc(&mut m, ctx, 4096).unwrap();
+        assert!(driver.drained());
+        m.set_fault_plan(FaultPlan::new(
+            1,
+            FaultConfig {
+                gpu_lost_pm: 1000,
+                ..FaultConfig::none()
+            },
+        ));
+        driver.copy_dtod(&mut m, ctx, dev, dev, 64).unwrap();
+        driver.sync(&mut m).unwrap();
+        assert!(!driver.drained(), "the lost completion stays outstanding");
+        m.clear_fault_plan();
+        driver.kill_ctx(&mut m, ctx).unwrap();
+        assert!(driver.drained(), "the kill dropped it");
     }
 
     #[test]

@@ -11,7 +11,7 @@ use hix_gpu::vram::DevAddr;
 use hix_pcie::addr::Bdf;
 use hix_platform::{Machine, ProcessId};
 use hix_sim::cost::ExecMode;
-use hix_sim::{EventKind, Payload};
+use hix_sim::{EventKind, Nanos, Payload};
 
 use crate::buffer::DmaBuffer;
 use crate::driver::{os_map_bar0, os_map_bar1, DriverError, GpuDriver};
@@ -98,6 +98,20 @@ impl Gdev {
         self.driver.free(machine, self.ctx, va, false)
     }
 
+    /// The pageable path's staged copies: what the DMA since `start`
+    /// left of the `len`-byte pageable transfer's pipelined time.
+    fn charge_pageable_staging(&self, machine: &Machine, start: Nanos, len: u64) {
+        if self.pageable {
+            let until = start + machine.model().pageable_transfer(len);
+            machine.trace().charge_until(
+                machine.clock(),
+                until,
+                EventKind::Dma,
+                "pageable staging",
+            );
+        }
+    }
+
     fn staging(&mut self, machine: &mut Machine, len: u64) -> &DmaBuffer {
         let need_new = self.staging.as_ref().is_none_or(|b| b.len() < len);
         if need_new {
@@ -136,11 +150,7 @@ impl Gdev {
             self.driver
                 .dma_htod(machine, self.ctx, dst, &staging, 0, len)?;
             self.driver.sync(machine)?;
-            if self.pageable {
-                let total = machine.model().pageable_transfer(len);
-                // An uncharged floor until ROADMAP item 6 step 2.
-                machine.clock().advance_to(start + total);
-            }
+            self.charge_pageable_staging(machine, start, len);
             Ok(())
         })
     }
@@ -165,11 +175,7 @@ impl Gdev {
             self.driver
                 .dma_dtoh(machine, self.ctx, src, &staging, 0, len)?;
             self.driver.sync(machine)?;
-            if self.pageable {
-                let total = machine.model().pageable_transfer(len);
-                // An uncharged floor until ROADMAP item 6 step 2.
-                machine.clock().advance_to(start + total);
-            }
+            self.charge_pageable_staging(machine, start, len);
             Ok::<_, DriverError>(staging)
         })?;
         if self.synthetic {

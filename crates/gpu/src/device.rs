@@ -229,7 +229,7 @@ impl GpuDevice {
         // that cascades into a detected error downstream is two faults.
         fault::record(
             &self.trace,
-            self.clock.now(),
+            &self.clock,
             None,
             "gpu error",
             &[("code", u64::from(code))],
@@ -241,7 +241,11 @@ impl GpuDevice {
     /// ([`GpuDevice::injected`]), and the KILL doorbell uses it too
     /// because a kill is a recovery action, not a fault.
     fn latch_error(&mut self, code: u32) {
-        self.error = code;
+        // A spurious latch never masks a real error the host has not
+        // read yet (an ECC flip earlier in the same drain).
+        if code != errcode::SPURIOUS || self.error == errcode::NONE {
+            self.error = code;
+        }
         self.trace.metrics().inc(Counter::GpuErrors);
     }
 
@@ -249,7 +253,7 @@ impl GpuDevice {
     fn injected(&self, what: DeviceFault, ctx: CtxId) {
         fault::record(
             &self.trace,
-            self.clock.now(),
+            &self.clock,
             Some(what.kind()),
             "",
             &[("ctx", u64::from(ctx.0))],
@@ -1300,6 +1304,34 @@ mod tests {
         let mut buf = [0u8; 8];
         dev.mmio_read(BarIndex(0), bar0::STATUS, &mut buf);
         u64::from_le_bytes(buf)
+    }
+
+    #[test]
+    fn a_spurious_latch_never_masks_an_ecc_error() {
+        let mut dev = device();
+        let mut host = HostStub::default();
+        ctx_with_page(&mut dev, &mut host, 0x3000);
+        let copy = GpuCommand::CopyDtoD {
+            ctx: CtxId(1),
+            src: DevAddr(0),
+            dst: DevAddr(64),
+            len: 64,
+        };
+        for cfg in [
+            hix_sim::fault::FaultConfig {
+                gpu_vram_flip_pm: 1000,
+                ..hix_sim::fault::FaultConfig::none()
+            },
+            hix_sim::fault::FaultConfig {
+                gpu_spurious_pm: 1000,
+                ..hix_sim::fault::FaultConfig::none()
+            },
+        ] {
+            dev.install_fault_plan(Some(certain_plan(cfg)));
+            submit(&mut dev, copy.clone());
+            drain(&mut dev, &mut host);
+        }
+        assert_eq!(dev.error(), errcode::ECC, "the flip stays reported");
     }
 
     #[test]

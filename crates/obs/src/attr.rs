@@ -9,11 +9,13 @@
 //! A *request* is one logical enclave operation (a `memcpy_htod`, a
 //! `launch`, a `sync`…) observed from submission to completion. While a
 //! request is open on the collector, every charged span that completes
-//! is attributed to it — per kind, and as a raw interval list for the
-//! critical-path profiler in [`crate::critpath`]. Charged time that
-//! falls outside any request lands in a parallel *unattributed* ledger,
-//! so the attribution ledgers always tile the collector's totals
-//! exactly:
+//! is attributed to it, per kind. Charged spans tile the virtual clock
+//! (every nanosecond it moves lies in exactly one of them), so a
+//! request's charges sum to its end-to-end window: its service time is
+//! its charged total, with no search over overlapping intervals. Charged
+//! time that falls outside any request lands in a parallel
+//! *unattributed* ledger, so the attribution ledgers always tile the
+//! collector's totals exactly:
 //!
 //! > for every kind: Σ attributed (finished + open requests)
 //! > + unattributed == [`crate::Obs::totals`]  (±0)
@@ -269,29 +271,6 @@ impl RequestId {
     }
 }
 
-/// One charged interval attributed to a request — the raw material of
-/// the critical-path profiler. Charged spans may overlap in virtual
-/// time (the secure DMA pipeline overlaps crypto and wire time), so the
-/// per-kind sums can legitimately exceed the request's end-to-end
-/// latency; the longest *non-overlapping* chain is the principled
-/// service-time measure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChargedInterval {
-    /// Virtual-time start, nanoseconds.
-    pub start_ns: u64,
-    /// Duration, nanoseconds.
-    pub dur_ns: u64,
-    /// What the charge was spent on.
-    pub kind: EventKind,
-}
-
-impl ChargedInterval {
-    /// Virtual-time end, nanoseconds.
-    pub fn end_ns(&self) -> u64 {
-        self.start_ns + self.dur_ns
-    }
-}
-
 /// A completed request with its attribution ledger.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RequestRecord {
@@ -307,8 +286,6 @@ pub struct RequestRecord {
     pub end_ns: u64,
     /// Charged time and span count per kind.
     pub by_kind: Ledger,
-    /// Every charged interval, in completion order.
-    pub intervals: Vec<ChargedInterval>,
 }
 
 impl RequestRecord {
@@ -317,8 +294,9 @@ impl RequestRecord {
         self.end_ns - self.start_ns
     }
 
-    /// Total charged nanoseconds across all kinds (can exceed
-    /// [`RequestRecord::e2e_ns`] when charges overlap in time).
+    /// Total charged nanoseconds across all kinds: the request's service
+    /// time. Charges tile the clock, so on the simulated stack this
+    /// equals [`RequestRecord::e2e_ns`].
     pub fn charged_ns(&self) -> u64 {
         self.by_kind.total()
     }
@@ -339,7 +317,6 @@ pub(crate) struct OpenRequest {
     pub(crate) start_ns: u64,
     pub(crate) scope: crate::span::SpanId,
     pub(crate) by_kind: Ledger,
-    pub(crate) intervals: Vec<ChargedInterval>,
 }
 
 /// Attribution state riding inside the collector.
@@ -359,16 +336,9 @@ impl AttrState {
     /// Charges `dur_ns` of `kind` to the open request (or the
     /// unattributed ledger). Called from [`Obs::charged`] for every
     /// charged span.
-    pub(crate) fn on_charged(&mut self, start_ns: u64, dur_ns: u64, kind: EventKind) {
+    pub(crate) fn on_charged(&mut self, dur_ns: u64, kind: EventKind) {
         match &mut self.current {
-            Some(req) => {
-                req.by_kind.add(kind, dur_ns);
-                req.intervals.push(ChargedInterval {
-                    start_ns,
-                    dur_ns,
-                    kind,
-                });
-            }
+            Some(req) => req.by_kind.add(kind, dur_ns),
             None => self.unattributed.add(kind, dur_ns),
         }
     }
@@ -393,7 +363,6 @@ impl AttrState {
             start_ns: req.start_ns,
             end_ns: end_ns.max(req.start_ns),
             by_kind: req.by_kind,
-            intervals: req.intervals,
         });
         Some(scope)
     }
@@ -458,7 +427,6 @@ impl Obs {
                 start_ns: now_ns,
                 scope,
                 by_kind: Ledger::default(),
-                intervals: Vec::new(),
             });
         });
         Some(RequestId(id))
@@ -532,18 +500,19 @@ pub struct SloRow {
     pub p999_ns: u64,
     /// Worst-case end-to-end latency.
     pub max_ns: u64,
-    /// Total service time: Σ per-request critical-path length.
+    /// Total service time: Σ per-request charged total.
     pub service_ns: u64,
-    /// Total queue/blocked time: Σ (e2e − critical path); ≥ 0 per
-    /// request by construction.
+    /// Total queue/blocked time: Σ (e2e − charged), clamped at 0 per
+    /// request. Zero on the simulated stack, whose charges tile every
+    /// request window.
     pub queue_ns: u64,
 }
 
 /// Builds the per-tenant SLO table from completed requests.
 ///
-/// Service is each request's critical-path length
-/// ([`crate::critpath::critical_path_ns`]); queue is the end-to-end
-/// remainder. Tenants appear in first-request order; past
+/// Service is each request's charged total
+/// ([`RequestRecord::charged_ns`]); queue is the end-to-end remainder
+/// the charges leave uncovered. Tenants appear in first-request order; past
 /// [`SLO_TENANTS_MAX`] distinct tenants the rest collapse into one
 /// `overflow` row, so Σ row.requests and Σ row.service/queue always
 /// equal the whole-population values.
@@ -577,9 +546,8 @@ pub fn slo_table(records: &[RequestRecord]) -> Vec<SloRow> {
             let mut service_ns = 0u64;
             let mut queue_ns = 0u64;
             for rec in &recs {
-                let service = crate::critpath::critical_path_ns(rec);
-                service_ns += service;
-                queue_ns += rec.e2e_ns() - service;
+                service_ns += rec.charged_ns();
+                queue_ns += rec.e2e_ns().saturating_sub(rec.charged_ns());
             }
             SloRow {
                 tenant,
@@ -611,11 +579,6 @@ mod tests {
             start_ns: start,
             end_ns: end,
             by_kind,
-            intervals: vec![ChargedInterval {
-                start_ns: start,
-                dur_ns: end - start,
-                kind: Dma,
-            }],
         }
     }
 
@@ -683,7 +646,6 @@ mod tests {
         assert_eq!(r.tenant, 3);
         assert_eq!(r.e2e_ns(), 50);
         assert_eq!(r.charged_ns(), 50);
-        assert_eq!(r.intervals.len(), 2);
         assert_eq!(
             obs.unattributed_totals().rows().collect::<Vec<_>>(),
             vec![(Ipc, 2, 1), (Init, 5, 1)]
@@ -787,11 +749,6 @@ mod tests {
         let mut r3 = rec(2, 0, 100);
         r3.by_kind = Ledger::default();
         r3.by_kind.add(Dma, 50);
-        r3.intervals = vec![ChargedInterval {
-            start_ns: 0,
-            dur_ns: 50,
-            kind: Dma,
-        }];
         let records = vec![rec(1, 0, 10), rec(1, 10, 30), r3];
         let table = slo_table(&records);
         assert_eq!(table.len(), 2);
@@ -818,7 +775,7 @@ mod tests {
         let total: u64 = table.iter().map(|r| r.requests).sum();
         assert_eq!(total, records.len() as u64, "no request lost to the gate");
         let service: u64 = table.iter().map(|r| r.service_ns).sum();
-        let expect: u64 = records.iter().map(crate::critpath::critical_path_ns).sum();
+        let expect: u64 = records.iter().map(RequestRecord::charged_ns).sum();
         assert_eq!(service, expect);
     }
 }

@@ -1,8 +1,11 @@
-//! Exporters: Chrome trace-event JSON (Perfetto / `chrome://tracing`)
-//! and the plain-text phase breakdown of the secure DMA pipeline.
+//! Exporters: Chrome trace-event JSON (Perfetto / `chrome://tracing`),
+//! folded stacks for flamegraph tooling, and the plain-text phase
+//! breakdown of the secure DMA pipeline.
 //!
 //! Everything here renders from integers in deterministic order, so two
 //! same-seed simulations export byte-identical artifacts.
+
+use std::collections::BTreeMap;
 
 use crate::attr::EventKind;
 use crate::span::{Obs, Span};
@@ -83,6 +86,47 @@ pub fn chrome_trace_json(spans: &[Span], process_name: &str) -> String {
     out
 }
 
+/// Sanitizes a frame name for the folded-stacks format: `;` separates
+/// frames and the final space separates the weight, so both are
+/// replaced in names.
+fn frame(name: &str) -> String {
+    name.replace([';', ' '], "_")
+}
+
+/// Renders recorded spans as folded stacks — one line per distinct
+/// call path, `root;scope;…;leaf weight`, sorted lexicographically —
+/// the input format of Brendan Gregg's `flamegraph.pl` and of
+/// speedscope's "folded" importer.
+///
+/// Structural spans contribute path frames; charged spans contribute
+/// their duration as the leaf weight, with the leaf frame spelled
+/// `kind:name` so pipeline stages stay distinguishable in the graph.
+/// Total weight equals total charged nanoseconds.
+pub fn folded_stacks(spans: &[Span], root: &str) -> String {
+    let mut weights: BTreeMap<String, u64> = BTreeMap::new();
+    for span in spans {
+        let Some(kind) = span.kind else { continue };
+        let mut path = vec![format!("{kind}:{}", frame(&span.name))];
+        let mut parent = span.parent;
+        while let Some(idx) = parent {
+            let p = &spans[idx as usize];
+            path.push(frame(&p.name));
+            parent = p.parent;
+        }
+        path.push(frame(root));
+        path.reverse();
+        *weights.entry(path.join(";")).or_insert(0) += span.dur_ns();
+    }
+    let mut out = String::new();
+    for (path, weight) in weights {
+        out.push_str(&path);
+        out.push(' ');
+        out.push_str(&weight.to_string());
+        out.push('\n');
+    }
+    out
+}
+
 /// One row of the secure-DMA-pipeline breakdown.
 const PIPELINE_PHASES: [(&str, EventKind); 3] = [
     ("encrypt (enclave)", EventKind::EnclaveCrypto),
@@ -93,6 +137,11 @@ const PIPELINE_PHASES: [(&str, EventKind); 3] = [
 /// Renders the per-phase breakdown table of the secure DMA pipeline
 /// (§4.4.2: seal in the enclave → DMA the sealed stream → decrypt on
 /// the GPU) from the collector's charged totals.
+///
+/// Charges tile the clock, so each phase shows its *exposed* time: the
+/// DMA and the in-GPU crypto are charged as they run, and the enclave's
+/// crypto only for the remainder of the pipelined transfer that they
+/// leave uncovered. Sealing work hidden behind the wire is not shown.
 pub fn phase_table(obs: &Obs) -> String {
     let totals = obs.totals();
     let (pipeline_total, pipeline_spans) =
@@ -232,5 +281,44 @@ mod tests {
     fn empty_pipeline_renders_zero_shares() {
         let table = phase_table(&Obs::new());
         assert!(table.contains("0.0%"), "{table}");
+    }
+
+    #[test]
+    fn folded_stacks_aggregate_and_sanitize() {
+        let obs = Obs::new();
+        obs.set_recording(true);
+        let scope = obs.enter(0, "session", "memcpy htod", &[]);
+        obs.charged(0, 30, EventKind::EnclaveCrypto, "seal (pipelined)", &[]);
+        obs.charged(30, 50, EventKind::Dma, "HtoD", &[]);
+        obs.charged(80, 20, EventKind::Dma, "HtoD", &[]);
+        obs.exit(scope, 100);
+        let folded = folded_stacks(&obs.spans(), "hix");
+        let lines: Vec<&str> = folded.lines().collect();
+        assert_eq!(lines.len(), 2, "{folded}");
+        assert!(
+            lines.contains(&"hix;memcpy_htod;dma:HtoD 70"),
+            "repeat paths aggregate: {folded}"
+        );
+        assert!(
+            lines.contains(&"hix;memcpy_htod;enclave-crypto:seal_(pipelined) 30"),
+            "spaces sanitized: {folded}"
+        );
+        let total: u64 = lines
+            .iter()
+            .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
+            .sum();
+        assert_eq!(total, 100, "weights tile the charged time");
+    }
+
+    #[test]
+    fn folded_stacks_are_deterministic() {
+        let build = || {
+            let obs = Obs::new();
+            obs.set_recording(true);
+            obs.charged(0, 5, EventKind::Ipc, "send", &[]);
+            obs.charged(5, 7, EventKind::Dma, "HtoD", &[]);
+            folded_stacks(&obs.spans(), "p")
+        };
+        assert_eq!(build(), build());
     }
 }

@@ -17,8 +17,12 @@
 //! * [`Metrics`] — a registry of counters (typed by [`Counter`]), gauges,
 //!   and fixed-bucket histograms with a stable text [`Metrics::snapshot`].
 //! * [`export`] — Chrome trace-event JSON (loadable in Perfetto /
-//!   `chrome://tracing`) and a plain-text phase-breakdown table for the
-//!   secure DMA pipeline.
+//!   `chrome://tracing`), folded stacks for flamegraph tooling, and a
+//!   plain-text phase-breakdown table for the secure DMA pipeline.
+//!
+//! Request-scoped attribution ([`attr`]) rides on the charged spans: the
+//! simulator's charges tile its clock, so a request's charged total is
+//! its service time and equals its end-to-end window.
 //!
 //! This crate sits below `hix-sim` in the dependency graph, so all
 //! timestamps here are raw `u64` nanoseconds of virtual time.
@@ -38,22 +42,19 @@
 #![warn(missing_docs)]
 
 pub mod attr;
-pub mod critpath;
 pub mod export;
 pub mod metrics;
 mod span;
 
 pub use attr::{
-    slo_table, ChargedInterval, EventKind, Ledger, RequestId, RequestRecord, SloRow, Stage,
-    SLO_TENANTS_MAX,
+    slo_table, EventKind, Ledger, RequestId, RequestRecord, SloRow, Stage, SLO_TENANTS_MAX,
 };
-pub use critpath::{critical_chain, critical_path_ns, folded_stacks};
-pub use export::{chrome_trace_json, phase_table};
+pub use export::{chrome_trace_json, folded_stacks, phase_table};
 pub use metrics::{Counter, Hist, Metrics, COUNT_BOUNDS, LATENCY_BOUNDS_NS};
 pub use span::{Obs, Span, SpanId};
 
-/// The percentile convention shared by `hix_sim::stats` and
-/// `hix_testkit::bench`: nearest-rank on an already **sorted** slice,
+/// The workspace's one percentile convention (the SLO tables, the
+/// ledgers and `hix_testkit::bench` all use it): nearest-rank on an already **sorted** slice,
 /// `sorted[(len * pct / 100).min(len - 1)]`. `pct` 50 is the median
 /// (`sorted[len / 2]`), 0 the minimum, 100 the maximum. Returns `None`
 /// on an empty slice.

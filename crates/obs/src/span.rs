@@ -124,7 +124,7 @@ impl Obs {
     ) {
         let mut inner = self.inner.borrow_mut();
         inner.totals.add(kind, dur_ns);
-        inner.attr.on_charged(start_ns, dur_ns, kind);
+        inner.attr.on_charged(dur_ns, kind);
         self.metrics.observe_span_latency(kind, dur_ns);
         if inner.recording {
             let parent = inner.open.last().copied();

@@ -341,7 +341,7 @@ impl Machine {
             return;
         };
         let attrs = [("writes", u64::from(writes))];
-        fault::record(&self.trace, self.clock.now(), Some("cfg_storm"), "", &attrs);
+        fault::record(&self.trace, &self.clock, Some("cfg_storm"), "", &attrs);
         for i in 0..writes {
             let r = self.config_write(bdf, offsets::BAR0, 0xdead_0000 + i);
             debug_assert!(
@@ -365,7 +365,7 @@ impl Machine {
         self.os_write_phys(pa, &[orig[0] ^ xor]);
         fault::record(
             &self.trace,
-            self.clock.now(),
+            &self.clock,
             Some("dma_flip"),
             &format!(" at +{off}"),
             &[],

@@ -29,18 +29,18 @@ use std::rc::Rc;
 use hix_obs::Counter;
 use hix_testkit::Rng;
 
-use crate::time::Nanos;
+use crate::time::{Clock, Nanos};
 use crate::trace::{EventKind, Trace};
 
-/// Records one fault: a zero-length `Fault` event at `now` together
-/// with its counters, so `Fault` events == `fault.injected` +
+/// Records one fault: a zero-length `Fault` charge at the clock's
+/// current time together with its counters, so `Fault` events == `fault.injected` +
 /// `fault.detected` holds by construction. `Some(kind)` is an injected
 /// fault, counted under `fault.injected.<kind>` and labelled
 /// `inject <kind><detail>`; `None` is a fault the device raised that no
 /// plan injected, counted under `fault.detected` and labelled `detail`.
 pub fn record(
     trace: &Trace,
-    now: Nanos,
+    clock: &Clock,
     injected: Option<&str>,
     detail: &str,
     attrs: &[(&'static str, u64)],
@@ -57,7 +57,7 @@ pub fn record(
             detail.to_owned()
         }
     };
-    trace.emit_with(now, Nanos::ZERO, EventKind::Fault, label, attrs);
+    trace.charge_with(clock, Nanos::ZERO, EventKind::Fault, label, attrs);
 }
 
 /// Which way a channel message travels. The plan keeps independent
@@ -402,8 +402,9 @@ impl FaultPlan {
     /// wire's previous frame instead (and with none yet, sends `frame`
     /// clean); a corruption flips one byte of `frame` or, 1 in 16, of the
     /// doorbell word. Only once `stage` succeeds does the plan record the
-    /// fault at `now`, arm or hold, and keep `frame` as the wire's
-    /// previous one: a frame that never reached the wire leaves no trace.
+    /// fault at `clock`'s current time, arm or hold, and keep `frame` as
+    /// the wire's previous one: a frame that never reached the wire
+    /// leaves no trace.
     ///
     /// # Errors
     ///
@@ -411,7 +412,7 @@ impl FaultPlan {
     pub fn deliver<E>(
         &self,
         trace: &Trace,
-        now: Nanos,
+        clock: &Clock,
         (chan, dir): (u64, Dir),
         seq: u64,
         mut frame: Vec<u8>,
@@ -455,14 +456,14 @@ impl FaultPlan {
         }
         match fault {
             MsgFault::Duplicate => self.arm_duplicate(chan, dir),
-            MsgFault::Delay(by) => self.hold_doorbell(chan, dir, seq, now + by),
+            MsgFault::Delay(by) => self.hold_doorbell(chan, dir, seq, clock.now() + by),
             _ => {}
         }
         self.remember(chan, dir, seq, frame);
         if fault != MsgFault::Reorder || previous.is_some() {
             record(
                 trace,
-                now,
+                clock,
                 Some(fault.kind()),
                 &format!(" ({})", dir.as_str()),
                 &[],
@@ -739,8 +740,9 @@ mod tests {
         seq: u64,
         frame: &[u8],
     ) -> (Vec<u8>, Option<u64>) {
-        let mut staged = None;
-        let sent = plan.deliver(trace, now, wire, seq, frame.to_vec(), |frame, bell| {
+        let (clock, mut staged) = (Clock::new(), None);
+        clock.advance(now);
+        let sent = plan.deliver(trace, &clock, wire, seq, frame.to_vec(), |frame, bell| {
             staged = Some((frame.to_vec(), bell));
             Ok::<(), ()>(())
         });
@@ -903,7 +905,7 @@ mod tests {
         // reorder never re-announces it.
         let refused = plan.deliver(
             &trace,
-            Nanos::ZERO,
+            &Clock::new(),
             (9, Dir::Request),
             2,
             b"two".to_vec(),
@@ -951,16 +953,12 @@ mod tests {
 
     #[test]
     fn fault_records_tile_injected_and_detected() {
-        let trace = Trace::new();
+        let (clock, trace) = (Clock::new(), Trace::new());
         trace.set_recording(true);
-        record(
-            &trace,
-            Nanos::from_nanos(5),
-            Some("gpu.hang"),
-            " here",
-            &[("ctx", 3)],
-        );
-        record(&trace, Nanos::from_nanos(6), None, "gpu error", &[]);
+        clock.advance(Nanos::from_nanos(5));
+        record(&trace, &clock, Some("gpu.hang"), " here", &[("ctx", 3)]);
+        clock.advance(Nanos::from_nanos(1));
+        record(&trace, &clock, None, "gpu error", &[]);
         recorded(&trace, "gpu.hang", 1);
         assert_eq!(trace.metrics().counter("fault.detected"), 1);
         let spans: Vec<_> = trace

@@ -12,8 +12,11 @@
 //! enclave runtimes) holds cheaply-clonable [`Clock`] and [`Trace`]
 //! handles and spends the cost model's durations through
 //! [`Trace::charge`], which advances the clock and records a charged span
-//! in one call. Figures in the paper are regenerated by reading the
-//! virtual clock, never the wall clock.
+//! in one call; a closed-form completion time (a pipelined transfer's
+//! floor) is charged as its remainder through [`Trace::charge_until`].
+//! Nothing else moves the clock, so the charged spans tile it: every
+//! virtual nanosecond lies in exactly one of them. Figures in the paper
+//! are regenerated by reading the virtual clock, never the wall clock.
 //!
 //! ```
 //! use hix_sim::{cost::CostModel, Clock, EventKind, Trace};

@@ -156,8 +156,10 @@ impl fmt::Display for Nanos {
 /// A shared, cheaply clonable virtual clock.
 ///
 /// All simulator components hold a clone of the same clock; a move from
-/// any handle is visible to every other handle. Durations are spent only
-/// through [`Trace::charge`](crate::Trace::charge).
+/// any handle is visible to every other handle. Time is spent only
+/// through a charge ([`Trace::charge`](crate::Trace::charge) and its
+/// siblings), so every nanosecond the clock has moved lies in exactly
+/// one charged span.
 ///
 /// ```
 /// use hix_sim::{Clock, EventKind, Nanos, Trace};
@@ -190,18 +192,6 @@ impl Clock {
                 .checked_add(dt.0)
                 .expect("virtual time overflow"),
         );
-    }
-
-    /// Moves the clock forward *to* `t` if `t` is in the future; does
-    /// nothing if `t` is in the past. Returns the new current time.
-    ///
-    /// Charges nothing: only the transfer floors use it, until ROADMAP
-    /// item 6 step 2 replaces them with charged chunk walks.
-    pub fn advance_to(&self, t: Nanos) -> Nanos {
-        if t.0 > self.now.get() {
-            self.now.set(t.0);
-        }
-        self.now()
     }
 }
 
@@ -251,16 +241,6 @@ mod tests {
         a.advance(Nanos::from_nanos(7));
         b.advance(Nanos::from_nanos(3));
         assert_eq!(a.now().as_nanos(), 10);
-    }
-
-    #[test]
-    fn clock_advance_to_is_monotonic() {
-        let c = Clock::new();
-        c.advance(Nanos::from_nanos(100));
-        c.advance_to(Nanos::from_nanos(50)); // past: no-op
-        assert_eq!(c.now().as_nanos(), 100);
-        c.advance_to(Nanos::from_nanos(150));
-        assert_eq!(c.now().as_nanos(), 150);
     }
 
     #[test]

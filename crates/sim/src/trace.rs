@@ -75,26 +75,22 @@ impl Trace {
         self.obs.charged(start, dt.as_nanos(), kind, label, attrs);
     }
 
-    /// Records a charged span ending at `at` without moving the clock:
-    /// `fault::record`'s markers, and the runtime's recording-only seal
-    /// and unseal spans, which ROADMAP item 6 step 2 removes.
-    pub fn emit(&self, at: Nanos, duration: Nanos, kind: EventKind, label: impl Into<String>) {
-        self.emit_with(at, duration, kind, label, &[]);
-    }
-
-    /// [`Trace::emit`] with numeric span attributes.
-    pub fn emit_with(
+    /// Charges the remainder up to `until` to `kind`: one span
+    /// `[now, until]` when `until` lies ahead of `clock`, nothing
+    /// otherwise. This is how a closed-form completion time (a pipelined
+    /// transfer's floor) becomes a charge of the time the charged work
+    /// before it left uncovered.
+    pub fn charge_until(
         &self,
-        at: Nanos,
-        duration: Nanos,
+        clock: &Clock,
+        until: Nanos,
         kind: EventKind,
         label: impl Into<String>,
-        attrs: &[(&'static str, u64)],
     ) {
-        // `at` is the completion time; the span starts `duration` earlier.
-        let start = at.as_nanos().saturating_sub(duration.as_nanos());
-        self.obs
-            .charged(start, duration.as_nanos(), kind, label, attrs);
+        let now = clock.now();
+        if until > now {
+            self.charge(clock, until - now, kind, label);
+        }
     }
 
     /// Total time charged to `kind` so far.
@@ -131,12 +127,17 @@ impl Trace {
 mod tests {
     use super::*;
 
+    /// A fresh trace and the clock it charges.
+    fn rig() -> (Clock, Trace) {
+        (Clock::new(), Trace::new())
+    }
+
     #[test]
     fn totals_accumulate_without_recording() {
-        let t = Trace::new();
-        t.emit(Nanos::ZERO, Nanos::from_nanos(10), EventKind::Mmio, "w");
-        t.emit(Nanos::ZERO, Nanos::from_nanos(5), EventKind::Mmio, "w");
-        t.emit(Nanos::ZERO, Nanos::from_nanos(7), EventKind::Dma, "d");
+        let (clock, t) = rig();
+        t.charge(&clock, Nanos::from_nanos(10), EventKind::Mmio, "w");
+        t.charge(&clock, Nanos::from_nanos(5), EventKind::Mmio, "w");
+        t.charge(&clock, Nanos::from_nanos(7), EventKind::Dma, "d");
         assert_eq!(t.total(EventKind::Mmio).as_nanos(), 15);
         assert_eq!(t.count(EventKind::Mmio), 2);
         assert_eq!(t.total(EventKind::Dma).as_nanos(), 7);
@@ -146,14 +147,10 @@ mod tests {
 
     #[test]
     fn recording_captures_events() {
-        let t = Trace::new();
+        let (clock, t) = rig();
         t.set_recording(true);
-        t.emit(
-            Nanos::from_nanos(3),
-            Nanos::from_nanos(2),
-            EventKind::Ipc,
-            "req",
-        );
+        clock.advance(Nanos::from_nanos(1));
+        t.charge(&clock, Nanos::from_nanos(2), EventKind::Ipc, "req");
         let spans = t.obs().spans();
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].name, "req");
@@ -164,8 +161,8 @@ mod tests {
 
     #[test]
     fn clear_resets() {
-        let t = Trace::new();
-        t.emit(Nanos::ZERO, Nanos::from_nanos(1), EventKind::Other, "x");
+        let (clock, t) = rig();
+        t.charge(&clock, Nanos::from_nanos(1), EventKind::Other, "x");
         t.clear();
         assert_eq!(t.total(EventKind::Other), Nanos::ZERO);
         assert_eq!(t.count(EventKind::Other), 0);
@@ -173,9 +170,9 @@ mod tests {
 
     #[test]
     fn summary_lists_categories() {
-        let t = Trace::new();
-        t.emit(Nanos::ZERO, Nanos::from_micros(3), EventKind::Kernel, "k");
-        t.emit(Nanos::ZERO, Nanos::from_micros(9), EventKind::Dma, "d");
+        let (clock, t) = rig();
+        t.charge(&clock, Nanos::from_micros(3), EventKind::Kernel, "k");
+        t.charge(&clock, Nanos::from_micros(9), EventKind::Dma, "d");
         let s = t.summary();
         let dma_pos = s.find("dma").unwrap();
         let k_pos = s.find("kernel").unwrap();
@@ -184,21 +181,16 @@ mod tests {
 
     #[test]
     fn shared_between_clones() {
-        let a = Trace::new();
+        let (clock, a) = rig();
         let b = a.clone();
-        a.emit(Nanos::ZERO, Nanos::from_nanos(4), EventKind::Init, "i");
+        a.charge(&clock, Nanos::from_nanos(4), EventKind::Init, "i");
         assert_eq!(b.total(EventKind::Init).as_nanos(), 4);
     }
 
     #[test]
-    fn emit_feeds_latency_histogram_and_snapshot() {
-        let t = Trace::new();
-        t.emit(
-            Nanos::from_micros(2),
-            Nanos::from_micros(2),
-            EventKind::Dma,
-            "d",
-        );
+    fn charge_feeds_latency_histogram_and_snapshot() {
+        let (clock, t) = rig();
+        t.charge(&clock, Nanos::from_micros(2), EventKind::Dma, "d");
         let h = t
             .metrics()
             .span_latency(EventKind::Dma)
@@ -214,7 +206,7 @@ mod tests {
 
     #[test]
     fn charge_advances_and_records_the_interval() {
-        let (clock, t) = (Clock::new(), Trace::new());
+        let (clock, t) = rig();
         t.set_recording(true);
         t.charge(&clock, Nanos::from_nanos(5), EventKind::Mmio, "read");
         t.charge_with(&clock, Nanos::ZERO, EventKind::Security, "m", &[("x", 1)]);
@@ -238,11 +230,11 @@ mod tests {
     }
 
     #[test]
-    fn emit_with_attaches_attrs() {
-        let t = Trace::new();
+    fn charge_with_attaches_attrs() {
+        let (clock, t) = rig();
         t.set_recording(true);
-        t.emit_with(
-            Nanos::from_nanos(8),
+        t.charge_with(
+            &clock,
             Nanos::from_nanos(8),
             EventKind::Dma,
             "HtoD",
@@ -250,5 +242,35 @@ mod tests {
         );
         let spans = t.obs().spans();
         assert_eq!(spans[0].attrs, vec![("bytes", 4096)]);
+    }
+
+    #[test]
+    fn charge_until_charges_only_the_remainder() {
+        let (clock, t) = rig();
+        t.set_recording(true);
+        t.charge(&clock, Nanos::from_nanos(100), EventKind::Dma, "wire");
+        // At or behind the clock: nothing moves and nothing is charged.
+        for until in [50, 100] {
+            t.charge_until(
+                &clock,
+                Nanos::from_nanos(until),
+                EventKind::EnclaveCrypto,
+                "floor",
+            );
+        }
+        assert_eq!(clock.now().as_nanos(), 100);
+        assert_eq!(t.count(EventKind::EnclaveCrypto), 0);
+        // Ahead of it: exactly the remainder, as one span.
+        t.charge_until(
+            &clock,
+            Nanos::from_nanos(150),
+            EventKind::EnclaveCrypto,
+            "floor",
+        );
+        assert_eq!(clock.now().as_nanos(), 150);
+        assert_eq!(t.total(EventKind::EnclaveCrypto).as_nanos(), 50);
+        assert_eq!(t.count(EventKind::EnclaveCrypto), 1);
+        let last = t.obs().spans().pop().expect("recorded");
+        assert_eq!((last.start_ns, last.end_ns), (100, 150));
     }
 }

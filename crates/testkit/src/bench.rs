@@ -88,7 +88,7 @@ impl Bench {
             samples.push((t0.elapsed().as_nanos() as u64 / iters).max(1));
         }
         samples.sort_unstable();
-        // Percentile convention shared with `hix_sim::stats::Samples`.
+        // The workspace-wide percentile convention (`hix_obs::percentile_sorted`).
         let m = Measurement {
             name: self.name,
             iters,

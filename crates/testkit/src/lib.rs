@@ -11,7 +11,7 @@
 //! * [`prop`] — a property-testing harness with tape-based generation,
 //!   automatic shrinking, and a persistent seed corpus (replaces
 //!   `proptest`),
-//! * [`bench`] — a calibrating micro-benchmark runner with median/p95
+//! * [`bench`](mod@bench) — a calibrating micro-benchmark runner with median/p95
 //!   reporting (replaces `criterion`).
 //!
 //! Everything here is plain `std`; the workspace builds and tests with

@@ -23,6 +23,9 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 # The whole workspace is rustfmt-clean and stays so (hixbench is a
 # workspace of its own and is not formatted here).
 cargo fmt --all --check
+# ...and rustdoc-clean: a doc link to a deleted or private item fails
+# here.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
 # The test suite includes the exact ledger gate
 # (crates/bench/tests/ledgers.rs): it reruns perf_report, scale_report,
@@ -53,8 +56,8 @@ cargo test -q --release --offline -p xtests --test differential_bignum --test di
 # commit.
 cargo build --release --offline --locked --manifest-path hixbench/Cargo.toml
 cargo test --release --offline --locked --manifest-path hixbench/Cargo.toml
-for pin in bulk-transfer:8a6086a47fe530d3 small-ops:8763f8e00208c699 \
-    session-churn:0e586f7c607e1378 multiuser-model:801b7e69c487b744; do
+for pin in bulk-transfer:f2fcd2c36391f646 small-ops:0633099c1c33ff9d \
+    session-churn:51e22cb6ee460589 multiuser-model:801b7e69c487b744; do
     workload=${pin%%:*}
     output=$(cargo run -q --release --offline --locked --manifest-path hixbench/Cargo.toml -- \
         --workload "$workload" --seconds 0 --seed 501 --trace 0)

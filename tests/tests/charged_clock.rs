@@ -1,17 +1,22 @@
-//! One charged clock: the virtual clock moves by a duration only
-//! through a charge, which records the span `[before, after]` it
-//! advanced over. Outside the secure transfers' closed-form floors
-//! (HtoD and DtoH), the nonzero charged spans of a run therefore tile
-//! its timeline exactly: their union is `[start, end]` and no two of
-//! them overlap.
+//! One charged clock: the virtual clock moves only through a charge,
+//! which records the span `[before, after]` it advanced over. The
+//! nonzero charged spans of a run therefore tile its timeline exactly:
+//! their union is `[start, end]` and no two of them overlap.
 //!
-//! The property runs random tapes of every other `HixSession` op —
-//! connect, module load, malloc, free, memset, DtoD, launch, sync,
-//! flush and close — on a GPU enclave that keeps one session resident,
-//! so each connect parks the resident session and the parked one's
-//! next op unparks it. Each tape runs on both submission engines (the
-//! synchronous wrappers, and `submit_*` rings drained by its flushes)
-//! under every `hix_bench::soak` fault profile. `charged_clock.seeds` is
+//! The property runs random tapes of `HixSession` ops — connect, module
+//! load, malloc, free, memset, DtoD, launch, sync, flush, close, and
+//! secure HtoD and DtoH — on a GPU enclave that keeps one session
+//! resident, so each connect parks the resident session and the parked
+//! one's next op unparks it. Each tape runs on both submission engines
+//! (the synchronous wrappers, and `submit_*` rings drained by its
+//! flushes) under every `hix_bench::soak` fault profile.
+//!
+//! The rig pipelines transfers at 16 KiB. The transfers move 4 KiB,
+//! 8 KiB, one chunk, or a multi-chunk walk with a partial last chunk,
+//! to and from one larger allocation per session. A single-chunk DtoH
+//! ends on its pipelined closed form from 8 KiB and an HtoD from 16 KiB
+//! (the enclave charges the remainder as exposed crypto); 4 KiB ones
+//! and the multi-chunk walks finish past it. `charged_clock.seeds` is
 //! replayed before any new cases are generated.
 //!
 //! The park, unpark, export and adopt spans are checked on their own
@@ -20,13 +25,14 @@
 
 use hix_bench::soak;
 use hix_core::fabric::{Fabric, FabricOptions};
-use hix_core::gpu_enclave::{GpuEnclave, GpuEnclaveOptions};
+use hix_core::gpu_enclave::{GpuEnclave, GpuEnclaveOptions, HixCoreError};
 use hix_core::runtime::{shared_window_for, CmdStatus, HixSession};
 use hix_driver::rig::{fabric_rig, standard_rig, RigOptions};
 use hix_gpu::vram::DevAddr;
 use hix_obs::Span;
-use hix_platform::Machine;
+use hix_platform::{Machine, MachineConfig};
 use hix_sim::fault::FaultPlan;
+use hix_sim::{CostModel, Payload};
 use hix_testkit::prop::{prop, Source};
 
 const SEEDS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/charged_clock.seeds");
@@ -34,8 +40,23 @@ const SEEDS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/charged_clock.se
 /// Side of the `matrix.add` operands: every allocation is one page.
 const N: u64 = 32;
 const BUF: u64 = N * N * 4;
+/// The rig's pipeline chunk.
+const CHUNK: u64 = 16 << 10;
+/// The transfer lengths: below and at where each direction's floor
+/// starts to bind, and a three-chunk walk.
+const TRANSFERS: [u64; 4] = [4 << 10, 8 << 10, CHUNK, 2 * CHUNK + 1000];
+/// Each session's transfer buffer holds the longest transfer.
+const XFER_BUF: u64 = TRANSFERS[3];
 /// Most sessions open at once.
 const MAX_OPEN: usize = 3;
+/// How an op gives up by design: after its budget of context resets,
+/// or of rebuild rounds within one. Under the gpu-heavy profile a
+/// multi-chunk transfer loses its context more often than not, so a
+/// tape may end on one of these; the clock must still tile.
+const GIVE_UPS: [&str; 2] = [
+    "TDR recovery budget exhausted",
+    "TDR recovery rounds exhausted",
+];
 
 #[derive(Debug, Clone, Copy)]
 enum Op {
@@ -57,12 +78,16 @@ enum Cmd {
     Launch(usize, usize, usize),
     Sync,
     Flush,
+    /// Seals `TRANSFERS[i]` bytes of `salt` into the transfer buffer.
+    HtoD(usize, u8),
+    /// Reads `TRANSFERS[i]` bytes back from the transfer buffer.
+    DtoH(usize),
 }
 
 fn draw_op(s: &mut Source) -> Op {
     let session = s.index(MAX_OPEN);
     let (x, y, z) = (s.index(4), s.index(4), s.index(4));
-    match s.choice(16) {
+    match s.choice(20) {
         0 | 1 => Op::Connect,
         2 => Op::Close(session),
         3 | 4 => Op::On(session, Cmd::Malloc),
@@ -72,7 +97,9 @@ fn draw_op(s: &mut Source) -> Op {
         9 => Op::On(session, Cmd::DtoD(x, y)),
         10..=12 => Op::On(session, Cmd::Launch(x, y, z)),
         13 => Op::On(session, Cmd::Sync),
-        _ => Op::On(session, Cmd::Flush),
+        14 | 15 => Op::On(session, Cmd::Flush),
+        16 | 17 => Op::On(session, Cmd::HtoD(x, s.u8())),
+        _ => Op::On(session, Cmd::DtoH(x)),
     }
 }
 
@@ -81,10 +108,12 @@ struct Open {
     session: HixSession,
     bufs: Vec<DevAddr>,
     loaded: bool,
+    /// The transfer buffer, allocated by the session's first transfer.
+    xfer: Option<DevAddr>,
 }
 
 /// Issues `cmd` on `open`: synchronously, or into its submission ring
-/// when `batched` (malloc is a barrier either way). An op whose
+/// when `batched` (malloc and DtoH are barriers either way). An op whose
 /// operands do not exist yet is skipped.
 fn issue(
     m: &mut Machine,
@@ -165,6 +194,16 @@ fn issue(
             }
         }
         Cmd::Flush => s.flush(m, enclave),
+        Cmd::HtoD(i, salt) => transfer_buf(m, enclave, s, &mut open.xfer).and_then(|va| {
+            let payload = Payload::from_bytes(vec![salt; TRANSFERS[i] as usize]);
+            if batched {
+                s.submit_htod(m, enclave, va, &payload).map(drop)
+            } else {
+                s.memcpy_htod(m, enclave, va, &payload)
+            }
+        }),
+        Cmd::DtoH(i) => transfer_buf(m, enclave, s, &mut open.xfer)
+            .and_then(|va| s.memcpy_dtoh(m, enclave, va, TRANSFERS[i]).map(drop)),
     };
     done.map_err(|e| format!("{cmd:?}: {e}"))?;
     if let Some((id, status)) = s
@@ -177,6 +216,19 @@ fn issue(
     Ok(())
 }
 
+/// The session's transfer buffer, allocated on `s` by its first use.
+fn transfer_buf(
+    m: &mut Machine,
+    enclave: &mut GpuEnclave,
+    s: &mut HixSession,
+    xfer: &mut Option<DevAddr>,
+) -> Result<DevAddr, HixCoreError> {
+    match *xfer {
+        Some(va) => Ok(va),
+        None => Ok(*xfer.insert(s.malloc(m, enclave, XFER_BUF)?)),
+    }
+}
+
 /// Runs `ops` from a fresh rig whose enclave keeps one session
 /// resident, recording every span from the enclave's launch on.
 /// Returns the machine, the clock when recording began, and the error
@@ -187,6 +239,10 @@ fn run_tape(
     batched: bool,
 ) -> (Machine, u64, Result<(), String>) {
     let mut m = standard_rig(RigOptions {
+        machine: MachineConfig {
+            model: CostModel::builder().pipeline_chunk(CHUNK).build(),
+            ..MachineConfig::default()
+        },
         kernels: hix_workloads::all_kernels(),
         ..RigOptions::default()
     });
@@ -214,7 +270,7 @@ fn drive(
     ops: &[Op],
     batched: bool,
 ) -> Result<(), String> {
-    let window = shared_window_for(m.model(), BUF);
+    let window = shared_window_for(m.model(), XFER_BUF);
     let mut open: Vec<Open> = Vec::new();
     let mut connects = 0u32;
     for (at, &op) in ops.iter().enumerate() {
@@ -229,6 +285,7 @@ fn drive(
                     session,
                     bufs: Vec::new(),
                     loaded: false,
+                    xfer: None,
                 });
             }
             Op::Close(i) if !open.is_empty() => {
@@ -301,10 +358,10 @@ fn tiles(mut spans: Vec<Span>, start: u64, end: u64) -> Result<(), String> {
 }
 
 #[test]
-fn charged_spans_tile_the_clock_outside_transfers() {
-    prop("charged_spans_tile_the_clock_outside_transfers")
+fn charged_spans_tile_the_clock() {
+    prop("charged_spans_tile_the_clock")
         .corpus(SEEDS)
-        .cases(128)
+        .cases(96)
         .run(|s| {
             // Every tape opens a session; the rest is random.
             let mut ops = vec![Op::Connect];
@@ -316,7 +373,9 @@ fn charged_spans_tile_the_clock_outside_transfers() {
                     let (m, start, ended) = run_tape(&ops, plan, batched);
                     let run = format!("{profile} (batched: {batched})");
                     if let Err(e) = ended {
-                        panic!("{run}: {e}");
+                        if !GIVE_UPS.iter().any(|g| e.contains(g)) {
+                            panic!("{run}: {e}");
+                        }
                     }
                     let end = m.clock().now().as_nanos();
                     if let Err(e) = tiles(timed_charges(&m), start, end) {

@@ -31,31 +31,31 @@ const PINNED: [(u64, &str, bool, &str); 5] = [
         0xD1FF_5EED,
         "heavy",
         false,
-        "b63f06d03bae940821b08523595f307689079cfd3b577fbb78e813f5460e2559",
+        "548f9cdfcfc11fd4b932a5f74f8fd4fba46cdc43f4b5fb9c9bdeb9d001f2b5f1",
     ),
     (
         0xD1FF_5EED,
         "heavy",
         true,
-        "6c2a279f2e39b1968f7c0f0777dc1196f71706ce3485925c3a30076ea3459036",
+        "53b1187813dcef18bd99b04d17a0cca93e15f3f863750eaa518efa97bf30f174",
     ),
     (
         0x7D2D_5EED,
         "gpu-heavy",
         false,
-        "eca0e8343149ffc4d3ef948ab7e1a0a88d4c4b6a015193aae4fe574d660b830f",
+        "6ca4cd9e5737b50d1e73dbb18df57a6d678cf43924ec4a82fede0d91a1d2807e",
     ),
     (
         0x7D20_0001,
         "gpu-heavy",
         false,
-        "d36b3d99466a773df642f978f45dfb9866ebe0a630823de7c330a768326770cf",
+        "f266362d726a574258eaf683acd9ec51c2212ead9835b5c5aad7e7320e669b4c",
     ),
     (
         0xA5E1_0001,
         "heavy",
         true,
-        "cf5aa7123919fac7ffa6994ee05d3f96ce80f2e66de1d41531b9dc6b414ba5a6",
+        "e2816a1e441bf711eed6b4c02852f55355de4bf2c43fe8505fdc8fbebc7268cf",
     ),
 ];
 

@@ -22,7 +22,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use hix_obs::metrics::is_family_name;
 use hix_obs::{Counter, Hist, Metrics, RequestId, COUNT_BOUNDS, LATENCY_BOUNDS_NS};
-use hix_sim::{EventKind, Nanos, Trace};
+use hix_sim::{Clock, EventKind, Nanos, Trace};
 use hix_testkit::prop::{prop, Source};
 
 const SEEDS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/proptest_metrics.seeds");
@@ -371,24 +371,22 @@ fn typed_ledger_matches_the_string_keyed_accounting() {
         .corpus(SEEDS)
         .run(|s| {
             let ops = s.collect(0..48, charge_op);
-            let trace = Trace::new();
+            let (clock, trace) = (Clock::new(), Trace::new());
             let obs = trace.obs();
             let mut model = ChargeModel::default();
             // Issued ids outlive `clear()`, which restarts ids at 1, so an
             // id from before it can close a newer request; the model
             // compares ids by value, as the collector does.
             let mut issued: Vec<RequestId> = Vec::new();
-            let mut now = 0u64;
             for op in &ops {
                 match *op {
                     ChargeOp::Charge(k, dur) => {
-                        now += dur;
                         let kind = EventKind::ALL[k];
-                        trace.emit(Nanos::from_nanos(now), Nanos::from_nanos(dur), kind, "op");
+                        trace.charge(&clock, Nanos::from_nanos(dur), kind, "op");
                         model.charge(CATEGORY_STAGE[k].0, dur);
                     }
                     ChargeOp::Begin(tenant) => {
-                        let id = obs.begin_request(now, tenant, "req");
+                        let id = obs.begin_request(clock.now().as_nanos(), tenant, "req");
                         assert_eq!(id.map(RequestId::value), model.begin(), "begin_request");
                         issued.extend(id);
                     }
@@ -396,7 +394,7 @@ fn typed_ledger_matches_the_string_keyed_accounting() {
                         let i =
                             pick.map_or(issued.len().wrapping_sub(1), |i| i % issued.len().max(1));
                         if let Some(&id) = issued.get(i) {
-                            obs.end_request(id, now);
+                            obs.end_request(id, clock.now().as_nanos());
                             model.end(id.value());
                         }
                     }

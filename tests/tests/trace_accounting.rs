@@ -17,6 +17,7 @@ fn hix_run_charges_gpu_crypto_and_dma() {
     let mut s = HixSession::connect(&mut m, &mut enclave).unwrap();
     let dev = s.malloc(&mut m, &mut enclave, 1 << 20).unwrap();
     m.trace().clear();
+    let t0 = m.clock().now();
     s.memcpy_htod(
         &mut m,
         &mut enclave,
@@ -24,7 +25,25 @@ fn hix_run_charges_gpu_crypto_and_dma() {
         &Payload::from_bytes(vec![1; 1 << 20]),
     )
     .unwrap();
+    // Every kind's total since the clear, against the clock's advance.
+    let trace = m.trace().clone();
+    let charged = || {
+        EventKind::ALL
+            .map(|k| trace.total(k))
+            .into_iter()
+            .sum::<Nanos>()
+    };
+    assert_eq!(
+        charged(),
+        m.clock().now() - t0,
+        "the HtoD's charges sum to the time it took"
+    );
     let _ = s.memcpy_dtoh(&mut m, &mut enclave, dev, 1 << 20).unwrap();
+    assert_eq!(
+        charged(),
+        m.clock().now() - t0,
+        "the DtoH's charges sum to the time it took"
+    );
     assert!(
         m.trace().total(EventKind::GpuCrypto) > Nanos::ZERO,
         "in-GPU crypto kernels must be accounted"
@@ -402,9 +421,9 @@ fn span_accounting_reconciles_with_legacy_totals() {
 fn request_attribution_reconciles_on_the_real_stack() {
     // The request attributor is a second view over the same charges:
     // with attribution (and faults) on, attributed + unattributed must
-    // equal the category accumulator exactly, every request's critical
-    // path must fit inside its end-to-end window, and the SLO table
-    // must tile the request population.
+    // equal the category accumulator exactly, every request's charges
+    // must sum to its end-to-end window, and the SLO table must tile
+    // the request population.
     use hix_sim::fault::{FaultConfig, FaultPlan};
     let mut m = standard_rig(RigOptions {
         kernels: all_kernels(),
@@ -428,13 +447,12 @@ fn request_attribution_reconciles_on_the_real_stack() {
     let requests = obs.requests();
     assert!(requests.len() >= 4, "connect + transfers + launch + close");
     for rec in &requests {
-        let path = hix_obs::critical_path_ns(rec);
-        assert!(
-            path <= rec.e2e_ns(),
-            "critical path {} ns exceeds e2e {} ns for {}",
-            path,
+        assert_eq!(
+            rec.charged_ns(),
             rec.e2e_ns(),
-            rec.name
+            "{} (request {}): charges do not tile its window",
+            rec.name,
+            rec.id
         );
     }
     // Something must actually be charged inside requests: the secure
