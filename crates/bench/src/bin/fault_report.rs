@@ -21,7 +21,7 @@ use hix_bench::{fail, write_ledger};
 use hix_core::multiuser::{
     run_scaled, Mode, SchedulerConfig, SessionFaults, SessionSpec, TaskSpec, EVICT_AFTER,
 };
-use hix_obs::{fmt_ns, percentile_sorted};
+use hix_obs::{fmt_ns, percentile_sorted_pm};
 use hix_sim::{CostModel, Nanos};
 
 const SEEDS: [u64; 3] = [0xFA01, 0xFA02, 0xFA03];
@@ -51,7 +51,7 @@ fn columns(c: &SoakRun) -> [(&'static str, Option<u64>); 14] {
         ("hangs", n("watchdog.hangs_detected")),
         ("kills", n("watchdog.kills")),
         ("resets", n("watchdog.resets")),
-        ("recovery_p50_ns", percentile_sorted(&c.recovery_ns, 50)),
+        ("recovery_p50_ns", percentile_sorted_pm(&c.recovery_ns, 500)),
         ("recovery_max_ns", c.recovery_ns.last().copied()),
         ("wakes", n("cmdq.wakes")),
         ("makespan_ns", Some(c.makespan.as_nanos())),

@@ -6,18 +6,18 @@
 //! with span recording and request attribution on, once via the
 //! synchronous wrappers (one channel wake per op) and once via
 //! explicit batch-8 submission rings; the report
-//! prints the per-stage attribution, SLO, and doorbell-amortization
+//! prints the per-kind attribution, SLO, and doorbell-amortization
 //! tables behind EXPERIMENTS.md, emits `BENCH_perf.json` (the
-//! serving-path perf-trajectory file, now with a `batched` column per
-//! profile) plus a folded-stacks flamegraph export, and self-checks
-//! every cell:
+//! serving-path perf-trajectory file: one row per `EventKind` and a
+//! `batched` column per profile) plus a folded-stacks flamegraph
+//! export, and self-checks every cell:
 //!
-//! * **reconciliation (±0)** — attributed + unattributed charged time
-//!   equals the legacy per-category accumulator exactly, and the stage
-//!   rollup tiles the category sums;
+//! * **reconciliation (±0)** — per kind, attributed + unattributed
+//!   charged time and spans equal the collector's totals exactly;
 //! * **charges tile requests** — every request's charged total equals
-//!   its end-to-end window, in both engines (so service = e2e and
-//!   queue = 0 by construction);
+//!   its end-to-end window, in both engines;
+//! * **requests tile the run** — Σ e2e + unattributed equals the
+//!   makespan, in both engines (a request left open fails it);
 //! * **determinism** — same-seed reruns are byte-identical in requests,
 //!   snapshot, and emitted JSON;
 //! * **engine equivalence** — batched and sync runs of a profile
@@ -41,7 +41,9 @@ use std::fmt::Write as _;
 use hix_bench::{diff_lines, fail, soak, write_ledger};
 use hix_core::{CmdStatus, GpuEnclave, GpuEnclaveOptions, HixSession};
 use hix_driver::rig::{standard_rig, RigOptions};
-use hix_obs::{fmt_ns, folded_stacks, percentile_sorted, RequestRecord, SloRow, Stage};
+use hix_obs::{
+    fmt_ns, folded_stacks, percentile_sorted_pm, EventKind, Ledger, RequestRecord, SloRow,
+};
 use hix_sim::fault::{FaultConfig, FaultPlan};
 use hix_sim::Payload;
 use hix_testkit::rng::splitmix64;
@@ -66,9 +68,10 @@ const ROUNDS: u32 = 8;
 struct Cell {
     profile: &'static str,
     requests: Vec<RequestRecord>,
-    /// Per-stage `(ns, spans)` across attributed + unattributed charge,
-    /// in [`Stage::ALL`] order.
-    stages: [(Stage, u64, u64); Stage::ALL.len()],
+    /// Everything the run charged, per kind: the collector's totals.
+    kinds: Ledger,
+    /// Σ e2e over the requests.
+    e2e_ns: u64,
     unattributed_ns: u64,
     slo: Vec<SloRow>,
     makespan_ns: u64,
@@ -231,22 +234,6 @@ fn run_cell(profile: &'static str, cfg: Option<FaultConfig>, batched: bool) -> C
         fail(&format!("{profile}: no requests recorded"));
     }
 
-    // Stage rollup across everything charged (requests + outside), and
-    // a second tiling check: stage sums must equal the kind sums.
-    let unattributed = obs.unattributed_totals();
-    let mut charged = unattributed;
-    for rec in &requests {
-        charged.merge(&rec.by_kind);
-    }
-    let stages = charged.by_stage();
-    let stage_ns: u64 = stages.iter().map(|(_, ns, _)| ns).sum();
-    let kind_ns = obs.totals().total();
-    if stage_ns != kind_ns {
-        fail(&format!(
-            "{profile}: stage rollup {stage_ns} ns does not tile kind totals {kind_ns} ns"
-        ));
-    }
-
     // Charges tile every request window; track the run's longest.
     let mut longest_ns = 0u64;
     let mut longest_op = String::new();
@@ -267,6 +254,17 @@ fn run_cell(profile: &'static str, cfg: Option<FaultConfig>, batched: bool) -> C
     }
     let mut e2e: Vec<u64> = requests.iter().map(RequestRecord::e2e_ns).collect();
     e2e.sort_unstable();
+    // Requests and the time between them tile the run: a request left
+    // open holds charges that neither side counts.
+    let e2e_ns: u64 = e2e.iter().sum();
+    let unattributed_ns = obs.unattributed_totals().total();
+    let makespan_ns = m.clock().now().as_nanos();
+    if e2e_ns + unattributed_ns != makespan_ns {
+        fail(&format!(
+            "{profile} (batched={batched}): e2e {e2e_ns} ns + unattributed \
+             {unattributed_ns} ns != makespan {makespan_ns} ns"
+        ));
+    }
 
     let folded = folded_stacks(&obs.spans(), "hix");
     let mut transcript: String = requests.iter().map(|r| format!("{r:?}\n")).collect();
@@ -275,9 +273,10 @@ fn run_cell(profile: &'static str, cfg: Option<FaultConfig>, batched: bool) -> C
     Cell {
         profile,
         slo: hix_obs::slo_table(&requests),
-        stages,
-        unattributed_ns: unattributed.total(),
-        makespan_ns: m.clock().now().as_nanos(),
+        kinds: obs.totals(),
+        e2e_ns,
+        unattributed_ns,
+        makespan_ns,
         longest_ns,
         longest_op,
         folded,
@@ -286,7 +285,7 @@ fn run_cell(profile: &'static str, cfg: Option<FaultConfig>, batched: bool) -> C
         mix_wakes,
         mix_ops,
         frames: mix_frames,
-        p99_ns: percentile_sorted(&e2e, 99).expect("requests recorded"),
+        p99_ns: percentile_sorted_pm(&e2e, 990).expect("requests recorded"),
         requests,
     }
 }
@@ -302,15 +301,10 @@ fn emit_json(cells: &[(Cell, Cell)]) -> String {
     let _ = writeln!(s, "  \"rounds\": {ROUNDS},");
     s.push_str("  \"profiles\": [\n");
     for (i, (c, batched)) in cells.iter().enumerate() {
-        let e2e: u64 = c.requests.iter().map(RequestRecord::e2e_ns).sum();
-        let service: u64 = c.slo.iter().map(|r| r.service_ns).sum();
-        let queue: u64 = c.slo.iter().map(|r| r.queue_ns).sum();
         let _ = writeln!(s, "    {{\"profile\": \"{}\",", c.profile);
         let _ = writeln!(s, "     \"requests\": {},", c.requests.len());
         let _ = writeln!(s, "     \"makespan_ns\": {},", c.makespan_ns);
-        let _ = writeln!(s, "     \"e2e_ns\": {e2e},");
-        let _ = writeln!(s, "     \"service_ns\": {service},");
-        let _ = writeln!(s, "     \"queue_ns\": {queue},");
+        let _ = writeln!(s, "     \"e2e_ns\": {},", c.e2e_ns);
         let _ = writeln!(s, "     \"p99_ns\": {},", c.p99_ns);
         let _ = writeln!(s, "     \"mix_ops\": {},", c.mix_ops);
         let _ = writeln!(s, "     \"wakes\": {},", c.mix_wakes);
@@ -322,33 +316,27 @@ fn emit_json(cells: &[(Cell, Cell)]) -> String {
             batched.p99_ns,
             batched.requests.len(),
         );
-        // A request's charges tile its window, so its critical path is
-        // the whole window.
-        let _ = writeln!(s, "     \"longest_critical_path_ns\": {},", c.longest_ns);
         let _ = writeln!(s, "     \"unattributed_ns\": {},", c.unattributed_ns);
-        s.push_str("     \"stages\": [\n");
-        for (j, (stage, ns, count)) in c.stages.iter().enumerate() {
+        s.push_str("     \"kinds\": [\n");
+        for (j, kind) in EventKind::ALL.into_iter().enumerate() {
+            let (ns, count) = c.kinds.get(kind);
             let _ = write!(
                 s,
-                "       {{\"stage\": \"{stage}\", \"ns\": {ns}, \"spans\": {count}}}"
+                "       {{\"kind\": \"{kind}\", \"ns\": {ns}, \"spans\": {count}}}"
             );
-            s.push_str(if j + 1 < c.stages.len() { ",\n" } else { "\n" });
+            s.push_str(if j + 1 < EventKind::ALL.len() {
+                ",\n"
+            } else {
+                "\n"
+            });
         }
         s.push_str("     ],\n");
         s.push_str("     \"slo\": [\n");
         for (j, r) in c.slo.iter().enumerate() {
             let _ = write!(
                 s,
-                "       {{\"tenant\": \"{}\", \"requests\": {}, \"p50_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}, \"max_ns\": {}, \"service_ns\": {}, \"queue_ns\": {}}}",
-                r.tenant,
-                r.requests,
-                r.p50_ns,
-                r.p95_ns,
-                r.p99_ns,
-                r.p999_ns,
-                r.max_ns,
-                r.service_ns,
-                r.queue_ns,
+                "       {{\"tenant\": \"{}\", \"requests\": {}, \"p50_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}, \"max_ns\": {}}}",
+                r.tenant, r.requests, r.p50_ns, r.p95_ns, r.p99_ns, r.p999_ns, r.max_ns,
             );
             s.push_str(if j + 1 < c.slo.len() { ",\n" } else { "\n" });
         }
@@ -363,19 +351,14 @@ fn emit_json(cells: &[(Cell, Cell)]) -> String {
 
 fn print_cells(cells: &[(Cell, Cell)]) {
     println!("# Serving-path attribution ({TENANTS} tenants, seed {SEED})\n");
-    println!("| profile | requests | e2e | service | queue | longest request | unattributed |");
-    println!("|---------|---------:|----:|--------:|------:|-----------------|-------------:|");
+    println!("| profile | requests | e2e | longest request | unattributed |");
+    println!("|---------|---------:|----:|-----------------|-------------:|");
     for (c, _) in cells {
-        let e2e: u64 = c.requests.iter().map(RequestRecord::e2e_ns).sum();
-        let service: u64 = c.slo.iter().map(|r| r.service_ns).sum();
-        let queue: u64 = c.slo.iter().map(|r| r.queue_ns).sum();
         println!(
-            "| {} | {} | {} | {} | {} | {} in {} | {} |",
+            "| {} | {} | {} | {} in {} | {} |",
             c.profile,
             c.requests.len(),
-            fmt_ns(e2e),
-            fmt_ns(service),
-            fmt_ns(queue),
+            fmt_ns(c.e2e_ns),
             fmt_ns(c.longest_ns),
             c.longest_op,
             fmt_ns(c.unattributed_ns),
@@ -403,20 +386,18 @@ fn print_cells(cells: &[(Cell, Cell)]) {
         );
     }
     for (c, _) in cells {
-        println!("\n## {} — per-stage attribution\n", c.profile);
-        println!("| stage | charged | spans |");
-        println!("|-------|--------:|------:|");
-        for (stage, ns, count) in &c.stages {
-            if *count > 0 {
-                println!("| {stage} | {} | {count} |", fmt_ns(*ns));
-            }
+        println!("\n## {} — per-kind attribution\n", c.profile);
+        println!("| kind | charged | spans |");
+        println!("|------|--------:|------:|");
+        for (kind, ns, count) in c.kinds.rows() {
+            println!("| {kind} | {} | {count} |", fmt_ns(ns));
         }
         println!("\n## {} — per-tenant SLO\n", c.profile);
-        println!("| tenant | requests | p50 | p95 | p99 | p99.9 | max | service | queue |");
-        println!("|--------|---------:|----:|----:|----:|------:|----:|--------:|------:|");
+        println!("| tenant | requests | p50 | p95 | p99 | p99.9 | max |");
+        println!("|--------|---------:|----:|----:|----:|------:|----:|");
         for r in &c.slo {
             println!(
-                "| {} | {} | {} | {} | {} | {} | {} | {} | {} |",
+                "| {} | {} | {} | {} | {} | {} | {} |",
                 r.tenant,
                 r.requests,
                 fmt_ns(r.p50_ns),
@@ -424,8 +405,6 @@ fn print_cells(cells: &[(Cell, Cell)]) {
                 fmt_ns(r.p99_ns),
                 fmt_ns(r.p999_ns),
                 fmt_ns(r.max_ns),
-                fmt_ns(r.service_ns),
-                fmt_ns(r.queue_ns),
             );
         }
     }

@@ -23,7 +23,7 @@ use hix_core::multiuser::{
     run_scaled, seeded_session_faults, FaultProfile, Mode, ScaleOutcome, SchedulerConfig,
     SessionFaults, SessionSpec,
 };
-use hix_obs::{fmt_ns, percentile_sorted, percentile_sorted_pm, Metrics};
+use hix_obs::{fmt_ns, percentile_sorted_pm, Metrics};
 use hix_sim::CostModel;
 
 /// One seed drives the whole sweep (per-cell populations are derived
@@ -104,7 +104,7 @@ fn run_cell(model: &CostModel, users: usize, profile: FaultProfile) -> Cell {
         .map(|&i| outcome.gpu_wait[i].as_nanos())
         .collect();
     waits.sort_unstable();
-    let healthy_wait_p99 = percentile_sorted(&waits, 99).unwrap_or(0);
+    let healthy_wait_p99 = percentile_sorted_pm(&waits, 990).unwrap_or(0);
     // The p99.9 tail only separates from p99 past a thousand healthy
     // tenants — exactly the 10k column this sweep exists for.
     let healthy_wait_p999 = percentile_sorted_pm(&waits, 999).unwrap_or(0);

@@ -1,6 +1,6 @@
 //! End-to-end trace report: runs the matrix microbenchmark on both
 //! stacks with span recording on, exports a Perfetto-loadable Chrome
-//! trace plus the secure-DMA phase table, and self-checks the result
+//! trace plus the per-kind accounting summary, and self-checks the result
 //! (non-empty trace, charged-kind coverage, accounting reconciliation,
 //! same-seed determinism). The tier-1 test `crates/bench/tests/ledgers.rs`
 //! runs it as a smoke test.
@@ -19,11 +19,12 @@ use hix_workloads::exec::{GdevExec, HixExec};
 use hix_workloads::matrix::MatrixOp;
 use hix_workloads::Workload;
 
-/// One traced run of a stack: Perfetto JSON + obs snapshot + phase table.
+/// One traced run of a stack: Perfetto JSON + obs snapshot + per-kind
+/// summary.
 struct TracedRun {
     json: String,
     snapshot: String,
-    phase_table: String,
+    summary: String,
     /// Names of the distinct kinds the recorded charged spans cover.
     kinds: Vec<&'static str>,
 }
@@ -92,7 +93,7 @@ fn collect(machine: &hix_platform::Machine, tag: &str) -> TracedRun {
     TracedRun {
         json: chrome_trace_json(&spans, tag),
         snapshot: obs.snapshot(),
-        phase_table: hix_obs::phase_table(obs),
+        summary: trace.summary(),
         kinds,
     }
 }
@@ -200,6 +201,6 @@ fn main() {
     }
 
     println!("\n== HIX metrics snapshot ==\n{}", hix.snapshot);
-    println!("{}", hix.phase_table);
+    println!("== HIX charged time per kind ==\n{}", hix.summary);
     println!("trace_report: OK (open the .trace.json files at https://ui.perfetto.dev)");
 }

@@ -63,7 +63,7 @@ const DIFF_LINES: usize = 100;
 /// lists each moved line (up to 100, `DIFF_LINES`) as a `-want`/`+got`
 /// pair under its line number and the nearest line above it that
 /// contains `"profile"` and leaves its object open: the head of the
-/// perf profile a stage or SLO row belongs to. One-line rows (the
+/// perf profile a kind or SLO row belongs to. One-line rows (the
 /// scale, fabric and fault cells) name their own cell. Lines are
 /// paired by position, so an inserted or deleted line moves every line
 /// after it.
@@ -349,5 +349,76 @@ impl Workload for MatrixAt {
 
     fn gdev_pageable(&self) -> bool {
         true
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::diff_lines;
+
+    /// Two perf profiles in `BENCH_perf.json`'s layout.
+    const PERF: &str = r#"{
+  "profiles": [
+    {"profile": "none",
+     "kinds": [
+       {"kind": "mmio", "ns": 10, "spans": 1},
+       {"kind": "dma", "ns": 20, "spans": 2}
+     ]},
+    {"profile": "light",
+     "kinds": [
+       {"kind": "mmio", "ns": 10, "spans": 1},
+       {"kind": "dma", "ns": 20, "spans": 2}
+     ]}
+  ]
+}
+"#;
+
+    #[test]
+    fn a_moved_kind_row_is_listed_under_its_profile() {
+        // Move the light profile's dma row (the last `"ns": 20`).
+        let at = PERF.rfind(r#""ns": 20"#).unwrap();
+        let got = format!("{}\"ns\": 21{}", &PERF[..at], &PERF[at + 8..]);
+        let err = diff_lines(PERF, &got).unwrap_err();
+        assert!(
+            err.starts_with("1 moved line(s):\nline 11 (under {\"profile\": \"light\"):\n"),
+            "{err}"
+        );
+        assert!(
+            err.ends_with(r#"+        {"kind": "dma", "ns": 21, "spans": 2}"#),
+            "{err}"
+        );
+        assert_eq!(diff_lines(PERF, PERF), Ok(()));
+    }
+
+    #[test]
+    fn one_line_cells_never_become_anchors() {
+        let cell = |retries: u32| {
+            format!(
+                "{{\n  \"cells\": [\n    {{\"seed\": 1, \"profile\": \"none\", \"retries\": 0}},\n    \
+                 {{\"seed\": 1, \"profile\": \"heavy\", \"retries\": {retries}}}\n  ]\n}}\n"
+            )
+        };
+        let err = diff_lines(&cell(3), &cell(4)).unwrap_err();
+        assert!(err.starts_with("1 moved line(s):\nline 4:\n"), "{err}");
+        assert!(!err.contains("under"), "{err}");
+    }
+
+    #[test]
+    fn more_than_a_hundred_moved_lines_are_counted_not_listed() {
+        let want: String = (0..130).map(|i| format!("{i}\n")).collect();
+        let got: String = (0..130).map(|i| format!("{}\n", i + 1000)).collect();
+        let err = diff_lines(&want, &got).unwrap_err();
+        assert!(err.starts_with("130 moved line(s):"), "{err}");
+        assert_eq!(err.matches("\nline ").count(), 100, "{err}");
+        assert!(err.ends_with("\n... and 30 more"), "{err}");
+    }
+
+    #[test]
+    fn line_ending_only_differences_say_so() {
+        let crlf = PERF.replace('\n', "\r\n");
+        assert_eq!(
+            diff_lines(PERF, &crlf),
+            Err("the texts differ only in their line endings".into())
+        );
     }
 }

@@ -6,7 +6,7 @@
 //! contract, the quarantine bound, same-seed reruns, ...) and requires
 //! its output to match the committed ledger byte for byte. On a
 //! mismatch the failure lists every moved line under the perf profile
-//! it sits in; each perf stage or SLO row, each scale, fabric or fault
+//! it sits in; each perf kind or SLO row, each scale, fabric or fault
 //! cell and each peer-interference row is one self-describing line.
 //! `trace_report` writes no ledger; its test requires its self-checks
 //! only.

@@ -185,17 +185,6 @@ impl Uint {
         }
     }
 
-    /// `(self + rhs) mod m`; requires `self < m` and `rhs < m`.
-    pub fn modadd(&self, rhs: &Uint, m: &Uint) -> Uint {
-        debug_assert!(self < m && rhs < m);
-        let mut out = self.clone();
-        out.add_assign(rhs);
-        if out >= *m {
-            out.sub_assign(m);
-        }
-        out
-    }
-
     /// `(self * rhs) mod m` via left-to-right shift-and-add; requires
     /// `self < m`.
     pub fn modmul(&self, rhs: &Uint, m: &Uint) -> Uint {
@@ -738,14 +727,6 @@ mod tests {
         assert_eq!(a.bits(), 72);
         assert!(a.bit(0) && a.bit(71) && !a.bit(72));
         assert_eq!(Uint::zero().bits(), 0);
-    }
-
-    #[test]
-    fn modadd_wraps() {
-        let m = Uint::from_u64(100);
-        let a = Uint::from_u64(70);
-        let b = Uint::from_u64(50);
-        assert_eq!(a.modadd(&b, &m), Uint::from_u64(20));
     }
 
     #[test]

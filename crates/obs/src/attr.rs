@@ -1,8 +1,7 @@
 //! The charge vocabulary and request-scoped latency attribution.
 //!
-//! Every charged span is spent on one [`EventKind`], and every kind
-//! rolls up into one serving [`Stage`] through an exhaustive `match`.
-//! A [`Ledger`] holds charged nanoseconds and span counts per kind in a
+//! Every charged span is spent on one [`EventKind`], the only name for
+//! what it was spent on. A [`Ledger`] holds charged nanoseconds and span counts per kind in a
 //! fixed array; the collector's totals, each request's attribution and
 //! the unattributed remainder are all ledgers.
 //!
@@ -11,8 +10,8 @@
 //! request is open on the collector, every charged span that completes
 //! is attributed to it, per kind. Charged spans tile the virtual clock
 //! (every nanosecond it moves lies in exactly one of them), so a
-//! request's charges sum to its end-to-end window: its service time is
-//! its charged total, with no search over overlapping intervals. Charged
+//! request's charges sum to its end-to-end window, with no search over
+//! overlapping intervals. Charged
 //! time that falls outside any request lands in a parallel
 //! *unattributed* ledger, so the attribution ledgers always tile the
 //! collector's totals exactly:
@@ -31,8 +30,8 @@
 //! open returns `None` and the inner operation's charges roll up into
 //! the outer request (e.g. a `resume` that internally issues a `sync`).
 
+use crate::percentile_sorted_pm;
 use crate::span::Obs;
-use crate::{percentile_sorted, percentile_sorted_pm};
 
 /// What a charged span was spent on: the one vocabulary for every
 /// virtual-time charge ("how much of the execution went to enclave
@@ -110,23 +109,6 @@ impl EventKind {
         }
     }
 
-    /// The pipeline stage this kind's charges roll up into. Exhaustive:
-    /// a new kind does not compile until it has a stage.
-    pub const fn stage(self) -> Stage {
-        match self {
-            EventKind::Ipc | EventKind::Mmio => Stage::Channel,
-            EventKind::EnclaveCrypto => Stage::CryptoCpu,
-            EventKind::GpuCrypto => Stage::CryptoGpu,
-            EventKind::Dma => Stage::Dma,
-            EventKind::Kernel => Stage::Compute,
-            EventKind::Attestation | EventKind::Security => Stage::Security,
-            EventKind::Fault => Stage::Fault,
-            EventKind::CtxSwitch | EventKind::Init | EventKind::GpuMem | EventKind::Other => {
-                Stage::Runtime
-            }
-        }
-    }
-
     /// The kind whose [`EventKind::as_str`] is `name`, for the
     /// name-keyed readers ([`Obs::category_ns`], [`Obs::category_count`]).
     pub(crate) fn named(name: &str) -> Option<EventKind> {
@@ -137,67 +119,6 @@ impl EventKind {
 impl std::fmt::Display for EventKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.pad(self.as_str())
-    }
-}
-
-/// Coarse pipeline stage of the HIX serving path. Every [`EventKind`]
-/// maps onto exactly one stage ([`EventKind::stage`]), so per-stage
-/// rollups inherit the ±0 reconciliation of the per-kind ledger.
-/// Declared in [`Stage::ALL`] order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Stage {
-    /// Host-side runtime work: session setup, context switches, device
-    /// memory management, and anything uncategorized.
-    Runtime,
-    /// The untrusted channel: IPC messages and MMIO doorbells.
-    Channel,
-    /// CPU-enclave crypto (sealing/unsealing on the host).
-    CryptoCpu,
-    /// On-GPU crypto kernels (decrypt/encrypt of sealed streams).
-    CryptoGpu,
-    /// PCIe DMA wire time.
-    Dma,
-    /// User kernel compute time on the GPU.
-    Compute,
-    /// Attestation and access-control enforcement.
-    Security,
-    /// Fault injection and recovery bookkeeping.
-    Fault,
-}
-
-impl Stage {
-    /// Every stage, in report order (the index of a stage here is its
-    /// discriminant, which exported traces carry as the `stage`
-    /// argument of every charged span).
-    pub const ALL: [Stage; 8] = [
-        Stage::Runtime,
-        Stage::Channel,
-        Stage::CryptoCpu,
-        Stage::CryptoGpu,
-        Stage::Dma,
-        Stage::Compute,
-        Stage::Security,
-        Stage::Fault,
-    ];
-
-    /// Stable lower-case name (used as a JSON key in `BENCH_perf.json`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Stage::Runtime => "runtime",
-            Stage::Channel => "channel",
-            Stage::CryptoCpu => "crypto-cpu",
-            Stage::CryptoGpu => "crypto-gpu",
-            Stage::Dma => "dma",
-            Stage::Compute => "compute",
-            Stage::Security => "security",
-            Stage::Fault => "fault",
-        }
-    }
-}
-
-impl std::fmt::Display for Stage {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
     }
 }
 
@@ -243,19 +164,6 @@ impl Ledger {
     pub fn total(&self) -> u64 {
         self.ns.iter().sum()
     }
-
-    /// Per-stage `(stage, ns, spans)` rollup in [`Stage::ALL`] order,
-    /// stages with zero charge included. The stage sums tile the kind
-    /// sums by construction.
-    pub fn by_stage(&self) -> [(Stage, u64, u64); Stage::ALL.len()] {
-        let mut rows = Stage::ALL.map(|s| (s, 0, 0));
-        for (kind, ns, count) in self.rows() {
-            let row = &mut rows[kind.stage() as usize];
-            row.1 += ns;
-            row.2 += count;
-        }
-        rows
-    }
 }
 
 /// Handle for an open request, returned by [`Obs::begin_request`] and
@@ -294,17 +202,11 @@ impl RequestRecord {
         self.end_ns - self.start_ns
     }
 
-    /// Total charged nanoseconds across all kinds: the request's service
-    /// time. Charges tile the clock, so on the simulated stack this
-    /// equals [`RequestRecord::e2e_ns`].
+    /// Total charged nanoseconds across all kinds. Charges tile the
+    /// clock, so on the simulated stack this equals
+    /// [`RequestRecord::e2e_ns`].
     pub fn charged_ns(&self) -> u64 {
         self.by_kind.total()
-    }
-
-    /// Per-stage rollup of the per-kind ledger, in [`Stage::ALL`] order
-    /// (stages with zero charge included).
-    pub fn by_stage(&self) -> [(Stage, u64, u64); Stage::ALL.len()] {
-        self.by_kind.by_stage()
     }
 }
 
@@ -490,32 +392,23 @@ pub struct SloRow {
     pub tenant: String,
     /// Number of requests.
     pub requests: u64,
-    /// End-to-end latency percentiles (nearest-rank).
+    /// Median end-to-end latency.
     pub p50_ns: u64,
     /// 95th percentile end-to-end latency.
     pub p95_ns: u64,
     /// 99th percentile end-to-end latency.
     pub p99_ns: u64,
-    /// 99.9th percentile end-to-end latency (per-mille nearest-rank).
+    /// 99.9th percentile end-to-end latency.
     pub p999_ns: u64,
     /// Worst-case end-to-end latency.
     pub max_ns: u64,
-    /// Total service time: Σ per-request charged total.
-    pub service_ns: u64,
-    /// Total queue/blocked time: Σ (e2e − charged), clamped at 0 per
-    /// request. Zero on the simulated stack, whose charges tile every
-    /// request window.
-    pub queue_ns: u64,
 }
 
 /// Builds the per-tenant SLO table from completed requests.
 ///
-/// Service is each request's charged total
-/// ([`RequestRecord::charged_ns`]); queue is the end-to-end remainder
-/// the charges leave uncovered. Tenants appear in first-request order; past
-/// [`SLO_TENANTS_MAX`] distinct tenants the rest collapse into one
-/// `overflow` row, so Σ row.requests and Σ row.service/queue always
-/// equal the whole-population values.
+/// Tenants appear in first-request order; past [`SLO_TENANTS_MAX`]
+/// distinct tenants the rest collapse into one `overflow` row, so
+/// Σ row.requests always equals the whole population's.
 pub fn slo_table(records: &[RequestRecord]) -> Vec<SloRow> {
     let mut tenants: Vec<u64> = Vec::new();
     for rec in records {
@@ -543,22 +436,14 @@ pub fn slo_table(records: &[RequestRecord]) -> Vec<SloRow> {
         .map(|(tenant, recs)| {
             let mut e2e: Vec<u64> = recs.iter().map(|r| r.e2e_ns()).collect();
             e2e.sort_unstable();
-            let mut service_ns = 0u64;
-            let mut queue_ns = 0u64;
-            for rec in &recs {
-                service_ns += rec.charged_ns();
-                queue_ns += rec.e2e_ns().saturating_sub(rec.charged_ns());
-            }
             SloRow {
                 tenant,
                 requests: recs.len() as u64,
-                p50_ns: percentile_sorted(&e2e, 50).unwrap_or(0),
-                p95_ns: percentile_sorted(&e2e, 95).unwrap_or(0),
-                p99_ns: percentile_sorted(&e2e, 99).unwrap_or(0),
+                p50_ns: percentile_sorted_pm(&e2e, 500).unwrap_or(0),
+                p95_ns: percentile_sorted_pm(&e2e, 950).unwrap_or(0),
+                p99_ns: percentile_sorted_pm(&e2e, 990).unwrap_or(0),
                 p999_ns: percentile_sorted_pm(&e2e, 999).unwrap_or(0),
                 max_ns: e2e.last().copied().unwrap_or(0),
-                service_ns,
-                queue_ns,
             }
         })
         .collect()
@@ -584,49 +469,17 @@ mod tests {
 
     #[test]
     fn kinds_and_stages_are_indexed_by_discriminant() {
-        // A kind's discriminant is its ledger row and a stage's is its
-        // rollup row and exported `stage` value; kind names are the
-        // snapshot keys, stage names JSON keys, so both must be distinct.
+        // A kind's discriminant is its ledger row; its name is a
+        // snapshot key and a `BENCH_perf.json` row, so names must be
+        // distinct.
         for (i, k) in EventKind::ALL.iter().enumerate() {
             assert_eq!(*k as usize, i, "{k:?}");
             assert_eq!(format!("{k:>16}"), format!("{:>16}", k.as_str()));
-        }
-        for (i, s) in Stage::ALL.iter().enumerate() {
-            assert_eq!(*s as usize, i, "{s:?}");
         }
         let mut names: Vec<&str> = EventKind::ALL.iter().map(|k| k.as_str()).collect();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), EventKind::ALL.len());
-    }
-
-    #[test]
-    fn stage_names_are_distinct() {
-        let mut names: Vec<&str> = Stage::ALL.iter().map(|s| s.as_str()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), Stage::ALL.len());
-    }
-
-    #[test]
-    fn stage_rollup_tiles_categories() {
-        let mut ledger = Ledger::default();
-        ledger.add(Dma, 60);
-        ledger.add(Dma, 40);
-        for _ in 0..3 {
-            ledger.add(Ipc, 10);
-        }
-        ledger.add(Mmio, 7);
-        let stages = ledger.by_stage();
-        let total: u64 = stages.iter().map(|(_, ns, _)| ns).sum();
-        assert_eq!(total, 137);
-        assert_eq!(total, ledger.total());
-        let channel = stages[Stage::Channel as usize];
-        assert_eq!(
-            channel,
-            (Stage::Channel, 37, 4),
-            "ipc+mmio fold into channel"
-        );
     }
 
     #[test]
@@ -744,22 +597,17 @@ mod tests {
 
     #[test]
     fn slo_table_splits_queue_and_service() {
-        // Tenant 1: two requests fully charged (no queue). Tenant 2:
-        // one request with half its wall time uncharged (queue).
-        let mut r3 = rec(2, 0, 100);
-        r3.by_kind = Ledger::default();
-        r3.by_kind.add(Dma, 50);
-        let records = vec![rec(1, 0, 10), rec(1, 10, 30), r3];
+        // Rows split by tenant in first-request order, each with its
+        // own e2e percentiles.
+        let records = vec![rec(1, 0, 10), rec(2, 0, 100), rec(1, 10, 30)];
         let table = slo_table(&records);
         assert_eq!(table.len(), 2);
         assert_eq!(table[0].tenant, "t1");
         assert_eq!(table[0].requests, 2);
-        assert_eq!(table[0].queue_ns, 0);
-        assert_eq!(table[0].service_ns, 30);
         assert_eq!(table[0].p50_ns, 20, "sorted [10,20][1]");
+        assert_eq!(table[0].max_ns, 20);
         assert_eq!(table[1].tenant, "t2");
-        assert_eq!(table[1].service_ns, 50);
-        assert_eq!(table[1].queue_ns, 50);
+        assert_eq!(table[1].requests, 1);
         assert_eq!(table[1].p999_ns, 100);
     }
 
@@ -774,8 +622,9 @@ mod tests {
         assert_eq!(table.last().unwrap().requests, 10);
         let total: u64 = table.iter().map(|r| r.requests).sum();
         assert_eq!(total, records.len() as u64, "no request lost to the gate");
-        let service: u64 = table.iter().map(|r| r.service_ns).sum();
-        let expect: u64 = records.iter().map(RequestRecord::charged_ns).sum();
-        assert_eq!(service, expect);
+        assert_eq!(
+            table.last().unwrap().max_ns,
+            10 + SLO_TENANTS_MAX as u64 + 9
+        );
     }
 }

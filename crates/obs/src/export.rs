@@ -1,14 +1,12 @@
-//! Exporters: Chrome trace-event JSON (Perfetto / `chrome://tracing`),
-//! folded stacks for flamegraph tooling, and the plain-text phase
-//! breakdown of the secure DMA pipeline.
+//! Exporters: Chrome trace-event JSON (Perfetto / `chrome://tracing`)
+//! and folded stacks for flamegraph tooling.
 //!
 //! Everything here renders from integers in deterministic order, so two
 //! same-seed simulations export byte-identical artifacts.
 
 use std::collections::BTreeMap;
 
-use crate::attr::EventKind;
-use crate::span::{Obs, Span};
+use crate::span::Span;
 
 /// Escapes a string for a JSON string literal (labels are short ASCII,
 /// but hostile names must not break the document).
@@ -35,10 +33,9 @@ fn ts_us(ns: u64) -> String {
 ///
 /// Every span becomes a `"ph":"X"` complete event on one thread track
 /// (the simulator is a single thread of execution), so Perfetto nests
-/// them by timestamps exactly as they nested at runtime. Charged spans
-/// carry `"charged":1` and their kind's `"stage"` (the
-/// [`crate::Stage::ALL`] index) in `args`; numeric span attributes ride
-/// along unchanged.
+/// them by timestamps exactly as they nested at runtime. A charged
+/// span's `cat` is its kind and its `args` carry `"charged":1`; numeric
+/// span attributes ride along unchanged.
 ///
 /// ```
 /// use hix_obs::{export::chrome_trace_json, EventKind, Obs};
@@ -48,7 +45,7 @@ fn ts_us(ns: u64) -> String {
 /// let json = chrome_trace_json(&obs.spans(), "hix");
 /// assert!(json.contains("\"cat\":\"dma\""));
 /// assert!(json.contains("\"ts\":1.500"));
-/// assert!(json.contains("\"charged\":1,\"stage\":4"));
+/// assert!(json.contains("\"charged\":1,\"bytes\":4096"));
 /// ```
 pub fn chrome_trace_json(spans: &[Span], process_name: &str) -> String {
     let mut out = String::from("{\"traceEvents\":[\n");
@@ -74,8 +71,8 @@ pub fn chrome_trace_json(spans: &[Span], process_name: &str) -> String {
         if let Some(parent) = span.parent {
             out.push_str(&format!(",\"parent\":{parent}"));
         }
-        if let Some(kind) = span.kind {
-            out.push_str(&format!(",\"charged\":1,\"stage\":{}", kind.stage() as u64));
+        if span.kind.is_some() {
+            out.push_str(",\"charged\":1");
         }
         for (key, value) in &span.attrs {
             out.push_str(&format!(",\"{}\":{value}", json_escape(key)));
@@ -100,7 +97,7 @@ fn frame(name: &str) -> String {
 ///
 /// Structural spans contribute path frames; charged spans contribute
 /// their duration as the leaf weight, with the leaf frame spelled
-/// `kind:name` so pipeline stages stay distinguishable in the graph.
+/// `kind:name` so the kinds stay distinguishable in the graph.
 /// Total weight equals total charged nanoseconds.
 pub fn folded_stacks(spans: &[Span], root: &str) -> String {
     let mut weights: BTreeMap<String, u64> = BTreeMap::new();
@@ -127,64 +124,10 @@ pub fn folded_stacks(spans: &[Span], root: &str) -> String {
     out
 }
 
-/// One row of the secure-DMA-pipeline breakdown.
-const PIPELINE_PHASES: [(&str, EventKind); 3] = [
-    ("encrypt (enclave)", EventKind::EnclaveCrypto),
-    ("copy (PCIe DMA)", EventKind::Dma),
-    ("decrypt (on-GPU)", EventKind::GpuCrypto),
-];
-
-/// Renders the per-phase breakdown table of the secure DMA pipeline
-/// (§4.4.2: seal in the enclave → DMA the sealed stream → decrypt on
-/// the GPU) from the collector's charged totals.
-///
-/// Charges tile the clock, so each phase shows its *exposed* time: the
-/// DMA and the in-GPU crypto are charged as they run, and the enclave's
-/// crypto only for the remainder of the pipelined transfer that they
-/// leave uncovered. Sealing work hidden behind the wire is not shown.
-pub fn phase_table(obs: &Obs) -> String {
-    let totals = obs.totals();
-    let (pipeline_total, pipeline_spans) =
-        PIPELINE_PHASES
-            .iter()
-            .fold((0, 0), |(ns, spans), &(_, kind)| {
-                let (kind_ns, kind_spans) = totals.get(kind);
-                (ns + kind_ns, spans + kind_spans)
-            });
-    let mut out = String::from("== secure DMA pipeline breakdown ==\n");
-    out.push_str(&format!(
-        "{:<20} {:>14} {:>10} {:>8}\n",
-        "phase", "time", "spans", "share"
-    ));
-    for &(phase, kind) in &PIPELINE_PHASES {
-        let (ns, count) = totals.get(kind);
-        let share = if pipeline_total == 0 {
-            0.0
-        } else {
-            ns as f64 * 100.0 / pipeline_total as f64
-        };
-        out.push_str(&format!(
-            "{:<20} {:>14} {:>10} {:>7.1}%\n",
-            phase,
-            crate::fmt_ns(ns),
-            count,
-            share
-        ));
-    }
-    out.push_str(&format!(
-        "{:<20} {:>14} {:>10} {:>8}\n",
-        "pipeline total",
-        crate::fmt_ns(pipeline_total),
-        pipeline_spans,
-        "100.0%"
-    ));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Obs;
+    use crate::{EventKind, Obs};
 
     fn sample_obs() -> Obs {
         let obs = Obs::new();
@@ -221,17 +164,12 @@ mod tests {
             json.contains("\"parent\":0"),
             "children link to scope: {json}"
         );
-        // The three charged spans carry their kind's stage; the
-        // structural scope carries neither mark.
-        assert_eq!(
-            json.matches("\"charged\":1,\"stage\":").count(),
-            3,
-            "{json}"
-        );
-        assert_eq!(json.matches("\"stage\":").count(), 3, "{json}");
+        // The three charged spans carry the mark, between the parent
+        // link and the attributes; the structural scope does not.
+        assert_eq!(json.matches("\"charged\":1").count(), 3, "{json}");
         assert!(
-            json.contains("\"charged\":1,\"stage\":2"),
-            "crypto-cpu: {json}"
+            json.contains("\"span\":1,\"parent\":0,\"charged\":1,\"bytes\":4096}"),
+            "{json}"
         );
     }
 
@@ -260,27 +198,6 @@ mod tests {
             chrome_trace_json(&b.spans(), "hix")
         );
         assert_eq!(a.snapshot(), b.snapshot());
-        assert_eq!(phase_table(&a), phase_table(&b));
-    }
-
-    #[test]
-    fn phase_table_shares_sum_to_100() {
-        let table = phase_table(&sample_obs());
-        assert!(table.contains("encrypt (enclave)"), "{table}");
-        assert!(table.contains("30.0%"), "{table}");
-        assert!(table.contains("50.0%"), "{table}");
-        assert!(table.contains("20.0%"), "{table}");
-        assert!(table.contains("pipeline total"), "{table}");
-        assert!(
-            table.contains("1.00 µs") || table.contains("1000 ns"),
-            "{table}"
-        );
-    }
-
-    #[test]
-    fn empty_pipeline_renders_zero_shares() {
-        let table = phase_table(&Obs::new());
-        assert!(table.contains("0.0%"), "{table}");
     }
 
     #[test]

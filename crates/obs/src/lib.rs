@@ -10,19 +10,17 @@
 //!
 //! * [`Obs`] — a span collector with two span flavors:
 //!   *charged* spans (a duration spent on an [`EventKind`] — these feed
-//!   the per-kind [`Ledger`] that `hix_sim::trace` exposes, and roll up
-//!   into serving [`Stage`]s) and *structural* spans (hierarchical
-//!   enter/exit scopes that give the Perfetto timeline its nesting
-//!   without double-counting any time).
+//!   the per-kind [`Ledger`] that `hix_sim::trace` exposes) and
+//!   *structural* spans (hierarchical enter/exit scopes that give the
+//!   Perfetto timeline its nesting without double-counting any time).
 //! * [`Metrics`] — a registry of counters (typed by [`Counter`]), gauges,
 //!   and fixed-bucket histograms with a stable text [`Metrics::snapshot`].
 //! * [`export`] — Chrome trace-event JSON (loadable in Perfetto /
-//!   `chrome://tracing`), folded stacks for flamegraph tooling, and a
-//!   plain-text phase-breakdown table for the secure DMA pipeline.
+//!   `chrome://tracing`) and folded stacks for flamegraph tooling.
 //!
 //! Request-scoped attribution ([`attr`]) rides on the charged spans: the
-//! simulator's charges tile its clock, so a request's charged total is
-//! its service time and equals its end-to-end window.
+//! simulator's charges tile its clock, so a request's charged total
+//! equals its end-to-end window.
 //!
 //! This crate sits below `hix-sim` in the dependency graph, so all
 //! timestamps here are raw `u64` nanoseconds of virtual time.
@@ -46,41 +44,24 @@ pub mod export;
 pub mod metrics;
 mod span;
 
-pub use attr::{
-    slo_table, EventKind, Ledger, RequestId, RequestRecord, SloRow, Stage, SLO_TENANTS_MAX,
-};
-pub use export::{chrome_trace_json, folded_stacks, phase_table};
+pub use attr::{slo_table, EventKind, Ledger, RequestId, RequestRecord, SloRow, SLO_TENANTS_MAX};
+pub use export::{chrome_trace_json, folded_stacks};
 pub use metrics::{Counter, Hist, Metrics, COUNT_BOUNDS, LATENCY_BOUNDS_NS};
 pub use span::{Obs, Span, SpanId};
 
 /// The workspace's one percentile convention (the SLO tables, the
-/// ledgers and `hix_testkit::bench` all use it): nearest-rank on an already **sorted** slice,
-/// `sorted[(len * pct / 100).min(len - 1)]`. `pct` 50 is the median
-/// (`sorted[len / 2]`), 0 the minimum, 100 the maximum. Returns `None`
-/// on an empty slice.
+/// ledgers and `hix_testkit::bench` all use it): nearest-rank on an
+/// already **sorted** slice at per-mille `pm`,
+/// `sorted[(len * pm / 1000).min(len - 1)]`. `pm` 500 is the median
+/// (`sorted[len / 2]`), 999 p99.9, 0 the minimum and 1000 the maximum.
+/// Returns `None` on an empty slice.
 ///
 /// ```
-/// assert_eq!(hix_obs::percentile_sorted(&[1, 2, 3, 4], 50), Some(3));
-/// assert_eq!(hix_obs::percentile_sorted(&[1, 2, 3, 4], 95), Some(4));
-/// assert_eq!(hix_obs::percentile_sorted(&[], 50), None);
-/// ```
-pub fn percentile_sorted(sorted: &[u64], pct: u32) -> Option<u64> {
-    if sorted.is_empty() {
-        return None;
-    }
-    let idx = (sorted.len() * pct as usize / 100).min(sorted.len() - 1);
-    Some(sorted[idx])
-}
-
-/// Per-mille variant of [`percentile_sorted`] for tail percentiles the
-/// percent grid cannot express: `pm` 999 is p99.9, 500 the median.
-/// Same nearest-rank convention, `sorted[(len * pm / 1000).min(len - 1)]`
-/// on an already **sorted** slice; `None` on an empty one.
-///
-/// ```
+/// assert_eq!(hix_obs::percentile_sorted_pm(&[1, 2, 3, 4], 500), Some(3));
+/// assert_eq!(hix_obs::percentile_sorted_pm(&[1, 2, 3, 4], 950), Some(4));
 /// let v: Vec<u64> = (0..2000).collect();
 /// assert_eq!(hix_obs::percentile_sorted_pm(&v, 999), Some(1998));
-/// assert_eq!(hix_obs::percentile_sorted_pm(&v, 500), hix_obs::percentile_sorted(&v, 50));
+/// assert_eq!(hix_obs::percentile_sorted_pm(&[], 500), None);
 /// ```
 pub fn percentile_sorted_pm(sorted: &[u64], pm: u32) -> Option<u64> {
     if sorted.is_empty() {
@@ -107,32 +88,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn percentile_matches_bench_convention() {
-        // Mirrors testkit::bench: median = sorted[len/2],
-        // p95 = sorted[(len*95/100).min(len-1)].
-        for len in 1..40usize {
-            let v: Vec<u64> = (0..len as u64).collect();
-            assert_eq!(percentile_sorted(&v, 50), Some(v[len / 2]));
-            assert_eq!(
-                percentile_sorted(&v, 95),
-                Some(v[(len * 95 / 100).min(len - 1)])
-            );
-            assert_eq!(percentile_sorted(&v, 0), Some(0));
-            assert_eq!(percentile_sorted(&v, 100), Some(len as u64 - 1));
-        }
-    }
-
-    #[test]
     fn per_mille_percentile_agrees_with_percent_grid() {
+        // On the percent grid the per-mille index floors to the percent
+        // rule's: median = sorted[len/2], p95 = sorted[len*95/100].
         for len in 1..40usize {
             let v: Vec<u64> = (0..len as u64).collect();
-            for pct in [0u32, 50, 95, 100] {
+            for pct in [0usize, 50, 95, 99, 100] {
                 assert_eq!(
-                    percentile_sorted_pm(&v, pct * 10),
-                    percentile_sorted(&v, pct),
+                    percentile_sorted_pm(&v, pct as u32 * 10),
+                    Some(v[(len * pct / 100).min(len - 1)]),
                     "len {len} pct {pct}"
                 );
             }
+            assert_eq!(percentile_sorted_pm(&v, 500), Some(v[len / 2]));
+            assert_eq!(percentile_sorted_pm(&v, 1000), Some(len as u64 - 1));
             assert_eq!(
                 percentile_sorted_pm(&v, 999),
                 Some(v[(len * 999 / 1000).min(len - 1)])

@@ -87,11 +87,6 @@ impl Bdf {
             function,
         }
     }
-
-    /// Packs into the 16-bit routing ID used inside TLP headers.
-    pub fn routing_id(self) -> u16 {
-        (self.bus as u16) << 8 | (self.device as u16) << 3 | self.function as u16
-    }
 }
 
 impl fmt::Display for Bdf {
@@ -165,9 +160,8 @@ mod tests {
     }
 
     #[test]
-    fn bdf_routing_id() {
+    fn bdf_displays_as_bus_device_function() {
         let bdf = Bdf::new(0x02, 0x1f, 7);
-        assert_eq!(bdf.routing_id(), 0x02ff);
         assert_eq!(bdf.to_string(), "02:1f.7");
     }
 

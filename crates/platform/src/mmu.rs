@@ -195,13 +195,6 @@ impl Tlb {
         self.next_victim = 0;
     }
 
-    /// Drops the entry for one page.
-    pub fn flush_page(&mut self, va: VirtAddr) {
-        let vpn = va.vpn();
-        self.entries.retain(|(v, _)| *v != vpn);
-        self.next_victim = 0;
-    }
-
     /// (hits, misses) counters.
     pub fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
@@ -280,7 +273,7 @@ mod tests {
     }
 
     #[test]
-    fn tlb_flush_page() {
+    fn tlb_flush_drops_every_entry() {
         let mut tlb = Tlb::new(4);
         tlb.insert(
             VirtAddr::new(0x1000),
@@ -296,10 +289,9 @@ mod tests {
                 writable: true,
             },
         );
-        tlb.flush_page(VirtAddr::new(0x1000));
-        assert!(tlb.lookup(VirtAddr::new(0x1000)).is_none());
-        assert!(tlb.lookup(VirtAddr::new(0x2000)).is_some());
+        assert!(tlb.lookup(VirtAddr::new(0x1000)).is_some());
         tlb.flush();
+        assert!(tlb.lookup(VirtAddr::new(0x1000)).is_none());
         assert!(tlb.lookup(VirtAddr::new(0x2000)).is_none());
     }
 

@@ -39,7 +39,7 @@ pub mod trace;
 
 pub use cost::CostModel;
 pub use fault::{Dir, FaultConfig, FaultPlan, Resequencer};
-pub use hix_obs::{Counter, Stage, COUNT_BOUNDS, LATENCY_BOUNDS_NS};
+pub use hix_obs::{Counter, COUNT_BOUNDS, LATENCY_BOUNDS_NS};
 /// SplitMix64, the seed mixer behind the fault plans' generator, for
 /// crates above the simulator that draw a seeded population from a raw
 /// `u64` state (the multi-user model's fault burdens).

@@ -88,12 +88,12 @@ impl Bench {
             samples.push((t0.elapsed().as_nanos() as u64 / iters).max(1));
         }
         samples.sort_unstable();
-        // The workspace-wide percentile convention (`hix_obs::percentile_sorted`).
+        // The workspace-wide percentile convention (`hix_obs::percentile_sorted_pm`).
         let m = Measurement {
             name: self.name,
             iters,
-            median_ns: hix_obs::percentile_sorted(&samples, 50).expect("BATCHES > 0"),
-            p95_ns: hix_obs::percentile_sorted(&samples, 95).expect("BATCHES > 0"),
+            median_ns: hix_obs::percentile_sorted_pm(&samples, 500).expect("BATCHES > 0"),
+            p95_ns: hix_obs::percentile_sorted_pm(&samples, 950).expect("BATCHES > 0"),
             min_ns: samples[0],
             throughput_bytes: self.throughput_bytes,
         };

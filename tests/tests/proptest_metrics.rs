@@ -7,13 +7,11 @@
 //! drive both the registry and a plain `BTreeMap<String, u64>` model;
 //! the snapshot text and every counter read must agree.
 //!
-//! `Obs` keeps charged time in per-`EventKind` ledgers and rolls kinds
-//! up into stages with an exhaustive `match`. Random charge, request,
-//! flag and `clear()` tapes drive a `Trace` and a model of the
+//! `Obs` keeps charged time in per-`EventKind` ledgers. Random charge,
+//! request, flag and `clear()` tapes drive a `Trace` and a model of the
 //! string-keyed accounting those ledgers replaced: category-name maps
 //! for the totals, the open and finished requests and the unattributed
-//! remainder, latency histograms per name, and the category → stage
-//! table written out row by row.
+//! remainder, and latency histograms per name.
 //!
 //! (Both live here rather than in `hix-obs`, which cannot take
 //! `hix-testkit` as a dev-dependency: `hix-testkit` depends on it.)
@@ -21,7 +19,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use hix_obs::metrics::is_family_name;
-use hix_obs::{Counter, Hist, Metrics, RequestId, COUNT_BOUNDS, LATENCY_BOUNDS_NS};
+use hix_obs::{Counter, Hist, Ledger, Metrics, RequestId, COUNT_BOUNDS, LATENCY_BOUNDS_NS};
 use hix_sim::{Clock, EventKind, Nanos, Trace};
 use hix_testkit::prop::{prop, Source};
 
@@ -203,40 +201,27 @@ fn counter_names_are_unique_well_formed_and_round_trip() {
     }
 }
 
-/// Each kind's category name and the stage its charges roll up into, in
-/// `EventKind::ALL` order: the category → stage table of the
-/// string-keyed accounting, written out so the property pins it.
-const CATEGORY_STAGE: [(&str, &str); 13] = [
-    ("mmio", "channel"),
-    ("dma", "dma"),
-    ("enclave-crypto", "crypto-cpu"),
-    ("gpu-crypto", "crypto-gpu"),
-    ("kernel", "compute"),
-    ("ctx-switch", "runtime"),
-    ("ipc", "channel"),
-    ("init", "runtime"),
-    ("attestation", "security"),
-    ("security", "security"),
-    ("gpu-mem", "runtime"),
-    ("fault", "fault"),
-    ("other", "runtime"),
-];
-
-/// Stage names in report order (`BENCH_perf.json`'s stage rows).
-const STAGE_ORDER: [&str; 8] = [
-    "runtime",
-    "channel",
-    "crypto-cpu",
-    "crypto-gpu",
+/// Each kind's category name, in `EventKind::ALL` order (the committed
+/// tapes index it).
+const CATEGORIES: [&str; 13] = [
+    "mmio",
     "dma",
-    "compute",
+    "enclave-crypto",
+    "gpu-crypto",
+    "kernel",
+    "ctx-switch",
+    "ipc",
+    "init",
+    "attestation",
     "security",
+    "gpu-mem",
     "fault",
+    "other",
 ];
 
 #[derive(Debug, Clone)]
 enum ChargeOp {
-    /// Charge a span of `CATEGORY_STAGE[k]`'s kind.
+    /// Charge a span of `CATEGORIES[k]`'s kind.
     Charge(usize, u64),
     /// Open a request for a tenant.
     Begin(u64),
@@ -259,7 +244,7 @@ fn duration(s: &mut Source) -> u64 {
 
 fn charge_op(s: &mut Source) -> ChargeOp {
     match s.choice(10) {
-        0..=3 => ChargeOp::Charge(s.index(CATEGORY_STAGE.len()), duration(s)),
+        0..=3 => ChargeOp::Charge(s.index(CATEGORIES.len()), duration(s)),
         4 => ChargeOp::Begin(s.in_range(0..4)),
         5 => ChargeOp::End(None),
         6 => ChargeOp::End(Some(s.index(16))),
@@ -350,18 +335,11 @@ impl ChargeModel {
     }
 }
 
-/// Rolls a category ledger up into `(stage, ns, spans)` rows in report
-/// order through `CATEGORY_STAGE`.
-fn roll_up(ledger: &CategoryLedger) -> Vec<(&'static str, u64, u64)> {
-    STAGE_ORDER
-        .iter()
-        .map(|&stage| {
-            CATEGORY_STAGE
-                .iter()
-                .filter(|(_, s)| *s == stage)
-                .filter_map(|(category, _)| ledger.get(category))
-                .fold((stage, 0, 0), |(s, ns, n), (dns, dn)| (s, ns + dns, n + dn))
-        })
+/// A typed ledger's charged rows, keyed by category name.
+fn by_name(ledger: &Ledger) -> CategoryLedger {
+    ledger
+        .rows()
+        .map(|(kind, ns, count)| (kind.as_str(), (ns, count)))
         .collect()
 }
 
@@ -383,7 +361,7 @@ fn typed_ledger_matches_the_string_keyed_accounting() {
                     ChargeOp::Charge(k, dur) => {
                         let kind = EventKind::ALL[k];
                         trace.charge(&clock, Nanos::from_nanos(dur), kind, "op");
-                        model.charge(CATEGORY_STAGE[k].0, dur);
+                        model.charge(CATEGORIES[k], dur);
                     }
                     ChargeOp::Begin(tenant) => {
                         let id = obs.begin_request(clock.now().as_nanos(), tenant, "req");
@@ -410,7 +388,7 @@ fn typed_ledger_matches_the_string_keyed_accounting() {
                 }
 
                 assert_eq!(obs.snapshot(), model.snapshot(), "after {op:?}");
-                for (category, _) in CATEGORY_STAGE.iter().chain(&[("no-such-kind", "")]) {
+                for category in CATEGORIES.iter().chain(&["no-such-kind"]) {
                     let (ns, count) = model.totals.get(category).copied().unwrap_or((0, 0));
                     assert_eq!(obs.category_ns(category), ns, "{category} after {op:?}");
                     assert_eq!(
@@ -419,28 +397,27 @@ fn typed_ledger_matches_the_string_keyed_accounting() {
                         "{category} after {op:?}"
                     );
                 }
-                for (kind, (category, _)) in EventKind::ALL.iter().zip(&CATEGORY_STAGE) {
+                for (kind, category) in EventKind::ALL.iter().zip(&CATEGORIES) {
                     let (ns, count) = model.totals.get(category).copied().unwrap_or((0, 0));
                     assert_eq!(trace.total(*kind).as_nanos(), ns, "{kind:?} after {op:?}");
                     assert_eq!(trace.count(*kind), count, "{kind:?} after {op:?}");
                 }
-                let unattributed: CategoryLedger = obs
-                    .unattributed_totals()
-                    .rows()
-                    .map(|(kind, ns, count)| (kind.as_str(), (ns, count)))
-                    .collect();
-                assert_eq!(unattributed, model.unattributed, "after {op:?}");
+                assert_eq!(
+                    by_name(&obs.unattributed_totals()),
+                    model.unattributed,
+                    "after {op:?}"
+                );
                 obs.check_attribution()
                     .unwrap_or_else(|e| panic!("{e} after {op:?}"));
                 let requests = obs.requests();
                 assert_eq!(requests.len(), model.finished.len(), "after {op:?}");
                 for (rec, ledger) in requests.iter().zip(&model.finished) {
-                    let stages: Vec<_> = rec
-                        .by_stage()
-                        .iter()
-                        .map(|&(st, ns, n)| (st.as_str(), ns, n))
-                        .collect();
-                    assert_eq!(stages, roll_up(ledger), "request {} after {op:?}", rec.id);
+                    assert_eq!(
+                        by_name(&rec.by_kind),
+                        *ledger,
+                        "request {} after {op:?}",
+                        rec.id
+                    );
                 }
             }
         });
