@@ -1,9 +1,10 @@
 //! The charge vocabulary and request-scoped latency attribution.
 //!
 //! Every charged span is spent on one [`EventKind`], the only name for
-//! what it was spent on. A [`Ledger`] holds charged nanoseconds and span counts per kind in a
-//! fixed array; the collector's totals, each request's attribution and
-//! the unattributed remainder are all ledgers.
+//! what it was spent on. A [`Ledger`] holds charged nanoseconds and
+//! span counts per kind in a fixed array; the collector's totals, each
+//! request's attribution and the unattributed remainder are all
+//! ledgers.
 //!
 //! A *request* is one logical enclave operation (a `memcpy_htod`, a
 //! `launch`, a `sync`…) observed from submission to completion. While a
@@ -11,10 +12,9 @@
 //! is attributed to it, per kind. Charged spans tile the virtual clock
 //! (every nanosecond it moves lies in exactly one of them), so a
 //! request's charges sum to its end-to-end window, with no search over
-//! overlapping intervals. Charged
-//! time that falls outside any request lands in a parallel
-//! *unattributed* ledger, so the attribution ledgers always tile the
-//! collector's totals exactly:
+//! overlapping intervals. Charged time that falls outside any request
+//! lands in a parallel *unattributed* ledger, so the attribution
+//! ledgers always tile the collector's totals exactly:
 //!
 //! > for every kind: Σ attributed (finished + open requests)
 //! > + unattributed == [`crate::Obs::totals`]  (±0)
