@@ -88,9 +88,25 @@ mod tests {
     use super::*;
 
     #[test]
+    fn percentile_matches_bench_convention() {
+        // Mirrors testkit::bench: median = sorted[len/2],
+        // p95 = sorted[(len*95/100).min(len-1)].
+        for len in 1..40usize {
+            let v: Vec<u64> = (0..len as u64).collect();
+            assert_eq!(percentile_sorted_pm(&v, 500), Some(v[len / 2]));
+            assert_eq!(
+                percentile_sorted_pm(&v, 950),
+                Some(v[(len * 95 / 100).min(len - 1)])
+            );
+            assert_eq!(percentile_sorted_pm(&v, 0), Some(0));
+            assert_eq!(percentile_sorted_pm(&v, 1000), Some(len as u64 - 1));
+        }
+    }
+
+    #[test]
     fn per_mille_percentile_agrees_with_percent_grid() {
         // On the percent grid the per-mille index floors to the percent
-        // rule's: median = sorted[len/2], p95 = sorted[len*95/100].
+        // rule's: `len * 10pct / 1000` == `len * pct / 100`.
         for len in 1..40usize {
             let v: Vec<u64> = (0..len as u64).collect();
             for pct in [0usize, 50, 95, 99, 100] {
@@ -100,8 +116,6 @@ mod tests {
                     "len {len} pct {pct}"
                 );
             }
-            assert_eq!(percentile_sorted_pm(&v, 500), Some(v[len / 2]));
-            assert_eq!(percentile_sorted_pm(&v, 1000), Some(len as u64 - 1));
             assert_eq!(
                 percentile_sorted_pm(&v, 999),
                 Some(v[(len * 999 / 1000).min(len - 1)])
