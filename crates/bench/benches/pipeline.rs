@@ -7,7 +7,7 @@
 //! reports the (wall-clock) evaluation cost, while the *modeled* results
 //! are printed once at startup — the ablation data DESIGN.md calls out.
 
-use hix_sim::{CostModel, CryptoDmaPipeline, Nanos};
+use hix_sim::{CostModel, Nanos};
 use hix_testkit::bench::{black_box, Bench};
 
 fn print_ablation() {
@@ -39,33 +39,6 @@ fn print_ablation() {
             model.hix_htod(128 << 20).to_string()
         );
     }
-    println!("\n== ablation: shared transfer engines across sessions (modeled) ==");
-    println!("(K sessions, one 32 MiB HtoD each, all staged at t=0)");
-    println!(
-        "{:>9} {:>14} {:>14} {:>8}",
-        "sessions", "serialized", "shared-pipe", "saving"
-    );
-    let bytes = 32u64 << 20;
-    for k in [2u64, 4, 8, 16] {
-        // Serialized: each transfer pays the full closed form after the
-        // previous one completes (the pre-pipeline retirement pin).
-        let serialized = base.hix_htod(bytes) * k;
-        // Shared engines: every transfer books the same crypto/DMA
-        // cursors, so transfer N+1's crypto fill hides under transfer
-        // N's DMA and GPU-decrypt tail.
-        let mut pipe = CryptoDmaPipeline::new();
-        let mut makespan = Nanos::ZERO;
-        for _ in 0..k {
-            makespan = makespan.max(pipe.htod(&base, Nanos::ZERO, bytes));
-        }
-        println!(
-            "{:>9} {:>14} {:>14} {:>7.1}%",
-            k,
-            serialized.to_string(),
-            makespan.to_string(),
-            (1.0 - makespan.as_nanos() as f64 / serialized.as_nanos() as f64) * 100.0
-        );
-    }
     println!();
 }
 
@@ -76,14 +49,6 @@ fn bench_pipeline_eval() {
         Bench::new(format!("cost-model/hix_htod/{mb}MiB")).run(|| model.hix_htod(black_box(bytes)));
     }
     Bench::new("cost-model/naive_htod/128MiB").run(|| model.naive_htod(128 << 20));
-    Bench::new("cost-model/shared-pipe/8x32MiB").run(|| {
-        let mut pipe = CryptoDmaPipeline::new();
-        let mut last = Nanos::ZERO;
-        for _ in 0..8 {
-            last = pipe.htod(&model, Nanos::ZERO, black_box(32 << 20));
-        }
-        last
-    });
 }
 
 fn bench_multiuser_schedule() {

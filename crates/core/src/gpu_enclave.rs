@@ -19,7 +19,7 @@ use hix_platform::mmu::AccessFault;
 use hix_platform::sgx::SgxError;
 use hix_platform::{Machine, ProcessId, VirtAddr};
 use hix_sim::cost::ExecMode;
-use hix_sim::{Counter, CryptoDmaPipeline, EventKind, Nanos, COUNT_BOUNDS};
+use hix_sim::{Counter, EventKind, Nanos, COUNT_BOUNDS};
 
 use crate::attest::{self, AttestError};
 use crate::channel::{sealed_chunk_offset, sealed_stream_len, ChannelError, Endpoint, BULK_OFFSET};
@@ -269,11 +269,6 @@ pub struct GpuEnclave {
     use_seq: u64,
     park_seq: u64,
     max_resident: usize,
-    /// The machine's shared secure-transfer engines (enclave crypto +
-    /// DMA). One instance for *all* sessions: back-to-back transfers —
-    /// same frame or different sessions — overlap chunkwise, and a busy
-    /// engine honestly delays whoever arrives next.
-    xfer_pipe: CryptoDmaPipeline,
 }
 
 impl std::fmt::Debug for GpuEnclave {
@@ -426,19 +421,12 @@ impl GpuEnclave {
             use_seq: 0,
             park_seq: 0,
             max_resident: options.max_resident.max(1),
-            xfer_pipe: CryptoDmaPipeline::new(),
         })
     }
 
     /// The enclave's process.
     pub fn pid(&self) -> ProcessId {
         self.pid
-    }
-
-    /// The shared secure-transfer pipeline engines. Exposed read-only for
-    /// tests and reports; all bookings go through the service loop.
-    pub fn xfer_pipeline(&self) -> &CryptoDmaPipeline {
-        &self.xfer_pipe
     }
 
     /// The owned GPU.
@@ -1088,9 +1076,13 @@ impl GpuEnclave {
         let response = match request {
             // A submission frame drains a whole ring batch under this
             // single wake; everything else is the classic one-command
-            // call/response path (also used by journal replay).
+            // call/response path (also used by journal replay), whose
+            // sealed chunks were staged before it was sent.
             Request::Submit { cmds } => self.handle_submit(machine, session, cmds)?,
-            request => self.handle(machine, session, request)?,
+            request => {
+                let ready = machine.clock().now();
+                self.handle(machine, session, request, ready)?
+            }
         };
         let ok = matches!(response, Response::Ok);
         let state = self.sessions.get_mut(&session).expect("session exists");
@@ -1124,12 +1116,10 @@ impl GpuEnclave {
             .observe_with("cmdq.batch_len", &COUNT_BOUNDS, n);
         let attrs = [("session", session as u64), ("cmds", n)];
         machine.in_span("enclave", "cmdq.submit", &attrs, |machine| {
-            let model = machine.model().clone();
             // A frame's sealed HtoD chunks were all staged when the frame was
-            // built, so every transfer in it is ready the moment the frame is
-            // served: transfers book the shared engines from here, letting a
-            // later command's crypto fill hide under an earlier command's DMA
-            // and kernel tail (and under other sessions' still-draining work).
+            // built, so its transfer is ready the moment the frame is served:
+            // its floor counts from here, and GPU work of earlier commands in
+            // the frame runs under it.
             let frame_ready = machine.clock().now();
             let mut entries = Vec::with_capacity(cmds.len());
             for cmd in cmds {
@@ -1158,10 +1148,6 @@ impl GpuEnclave {
                     "cmdq.queue_delay_ns",
                     start.as_nanos().saturating_sub(cmd.submit_ns),
                 );
-                let htod_len = match &cmd.req {
-                    Request::MemcpyHtoD { len, .. } => Some(*len),
-                    _ => None,
-                };
                 // Per-command attribution window, dispatch → retire (the
                 // CUDA-event convention: execution, not host enqueue — the
                 // enqueue-to-dispatch wait lands in `cmdq.queue_delay_ns`).
@@ -1173,24 +1159,7 @@ impl GpuEnclave {
                         .trace()
                         .obs()
                         .begin_request(start.as_nanos(), session as u64, name);
-                let result = self.handle(machine, session, cmd.req);
-                if let (Ok(Response::Ok), Some(len)) = (&result, htod_len) {
-                    // Time plane at retirement: book the transfer's chunk walk
-                    // on the shared engines and charge what the device's own
-                    // charges left of it as the exposed sealing. With idle
-                    // engines (every synchronous single-command frame) this
-                    // ends at exactly the closed form `start + hix_htod(len)`
-                    // the synchronous client pins; inside a batched frame the
-                    // booking chains through the engine cursors instead, so
-                    // consecutive transfers overlap rather than serialize.
-                    let done = self.xfer_pipe.htod(&model, frame_ready, len);
-                    machine.trace().charge_until(
-                        machine.clock(),
-                        done,
-                        EventKind::EnclaveCrypto,
-                        "seal (pipelined)",
-                    );
-                }
+                let result = self.handle(machine, session, cmd.req, frame_ready);
                 if let Some(id) = attr {
                     machine
                         .trace()
@@ -1210,11 +1179,17 @@ impl GpuEnclave {
         })
     }
 
+    /// Serves one request. An HtoD's sealed chunks were ready at `ready`.
+    /// A successful transfer is topped up to its closed-form floor,
+    /// `ready + hix_htod(len)` or, for a DtoH, `now + hix_dtoh(len)`:
+    /// what the device's own charges left of it is charged as exposed
+    /// enclave crypto.
     fn handle(
         &mut self,
         machine: &mut Machine,
         session: SessionId,
         request: Request,
+        ready: Nanos,
     ) -> Result<Response, HixCoreError> {
         // One structural span per served request: the charged work it
         // causes (DMA, kernels, MMIO…) nests under it in the exported
@@ -1376,6 +1351,15 @@ impl GpuEnclave {
                             self.sessions.get_mut(&session).expect("session").aborted = true;
                             Err(EngineError::Fatal(HixCoreError::IntegrityFailure))
                         });
+                        if walk.is_ok() {
+                            let done = ready + machine.model().hix_htod(len);
+                            machine.trace().charge_until(
+                                machine.clock(),
+                                done,
+                                EventKind::EnclaveCrypto,
+                                "seal (pipelined)",
+                            );
+                        }
                         self.engine_outcome(walk)?
                     }
                     Request::MemcpyDtoH {
@@ -1391,17 +1375,10 @@ impl GpuEnclave {
                             .metrics()
                             .add(Counter::DmaBytesEncrypted, len);
                         let buffer = state.endpoint.buffer().clone();
-                        // Book the readback on the shared transfer engines. The
-                        // chunk walk below charges device time functionally; the
-                        // booking records engine occupancy (so later transfers of
-                        // any session see it), and what the walk leaves of its
-                        // pipelined completion is charged as the exposed
+                        // The chunk walk below charges device time; what it
+                        // leaves of the closed form is charged as the exposed
                         // unsealing.
-                        let dtoh_done = {
-                            let model = machine.model().clone();
-                            let now = machine.clock().now();
-                            self.xfer_pipe.dtoh(&model, now, len)
-                        };
+                        let done = machine.clock().now() + machine.model().hix_dtoh(len);
                         let walk = (0..len.div_ceil(chunk)).try_for_each(|index| {
                             let off = index * chunk;
                             let this = chunk.min(len - off);
@@ -1430,7 +1407,7 @@ impl GpuEnclave {
                         if walk.is_ok() {
                             machine.trace().charge_until(
                                 machine.clock(),
-                                dtoh_done,
+                                done,
                                 EventKind::EnclaveCrypto,
                                 "open (pipelined)",
                             );
@@ -1696,9 +1673,6 @@ impl GpuEnclave {
             for state in self.sessions.values_mut() {
                 state.stale = true;
             }
-            // The reset killed all in-flight transfers; the transfer plane
-            // comes back with idle engines.
-            self.xfer_pipe.reset();
             machine.charge(
                 EventKind::Security,
                 Nanos::ZERO,

@@ -271,14 +271,6 @@ impl CostModel {
     pub fn park_unseal(&self) -> Nanos {
         self.enclave_crypt(self.park_state_bytes) + self.ipc_roundtrip
     }
-
-    /// Full park-and-resume cycle: what re-admitting a session that was
-    /// LRU-evicted into sealed parking costs on top of its own work
-    /// (seal of the victim + unseal of the returnee; both run on the
-    /// enclave CPU before the returnee's next GPU submission).
-    pub fn park_cycle(&self) -> Nanos {
-        self.park_seal() + self.park_unseal()
-    }
 }
 
 /// Builder for custom [`CostModel`]s (ablation studies).
@@ -455,12 +447,11 @@ mod tests {
     fn park_costs_scale_with_state_size() {
         let m = CostModel::paper();
         assert!(m.park_seal() > Nanos::ZERO);
-        assert_eq!(m.park_cycle(), m.park_seal() + m.park_unseal());
         let fat = CostModel::builder().park_state_bytes(16 << 20).build();
         assert!(fat.park_seal() > m.park_seal());
         // Parking must stay far cheaper than a full session re-init, or
         // the scheduler would never prefer it over teardown.
-        assert!(m.park_cycle() < m.task_init(ExecMode::Hix));
+        assert!(m.park_seal() + m.park_unseal() < m.task_init(ExecMode::Hix));
     }
 
     #[test]

@@ -32,7 +32,6 @@
 pub mod cost;
 pub mod fault;
 pub mod payload;
-pub mod pipeline;
 pub mod stats;
 pub mod time;
 pub mod trace;
@@ -45,6 +44,5 @@ pub use hix_obs::{Counter, COUNT_BOUNDS, LATENCY_BOUNDS_NS};
 /// `u64` state (the multi-user model's fault burdens).
 pub use hix_testkit::rng::splitmix64;
 pub use payload::Payload;
-pub use pipeline::CryptoDmaPipeline;
 pub use time::{Clock, Nanos};
 pub use trace::{EventKind, Trace};

@@ -63,11 +63,6 @@ impl Rng {
         Rng::new(h)
     }
 
-    /// Creates a generator from a string seed.
-    pub fn from_seed_str(seed: &str) -> Self {
-        Rng::from_seed_bytes(seed.as_bytes())
-    }
-
     /// Next raw 64-bit output.
     pub fn u64(&mut self) -> u64 {
         let s = &mut self.s;
@@ -200,7 +195,7 @@ mod tests {
             assert!(seen.insert(rng.u64()), "seed {seed} collided");
         }
         for label in ["bfs-500", "bfs-501", "gs-32", "gs-33", ""] {
-            let mut rng = Rng::from_seed_str(label);
+            let mut rng = Rng::from_seed_bytes(label.as_bytes());
             assert!(seen.insert(rng.u64()), "label {label:?} collided");
         }
     }

@@ -274,6 +274,43 @@ pub fn run_profile(
     })
 }
 
+// The workloads' device words are 4-byte little-endian, the layout
+// `KernelExec`'s `read_*s`/`write_*s` use on the GPU side.
+
+/// Encodes `f32`s as a payload of device words.
+pub(crate) fn f32s_payload(v: &[f32]) -> Payload {
+    let mut bytes = Vec::with_capacity(v.len() * 4);
+    for x in v {
+        bytes.extend_from_slice(&x.to_le_bytes());
+    }
+    Payload::from_bytes(bytes)
+}
+
+/// Encodes `i32`s as a payload of device words.
+pub(crate) fn i32s_payload(v: &[i32]) -> Payload {
+    let mut bytes = Vec::with_capacity(v.len() * 4);
+    for x in v {
+        bytes.extend_from_slice(&x.to_le_bytes());
+    }
+    Payload::from_bytes(bytes)
+}
+
+/// Decodes a payload of device words as `f32`s.
+pub(crate) fn payload_f32s(p: &Payload) -> Vec<f32> {
+    p.bytes()
+        .chunks_exact(4)
+        .map(|c| f32::from_le_bytes(c.try_into().expect("chunks_exact(4) yields 4 bytes")))
+        .collect()
+}
+
+/// Decodes a payload of device words as `i32`s.
+pub(crate) fn payload_i32s(p: &Payload) -> Vec<i32> {
+    p.bytes()
+        .chunks_exact(4)
+        .map(|c| i32::from_le_bytes(c.try_into().expect("chunks_exact(4) yields 4 bytes")))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -7,10 +7,10 @@
 use hix_gpu::vram::DevAddr;
 use hix_gpu::{GpuKernel, KernelError, KernelExec};
 use hix_platform::Machine;
-use hix_sim::{CostModel, Nanos, Payload};
+use hix_sim::{CostModel, Nanos};
 use hix_testkit::Rng;
 
-use crate::exec::{ExecError, GpuExecutor, RunStats};
+use crate::exec::{i32s_payload, payload_i32s, ExecError, GpuExecutor, RunStats};
 use crate::{Profile, Workload};
 
 /// Effective device memory bandwidth for element-wise kernels
@@ -130,21 +130,6 @@ fn gen_matrix(rng: &mut Rng, n: usize) -> Vec<i32> {
         .collect()
 }
 
-fn i32s_to_payload(v: &[i32]) -> Payload {
-    let mut bytes = Vec::with_capacity(v.len() * 4);
-    for x in v {
-        bytes.extend_from_slice(&x.to_le_bytes());
-    }
-    Payload::from_bytes(bytes)
-}
-
-fn payload_to_i32s(p: &Payload) -> Vec<i32> {
-    p.bytes()
-        .chunks_exact(4)
-        .map(|c| i32::from_le_bytes(c.try_into().unwrap()))
-        .collect()
-}
-
 /// Which operation a matrix run performs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MatrixOp {
@@ -191,8 +176,8 @@ fn run_matrix(
     let mut rng = Rng::from_seed_bytes(format!("matrix-{n}").as_bytes());
     let a = gen_matrix(&mut rng, n);
     let b = gen_matrix(&mut rng, n);
-    exec.htod(machine, da, &i32s_to_payload(&a))?;
-    exec.htod(machine, db, &i32s_to_payload(&b))?;
+    exec.htod(machine, da, &i32s_payload(&a))?;
+    exec.htod(machine, db, &i32s_payload(&b))?;
     exec.launch(
         machine,
         kernel,
@@ -200,7 +185,7 @@ fn run_matrix(
     )?;
     let out = exec.dtoh(machine, dc, bytes)?;
     if !out.is_synthetic() {
-        let got = payload_to_i32s(&out);
+        let got = payload_i32s(&out);
         let want = match op {
             MatrixOp::Add => cpu_add(&a, &b),
             MatrixOp::Mul => cpu_mul(&a, &b, n),

@@ -8,10 +8,10 @@
 use hix_gpu::vram::DevAddr;
 use hix_gpu::{GpuKernel, KernelError, KernelExec};
 use hix_platform::Machine;
-use hix_sim::{CostModel, Nanos, Payload};
+use hix_sim::{CostModel, Nanos};
 use hix_testkit::Rng;
 
-use crate::exec::{ExecError, GpuExecutor, RunStats};
+use crate::exec::{i32s_payload, payload_i32s, ExecError, GpuExecutor, RunStats};
 use crate::rodinia::mb;
 use crate::{Profile, Workload};
 
@@ -114,21 +114,6 @@ fn cpu_bfs(rows: &[i32], edges: &[i32], n: usize) -> Vec<i32> {
         level += 1;
     }
     cost
-}
-
-fn i32s_payload(v: &[i32]) -> Payload {
-    let mut bytes = Vec::with_capacity(v.len() * 4);
-    for x in v {
-        bytes.extend_from_slice(&x.to_le_bytes());
-    }
-    Payload::from_bytes(bytes)
-}
-
-fn payload_i32s(p: &Payload) -> Vec<i32> {
-    p.bytes()
-        .chunks_exact(4)
-        .map(|c| i32::from_le_bytes(c.try_into().unwrap()))
-        .collect()
 }
 
 /// The BFS workload.

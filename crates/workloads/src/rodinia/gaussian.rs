@@ -9,10 +9,10 @@
 use hix_gpu::vram::DevAddr;
 use hix_gpu::{GpuKernel, KernelError, KernelExec};
 use hix_platform::Machine;
-use hix_sim::{CostModel, Nanos, Payload};
+use hix_sim::{CostModel, Nanos};
 use hix_testkit::Rng;
 
-use crate::exec::{ExecError, GpuExecutor, RunStats};
+use crate::exec::{f32s_payload, payload_f32s, ExecError, GpuExecutor, RunStats};
 use crate::{Profile, Workload};
 
 /// Element-update throughput of `Fan2`. The kernel is launched per pivot
@@ -99,21 +99,6 @@ fn cpu_eliminate(a: &mut [f32], b: &mut [f32], n: usize) {
             b[i] -= mult * b[t];
         }
     }
-}
-
-fn f32s_payload(v: &[f32]) -> Payload {
-    let mut bytes = Vec::with_capacity(v.len() * 4);
-    for x in v {
-        bytes.extend_from_slice(&x.to_le_bytes());
-    }
-    Payload::from_bytes(bytes)
-}
-
-fn payload_f32s(p: &Payload) -> Vec<f32> {
-    p.bytes()
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-        .collect()
 }
 
 /// Diagonally dominant random matrix (stable elimination).

@@ -7,10 +7,10 @@
 use hix_gpu::vram::DevAddr;
 use hix_gpu::{GpuKernel, KernelError, KernelExec};
 use hix_platform::Machine;
-use hix_sim::{CostModel, Nanos, Payload};
+use hix_sim::{CostModel, Nanos};
 use hix_testkit::Rng;
 
-use crate::exec::{ExecError, GpuExecutor, RunStats};
+use crate::exec::{f32s_payload, payload_f32s, ExecError, GpuExecutor, RunStats};
 use crate::{Profile, Workload};
 
 /// Simulation time steps (Rodinia's default-ish pyramid run).
@@ -87,14 +87,6 @@ fn cpu_step(t: &[f32], p: &[f32], n: usize) -> Vec<f32> {
     out
 }
 
-fn f32s_payload(v: &[f32]) -> Payload {
-    let mut bytes = Vec::with_capacity(v.len() * 4);
-    for x in v {
-        bytes.extend_from_slice(&x.to_le_bytes());
-    }
-    Payload::from_bytes(bytes)
-}
-
 /// The Hotspot workload.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct Hotspot;
@@ -156,11 +148,7 @@ impl Workload for Hotspot {
             for _ in 0..steps {
                 want = cpu_step(&want, &power, n);
             }
-            let got: Vec<f32> = out
-                .bytes()
-                .chunks_exact(4)
-                .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-                .collect();
+            let got = payload_f32s(&out);
             for (g, w) in got.iter().zip(&want) {
                 if (g - w).abs() > 1e-2 {
                     return Err(ExecError::Verify(format!("hs mismatch {g} vs {w}")));

@@ -7,10 +7,10 @@
 use hix_gpu::vram::DevAddr;
 use hix_gpu::{GpuKernel, KernelError, KernelExec};
 use hix_platform::Machine;
-use hix_sim::{CostModel, Nanos, Payload};
+use hix_sim::{CostModel, Nanos};
 use hix_testkit::Rng;
 
-use crate::exec::{ExecError, GpuExecutor, RunStats};
+use crate::exec::{f32s_payload, payload_f32s, ExecError, GpuExecutor, RunStats};
 use crate::{Profile, Workload};
 
 /// Rodinia's block width.
@@ -79,14 +79,6 @@ fn gen_matrix(n: usize, seed: &str) -> Vec<f32> {
     a
 }
 
-fn f32s_payload(v: &[f32]) -> Payload {
-    let mut bytes = Vec::with_capacity(v.len() * 4);
-    for x in v {
-        bytes.extend_from_slice(&x.to_le_bytes());
-    }
-    Payload::from_bytes(bytes)
-}
-
 /// The LUD workload.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct Lud;
@@ -136,11 +128,7 @@ impl Workload for Lud {
         if !out.is_synthetic() {
             let mut want = a.clone();
             cpu_lud(&mut want, n);
-            let got: Vec<f32> = out
-                .bytes()
-                .chunks_exact(4)
-                .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-                .collect();
+            let got = payload_f32s(&out);
             for (g, w) in got.iter().zip(&want) {
                 if (g - w).abs() > 1e-2 * w.abs().max(1.0) {
                     return Err(ExecError::Verify(format!("lud mismatch {g} vs {w}")));

@@ -8,10 +8,10 @@
 use hix_gpu::vram::DevAddr;
 use hix_gpu::{GpuKernel, KernelError, KernelExec};
 use hix_platform::Machine;
-use hix_sim::{CostModel, Nanos, Payload};
+use hix_sim::{CostModel, Nanos};
 use hix_testkit::Rng;
 
-use crate::exec::{ExecError, GpuExecutor, RunStats};
+use crate::exec::{f32s_payload, payload_f32s, ExecError, GpuExecutor, RunStats};
 use crate::rodinia::kb;
 use crate::{Profile, Workload};
 
@@ -66,14 +66,6 @@ fn cpu_knn(records: &[f32], n: usize, lat: f32, lng: f32) -> Vec<usize> {
     d.iter().take(K).map(|(i, _)| *i).collect()
 }
 
-fn f32s_payload(v: &[f32]) -> Payload {
-    let mut bytes = Vec::with_capacity(v.len() * 4);
-    for x in v {
-        bytes.extend_from_slice(&x.to_le_bytes());
-    }
-    Payload::from_bytes(bytes)
-}
-
 /// The NN workload.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NearestNeighbor;
@@ -126,11 +118,7 @@ impl Workload for NearestNeighbor {
         )?;
         let out = exec.dtoh(machine, d_dist, (n * 4) as u64)?;
         if !out.is_synthetic() {
-            let got: Vec<f32> = out
-                .bytes()
-                .chunks_exact(4)
-                .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-                .collect();
+            let got = payload_f32s(&out);
             // Host-side top-k over the GPU distances must equal the CPU
             // reference selection.
             let mut idx: Vec<(usize, f32)> = got.iter().copied().enumerate().collect();

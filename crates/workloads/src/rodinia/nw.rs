@@ -9,10 +9,10 @@
 use hix_gpu::vram::DevAddr;
 use hix_gpu::{GpuKernel, KernelError, KernelExec};
 use hix_platform::Machine;
-use hix_sim::{CostModel, Nanos, Payload};
+use hix_sim::{CostModel, Nanos};
 use hix_testkit::Rng;
 
-use crate::exec::{ExecError, GpuExecutor, RunStats};
+use crate::exec::{i32s_payload, payload_i32s, ExecError, GpuExecutor, RunStats};
 use crate::rodinia::mb;
 use crate::{Profile, Workload};
 
@@ -100,14 +100,6 @@ fn init_score(n: usize) -> Vec<i32> {
     s
 }
 
-fn i32s_payload(v: &[i32]) -> Payload {
-    let mut bytes = Vec::with_capacity(v.len() * 4);
-    for x in v {
-        bytes.extend_from_slice(&x.to_le_bytes());
-    }
-    Payload::from_bytes(bytes)
-}
-
 /// The NW workload.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NeedlemanWunsch;
@@ -169,11 +161,7 @@ impl Workload for NeedlemanWunsch {
         }
         let out = exec.dtoh(machine, d_score, (w * w * 4) as u64)?;
         if !out.is_synthetic() {
-            let got: Vec<i32> = out
-                .bytes()
-                .chunks_exact(4)
-                .map(|c| i32::from_le_bytes(c.try_into().unwrap()))
-                .collect();
+            let got = payload_i32s(&out);
             let want = cpu_nw(&reference, n);
             if got != want {
                 return Err(ExecError::Verify("nw score matrix mismatch".into()));

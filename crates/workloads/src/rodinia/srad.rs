@@ -8,10 +8,10 @@
 use hix_gpu::vram::DevAddr;
 use hix_gpu::{GpuKernel, KernelError, KernelExec};
 use hix_platform::Machine;
-use hix_sim::{CostModel, Nanos, Payload};
+use hix_sim::{CostModel, Nanos};
 use hix_testkit::Rng;
 
-use crate::exec::{ExecError, GpuExecutor, RunStats};
+use crate::exec::{f32s_payload, payload_f32s, ExecError, GpuExecutor, RunStats};
 use crate::rodinia::mb;
 use crate::{Profile, Workload};
 
@@ -143,14 +143,6 @@ impl GpuKernel for SradUpdateKernel {
     }
 }
 
-fn f32s_payload(v: &[f32]) -> Payload {
-    let mut bytes = Vec::with_capacity(v.len() * 4);
-    for x in v {
-        bytes.extend_from_slice(&x.to_le_bytes());
-    }
-    Payload::from_bytes(bytes)
-}
-
 /// The SRAD workload.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct Srad;
@@ -215,11 +207,7 @@ impl Workload for Srad {
                 let c = srad_coeff(&want, rows, cols);
                 srad_update(&mut want, &c, rows, cols);
             }
-            let got: Vec<f32> = out
-                .bytes()
-                .chunks_exact(4)
-                .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-                .collect();
+            let got = payload_f32s(&out);
             for (g, w) in got.iter().zip(&want) {
                 if (g - w).abs() > 1e-3 * w.abs().max(1.0) {
                     return Err(ExecError::Verify(format!("srad mismatch {g} vs {w}")));

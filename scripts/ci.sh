@@ -30,8 +30,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 # The test suite includes the exact ledger gate
 # (crates/bench/tests/ledgers.rs): it reruns perf_report, scale_report,
 # fabric_report and fault_report, fails on any byte difference from the
-# committed BENCH_*.json ledgers, and smoke-runs trace_report.
+# committed BENCH_*.json ledgers, and smoke-runs trace_report. Its
+# wall-clock is printed so each change can record tier-1 turnaround.
+SECONDS=0
 cargo test -q --offline
+echo "debug cargo test wall-clock: $((SECONDS / 60)) m $((SECONDS % 60)) s"
 
 # The benchmark runs hix-crypto's arithmetic in release, where overflow
 # checks and debug_assert! are off: its unit tests and the two crypto
@@ -93,6 +96,9 @@ cargo bench --offline --bench crypto -- --check "$PWD/BENCH_crypto.json"
 # but running the bench here keeps it building, so it cannot rot
 # unnoticed.
 cargo bench --offline --bench simulator
+# The §4.4.2 ablations on the cost model (single-copy vs naive, the chunk
+# sweep; DESIGN.md §5), run once for information in the same way.
+cargo bench --offline --bench pipeline
 
 # Table 2 re-runs the attack-scenario suite and prints the per-crate
 # LoC accounting. It exits non-zero if a defense fails or a workspace

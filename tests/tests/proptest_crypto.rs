@@ -3,7 +3,6 @@
 
 use hix_crypto::bignum::Uint;
 use hix_crypto::ocb::{Key, Nonce, Ocb, TAG_LEN};
-use hix_sim::Payload;
 use hix_testkit::prop::prop;
 
 #[test]
@@ -88,28 +87,6 @@ fn bignum_rem_matches_u128() {
         let big_a = Uint::from_be_bytes(&a.to_be_bytes());
         let big_m = Uint::from_u64(m);
         assert_eq!(big_a.rem(&big_m), Uint::from_u64((a % m as u128) as u64));
-    });
-}
-
-#[test]
-fn payload_chunk_concat_identity() {
-    prop("payload_chunk_concat_identity").run(|s| {
-        let data = s.vec_u8(0..512);
-        let chunk = s.in_range(1..64);
-        let p = Payload::from_bytes(data.clone());
-        let back = Payload::concat(p.chunks(chunk));
-        assert_eq!(back.bytes(), &data[..]);
-    });
-}
-
-#[test]
-fn synthetic_chunks_preserve_length() {
-    prop("synthetic_chunks_preserve_length").run(|s| {
-        let len = s.in_range(0..1_000_000);
-        let chunk = s.in_range(1..5000);
-        let parts = Payload::synthetic(len).chunks(chunk);
-        assert_eq!(parts.iter().map(Payload::len).sum::<u64>(), len);
-        assert!(parts.iter().all(|p| p.len() <= chunk));
     });
 }
 

@@ -1,14 +1,15 @@
-//! Timing tests for the shared crypto/DMA transfer pipeline
-//! (`hix_sim::CryptoDmaPipeline` wired into the GPU enclave): inside a
-//! batched frame, consecutive secure transfers overlap chunkwise on the
-//! shared enclave-crypto and DMA engines instead of serializing their
-//! closed forms, and the engine cursors are one machine-wide resource —
-//! every session of an enclave books the same pair.
+//! Timing tests for secure transfers. The GPU enclave tops each
+//! successful transfer up to its closed-form floor, `hix_htod` or
+//! `hix_dtoh`, counted from when its sealed chunks were ready: a
+//! frame's HtoD from the frame's arrival, so GPU work riding the same
+//! frame runs under it, and a direct request (a journal replay) from its
+//! own arrival. Service is serial on one clock, so no transfer waits for
+//! an earlier one.
 
 use hix_core::{GpuEnclave, GpuEnclaveOptions, HixSession};
 use hix_driver::rig::{standard_rig, RigOptions};
 use hix_platform::Machine;
-use hix_sim::{Nanos, Payload};
+use hix_sim::{EventKind, Nanos, Payload};
 use hix_workloads::all_kernels;
 
 fn rig() -> Machine {
@@ -92,9 +93,8 @@ fn batched_frames_hide_gpu_work_under_the_transfer_pipeline() {
 
 #[test]
 fn single_transfer_frames_keep_the_closed_form() {
-    // With idle engines the pipeline booking degenerates to exactly the
-    // `hix_htod` closed form, so a lone transfer (the synchronous path
-    // wraps one command per frame) is timed as before.
+    // A lone transfer (the synchronous path wraps one command per frame)
+    // is timed at exactly the `hix_htod` closed form.
     let mut m = rig();
     let mut enclave = GpuEnclave::launch(&mut m, GpuEnclaveOptions::default()).expect("launch");
     let mut s = HixSession::connect(&mut m, &mut enclave).expect("connect");
@@ -117,12 +117,17 @@ fn single_transfer_frames_keep_the_closed_form() {
     s.close(&mut m, &mut enclave).expect("close");
 }
 
+/// Virtual time `op` takes on `m`'s clock.
+fn elapsed(m: &mut Machine, op: impl FnOnce(&mut Machine)) -> Nanos {
+    let before = m.clock().now();
+    op(m);
+    m.clock().now() - before
+}
+
 #[test]
-fn engines_are_shared_across_sessions() {
-    // One enclave, two sessions: both sessions' transfers book the same
-    // pipeline instance, so the engine cursors advance monotonically
-    // across sessions — the transfer plane is a machine resource, not a
-    // per-session one.
+fn a_transfer_is_never_delayed_by_an_earlier_one() {
+    // Two sessions' transfers back to back, then their readbacks: each
+    // takes exactly its closed form, whoever was served before it.
     let mut m = rig();
     let mut enclave = GpuEnclave::launch(&mut m, GpuEnclaveOptions::default()).expect("launch");
     let mut s1 = HixSession::connect(&mut m, &mut enclave).expect("connect s1");
@@ -130,51 +135,62 @@ fn engines_are_shared_across_sessions() {
     let len = transfer_len(&m);
     let a1 = s1.malloc(&mut m, &mut enclave, len).expect("malloc s1");
     let a2 = s2.malloc(&mut m, &mut enclave, len).expect("malloc s2");
+    let htod = m.model().ipc_roundtrip + m.model().hix_htod(len);
+    let dtoh = m.model().ipc_roundtrip + m.model().hix_dtoh(len);
 
-    assert_eq!(
-        enclave.xfer_pipeline().dma_free(),
-        Nanos::ZERO,
-        "no booking yet"
-    );
-
-    s1.memcpy_htod(
-        &mut m,
-        &mut enclave,
-        a1,
-        &Payload::from_bytes(vec![1u8; len as usize]),
-    )
-    .expect("htod s1");
-    let after_s1 = (
-        enclave.xfer_pipeline().crypt_free(),
-        enclave.xfer_pipeline().dma_free(),
-    );
-    assert!(after_s1.0 > Nanos::ZERO && after_s1.1 > after_s1.0);
-
-    s2.memcpy_htod(
-        &mut m,
-        &mut enclave,
-        a2,
-        &Payload::from_bytes(vec![2u8; len as usize]),
-    )
-    .expect("htod s2");
-    let after_s2 = (
-        enclave.xfer_pipeline().crypt_free(),
-        enclave.xfer_pipeline().dma_free(),
-    );
-    assert!(
-        after_s2.0 > after_s1.0 && after_s2.1 > after_s1.1,
-        "session 2's transfer must book the same engines session 1 used"
-    );
-
-    // Readbacks book the same engines in the other direction.
-    let before_dtoh = enclave.xfer_pipeline().crypt_free();
-    s1.memcpy_dtoh(&mut m, &mut enclave, a1, len)
-        .expect("dtoh s1");
-    assert!(
-        enclave.xfer_pipeline().crypt_free() > before_dtoh,
-        "DtoH must book the shared crypto engine too"
-    );
-
+    for (s, a, byte) in [(&mut s1, a1, 1u8), (&mut s2, a2, 2)] {
+        let payload = Payload::from_bytes(vec![byte; len as usize]);
+        let t = elapsed(&mut m, |m| {
+            s.memcpy_htod(m, &mut enclave, a, &payload).expect("htod");
+        });
+        assert_eq!(t, htod, "HtoD of session {}", s.id());
+    }
+    for (s, a, byte) in [(&mut s1, a1, 1u8), (&mut s2, a2, 2)] {
+        let mut back = None;
+        let t = elapsed(&mut m, |m| {
+            back = Some(s.memcpy_dtoh(m, &mut enclave, a, len).expect("dtoh"));
+        });
+        assert_eq!(t, dtoh, "DtoH of session {}", s.id());
+        assert!(back.expect("read").bytes().iter().all(|&b| b == byte));
+    }
     s1.close(&mut m, &mut enclave).expect("close s1");
     s2.close(&mut m, &mut enclave).expect("close s2");
+}
+
+#[test]
+fn a_replayed_transfer_is_charged_its_floor() {
+    // Resuming a parked session replays its journal: each HtoD is sealed
+    // again and sent as a direct request, outside any frame. The replay
+    // charges the same exposed sealing as the original, on top of the
+    // record's unsealing.
+    let mut m = rig();
+    let mut enclave = GpuEnclave::launch(&mut m, GpuEnclaveOptions::default()).expect("launch");
+    let mut s = HixSession::connect(&mut m, &mut enclave).expect("connect");
+    let len = 64 << 10;
+    let a = s.malloc(&mut m, &mut enclave, len).expect("malloc");
+    let crypto = |m: &Machine| m.trace().total(EventKind::EnclaveCrypto);
+
+    let before = crypto(&m);
+    s.memcpy_htod(
+        &mut m,
+        &mut enclave,
+        a,
+        &Payload::from_bytes(vec![3u8; len as usize]),
+    )
+    .expect("htod");
+    let sealing = crypto(&m) - before;
+    assert!(sealing > Nanos::ZERO, "a 64 KiB HtoD binds its floor");
+
+    enclave.park_session(&mut m, s.id()).expect("park");
+    let before = crypto(&m);
+    assert!(s.resume(&mut m, &mut enclave).expect("resume"));
+    assert_eq!(
+        crypto(&m) - before,
+        m.model().park_unseal() + sealing,
+        "the replayed HtoD must charge its floor like the original"
+    );
+
+    let back = s.memcpy_dtoh(&mut m, &mut enclave, a, len).expect("dtoh");
+    assert!(back.bytes().iter().all(|&b| b == 3));
+    s.close(&mut m, &mut enclave).expect("close");
 }
